@@ -11,33 +11,41 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import LayerUniverse, layer_pair_integral
-from .measure import BaseMeasure, _sign, build_measure
+from .layers import LayerUniverse
+from .measure import BaseMeasure, build_measure, pair_integral
 
 
 def _normalized_masses(mu: BaseMeasure) -> np.ndarray:
     return mu.cell_masses / mu.cell_masses.sum()
 
 
+def _per_label(rows: np.ndarray, copies: int = 2) -> np.ndarray:
+    """Repeat per-pair rows once per label, labels in order 1 .. 2M."""
+    return np.repeat(rows, copies, axis=0)
+
+
+def _cell_pair_bins(universe: LayerUniverse) -> np.ndarray:
+    """Flat (column, row) bin of every ensemble, one row per label."""
+    size = 3 * universe.n + 12
+    return _per_label(universe.col_to * size + universe.row_to)
+
+
 def pair_expectation(universe: LayerUniverse, a, b) -> float:
-    """E{A B} = average over labels of the exact per-layer integral = -a.b."""
+    """E{A B} = average over labels of the exact per-layer integral = -a.b.
+
+    Each layer integrates to the base integral times its weight total."""
     mu = build_measure(a, b, universe.n)
-    acc = 0.0
-    for lay in universe.layers:
-        acc += layer_pair_integral(lay, mu)
-    return acc / universe.label_count
+    return pair_integral(mu) * float(universe.weights.sum(axis=1).mean())
 
 
 def station_pair_joint(universe: LayerUniverse, mu: BaseMeasure) -> np.ndarray:
     """Exact joint cell law of the two station parameters, mixed over labels
     and weight intervals: shape (cells, cells) over (column, row)."""
     size = 3 * universe.n + 12
-    masses = _normalized_masses(mu)
-    joint = np.zeros((size, size))
-    share = 1.0 / universe.label_count
-    for lay in universe.layers:
-        np.add.at(joint, (lay.col_to, lay.row_to), masses * share)
-    return joint
+    bins = _cell_pair_bins(universe)
+    shares = np.broadcast_to(_normalized_masses(mu) * (1.0 / universe.label_count), bins.shape)
+    joint = np.bincount(bins.ravel(), shares.ravel(), minlength=size * size)
+    return joint.reshape(size, size)
 
 
 def conditional_outcome_bias(
@@ -62,35 +70,34 @@ def conditional_outcome_bias(
         raise ValueError("by must be 'station' or 'source'")
     mu = build_measure(a, b, universe.n)
     size = 3 * universe.n + 12
-    masses = _normalized_masses(mu)
-    setting = mu.a if side == "A" else mu.b
     ell_count = universe.interval_count
-    s_vals = np.array([-1.0 if (ell + 1) % 2 else 1.0 for ell in range(ell_count)])
+    if side == "A":
+        setting, flip, to = mu.a, 1.0, universe.col_to
+    else:
+        setting, flip, to = mu.b, -1.0, universe.row_to
+    s_vals = np.where(np.arange(ell_count) % 2, 1.0, -1.0)
 
-    # per-cell outcome value by half: rows = original cell position, cols = half
-    prof = np.empty((size, 2))
-    for p in range(size):
-        i = p - 2
-        if i <= 0:
-            val = _sign(setting[-i]) * (1.0 if side == "A" else -1.0)
-            prof[p] = (val, val)
-        else:
-            prof[p] = (-1.0, 1.0) if side == "A" else (1.0, -1.0)
+    # outcome by original cell position and half: the three negative cells
+    # give the setting's component sign, the others alternate by half
+    prof = np.tile([-flip, flip], (size, 1))
+    prof[:3] = flip * np.where(setting[::-1] >= 0.0, 1.0, -1.0)[:, None]
 
-    labels = universe.layers if not drop_companions else universe.layers[0::2]
-    num = np.zeros((size, 2, ell_count))
-    den = np.zeros((size, 2, ell_count))
-    # accumulate per companion pair so exact cancellations happen adjacently
-    step = 1 if drop_companions else 2
-    for idx in range(0, len(labels), step):
-        g_num = np.zeros_like(num)
-        for lay in labels[idx : idx + step]:
-            to = lay.col_to if side == "A" else lay.row_to
-            weight = masses[:, None, None] * lay.weights[None, None, :]
-            contrib = lay.sign * prof[:, :, None] * s_vals[None, None, :] * weight
-            g_num[to] += contrib
-            den[to] += np.broadcast_to(weight, (size, 2, ell_count))
-        num += g_num
+    # kept labels per pair and their signs; a pair's labels share every bin,
+    # so its contribution is the sum of their signs (0 for companions) times
+    # one label's contribution
+    signs = [1.0] if drop_companions else [1.0, -1.0]
+    weight = _normalized_masses(mu)[None, :, None] * universe.weights[:, None, :]
+    cell_ell = to[:, :, None] * ell_count + np.arange(ell_count)
+    halves = (to[:, :, None, None] * 2 + np.arange(2)[:, None]) * ell_count + np.arange(ell_count)
+    contrib = sum(signs) * (prof[:, :, None] * s_vals) * weight[:, :, None, :]
+    num = np.bincount(halves.ravel(), contrib.ravel(), minlength=size * 2 * ell_count)
+    den = np.bincount(
+        _per_label(cell_ell, len(signs)).ravel(),
+        _per_label(weight, len(signs)).ravel(),
+        minlength=size * ell_count,
+    )
+    num = num.reshape(size, 2, ell_count)
+    den = np.repeat(den.reshape(size, 1, ell_count), 2, axis=1)
     if by == "source":
         num = num.sum(axis=(0, 1), keepdims=True)
         den = den.sum(axis=(0, 1), keepdims=True)
@@ -155,45 +162,34 @@ def dependence_report(universe: LayerUniverse, a, b, c) -> DependenceReport:
     uniform = np.full(size, 1.0 / size)
     marginal_uniformity = max(_tv(marg_u, uniform), _tv(marg_v, uniform))
 
-    # conditional diagnostics per label
-    tv_cond_indep = 0.0
-    cond_pair_dependence = np.inf
-    setting_shift = 0.0
-    for lay in universe.layers:
-        # (ii): conditional joint over ((u,v) atom, interval) given the label,
-        # against the product of its two conditional marginals
-        atom = np.outer(masses, lay.weights)
-        marg_cells = atom.sum(axis=1)
-        marg_ell = atom.sum(axis=0)
-        defect = _tv(atom.ravel(), np.outer(marg_cells, marg_ell).ravel())
-        tv_cond_indep = max(tv_cond_indep, defect)
+    # (ii): conditional joint over ((u,v) atom, interval) given the label,
+    # against the product of its two conditional marginals; companions share it
+    atom = masses[None, :, None] * universe.weights[:, None, :]
+    product = atom.sum(axis=2)[:, :, None] * atom.sum(axis=1)[:, None, :]
+    tv_cond_indep = float(0.5 * np.abs(atom - product).sum(axis=(1, 2)).max())
 
-        # (v): conditional cell-pair law vs product of conditional marginals
-        pu = np.zeros(size)
-        pv = np.zeros(size)
-        pu[lay.col_to] = masses
-        pv[lay.row_to] = masses
-        prod = np.outer(pu, pv)
-        on_diag = prod[lay.col_to, lay.row_to]
-        tv_pair = 0.5 * (np.abs(masses - on_diag).sum() + prod.sum() - on_diag.sum())
-        cond_pair_dependence = min(cond_pair_dependence, float(tv_pair))
-
-        # (vii): conditional station-1 marginal under (a, b) vs (a, c)
-        pu_ac = np.zeros(size)
-        pu_ac[lay.col_to] = masses_ac
-        setting_shift = max(setting_shift, _tv(pu, pu_ac))
+    # (v) and (vii): a relocation moves the conditional masses and both
+    # product marginals together, so each distance is the same on every
+    # label; evaluate it on the unpermuted layout
+    # (v): conditional cell-pair law vs product of conditional marginals
+    on_diag = masses * masses
+    cond_pair_dependence = 0.5 * float(
+        np.abs(masses - on_diag).sum() + np.outer(masses, masses).sum() - on_diag.sum()
+    )
+    # (vii): conditional station-1 marginal under (a, b) vs (a, c)
+    setting_shift = _tv(masses, masses_ac)
 
     # (vi): label vs weight interval
-    mean_weights = universe.weights_all.mean(axis=0)
-    r_lambda_dependence = float(
-        0.5 * np.abs(universe.weights_all - mean_weights).sum() / labels
-    )
+    label_weights = _per_label(universe.weights)
+    mean_weights = label_weights.mean(axis=0)
+    r_lambda_dependence = float(0.5 * np.abs(label_weights - mean_weights).sum() / labels)
 
     # (ii*): is the source parameter independent of the station pair?
-    triple = np.zeros((size, size, universe.interval_count))
-    share = 1.0 / labels
-    for lay in universe.layers:
-        np.add.at(triple, (lay.col_to, lay.row_to), np.outer(masses, lay.weights) * share)
+    ell_count = universe.interval_count
+    bins = _cell_pair_bins(universe)[:, :, None] * ell_count + np.arange(ell_count)
+    shares = masses[None, :, None] * label_weights[:, None, :] * (1.0 / labels)
+    triple = np.bincount(bins.ravel(), shares.ravel(), minlength=size * size * ell_count)
+    triple = triple.reshape(size, size, ell_count)
     factorization_defect = float(
         np.abs(triple - joint[:, :, None] * mean_weights[None, None, :]).max()
     )
@@ -201,7 +197,7 @@ def dependence_report(universe: LayerUniverse, a, b, c) -> DependenceReport:
     return DependenceReport(
         tv_joint_vs_product=tv_joint_vs_product,
         tv_cond_indep=tv_cond_indep,
-        cond_pair_dependence=float(cond_pair_dependence),
+        cond_pair_dependence=cond_pair_dependence,
         setting_shift=setting_shift,
         marginal_uniformity=marginal_uniformity,
         r_lambda_dependence=r_lambda_dependence,

@@ -11,6 +11,13 @@ the factored density form and the per-layer correlation integral.
 Each layer comes with a companion carrying the identical density but negated
 detector functions; summed over a companion pair the outcome functions
 cancel pointwise, which is what removes any conditional outcome bias.
+
+A `LayerUniverse` therefore stores one row per companion pair in three
+arrays validated once on construction: `col_to` and `row_to` of shape
+(M, 3n+12), whose rows permute the diagonal positions, and `weights` of
+shape (M, L), whose rows are interval weight vectors.  Label m = 1 .. 2M is
+pair (m-1)//2 with sign +1 for odd m and -1 for even m; `Layer` objects are
+built on demand by `LayerUniverse.layer`.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .measure import BaseMeasure, _sign, step_weight, validate_weights
+from .measure import BaseMeasure, pair_integral, step_weight, validate_weights
 
 UNIVERSE_SCHEMA = "layer-universe/1"
 
@@ -59,12 +66,8 @@ class Layer:
     def __post_init__(self):
         size = 3 * self.n + 12
         for name in ("col_to", "row_to"):
-            perm = np.asarray(getattr(self, name), dtype=np.int64)
-            if sorted(perm.tolist()) != list(range(size)):
-                raise ValueError(f"{name} must be a permutation of 0..{size - 1}")
-            perm.setflags(write=False)
-            object.__setattr__(self, name, perm)
-        object.__setattr__(self, "weights", validate_weights(self.weights))
+            object.__setattr__(self, name, _permutations(np.ravel(getattr(self, name)), size, name))
+        object.__setattr__(self, "weights", validate_weights(np.ravel(self.weights)))
         if self.sign not in (-1, 1):
             raise ValueError("sign must be +1 or -1")
 
@@ -75,16 +78,6 @@ class Layer:
     @property
     def interval_count(self) -> int:
         return int(self.weights.size)
-
-    def col_inverse(self) -> np.ndarray:
-        inv = np.empty_like(self.col_to)
-        inv[self.col_to] = np.arange(self.col_to.size)
-        return inv
-
-    def row_inverse(self) -> np.ndarray:
-        inv = np.empty_like(self.row_to)
-        inv[self.row_to] = np.arange(self.row_to.size)
-        return inv
 
     # descriptive views of the relocation ------------------------------------
     def unit_ensemble_columns(self) -> tuple[int, ...]:
@@ -111,76 +104,70 @@ def sample_layer_pair(
     tie_weights: bool = False,
     tie_vector=None,
 ) -> tuple[Layer, Layer]:
-    """Uniformly sample one layer and its companion.
+    """Uniformly sample one layer and its companion (see `build_universe`)."""
+    universe = build_universe(n, interval_count, 1, rng, tie_weights, tie_vector)
+    return universe.layer(1), universe.layer(2)
 
-    Columns and rows are relocated by independent uniform permutations, which
-    is the uniform law over all placements with one mass ensemble per row and
-    column.  Weights come from a symmetric Dirichlet(1) prior unless
-    `tie_weights` pins them to a layer-independent vector (uniform by
-    default, or `tie_vector`).
-    """
-    if n < 4:
-        raise ValueError(f"order parameter n must be >= 4, got {n}")
-    if interval_count < 1:
-        raise ValueError("interval count must be >= 1")
-    size = 3 * n + 12
-    col = rng.permutation(size)
-    row = rng.permutation(size)
-    if tie_weights:
-        if tie_vector is None:
-            weights = np.full(interval_count, 1.0 / interval_count)
-        else:
-            weights = validate_weights(tie_vector)
-    else:
-        weights = rng.dirichlet(np.ones(interval_count))
-        weights = weights / weights.sum()
-    original = Layer(n, col, row, weights, sign=1)
-    return original, original.companion()
+
+def _permutations(perms, size: int, name: str) -> np.ndarray:
+    """Validate rows (last axis) permuting 0 .. size-1; read-only int64 copy."""
+    arr = np.asarray(perms)
+    if arr.shape[-1:] != (size,) or np.any(np.sort(arr, axis=-1) != np.arange(size)):
+        raise ValueError(f"{name} must permute the {size} diagonal positions")
+    out = arr.astype(np.int64)
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
 class LayerUniverse:
     """A finite sampled family of companion layer pairs.
 
-    Labels m = 1 .. 2M: odd labels are originals, even labels their
-    companions.  The cached arrays stack the per-label relocations for
-    vectorized sampling and analysis.
+    Row k of `col_to`, `row_to` (shape (M, 3n+12)) and `weights` (shape
+    (M, L)) is pair k.  Labels m = 1 .. 2M: label m belongs to pair
+    (m-1)//2; odd labels are originals (sign +1), even labels their
+    companions (sign -1), which share the pair's relocation and weights.
     """
 
     n: int
     interval_count: int
-    layers: tuple[Layer, ...]
-    col_to_all: np.ndarray = field(repr=False, compare=False, default=None)
-    row_to_all: np.ndarray = field(repr=False, compare=False, default=None)
-    weights_all: np.ndarray = field(repr=False, compare=False, default=None)
-    signs: np.ndarray = field(repr=False, compare=False, default=None)
+    col_to: np.ndarray = field(repr=False, compare=False)
+    row_to: np.ndarray = field(repr=False, compare=False)
+    weights: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.layers or len(self.layers) % 2:
-            raise ValueError("universe needs a positive even number of layers")
-        stacks = {
-            "col_to_all": np.stack([lay.col_to for lay in self.layers]),
-            "row_to_all": np.stack([lay.row_to for lay in self.layers]),
-            "weights_all": np.stack([lay.weights for lay in self.layers]),
-            "signs": np.array([lay.sign for lay in self.layers], dtype=np.int64),
-        }
-        for name, arr in stacks.items():
-            arr.setflags(write=False)
+        if self.n < 4:
+            raise ValueError(f"order parameter n must be >= 4, got {self.n}")
+        size = 3 * self.n + 12
+        col_to = _permutations(self.col_to, size, "columns")
+        row_to = _permutations(self.row_to, size, "rows")
+        weights = validate_weights(self.weights)
+        if not col_to.ndim == row_to.ndim == weights.ndim == 2 or not (
+            col_to.shape[0] == row_to.shape[0] == weights.shape[0] > 0
+        ):
+            raise ValueError("pairs: columns, rows and weights need one row per pair")
+        if weights.shape[1] != self.interval_count:
+            raise ValueError(
+                f"interval_count {self.interval_count!r} differs from the "
+                f"{weights.shape[1]} weights per pair"
+            )
+        for name, arr in (("col_to", col_to), ("row_to", row_to), ("weights", weights)):
             object.__setattr__(self, name, arr)
 
     @property
     def label_count(self) -> int:
-        return len(self.layers)
+        return 2 * self.pair_count
 
     @property
     def pair_count(self) -> int:
-        return len(self.layers) // 2
+        return self.col_to.shape[0]
 
     def layer(self, m: int) -> Layer:
-        """Layer for label m = 1 .. 2M."""
+        """Layer for label m = 1 .. 2M, built on demand."""
         if not 1 <= m <= self.label_count:
             raise ValueError(f"label {m} outside 1..{self.label_count}")
-        return self.layers[m - 1]
+        k, sign = (m - 1) // 2, (1 if m % 2 else -1)
+        return Layer(self.n, self.col_to[k], self.row_to[k], self.weights[k], sign)
 
 
 def build_universe(
@@ -191,13 +178,33 @@ def build_universe(
     tie_weights: bool = False,
     tie_vector=None,
 ) -> LayerUniverse:
-    """Sample `pair_count` companion pairs into a universe of 2M labels."""
-    if pair_count < 1:
-        raise ValueError("pair count must be >= 1")
-    layers: list[Layer] = []
-    for _ in range(pair_count):
-        layers.extend(sample_layer_pair(n, interval_count, rng, tie_weights, tie_vector))
-    return LayerUniverse(n=n, interval_count=interval_count, layers=tuple(layers))
+    """Sample `pair_count` companion pairs into a universe of 2M labels.
+
+    Columns and rows are relocated by independent uniform permutations, which
+    is the uniform law over all placements with one mass ensemble per row and
+    column.  Weights come from a symmetric Dirichlet(1) prior unless
+    `tie_weights` pins them to a layer-independent vector (uniform by
+    default, or `tie_vector`).  Per pair the stream is consumed as
+    permutation, permutation, then (untied weights only) dirichlet.
+    """
+    if n < 4:
+        raise ValueError(f"order parameter n must be >= 4, got {n}")
+    if interval_count < 1 or pair_count < 1:
+        raise ValueError("interval count and pair count must be >= 1")
+    size = 3 * n + 12
+    col_to = np.empty((pair_count, size), dtype=np.int64)
+    row_to = np.empty((pair_count, size), dtype=np.int64)
+    weights = np.empty((pair_count, interval_count))
+    if tie_weights:
+        weights[:] = 1.0 / interval_count if tie_vector is None else validate_weights(tie_vector)
+    alpha = np.ones(interval_count)
+    for k in range(pair_count):
+        col_to[k] = rng.permutation(size)
+        row_to[k] = rng.permutation(size)
+        if not tie_weights:
+            draw = rng.dirichlet(alpha)
+            weights[k] = draw / draw.sum()
+    return LayerUniverse(n, interval_count, col_to, row_to, weights)
 
 
 # --- evaluation ---------------------------------------------------------------
@@ -206,29 +213,20 @@ def build_universe(
 _OUTSIDE = -1000
 
 
-def _origin_cells(perm_inverse: np.ndarray, coords: np.ndarray, size: int, outside_base: bool):
-    """Original cell index (i = -2 .. 3n+9) whose strip covers each coordinate.
+def _origin_cells(perm: np.ndarray, coords, outside_base: bool = False) -> np.ndarray:
+    """Original cell index (i = -2 .. 3n+9) whose strip the relocation `perm`
+    (a layer's `col_to` or `row_to`) moved under each coordinate.
 
     Outside Omega there is nothing to permute: with `outside_base` the
     coordinate's own cell index is returned so the base detector profile
     continues unchanged; otherwise the sentinel marks zero density.
     """
+    coords = np.atleast_1d(np.asarray(coords, dtype=float))
     cell = np.floor(coords).astype(np.int64) + 1
-    inside = (coords >= -3.0) & (coords < size - 3.0)
-    fallback = cell if outside_base else np.full(coords.shape, _OUTSIDE, dtype=np.int64)
-    origin = fallback.copy()
-    origin[inside] = perm_inverse[cell[inside] + 2] - 2
+    inside = (coords >= -3.0) & (coords < perm.size - 3.0)
+    origin = cell.copy() if outside_base else np.full(coords.shape, _OUTSIDE, dtype=np.int64)
+    origin[inside] = np.argsort(perm)[cell[inside] + 2] - 2  # argsort inverts a permutation
     return origin
-
-
-def _column_origin(layer: Layer, u, outside_base: bool = False) -> np.ndarray:
-    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    return _origin_cells(layer.col_inverse(), u_arr, layer.cell_count, outside_base)
-
-
-def _row_origin(layer: Layer, v, outside_base: bool = False) -> np.ndarray:
-    v_arr = np.atleast_1d(np.asarray(v, dtype=float))
-    return _origin_cells(layer.row_inverse(), v_arr, layer.cell_count, outside_base)
 
 
 def _base_a_profile(a: np.ndarray, origin: np.ndarray, offset: np.ndarray) -> np.ndarray:
@@ -242,16 +240,6 @@ def _base_a_profile(a: np.ndarray, origin: np.ndarray, offset: np.ndarray) -> np
     return out
 
 
-def _base_b_profile(b: np.ndarray, origin: np.ndarray, offset: np.ndarray) -> np.ndarray:
-    out = -np.ones(origin.shape)
-    neg = (origin >= -2) & (origin <= 0)
-    comp = -origin[neg]
-    out[neg] = np.where(b[comp] >= 0.0, -1.0, 1.0)
-    pos = origin >= 1
-    out[pos] = np.where(offset[pos] < 0.5, 1.0, -1.0)
-    return out
-
-
 def _step_signs(w, interval_count: int) -> np.ndarray:
     w_arr = np.atleast_1d(np.asarray(w, dtype=float))
     if np.any(w_arr < 0.0) or np.any(w_arr >= 1.0):
@@ -260,24 +248,23 @@ def _step_signs(w, interval_count: int) -> np.ndarray:
     return np.where(ell % 2 == 1, -1.0, 1.0)
 
 
+def _layer_spin(layer: Layer, setting, perm: np.ndarray, coords, w):
+    setting = np.asarray(setting, dtype=float)
+    arr = np.atleast_1d(np.asarray(coords, dtype=float))
+    origin = _origin_cells(perm, arr, outside_base=True)
+    profile = _base_a_profile(setting, origin, arr - np.floor(arr))
+    out = layer.sign * profile * _step_signs(w, layer.interval_count)
+    return out if np.ndim(coords) else float(out[0])
+
+
 def layer_spin_a(layer: Layer, a, u, w):
     """Spin outcome on this layer: sign * A(relocated u) * s(w).  Total in u."""
-    a = np.asarray(a, dtype=float)
-    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    origin = _column_origin(layer, u_arr, outside_base=True)
-    offset = u_arr - np.floor(u_arr)
-    out = layer.sign * _base_a_profile(a, origin, offset) * _step_signs(w, layer.interval_count)
-    return out if np.ndim(u) else float(out[0])
+    return _layer_spin(layer, a, layer.col_to, u, w)
 
 
 def layer_spin_b(layer: Layer, b, v, w):
-    """Spin outcome at the second station: sign * B(relocated v) * s(w)."""
-    b = np.asarray(b, dtype=float)
-    v_arr = np.atleast_1d(np.asarray(v, dtype=float))
-    origin = _row_origin(layer, v_arr, outside_base=True)
-    offset = v_arr - np.floor(v_arr)
-    out = layer.sign * _base_b_profile(b, origin, offset) * _step_signs(w, layer.interval_count)
-    return out if np.ndim(v) else float(out[0])
+    """Spin outcome at the second station: sign * B(relocated v) * s(w), B_b = -A_b."""
+    return -_layer_spin(layer, b, layer.row_to, v, w)
 
 
 def layer_density(layer: Layer, mu: BaseMeasure, u: float, v: float, w: float) -> float:
@@ -287,8 +274,8 @@ def layer_density(layer: Layer, mu: BaseMeasure, u: float, v: float, w: float) -
     wf = float(w)
     if not 0.0 <= wf < 1.0:
         raise ValueError("w must lie in [0, 1)")
-    ou = int(_column_origin(layer, u)[0])
-    ov = int(_row_origin(layer, v)[0])
+    ou = int(_origin_cells(layer.col_to, u)[0])
+    ov = int(_origin_cells(layer.row_to, v)[0])
     if ou == _OUTSIDE or ov == _OUTSIDE or ou != ov:
         return 0.0
     return mu.cell_mass(ou) * step_weight(wf, layer.weights)
@@ -303,17 +290,11 @@ def layer_total_mass(layer: Layer, mu: BaseMeasure) -> float:
 def layer_pair_integral(layer: Layer, mu: BaseMeasure) -> float:
     """Exact per-layer integral of A B against the layer measure.
 
-    On each relocated cell the density is constant and the detector values
-    are constant per half-strip, so the triple integral collapses to a sum
-    of products; the w factor contributes sum_l p_l * s_l^2 = 1.
+    Relocation moves whole cells with their detector strips, so the integral
+    is the base one; both outcomes carry the layer sign (sign^2 = 1) and the
+    w factor contributes sum_l p_l * s_l^2 = sum_l p_l.
     """
-    a_avg = np.zeros(layer.cell_count)
-    b_avg = np.zeros(layer.cell_count)
-    a_avg[0:3] = [_sign(mu.a[2]), _sign(mu.a[1]), _sign(mu.a[0])]
-    b_avg[0:3] = [-_sign(mu.b[2]), -_sign(mu.b[1]), -_sign(mu.b[0])]
-    w_factor = float(layer.weights.sum())  # sum_l p_l * s_l^2 with s^2 == 1
-    sign_sq = layer.sign * layer.sign  # both outcomes carry the layer sign
-    return float((mu.cell_masses * a_avg * b_avg).sum() * sign_sq * w_factor)
+    return pair_integral(mu) * float(layer.weights.sum())
 
 
 def joint_density(
@@ -334,16 +315,14 @@ def joint_density(
 
 
 def universe_to_dict(universe: LayerUniverse) -> dict:
-    pairs = []
-    for k in range(universe.pair_count):
-        lay = universe.layers[2 * k]
-        pairs.append(
-            {
-                "columns": (lay.col_to - 2).tolist(),
-                "rows": (lay.row_to - 2).tolist(),
-                "weights": lay.weights.tolist(),
-            }
+    pairs = [
+        {"columns": col, "rows": row, "weights": weights}
+        for col, row, weights in zip(
+            (universe.col_to - 2).tolist(),
+            (universe.row_to - 2).tolist(),
+            universe.weights.tolist(),
         )
+    ]
     return {
         "schema": UNIVERSE_SCHEMA,
         "n": universe.n,
@@ -352,22 +331,38 @@ def universe_to_dict(universe: LayerUniverse) -> dict:
     }
 
 
+def _int_field(doc: dict, key: str) -> int:
+    value = doc.get(key)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"universe field {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def universe_from_dict(doc: dict) -> LayerUniverse:
+    if not isinstance(doc, dict):
+        raise ValueError("universe document must be a JSON object")
     schema = doc.get("schema")
     if schema != UNIVERSE_SCHEMA:
         raise ValueError(
             f"unsupported universe schema {schema!r}; this build reads {UNIVERSE_SCHEMA!r}"
         )
-    n = int(doc["n"])
-    interval_count = int(doc["interval_count"])
-    layers: list[Layer] = []
-    for pair in doc["pairs"]:
-        col = np.asarray(pair["columns"], dtype=np.int64) + 2
-        row = np.asarray(pair["rows"], dtype=np.int64) + 2
-        weights = np.asarray(pair["weights"], dtype=float)
-        original = Layer(n, col, row, weights, sign=1)
-        layers.extend((original, original.companion()))
-    return LayerUniverse(n=n, interval_count=interval_count, layers=tuple(layers))
+    n = _int_field(doc, "n")
+    interval_count = _int_field(doc, "interval_count")
+    pairs = doc.get("pairs")
+    if not isinstance(pairs, list) or not pairs or not all(isinstance(p, dict) for p in pairs):
+        raise ValueError("universe field 'pairs' must be a non-empty list of objects")
+    arrays = {}
+    for key in ("columns", "rows", "weights"):
+        try:
+            arrays[key] = np.asarray([pair[key] for pair in pairs], dtype=float)
+        except (KeyError, TypeError, ValueError):
+            raise ValueError(
+                f"universe field 'pairs': every pair needs a {key!r} list of numbers "
+                "of one common length"
+            ) from None
+    return LayerUniverse(
+        n, interval_count, arrays["columns"] + 2, arrays["rows"] + 2, arrays["weights"]
+    )
 
 
 def save_universe(universe: LayerUniverse, path) -> None:

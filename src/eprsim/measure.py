@@ -63,15 +63,16 @@ def setting_from_angle(theta_degrees: float) -> np.ndarray:
 
 
 def validate_weights(p) -> np.ndarray:
-    """Validate interval weights: nonnegative, summing to 1 within 1e-12."""
-    arr = np.asarray(p, dtype=float).reshape(-1)
-    if arr.size < 1:
+    """Validate interval weights: nonnegative, each vector along the last axis
+    summing to 1 within 1e-12.  Returns a read-only float copy."""
+    out = np.array(p, dtype=float, ndmin=1)
+    if out.shape[-1] < 1:
         raise ValueError("weight vector must have at least one entry")
-    if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
+    if np.any(out < 0.0) or not np.all(np.isfinite(out)):
         raise ValueError("weights must be finite and nonnegative")
-    if abs(float(arr.sum()) - 1.0) > 1e-12:
-        raise ValueError(f"weights must sum to 1, got {arr.sum()!r}")
-    out = arr.copy()
+    off = np.abs(out.sum(axis=-1) - 1.0)
+    if np.any(off > 1e-12):
+        raise ValueError(f"weights must sum to 1, off by up to {float(np.max(off))!r}")
     out.setflags(write=False)
     return out
 

@@ -54,15 +54,16 @@ def _batch_arrays(
 ):
     """Vectorized draw of `size` trials; returns (m0, cellpos, du, dv, ell0, w, spin_a, spin_b)."""
     labels = universe.label_count
-    masses = mu.cell_masses / mu.cell_masses.sum()
-    cum = np.cumsum(masses)
+    # search u * cum[-1] < cum[-1] in the unnormalized cumsum: the first cell
+    # whose cumulative mass exceeds it has positive mass, trailing cells too
+    cum = np.cumsum(mu.cell_masses)
 
     m0 = rng.integers(0, labels, size=size)
-    cellpos = np.searchsorted(cum, rng.random(size), side="right")
-    cellpos = np.minimum(cellpos, masses.size - 1)
+    cellpos = np.searchsorted(cum, rng.random(size) * cum[-1], side="right")
     du = rng.random(size)
     dv = rng.random(size)
-    wcdf = np.cumsum(universe.weights_all, axis=1)
+    # per-label CDF rows (companions share their pair's row)
+    wcdf = np.repeat(np.cumsum(universe.weights, axis=1), 2, axis=0)
     ell0 = (rng.random(size)[:, None] > wcdf[m0]).sum(axis=1)
     ell0 = np.minimum(ell0, universe.interval_count - 1)
     w = (ell0 + rng.random(size)) / universe.interval_count
@@ -78,7 +79,7 @@ def _batch_arrays(
     a_prof = np.where(neg, a_neg, a_prof)
     b_prof = np.where(neg, b_neg, b_prof)
 
-    signs = universe.signs[m0].astype(float)
+    signs = np.where(m0 & 1, -1.0, 1.0)  # odd labels (even m0) are originals
     s_val = np.where((ell0 + 1) % 2 == 1, -1.0, 1.0)
     spin_a = signs * a_prof * s_val
     spin_b = signs * b_prof * s_val
@@ -108,8 +109,8 @@ def draw_batch(universe: LayerUniverse, a, b, size: int, rng: np.random.Generato
     """Vectorized draws: dict of arrays (labels are 1-based, coords absolute)."""
     mu = build_measure(a, b, universe.n)
     m0, cellpos, du, dv, ell0, w, spin_a, spin_b = _batch_arrays(universe, mu, size, rng)
-    cols = universe.col_to_all[m0, cellpos] - 2
-    rows = universe.row_to_all[m0, cellpos] - 2
+    cols = universe.col_to[m0 >> 1, cellpos] - 2
+    rows = universe.row_to[m0 >> 1, cellpos] - 2
     return {
         "m": m0 + 1,
         "cell": cellpos - 2,

@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eprsim import analysis, layers, measure
 
-from oracles import brute_conditional_marginal, random_unit_vector
+from oracles import (
+    brute_conditional_marginal,
+    loop_conditional_outcome_bias,
+    loop_dependence_report,
+    loop_pair_expectation,
+    loop_station_pair_joint,
+    random_unit_vector,
+)
 
 A = measure.as_setting([1.0, 0.0, 0.0])
 B60 = measure.as_setting([0.5, np.sqrt(3.0) / 2.0, 0.0], normalize=True)
@@ -87,7 +96,7 @@ class TestDependenceReport:
         mu_ab = measure.build_measure(A, B, 4)
         mu_ac = measure.build_measure(A, C, 4)
         best = 0.0
-        for lay in universe.layers:
+        for lay in map(universe.layer, range(1, universe.label_count + 1)):
             m_ab = brute_conditional_marginal(lay.col_to, mu_ab.cell_masses)
             m_ac = brute_conditional_marginal(lay.col_to, mu_ac.cell_masses)
             best = max(best, 0.5 * float(np.abs(m_ab - m_ac).sum()))
@@ -135,3 +144,61 @@ class TestStationMarginalSettingDependence:
         fine = marginal_tv(2000)
         assert fine < coarse
         assert fine < 0.05
+
+
+# axis, signed-zero and knot-aligned settings besides generic random ones
+EDGE_SETTINGS = [
+    [1.0, 0.0, 0.0],
+    [0.0, -1.0, 0.0],
+    [-0.0, 0.0, 1.0],
+    [0.6, -0.8, 0.0],
+    [0.0, 0.28, 0.96],
+]
+settings_strategy = st.one_of(
+    st.sampled_from(EDGE_SETTINGS),
+    st.integers(0, 2**32 - 1).map(lambda s: random_unit_vector(np.random.default_rng(s))),
+)
+
+
+class TestLoopOracleEquivalence:
+    """The vectorized analysis against the per-label loop definitions."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([4, 5, 8]),
+        interval_count=st.integers(1, 3),
+        pairs=st.integers(1, 20),
+        tie=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        a=settings_strategy,
+        b=settings_strategy,
+        c=settings_strategy,
+    )
+    def test_matches_loop(self, n, interval_count, pairs, tie, seed, a, b, c):
+        uni = layers.build_universe(
+            n, interval_count, pairs, np.random.default_rng(seed), tie_weights=tie
+        )
+        mu_ab = measure.build_measure(a, b, n, normalize_settings=True)
+        mu_ac = measure.build_measure(a, c, n, normalize_settings=True)
+        assert analysis.pair_expectation(uni, mu_ab.a, mu_ab.b) == pytest.approx(
+            loop_pair_expectation(uni, mu_ab), abs=1e-12
+        )
+        np.testing.assert_allclose(
+            analysis.station_pair_joint(uni, mu_ab), loop_station_pair_joint(uni, mu_ab),
+            rtol=0, atol=1e-12,
+        )
+        for side in ("A", "B"):
+            for drop in (False, True):
+                for by in ("station", "source"):
+                    got = analysis.conditional_outcome_bias(
+                        uni, mu_ab.a, mu_ab.b, side=side, drop_companions=drop, by=by
+                    )
+                    want = loop_conditional_outcome_bias(uni, mu_ab, side, drop, by)
+                    assert got == pytest.approx(want, abs=1e-12), (side, drop, by)
+        if np.allclose(mu_ab.b, mu_ac.b, atol=1e-15):
+            return
+        got = analysis.dependence_report(uni, mu_ab.a, mu_ab.b, mu_ac.b).as_dict()
+        want = loop_dependence_report(uni, mu_ab, mu_ac)
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            assert got[key] == pytest.approx(value, abs=1e-12), key

@@ -209,6 +209,61 @@ class TestCliLayersAnalyze:
         assert upath.read_bytes() == first
 
 
+def _set_pair(index, key, value):
+    def doctor(doc):
+        doc["pairs"][index][key] = value(doc["pairs"][index][key])
+
+    return doctor
+
+
+# doctoring of a valid 3-pair, L=2 universe file -> field the error must name
+BAD_UNIVERSES = {
+    "interval_count_mismatch": (lambda doc: doc.update(interval_count=5), "interval_count"),
+    "interval_count_not_int": (lambda doc: doc.update(interval_count="2"), "interval_count"),
+    "n_missing": (lambda doc: doc.pop("n"), "'n'"),
+    "pairs_empty": (lambda doc: doc.update(pairs=[]), "pairs"),
+    "pair_lacks_rows": (lambda doc: doc["pairs"][2].pop("rows"), "rows"),
+    "ragged_columns": (_set_pair(1, "columns", lambda col: col[:-1]), "columns"),
+    "ragged_weights": (_set_pair(0, "weights", lambda w: w + [0.0]), "weights"),
+    "columns_repeat_a_cell": (_set_pair(0, "columns", lambda col: [col[1]] + col[1:]), "columns"),
+    "rows_out_of_range": (_set_pair(2, "rows", lambda row: row[:-1] + [99]), "rows"),
+    "columns_fractional": (
+        _set_pair(1, "columns", lambda col: [col[0] + 0.5] + col[1:]),
+        "columns",
+    ),
+    "weights_sum_above_one": (_set_pair(1, "weights", lambda w: [0.7, 0.7]), "weights"),
+    "weights_negative": (_set_pair(2, "weights", lambda w: [1.5, -0.5]), "weights"),
+    "weights_nan": (_set_pair(0, "weights", lambda w: [float("nan"), 1.0]), "weights"),
+}
+
+
+class TestCliRejectsBadUniverse:
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    @pytest.mark.parametrize("defect", sorted(BAD_UNIVERSES))
+    def test_exit_2_naming_the_field(self, capsys, tmp_path, command, defect):
+        upath = tmp_path / "uni.json"
+        code, _, _ = run_cli(
+            capsys,
+            "layers", "--n", "4", "--layers", "3", "--L", "2",
+            "--seed", "13", "--universe", str(upath),
+        )
+        assert code == 0
+        doc = json.loads(upath.read_text())
+        doctor, field = BAD_UNIVERSES[defect]
+        doctor(doc)
+        upath.write_text(json.dumps(doc))
+        settings = ["--a", "1,0,0", "--b", "0.6,0.8,0"]
+        if command == "analyze":
+            argv = ["analyze", "--universe", str(upath), *settings, "--c", "0,0,1"]
+        else:
+            argv = ["simulate", "--universe", str(upath), *settings]
+            argv += ["--trials", "100", "--seed", "1"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and field in err
+
+
 class TestCliChsh:
     def test_angle_form(self, capsys):
         code, out, _ = run_cli(

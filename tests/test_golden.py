@@ -1,0 +1,134 @@
+"""Golden CLI outputs at small sizes, pinning the seeded streams.
+
+The fixtures in `tests/golden/` were written by this module run as a script:
+
+    PYTHONPATH=src python tests/test_golden.py
+
+Universe files, `layers`, `simulate` and `chsh` reports must match byte for
+byte (reports with the path-dependent `universe` keys removed); `analyze`
+reports hold sums whose order may change, so they match within 1e-12 for
+`pair_expectation` and 1e-15 for every other number.  Regenerate only for a
+deliberate stream or report change, and record it.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+from eprsim import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+UNIVERSES = {
+    "u1.json": ["layers", "--n", "4", "--layers", "5", "--L", "3", "--seed", "7"],
+    "u2.json": ["layers", "--n", "5", "--layers", "5", "--L", "2", "--seed", "8", "--tie-weights"],
+}
+
+# name -> argv; "{u1}"/"{u2}" stand for the universe files above
+REPORTS = {
+    "layers_u1": UNIVERSES["u1.json"] + ["--universe", "{u1}"],
+    "layers_u2": UNIVERSES["u2.json"] + ["--universe", "{u2}"],
+    "analyze_u1": [
+        "analyze", "--universe", "{u1}", "--a", "1,0,0", "--b", "0.6,0.8,0", "--c", "0,0,1",
+        "--witness",
+    ],
+    "analyze_u2": [
+        "analyze", "--universe", "{u2}", "--a", "0.6,0.8,0", "--b", "0,0.28,0.96",
+        "--c", "1,0,0", "--witness",
+    ],
+    "simulate_u1": [
+        "simulate", "--universe", "{u1}", "--a", "1,0,0", "--b", "0.6,0.8,0",
+        "--trials", "20000", "--seed", "3",
+    ],
+    "simulate_fresh": [
+        "simulate", "--n", "4", "--layers", "5", "--L", "3", "--angle", "45",
+        "--trials", "20000", "--seed", "4",
+    ],
+    "chsh_fresh": [
+        "chsh", "--angles", "0,90,45,135", "--n", "4", "--layers", "5", "--L", "64",
+        "--trials", "20000", "--seed", "5",
+    ],
+    "chsh_u2": [
+        "chsh", "--universe", "{u2}", "--angles", "0,90,45,135", "--trials", "20000",
+        "--seed", "6",
+    ],
+}
+
+PAIR_EXPECTATION_TOL = 1e-12
+ANALYZE_TOL = 1e-15
+
+
+def _run(argv: list[str], workdir: Path) -> dict:
+    """Run one CLI command (universe files in `workdir`) and return its report
+    with the path-dependent `universe` keys removed."""
+    paths = {"{u1}": str(workdir / "u1.json"), "{u2}": str(workdir / "u2.json")}
+    out = workdir / "report.json"
+    code = cli.main([paths.get(arg, arg) for arg in argv] + ["--out", str(out)])
+    assert code == 0, argv
+    report = json.loads(out.read_text())
+    report.pop("universe", None)
+    report["config"].pop("universe", None)
+    return report
+
+
+def _dump(report: dict) -> str:
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def _write_universes(workdir: Path) -> None:
+    for name, argv in UNIVERSES.items():
+        _run(argv + ["--universe", str(workdir / name)], workdir)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("golden")
+    _write_universes(path)
+    return path
+
+
+@pytest.mark.parametrize("name", sorted(UNIVERSES))
+def test_universe_file_bytes(workdir, name):
+    assert (workdir / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(k for k in REPORTS if not k.startswith("analyze")))
+def test_report_bytes(workdir, name):
+    expected = (GOLDEN / f"{name}.json").read_text()
+    assert _dump(_run(REPORTS[name], workdir)) == expected
+
+
+def _assert_close(got, expected, tol, where=""):
+    if isinstance(expected, dict):
+        assert sorted(got) == sorted(expected), where
+        for key in expected:
+            field_tol = PAIR_EXPECTATION_TOL if key == "pair_expectation" else tol
+            _assert_close(got[key], expected[key], field_tol, f"{where}.{key}")
+    elif isinstance(expected, float):
+        assert isinstance(got, float) and math.isclose(got, expected, rel_tol=0.0, abs_tol=tol), (
+            where,
+            got,
+            expected,
+        )
+    else:
+        assert got == expected, where
+
+
+@pytest.mark.parametrize("name", sorted(k for k in REPORTS if k.startswith("analyze")))
+def test_analyze_report_numbers(workdir, name):
+    expected = json.loads((GOLDEN / f"{name}.json").read_text())
+    _assert_close(_run(REPORTS[name], workdir), expected, ANALYZE_TOL)
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    _write_universes(GOLDEN)
+    for report_name, report_argv in REPORTS.items():
+        (GOLDEN / f"{report_name}.json").write_text(_dump(_run(report_argv, GOLDEN)))
+    (GOLDEN / "report.json").unlink()
+    print(f"wrote {len(UNIVERSES) + len(REPORTS)} fixtures to {GOLDEN}", file=sys.stderr)

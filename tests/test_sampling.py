@@ -56,7 +56,8 @@ class TestDraw:
         joint = np.zeros((universe.label_count, universe.interval_count))
         np.add.at(joint, (batch["m"] - 1, batch["ell"] - 1), 1.0)
         joint /= trials
-        target = universe.weights_all / universe.label_count
+        label_weights = np.repeat(universe.weights, 2, axis=0)
+        target = label_weights / universe.label_count
         sigma = np.sqrt(target * (1.0 - target) / trials)
         assert np.all(np.abs(joint - target) <= 5.0 * sigma + 1e-9)
 
@@ -144,3 +145,27 @@ class TestChsh:
     def test_requires_stream_or_seed(self, universe):
         with pytest.raises(ValueError):
             sampling.chsh(universe, A, A, B45, B45, 100)
+
+
+class _TopOfRange:
+    """Stub stream: label 0 and the largest double below 1 for every uniform."""
+
+    def integers(self, low, high, size):
+        return np.zeros(size, dtype=np.int64)
+
+    def random(self, size):
+        return np.full(size, 1.0 - 2.0**-53)
+
+
+class TestZeroMassCell:
+    def test_top_uniform_lands_on_positive_mass(self, universe):
+        # |a_z| >= 3/n empties the three trailing boundary cells at n = 4; the
+        # normalized cumulative mass then often tops out just below 1
+        a = measure.as_setting([0.6, 0.0, 0.8])
+        rng = np.random.default_rng(83)
+        for _ in range(50):
+            b = rng.normal(size=3)
+            mu = measure.build_measure(a, b / np.linalg.norm(b), 4)
+            assert np.all(mu.cell_masses[-3:] == 0.0)
+            batch = sampling.draw_batch(universe, mu.a, mu.b, 4, _TopOfRange())
+            assert np.all(mu.cell_masses[batch["cell"] + 2] > 0.0)
