@@ -71,16 +71,9 @@ def conditional_outcome_bias(
     mu = build_measure(a, b, universe.n)
     size = 3 * universe.n + 12
     ell_count = universe.interval_count
-    if side == "A":
-        setting, flip, to = mu.a, 1.0, universe.col_to
-    else:
-        setting, flip, to = mu.b, -1.0, universe.row_to
+    k = "AB".index(side)  # outcome by original cell position and half
+    prof, to = mu.outcome[k], (universe.col_to, universe.row_to)[k]
     s_vals = np.where(np.arange(ell_count) % 2, 1.0, -1.0)
-
-    # outcome by original cell position and half: the three negative cells
-    # give the setting's component sign, the others alternate by half
-    prof = np.tile([-flip, flip], (size, 1))
-    prof[:3] = flip * np.where(setting[::-1] >= 0.0, 1.0, -1.0)[:, None]
 
     # kept labels per pair and their signs; a pair's labels share every bin,
     # so its contribution is the sum of their signs (0 for companions) times

@@ -83,6 +83,8 @@ def _setting_arg(args, name: str, default=None):
 
 
 def cmd_splines(args) -> int:
+    if args.grid < 2:
+        raise ConfigError(f"--grid must be >= 2 (got {args.grid})")
     sys_ = build_spline_system(args.n)
     grid = np.linspace(0.0, 1.0, args.grid)
     surface = approx_squared_diff_grid(sys_, grid, grid)
@@ -437,3 +439,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -77,11 +77,6 @@ def validate_weights(p) -> np.ndarray:
     return out
 
 
-def _sign(x: float) -> float:
-    # sign(0) = +1 throughout the construction
-    return 1.0 if x >= 0.0 else -1.0
-
-
 def detector_a(a, u):
     """Station-1 detector A_a(u): sign(a_k) on [-k, -k+1); -1/+1 half-cell
     alternation on [j, j+1) for j >= 0; +1 elsewhere.  Vectorized over u."""
@@ -98,15 +93,7 @@ def detector_a(a, u):
 
 def detector_b(b, v):
     """Station-2 detector B_b(v) = -A_b(v) pointwise."""
-    b = np.asarray(b, dtype=float)
-    v_arr = np.atleast_1d(np.asarray(v, dtype=float))
-    out = -np.ones_like(v_arr)
-    neg = (v_arr >= -3.0) & (v_arr < 0.0)
-    k = (-np.floor(v_arr[neg])).astype(int)
-    out[neg] = np.where(b[k - 1] >= 0.0, -1.0, 1.0)
-    pos = v_arr >= 0.0
-    out[pos] = np.where(v_arr[pos] - np.floor(v_arr[pos]) < 0.5, 1.0, -1.0)
-    return out if np.ndim(v) else float(out[0])
+    return -detector_a(b, v)
 
 
 def step_sign(w: float, interval_count: int) -> float:
@@ -163,14 +150,27 @@ def _cell_mass_vector(sys: SplineSystem, a: np.ndarray, b: np.ndarray) -> np.nda
     return masses
 
 
+def _outcome_table(a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:
+    """outcome[side, position, half]: A_a (side 0) and B_b = -A_b (side 1) on
+    the half-cells of the base layer's diagonal column/row strips."""
+    table = np.tile(np.array([-1, 1], dtype=np.int8), (2, size, 1))
+    # the three negative cells (positions 0, 1, 2 hold components 3, 2, 1)
+    # take the component's sign, with sign(0) = sign(-0.0) = +1
+    table[:, :3] = np.where(np.stack([a, b])[:, ::-1, None] >= 0.0, 1, -1)
+    table[1] *= -1
+    table.setflags(write=False)
+    return table
+
+
 @dataclass(frozen=True)
 class BaseMeasure:
-    """First-layer measure: settings, spline system, and diagonal cell masses."""
+    """First-layer measure: settings, spline system, cell masses, outcome table."""
 
     a: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
     system: SplineSystem
     cell_masses: np.ndarray = field(repr=False, compare=False)
+    outcome: np.ndarray = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -195,7 +195,8 @@ def build_measure(a, b, n: int, normalize_settings: bool = False) -> BaseMeasure
     sys = build_spline_system(n)
     masses = _cell_mass_vector(sys, a, b)
     masses.setflags(write=False)
-    return BaseMeasure(a=a, b=b, system=sys, cell_masses=masses)
+    outcome = _outcome_table(a, b, masses.size)
+    return BaseMeasure(a=a, b=b, system=sys, cell_masses=masses, outcome=outcome)
 
 
 def diagonal_indicator(u: float, v: float, n: int) -> int:
@@ -248,27 +249,20 @@ def theta_hat(mu: BaseMeasure) -> float:
     return (total_mass(mu) - 1.0) * mu.n * mu.n
 
 
-def cell_pair_integral(mu: BaseMeasure, i: int) -> float:
-    """Exact integral of A B d(mass) over diagonal cell i.
+def cell_pair_integrals(mu: BaseMeasure) -> np.ndarray:
+    """Exact integral of A B d(mass) over each diagonal cell, by position.
 
-    The density is constant on the cell, and A (resp. B) is constant on each
-    half of the cell's column (row), so the integral is a finite product.
-    Positive cells vanish because A averages to zero over a unit interval.
+    The density is constant on a cell, and A (resp. B) is constant on each
+    half of the cell's column (row), so each integral is the mass times the
+    two half-averages.  Positive cells vanish because A averages to zero over
+    a unit interval.
     """
-    mass = mu.cell_mass(i)
-    if i <= 0:
-        k = 1 - i
-        a_avg = _sign(mu.a[k - 1])
-        b_avg = -_sign(mu.b[k - 1])
-    else:
-        a_avg = 0.5 * (-1.0 + 1.0)
-        b_avg = 0.5 * (1.0 - 1.0)
-    return a_avg * b_avg * mass
+    return mu.cell_masses * (mu.outcome.sum(axis=2).prod(axis=0) / 4.0)
 
 
 def pair_integral(mu: BaseMeasure) -> float:
     """Integral of A_a(u) B_b(v) against the measure over Omega: equals -a.b."""
-    return float(sum(cell_pair_integral(mu, i) for i in range(-2, 3 * mu.n + 10)))
+    return float(sum(cell_pair_integrals(mu).tolist()))
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,11 @@
 
 Every component is drawn by inverse transform (label, diagonal cell, offsets
 within the cell, weight interval), so the sampler targets the exact
-normalized cell law.  Streams are numpy Generators; experiments split a seed
-sequence per batch so results are reproducible and order-independent under
-parallel evaluation.
+normalized cell law.  A batch of N trials takes O(N log L) time and O(N)
+memory: the interval is an exact binary search in the pair's weight CDF, and
+both spins are read from the measure's int8 outcome table.  Streams are numpy
+Generators; experiments split a seed sequence per batch so results are
+reproducible and order-independent under parallel evaluation.
 """
 
 from __future__ import annotations
@@ -49,40 +51,53 @@ class ChshEstimate:
     components: tuple[CorrelationEstimate, CorrelationEstimate, CorrelationEstimate, CorrelationEstimate]
 
 
+def _interval_search(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per trial t, the count of entries of cdf[rows[t]] that are <= u[t] times
+    the row's total: a branchless binary search of about log2 L gathers, with
+    no [trials, L] temporary.
+
+    Every comparison is between a stored CDF value and the target (adding a
+    row offset to the CDF, as one flat `searchsorted` would, rounds low bits
+    away and flips some).  Scaling by the total keeps the target below it and
+    `<=` skips zero weights at u = 0, so the count is an interval of positive
+    weight even where leading or trailing weights are zero."""
+    width = cdf.shape[1]
+    flat = cdf.ravel()
+    start = rows * width
+    base = start.copy()
+    target = u * flat[start + width - 1]
+    span = width
+    while span > 1:
+        half = span // 2
+        base += (flat[base + half] <= target) * half
+        span -= half
+    return base - start + (flat[base] <= target)
+
+
 def _batch_arrays(
     universe: LayerUniverse, mu: BaseMeasure, size: int, rng: np.random.Generator
 ):
-    """Vectorized draw of `size` trials; returns (m0, cellpos, du, dv, ell0, w, spin_a, spin_b)."""
-    labels = universe.label_count
+    """Vectorized draw of `size` trials; returns (m0, cellpos, du, dv, ell0, w,
+    spin_a, spin_b) with int8 spins.  O(size log L) time, O(size) memory."""
     # search u * cum[-1] < cum[-1] in the unnormalized cumsum: the first cell
     # whose cumulative mass exceeds it has positive mass, trailing cells too
     cum = np.cumsum(mu.cell_masses)
 
-    m0 = rng.integers(0, labels, size=size)
+    m0 = rng.integers(0, universe.label_count, size=size)
     cellpos = np.searchsorted(cum, rng.random(size) * cum[-1], side="right")
     du = rng.random(size)
     dv = rng.random(size)
-    # per-label CDF rows (companions share their pair's row)
-    wcdf = np.repeat(np.cumsum(universe.weights, axis=1), 2, axis=0)
-    ell0 = (rng.random(size)[:, None] > wcdf[m0]).sum(axis=1)
-    ell0 = np.minimum(ell0, universe.interval_count - 1)
+    # companions share their pair's weight row
+    ell0 = _interval_search(np.cumsum(universe.weights, axis=1), m0 >> 1, rng.random(size))
     w = (ell0 + rng.random(size)) / universe.interval_count
 
     # the sample always lands on a relocated diagonal ensemble, whose original
-    # column and row index is the ensemble index itself
-    origin = cellpos - 2
-    neg = origin <= 0
-    a_prof = np.where(du < 0.5, -1.0, 1.0)
-    b_prof = np.where(dv < 0.5, 1.0, -1.0)
-    a_neg = np.where(mu.a[np.where(neg, -origin, 0)] >= 0.0, 1.0, -1.0)
-    b_neg = np.where(mu.b[np.where(neg, -origin, 0)] >= 0.0, -1.0, 1.0)
-    a_prof = np.where(neg, a_neg, a_prof)
-    b_prof = np.where(neg, b_neg, b_prof)
-
-    signs = np.where(m0 & 1, -1.0, 1.0)  # odd labels (even m0) are originals
-    s_val = np.where((ell0 + 1) % 2 == 1, -1.0, 1.0)
-    spin_a = signs * a_prof * s_val
-    spin_b = signs * b_prof * s_val
+    # column and row position is the ensemble position itself, so the spins
+    # read outcome[side, cellpos, half]; the layer sign (+1 for even m0) times
+    # s(ell) = (-1)^(ell0+1) is -1 iff the parities of m0 and ell0 agree
+    flip = (((m0 ^ ell0) & 1) * 2 - 1).astype(np.int8)
+    spin_a = flip * mu.outcome[0].ravel()[2 * cellpos + (du >= 0.5)]
+    spin_b = flip * mu.outcome[1].ravel()[2 * cellpos + (dv >= 0.5)]
     return m0, cellpos, du, dv, ell0, w, spin_a, spin_b
 
 
@@ -90,19 +105,9 @@ def draw(
     universe: LayerUniverse, a, b, rng: np.random.Generator
 ) -> tuple[HiddenSample, float, float]:
     """Draw one hidden sample and the two spin outcomes."""
-    mu = build_measure(a, b, universe.n)
-    m0, cellpos, du, dv, _, w, spin_a, spin_b = _batch_arrays(universe, mu, 1, rng)
-    m = int(m0[0]) + 1
-    lay = universe.layer(m)
-    cell_u = int(lay.col_to[cellpos[0]]) - 2
-    cell_v = int(lay.row_to[cellpos[0]]) - 2
-    sample = HiddenSample(
-        m=m,
-        u=cell_u - 1.0 + float(du[0]),
-        v=cell_v - 1.0 + float(dv[0]),
-        w=float(w[0]),
-    )
-    return sample, float(spin_a[0]), float(spin_b[0])
+    batch = {key: value[0].item() for key, value in draw_batch(universe, a, b, 1, rng).items()}
+    sample = HiddenSample(m=batch["m"], u=batch["u"], v=batch["v"], w=batch["w"])
+    return sample, batch["spin_a"], batch["spin_b"]
 
 
 def draw_batch(universe: LayerUniverse, a, b, size: int, rng: np.random.Generator):
@@ -118,8 +123,8 @@ def draw_batch(universe: LayerUniverse, a, b, size: int, rng: np.random.Generato
         "u": cols - 1.0 + du,
         "v": rows - 1.0 + dv,
         "w": w,
-        "spin_a": spin_a,
-        "spin_b": spin_b,
+        "spin_a": spin_a.astype(float),
+        "spin_b": spin_b.astype(float),
     }
 
 
@@ -152,7 +157,7 @@ def run_experiment(
     for stream in streams:
         size = min(batch_size, remaining)
         _, _, _, _, _, _, sa, sb = _batch_arrays(universe, mu, size, stream)
-        prod = sa * sb
+        prod = (sa * sb).astype(float)
         b_count = prod.size
         b_mean = float(prod.mean())
         b_m2 = float(((prod - b_mean) ** 2).sum())

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -310,6 +314,26 @@ class TestCliSplines:
         assert doc["residual_max"] <= doc["defect_bound"] + 1e-12
         assert doc["partition_max_error"] <= 1e-12
         assert doc["marsden_max_error"] <= 1e-10
+
+    @pytest.mark.parametrize("grid", ["1", "0", "-3"])
+    def test_grid_below_two_names_the_flag(self, capsys, grid):
+        code, out, err = run_cli(capsys, "splines", "--n", "4", "--grid", grid)
+        assert code == 2
+        assert out == ""
+        assert "--grid" in err
+
+
+def test_module_entry_point_runs_the_cli():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    paths = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    argv = [sys.executable, "-m", "eprsim.cli", "verify", "--n", "4", "--a", "1,0,0"]
+    argv += ["--b", "0,1,0"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["command"] == "verify"
+    assert doc["abs_error"] <= 1e-12
 
 
 def test_unknown_subcommand_exits_2(capsys):

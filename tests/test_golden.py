@@ -4,11 +4,12 @@ The fixtures in `tests/golden/` were written by this module run as a script:
 
     PYTHONPATH=src python tests/test_golden.py
 
-Universe files, `layers`, `simulate` and `chsh` reports must match byte for
-byte (reports with the path-dependent `universe` keys removed); `analyze`
-reports hold sums whose order may change, so they match within 1e-12 for
-`pair_expectation` and 1e-15 for every other number.  Regenerate only for a
-deliberate stream or report change, and record it.
+Universe files and the `layers`, `simulate`, `chsh`, `splines`, `verify` and
+`poisson` reports must match byte for byte (reports with the path-dependent
+`universe` keys removed); `analyze` reports hold sums whose order may change,
+so they match within 1e-12 for `pair_expectation` and 1e-15 for every other
+number.  Regenerate only for a deliberate stream or report change, and
+record it.
 """
 
 from __future__ import annotations
@@ -56,6 +57,15 @@ REPORTS = {
     "chsh_u2": [
         "chsh", "--universe", "{u2}", "--angles", "0,90,45,135", "--trials", "20000",
         "--seed", "6",
+    ],
+    "splines_n5": ["splines", "--n", "5", "--grid", "21"],
+    "verify_edge": [
+        "verify", "--n", "4", "--a", "0.5,-0.5,0.7071067811865476", "--b=-0.0,0,-1",
+        "--normalize", "--genuine-variant",
+    ],
+    "poisson_small": [
+        "poisson", "--theta", "1", "--k", "5000", "--labels", "5", "--seed", "10",
+        "--p1", "0.5", "--p2", "0.5",
     ],
 }
 

@@ -83,6 +83,23 @@ class TestDetectors:
     def test_antisymmetry_property(self, c, x):
         assert measure.detector_b(c, x) == -measure.detector_a(c, x)
 
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_outcome_table_matches_detectors(self, n):
+        # half-cell midpoints of every diagonal position p (cell [p-3, p-2))
+        size = 3 * n + 12
+        mids = (np.arange(size)[:, None] - 3.0 + np.array([0.25, 0.75])).ravel()
+        rng = np.random.default_rng(11)
+        edge = [E1, E3, (-0.0, 0.6, -0.8), (0.5, -0.5, np.sqrt(0.5)), (0.0, -1.0, 0.0)]
+        settings = edge + [random_unit_vector(rng) for _ in range(4)]
+        for a in settings:
+            for b in settings:
+                mu = measure.build_measure(a, b, n, normalize_settings=True)
+                assert mu.outcome.dtype == np.int8 and mu.outcome.shape == (2, size, 2)
+                expect_a = measure.detector_a(mu.a, mids).reshape(size, 2)
+                expect_b = measure.detector_b(mu.b, mids).reshape(size, 2)
+                np.testing.assert_array_equal(mu.outcome[0], expect_a)
+                np.testing.assert_array_equal(mu.outcome[1], expect_b)
+
     @given(unit_settings(), st.floats(min_value=-10, max_value=30, allow_nan=False))
     def test_detector_range(self, c, x):
         assert measure.detector_a(c, x) in (-1.0, 1.0)
@@ -265,8 +282,9 @@ class TestPairIntegral:
     def test_positive_cells_contribute_zero(self):
         rng = np.random.default_rng(37)
         mu = measure.build_measure(random_unit_vector(rng), random_unit_vector(rng), 4)
-        for i in range(1, 3 * 4 + 10):
-            assert measure.cell_pair_integral(mu, i) == 0.0
+        cells = measure.cell_pair_integrals(mu)
+        assert cells.shape == (3 * 4 + 12,)
+        assert np.all(cells[3:] == 0.0)
 
 
 class TestWExtension:

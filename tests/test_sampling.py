@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats as sstats
@@ -169,3 +171,76 @@ class TestZeroMassCell:
             assert np.all(mu.cell_masses[-3:] == 0.0)
             batch = sampling.draw_batch(universe, mu.a, mu.b, 4, _TopOfRange())
             assert np.all(mu.cell_masses[batch["cell"] + 2] > 0.0)
+
+
+class _BottomOfRange(_TopOfRange):
+    """Stub stream: label 0 and 0.0 for every uniform."""
+
+    def random(self, size):
+        return np.zeros(size)
+
+
+class TestZeroWeightInterval:
+    # rows summing to 1 within the 1e-12 tolerance, with zero weights where the
+    # extreme uniforms 0 and 1 - 2**-53 would reach them without the scaling
+    @pytest.mark.parametrize(
+        "weights, stream",
+        [
+            ([0.6, 0.4 - 5e-13, 0.0], _TopOfRange()),
+            ([0.0, 0.6, 0.4 - 5e-13, 0.0, 0.0], _TopOfRange()),
+            ([0.0, 0.0, 1.0], _BottomOfRange()),
+            ([0.0, 1.0 - 5e-13, 0.0], _BottomOfRange()),
+        ],
+    )
+    def test_extreme_uniform_lands_on_positive_weight(self, weights, stream):
+        eye = np.arange(3 * 4 + 12)
+        universe = layers.LayerUniverse(4, len(weights), eye[None], eye[None], [weights])
+        batch = sampling.draw_batch(universe, A, B_CLEAN, 4, stream)
+        assert np.all(np.asarray(weights)[batch["ell"] - 1] > 0.0)
+
+
+# edge settings: zero and negative-zero components, +-1, mixed signs, and
+# components on the knots j/n of n = 4
+EDGE_SETTINGS = [
+    ([1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]),
+    ([0.6, -0.0, 0.8], [0.0, -0.6, 0.8]),
+    ([-0.0, 0.0, -1.0], [0.0, 0.6, -0.8]),
+    ([0.5, -0.5, np.sqrt(0.5)], [-0.6, 0.8, -0.0]),
+    ([-0.6, 0.8, 0.0], [0.8, -0.6, 0.0]),
+]
+
+
+class TestSpinsMatchLayerDefinition:
+    """Every sampled spin equals the paper's layer outcome at the sampled point."""
+
+    @pytest.mark.parametrize("interval_count", [1, 2, 3, 64])
+    @pytest.mark.parametrize("a, b", EDGE_SETTINGS)
+    def test_every_draw(self, interval_count, a, b):
+        a, b = measure.as_setting(a, normalize=True), measure.as_setting(b, normalize=True)
+        rng = np.random.default_rng(interval_count)
+        universe = layers.build_universe(4, interval_count, 3, rng)
+        batch = sampling.draw_batch(universe, a, b, 3000, np.random.default_rng(97))
+        assert set(batch["m"] % 2) == {0, 1}
+        assert np.any(batch["cell"] <= 0)
+        for m in np.unique(batch["m"]):
+            sel = batch["m"] == m
+            layer = universe.layer(int(m))
+            u, v, w = batch["u"][sel], batch["v"][sel], batch["w"][sel]
+            expect_a = layers.layer_spin_a(layer, a, u, w)
+            expect_b = layers.layer_spin_b(layer, b, v, w)
+            np.testing.assert_array_equal(batch["spin_a"][sel], expect_a)
+            np.testing.assert_array_equal(batch["spin_b"][sel], expect_b)
+
+
+class TestBoundedMemory:
+    def test_batch_allocates_no_trials_by_intervals_array(self):
+        wide = layers.build_universe(4, 256, 20, np.random.default_rng(2))
+        mu = measure.build_measure(A, B_CLEAN, 4)
+        tracemalloc.start()
+        try:
+            sampling._batch_arrays(wide, mu, 200_000, np.random.default_rng(3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a float64 [trials, L] array alone would take 410 MB
+        assert peak < 64 * 2**20
