@@ -19,15 +19,25 @@ def _normalized_masses(mu: BaseMeasure) -> np.ndarray:
     return mu.cell_masses / mu.cell_masses.sum()
 
 
-def _per_label(rows: np.ndarray, copies: int = 2) -> np.ndarray:
-    """Repeat per-pair rows once per label, labels in order 1 .. 2M."""
-    return np.repeat(rows, copies, axis=0)
+def _relocation_histogram(to: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """hist[c, p, l]: weight of interval l summed over the pairs whose
+    relocation `to` (a universe's `col_to` or `row_to`) moves cell position c
+    to position p.  One bincount over M x S x L entries, interval-major so
+    every temporary is built from long contiguous rows."""
+    size, ell_count = to.shape[1], weights.shape[1]
+    cells = (np.arange(size) * size + to).ravel()
+    bins = cells + np.arange(ell_count)[:, None] * (size * size)
+    shares = np.repeat(weights.T, size, axis=1)
+    hist = np.bincount(bins.ravel(), shares.ravel(), minlength=ell_count * size * size)
+    return hist.reshape(ell_count, size, size).transpose(1, 2, 0)
 
 
 def _cell_pair_bins(universe: LayerUniverse) -> np.ndarray:
-    """Flat (column, row) bin of every ensemble, one row per label."""
+    """Flat (column, row) bin of every ensemble, one row per pair; a pair's
+    two labels share these bins, so each pair is binned once at twice a
+    label's share."""
     size = 3 * universe.n + 12
-    return _per_label(universe.col_to * size + universe.row_to)
+    return universe.col_to * size + universe.row_to
 
 
 def pair_expectation(universe: LayerUniverse, a, b) -> float:
@@ -43,7 +53,7 @@ def station_pair_joint(universe: LayerUniverse, mu: BaseMeasure) -> np.ndarray:
     and weight intervals: shape (cells, cells) over (column, row)."""
     size = 3 * universe.n + 12
     bins = _cell_pair_bins(universe)
-    shares = np.broadcast_to(_normalized_masses(mu) * (1.0 / universe.label_count), bins.shape)
+    shares = np.broadcast_to(_normalized_masses(mu) * (1.0 / universe.pair_count), bins.shape)
     joint = np.bincount(bins.ravel(), shares.ravel(), minlength=size * size)
     return joint.reshape(size, size)
 
@@ -69,28 +79,18 @@ def conditional_outcome_bias(
     if by not in ("station", "source"):
         raise ValueError("by must be 'station' or 'source'")
     mu = build_measure(a, b, universe.n)
-    size = 3 * universe.n + 12
-    ell_count = universe.interval_count
     k = "AB".index(side)  # outcome by original cell position and half
-    prof, to = mu.outcome[k], (universe.col_to, universe.row_to)[k]
-    s_vals = np.where(np.arange(ell_count) % 2, 1.0, -1.0)
+    hist = _relocation_histogram((universe.col_to, universe.row_to)[k], universe.weights)
+    masses = _normalized_masses(mu)
+    s_vals = np.where(np.arange(universe.interval_count) % 2, 1.0, -1.0)
 
     # kept labels per pair and their signs; a pair's labels share every bin,
     # so its contribution is the sum of their signs (0 for companions) times
     # one label's contribution
     signs = [1.0] if drop_companions else [1.0, -1.0]
-    weight = _normalized_masses(mu)[None, :, None] * universe.weights[:, None, :]
-    cell_ell = to[:, :, None] * ell_count + np.arange(ell_count)
-    halves = (to[:, :, None, None] * 2 + np.arange(2)[:, None]) * ell_count + np.arange(ell_count)
-    contrib = sum(signs) * (prof[:, :, None] * s_vals) * weight[:, :, None, :]
-    num = np.bincount(halves.ravel(), contrib.ravel(), minlength=size * 2 * ell_count)
-    den = np.bincount(
-        _per_label(cell_ell, len(signs)).ravel(),
-        _per_label(weight, len(signs)).ravel(),
-        minlength=size * ell_count,
-    )
-    num = num.reshape(size, 2, ell_count)
-    den = np.repeat(den.reshape(size, 1, ell_count), 2, axis=1)
+    num = sum(signs) * np.einsum("ch,c,cpl->phl", mu.outcome[k], masses, hist) * s_vals
+    den = len(signs) * np.einsum("c,cpl->pl", masses, hist)
+    den = np.repeat(den[:, None, :], 2, axis=1)
     if by == "source":
         num = num.sum(axis=(0, 1), keepdims=True)
         den = den.sum(axis=(0, 1), keepdims=True)
@@ -143,7 +143,6 @@ def dependence_report(universe: LayerUniverse, a, b, c) -> DependenceReport:
     if np.allclose(mu_ab.b, mu_ac.b, atol=1e-15):
         raise ValueError("alternate setting c must differ from b")
     size = 3 * universe.n + 12
-    labels = universe.label_count
     masses = _normalized_masses(mu_ab)
     masses_ac = _normalized_masses(mu_ac)
 
@@ -157,8 +156,9 @@ def dependence_report(universe: LayerUniverse, a, b, c) -> DependenceReport:
 
     # (ii): conditional joint over ((u,v) atom, interval) given the label,
     # against the product of its two conditional marginals; companions share it
-    atom = masses[None, :, None] * universe.weights[:, None, :]
-    product = atom.sum(axis=2)[:, :, None] * atom.sum(axis=1)[:, None, :]
+    # (pair, interval, cell) order keeps the long cell axis innermost
+    atom = universe.weights[:, :, None] * masses
+    product = atom.sum(axis=1)[:, None, :] * atom.sum(axis=2)[:, :, None]
     tv_cond_indep = float(0.5 * np.abs(atom - product).sum(axis=(1, 2)).max())
 
     # (v) and (vii): a relocation moves the conditional masses and both
@@ -172,17 +172,19 @@ def dependence_report(universe: LayerUniverse, a, b, c) -> DependenceReport:
     # (vii): conditional station-1 marginal under (a, b) vs (a, c)
     setting_shift = _tv(masses, masses_ac)
 
-    # (vi): label vs weight interval
-    label_weights = _per_label(universe.weights)
-    mean_weights = label_weights.mean(axis=0)
-    r_lambda_dependence = float(0.5 * np.abs(label_weights - mean_weights).sum() / labels)
+    # (vi): label vs weight interval; companions repeat their pair's weights
+    mean_weights = universe.weights.mean(axis=0)
+    r_lambda_dependence = float(
+        0.5 * np.abs(universe.weights - mean_weights).sum() / universe.pair_count
+    )
 
     # (ii*): is the source parameter independent of the station pair?
+    # interval-major, like `_relocation_histogram`
     ell_count = universe.interval_count
-    bins = _cell_pair_bins(universe)[:, :, None] * ell_count + np.arange(ell_count)
-    shares = masses[None, :, None] * label_weights[:, None, :] * (1.0 / labels)
-    triple = np.bincount(bins.ravel(), shares.ravel(), minlength=size * size * ell_count)
-    triple = triple.reshape(size, size, ell_count)
+    bins = _cell_pair_bins(universe).ravel() + np.arange(ell_count)[:, None] * (size * size)
+    shares = atom.transpose(1, 0, 2) * (1.0 / universe.pair_count)
+    triple = np.bincount(bins.ravel(), shares.ravel(), minlength=ell_count * size * size)
+    triple = triple.reshape(ell_count, size, size).transpose(1, 2, 0)
     factorization_defect = float(
         np.abs(triple - joint[:, :, None] * mean_weights[None, None, :]).max()
     )

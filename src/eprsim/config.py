@@ -23,8 +23,6 @@ class ExperimentConfig:
     seed: int | None = None
     settings: tuple = ()
     tie_weights: bool = False
-    genuine_variant: bool = False
-    witness: bool = False
 
     def __post_init__(self):
         if self.n < 4:
@@ -35,19 +33,6 @@ class ExperimentConfig:
             raise ConfigError(f"pair_count must be >= 1 (got {self.pair_count})")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1 (got {self.trials})")
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "interval_count": self.interval_count,
-            "pair_count": self.pair_count,
-            "trials": self.trials,
-            "seed": self.seed,
-            "settings": [list(map(float, s)) for s in self.settings],
-            "tie_weights": self.tie_weights,
-            "genuine_variant": self.genuine_variant,
-            "witness": self.witness,
-        }
 
 
 def parse_setting(text: str, normalize: bool = False) -> np.ndarray:
@@ -65,7 +50,7 @@ def parse_setting(text: str, normalize: bool = False) -> np.ndarray:
         raise ConfigError(str(exc)) from exc
 
 
-_BOOL_KEYS = {"tie_weights", "genuine_variant", "witness"}
+_BOOL_KEYS = {"tie_weights"}
 _INT_KEYS = {"n": "n", "L": "interval_count", "layers": "pair_count", "trials": "trials", "seed": "seed"}
 
 
@@ -73,7 +58,7 @@ def load_config(path) -> ExperimentConfig:
     """Load a flat key=value config file.
 
     Recognized keys: n, L, layers, trials, seed, settings (semicolon-separated
-    triples), tie_weights, genuine_variant, witness.  `n` is required.
+    triples), tie_weights.  `n` is required; any other key is an error.
     """
     values: dict = {}
     lines = Path(path).read_text().splitlines()

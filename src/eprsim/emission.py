@@ -3,10 +3,9 @@
 Emission times are partial sums of exponential waits; wrapped around the
 unit-circumference circle their fractional parts become uniform, which is
 what justifies reading the label off the arrival time.  Discrepancies are
-computed exactly from the sorted points: the star (anchored) form by the
-classical order-statistic formula, the extreme form as the sum of the
-one-sided parts, with a certified [star, 2*star] bracket once exact
-evaluation is disabled by size.
+computed exactly from one sort of the points at every size: the one-sided
+parts D+ and D- give the star (anchored) form D* = max(D+, D-) by the
+classical order-statistic formula and the extreme form D = D+ + D-.
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats as sstats
-
-EXACT_EXTREME_LIMIT = 10_000
 
 
 @dataclass(frozen=True)
@@ -64,77 +61,71 @@ def interval_count(points, alpha: float, beta: float) -> int:
     return int(np.count_nonzero((pts >= alpha) & (pts < beta)))
 
 
-def star_discrepancy(points) -> float:
-    """Exact anchored discrepancy D*_k from the sorted points:
-    max_i max(i/k - x_(i), x_(i) - (i-1)/k)."""
-    pts = np.sort(_checked_points(points))
-    k = pts.size
-    grid = np.arange(1, k + 1) / k
-    return float(np.maximum(grid - pts, pts - (grid - 1.0 / k)).max())
-
-
-def _one_sided_parts(points) -> tuple[float, float]:
+def _sorted_parts(points) -> tuple[np.ndarray, float, float]:
+    """Sorted points and the one-sided parts D+ = max_i (i/k - x_(i)) and
+    D- = max_i (x_(i) - (i-1)/k), each at least 0."""
     pts = np.sort(_checked_points(points))
     k = pts.size
     grid = np.arange(1, k + 1) / k
     d_plus = float((grid - pts).max())
     d_minus = float((pts - (grid - 1.0 / k)).max())
-    return max(d_plus, 0.0), max(d_minus, 0.0)
+    return pts, max(d_plus, 0.0), max(d_minus, 0.0)
+
+
+def star_discrepancy(points) -> float:
+    """Exact anchored discrepancy D*_k from the sorted points:
+    max_i max(i/k - x_(i), x_(i) - (i-1)/k) = max(D+, D-)."""
+    _, d_plus, d_minus = _sorted_parts(points)
+    return max(d_plus, d_minus)
 
 
 @dataclass(frozen=True)
 class DiscrepancyBracket:
-    """Certified enclosure of the extreme discrepancy; exact when lower == upper."""
+    """Extreme discrepancy, exact at every size; reports print it as the
+    degenerate enclosure lower == upper == value."""
 
-    lower: float
-    upper: float
-    exact: bool
+    value: float
+    exact: bool = field(default=True, init=False)
 
     @property
-    def value(self) -> float:
-        if not self.exact:
-            raise ValueError("bracket is not exact; use lower/upper")
-        return self.lower
+    def lower(self) -> float:
+        return self.value
+
+    @property
+    def upper(self) -> float:
+        return self.value
 
 
-def extreme_discrepancy(points, exact_limit: int = EXACT_EXTREME_LIMIT) -> DiscrepancyBracket:
-    """Extreme discrepancy over all half-open subintervals of [0, 1).
-
-    For k <= exact_limit the value is exact (sum of the one-sided star
-    parts); beyond that the certified bracket [D*, min(2 D*, 1)] is returned
-    rather than an uncertified estimate.
-    """
-    pts = _checked_points(points)
-    if pts.size <= exact_limit:
-        d_plus, d_minus = _one_sided_parts(pts)
-        val = d_plus + d_minus
-        return DiscrepancyBracket(lower=val, upper=val, exact=True)
-    star = star_discrepancy(pts)
-    return DiscrepancyBracket(lower=star, upper=min(2.0 * star, 1.0), exact=False)
+def extreme_discrepancy(points) -> DiscrepancyBracket:
+    """Exact extreme discrepancy over all half-open subintervals of [0, 1):
+    the sum D+ + D- of the one-sided star parts (Niederreiter 1992, ch. 2)."""
+    _, d_plus, d_minus = _sorted_parts(points)
+    return DiscrepancyBracket(d_plus + d_minus)
 
 
 @dataclass(frozen=True)
 class DiscrepancyStats:
-    """Summary of one point set: size, star value, extreme bracket."""
+    """Summary of one point set from one sort: size, star and extreme values."""
 
     k: int
     star: float
     extreme: DiscrepancyBracket
-    points: np.ndarray = field(repr=False, compare=False)
+    sorted_points: np.ndarray = field(repr=False, compare=False)
 
     def count(self, alpha: float, beta: float) -> int:
-        return interval_count(self.points, alpha, beta)
+        """A_k(alpha, beta) by binary search in the sorted points."""
+        below_alpha, below_beta = np.searchsorted(self.sorted_points, [alpha, beta])
+        return int(max(below_beta - below_alpha, 0))
 
 
-def discrepancy_stats(points, exact_limit: int = EXACT_EXTREME_LIMIT) -> DiscrepancyStats:
-    pts = _checked_points(points)
-    pts = pts.copy()
+def discrepancy_stats(points) -> DiscrepancyStats:
+    pts, d_plus, d_minus = _sorted_parts(points)
     pts.setflags(write=False)
     return DiscrepancyStats(
         k=int(pts.size),
-        star=star_discrepancy(pts),
-        extreme=extreme_discrepancy(pts, exact_limit=exact_limit),
-        points=pts,
+        star=max(d_plus, d_minus),
+        extreme=DiscrepancyBracket(d_plus + d_minus),
+        sorted_points=pts,
     )
 
 

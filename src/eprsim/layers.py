@@ -182,29 +182,26 @@ def build_universe(
 
     Columns and rows are relocated by independent uniform permutations, which
     is the uniform law over all placements with one mass ensemble per row and
-    column.  Weights come from a symmetric Dirichlet(1) prior unless
-    `tie_weights` pins them to a layer-independent vector (uniform by
-    default, or `tie_vector`).  Per pair the stream is consumed as
-    permutation, permutation, then (untied weights only) dirichlet.
+    column.  Weights come from a symmetric Dirichlet(1) prior, renormalized
+    per row, unless `tie_weights` pins them to a layer-independent vector
+    (uniform by default, or `tie_vector`).  The stream is consumed in two
+    calls: one `rng.permuted` of 2M rows of 0 .. 3n+11 along each row, whose
+    rows [:M] are `col_to` and rows [M:] are `row_to`, then (untied weights
+    only) one `rng.dirichlet(np.ones(L), size=M)`.
     """
     if n < 4:
         raise ValueError(f"order parameter n must be >= 4, got {n}")
     if interval_count < 1 or pair_count < 1:
         raise ValueError("interval count and pair count must be >= 1")
     size = 3 * n + 12
-    col_to = np.empty((pair_count, size), dtype=np.int64)
-    row_to = np.empty((pair_count, size), dtype=np.int64)
-    weights = np.empty((pair_count, interval_count))
+    perms = rng.permuted(np.tile(np.arange(size), (2 * pair_count, 1)), axis=1)
     if tie_weights:
-        weights[:] = 1.0 / interval_count if tie_vector is None else validate_weights(tie_vector)
-    alpha = np.ones(interval_count)
-    for k in range(pair_count):
-        col_to[k] = rng.permutation(size)
-        row_to[k] = rng.permutation(size)
-        if not tie_weights:
-            draw = rng.dirichlet(alpha)
-            weights[k] = draw / draw.sum()
-    return LayerUniverse(n, interval_count, col_to, row_to, weights)
+        tied = 1.0 / interval_count if tie_vector is None else validate_weights(tie_vector)
+        weights = np.broadcast_to(tied, (pair_count, interval_count))
+    else:
+        draw = rng.dirichlet(np.ones(interval_count), size=pair_count)
+        weights = draw / draw.sum(axis=1, keepdims=True)
+    return LayerUniverse(n, interval_count, perms[:pair_count], perms[pair_count:], weights)
 
 
 # --- evaluation ---------------------------------------------------------------

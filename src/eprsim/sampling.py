@@ -77,8 +77,9 @@ def _interval_search(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.nda
 def _batch_arrays(
     universe: LayerUniverse, mu: BaseMeasure, size: int, rng: np.random.Generator
 ):
-    """Vectorized draw of `size` trials; returns (m0, cellpos, du, dv, ell0, w,
-    spin_a, spin_b) with int8 spins.  O(size log L) time, O(size) memory."""
+    """Vectorized draw of `size` trials; returns (m0, cellpos, du, dv, ell0, dw,
+    spin_a, spin_b) with int8 spins and dw the offset within the interval.
+    O(size log L) time, O(size) memory."""
     # search u * cum[-1] < cum[-1] in the unnormalized cumsum: the first cell
     # whose cumulative mass exceeds it has positive mass, trailing cells too
     cum = np.cumsum(mu.cell_masses)
@@ -89,7 +90,7 @@ def _batch_arrays(
     dv = rng.random(size)
     # companions share their pair's weight row
     ell0 = _interval_search(np.cumsum(universe.weights, axis=1), m0 >> 1, rng.random(size))
-    w = (ell0 + rng.random(size)) / universe.interval_count
+    dw = rng.random(size)
 
     # the sample always lands on a relocated diagonal ensemble, whose original
     # column and row position is the ensemble position itself, so the spins
@@ -98,7 +99,7 @@ def _batch_arrays(
     flip = (((m0 ^ ell0) & 1) * 2 - 1).astype(np.int8)
     spin_a = flip * mu.outcome[0].ravel()[2 * cellpos + (du >= 0.5)]
     spin_b = flip * mu.outcome[1].ravel()[2 * cellpos + (dv >= 0.5)]
-    return m0, cellpos, du, dv, ell0, w, spin_a, spin_b
+    return m0, cellpos, du, dv, ell0, dw, spin_a, spin_b
 
 
 def draw(
@@ -110,19 +111,33 @@ def draw(
     return sample, batch["spin_a"], batch["spin_b"]
 
 
+def _inside(x: np.ndarray, bins: np.ndarray, scale: int) -> np.ndarray:
+    """Step each x to the nearest double with floor(x * scale) == its bin:
+    adding or dividing an offset can round onto the neighbouring bin."""
+    while np.any(out := np.floor(x * scale) != bins):
+        x[out] = np.nextafter(x[out], (bins[out] + 0.5) / scale)
+    return x
+
+
 def draw_batch(universe: LayerUniverse, a, b, size: int, rng: np.random.Generator):
-    """Vectorized draws: dict of arrays (labels are 1-based, coords absolute)."""
+    """Vectorized draws: dict of arrays (labels are 1-based, coords absolute).
+
+    Each coordinate lies in what was drawn for it: floor(w * L) == ell - 1,
+    and u and v lie in the sampled half-cell of the relocated column and row,
+    so the layer outcomes at (u, v, w) are the sampled spins."""
     mu = build_measure(a, b, universe.n)
-    m0, cellpos, du, dv, ell0, w, spin_a, spin_b = _batch_arrays(universe, mu, size, rng)
+    m0, cellpos, du, dv, ell0, dw, spin_a, spin_b = _batch_arrays(universe, mu, size, rng)
     cols = universe.col_to[m0 >> 1, cellpos] - 2
     rows = universe.row_to[m0 >> 1, cellpos] - 2
+    # bins: interval ell0 of w, and half-cells [j/2, (j+1)/2) of u and v,
+    # where cell i spans [i - 1, i)
     return {
         "m": m0 + 1,
         "cell": cellpos - 2,
         "ell": ell0 + 1,
-        "u": cols - 1.0 + du,
-        "v": rows - 1.0 + dv,
-        "w": w,
+        "u": _inside(cols - 1.0 + du, 2 * cols - 2 + (du >= 0.5), 2),
+        "v": _inside(rows - 1.0 + dv, 2 * rows - 2 + (dv >= 0.5), 2),
+        "w": _inside((ell0 + dw) / universe.interval_count, ell0, universe.interval_count),
         "spin_a": spin_a.astype(float),
         "spin_b": spin_b.astype(float),
     }
@@ -146,6 +161,8 @@ def run_experiment(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     mu = build_measure(a, b, universe.n)
     exact_target = -float(np.dot(mu.a, mu.b))
     streams = _streams_for(trials, batch_size, rng, seed)

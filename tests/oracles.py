@@ -95,9 +95,11 @@ def brute_extreme_discrepancy(points) -> float:
     k = x.size
     best = 0.0
     # overfilled: [x_i, x_j^+) captures the run at minimal length
+    first = np.searchsorted(x, x, side="left")
+    past = np.searchsorted(x, x, side="right")
     for i in range(k):
         lens = x[i:] - x[i]
-        counts = np.searchsorted(x, x[i:], side="right") - np.searchsorted(x, x[i], side="left")
+        counts = past[i:] - first[i]
         best = max(best, float(np.max(counts / k - lens)))
     # underfilled: open spans between consecutive grid values {0} u points u {1}
     grid = np.concatenate([[0.0], x, [1.0]])

@@ -169,6 +169,18 @@ class TestCliSimulate:
         assert doc["trials"] == 500
         assert doc["exact_target"] == pytest.approx(-0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("key", ["genuine_variant", "witness"])
+    def test_retired_config_keys_rejected(self, capsys, tmp_path, key):
+        # the --genuine-variant and --witness flags stay; no config key sets them
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            f"n = 4\ntrials = 200\nseed = 7\nsettings = 1,0,0; 0.6,0.8,0\n{key} = true\n"
+        )
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert "unknown key" in err and key in err
+
     def test_missing_seed_is_validation_error(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--angle", "45", "--trials", "100")
         assert code == 2

@@ -103,17 +103,16 @@ class TestExtremeDiscrepancy:
         assert star - 1e-15 <= bracket.value <= 2.0 * star + 1e-15
         assert bracket.value <= 1.0 + 1e-15
 
-    def test_bracket_beyond_exact_limit(self):
-        trace = emission.generate_trace(1.0, 64, np.random.default_rng(13))
-        bracket = emission.extreme_discrepancy(trace.fracs, exact_limit=32)
-        assert not bracket.exact
-        star = emission.star_discrepancy(trace.fracs)
-        assert bracket.lower == star
-        assert bracket.upper == min(2.0 * star, 1.0)
-        exact = emission.extreme_discrepancy(trace.fracs)
-        assert bracket.lower <= exact.value <= bracket.upper
-        with pytest.raises(ValueError):
-            bracket.value
+    def test_exact_beyond_former_size_limit(self):
+        # exact at every size: k = 20 000 was past the old 10 000-point cutoff
+        trace = emission.generate_trace(1.0, 20_000, np.random.default_rng(13))
+        bracket = emission.extreme_discrepancy(trace.fracs)
+        assert bracket.exact
+        assert bracket.lower == bracket.value == bracket.upper
+        assert bracket.value == pytest.approx(brute_extreme_discrepancy(trace.fracs), abs=1e-12)
+        stats = emission.discrepancy_stats(trace.fracs)
+        assert stats.extreme == bracket
+        assert stats.star == emission.star_discrepancy(trace.fracs)
 
     def test_poisson_set_against_oracle(self):
         trace = emission.generate_trace(1.0, 2000, np.random.default_rng(17))

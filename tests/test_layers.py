@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats as sstats
 
 from eprsim import layers, measure
 
@@ -74,6 +75,57 @@ class TestLayerSampling:
             layers.sample_layer_pair(3, 2, rng)
         with pytest.raises(ValueError):
             layers.sample_layer_pair(4, 0, rng)
+
+
+class TestBatchedUniverseLaw:
+    """The law of one batched `build_universe` draw, and its pinned stream."""
+
+    PAIRS = 20_000
+    SIZE = 3 * 4 + 12
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        return layers.build_universe(4, 3, self.PAIRS, np.random.default_rng(2024))
+
+    def test_positions_uniform_per_ensemble(self, big):
+        limit = sstats.chi2.ppf(1.0 - 1e-9, self.SIZE - 1)
+        expected = self.PAIRS / self.SIZE
+        for perms in (big.col_to, big.row_to):
+            for ensemble in range(self.SIZE):
+                counts = np.bincount(perms[:, ensemble], minlength=self.SIZE)
+                assert ((counts - expected) ** 2 / expected).sum() < limit, ensemble
+
+    def test_column_and_row_independent(self, big):
+        # independent uniform permutations agree at each position with 1/S
+        p = 1.0 / self.SIZE
+        sigma = math.sqrt(p * (1.0 - p) / self.PAIRS)
+        agree = (big.col_to == big.row_to).mean(axis=0)
+        assert np.all(np.abs(agree - p) <= 6.0 * sigma)
+
+    def test_dirichlet_weight_means(self, big):
+        # each Dirichlet(1, ..., 1) coordinate is Beta(1, L - 1)
+        ell = big.interval_count
+        sigma = math.sqrt((ell - 1) / (ell * ell * (ell + 1)) / self.PAIRS)
+        assert np.all(np.abs(big.weights.mean(axis=0) - 1.0 / ell) <= 6.0 * sigma)
+
+    @pytest.mark.parametrize("tie_weights", [False, True])
+    def test_stream_is_permuted_then_dirichlet(self, tie_weights):
+        pairs, ell = 7, 3
+        used = np.random.default_rng(41)
+        universe = layers.build_universe(4, ell, pairs, used, tie_weights=tie_weights)
+        rng = np.random.default_rng(41)
+        perms = rng.permuted(np.tile(np.arange(self.SIZE), (2 * pairs, 1)), axis=1)
+        np.testing.assert_array_equal(universe.col_to, perms[:pairs])
+        np.testing.assert_array_equal(universe.row_to, perms[pairs:])
+        if tie_weights:
+            np.testing.assert_array_equal(universe.weights, np.full((pairs, ell), 1.0 / ell))
+        else:
+            draw = rng.dirichlet(np.ones(ell), size=pairs)
+            np.testing.assert_array_equal(
+                universe.weights, draw / draw.sum(axis=1, keepdims=True)
+            )
+        # nothing else was drawn
+        assert used.random() == rng.random()
 
 
 class TestCompanionCancellation:

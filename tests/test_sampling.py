@@ -94,6 +94,11 @@ class TestReproducibility:
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, universe, batch_size):
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            sampling.run_experiment(universe, A, B45, 100, seed=1, batch_size=batch_size)
+
     def test_equal_axis_settings_deterministic(self, universe):
         # a = b = e1 puts all mass on the negative cells: every product is -1
         est = sampling.run_experiment(universe, A, A, 4_000, seed=37)
@@ -197,6 +202,46 @@ class TestZeroWeightInterval:
         universe = layers.LayerUniverse(4, len(weights), eye[None], eye[None], [weights])
         batch = sampling.draw_batch(universe, A, B_CLEAN, 4, stream)
         assert np.all(np.asarray(weights)[batch["ell"] - 1] > 0.0)
+
+
+class _BelowHalf(_TopOfRange):
+    """Stub stream: label 0 and the largest double below 1/2 for every uniform."""
+
+    def random(self, size):
+        return np.full(size, 0.5 - 2.0**-54)
+
+
+class TestCoordinatesInsideDraw:
+    # with these offsets, cell - 1 + offset rounds up onto the next cell
+    # (top) or the upper half-cell (below half), and (ell0 + offset) / L onto
+    # interval 3 of the weights below (top)
+    @pytest.mark.parametrize("stream", [_TopOfRange(), _BelowHalf()])
+    def test_extreme_offsets_stay_in_the_drawn_bins(self, stream):
+        weights = [0.6, 0.4 - 5e-13, 0.0]
+        eye = np.arange(3 * 4 + 12)
+        universe = layers.LayerUniverse(4, 3, eye[None], eye[None], [weights])
+        batch = sampling.draw_batch(universe, A, B_CLEAN, 4, stream)
+        upper = stream.random(1)[0] >= 0.5
+        for key in ("u", "v"):
+            coord = batch[key]
+            np.testing.assert_array_equal(np.floor(coord) + 1, batch["cell"])
+            assert np.all((coord - np.floor(coord) >= 0.5) == upper)
+        np.testing.assert_array_equal(np.floor(batch["w"] * 3), batch["ell"] - 1)
+        layer = universe.layer(1)
+        np.testing.assert_array_equal(
+            batch["spin_a"], layers.layer_spin_a(layer, A, batch["u"], batch["w"])
+        )
+        np.testing.assert_array_equal(
+            batch["spin_b"], layers.layer_spin_b(layer, B_CLEAN, batch["v"], batch["w"])
+        )
+
+    @pytest.mark.parametrize("interval_count", [1, 3, 7, 49, 64, 1000])
+    def test_interval_edges_round_trip(self, interval_count):
+        # (ell0 + 0) / L can land below interval ell0 + 1 too: 1 / 49 * 49 < 1
+        ell0 = np.arange(interval_count)
+        for offset in (0.0, 1.0 - 2.0**-53):
+            w = sampling._inside((ell0 + offset) / interval_count, ell0, interval_count)
+            np.testing.assert_array_equal(np.floor(w * interval_count), ell0)
 
 
 # edge settings: zero and negative-zero components, +-1, mixed signs, and
