@@ -3,8 +3,8 @@
 Subcommands: splines, verify, layers, analyze, simulate, chsh, poisson.
 Reports are JSON (stdout or --out) with optional CSV side files; every
 report embeds the effective configuration and seeds so identical invocations
-produce byte-identical output.  Exit codes: 0 ok, 2 validation error,
-1 internal error.
+produce byte-identical output.  Exit codes: 0 ok, 2 validation error
+(including a file path that cannot be read or written), 1 internal error.
 """
 
 from __future__ import annotations
@@ -429,7 +429,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

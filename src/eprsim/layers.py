@@ -17,11 +17,13 @@ arrays validated once on construction: `col_to` and `row_to` of shape
 (M, 3n+12), whose rows permute the diagonal positions, and `weights` of
 shape (M, L), whose rows are interval weight vectors.  Label m = 1 .. 2M is
 pair (m-1)//2 with sign +1 for odd m and -1 for even m; `Layer` objects are
-built on demand by `LayerUniverse.layer`.
+built on demand by `LayerUniverse.layer`.  Universe files hold the three
+arrays packed as base64 bytes in one JSON object (`save_universe`).
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass, field
@@ -31,7 +33,7 @@ import numpy as np
 
 from .measure import BaseMeasure, pair_integral, step_weight, validate_weights
 
-UNIVERSE_SCHEMA = "layer-universe/1"
+UNIVERSE_SCHEMA = "layer-universe/2"
 
 
 def layer_count(n: int) -> int:
@@ -310,41 +312,58 @@ def joint_density(
 
 # --- serialization -------------------------------------------------------------
 
+LEGACY_SCHEMA = "layer-universe/1"
+_POSITION = np.dtype("<u2")
+_WEIGHT = np.dtype("<f8")
 
-def universe_to_dict(universe: LayerUniverse) -> dict:
-    pairs = [
-        {"columns": col, "rows": row, "weights": weights}
-        for col, row, weights in zip(
-            (universe.col_to - 2).tolist(),
-            (universe.row_to - 2).tolist(),
-            universe.weights.tolist(),
+
+def _pack(arr: np.ndarray, dtype: np.dtype) -> str:
+    return base64.b64encode(arr.astype(dtype).tobytes()).decode("ascii")
+
+
+def _unpack(doc: dict, key: str, dtype: np.dtype, shape: tuple[int, int]) -> np.ndarray:
+    text = doc.get(key)
+    if not isinstance(text, str):
+        raise ValueError(f"universe field {key!r} must be a base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:  # binascii.Error, or text that is not ASCII
+        raise ValueError(f"universe field {key!r} is not valid base64") from None
+    need = shape[0] * shape[1] * dtype.itemsize
+    if len(raw) != need:
+        raise ValueError(
+            f"universe field {key!r} holds {len(raw)} bytes, but 'pair_count' = "
+            f"{shape[0]} rows of {shape[1]} {dtype.str} values take {need}"
         )
-    ]
-    return {
-        "schema": UNIVERSE_SCHEMA,
-        "n": universe.n,
-        "interval_count": universe.interval_count,
-        "pairs": pairs,
-    }
+    return np.frombuffer(raw, dtype).reshape(shape)
 
 
-def _int_field(doc: dict, key: str) -> int:
+def _int_field(doc: dict, key: str, minimum: int) -> int:
     value = doc.get(key)
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"universe field {key!r} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"universe field {key!r} must be >= {minimum}, got {value!r}")
     return value
 
 
-def universe_from_dict(doc: dict) -> LayerUniverse:
-    if not isinstance(doc, dict):
-        raise ValueError("universe document must be a JSON object")
-    schema = doc.get("schema")
-    if schema != UNIVERSE_SCHEMA:
-        raise ValueError(
-            f"unsupported universe schema {schema!r}; this build reads {UNIVERSE_SCHEMA!r}"
-        )
-    n = _int_field(doc, "n")
-    interval_count = _int_field(doc, "interval_count")
+def _from_packed(doc: dict) -> LayerUniverse:
+    n = _int_field(doc, "n", 4)
+    interval_count = _int_field(doc, "interval_count", 1)
+    pair_count = _int_field(doc, "pair_count", 1)
+    positions = (pair_count, 3 * n + 12)
+    return LayerUniverse(
+        n,
+        interval_count,
+        _unpack(doc, "columns", _POSITION, positions),
+        _unpack(doc, "rows", _POSITION, positions),
+        _unpack(doc, "weights", _WEIGHT, (pair_count, interval_count)),
+    )
+
+
+def _from_pairs(doc: dict) -> LayerUniverse:
+    n = _int_field(doc, "n", 4)
+    interval_count = _int_field(doc, "interval_count", 1)
     pairs = doc.get("pairs")
     if not isinstance(pairs, list) or not pairs or not all(isinstance(p, dict) for p in pairs):
         raise ValueError("universe field 'pairs' must be a non-empty list of objects")
@@ -362,9 +381,47 @@ def universe_from_dict(doc: dict) -> LayerUniverse:
     )
 
 
+def universe_from_dict(doc: dict) -> LayerUniverse:
+    """Universe from a parsed file of schema `layer-universe/2` (packed
+    arrays) or the legacy `layer-universe/1` (one object of lists per pair,
+    positions stored as cell indices)."""
+    if not isinstance(doc, dict):
+        raise ValueError("universe document must be a JSON object")
+    schema = doc.get("schema")
+    if schema == UNIVERSE_SCHEMA:
+        return _from_packed(doc)
+    if schema == LEGACY_SCHEMA:
+        return _from_pairs(doc)
+    raise ValueError(
+        f"unsupported universe schema {schema!r}; this build reads "
+        f"{UNIVERSE_SCHEMA!r} and {LEGACY_SCHEMA!r}"
+    )
+
+
 def save_universe(universe: LayerUniverse, path) -> None:
-    Path(path).write_text(json.dumps(universe_to_dict(universe), sort_keys=True))
+    """Write one JSON object of schema `layer-universe/2`: `n`,
+    `interval_count`, `pair_count`, and base64 of the row-major arrays
+    `columns` and `rows` (the (M, 3n+12) positions as little-endian uint16)
+    and `weights` ((M, L) little-endian float64, so weights round-trip bit
+    for bit)."""
+    size = universe.col_to.shape[1]
+    if size > 1 << 16:
+        raise ValueError(
+            f"'n' = {universe.n} gives {size} positions per row, more than the "
+            f"{1 << 16} that {UNIVERSE_SCHEMA} stores as uint16 (n <= 21841)"
+        )
+    doc = {
+        "schema": UNIVERSE_SCHEMA,
+        "n": universe.n,
+        "interval_count": universe.interval_count,
+        "pair_count": universe.pair_count,
+        "columns": _pack(universe.col_to, _POSITION),
+        "rows": _pack(universe.row_to, _POSITION),
+        "weights": _pack(universe.weights, _WEIGHT),
+    }
+    Path(path).write_text(json.dumps(doc, sort_keys=True))
 
 
 def load_universe(path) -> LayerUniverse:
+    """Read and validate a universe file of either schema (`universe_from_dict`)."""
     return universe_from_dict(json.loads(Path(path).read_text()))

@@ -77,9 +77,8 @@ def _interval_search(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.nda
 def _batch_arrays(
     universe: LayerUniverse, mu: BaseMeasure, size: int, rng: np.random.Generator
 ):
-    """Vectorized draw of `size` trials; returns (m0, cellpos, du, dv, ell0, dw,
-    spin_a, spin_b) with int8 spins and dw the offset within the interval.
-    O(size log L) time, O(size) memory."""
+    """Vectorized draw of `size` trials; returns (m0, cellpos, du, dv, ell0,
+    spin_a, spin_b) with int8 spins.  O(size log L) time, O(size) memory."""
     # search u * cum[-1] < cum[-1] in the unnormalized cumsum: the first cell
     # whose cumulative mass exceeds it has positive mass, trailing cells too
     cum = np.cumsum(mu.cell_masses)
@@ -90,7 +89,6 @@ def _batch_arrays(
     dv = rng.random(size)
     # companions share their pair's weight row
     ell0 = _interval_search(np.cumsum(universe.weights, axis=1), m0 >> 1, rng.random(size))
-    dw = rng.random(size)
 
     # the sample always lands on a relocated diagonal ensemble, whose original
     # column and row position is the ensemble position itself, so the spins
@@ -99,7 +97,7 @@ def _batch_arrays(
     flip = (((m0 ^ ell0) & 1) * 2 - 1).astype(np.int8)
     spin_a = flip * mu.outcome[0].ravel()[2 * cellpos + (du >= 0.5)]
     spin_b = flip * mu.outcome[1].ravel()[2 * cellpos + (dv >= 0.5)]
-    return m0, cellpos, du, dv, ell0, dw, spin_a, spin_b
+    return m0, cellpos, du, dv, ell0, spin_a, spin_b
 
 
 def draw(
@@ -126,7 +124,8 @@ def draw_batch(universe: LayerUniverse, a, b, size: int, rng: np.random.Generato
     and u and v lie in the sampled half-cell of the relocated column and row,
     so the layer outcomes at (u, v, w) are the sampled spins."""
     mu = build_measure(a, b, universe.n)
-    m0, cellpos, du, dv, ell0, dw, spin_a, spin_b = _batch_arrays(universe, mu, size, rng)
+    m0, cellpos, du, dv, ell0, spin_a, spin_b = _batch_arrays(universe, mu, size, rng)
+    dw = rng.random(size)  # offset of w within its interval; run_experiment needs none
     cols = universe.col_to[m0 >> 1, cellpos] - 2
     rows = universe.row_to[m0 >> 1, cellpos] - 2
     # bins: interval ell0 of w, and half-cells [j/2, (j+1)/2) of u and v,
@@ -173,7 +172,7 @@ def run_experiment(
     remaining = trials
     for stream in streams:
         size = min(batch_size, remaining)
-        _, _, _, _, _, _, sa, sb = _batch_arrays(universe, mu, size, stream)
+        *_, sa, sb = _batch_arrays(universe, mu, size, stream)
         prod = (sa * sb).astype(float)
         b_count = prod.size
         b_mean = float(prod.mean())

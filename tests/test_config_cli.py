@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 import subprocess
@@ -7,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eprsim import cli, config
+from eprsim import cli, config, layers
+
+from oracles import universe_to_dict
 
 
 class TestParseSetting:
@@ -111,7 +114,7 @@ class TestCliVerify:
         doc = json.loads(out)
         assert doc["abs_error"] <= 1e-12
         assert doc["mass"] == pytest.approx(1.0, abs=1e-12)
-        assert doc["schema_versions"]["universe"] == "layer-universe/1"
+        assert doc["schema_versions"]["universe"] == "layer-universe/2"
 
     def test_genuine_variant_block(self, capsys):
         code, out, _ = run_cli(
@@ -232,8 +235,9 @@ def _set_pair(index, key, value):
     return doctor
 
 
-# doctoring of a valid 3-pair, L=2 universe file -> field the error must name
-BAD_UNIVERSES = {
+# doctoring of a valid 3-pair, n=4, L=2 universe document -> field the error
+# must name; the legacy layer-universe/1 reader gets these
+BAD_V1_UNIVERSES = {
     "interval_count_mismatch": (lambda doc: doc.update(interval_count=5), "interval_count"),
     "interval_count_not_int": (lambda doc: doc.update(interval_count="2"), "interval_count"),
     "n_missing": (lambda doc: doc.pop("n"), "'n'"),
@@ -253,6 +257,41 @@ BAD_UNIVERSES = {
 }
 
 
+def _set_packed(key, dtype, index, value):
+    def doctor(doc):
+        arr = np.frombuffer(base64.b64decode(doc[key]), dtype).reshape(3, -1).copy()
+        arr[index] = value(arr[index])
+        doc[key] = base64.b64encode(arr.tobytes()).decode("ascii")
+
+    return doctor
+
+
+def _truncate(key):
+    def doctor(doc):
+        doc[key] = base64.b64encode(base64.b64decode(doc[key])[:-2]).decode("ascii")
+
+    return doctor
+
+
+# the same for the packed layer-universe/2 document that `layers` writes
+BAD_V2_UNIVERSES = {
+    "v2_pair_count_plus_one": (lambda doc: doc.update(pair_count=4), "pair_count"),
+    "v2_pair_count_minus_one": (lambda doc: doc.update(pair_count=2), "pair_count"),
+    "v2_pair_count_zero": (lambda doc: doc.update(pair_count=0), "pair_count"),
+    "v2_columns_not_base64": (lambda doc: doc.update(columns="*" + doc["columns"][1:]), "columns"),
+    "v2_rows_truncated": (_truncate("rows"), "rows"),
+    "v2_columns_repeat_a_position": (
+        _set_packed("columns", "<u2", 0, lambda col: [col[1], *col[1:]]),
+        "columns",
+    ),
+    "v2_weights_nan": (_set_packed("weights", "<f8", 0, lambda w: [np.nan, 1.0]), "weights"),
+    "v2_weights_sum_to_0.9": (_set_packed("weights", "<f8", 1, lambda w: [0.45, 0.45]), "weights"),
+    "v2_weights_missing": (lambda doc: doc.pop("weights"), "weights"),
+}
+
+BAD_UNIVERSES = {**BAD_V1_UNIVERSES, **BAD_V2_UNIVERSES}
+
+
 class TestCliRejectsBadUniverse:
     @pytest.mark.parametrize("command", ["analyze", "simulate"])
     @pytest.mark.parametrize("defect", sorted(BAD_UNIVERSES))
@@ -265,6 +304,8 @@ class TestCliRejectsBadUniverse:
         )
         assert code == 0
         doc = json.loads(upath.read_text())
+        if defect in BAD_V1_UNIVERSES:
+            doc = universe_to_dict(layers.load_universe(upath))
         doctor, field = BAD_UNIVERSES[defect]
         doctor(doc)
         upath.write_text(json.dumps(doc))
@@ -278,6 +319,36 @@ class TestCliRejectsBadUniverse:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and field in err
+
+
+# a run of each command reading --universe, with the path appended
+READS_UNIVERSE = {
+    "analyze": ["analyze", "--a", "1,0,0", "--b", "0.6,0.8,0", "--c", "0,0,1"],
+    "simulate": ["simulate", "--angle", "45", "--trials", "100", "--seed", "1"],
+    "chsh": ["chsh", "--angles", "0,90,45,135", "--trials", "100", "--seed", "1"],
+}
+
+
+class TestCliUniverseFileErrors:
+    @pytest.mark.parametrize("command", sorted(READS_UNIVERSE))
+    @pytest.mark.parametrize("target", ["missing", "directory"])
+    def test_unreadable_file_exits_2_naming_the_path(self, capsys, tmp_path, command, target):
+        path = tmp_path / "absent.json" if target == "missing" else tmp_path
+        code, out, err = run_cli(capsys, *READS_UNIVERSE[command], "--universe", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(path) in err
+
+    @pytest.mark.parametrize("target", ["missing_directory", "directory"])
+    def test_unwritable_path_exits_2_naming_it(self, capsys, tmp_path, target):
+        path = tmp_path / "absent" / "uni.json" if target == "missing_directory" else tmp_path
+        code, out, err = run_cli(
+            capsys,
+            "layers", "--n", "4", "--layers", "3", "--seed", "1", "--universe", str(path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(path) in err
 
 
 class TestCliChsh:
@@ -305,7 +376,8 @@ class TestCliPoisson:
         assert code == 0
         doc = json.loads(out)
         assert doc["uniform_ok"] is True
-        assert doc["extreme_exact"] is False or doc["extreme_lower"] <= doc["extreme_upper"]
+        assert doc["extreme_exact"] is True
+        assert doc["extreme_lower"] == doc["extreme_upper"]
         rows = csv_path.read_text().strip().splitlines()
         assert rows[0] == "k,star_discrepancy"
         assert len(rows) >= 3

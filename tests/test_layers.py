@@ -1,13 +1,17 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sstats
 
 from eprsim import layers, measure
 
-from oracles import binomial_oracle, factorial_oracle, random_unit_vector
+from oracles import binomial_oracle, factorial_oracle, random_unit_vector, universe_to_dict
 
 A = measure.as_setting([0.6, 0.8, 0.0])
 B = measure.as_setting([0.28, 0.96, 0.0], normalize=True)
@@ -356,6 +360,64 @@ class TestSerialization:
         layers.save_universe(uni, p1)
         layers.save_universe(uni, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("n, fits", [(21841, True), (21842, False)])
+    def test_positions_must_fit_uint16(self, tmp_path, n, fits):
+        # 3n + 12 positions per row: 65535 at n = 21841, 65538 at n = 21842
+        eye = np.arange(3 * n + 12)
+        uni = layers.LayerUniverse(n, 1, eye[None], eye[::-1][None], [[1.0]])
+        path = tmp_path / "universe.json"
+        if not fits:
+            with pytest.raises(ValueError, match="'n'"):
+                layers.save_universe(uni, path)
+            assert not path.exists()
+            return
+        layers.save_universe(uni, path)
+        loaded = layers.load_universe(path)
+        assert np.array_equal(loaded.col_to, uni.col_to)
+        assert np.array_equal(loaded.row_to, uni.row_to)
+
+
+def _universe_for(n, interval_count, pair_count, seed, weights):
+    rng = np.random.default_rng(seed)
+    if weights == "tied":
+        return layers.build_universe(n, interval_count, pair_count, rng, tie_weights=True)
+    if weights == "tied_one_hot":
+        one_hot = np.eye(interval_count)[-1]
+        return layers.build_universe(
+            n, interval_count, pair_count, rng, tie_weights=True, tie_vector=one_hot
+        )
+    uni = layers.build_universe(n, interval_count, pair_count, rng)
+    if weights == "dirichlet":
+        return uni
+    # zero about half of each row's weights, keeping its largest
+    w = np.where(rng.random(uni.weights.shape) < 0.5, 0.0, uni.weights)
+    w[np.arange(pair_count), uni.weights.argmax(axis=1)] = uni.weights.max(axis=1)
+    w /= w.sum(axis=1, keepdims=True)
+    return layers.LayerUniverse(n, interval_count, uni.col_to, uni.row_to, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(4, 64),
+    interval_count=st.sampled_from([1, 2, 3, 64]),
+    pair_count=st.integers(1, 20),
+    seed=st.integers(0, 2**32 - 1),
+    weights=st.sampled_from(["dirichlet", "with_zeros", "tied", "tied_one_hot"]),
+)
+def test_both_schemas_round_trip_bit_for_bit(n, interval_count, pair_count, seed, weights):
+    uni = _universe_for(n, interval_count, pair_count, seed, weights)
+    with tempfile.TemporaryDirectory() as tmp:
+        packed, legacy = Path(tmp) / "v2.json", Path(tmp) / "v1.json"
+        layers.save_universe(uni, packed)
+        legacy.write_text(json.dumps(universe_to_dict(uni)))
+        assert json.loads(packed.read_text())["schema"] == "layer-universe/2"
+        for path in (packed, legacy):
+            loaded = layers.load_universe(path)
+            assert (loaded.n, loaded.interval_count) == (n, interval_count)
+            assert np.array_equal(loaded.col_to, uni.col_to)
+            assert np.array_equal(loaded.row_to, uni.row_to)
+            assert loaded.weights.tobytes() == uni.weights.tobytes()
 
 
 def test_published_count_value_n4():

@@ -93,6 +93,19 @@ class TestReproducibility:
             assert abs(est.mean - est.exact_target) <= 3.29 * est.stderr + 5e-3
 
 
+    @pytest.mark.parametrize("batches", [1, 3])
+    def test_run_experiment_stream_use_per_batch(self, universe, batches):
+        # per batch of T trials: the labels, then T uniforms each for the cell,
+        # u, v and the interval; only draw_batch draws w's offset in its interval
+        size = 1_000
+        used, expected = np.random.default_rng(47), np.random.default_rng(47)
+        sampling.run_experiment(universe, A, B45, batches * size, rng=used, batch_size=size)
+        for _ in range(batches):
+            expected.integers(0, universe.label_count, size=size)
+            for _ in range(4):
+                expected.random(size)
+        assert used.bit_generator.state == expected.bit_generator.state
+
 class TestRunExperiment:
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_batch_size_below_one_rejected(self, universe, batch_size):
