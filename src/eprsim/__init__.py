@@ -17,34 +17,22 @@ from .analysis import (
 )
 from .config import ConfigError, ExperimentConfig, load_config, parse_setting
 from .emission import (
-    DiscrepancyBracket,
     DiscrepancyStats,
     EmissionTrace,
     GateResult,
     RateFit,
     detector_gate,
     discrepancy_stats,
-    extreme_discrepancy,
     fit_rate,
     generate_trace,
-    interval_count,
-    label_from_time,
     labels_from_trace,
-    robbins_rate_check,
     star_discrepancy,
 )
 from .layers import (
-    Layer,
     LayerUniverse,
     build_universe,
-    joint_density,
     layer_count,
-    layer_density,
-    layer_pair_integral,
-    layer_spin_a,
-    layer_spin_b,
     load_universe,
-    sample_layer_pair,
     save_universe,
 )
 from .measure import (
@@ -52,17 +40,9 @@ from .measure import (
     GapVariantMass,
     as_setting,
     build_measure,
-    column_weight,
-    density,
-    detector_a,
-    detector_b,
-    diagonal_indicator,
     gap_variant,
     pair_integral,
-    row_weight,
     setting_from_angle,
-    step_sign,
-    step_weight,
     theta_hat,
     total_mass,
     validate_weights,
@@ -70,22 +50,16 @@ from .measure import (
 from .sampling import (
     ChshEstimate,
     CorrelationEstimate,
-    HiddenSample,
     chsh,
-    draw,
     draw_batch,
     run_experiment,
 )
 from .splines import (
     SplineSystem,
-    approx_squared_diff,
     approx_squared_diff_grid,
     basis_matrix,
-    basis_value,
     build_spline_system,
-    clipped_weight,
     clipped_weight_matrix,
-    marsden_weight,
     marsden_weight_matrix,
     squared_diff_defect_bound,
 )

@@ -36,7 +36,7 @@ def _cell_pair_bins(universe: LayerUniverse) -> np.ndarray:
     """Flat (column, row) bin of every ensemble, one row per pair; a pair's
     two labels share these bins, so each pair is binned once at twice a
     label's share."""
-    size = 3 * universe.n + 12
+    size = universe.col_to.shape[1]
     return universe.col_to * size + universe.row_to
 
 
@@ -51,7 +51,7 @@ def pair_expectation(universe: LayerUniverse, a, b) -> float:
 def station_pair_joint(universe: LayerUniverse, mu: BaseMeasure) -> np.ndarray:
     """Exact joint cell law of the two station parameters, mixed over labels
     and weight intervals: shape (cells, cells) over (column, row)."""
-    size = 3 * universe.n + 12
+    size = universe.col_to.shape[1]
     bins = _cell_pair_bins(universe)
     shares = np.broadcast_to(_normalized_masses(mu) * (1.0 / universe.pair_count), bins.shape)
     joint = np.bincount(bins.ravel(), shares.ravel(), minlength=size * size)
@@ -142,7 +142,7 @@ def dependence_report(universe: LayerUniverse, a, b, c) -> DependenceReport:
     mu_ac = build_measure(a, c, universe.n)
     if np.allclose(mu_ab.b, mu_ac.b, atol=1e-15):
         raise ValueError("alternate setting c must differ from b")
-    size = 3 * universe.n + 12
+    size = universe.col_to.shape[1]
     masses = _normalized_masses(mu_ab)
     masses_ac = _normalized_masses(mu_ac)
 

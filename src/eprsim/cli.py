@@ -306,7 +306,8 @@ def cmd_poisson(args) -> int:
     stats = discrepancy_stats(trace.fracs)
     prefix_ks = [k for k in (10**e for e in range(3, 10)) if k < args.k] + [args.k]
     prefix_ks = sorted({k for k in prefix_ks if k >= 1})
-    stars = [star_discrepancy(trace.fracs[:k]) for k in prefix_ks]
+    # the last prefix is the whole trace, whose D* the one sort above gave
+    stars = [star_discrepancy(trace.fracs[:k]) for k in prefix_ks[:-1]] + [stats.star]
     gate = detector_gate(args.p1, args.p2, args.labels, args.k, args.theta, rng)
     stat_u, dof = uniform_chi_square(gate.ungated_counts)
     stat_g, _ = uniform_chi_square(gate.gated_counts)
@@ -318,9 +319,9 @@ def cmd_poisson(args) -> int:
             "k": args.k,
             "labels": args.labels,
             "star": stats.star,
-            "extreme_lower": stats.extreme.lower,
-            "extreme_upper": stats.extreme.upper,
-            "extreme_exact": stats.extreme.exact,
+            "extreme_lower": stats.extreme,
+            "extreme_upper": stats.extreme,
+            "extreme_exact": True,
             "chi_square_ungated": stat_u,
             "chi_square_gated": stat_g,
             "chi_square_dof": dof,

@@ -10,7 +10,6 @@ classical order-statistic formula and the extreme form D = D+ + D-.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,12 +54,6 @@ def _checked_points(points) -> np.ndarray:
     return pts
 
 
-def interval_count(points, alpha: float, beta: float) -> int:
-    """A_k(alpha, beta): number of points in the half-open interval [alpha, beta)."""
-    pts = _checked_points(points)
-    return int(np.count_nonzero((pts >= alpha) & (pts < beta)))
-
-
 def _sorted_parts(points) -> tuple[np.ndarray, float, float]:
     """Sorted points and the one-sided parts D+ = max_i (i/k - x_(i)) and
     D- = max_i (x_(i) - (i-1)/k), each at least 0."""
@@ -80,36 +73,14 @@ def star_discrepancy(points) -> float:
 
 
 @dataclass(frozen=True)
-class DiscrepancyBracket:
-    """Extreme discrepancy, exact at every size; reports print it as the
-    degenerate enclosure lower == upper == value."""
-
-    value: float
-    exact: bool = field(default=True, init=False)
-
-    @property
-    def lower(self) -> float:
-        return self.value
-
-    @property
-    def upper(self) -> float:
-        return self.value
-
-
-def extreme_discrepancy(points) -> DiscrepancyBracket:
-    """Exact extreme discrepancy over all half-open subintervals of [0, 1):
-    the sum D+ + D- of the one-sided star parts (Niederreiter 1992, ch. 2)."""
-    _, d_plus, d_minus = _sorted_parts(points)
-    return DiscrepancyBracket(d_plus + d_minus)
-
-
-@dataclass(frozen=True)
 class DiscrepancyStats:
-    """Summary of one point set from one sort: size, star and extreme values."""
+    """Summary of one point set from one sort: size, the star discrepancy
+    D* = max(D+, D-), and the extreme discrepancy D = D+ + D- over all
+    half-open subintervals of [0, 1) (Niederreiter 1992, ch. 2)."""
 
     k: int
     star: float
-    extreme: DiscrepancyBracket
+    extreme: float
     sorted_points: np.ndarray = field(repr=False, compare=False)
 
     def count(self, alpha: float, beta: float) -> int:
@@ -124,22 +95,14 @@ def discrepancy_stats(points) -> DiscrepancyStats:
     return DiscrepancyStats(
         k=int(pts.size),
         star=max(d_plus, d_minus),
-        extreme=DiscrepancyBracket(d_plus + d_minus),
+        extreme=d_plus + d_minus,
         sorted_points=pts,
     )
 
 
-def label_from_time(x: float, label_count: int) -> int:
-    """Label m = floor({x} * N) + 1 read off the wrapped emission time."""
-    if label_count < 1:
-        raise ValueError("label count must be >= 1")
-    frac = float(x) - math.floor(float(x))
-    m = int(frac * label_count) + 1
-    return min(m, label_count)
-
-
 def labels_from_trace(trace: EmissionTrace, label_count: int) -> np.ndarray:
-    """Vectorized labels for every emission in a trace (1-based)."""
+    """Label m = floor({x} * N) + 1 (1-based) of every emission time x in a
+    trace, read off its wrapped fractional part."""
     if label_count < 1:
         raise ValueError("label count must be >= 1")
     m = (trace.fracs * label_count).astype(np.int64) + 1
@@ -171,20 +134,6 @@ def fit_rate(ks, star_values) -> RateFit:
         intercept=float(intercept),
         residuals=tuple(float(r) for r in resid),
     )
-
-
-def robbins_rate_check(theta: float, ks, rng: np.random.Generator) -> RateFit:
-    """Empirical decay rate of D*_k along prefixes of one Poisson trace.
-
-    The asymptotic guarantee is k^(-1/2) up to poly-log factors, so the
-    fitted slope should sit near -1/2.
-    """
-    ks = sorted(int(k) for k in ks)
-    if not ks or ks[0] < 1:
-        raise ValueError("ks must be positive sizes")
-    trace = generate_trace(theta, ks[-1], rng)
-    stars = [star_discrepancy(trace.fracs[:k]) for k in ks]
-    return fit_rate(ks, stars)
 
 
 @dataclass(frozen=True)

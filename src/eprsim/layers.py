@@ -16,9 +16,9 @@ A `LayerUniverse` therefore stores one row per companion pair in three
 arrays validated once on construction: `col_to` and `row_to` of shape
 (M, 3n+12), whose rows permute the diagonal positions, and `weights` of
 shape (M, L), whose rows are interval weight vectors.  Label m = 1 .. 2M is
-pair (m-1)//2 with sign +1 for odd m and -1 for even m; `Layer` objects are
-built on demand by `LayerUniverse.layer`.  Universe files hold the three
-arrays packed as base64 bytes in one JSON object (`save_universe`).
+pair (m-1)//2 with sign +1 for odd m and -1 for even m.  Universe files
+hold the three arrays packed as base64 bytes in one JSON object
+(`save_universe`).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .measure import BaseMeasure, pair_integral, step_weight, validate_weights
+from .measure import diagonal_cell_count, validate_weights
 
 UNIVERSE_SCHEMA = "layer-universe/2"
 
@@ -47,68 +47,6 @@ def layer_count(n: int) -> int:
         * math.comb(9 * n * n, 3 * n)
         * math.factorial(3 * n)
     )
-
-
-@dataclass(frozen=True)
-class Layer:
-    """One permuted arrangement: ensemble -> (column, row) relocation.
-
-    `col_to[p]` / `row_to[p]` give the new column/row *position* of the
-    ensemble at diagonal position p (position = cell index + 2); both arrays
-    are permutations of 0 .. 3n+11.  `sign` is +1 for an original layer and
-    -1 for its companion, which shares the relocation and weights.
-    """
-
-    n: int
-    col_to: np.ndarray = field(repr=False, compare=False)
-    row_to: np.ndarray = field(repr=False, compare=False)
-    weights: np.ndarray = field(repr=False, compare=False)
-    sign: int = 1
-
-    def __post_init__(self):
-        size = 3 * self.n + 12
-        for name in ("col_to", "row_to"):
-            object.__setattr__(self, name, _permutations(np.ravel(getattr(self, name)), size, name))
-        object.__setattr__(self, "weights", validate_weights(np.ravel(self.weights)))
-        if self.sign not in (-1, 1):
-            raise ValueError("sign must be +1 or -1")
-
-    @property
-    def cell_count(self) -> int:
-        return 3 * self.n + 12
-
-    @property
-    def interval_count(self) -> int:
-        return int(self.weights.size)
-
-    # descriptive views of the relocation ------------------------------------
-    def unit_ensemble_columns(self) -> tuple[int, ...]:
-        """Cell indices of the three columns receiving the unit ensembles."""
-        return tuple(int(c) - 2 for c in self.col_to[:3])
-
-    def unit_ensemble_rows(self) -> tuple[int, ...]:
-        return tuple(int(r) - 2 for r in self.row_to[:3])
-
-    def companion(self) -> "Layer":
-        return Layer(self.n, self.col_to, self.row_to, self.weights, -self.sign)
-
-    @classmethod
-    def identity(cls, n: int, weights, sign: int = 1) -> "Layer":
-        size = 3 * n + 12
-        eye = np.arange(size)
-        return cls(n, eye, eye, np.asarray(weights, dtype=float), sign)
-
-
-def sample_layer_pair(
-    n: int,
-    interval_count: int,
-    rng: np.random.Generator,
-    tie_weights: bool = False,
-    tie_vector=None,
-) -> tuple[Layer, Layer]:
-    """Uniformly sample one layer and its companion (see `build_universe`)."""
-    universe = build_universe(n, interval_count, 1, rng, tie_weights, tie_vector)
-    return universe.layer(1), universe.layer(2)
 
 
 def _permutations(perms, size: int, name: str) -> np.ndarray:
@@ -140,7 +78,7 @@ class LayerUniverse:
     def __post_init__(self):
         if self.n < 4:
             raise ValueError(f"order parameter n must be >= 4, got {self.n}")
-        size = 3 * self.n + 12
+        size = diagonal_cell_count(self.n)
         col_to = _permutations(self.col_to, size, "columns")
         row_to = _permutations(self.row_to, size, "rows")
         weights = validate_weights(self.weights)
@@ -163,13 +101,6 @@ class LayerUniverse:
     @property
     def pair_count(self) -> int:
         return self.col_to.shape[0]
-
-    def layer(self, m: int) -> Layer:
-        """Layer for label m = 1 .. 2M, built on demand."""
-        if not 1 <= m <= self.label_count:
-            raise ValueError(f"label {m} outside 1..{self.label_count}")
-        k, sign = (m - 1) // 2, (1 if m % 2 else -1)
-        return Layer(self.n, self.col_to[k], self.row_to[k], self.weights[k], sign)
 
 
 def build_universe(
@@ -195,7 +126,7 @@ def build_universe(
         raise ValueError(f"order parameter n must be >= 4, got {n}")
     if interval_count < 1 or pair_count < 1:
         raise ValueError("interval count and pair count must be >= 1")
-    size = 3 * n + 12
+    size = diagonal_cell_count(n)
     perms = rng.permuted(np.tile(np.arange(size), (2 * pair_count, 1)), axis=1)
     if tie_weights:
         tied = 1.0 / interval_count if tie_vector is None else validate_weights(tie_vector)
@@ -204,110 +135,6 @@ def build_universe(
         draw = rng.dirichlet(np.ones(interval_count), size=pair_count)
         weights = draw / draw.sum(axis=1, keepdims=True)
     return LayerUniverse(n, interval_count, perms[:pair_count], perms[pair_count:], weights)
-
-
-# --- evaluation ---------------------------------------------------------------
-
-
-_OUTSIDE = -1000
-
-
-def _origin_cells(perm: np.ndarray, coords, outside_base: bool = False) -> np.ndarray:
-    """Original cell index (i = -2 .. 3n+9) whose strip the relocation `perm`
-    (a layer's `col_to` or `row_to`) moved under each coordinate.
-
-    Outside Omega there is nothing to permute: with `outside_base` the
-    coordinate's own cell index is returned so the base detector profile
-    continues unchanged; otherwise the sentinel marks zero density.
-    """
-    coords = np.atleast_1d(np.asarray(coords, dtype=float))
-    cell = np.floor(coords).astype(np.int64) + 1
-    inside = (coords >= -3.0) & (coords < perm.size - 3.0)
-    origin = cell.copy() if outside_base else np.full(coords.shape, _OUTSIDE, dtype=np.int64)
-    origin[inside] = np.argsort(perm)[cell[inside] + 2] - 2  # argsort inverts a permutation
-    return origin
-
-
-def _base_a_profile(a: np.ndarray, origin: np.ndarray, offset: np.ndarray) -> np.ndarray:
-    """A value from an original column index and the within-cell offset."""
-    out = np.ones(origin.shape)
-    neg = (origin >= -2) & (origin <= 0)
-    comp = -origin[neg]  # component index k - 1
-    out[neg] = np.where(a[comp] >= 0.0, 1.0, -1.0)
-    pos = origin >= 1
-    out[pos] = np.where(offset[pos] < 0.5, -1.0, 1.0)
-    return out
-
-
-def _step_signs(w, interval_count: int) -> np.ndarray:
-    w_arr = np.atleast_1d(np.asarray(w, dtype=float))
-    if np.any(w_arr < 0.0) or np.any(w_arr >= 1.0):
-        raise ValueError("w must lie in [0, 1)")
-    ell = (w_arr * interval_count).astype(np.int64) + 1
-    return np.where(ell % 2 == 1, -1.0, 1.0)
-
-
-def _layer_spin(layer: Layer, setting, perm: np.ndarray, coords, w):
-    setting = np.asarray(setting, dtype=float)
-    arr = np.atleast_1d(np.asarray(coords, dtype=float))
-    origin = _origin_cells(perm, arr, outside_base=True)
-    profile = _base_a_profile(setting, origin, arr - np.floor(arr))
-    out = layer.sign * profile * _step_signs(w, layer.interval_count)
-    return out if np.ndim(coords) else float(out[0])
-
-
-def layer_spin_a(layer: Layer, a, u, w):
-    """Spin outcome on this layer: sign * A(relocated u) * s(w).  Total in u."""
-    return _layer_spin(layer, a, layer.col_to, u, w)
-
-
-def layer_spin_b(layer: Layer, b, v, w):
-    """Spin outcome at the second station: sign * B(relocated v) * s(w), B_b = -A_b."""
-    return -_layer_spin(layer, b, layer.row_to, v, w)
-
-
-def layer_density(layer: Layer, mu: BaseMeasure, u: float, v: float, w: float) -> float:
-    """Permuted product density sigma tau kappa q at a point; 0 off-support."""
-    if layer.n != mu.n:
-        raise ValueError("layer and measure use different n")
-    wf = float(w)
-    if not 0.0 <= wf < 1.0:
-        raise ValueError("w must lie in [0, 1)")
-    ou = int(_origin_cells(layer.col_to, u)[0])
-    ov = int(_origin_cells(layer.row_to, v)[0])
-    if ou == _OUTSIDE or ov == _OUTSIDE or ou != ov:
-        return 0.0
-    return mu.cell_mass(ou) * step_weight(wf, layer.weights)
-
-
-def layer_total_mass(layer: Layer, mu: BaseMeasure) -> float:
-    """Mass after relocation; permutation only moves cells, so this equals
-    the base total mass exactly (summed in original-ensemble order)."""
-    return float(mu.cell_masses.sum())
-
-
-def layer_pair_integral(layer: Layer, mu: BaseMeasure) -> float:
-    """Exact per-layer integral of A B against the layer measure.
-
-    Relocation moves whole cells with their detector strips, so the integral
-    is the base one; both outcomes carry the layer sign (sign^2 = 1) and the
-    w factor contributes sum_l p_l * s_l^2 = sum_l p_l.
-    """
-    return pair_integral(mu) * float(layer.weights.sum())
-
-
-def joint_density(
-    universe: LayerUniverse, mu: BaseMeasure, u: float, v: float, w: float, m: int
-) -> float:
-    """Joint density of (station-1, station-2, source, label) at one point.
-
-    Per-layer densities are normalized by the base total mass before mixing
-    so the whole object is an exact probability law on cells x intervals x
-    labels.
-    """
-    lay = universe.layer(m)
-    mass = float(mu.cell_masses.sum())
-    return layer_density(lay, mu, u, v, w) / mass / universe.label_count
 
 
 # --- serialization -------------------------------------------------------------
@@ -351,7 +178,7 @@ def _from_packed(doc: dict) -> LayerUniverse:
     n = _int_field(doc, "n", 4)
     interval_count = _int_field(doc, "interval_count", 1)
     pair_count = _int_field(doc, "pair_count", 1)
-    positions = (pair_count, 3 * n + 12)
+    positions = (pair_count, diagonal_cell_count(n))
     return LayerUniverse(
         n,
         interval_count,

@@ -1,4 +1,4 @@
-"""First-layer measure on the diagonal cells, detector functions, and factors.
+"""First-layer measure on the diagonal cells and its detector outcome table.
 
 The measure for a setting pair (a, b) puts constant mass on unit squares
 lined up along the main diagonal of Omega.  Three negative-axis cells carry
@@ -77,59 +77,9 @@ def validate_weights(p) -> np.ndarray:
     return out
 
 
-def detector_a(a, u):
-    """Station-1 detector A_a(u): sign(a_k) on [-k, -k+1); -1/+1 half-cell
-    alternation on [j, j+1) for j >= 0; +1 elsewhere.  Vectorized over u."""
-    a = np.asarray(a, dtype=float)
-    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    out = np.ones_like(u_arr)
-    neg = (u_arr >= -3.0) & (u_arr < 0.0)
-    k = (-np.floor(u_arr[neg])).astype(int)  # 1, 2, 3
-    out[neg] = np.where(a[k - 1] >= 0.0, 1.0, -1.0)
-    pos = u_arr >= 0.0
-    out[pos] = np.where(u_arr[pos] - np.floor(u_arr[pos]) < 0.5, -1.0, 1.0)
-    return out if np.ndim(u) else float(out[0])
-
-
-def detector_b(b, v):
-    """Station-2 detector B_b(v) = -A_b(v) pointwise."""
-    return -detector_a(b, v)
-
-
-def step_sign(w: float, interval_count: int) -> float:
-    """Alternating sign step s(w) = (-1)^l on [(l-1)/L, l/L), l = 1 .. L."""
-    if interval_count < 1:
-        raise ValueError("interval count must be >= 1")
-    wv = float(w)
-    if not 0.0 <= wv < 1.0:
-        raise ValueError(f"w must lie in [0, 1), got {wv}")
-    ell = int(wv * interval_count) + 1
-    return -1.0 if ell % 2 else 1.0
-
-
-def step_weight(w: float, weights) -> float:
-    """Weight lookup q(w) = p_l on [(l-1)/L, l/L)."""
-    p = np.asarray(weights, dtype=float)
-    wv = float(w)
-    if not 0.0 <= wv < 1.0:
-        raise ValueError(f"w must lie in [0, 1), got {wv}")
-    return float(p[int(wv * p.size)])
-
-
 def diagonal_cell_count(n: int) -> int:
     """Number of diagonal cells: 3 negative + 3n main + 9 boundary."""
     return 3 * n + 12
-
-
-def cell_component_and_index(n: int, i: int) -> tuple[int, int]:
-    """Map a positive diagonal cell i >= 1 to (component 0..2, spline index)."""
-    if 1 <= i <= 3 * n:
-        comp = (i - 1) // n
-        return comp, i - comp * n
-    if 3 * n < i <= 3 * n + 9:
-        e = i - 3 * n - 1  # 0 .. 8
-        return e // 3, (e % 3) - 2
-    raise ValueError(f"cell index {i} is not a positive diagonal cell for n={n}")
 
 
 def _cell_mass_vector(sys: SplineSystem, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -181,12 +131,6 @@ class BaseMeasure:
         """Omega = [-3, domain_high)^2."""
         return float(3 * self.n + 9)
 
-    def cell_mass(self, i: int) -> float:
-        """Mass of diagonal cell [i-1, i)^2, i = -2 .. 3n+9."""
-        if not -2 <= i <= 3 * self.n + 9:
-            raise ValueError(f"cell index {i} outside [-2, {3 * self.n + 9}]")
-        return float(self.cell_masses[i + 2])
-
 
 def build_measure(a, b, n: int, normalize_settings: bool = False) -> BaseMeasure:
     """Construct the first-layer measure for unit settings a, b and n >= 4."""
@@ -197,46 +141,6 @@ def build_measure(a, b, n: int, normalize_settings: bool = False) -> BaseMeasure
     masses.setflags(write=False)
     outcome = _outcome_table(a, b, masses.size)
     return BaseMeasure(a=a, b=b, system=sys, cell_masses=masses, outcome=outcome)
-
-
-def diagonal_indicator(u: float, v: float, n: int) -> int:
-    """kappa(u, v): 1 iff (u, v) lies in a diagonal cell [i-1, i)^2 of Omega."""
-    uf, vf = float(u), float(v)
-    hi = 3 * n + 9
-    if not (-3.0 <= uf < hi and -3.0 <= vf < hi):
-        return 0
-    return 1 if np.floor(uf) == np.floor(vf) else 0
-
-
-def column_weight(mu: BaseMeasure, u: float) -> float:
-    """First density factor sigma(u): depends on the setting a only."""
-    uf = float(u)
-    if uf < -3.0 or uf >= mu.domain_high:
-        return 0.0
-    i = int(np.floor(uf)) + 1  # cell index of the column strip
-    if i <= 0:
-        return float(abs(mu.a[-i]))  # k = 1 - i, component index k-1 = -i
-    comp, s = cell_component_and_index(mu.n, i)
-    return float(basis_matrix(mu.system, abs(mu.a[comp]))[s + 2, 0])
-
-
-def row_weight(mu: BaseMeasure, v: float) -> float:
-    """Second density factor tau(v): depends on the setting b only."""
-    vf = float(v)
-    if vf < -3.0 or vf >= mu.domain_high:
-        return 0.0
-    i = int(np.floor(vf)) + 1
-    if i <= 0:
-        return float(abs(mu.b[-i]))
-    comp, s = cell_component_and_index(mu.n, i)
-    return float(0.5 * clipped_weight_matrix(mu.system, abs(mu.b[comp]))[s + 2, 0])
-
-
-def density(mu: BaseMeasure, u: float, v: float) -> float:
-    """Joint density sigma(u) tau(v) kappa(u, v); constant on each cell."""
-    if not diagonal_indicator(u, v, mu.n):
-        return 0.0
-    return column_weight(mu, u) * row_weight(mu, v)
 
 
 def total_mass(mu: BaseMeasure) -> float:

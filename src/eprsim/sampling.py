@@ -21,16 +21,6 @@ from .measure import BaseMeasure, build_measure
 
 
 @dataclass(frozen=True)
-class HiddenSample:
-    """One realization of (label, station-1, station-2, source) coordinates."""
-
-    m: int
-    u: float
-    v: float
-    w: float
-
-
-@dataclass(frozen=True)
 class CorrelationEstimate:
     mean: float
     stderr: float
@@ -98,15 +88,6 @@ def _batch_arrays(
     spin_a = flip * mu.outcome[0].ravel()[2 * cellpos + (du >= 0.5)]
     spin_b = flip * mu.outcome[1].ravel()[2 * cellpos + (dv >= 0.5)]
     return m0, cellpos, du, dv, ell0, spin_a, spin_b
-
-
-def draw(
-    universe: LayerUniverse, a, b, rng: np.random.Generator
-) -> tuple[HiddenSample, float, float]:
-    """Draw one hidden sample and the two spin outcomes."""
-    batch = {key: value[0].item() for key, value in draw_batch(universe, a, b, 1, rng).items()}
-    sample = HiddenSample(m=batch["m"], u=batch["u"], v=batch["v"], w=batch["w"])
-    return sample, batch["spin_a"], batch["spin_b"]
 
 
 def _inside(x: np.ndarray, bins: np.ndarray, scale: int) -> np.ndarray:
@@ -196,12 +177,17 @@ def _as_seed_sequence(seed) -> np.random.SeedSequence:
 
 
 def _streams_for(trials, batch_size, rng, seed):
+    """One stream per batch, each made only when its batch starts, so memory
+    does not grow with the number of batches.  With a seed, batch i gets the
+    i-th child of the seed sequence: repeated `spawn(1)` calls give the same
+    children as one `spawn(n_batches)`."""
     n_batches = (trials + batch_size - 1) // batch_size
     if rng is not None:
-        return [rng] * n_batches
+        return (rng for _ in range(n_batches))
     if seed is None:
         raise ValueError("provide a Generator or an explicit seed")
-    return [np.random.default_rng(child) for child in _as_seed_sequence(seed).spawn(n_batches)]
+    seq = _as_seed_sequence(seed)
+    return (np.random.default_rng(seq.spawn(1)[0]) for _ in range(n_batches))
 
 
 def chsh(

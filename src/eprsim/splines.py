@@ -35,25 +35,6 @@ class SplineSystem:
         knots.setflags(write=False)
         object.__setattr__(self, "knots", knots)
 
-    @property
-    def index_range(self) -> range:
-        """Basis indices i = -2 .. n (n + 3 functions)."""
-        return range(FIRST_INDEX, self.n + 1)
-
-    @property
-    def basis_count(self) -> int:
-        return self.n + 3
-
-    def knot(self, nu: int) -> float:
-        """Knot y_nu = nu / n for nu = -2 .. n+3."""
-        if not FIRST_INDEX <= nu <= self.n + 3:
-            raise ValueError(f"knot index {nu} outside [-2, {self.n + 3}]")
-        return float(self.knots[nu - FIRST_INDEX])
-
-    def _check_index(self, i: int) -> None:
-        if not FIRST_INDEX <= i <= self.n:
-            raise ValueError(f"basis index {i} outside [{FIRST_INDEX}, {self.n}]")
-
 
 def build_spline_system(n: int) -> SplineSystem:
     """Build the quadratic spline system for integer n >= 4."""
@@ -82,12 +63,6 @@ def basis_matrix(sys: SplineSystem, x) -> np.ndarray:
     return b
 
 
-def basis_value(sys: SplineSystem, i: int, x: float) -> float:
-    """N_i(x) for a single index; zero outside [y_i, y_{i+3})."""
-    sys._check_index(i)
-    return float(basis_matrix(sys, x)[i - FIRST_INDEX, 0])
-
-
 def marsden_weight_matrix(sys: SplineSystem, y) -> np.ndarray:
     """phi_i(y) = (y - y_{i+1})(y - y_{i+2}) for all i: shape (n + 3, len(y))."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -95,12 +70,6 @@ def marsden_weight_matrix(sys: SplineSystem, y) -> np.ndarray:
     y1 = sys.knots[1 : n + 4, None]  # y_{i+1} for i = -2 .. n
     y2 = sys.knots[2 : n + 5, None]  # y_{i+2}
     return (y - y1) * (y - y2)
-
-
-def marsden_weight(sys: SplineSystem, i: int, y: float) -> float:
-    """Knot polynomial phi_i(y), exact quadratic in y."""
-    sys._check_index(i)
-    return float((y - sys.knot(i + 1)) * (y - sys.knot(i + 2)))
 
 
 def _check_unit_interval(name: str, value: np.ndarray) -> None:
@@ -123,27 +92,10 @@ def clipped_weight_matrix(sys: SplineSystem, y) -> np.ndarray:
     return np.where((y >= y1) & (y <= y2), 0.0, phi)
 
 
-def clipped_weight(sys: SplineSystem, i: int, y: float) -> float:
-    """psi_i(y) for a single index; y restricted to [0, 1]."""
-    sys._check_index(i)
-    yv = float(y)
-    _check_unit_interval("y", np.asarray(yv))
-    if sys.knot(i + 1) <= yv <= sys.knot(i + 2):
-        return 0.0
-    return marsden_weight(sys, i, yv)
-
-
-def approx_squared_diff(sys: SplineSystem, x: float, y: float) -> float:
-    """S(x, y) = sum_i psi_i(y) N_i(x); satisfies 0 <= S - (y-x)^2 <= 1/(4 n^2)."""
-    xv = np.asarray(float(x))
-    yv = np.asarray(float(y))
-    _check_unit_interval("x", xv)
-    _check_unit_interval("y", yv)
-    return float(clipped_weight_matrix(sys, yv)[:, 0] @ basis_matrix(sys, xv)[:, 0])
-
-
 def approx_squared_diff_grid(sys: SplineSystem, xs, ys) -> np.ndarray:
-    """S(x, y) on a grid: shape (len(ys), len(xs))."""
+    """S(x, y) = sum_i psi_i(y) N_i(x) on a grid: shape (len(ys), len(xs)).
+
+    For x, y in [0, 1], 0 <= S - (y - x)^2 <= 1/(4 n^2)."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     _check_unit_interval("x", xs)

@@ -17,6 +17,8 @@ from oracles import (
     brute_conditional_marginal,
     brute_extreme_discrepancy,
     factorial_oracle,
+    layer_spin_a,
+    layer_spin_b,
     random_unit_vector,
 )
 
@@ -92,17 +94,13 @@ def test_criterion_4_per_layer_and_companions():
         mu = measure.build_measure(GENERIC_A, GENERIC_B, 4)
         target = -float(np.dot(mu.a, mu.b))
         for _ in range(200):
-            orig, comp = layers.sample_layer_pair(4, 2, rng)
-            assert abs(layers.layer_pair_integral(orig, mu) - target) <= 1e-12
-            assert abs(layers.layer_pair_integral(comp, mu) - target) <= 1e-12
+            # one companion pair: labels 1 and 2 share the pair's integral
+            pair = layers.build_universe(4, 2, 1, rng)
+            assert abs(analysis.pair_expectation(pair, mu.a, mu.b) - target) <= 1e-12
             us = rng.uniform(-6.0, mu.domain_high + 3.0, 10_000)
             ws = rng.random(10_000)
-            sum_a = layers.layer_spin_a(orig, mu.a, us, ws) + layers.layer_spin_a(
-                comp, mu.a, us, ws
-            )
-            sum_b = layers.layer_spin_b(orig, mu.b, us, ws) + layers.layer_spin_b(
-                comp, mu.b, us, ws
-            )
+            sum_a = layer_spin_a(pair, 1, mu.a, us, ws) + layer_spin_a(pair, 2, mu.a, us, ws)
+            sum_b = layer_spin_b(pair, 1, mu.b, us, ws) + layer_spin_b(pair, 2, mu.b, us, ws)
             assert np.abs(sum_a).max() == 0.0
             assert np.abs(sum_b).max() == 0.0
 
@@ -159,18 +157,17 @@ def test_criterion_7_label_uniformity_and_gating():
 
 def test_criterion_8_discrepancy_decay():
     with _Timer("8 discrepancy decay + bracket vs oracle", 120):
-        fit = emission.robbins_rate_check(
-            1.0, [10**3, 10**4, 10**5, 10**6], np.random.default_rng(808)
-        )
+        ks = [10**3, 10**4, 10**5, 10**6]
+        trace = emission.generate_trace(1.0, ks[-1], np.random.default_rng(808))
+        fit = emission.fit_rate(ks, [emission.star_discrepancy(trace.fracs[:k]) for k in ks])
         assert fit.slope <= -0.4
         assert fit.star_values[-1] <= 0.01
         for k in (1000, 10_000):
             trace = emission.generate_trace(1.0, k, np.random.default_rng(809))
             star = emission.star_discrepancy(trace.fracs)
-            bracket = emission.extreme_discrepancy(trace.fracs)
-            assert bracket.exact
-            assert star - 1e-15 <= bracket.value <= 2.0 * star + 1e-15
-            assert bracket.value == pytest.approx(
+            extreme = emission.discrepancy_stats(trace.fracs).extreme
+            assert star - 1e-15 <= extreme <= 2.0 * star + 1e-15
+            assert extreme == pytest.approx(
                 brute_extreme_discrepancy(trace.fracs), abs=1e-12
             )
 
@@ -188,9 +185,9 @@ def test_criterion_9_dependence_properties():
         mu_ab = measure.build_measure(GENERIC_A, GENERIC_B, 4)
         mu_ac = measure.build_measure(GENERIC_A, GENERIC_C, 4)
         best = 0.0
-        for lay in map(generic.layer, range(1, generic.label_count + 1)):
-            m_ab = brute_conditional_marginal(lay.col_to, mu_ab.cell_masses)
-            m_ac = brute_conditional_marginal(lay.col_to, mu_ac.cell_masses)
+        for col_to in generic.col_to:  # a pair's two labels share col_to
+            m_ab = brute_conditional_marginal(col_to, mu_ab.cell_masses)
+            m_ac = brute_conditional_marginal(col_to, mu_ac.cell_masses)
             best = max(best, 0.5 * float(np.abs(m_ab - m_ac).sum()))
         assert rep.setting_shift == pytest.approx(best, abs=1e-12)
 

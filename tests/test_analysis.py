@@ -96,9 +96,9 @@ class TestDependenceReport:
         mu_ab = measure.build_measure(A, B, 4)
         mu_ac = measure.build_measure(A, C, 4)
         best = 0.0
-        for lay in map(universe.layer, range(1, universe.label_count + 1)):
-            m_ab = brute_conditional_marginal(lay.col_to, mu_ab.cell_masses)
-            m_ac = brute_conditional_marginal(lay.col_to, mu_ac.cell_masses)
+        for col_to in universe.col_to:  # a pair's two labels share col_to
+            m_ab = brute_conditional_marginal(col_to, mu_ab.cell_masses)
+            m_ac = brute_conditional_marginal(col_to, mu_ac.cell_masses)
             best = max(best, 0.5 * float(np.abs(m_ab - m_ac).sum()))
         assert rep.setting_shift == pytest.approx(best, abs=1e-12)
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from eprsim import emission
 
-from oracles import brute_extreme_discrepancy
+from oracles import brute_extreme_discrepancy, interval_count, label_from_time
 
 point_sets = st.lists(
     st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False),
@@ -72,52 +72,45 @@ class TestExtremeDiscrepancy:
     def test_single_point_is_one(self):
         # an arbitrarily short interval around the atom captures 1/k mass at
         # zero length, so the sup is 1 for a single point
-        bracket = emission.extreme_discrepancy([0.5])
-        assert bracket.exact
-        assert bracket.value == 1.0
+        assert emission.discrepancy_stats([0.5]).extreme == 1.0
         assert brute_extreme_discrepancy([0.5]) == 1.0
 
     def test_two_points(self):
-        bracket = emission.extreme_discrepancy([0.25, 0.75])
-        assert bracket.value == pytest.approx(0.5, abs=1e-15)
+        extreme = emission.discrepancy_stats([0.25, 0.75]).extreme
+        assert extreme == pytest.approx(0.5, abs=1e-15)
         assert brute_extreme_discrepancy([0.25, 0.75]) == pytest.approx(0.5, abs=1e-15)
 
     def test_equally_spaced(self):
         k = 10
         pts = [i / k for i in range(k)]
-        bracket = emission.extreme_discrepancy(pts)
+        extreme = emission.discrepancy_stats(pts).extreme
         oracle = brute_extreme_discrepancy(pts)
-        assert bracket.value == pytest.approx(oracle, abs=1e-13)
-        assert bracket.value == pytest.approx(0.1, abs=1e-13)
+        assert extreme == pytest.approx(oracle, abs=1e-13)
+        assert extreme == pytest.approx(0.1, abs=1e-13)
 
     @given(point_sets)
     def test_matches_brute_force(self, pts):
-        bracket = emission.extreme_discrepancy(pts)
-        assert bracket.exact
-        assert bracket.value == pytest.approx(brute_extreme_discrepancy(pts), abs=1e-12)
+        extreme = emission.discrepancy_stats(pts).extreme
+        assert extreme == pytest.approx(brute_extreme_discrepancy(pts), abs=1e-12)
 
     @given(point_sets)
     def test_star_extreme_bracket(self, pts):
         star = emission.star_discrepancy(pts)
-        bracket = emission.extreme_discrepancy(pts)
-        assert star - 1e-15 <= bracket.value <= 2.0 * star + 1e-15
-        assert bracket.value <= 1.0 + 1e-15
+        extreme = emission.discrepancy_stats(pts).extreme
+        assert star - 1e-15 <= extreme <= 2.0 * star + 1e-15
+        assert extreme <= 1.0 + 1e-15
 
     def test_exact_beyond_former_size_limit(self):
         # exact at every size: k = 20 000 was past the old 10 000-point cutoff
         trace = emission.generate_trace(1.0, 20_000, np.random.default_rng(13))
-        bracket = emission.extreme_discrepancy(trace.fracs)
-        assert bracket.exact
-        assert bracket.lower == bracket.value == bracket.upper
-        assert bracket.value == pytest.approx(brute_extreme_discrepancy(trace.fracs), abs=1e-12)
         stats = emission.discrepancy_stats(trace.fracs)
-        assert stats.extreme == bracket
+        assert stats.extreme == pytest.approx(brute_extreme_discrepancy(trace.fracs), abs=1e-12)
         assert stats.star == emission.star_discrepancy(trace.fracs)
 
     def test_poisson_set_against_oracle(self):
         trace = emission.generate_trace(1.0, 2000, np.random.default_rng(17))
-        bracket = emission.extreme_discrepancy(trace.fracs)
-        assert bracket.value == pytest.approx(brute_extreme_discrepancy(trace.fracs), abs=1e-12)
+        extreme = emission.discrepancy_stats(trace.fracs).extreme
+        assert extreme == pytest.approx(brute_extreme_discrepancy(trace.fracs), abs=1e-12)
 
 
 class TestDiscrepancyStats:
@@ -128,32 +121,32 @@ class TestDiscrepancyStats:
         assert stats.count(0.5, 0.500001) == 2
         assert stats.count(0.9, 1.0) == 1
 
-    def test_interval_count_matches_manual(self):
+    def test_count_matches_interval_count(self):
         rng = np.random.default_rng(19)
         pts = rng.random(1000)
+        stats = emission.discrepancy_stats(pts)
         for _ in range(50):
             alpha, beta = sorted(rng.random(2))
-            manual = int(np.sum((pts >= alpha) & (pts < beta)))
-            assert emission.interval_count(pts, alpha, beta) == manual
+            assert stats.count(alpha, beta) == interval_count(pts, alpha, beta)
 
 
 class TestLabels:
     def test_examples(self):
-        assert emission.label_from_time(3.14, 10) == 2
-        assert emission.label_from_time(7.0, 10) == 1
-        assert emission.label_from_time(0.999999, 10) == 10
+        assert label_from_time(3.14, 10) == 2
+        assert label_from_time(7.0, 10) == 1
+        assert label_from_time(0.999999, 10) == 10
 
     def test_deterministic_in_time(self):
-        assert emission.label_from_time(12.345, 50) == emission.label_from_time(12.345, 50)
+        assert label_from_time(12.345, 50) == label_from_time(12.345, 50)
 
     @given(st.floats(min_value=0, max_value=1e6, allow_nan=False), st.integers(1, 1000))
     def test_label_in_range(self, x, n_labels):
-        assert 1 <= emission.label_from_time(x, n_labels) <= n_labels
+        assert 1 <= label_from_time(x, n_labels) <= n_labels
 
     def test_trace_labels_match_scalar(self):
         trace = emission.generate_trace(1.0, 1000, np.random.default_rng(23))
         vec = emission.labels_from_trace(trace, 37)
-        scalar = [emission.label_from_time(x, 37) for x in trace.cums]
+        scalar = [label_from_time(x, 37) for x in trace.cums]
         assert vec.tolist() == scalar
 
     def test_poisson_labels_uniform(self):
@@ -166,7 +159,10 @@ class TestLabels:
 
 class TestRateFit:
     def test_poisson_slope(self):
-        fit = emission.robbins_rate_check(1.0, [1000, 10_000, 100_000], np.random.default_rng(31))
+        # D*_k along prefixes of one trace; the guarantee is k^(-1/2) up to logs
+        ks = [1000, 10_000, 100_000]
+        trace = emission.generate_trace(1.0, ks[-1], np.random.default_rng(31))
+        fit = emission.fit_rate(ks, [emission.star_discrepancy(trace.fracs[:k]) for k in ks])
         assert fit.slope <= -0.4
 
     def test_uniform_control(self):
@@ -181,10 +177,6 @@ class TestRateFit:
         stars = [emission.star_discrepancy(np.full(k, 0.5)) for k in ks]
         fit = emission.fit_rate(ks, stars)
         assert abs(fit.slope) <= 0.05
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            emission.robbins_rate_check(1.0, [], np.random.default_rng(0))
 
 
 class TestDetectorGate:
@@ -224,4 +216,4 @@ class TestDetectorGate:
 def test_centered_grid_is_optimal(k):
     pts = [(2 * i - 1) / (2 * k) for i in range(1, k + 1)]
     assert emission.star_discrepancy(pts) == pytest.approx(1.0 / (2 * k), abs=1e-15)
-    assert emission.extreme_discrepancy(pts).value == pytest.approx(1.0 / k, abs=1e-14)
+    assert emission.discrepancy_stats(pts).extreme == pytest.approx(1.0 / k, abs=1e-14)

@@ -9,9 +9,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
-from eprsim import layers, measure
+from eprsim import analysis, layers, measure
 
-from oracles import binomial_oracle, factorial_oracle, random_unit_vector, universe_to_dict
+from oracles import (
+    binomial_oracle,
+    density,
+    detector_a,
+    factorial_oracle,
+    joint_density,
+    label_layer,
+    layer_density,
+    layer_spin_a,
+    layer_spin_b,
+    random_unit_vector,
+    step_sign,
+    step_weight,
+    universe_to_dict,
+)
 
 A = measure.as_setting([0.6, 0.8, 0.0])
 B = measure.as_setting([0.28, 0.96, 0.0], normalize=True)
@@ -42,43 +56,43 @@ class TestLayerCount:
 
 class TestLayerSampling:
     def test_replay_is_identical(self):
-        one = layers.sample_layer_pair(4, 3, np.random.default_rng(123))
-        two = layers.sample_layer_pair(4, 3, np.random.default_rng(123))
-        for l1, l2 in zip(one, two):
-            assert np.array_equal(l1.col_to, l2.col_to)
-            assert np.array_equal(l1.row_to, l2.row_to)
-            assert np.array_equal(l1.weights, l2.weights)
-            assert l1.sign == l2.sign
+        one = layers.build_universe(4, 3, 1, np.random.default_rng(123))
+        two = layers.build_universe(4, 3, 1, np.random.default_rng(123))
+        assert np.array_equal(one.col_to, two.col_to)
+        assert np.array_equal(one.row_to, two.row_to)
+        assert np.array_equal(one.weights, two.weights)
 
     def test_companion_shares_everything_but_sign(self):
-        orig, comp = layers.sample_layer_pair(4, 2, np.random.default_rng(5))
-        assert orig.sign == 1 and comp.sign == -1
-        assert np.array_equal(orig.col_to, comp.col_to)
-        assert np.array_equal(orig.row_to, comp.row_to)
-        assert np.array_equal(orig.weights, comp.weights)
+        uni = layers.build_universe(4, 2, 1, np.random.default_rng(5))
+        *orig, orig_sign = label_layer(uni, 1)
+        *comp, comp_sign = label_layer(uni, 2)
+        assert orig_sign == 1 and comp_sign == -1
+        for x, y in zip(orig, comp):
+            assert np.array_equal(x, y)
 
     def test_permutations_are_valid(self):
-        orig, _ = layers.sample_layer_pair(4, 2, np.random.default_rng(6))
-        size = orig.cell_count
-        assert sorted(orig.col_to.tolist()) == list(range(size))
-        assert sorted(orig.row_to.tolist()) == list(range(size))
-        assert len(set(orig.unit_ensemble_columns())) == 3
-        assert len(set(orig.unit_ensemble_rows())) == 3
+        uni = layers.build_universe(4, 2, 1, np.random.default_rng(6))
+        size = 3 * 4 + 12
+        assert sorted(uni.col_to[0].tolist()) == list(range(size))
+        assert sorted(uni.row_to[0].tolist()) == list(range(size))
+        # the three unit ensembles land in three distinct columns and rows
+        assert len(set(uni.col_to[0, :3].tolist())) == 3
+        assert len(set(uni.row_to[0, :3].tolist())) == 3
 
     def test_tie_weights(self):
-        orig, _ = layers.sample_layer_pair(4, 4, np.random.default_rng(7), tie_weights=True)
-        np.testing.assert_allclose(orig.weights, 0.25, atol=0)
-        orig, _ = layers.sample_layer_pair(
-            4, 2, np.random.default_rng(7), tie_weights=True, tie_vector=[0.3, 0.7]
+        uni = layers.build_universe(4, 4, 1, np.random.default_rng(7), tie_weights=True)
+        np.testing.assert_allclose(uni.weights[0], 0.25, atol=0)
+        uni = layers.build_universe(
+            4, 2, 1, np.random.default_rng(7), tie_weights=True, tie_vector=[0.3, 0.7]
         )
-        np.testing.assert_allclose(orig.weights, [0.3, 0.7], atol=0)
+        np.testing.assert_allclose(uni.weights[0], [0.3, 0.7], atol=0)
 
     def test_invalid_args(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            layers.sample_layer_pair(3, 2, rng)
+            layers.build_universe(3, 2, 1, rng)
         with pytest.raises(ValueError):
-            layers.sample_layer_pair(4, 0, rng)
+            layers.build_universe(4, 0, 1, rng)
 
 
 class TestBatchedUniverseLaw:
@@ -137,101 +151,113 @@ class TestCompanionCancellation:
         rng = np.random.default_rng(11)
         mu = measure.build_measure(A, B, 4)
         for _ in range(5):
-            orig, comp = layers.sample_layer_pair(4, 3, rng)
+            uni = layers.build_universe(4, 3, 1, rng)
             us = rng.uniform(-6.0, mu.domain_high + 3.0, 10_000)
             ws = rng.random(10_000)
-            sa = layers.layer_spin_a(orig, A, us, ws) + layers.layer_spin_a(comp, A, us, ws)
-            sb = layers.layer_spin_b(orig, B, us, ws) + layers.layer_spin_b(comp, B, us, ws)
+            sa = layer_spin_a(uni, 1, A, us, ws) + layer_spin_a(uni, 2, A, us, ws)
+            sb = layer_spin_b(uni, 1, B, us, ws) + layer_spin_b(uni, 2, B, us, ws)
             assert np.abs(sa).max() == 0.0
             assert np.abs(sb).max() == 0.0
 
     def test_densities_identical(self):
         rng = np.random.default_rng(13)
-        orig, comp = layers.sample_layer_pair(4, 2, rng)
+        uni = layers.build_universe(4, 2, 1, rng)
         mu = measure.build_measure(A, B, 4)
         for _ in range(500):
             u = rng.uniform(-3.0, mu.domain_high)
             v = rng.uniform(-3.0, mu.domain_high)
             w = rng.random()
-            assert layers.layer_density(orig, mu, u, v, w) == layers.layer_density(
-                comp, mu, u, v, w
-            )
+            assert layer_density(uni, 1, mu, u, v, w) == layer_density(uni, 2, mu, u, v, w)
 
 
 class TestPerLayerIntegral:
     def test_matches_minus_dot_product(self):
+        # a one-pair universe's expectation is its layers' common integral
         rng = np.random.default_rng(17)
         for _ in range(20):
             a, b = random_unit_vector(rng), random_unit_vector(rng)
             mu = measure.build_measure(a, b, 4)
-            orig, comp = layers.sample_layer_pair(4, 3, rng)
+            uni = layers.build_universe(4, 3, 1, rng)
             target = -float(np.dot(mu.a, mu.b))
-            assert layers.layer_pair_integral(orig, mu) == pytest.approx(target, abs=1e-12)
-            assert layers.layer_pair_integral(comp, mu) == pytest.approx(target, abs=1e-12)
+            assert analysis.pair_expectation(uni, a, b) == pytest.approx(target, abs=1e-12)
 
     def test_mass_conserved(self):
+        # relocation moves whole cells: summing the label's density over its
+        # relocated cells and weight intervals gives the base total mass
         rng = np.random.default_rng(19)
         mu = measure.build_measure(A, B, 8)
-        orig, _ = layers.sample_layer_pair(8, 2, rng)
-        assert layers.layer_total_mass(orig, mu) == measure.total_mass(mu)
+        uni = layers.build_universe(8, 2, 1, rng)
+        total = sum(
+            layer_density(uni, 1, mu, col - 2.5, row - 2.5, (ell + 0.5) / 2)
+            for col, row in zip(uni.col_to[0], uni.row_to[0])
+            for ell in range(2)
+        )
+        assert total == pytest.approx(measure.total_mass(mu), abs=1e-15)
+
+
+def _identity_universe(weights):
+    """One pair whose layers leave every ensemble in place: label 1 is the
+    base layer, label 2 its companion."""
+    eye = np.arange(3 * 4 + 12)
+    return layers.LayerUniverse(4, len(weights), eye[None], eye[None], [weights])
 
 
 class TestLayerEvaluation:
     def test_identity_layer_matches_base(self):
         weights = [0.25, 0.75]
-        ident = layers.Layer.identity(4, weights)
+        ident = _identity_universe(weights)
         mu = measure.build_measure(A, B, 4)
         rng = np.random.default_rng(23)
         for _ in range(400):
             u = rng.uniform(-5.0, mu.domain_high + 2.0)
             v = rng.uniform(-5.0, mu.domain_high + 2.0)
             w = rng.random()
-            expect_a = measure.detector_a(A, u) * measure.step_sign(w, 2)
-            expect_b = measure.detector_b(B, v) * measure.step_sign(w, 2)
-            assert layers.layer_spin_a(ident, A, u, w) == expect_a
-            assert layers.layer_spin_b(ident, B, v, w) == expect_b
+            expect_a = detector_a(A, u) * step_sign(w, 2)
+            expect_b = -detector_a(B, v) * step_sign(w, 2)
+            assert layer_spin_a(ident, 1, A, u, w) == expect_a
+            assert layer_spin_b(ident, 1, B, v, w) == expect_b
             if -3.0 <= u < mu.domain_high and -3.0 <= v < mu.domain_high:
-                expect_rho = measure.density(mu, u, v) * measure.step_weight(w, weights)
-                assert layers.layer_density(ident, mu, u, v, w) == pytest.approx(
+                expect_rho = density(mu, u, v) * step_weight(w, weights)
+                assert layer_density(ident, 1, mu, u, v, w) == pytest.approx(
                     expect_rho, abs=1e-15
                 )
 
     def test_companion_negates_identity(self):
-        ident = layers.Layer.identity(4, [1.0], sign=-1)
-        # L = 1 so s(w) = -1 everywhere: -1 * A(-0.5) * -1... sign -1 gives +A*s
-        assert layers.layer_spin_a(ident, [1, 0, 0], -0.5, 0.5) == 1.0
-        ident_pos = layers.Layer.identity(4, [1.0], sign=1)
-        assert layers.layer_spin_a(ident_pos, [1, 0, 0], -0.5, 0.5) == -1.0
+        ident = _identity_universe([1.0])
+        # L = 1 so s(w) = -1 everywhere: the companion (label 2) gives +A
+        assert layer_spin_a(ident, 2, [1, 0, 0], -0.5, 0.5) == 1.0
+        assert layer_spin_a(ident, 1, [1, 0, 0], -0.5, 0.5) == -1.0
 
     def test_zero_mass_cell_density(self):
         mu = measure.build_measure([1, 0, 0], [1, 0, 0], 4)
-        ident = layers.Layer.identity(4, [1.0])
+        ident = _identity_universe([1.0])
         # spline cells all vanish when both settings sit on an axis
-        assert layers.layer_density(ident, mu, 0.5, 0.5, 0.5) == 0.0
+        assert layer_density(ident, 1, mu, 0.5, 0.5, 0.5) == 0.0
 
     def test_relocated_density_matches_preimage_oracle(self):
         rng = np.random.default_rng(29)
         mu = measure.build_measure(A, B, 4)
-        orig, _ = layers.sample_layer_pair(4, 3, rng)
+        uni = layers.build_universe(4, 3, 1, rng)
+        col_to, row_to, weights = uni.col_to[0], uni.row_to[0], uni.weights[0]
         # rebuild inverse maps by linear search, then compare against the base
-        col_from = {int(orig.col_to[p]): p for p in range(orig.cell_count)}
-        row_from = {int(orig.row_to[p]): p for p in range(orig.cell_count)}
+        col_from = {int(col_to[p]): p for p in range(col_to.size)}
+        row_from = {int(row_to[p]): p for p in range(row_to.size)}
         for _ in range(800):
             u = rng.uniform(-3.0, mu.domain_high)
             v = rng.uniform(-3.0, mu.domain_high)
             w = rng.random()
             pu = col_from[int(np.floor(u)) + 3] - 3 + (u - np.floor(u))
             pv = row_from[int(np.floor(v)) + 3] - 3 + (v - np.floor(v))
-            expect = measure.density(mu, pu, pv) * measure.step_weight(w, orig.weights)
-            assert layers.layer_density(orig, mu, u, v, w) == pytest.approx(expect, abs=1e-15)
+            expect = density(mu, pu, pv) * step_weight(w, weights)
+            assert layer_density(uni, 1, mu, u, v, w) == pytest.approx(expect, abs=1e-15)
 
     def test_out_of_domain_coordinates(self):
         mu = measure.build_measure(A, B, 4)
-        ident = layers.Layer.identity(4, [1.0])
-        assert layers.layer_density(ident, mu, -4.0, -4.0, 0.5) == 0.0
-        assert layers.layer_density(ident, mu, 100.0, 100.0, 0.5) == 0.0
+        ident = _identity_universe([1.0])
+        assert layer_density(ident, 1, mu, -4.0, -4.0, 0.5) == 0.0
+        assert layer_density(ident, 1, mu, 100.0, 100.0, 0.5) == 0.0
         with pytest.raises(ValueError):
-            layers.layer_density(ident, mu, 0.5, 0.5, 1.0)
+            layer_density(ident, 1, mu, 0.5, 0.5, 1.0)
 
 
 class TestUniverse:
@@ -240,12 +266,12 @@ class TestUniverse:
         assert uni.label_count == 12
         assert uni.pair_count == 6
         for k in range(uni.pair_count):
-            assert uni.layer(2 * k + 1).sign == 1
-            assert uni.layer(2 * k + 2).sign == -1
+            assert label_layer(uni, 2 * k + 1)[3] == 1
+            assert label_layer(uni, 2 * k + 2)[3] == -1
         with pytest.raises(ValueError):
-            uni.layer(0)
+            label_layer(uni, 0)
         with pytest.raises(ValueError):
-            uni.layer(13)
+            label_layer(uni, 13)
 
     def test_joint_density_mixture_mass(self):
         uni = layers.build_universe(4, 3, 4, np.random.default_rng(37))
@@ -253,14 +279,13 @@ class TestUniverse:
         # atoms: cells x intervals x labels; each atom has volume 1 x (1/L)
         total = 0.0
         for m in range(1, uni.label_count + 1):
-            lay = uni.layer(m)
-            for p in range(lay.cell_count):
-                cell = p - 2
-                u = float(lay.col_to[p]) - 2 - 0.5
-                v = float(lay.row_to[p]) - 2 - 0.5
-                for ell in range(lay.interval_count):
-                    w = (ell + 0.5) / lay.interval_count
-                    total += layers.joint_density(uni, mu, u, v, w, m)
+            col_to, row_to, _, _ = label_layer(uni, m)
+            for p in range(col_to.size):
+                u = float(col_to[p]) - 2 - 0.5
+                v = float(row_to[p]) - 2 - 0.5
+                for ell in range(uni.interval_count):
+                    w = (ell + 0.5) / uni.interval_count
+                    total += joint_density(uni, mu, u, v, w, m)
         # each (cell, interval) atom contributes density * 1 * 1; q carries the
         # interval mass itself, so no 1/L volume factor is applied
         assert total == pytest.approx(1.0, abs=1e-12)
@@ -275,11 +300,10 @@ class TestUniverse:
             u = rng.uniform(-3.0, mu.domain_high)
             v = rng.uniform(-3.0, mu.domain_high)
             w = rng.random()
-            joint = layers.joint_density(uni, mu, u, v, w, m)
+            joint = joint_density(uni, mu, u, v, w, m)
             conditional = joint * uni.label_count
-            lay = uni.layer(m)
             assert conditional == pytest.approx(
-                layers.layer_density(lay, mu, u, v, w) / w_total, abs=1e-15
+                layer_density(uni, m, mu, u, v, w) / w_total, abs=1e-15
             )
 
     def test_companion_labels_share_density(self):
@@ -291,8 +315,8 @@ class TestUniverse:
             v = rng.uniform(-3.0, mu.domain_high)
             w = rng.random()
             for k in range(uni.pair_count):
-                d1 = layers.joint_density(uni, mu, u, v, w, 2 * k + 1)
-                d2 = layers.joint_density(uni, mu, u, v, w, 2 * k + 2)
+                d1 = joint_density(uni, mu, u, v, w, 2 * k + 1)
+                d2 = joint_density(uni, mu, u, v, w, 2 * k + 2)
                 assert d1 == d2
 
 
@@ -339,9 +363,7 @@ class TestSerialization:
             u = rng.uniform(-3.0, mu.domain_high)
             v = rng.uniform(-3.0, mu.domain_high)
             w = rng.random()
-            assert layers.joint_density(uni, mu, u, v, w, m) == layers.joint_density(
-                loaded, mu, u, v, w, m
-            )
+            assert joint_density(uni, mu, u, v, w, m) == joint_density(loaded, mu, u, v, w, m)
 
     def test_schema_version_checked(self, tmp_path):
         uni = layers.build_universe(4, 2, 2, np.random.default_rng(67))

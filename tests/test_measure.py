@@ -1,11 +1,25 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eprsim import measure, splines
+from eprsim import analysis, layers, measure, splines
 
-from oracles import naive_cell_mass, naive_total_mass, random_unit_vector
+from oracles import (
+    column_weight,
+    density,
+    detector_a,
+    diagonal_indicator,
+    naive_cell_index,
+    naive_cell_mass,
+    naive_total_mass,
+    random_unit_vector,
+    row_weight,
+    step_sign,
+    step_weight,
+)
 
 E1 = (1.0, 0.0, 0.0)
 E2 = (0.0, 1.0, 0.0)
@@ -57,31 +71,18 @@ class TestWeightValidation:
 
 class TestDetectors:
     def test_negative_strips(self):
-        assert measure.detector_a(E1, -0.5) == 1.0
-        assert measure.detector_b(E1, -0.5) == -1.0
+        assert detector_a(E1, -0.5) == 1.0
         # zero component uses sign(0) = +1
-        assert measure.detector_a(E3, -2.5) == 1.0
-        assert measure.detector_a(E3, -1.5) == 1.0
+        assert detector_a(E3, -2.5) == 1.0
+        assert detector_a(E3, -1.5) == 1.0
 
     def test_half_cell_alternation(self):
-        assert measure.detector_a(E1, 0.25) == -1.0
-        assert measure.detector_a(E1, 0.75) == 1.0
-        assert measure.detector_b(E2, 0.1) == 1.0
+        assert detector_a(E1, 0.25) == -1.0
+        assert detector_a(E1, 0.75) == 1.0
+        assert detector_a(E2, 0.1) == -1.0
 
     def test_elsewhere(self):
-        assert measure.detector_a(E1, -7.3) == 1.0
-        assert measure.detector_b(E1, -7.3) == -1.0
-
-    def test_antisymmetry_bulk(self):
-        rng = np.random.default_rng(7)
-        xs = rng.uniform(-10.0, 30.0, 100_000)
-        for _ in range(5):
-            c = random_unit_vector(rng)
-            np.testing.assert_array_equal(measure.detector_b(c, xs), -measure.detector_a(c, xs))
-
-    @given(unit_settings(), st.floats(min_value=-10, max_value=30, allow_nan=False))
-    def test_antisymmetry_property(self, c, x):
-        assert measure.detector_b(c, x) == -measure.detector_a(c, x)
+        assert detector_a(E1, -7.3) == 1.0
 
     @pytest.mark.parametrize("n", [4, 7])
     def test_outcome_table_matches_detectors(self, n):
@@ -95,101 +96,100 @@ class TestDetectors:
             for b in settings:
                 mu = measure.build_measure(a, b, n, normalize_settings=True)
                 assert mu.outcome.dtype == np.int8 and mu.outcome.shape == (2, size, 2)
-                expect_a = measure.detector_a(mu.a, mids).reshape(size, 2)
-                expect_b = measure.detector_b(mu.b, mids).reshape(size, 2)
+                expect_a = detector_a(mu.a, mids).reshape(size, 2)
+                expect_b = -detector_a(mu.b, mids).reshape(size, 2)
                 np.testing.assert_array_equal(mu.outcome[0], expect_a)
                 np.testing.assert_array_equal(mu.outcome[1], expect_b)
 
     @given(unit_settings(), st.floats(min_value=-10, max_value=30, allow_nan=False))
     def test_detector_range(self, c, x):
-        assert measure.detector_a(c, x) in (-1.0, 1.0)
-        assert measure.detector_b(c, x) in (-1.0, 1.0)
+        assert detector_a(c, x) in (-1.0, 1.0)
 
 
 class TestStepFunctions:
     def test_alternating_sign(self):
-        assert measure.step_sign(0.25, 2) == -1.0
-        assert measure.step_sign(0.75, 2) == 1.0
+        assert step_sign(0.25, 2) == -1.0
+        assert step_sign(0.75, 2) == 1.0
 
     def test_single_interval(self):
-        assert measure.step_sign(0.4, 1) == -1.0
-        assert measure.step_weight(0.4, [1.0]) == 1.0
+        assert step_sign(0.4, 1) == -1.0
+        assert step_weight(0.4, [1.0]) == 1.0
 
     def test_weight_lookup(self):
-        assert measure.step_weight(0.6, [0.1, 0.2, 0.3, 0.4]) == 0.3
+        assert step_weight(0.6, [0.1, 0.2, 0.3, 0.4]) == 0.3
 
     @pytest.mark.parametrize("w", [-0.1, 1.0, 2.5])
     def test_domain(self, w):
         with pytest.raises(ValueError):
-            measure.step_sign(w, 2)
+            step_sign(w, 2)
         with pytest.raises(ValueError):
-            measure.step_weight(w, [0.5, 0.5])
+            step_weight(w, [0.5, 0.5])
 
     @given(st.floats(min_value=0, max_value=1, exclude_max=True), st.integers(1, 12))
     def test_sign_is_alternating(self, w, L):
         ell = int(w * L) + 1
-        assert measure.step_sign(w, L) == (-1.0) ** ell
+        assert step_sign(w, L) == (-1.0) ** ell
 
 
 class TestFactors:
     def test_sigma_negative_strips(self):
         mu = measure.build_measure(E1, E1, 4)
-        assert measure.column_weight(mu, -0.5) == 1.0
-        assert measure.column_weight(mu, -1.5) == 0.0
+        assert column_weight(mu, -0.5) == 1.0
+        assert column_weight(mu, -1.5) == 0.0
 
     def test_sigma_spline_cells(self):
         mu = measure.build_measure([0.6, 0.8, 0.0], [0.8, 0.6, 0.0], 4)
         # cell 3 carries N_3(|a_1|); its support starts at 0.75 so this is 0
-        assert measure.column_weight(mu, 2.5) == pytest.approx(0.0, abs=0)
+        assert column_weight(mu, 2.5) == pytest.approx(0.0, abs=0)
         # cell 2 carries N_2(0.6) = 0.08
-        assert measure.column_weight(mu, 1.5) == pytest.approx(0.08, abs=1e-13)
+        assert column_weight(mu, 1.5) == pytest.approx(0.08, abs=1e-13)
 
     def test_tau_negative_strips(self):
         mu = measure.build_measure(E2, E2, 4)
-        assert measure.row_weight(mu, -1.5) == 1.0
+        assert row_weight(mu, -1.5) == 1.0
         mu = measure.build_measure(E1, E1, 4)
-        assert measure.row_weight(mu, -2.5) == 0.0
+        assert row_weight(mu, -2.5) == 0.0
 
     def test_tau_spline_cells(self):
         mu = measure.build_measure([0.8, 0.6, 0.0], [0.6, 0.8, 0.0], 4)
         # cell 3 carries psi_3(|b_1|)/2 = 0.26 / 2
-        assert measure.row_weight(mu, 2.5) == pytest.approx(0.13, abs=1e-13)
+        assert row_weight(mu, 2.5) == pytest.approx(0.13, abs=1e-13)
 
     def test_factors_vanish_outside_domain(self):
         mu = measure.build_measure(E1, E2, 4)
-        assert measure.column_weight(mu, -3.5) == 0.0
-        assert measure.column_weight(mu, mu.domain_high) == 0.0
-        assert measure.row_weight(mu, 50.0) == 0.0
+        assert column_weight(mu, -3.5) == 0.0
+        assert column_weight(mu, mu.domain_high) == 0.0
+        assert row_weight(mu, 50.0) == 0.0
 
 
 class TestDiagonalIndicator:
     def test_examples(self):
-        assert measure.diagonal_indicator(0.5, 0.5, 4) == 1
-        assert measure.diagonal_indicator(0.5, 1.5, 4) == 0
-        assert measure.diagonal_indicator(-2.5, -2.5, 4) == 1
+        assert diagonal_indicator(0.5, 0.5, 4) == 1
+        assert diagonal_indicator(0.5, 1.5, 4) == 0
+        assert diagonal_indicator(-2.5, -2.5, 4) == 1
 
     def test_extended_cells(self):
         # boundary-spline cells sit at [3n, 3n+9)
-        assert measure.diagonal_indicator(20.5, 20.5, 4) == 1
-        assert measure.diagonal_indicator(21.5, 21.5, 4) == 0
-        assert measure.diagonal_indicator(-3.5, -3.5, 4) == 0
+        assert diagonal_indicator(20.5, 20.5, 4) == 1
+        assert diagonal_indicator(21.5, 21.5, 4) == 0
+        assert diagonal_indicator(-3.5, -3.5, 4) == 0
 
 
 class TestDensity:
     def test_negative_cell_value(self):
         mu = measure.build_measure(E1, E1, 4)
-        assert measure.density(mu, -0.5, -0.5) == 1.0
+        assert density(mu, -0.5, -0.5) == 1.0
 
     def test_off_diagonal_zero(self):
         mu = measure.build_measure(E1, E1, 4)
-        assert measure.density(mu, -0.5, 0.5) == 0.0
+        assert density(mu, -0.5, 0.5) == 0.0
 
     def test_product_structure_on_spline_cell(self):
         mu = measure.build_measure([0.6, 0.8, 0.0], [0.8, 0.6, 0.0], 4)
         # frozen: N_3(0.6) * psi_3(0.8)/2 = 0 * 0.045
-        assert measure.density(mu, 2.5, 2.5) == pytest.approx(0.0, abs=0)
+        assert density(mu, 2.5, 2.5) == pytest.approx(0.0, abs=0)
         # frozen nonzero case: N_1(0.6) * psi_1(0.8)/2 = 0.74 * 0.0075
-        assert measure.density(mu, 0.5, 0.5) == pytest.approx(0.00555, abs=1e-13)
+        assert density(mu, 0.5, 0.5) == pytest.approx(0.00555, abs=1e-13)
 
     def test_density_factors(self):
         rng = np.random.default_rng(11)
@@ -197,8 +197,8 @@ class TestDensity:
         for _ in range(200):
             u = rng.uniform(-3.0, mu.domain_high)
             v = float(np.floor(u)) + rng.random()  # same cell as u
-            expect = measure.column_weight(mu, u) * measure.row_weight(mu, v)
-            assert measure.density(mu, u, v) == pytest.approx(expect, abs=1e-15)
+            expect = column_weight(mu, u) * row_weight(mu, v)
+            assert density(mu, u, v) == pytest.approx(expect, abs=1e-15)
 
 
 # The clip defect per component is at most (1/4 n^2) * max N = 3/(16 n^2),
@@ -241,7 +241,7 @@ class TestMassAccounting:
         a, b = random_unit_vector(rng), random_unit_vector(rng)
         mu = measure.build_measure(a, b, 4)
         for i in range(-2, 3 * 4 + 10):
-            assert mu.cell_mass(i) == pytest.approx(naive_cell_mass(4, a, b, i), abs=1e-14)
+            assert mu.cell_masses[i + 2] == pytest.approx(naive_cell_mass(4, a, b, i), abs=1e-14)
 
     def test_mass_window_random(self):
         rng = np.random.default_rng(99)
@@ -252,6 +252,61 @@ class TestMassAccounting:
                 assert 1.0 - 1e-12 <= mass <= 1.0 + PROVABLE_EXCESS / n**2
                 # the looser theorem-level window always holds
                 assert mass < 1.0 + 1.0 / n**2
+
+
+SIGNS = st.sampled_from([1.0, -1.0])
+
+
+@st.composite
+def edge_setting(draw, n):
+    """Axis vectors with signed zeros, knot-aligned |a_k| = j/n, or a random
+    unit vector.  A random sign times 0.0 gives -0.0 as well as 0.0."""
+    kind = draw(st.sampled_from(["axis", "knot", "random"]))
+    if kind == "random":
+        return random_unit_vector(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    if kind == "axis":
+        vec = [0.0, 0.0, 0.0]
+        vec[draw(st.integers(0, 2))] = 1.0
+    else:
+        # two components on knots, the third fills up the unit norm
+        j1 = draw(st.integers(0, n))
+        j2 = draw(st.integers(0, math.isqrt(n * n - j1 * j1)))
+        x, y = j1 / n, j2 / n
+        vec = draw(st.permutations([x, y, math.sqrt(max(1.0 - x * x - y * y, 0.0))]))
+    return np.array([draw(SIGNS) * c for c in vec])
+
+
+@st.composite
+def edge_cases(draw):
+    """(n, a, b) over n in [4, 64], with b = a, b = -a or b drawn apart."""
+    n = draw(st.integers(4, 64))
+    a = draw(edge_setting(n))
+    kind = draw(st.sampled_from(["same", "negated", "apart"]))
+    if kind == "apart":
+        return n, a, draw(edge_setting(n))
+    return n, a, (a if kind == "same" else -a)
+
+
+class TestIdentityProperties:
+    """The exact identities at every valid input, edge settings included."""
+
+    # the floor's witness: its computed mass - 1 is about -1.1e-16, below the
+    # [1, 1 + 1/(4 n^2)) window by rounding
+    @settings(max_examples=300, deadline=None)
+    @example(case=(4, (0.25, 0.25, -math.sqrt(0.875)), (1.0, 0.0, -0.0)), seed=0)
+    @given(case=edge_cases(), seed=st.integers(0, 2**32 - 1))
+    def test_identities(self, case, seed):
+        n, a, b = case
+        mu = measure.build_measure(a, b, n, normalize_settings=True)
+        mass = measure.total_mass(mu)
+        assert 1.0 - 4 * 2.0**-53 <= mass <= 1.0 + PROVABLE_EXCESS / n**2
+        assert abs(measure.pair_integral(mu) + float(np.dot(mu.a, mu.b))) <= 1e-12
+        rng = np.random.default_rng(seed)
+        uni = layers.build_universe(n, int(rng.integers(1, 4)), int(rng.integers(1, 5)), rng)
+        for side in ("A", "B"):
+            for by in ("station", "source"):
+                bias = analysis.conditional_outcome_bias(uni, mu.a, mu.b, side=side, by=by)
+                assert bias == 0.0, (side, by)
 
 
 class TestPairIntegral:
@@ -291,7 +346,7 @@ class TestWExtension:
     def test_sign_squared_weights_sum_to_one(self):
         # the w factor in every correlation integral is sum_l p_l s_l^2 = 1
         p = measure.validate_weights([0.25, 0.5, 0.25])
-        signs = np.array([measure.step_sign((ell + 0.5) / 3, 3) for ell in range(3)])
+        signs = np.array([step_sign((ell + 0.5) / 3, 3) for ell in range(3)])
         assert float(np.sum(p * signs**2)) == pytest.approx(1.0, abs=1e-15)
 
 
@@ -324,11 +379,11 @@ def test_spline_factor_consistency_with_system():
     mu = measure.build_measure(a, b, 4)
     sys4 = splines.build_spline_system(4)
     for i in range(1, 3 * 4 + 10):
-        comp, s = measure.cell_component_and_index(4, i)
+        comp, s = naive_cell_index(4, i)
         u = i - 0.5
-        assert measure.column_weight(mu, u) == pytest.approx(
-            splines.basis_value(sys4, s, abs(mu.a[comp])), abs=1e-14
+        assert column_weight(mu, u) == pytest.approx(
+            splines.basis_matrix(sys4, abs(mu.a[comp]))[s + 2, 0], abs=1e-14
         )
-        assert measure.row_weight(mu, u) == pytest.approx(
-            0.5 * splines.clipped_weight(sys4, s, abs(mu.b[comp])), abs=1e-14
+        assert row_weight(mu, u) == pytest.approx(
+            0.5 * splines.clipped_weight_matrix(sys4, abs(mu.b[comp]))[s + 2, 0], abs=1e-14
         )

@@ -6,6 +6,8 @@ from scipy import stats as sstats
 
 from eprsim import layers, measure, sampling
 
+from oracles import layer_density, layer_spin_a, layer_spin_b
+
 A = measure.as_setting([1.0, 0.0, 0.0])
 B45 = measure.as_setting([np.sqrt(0.5), np.sqrt(0.5), 0.0], normalize=True)
 # this pair has zero clip defect at n=4, so the sampled law hits -a.b exactly
@@ -19,12 +21,13 @@ def universe():
 
 class TestDraw:
     def test_single_draw_shape(self, universe):
-        sample, spin_a, spin_b = sampling.draw(universe, A, B_CLEAN, np.random.default_rng(5))
-        assert 1 <= sample.m <= universe.label_count
-        assert -3.0 <= sample.u < 3 * 4 + 9
-        assert -3.0 <= sample.v < 3 * 4 + 9
-        assert 0.0 <= sample.w < 1.0
-        assert spin_a in (-1.0, 1.0) and spin_b in (-1.0, 1.0)
+        one = sampling.draw_batch(universe, A, B_CLEAN, 1, np.random.default_rng(5))
+        assert {len(value) for value in one.values()} == {1}
+        assert 1 <= one["m"][0] <= universe.label_count
+        assert -3.0 <= one["u"][0] < 3 * 4 + 9
+        assert -3.0 <= one["v"][0] < 3 * 4 + 9
+        assert 0.0 <= one["w"][0] < 1.0
+        assert one["spin_a"][0] in (-1.0, 1.0) and one["spin_b"][0] in (-1.0, 1.0)
 
     def test_outcomes_in_spin_range(self, universe):
         batch = sampling.draw_batch(universe, A, B45, 20_000, np.random.default_rng(7))
@@ -67,8 +70,7 @@ class TestDraw:
         batch = sampling.draw_batch(universe, A, B_CLEAN, 5_000, np.random.default_rng(19))
         mu = measure.build_measure(A, B_CLEAN, 4)
         for m, u, v, w in zip(batch["m"][:500], batch["u"][:500], batch["v"][:500], batch["w"][:500]):
-            lay = universe.layer(int(m))
-            assert layers.layer_density(lay, mu, float(u), float(v), float(w)) > 0.0
+            assert layer_density(universe, int(m), mu, float(u), float(v), float(w)) > 0.0
 
 
 class TestReproducibility:
@@ -105,6 +107,24 @@ class TestReproducibility:
             for _ in range(4):
                 expected.random(size)
         assert used.bit_generator.state == expected.bit_generator.state
+
+class TestLazyStreams:
+    def test_children_match_one_spawn(self):
+        streams = sampling._streams_for(10 * 5, 10, None, 123)
+        children = np.random.SeedSequence(123).spawn(5)
+        for stream, child in zip(streams, children, strict=True):
+            expected = np.random.default_rng(child)
+            assert stream.bit_generator.state == expected.bit_generator.state
+
+    def test_first_stream_of_huge_run_is_small(self):
+        tracemalloc.start()
+        try:
+            next(sampling._streams_for(10**18, 1, None, 7))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestRunExperiment:
     @pytest.mark.parametrize("batch_size", [0, -1])
@@ -240,12 +260,11 @@ class TestCoordinatesInsideDraw:
             np.testing.assert_array_equal(np.floor(coord) + 1, batch["cell"])
             assert np.all((coord - np.floor(coord) >= 0.5) == upper)
         np.testing.assert_array_equal(np.floor(batch["w"] * 3), batch["ell"] - 1)
-        layer = universe.layer(1)
         np.testing.assert_array_equal(
-            batch["spin_a"], layers.layer_spin_a(layer, A, batch["u"], batch["w"])
+            batch["spin_a"], layer_spin_a(universe, 1, A, batch["u"], batch["w"])
         )
         np.testing.assert_array_equal(
-            batch["spin_b"], layers.layer_spin_b(layer, B_CLEAN, batch["v"], batch["w"])
+            batch["spin_b"], layer_spin_b(universe, 1, B_CLEAN, batch["v"], batch["w"])
         )
 
     @pytest.mark.parametrize("interval_count", [1, 3, 7, 49, 64, 1000])
@@ -282,10 +301,9 @@ class TestSpinsMatchLayerDefinition:
         assert np.any(batch["cell"] <= 0)
         for m in np.unique(batch["m"]):
             sel = batch["m"] == m
-            layer = universe.layer(int(m))
             u, v, w = batch["u"][sel], batch["v"][sel], batch["w"][sel]
-            expect_a = layers.layer_spin_a(layer, a, u, w)
-            expect_b = layers.layer_spin_b(layer, b, v, w)
+            expect_a = layer_spin_a(universe, int(m), a, u, w)
+            expect_b = layer_spin_b(universe, int(m), b, v, w)
             np.testing.assert_array_equal(batch["spin_a"][sel], expect_a)
             np.testing.assert_array_equal(batch["spin_b"][sel], expect_b)
 

@@ -15,8 +15,9 @@ def test_knots_for_n4():
     sys4 = splines.build_spline_system(4)
     expected = np.arange(-2, 8) / 4  # -0.5 .. 1.75 spaced 0.25
     np.testing.assert_allclose(sys4.knots, expected, atol=0)
-    assert sys4.knot(1) == 0.25
-    assert list(sys4.index_range) == list(range(-2, 5))
+    assert sys4.knots[3] == 0.25  # y_1
+    # basis indices i = -2 .. n, one row each
+    assert splines.basis_matrix(sys4, 0.5).shape == (7, 1)
 
 
 def test_partition_of_unity_spot():
@@ -30,30 +31,24 @@ def test_small_n_rejected(n):
         splines.build_spline_system(n)
 
 
-def test_basis_index_out_of_range():
-    sys4 = splines.build_spline_system(4)
-    for bad in (-3, 5, 100):
-        with pytest.raises(ValueError):
-            splines.basis_value(sys4, bad, 0.5)
-
-
 def test_basis_compact_support():
     sys4 = splines.build_spline_system(4)
-    # N_0 lives on [0, 0.75)
-    assert splines.basis_value(sys4, 0, -0.01) == 0.0
-    assert splines.basis_value(sys4, 0, 0.75) == 0.0
-    assert splines.basis_value(sys4, 0, 0.9) == 0.0
-    assert 0.0 < splines.basis_value(sys4, 0, 0.25) <= 1.0
+    # N_0 (row 2) lives on [0, 0.75)
+    n0 = splines.basis_matrix(sys4, [-0.01, 0.75, 0.9, 0.25])[2]
+    assert n0[0] == 0.0
+    assert n0[1] == 0.0
+    assert n0[2] == 0.0
+    assert 0.0 < n0[3] <= 1.0
 
 
 def test_basis_value_frozen_and_oracle():
     sys4 = splines.build_spline_system(4)
-    assert splines.basis_value(sys4, 0, 0.375) == pytest.approx(0.75, abs=1e-14)
+    assert splines.basis_matrix(sys4, 0.375)[2, 0] == pytest.approx(0.75, abs=1e-14)
     rng = np.random.default_rng(20250810)
     for _ in range(300):
         i = int(rng.integers(-2, 5))
         x = float(rng.uniform(-0.6, 1.2))
-        assert splines.basis_value(sys4, i, x) == pytest.approx(
+        assert splines.basis_matrix(sys4, x)[i + 2, 0] == pytest.approx(
             naive_quadratic(4, i, x), abs=1e-13
         )
 
@@ -73,22 +68,22 @@ def test_basis_values_within_unit_interval(n, x):
 
 def test_knot_poly_examples():
     sys4 = splines.build_spline_system(4)
-    assert splines.marsden_weight(sys4, 0, 0.25) == 0.0
-    assert splines.marsden_weight(sys4, 0, 0.375) == pytest.approx(-0.015625, abs=0)
-    assert splines.marsden_weight(sys4, 0, 1.0) == pytest.approx(0.375, abs=0)
-    with pytest.raises(ValueError):
-        splines.marsden_weight(sys4, 6, 0.5)
+    phi0 = splines.marsden_weight_matrix(sys4, [0.25, 0.375, 1.0])[2]  # i = 0
+    assert phi0[0] == 0.0
+    assert phi0[1] == pytest.approx(-0.015625, abs=0)
+    assert phi0[2] == pytest.approx(0.375, abs=0)
 
 
 def test_clipped_poly_examples():
     sys4 = splines.build_spline_system(4)
-    # zeroed inside [y_1, y_2] = [0.25, 0.5]
-    assert splines.clipped_weight(sys4, 0, 0.375) == 0.0
-    assert splines.clipped_weight(sys4, 0, 1.0) == pytest.approx(0.375, abs=0)
+    # psi_0 (row 2) is zeroed inside [y_1, y_2] = [0.25, 0.5]
+    psi0 = splines.clipped_weight_matrix(sys4, [0.375, 1.0])[2]
+    assert psi0[0] == 0.0
+    assert psi0[1] == pytest.approx(0.375, abs=0)
     with pytest.raises(ValueError):
-        splines.clipped_weight(sys4, 0, 1.5)
+        splines.clipped_weight_matrix(sys4, 1.5)
     with pytest.raises(ValueError):
-        splines.clipped_weight(sys4, 0, -0.1)
+        splines.clipped_weight_matrix(sys4, -0.1)
 
 
 def test_clipped_poly_bounds_on_fine_grid():
@@ -103,29 +98,33 @@ def test_clipped_poly_bounds_on_fine_grid():
 def test_clipped_poly_matches_naive(n, y):
     sysn = splines.build_spline_system(n)
     col = splines.clipped_weight_matrix(sysn, y)[:, 0]
-    for i in sysn.index_range:
+    for i in range(-2, n + 1):
         assert col[i + 2] == pytest.approx(naive_clipped_poly(n, i, y), abs=1e-13)
+
+
+def _approx_squared_diff(sys, x, y):
+    return splines.approx_squared_diff_grid(sys, x, y)[0, 0]
 
 
 def test_approx_squared_diff_frozen_cases():
     sys4 = splines.build_spline_system(4)
-    val = splines.approx_squared_diff(sys4, 0.5, 0.5)
+    val = _approx_squared_diff(sys4, 0.5, 0.5)
     assert 0.0 <= val <= 0.015625
-    val = splines.approx_squared_diff(sys4, 0.0, 1.0)
+    val = _approx_squared_diff(sys4, 0.0, 1.0)
     assert 1.0 <= val <= 1.015625
     with pytest.raises(ValueError):
-        splines.approx_squared_diff(sys4, -0.1, 0.5)
+        splines.approx_squared_diff_grid(sys4, -0.1, 0.5)
     with pytest.raises(ValueError):
-        splines.approx_squared_diff(sys4, 0.5, 1.1)
+        splines.approx_squared_diff_grid(sys4, 0.5, 1.1)
 
 
 def test_approx_squared_diff_oracle_n8():
     sys8 = splines.build_spline_system(8)
     # clipped index for y=0.7 has no support at x=0.3, so the sum is exact
-    assert splines.approx_squared_diff(sys8, 0.3, 0.7) == pytest.approx(0.16, abs=1e-13)
+    assert _approx_squared_diff(sys8, 0.3, 0.7) == pytest.approx(0.16, abs=1e-13)
     assert naive_squared_diff_sum(8, 0.3, 0.7) == pytest.approx(0.16, abs=1e-13)
     # at x = y = 0.3 the correction is |phi_1(0.3)| * N_1(0.3) = 0.00375 * 0.74
-    got = splines.approx_squared_diff(sys8, 0.3, 0.3)
+    got = _approx_squared_diff(sys8, 0.3, 0.3)
     assert got == pytest.approx(0.002775, abs=1e-13)
     assert got == pytest.approx(naive_squared_diff_sum(8, 0.3, 0.3), abs=1e-13)
 
@@ -169,8 +168,9 @@ def test_evaluation_is_deterministic():
     first = splines.basis_matrix(sys16, xs)
     second = splines.basis_matrix(sys16, xs)
     assert np.array_equal(first, second)
-    assert splines.approx_squared_diff(sys16, 0.21, 0.84) == splines.approx_squared_diff(
-        sys16, 0.21, 0.84
+    assert np.array_equal(
+        splines.approx_squared_diff_grid(sys16, xs, xs),
+        splines.approx_squared_diff_grid(sys16, xs, xs),
     )
 
 
