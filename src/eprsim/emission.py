@@ -123,6 +123,12 @@ class RateFit:
 def fit_rate(ks, star_values) -> RateFit:
     ks = tuple(int(k) for k in ks)
     stars = tuple(float(s) for s in star_values)
+    if len(ks) != len(stars):
+        raise ValueError(f"{len(ks)} sizes but {len(stars)} discrepancy values")
+    if len(set(ks)) < 2 or min(ks) < 1:
+        raise ValueError("need at least two distinct positive sizes")
+    if not all(s > 0.0 for s in stars):
+        raise ValueError("discrepancy values must be positive")
     logk = np.log(np.asarray(ks, dtype=float))
     logd = np.log(np.asarray(stars, dtype=float))
     slope, intercept = np.polyfit(logk, logd, 1)

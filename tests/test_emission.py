@@ -121,13 +121,15 @@ class TestDiscrepancyStats:
         assert stats.count(0.5, 0.500001) == 2
         assert stats.count(0.9, 1.0) == 1
 
-    def test_count_matches_interval_count(self):
+    def test_interval_count_matches_manual(self):
         rng = np.random.default_rng(19)
         pts = rng.random(1000)
         stats = emission.discrepancy_stats(pts)
         for _ in range(50):
             alpha, beta = sorted(rng.random(2))
-            assert stats.count(alpha, beta) == interval_count(pts, alpha, beta)
+            manual = int(np.sum((pts >= alpha) & (pts < beta)))
+            assert stats.count(alpha, beta) == manual
+            assert interval_count(pts, alpha, beta) == manual
 
 
 class TestLabels:
@@ -177,6 +179,13 @@ class TestRateFit:
         stars = [emission.star_discrepancy(np.full(k, 0.5)) for k in ks]
         fit = emission.fit_rate(ks, stars)
         assert abs(fit.slope) <= 0.05
+
+    def test_validation(self):
+        for ks, stars in (([], []), ([1000], [0.01]), ([1000, 1000], [0.01, 0.02]),
+                          ([0, 1000], [0.5, 0.01]), ([10, 100], [0.1]),
+                          ([10, 100], [0.1, 0.0])):
+            with pytest.raises(ValueError):
+                emission.fit_rate(ks, stars)
 
 
 class TestDetectorGate:

@@ -84,6 +84,22 @@ class TestDetectors:
     def test_elsewhere(self):
         assert detector_a(E1, -7.3) == 1.0
 
+    def test_antisymmetry_bulk(self):
+        # at equal settings station 2 reads B_c = -A_c on every half-cell
+        rng = np.random.default_rng(7)
+        for n in (4, 9, 32):
+            for _ in range(5):
+                mu = measure.build_measure(*[random_unit_vector(rng)] * 2, n)
+                np.testing.assert_array_equal(mu.outcome[1], -mu.outcome[0])
+
+    @given(unit_settings(), st.floats(min_value=-3, max_value=21, exclude_max=True, allow_nan=False))
+    def test_antisymmetry_property(self, c, x):
+        mu = measure.build_measure(c, c, 4, normalize_settings=True)
+        cell = math.floor(x)
+        half = 0 if x - cell < 0.5 else 1
+        a_out, b_out = mu.outcome[:, cell + 3, half]
+        assert b_out == -a_out == -detector_a(mu.a, x)
+
     @pytest.mark.parametrize("n", [4, 7])
     def test_outcome_table_matches_detectors(self, n):
         # half-cell midpoints of every diagonal position p (cell [p-3, p-2))
