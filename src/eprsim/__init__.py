@@ -15,7 +15,7 @@ from .analysis import (
     pair_expectation,
     station_pair_joint,
 )
-from .config import ConfigError, ExperimentConfig, load_config, parse_setting
+from .config import ConfigError, load_config, parse_setting
 from .emission import (
     DiscrepancyStats,
     EmissionTrace,

@@ -5,6 +5,9 @@ Reports are JSON (stdout or --out) with optional CSV side files; every
 report embeds the effective configuration and seeds so identical invocations
 produce byte-identical output.  Exit codes: 0 ok, 2 validation error
 (including a file path that cannot be read or written), 1 internal error.
+
+`main` resolves the flags, runs the command, which returns its report fields
+and CSV table (header, rows) or None, and writes the report and the table.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import conditional_outcome_bias, dependence_report, pair_expectation
-from .config import ConfigError, load_config, parse_setting
+from .config import MINIMUMS, RUN_DEFAULTS, ConfigError, check_size, load_config, parse_setting
 from .emission import (
     chi_square_quantile,
     detector_gate,
@@ -56,35 +59,16 @@ from .splines import (
 
 REPORT_SCHEMA = "report/1"
 
-
-def _emit(report: dict, out: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if out:
-        Path(out).write_text(text + "\n")
-    else:
-        print(text)
+# the setting flags a config file's `settings` fill, in order
+SETTING_FLAGS = {"simulate": ("a", "b"), "chsh": ("a", "a2", "b", "b2")}
 
 
-def _report_base(args, command: str) -> dict:
-    config = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out", "csv")}
-    return {
-        "command": command,
-        "config": config,
-        "schema_versions": {"report": REPORT_SCHEMA, "universe": UNIVERSE_SCHEMA},
-        "version": __version__,
-    }
+def _setting_arg(args, name: str):
+    text = getattr(args, name)
+    return None if text is None else parse_setting(text, normalize=args.normalize)
 
 
-def _setting_arg(args, name: str, default=None):
-    text = getattr(args, name, None)
-    if text is None:
-        return default
-    return parse_setting(text, normalize=args.normalize)
-
-
-def cmd_splines(args) -> int:
-    if args.grid < 2:
-        raise ConfigError(f"--grid must be >= 2 (got {args.grid})")
+def cmd_splines(args):
     sys_ = build_spline_system(args.n)
     grid = np.linspace(0.0, 1.0, args.grid)
     surface = approx_squared_diff_grid(sys_, grid, grid)
@@ -93,127 +77,110 @@ def cmd_splines(args) -> int:
     partition_err = float(np.abs(basis.sum(axis=0) - 1.0).max())
     marsden = marsden_weight_matrix(sys_, grid).T @ basis
     marsden_err = float(np.abs(marsden - (grid[:, None] - grid[None, :]) ** 2).max())
-    report = _report_base(args, "splines")
-    report.update(
-        {
-            "n": args.n,
-            "grid": args.grid,
-            "residual_min": float(residual.min()),
-            "residual_max": float(residual.max()),
-            "defect_bound": squared_diff_defect_bound(sys_),
-            "partition_max_error": partition_err,
-            "marsden_max_error": marsden_err,
-        }
+    fields = {
+        "n": args.n,
+        "grid": args.grid,
+        "residual_min": float(residual.min()),
+        "residual_max": float(residual.max()),
+        "defect_bound": squared_diff_defect_bound(sys_),
+        "partition_max_error": partition_err,
+        "marsden_max_error": marsden_err,
+    }
+    rows = (
+        [repr(float(x)), repr(float(y)), repr(float(residual[iy, ix]))]
+        for iy, y in enumerate(grid)
+        for ix, x in enumerate(grid)
     )
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y", "residual"])
-            for iy, y in enumerate(grid):
-                for ix, x in enumerate(grid):
-                    writer.writerow([repr(float(x)), repr(float(y)), repr(float(residual[iy, ix]))])
-    _emit(report, args.out)
-    return 0
+    return fields, (["x", "y", "residual"], rows)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     a = _setting_arg(args, "a")
     b = _setting_arg(args, "b")
     mu = build_measure(a, b, args.n)
     integral = pair_integral(mu)
     expected = -float(np.dot(mu.a, mu.b))
-    report = _report_base(args, "verify")
-    report.update(
-        {
-            "n": args.n,
-            "a": [float(x) for x in mu.a],
-            "b": [float(x) for x in mu.b],
-            "mass": total_mass(mu),
-            "theta_hat": theta_hat(mu),
-            "pair_integral": integral,
-            "expected": expected,
-            "abs_error": abs(integral - expected),
-        }
-    )
+    fields = {
+        "n": args.n,
+        "a": [float(x) for x in mu.a],
+        "b": [float(x) for x in mu.b],
+        "mass": total_mass(mu),
+        "theta_hat": theta_hat(mu),
+        "pair_integral": integral,
+        "expected": expected,
+        "abs_error": abs(integral - expected),
+    }
     if args.genuine_variant:
-        gv = gap_variant(a, b, normalize_settings=args.normalize)
-        report["genuine_variant"] = {
+        gv = gap_variant(a, b)
+        fields["genuine_variant"] = {
             "m1": gv.m1,
             "m2": gv.m2,
             "total": gv.total,
             "is_unit_mass": gv.is_unit_mass,
         }
-    _emit(report, args.out)
-    return 0
+    return fields, None
 
 
-def cmd_layers(args) -> int:
+def cmd_layers(args):
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     universe = build_universe(
         args.n, args.L, args.layers, rng, tie_weights=args.tie_weights
     )
     save_universe(universe, args.universe)
-    report = _report_base(args, "layers")
-    report.update(
-        {
-            "n": args.n,
-            "interval_count": args.L,
-            "pair_count": args.layers,
-            "label_count": universe.label_count,
-            "published_layer_count_digits": len(str(layer_count(args.n))),
-            "universe": str(args.universe),
-        }
-    )
-    _emit(report, args.out)
-    return 0
+    fields = {
+        "n": args.n,
+        "interval_count": args.L,
+        "pair_count": args.layers,
+        "label_count": universe.label_count,
+        "published_layer_count_digits": len(str(layer_count(args.n))),
+        "universe": str(args.universe),
+    }
+    return fields, None
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args):
     universe = load_universe(args.universe)
     a = _setting_arg(args, "a")
     b = _setting_arg(args, "b")
     c = _setting_arg(args, "c")
-    rep = dependence_report(universe, a, b, c)
-    report = _report_base(args, "analyze")
-    report.update(rep.as_dict())
-    report["pair_expectation"] = pair_expectation(universe, a, b)
-    report["conditional_bias"] = {
+    fields = dependence_report(universe, a, b, c).as_dict()
+    fields["pair_expectation"] = pair_expectation(universe, a, b)
+    fields["conditional_bias"] = {
         side: conditional_outcome_bias(universe, a, b, side=side) for side in ("A", "B")
     }
     if args.witness:
-        report["witness_bias"] = {
+        fields["witness_bias"] = {
             side: conditional_outcome_bias(universe, a, b, side=side, drop_companions=True)
             for side in ("A", "B")
         }
-    _emit(report, args.out)
-    return 0
+    return fields, None
 
 
-def _resolve_run_params(args):
-    """Merge CLI flags over an optional --config file; flags win."""
-    cfg = load_config(args.config) if args.config else None
-
-    def pick(flag_value, cfg_value, fallback):
-        if flag_value is not None:
-            return flag_value
-        if cfg is not None and cfg_value is not None:
-            return cfg_value
-        return fallback
-
-    args.n = pick(args.n, cfg.n if cfg else None, 4)
-    args.L = pick(args.L, cfg.interval_count if cfg else None, 2)
-    args.layers = pick(args.layers, cfg.pair_count if cfg else None, 50)
-    args.trials = pick(args.trials, cfg.trials if cfg else None, None)
-    args.seed = pick(args.seed, cfg.seed if cfg else None, None)
-    if cfg is not None and cfg.tie_weights:
-        args.tie_weights = True
-    if args.trials is None:
-        raise ConfigError("trials must be given (flag --trials or config key)")
-    if args.seed is None:
-        raise ConfigError("seed must be given explicitly (flag --seed or config key)")
-    if args.trials < 1:
-        raise ConfigError(f"trials must be >= 1 (got {args.trials})")
-    return cfg
+def _resolve_run_params(args) -> None:
+    """Fill each flag left unset from the --config file, then from
+    RUN_DEFAULTS (flags win), and check every size and seed."""
+    params = vars(args)
+    cfg = load_config(args.config) if params.get("config") else {}
+    settings = cfg.pop("settings", None)
+    if settings is not None:
+        names = SETTING_FLAGS[args.command]
+        if len(settings) != len(names):
+            raise ConfigError(
+                f"settings: {args.command} takes {len(names)} ({', '.join(names)}), "
+                f"got {len(settings)}"
+            )
+        cfg.update((name, text) for name, text in zip(names, settings))
+    for key, value in cfg.items():
+        if params[key] is None or params[key] is False:
+            params[key] = value
+    for key, default in RUN_DEFAULTS.items():
+        if key in params and params[key] is None:
+            if default is None:
+                raise ConfigError(f"{key} must be given (flag --{key} or config key)")
+            params[key] = default
+    for key in MINIMUMS:
+        if key in params:
+            check_size(key, params[key])
 
 
 def _universe_for_run(args, seed_seq):
@@ -223,16 +190,12 @@ def _universe_for_run(args, seed_seq):
     return build_universe(args.n, args.L, args.layers, rng, tie_weights=args.tie_weights)
 
 
-def cmd_simulate(args) -> int:
-    cfg = _resolve_run_params(args)
+def cmd_simulate(args):
     if args.angle is not None:
         a = setting_from_angle(0.0)
         b = setting_from_angle(args.angle)
     else:
-        a = _setting_arg(args, "a")
-        b = _setting_arg(args, "b")
-        if (a is None or b is None) and cfg is not None and len(cfg.settings) >= 2:
-            a, b = cfg.settings[0], cfg.settings[1]
+        a, b = (_setting_arg(args, name) for name in SETTING_FLAGS["simulate"])
         if a is None or b is None:
             raise ConfigError("provide --a and --b, --angle, or two settings in --config")
     universe_seq, trial_seq = np.random.SeedSequence(args.seed).spawn(2)
@@ -241,66 +204,50 @@ def cmd_simulate(args) -> int:
     estimate = run_experiment(
         universe, a, b, args.trials, seed=trial_seq, batch_means=batch_means
     )
-    report = _report_base(args, "simulate")
-    report.update(
-        {
-            "a": [float(x) for x in a],
-            "b": [float(x) for x in b],
-            "mean": estimate.mean,
-            "stderr": estimate.stderr,
-            "trials": estimate.trials,
-            "exact_target": estimate.exact_target,
-            "abs_error": estimate.abs_error,
-        }
-    )
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["batch", "mean"])
-            for i, m in enumerate(batch_means):
-                writer.writerow([i, repr(m)])
-    _emit(report, args.out)
-    return 0
+    fields = {
+        "a": [float(x) for x in a],
+        "b": [float(x) for x in b],
+        "mean": estimate.mean,
+        "stderr": estimate.stderr,
+        "trials": estimate.trials,
+        "exact_target": estimate.exact_target,
+        "abs_error": estimate.abs_error,
+    }
+    return fields, (["batch", "mean"], ([i, repr(m)] for i, m in enumerate(batch_means)))
 
 
-def cmd_chsh(args) -> int:
-    _resolve_run_params(args)
+def cmd_chsh(args):
     if args.angles:
         parts = args.angles.split(",")
         if len(parts) != 4:
             raise ConfigError("--angles needs four comma-separated degrees: a,a',b,b'")
         a, a2, b, b2 = (setting_from_angle(float(p)) for p in parts)
     else:
-        a = _setting_arg(args, "a")
-        a2 = _setting_arg(args, "a2")
-        b = _setting_arg(args, "b")
-        b2 = _setting_arg(args, "b2")
+        a, a2, b, b2 = (_setting_arg(args, name) for name in SETTING_FLAGS["chsh"])
         if any(v is None for v in (a, a2, b, b2)):
-            raise ConfigError("provide --angles or all of --a --a2 --b --b2")
+            raise ConfigError(
+                "provide --angles, all of --a --a2 --b --b2, or four settings in --config"
+            )
     universe_seq, trial_seq = np.random.SeedSequence(args.seed).spawn(2)
     universe = _universe_for_run(args, universe_seq)
     estimate = run_chsh(universe, a, a2, b, b2, args.trials, seed=trial_seq)
-    report = _report_base(args, "chsh")
-    report.update(
-        {
-            "s_value": estimate.s_value,
-            "stderr": estimate.stderr,
-            "components": [
-                {
-                    "mean": comp.mean,
-                    "stderr": comp.stderr,
-                    "trials": comp.trials,
-                    "exact_target": comp.exact_target,
-                }
-                for comp in estimate.components
-            ],
-        }
-    )
-    _emit(report, args.out)
-    return 0
+    fields = {
+        "s_value": estimate.s_value,
+        "stderr": estimate.stderr,
+        "components": [
+            {
+                "mean": comp.mean,
+                "stderr": comp.stderr,
+                "trials": comp.trials,
+                "exact_target": comp.exact_target,
+            }
+            for comp in estimate.components
+        ],
+    }
+    return fields, None
 
 
-def cmd_poisson(args) -> int:
+def cmd_poisson(args):
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     trace = generate_trace(args.theta, args.k, rng)
     stats = discrepancy_stats(trace.fracs)
@@ -312,35 +259,24 @@ def cmd_poisson(args) -> int:
     stat_u, dof = uniform_chi_square(gate.ungated_counts)
     stat_g, _ = uniform_chi_square(gate.gated_counts)
     quantile = chi_square_quantile(0.999, dof)
-    report = _report_base(args, "poisson")
-    report.update(
-        {
-            "theta": args.theta,
-            "k": args.k,
-            "labels": args.labels,
-            "star": stats.star,
-            "extreme_lower": stats.extreme,
-            "extreme_upper": stats.extreme,
-            "extreme_exact": True,
-            "chi_square_ungated": stat_u,
-            "chi_square_gated": stat_g,
-            "chi_square_dof": dof,
-            "chi_square_quantile_999": quantile,
-            "uniform_ok": bool(stat_u < quantile and stat_g < quantile),
-            "acceptance_rate": gate.acceptance_rate,
-        }
-    )
+    fields = {
+        "theta": args.theta,
+        "k": args.k,
+        "labels": args.labels,
+        "star": stats.star,
+        "extreme_lower": stats.extreme,
+        "extreme_upper": stats.extreme,
+        "extreme_exact": True,
+        "chi_square_ungated": stat_u,
+        "chi_square_gated": stat_g,
+        "chi_square_dof": dof,
+        "chi_square_quantile_999": quantile,
+        "uniform_ok": bool(stat_u < quantile and stat_g < quantile),
+        "acceptance_rate": gate.acceptance_rate,
+    }
     if len(prefix_ks) >= 2:
-        fit = fit_rate(prefix_ks, stars)
-        report["rate_slope"] = fit.slope
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "star_discrepancy"])
-            for k, s in zip(prefix_ks, stars):
-                writer.writerow([k, repr(s)])
-    _emit(report, args.out)
-    return 0
+        fields["rate_slope"] = fit_rate(prefix_ks, stars).slope
+    return fields, (["k", "star_discrepancy"], ([k, repr(s)] for k, s in zip(prefix_ks, stars)))
 
 
 def _add_setting_opts(p, names=("a", "b")):
@@ -377,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("layers", help="sample a layer universe and serialize it")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--layers", type=int, required=True, help="number of companion pairs M")
-    p.add_argument("--L", type=int, default=2, help="weight intervals per layer")
+    p.add_argument("--L", type=int, help="weight intervals per layer (default 2)")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--tie-weights", action="store_true", dest="tie_weights")
     p.add_argument("--universe", required=True, help="output path for the universe JSON")
@@ -426,10 +362,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        _resolve_run_params(args)
+        fields, table = args.func(args)
+        if table is not None and args.csv:
+            header, rows = table
+            with open(args.csv, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows(rows)
+        config = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out", "csv")}
+        report = {
+            "command": args.command,
+            "config": config,
+            "schema_versions": {"report": REPORT_SCHEMA, "universe": UNIVERSE_SCHEMA},
+            "version": __version__,
+            **fields,
+        }
+        text = json.dumps(report, indent=2, sort_keys=True)
+        if args.out:
+            Path(args.out).write_text(text + "\n")
+        else:
+            print(text)
+        return 0
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,8 +1,7 @@
-"""Experiment configuration: dataclass, validation, flat-file loading."""
+"""Experiment configuration: run defaults, size checks, flat-file loading."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -14,25 +13,19 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    n: int = 4
-    interval_count: int = 2
-    pair_count: int = 50
-    trials: int = 10_000
-    seed: int | None = None
-    settings: tuple = ()
-    tie_weights: bool = False
+# the run flags a config file may set, each with the value a simulate/chsh
+# run takes when neither sets it; trials and seed have none and must be given
+RUN_DEFAULTS = {"n": 4, "L": 2, "layers": 50, "trials": None, "seed": None}
 
-    def __post_init__(self):
-        if self.n < 4:
-            raise ConfigError(f"n must be >= 4 (got {self.n})")
-        if self.interval_count < 1:
-            raise ConfigError(f"interval_count must be >= 1 (got {self.interval_count})")
-        if self.pair_count < 1:
-            raise ConfigError(f"pair_count must be >= 1 (got {self.pair_count})")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1 (got {self.trials})")
+# the smallest valid value of every size and seed flag (and config key)
+MINIMUMS = {"n": 4, "L": 1, "layers": 1, "trials": 1, "seed": 0, "grid": 2}
+
+
+def check_size(name: str, value: int) -> int:
+    """Return `value` if it is at least the minimum of size `name`."""
+    if value < MINIMUMS[name]:
+        raise ConfigError(f"--{name} must be >= {MINIMUMS[name]} (got {value})")
+    return value
 
 
 def parse_setting(text: str, normalize: bool = False) -> np.ndarray:
@@ -50,15 +43,12 @@ def parse_setting(text: str, normalize: bool = False) -> np.ndarray:
         raise ConfigError(str(exc)) from exc
 
 
-_BOOL_KEYS = {"tie_weights"}
-_INT_KEYS = {"n": "n", "L": "interval_count", "layers": "pair_count", "trials": "trials", "seed": "seed"}
+def load_config(path) -> dict:
+    """Load a flat key=value config file into a dict keyed by flag name.
 
-
-def load_config(path) -> ExperimentConfig:
-    """Load a flat key=value config file.
-
-    Recognized keys: n, L, layers, trials, seed, settings (semicolon-separated
-    triples), tie_weights.  `n` is required; any other key is an error.
+    Recognized keys: n, L, layers, trials, seed, tie_weights, and settings
+    (semicolon-separated triples, kept as the text a setting flag takes).
+    `n` is required; any other key is an error.
     """
     values: dict = {}
     lines = Path(path).read_text().splitlines()
@@ -71,21 +61,21 @@ def load_config(path) -> ExperimentConfig:
         key, _, text = line.partition("=")
         key = key.strip()
         text = text.strip()
-        if key in _INT_KEYS:
+        if key in RUN_DEFAULTS:
             try:
-                values[_INT_KEYS[key]] = int(text)
+                values[key] = check_size(key, int(text))
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: key {key!r}: {exc}") from exc
-        elif key in _BOOL_KEYS:
+        elif key == "tie_weights":
             if text.lower() not in ("true", "false", "0", "1"):
                 raise ConfigError(f"{path}:{lineno}: key {key!r} must be boolean, got {text!r}")
             values[key] = text.lower() in ("true", "1")
         elif key == "settings":
-            values["settings"] = tuple(
-                parse_setting(item.strip()) for item in text.split(";") if item.strip()
-            )
+            values[key] = [item.strip() for item in text.split(";") if item.strip()]
+            for item in values[key]:
+                parse_setting(item)
         else:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
     if "n" not in values:
         raise ConfigError(f"{path}: missing required key 'n'")
-    return ExperimentConfig(**values)
+    return values

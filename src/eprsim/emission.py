@@ -25,10 +25,6 @@ class EmissionTrace:
     cums: np.ndarray = field(repr=False, compare=False)
     fracs: np.ndarray = field(repr=False, compare=False)
 
-    @property
-    def count(self) -> int:
-        return int(self.waits.size)
-
 
 def generate_trace(theta: float, k: int, rng: np.random.Generator) -> EmissionTrace:
     """k exponential waits with mean theta, by inverse transform -theta*log(1-U)."""
@@ -81,23 +77,11 @@ class DiscrepancyStats:
     k: int
     star: float
     extreme: float
-    sorted_points: np.ndarray = field(repr=False, compare=False)
-
-    def count(self, alpha: float, beta: float) -> int:
-        """A_k(alpha, beta) by binary search in the sorted points."""
-        below_alpha, below_beta = np.searchsorted(self.sorted_points, [alpha, beta])
-        return int(max(below_beta - below_alpha, 0))
 
 
 def discrepancy_stats(points) -> DiscrepancyStats:
     pts, d_plus, d_minus = _sorted_parts(points)
-    pts.setflags(write=False)
-    return DiscrepancyStats(
-        k=int(pts.size),
-        star=max(d_plus, d_minus),
-        extreme=d_plus + d_minus,
-        sorted_points=pts,
-    )
+    return DiscrepancyStats(k=int(pts.size), star=max(d_plus, d_minus), extreme=d_plus + d_minus)
 
 
 def labels_from_trace(trace: EmissionTrace, label_count: int) -> np.ndarray:

@@ -109,18 +109,16 @@ def build_universe(
     pair_count: int,
     rng: np.random.Generator,
     tie_weights: bool = False,
-    tie_vector=None,
 ) -> LayerUniverse:
     """Sample `pair_count` companion pairs into a universe of 2M labels.
 
     Columns and rows are relocated by independent uniform permutations, which
     is the uniform law over all placements with one mass ensemble per row and
     column.  Weights come from a symmetric Dirichlet(1) prior, renormalized
-    per row, unless `tie_weights` pins them to a layer-independent vector
-    (uniform by default, or `tie_vector`).  The stream is consumed in two
-    calls: one `rng.permuted` of 2M rows of 0 .. 3n+11 along each row, whose
-    rows [:M] are `col_to` and rows [M:] are `row_to`, then (untied weights
-    only) one `rng.dirichlet(np.ones(L), size=M)`.
+    per row, unless `tie_weights` pins them to the uniform vector 1/L.  The
+    stream is consumed in two calls: one `rng.permuted` of 2M rows of
+    0 .. 3n+11 along each row, whose rows [:M] are `col_to` and rows [M:] are
+    `row_to`, then (untied weights only) one `rng.dirichlet(np.ones(L), size=M)`.
     """
     if n < 4:
         raise ValueError(f"order parameter n must be >= 4, got {n}")
@@ -129,8 +127,7 @@ def build_universe(
     size = diagonal_cell_count(n)
     perms = rng.permuted(np.tile(np.arange(size), (2 * pair_count, 1)), axis=1)
     if tie_weights:
-        tied = 1.0 / interval_count if tie_vector is None else validate_weights(tie_vector)
-        weights = np.broadcast_to(tied, (pair_count, interval_count))
+        weights = np.broadcast_to(1.0 / interval_count, (pair_count, interval_count))
     else:
         draw = rng.dirichlet(np.ones(interval_count), size=pair_count)
         weights = draw / draw.sum(axis=1, keepdims=True)

@@ -132,10 +132,10 @@ class BaseMeasure:
         return float(3 * self.n + 9)
 
 
-def build_measure(a, b, n: int, normalize_settings: bool = False) -> BaseMeasure:
+def build_measure(a, b, n: int) -> BaseMeasure:
     """Construct the first-layer measure for unit settings a, b and n >= 4."""
-    a = as_setting(a, normalize=normalize_settings)
-    b = as_setting(b, normalize=normalize_settings)
+    a = as_setting(a)
+    b = as_setting(b)
     sys = build_spline_system(n)
     masses = _cell_mass_vector(sys, a, b)
     masses.setflags(write=False)
@@ -191,15 +191,15 @@ class GapVariantMass:
         return abs(self.total - 1.0) <= 1e-12
 
 
-def gap_variant(a, b, normalize_settings: bool = False) -> GapVariantMass:
+def gap_variant(a, b) -> GapVariantMass:
     """Mass breakdown of the variant measure on Omega = [-3, 3)^2.
 
     Negative cells keep |a_k||b_k|; cells [k-1, k)^2, k = 1, 2, 3 carry
     (|a_k| - |b_k|)^2.  The pair integral is unchanged (-a.b) because the
     positive cells still integrate A and B to zero.
     """
-    a = as_setting(a, normalize=normalize_settings)
-    b = as_setting(b, normalize=normalize_settings)
+    a = as_setting(a)
+    b = as_setting(b)
     absa, absb = np.abs(a), np.abs(b)
     gaps = (absa - absb) ** 2
     cells = np.concatenate([(absa * absb)[::-1], gaps])

@@ -128,16 +128,15 @@ def run_experiment(
     a,
     b,
     trials: int,
-    rng: np.random.Generator | None = None,
     seed=None,
     batch_size: int = 1_000_000,
     batch_means=None,
 ) -> CorrelationEstimate:
     """Estimate E{A B} from `trials` draws.
 
-    Accepts either an explicit Generator or a seed; with a seed, batches use
-    split child streams and a fixed merge order (count/mean/M2), so the
-    result does not depend on how batches would be scheduled.
+    Batches use split child streams of `seed` and a fixed merge order
+    (count/mean/M2), so the result does not depend on how batches would be
+    scheduled.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -145,7 +144,7 @@ def run_experiment(
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     mu = build_measure(a, b, universe.n)
     exact_target = -float(np.dot(mu.a, mu.b))
-    streams = _streams_for(trials, batch_size, rng, seed)
+    streams = _streams_for(trials, batch_size, seed)
 
     count = 0
     mean = 0.0
@@ -176,16 +175,14 @@ def _as_seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def _streams_for(trials, batch_size, rng, seed):
+def _streams_for(trials, batch_size, seed):
     """One stream per batch, each made only when its batch starts, so memory
-    does not grow with the number of batches.  With a seed, batch i gets the
-    i-th child of the seed sequence: repeated `spawn(1)` calls give the same
-    children as one `spawn(n_batches)`."""
+    does not grow with the number of batches.  Batch i gets the i-th child of
+    the seed sequence: repeated `spawn(1)` calls give the same children as
+    one `spawn(n_batches)`."""
     n_batches = (trials + batch_size - 1) // batch_size
-    if rng is not None:
-        return (rng for _ in range(n_batches))
     if seed is None:
-        raise ValueError("provide a Generator or an explicit seed")
+        raise ValueError("provide an explicit seed")
     seq = _as_seed_sequence(seed)
     return (np.random.default_rng(seq.spawn(1)[0]) for _ in range(n_batches))
 
@@ -198,22 +195,16 @@ def chsh(
     b2,
     trials: int,
     seed=None,
-    rng: np.random.Generator | None = None,
 ) -> ChshEstimate:
-    """Run the four correlation experiments and combine them into S."""
-    if rng is None and seed is None:
-        raise ValueError("provide a Generator or an explicit seed")
-    if rng is not None:
-        runs = [
-            run_experiment(universe, x, y, trials, rng=rng)
-            for x, y in ((a, b), (a, b2), (a2, b), (a2, b2))
-        ]
-    else:
-        children = _as_seed_sequence(seed).spawn(4)
-        runs = [
-            run_experiment(universe, x, y, trials, seed=child)
-            for (x, y), child in zip(((a, b), (a, b2), (a2, b), (a2, b2)), children)
-        ]
+    """Run the four correlation experiments, each on its own child seed, and
+    combine them into S."""
+    if seed is None:
+        raise ValueError("provide an explicit seed")
+    children = _as_seed_sequence(seed).spawn(4)
+    runs = [
+        run_experiment(universe, x, y, trials, seed=child)
+        for (x, y), child in zip(((a, b), (a, b2), (a2, b), (a2, b2)), children)
+    ]
     e_ab, e_ab2, e_a2b, e_a2b2 = runs
     s_value = abs(e_ab.mean - e_ab2.mean) + abs(e_a2b.mean + e_a2b2.mean)
     stderr = math.sqrt(sum(r.stderr**2 for r in runs))

@@ -178,8 +178,9 @@ class TestLoopOracleEquivalence:
         uni = layers.build_universe(
             n, interval_count, pairs, np.random.default_rng(seed), tie_weights=tie
         )
-        mu_ab = measure.build_measure(a, b, n, normalize_settings=True)
-        mu_ac = measure.build_measure(a, c, n, normalize_settings=True)
+        a, b, c = (measure.as_setting(v, normalize=True) for v in (a, b, c))
+        mu_ab = measure.build_measure(a, b, n)
+        mu_ac = measure.build_measure(a, c, n)
         assert analysis.pair_expectation(uni, mu_ab.a, mu_ab.b) == pytest.approx(
             loop_pair_expectation(uni, mu_ab), abs=1e-12
         )

@@ -35,25 +35,6 @@ class TestParseSetting:
             config.parse_setting("a,b,c")
 
 
-class TestExperimentConfig:
-    def test_defaults_valid(self):
-        cfg = config.ExperimentConfig(n=4)
-        assert cfg.n == 4
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"n": 3},
-            {"interval_count": 0},
-            {"pair_count": 0},
-            {"trials": 0},
-        ],
-    )
-    def test_invalid_rejected(self, kwargs):
-        with pytest.raises(config.ConfigError):
-            config.ExperimentConfig(**{"n": 4, **kwargs})
-
-
 class TestLoadConfig:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -67,14 +48,15 @@ class TestLoadConfig:
             "tie_weights = true\n"
             "settings = 1,0,0; 0.6,0.8,0\n"
         )
-        cfg = config.load_config(path)
-        assert cfg.n == 8
-        assert cfg.interval_count == 3
-        assert cfg.pair_count == 25
-        assert cfg.trials == 1000
-        assert cfg.seed == 42
-        assert cfg.tie_weights is True
-        assert len(cfg.settings) == 2
+        assert config.load_config(path) == {
+            "n": 8,
+            "L": 3,
+            "layers": 25,
+            "trials": 1000,
+            "seed": 42,
+            "tie_weights": True,
+            "settings": ["1,0,0", "0.6,0.8,0"],
+        }
 
     def test_missing_n_named(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -188,6 +170,80 @@ class TestCliSimulate:
         code, _, err = run_cli(capsys, "simulate", "--angle", "45", "--trials", "100")
         assert code == 2
         assert "seed" in err
+
+    def test_config_without_trials_is_validation_error(self, capsys, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("n = 4\nseed = 7\nsettings = 1,0,0; 0.6,0.8,0\n")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert "trials must be given (flag --trials or config key)" in err
+
+    def test_flags_win_over_config_settings_one_by_one(self, capsys, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("n = 4\ntrials = 200\nseed = 7\nsettings = 1,0,0; 0.6,0.8,0\n")
+        code, out, _ = run_cli(capsys, "simulate", "--config", str(path), "--b", "0,1,0")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["a"] == [1.0, 0.0, 0.0]
+        assert doc["b"] == [0.0, 1.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "command, settings",
+        [
+            ("simulate", "1,0,0"),
+            ("simulate", "1,0,0; 0,1,0; 0,0,1"),
+            ("chsh", "1,0,0; 0,1,0"),
+            ("chsh", "1,0,0; 0,1,0; 0,0,1; 1,0,0; 0,1,0"),
+        ],
+    )
+    def test_settings_count_must_match_the_command(self, capsys, tmp_path, command, settings):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"n = 4\ntrials = 200\nseed = 7\nsettings = {settings}\n")
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: settings")
+
+
+# valid runs of the commands taking size flags; a bad size is appended as a
+# flag (the last occurrence wins) or as a config line (the last line wins)
+FLAG_RUNS = {
+    "simulate": ["simulate", "--angle", "45", "--trials", "100", "--seed", "1"],
+    "chsh": ["chsh", "--angles", "0,90,45,135", "--trials", "100", "--seed", "1"],
+    "layers": ["layers", "--n", "4", "--layers", "3", "--seed", "1", "--universe", "{uni}"],
+}
+CONFIG_RUNS = {
+    "simulate": ["simulate", "--angle", "45"],
+    "chsh": ["chsh", "--angles", "0,90,45,135"],
+}
+VALID_CONFIG = "n = 4\ntrials = 100\nseed = 1\n"
+BAD_SIZES = {"n": "3", "L": "0", "layers": "0", "trials": "0", "seed": "-1"}
+BAD_SIZE_CASES = [
+    (command, key, source)
+    for source, runs in (("flag", FLAG_RUNS), ("config", CONFIG_RUNS))
+    for command in runs
+    for key in BAD_SIZES
+    if (command, key) != ("layers", "trials")  # layers takes no --trials
+]
+
+
+class TestCliSizeChecks:
+    @pytest.mark.parametrize("command, key, source", BAD_SIZE_CASES)
+    def test_bad_size_exits_2_naming_the_field(self, capsys, tmp_path, command, key, source):
+        uni = tmp_path / "uni.json"
+        if source == "flag":
+            argv = [arg.format(uni=uni) for arg in FLAG_RUNS[command]]
+            argv += [f"--{key}", BAD_SIZES[key]]
+        else:
+            path = tmp_path / "run.cfg"
+            path.write_text(f"{VALID_CONFIG}{key} = {BAD_SIZES[key]}\n")
+            argv = [*CONFIG_RUNS[command], "--config", str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and f"--{key} must be >= " in err
+        assert not uni.exists()
 
 
 class TestCliLayersAnalyze:
@@ -359,6 +415,26 @@ class TestCliChsh:
         assert code == 0
         doc = json.loads(out)
         assert doc["s_value"] == pytest.approx(2.8284, abs=0.1)
+
+    def test_config_run_matches_the_flag_run(self, capsys, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            "n = 5\nL = 3\nlayers = 4\ntrials = 3000\nseed = 21\ntie_weights = true\n"
+            "settings = 1,0,0; 0,1,0; 0.6,0.8,0; 0.6,-0.8,0\n"
+        )
+        code, out, _ = run_cli(capsys, "chsh", "--config", str(path))
+        assert code == 0
+        from_config = json.loads(out)
+        code, out, _ = run_cli(
+            capsys,
+            "chsh", "--n", "5", "--L", "3", "--layers", "4", "--trials", "3000", "--seed", "21",
+            "--tie-weights", "--a", "1,0,0", "--a2", "0,1,0", "--b", "0.6,0.8,0",
+            "--b2", "0.6,-0.8,0",
+        )
+        assert code == 0
+        from_flags = json.loads(out)
+        assert from_config.pop("config") != from_flags.pop("config")
+        assert from_config == from_flags
 
     def test_wrong_angle_count(self, capsys):
         code, _, err = run_cli(capsys, "chsh", "--angles", "0,90", "--trials", "10", "--seed", "3")

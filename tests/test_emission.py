@@ -114,21 +114,12 @@ class TestExtremeDiscrepancy:
 
 
 class TestDiscrepancyStats:
-    def test_counts_accessor(self):
-        stats = emission.discrepancy_stats([0.1, 0.25, 0.5, 0.5, 0.9])
-        assert stats.k == 5
-        assert stats.count(0.0, 0.3) == 2
-        assert stats.count(0.5, 0.500001) == 2
-        assert stats.count(0.9, 1.0) == 1
-
     def test_interval_count_matches_manual(self):
         rng = np.random.default_rng(19)
         pts = rng.random(1000)
-        stats = emission.discrepancy_stats(pts)
         for _ in range(50):
             alpha, beta = sorted(rng.random(2))
             manual = int(np.sum((pts >= alpha) & (pts < beta)))
-            assert stats.count(alpha, beta) == manual
             assert interval_count(pts, alpha, beta) == manual
 
 

@@ -82,10 +82,6 @@ class TestLayerSampling:
     def test_tie_weights(self):
         uni = layers.build_universe(4, 4, 1, np.random.default_rng(7), tie_weights=True)
         np.testing.assert_allclose(uni.weights[0], 0.25, atol=0)
-        uni = layers.build_universe(
-            4, 2, 1, np.random.default_rng(7), tie_weights=True, tie_vector=[0.3, 0.7]
-        )
-        np.testing.assert_allclose(uni.weights[0], [0.3, 0.7], atol=0)
 
     def test_invalid_args(self):
         rng = np.random.default_rng(0)
@@ -405,10 +401,9 @@ def _universe_for(n, interval_count, pair_count, seed, weights):
     if weights == "tied":
         return layers.build_universe(n, interval_count, pair_count, rng, tie_weights=True)
     if weights == "tied_one_hot":
-        one_hot = np.eye(interval_count)[-1]
-        return layers.build_universe(
-            n, interval_count, pair_count, rng, tie_weights=True, tie_vector=one_hot
-        )
+        uni = layers.build_universe(n, interval_count, pair_count, rng, tie_weights=True)
+        one_hot = np.broadcast_to(np.eye(interval_count)[-1], uni.weights.shape)
+        return layers.LayerUniverse(n, interval_count, uni.col_to, uni.row_to, one_hot)
     uni = layers.build_universe(n, interval_count, pair_count, rng)
     if weights == "dirichlet":
         return uni

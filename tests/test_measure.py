@@ -94,7 +94,7 @@ class TestDetectors:
 
     @given(unit_settings(), st.floats(min_value=-3, max_value=21, exclude_max=True, allow_nan=False))
     def test_antisymmetry_property(self, c, x):
-        mu = measure.build_measure(c, c, 4, normalize_settings=True)
+        mu = measure.build_measure(*[measure.as_setting(c, normalize=True)] * 2, 4)
         cell = math.floor(x)
         half = 0 if x - cell < 0.5 else 1
         a_out, b_out = mu.outcome[:, cell + 3, half]
@@ -110,7 +110,9 @@ class TestDetectors:
         settings = edge + [random_unit_vector(rng) for _ in range(4)]
         for a in settings:
             for b in settings:
-                mu = measure.build_measure(a, b, n, normalize_settings=True)
+                mu = measure.build_measure(
+                    *(measure.as_setting(v, normalize=True) for v in (a, b)), n
+                )
                 assert mu.outcome.dtype == np.int8 and mu.outcome.shape == (2, size, 2)
                 expect_a = detector_a(mu.a, mids).reshape(size, 2)
                 expect_b = -detector_a(mu.b, mids).reshape(size, 2)
@@ -313,7 +315,8 @@ class TestIdentityProperties:
     @given(case=edge_cases(), seed=st.integers(0, 2**32 - 1))
     def test_identities(self, case, seed):
         n, a, b = case
-        mu = measure.build_measure(a, b, n, normalize_settings=True)
+        a, b = (measure.as_setting(v, normalize=True) for v in (a, b))
+        mu = measure.build_measure(a, b, n)
         mass = measure.total_mass(mu)
         assert 1.0 - 4 * 2.0**-53 <= mass <= 1.0 + PROVABLE_EXCESS / n**2
         assert abs(measure.pair_integral(mu) + float(np.dot(mu.a, mu.b))) <= 1e-12

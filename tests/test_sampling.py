@@ -95,22 +95,9 @@ class TestReproducibility:
             assert abs(est.mean - est.exact_target) <= 3.29 * est.stderr + 5e-3
 
 
-    @pytest.mark.parametrize("batches", [1, 3])
-    def test_run_experiment_stream_use_per_batch(self, universe, batches):
-        # per batch of T trials: the labels, then T uniforms each for the cell,
-        # u, v and the interval; only draw_batch draws w's offset in its interval
-        size = 1_000
-        used, expected = np.random.default_rng(47), np.random.default_rng(47)
-        sampling.run_experiment(universe, A, B45, batches * size, rng=used, batch_size=size)
-        for _ in range(batches):
-            expected.integers(0, universe.label_count, size=size)
-            for _ in range(4):
-                expected.random(size)
-        assert used.bit_generator.state == expected.bit_generator.state
-
 class TestLazyStreams:
     def test_children_match_one_spawn(self):
-        streams = sampling._streams_for(10 * 5, 10, None, 123)
+        streams = sampling._streams_for(10 * 5, 10, 123)
         children = np.random.SeedSequence(123).spawn(5)
         for stream, child in zip(streams, children, strict=True):
             expected = np.random.default_rng(child)
@@ -119,7 +106,7 @@ class TestLazyStreams:
     def test_first_stream_of_huge_run_is_small(self):
         tracemalloc.start()
         try:
-            next(sampling._streams_for(10**18, 1, None, 7))
+            next(sampling._streams_for(10**18, 1, 7))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
