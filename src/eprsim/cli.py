@@ -169,6 +169,11 @@ def _resolve_run_params(args) -> None:
                 f"settings: {args.command} takes {len(names)} ({', '.join(names)}), "
                 f"got {len(settings)}"
             )
+        for text in settings:
+            try:
+                parse_setting(text, normalize=args.normalize)
+            except ConfigError as exc:
+                raise ConfigError(f"settings: {args.config}: {exc}") from exc
         cfg.update((name, text) for name, text in zip(names, settings))
     for key, value in cfg.items():
         if params[key] is None or params[key] is False:

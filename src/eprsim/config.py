@@ -18,7 +18,7 @@ class ConfigError(ValueError):
 RUN_DEFAULTS = {"n": 4, "L": 2, "layers": 50, "trials": None, "seed": None}
 
 # the smallest valid value of every size and seed flag (and config key)
-MINIMUMS = {"n": 4, "L": 1, "layers": 1, "trials": 1, "seed": 0, "grid": 2}
+MINIMUMS = {"n": 4, "L": 1, "layers": 1, "trials": 1, "seed": 0, "grid": 2, "k": 1, "labels": 1}
 
 
 def check_size(name: str, value: int) -> int:
@@ -28,15 +28,20 @@ def check_size(name: str, value: int) -> int:
     return value
 
 
-def parse_setting(text: str, normalize: bool = False) -> np.ndarray:
-    """Parse a comma-separated triple into a validated unit setting."""
+def _triple(text: str) -> list[float]:
+    """The three numbers of a comma-separated setting, unchecked as a vector."""
     parts = text.split(",")
     if len(parts) != 3:
         raise ConfigError(f"setting {text!r} must be three comma-separated numbers")
     try:
-        vec = [float(p) for p in parts]
+        return [float(p) for p in parts]
     except ValueError as exc:
         raise ConfigError(f"setting {text!r}: {exc}") from exc
+
+
+def parse_setting(text: str, normalize: bool = False) -> np.ndarray:
+    """Parse a comma-separated triple into a validated unit setting."""
+    vec = _triple(text)
     try:
         return as_setting(vec, normalize=normalize)
     except ValueError as exc:
@@ -48,7 +53,8 @@ def load_config(path) -> dict:
 
     Recognized keys: n, L, layers, trials, seed, tie_weights, and settings
     (semicolon-separated triples, kept as the text a setting flag takes).
-    `n` is required; any other key is an error.
+    `n` is required; any other key is an error.  A setting's syntax is
+    checked here, its norm where `--normalize` is known.
     """
     values: dict = {}
     lines = Path(path).read_text().splitlines()
@@ -73,7 +79,10 @@ def load_config(path) -> dict:
         elif key == "settings":
             values[key] = [item.strip() for item in text.split(";") if item.strip()]
             for item in values[key]:
-                parse_setting(item)
+                try:
+                    _triple(item)
+                except ConfigError as exc:
+                    raise ConfigError(f"{path}:{lineno}: key {key!r}: {exc}") from exc
         else:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
     if "n" not in values:

@@ -2,17 +2,24 @@
 
 Every component is drawn by inverse transform (label, diagonal cell, offsets
 within the cell, weight interval), so the sampler targets the exact
-normalized cell law.  A batch of N trials takes O(N log L) time and O(N)
-memory: the interval is an exact binary search in the pair's weight CDF, and
-both spins are read from the measure's int8 outcome table.  Streams are numpy
-Generators; experiments split a seed sequence per batch so results are
-reproducible and order-independent under parallel evaluation.
+normalized cell law.  A batch of N trials takes O(N log L) time: the
+interval is an exact binary search in the pair's weight CDF, and both spins
+are read from the measure's int8 outcome table.  A `run_experiment` batch
+peaks near 20 bytes per trial (18.5 MB for 1e6 trials at L = 64): each draw
+is narrowed as soon as it is made, and the post-draw work runs CHUNK trials
+at a time.  Streams are numpy Generators; experiments split a seed sequence
+per batch, and `chsh` runs its four components, each on its own child seed,
+on up to min(4, os.cpu_count()) threads, so neither the chunk size nor the
+worker count changes a number.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,30 +71,82 @@ def _interval_search(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.nda
     return base - start + (flat[base] <= target)
 
 
-def _batch_arrays(
-    universe: LayerUniverse, mu: BaseMeasure, size: int, rng: np.random.Generator
-):
-    """Vectorized draw of `size` trials; returns (m0, cellpos, du, dv, ell0,
-    spin_a, spin_b) with int8 spins.  O(size log L) time, O(size) memory."""
+# trials per chunk of the post-draw work: its temporaries stay near 0.5 MB each
+CHUNK = 1 << 16
+
+
+class _Draws(NamedTuple):
+    """A batch's draws, narrowed: pair index m0 >> 1, label parity, cell
+    position, the half-cells of u and v, and the interval uniform."""
+
+    pair: np.ndarray
+    odd: np.ndarray
+    cellpos: np.ndarray
+    upper_a: np.ndarray
+    upper_b: np.ndarray
+    interval_u: np.ndarray
+
+
+def _draw(universe: LayerUniverse, mu: BaseMeasure, size: int, rng, offsets=None) -> _Draws:
+    """Make a batch's five draws in stream order: label, cell, offsets du and
+    dv within the cell, interval uniform.  Each draw is narrowed as soon as it
+    is made, so the batch keeps at most 9 bytes per trial besides the float64
+    interval uniform; `offsets`, if given, receives the float du and dv."""
+    m0 = rng.integers(0, universe.label_count, size=size)
+    odd = (m0 & 1).astype(bool)
+    pair = (m0 >> 1).astype(np.min_scalar_type(universe.pair_count))
+    del m0
     # search u * cum[-1] < cum[-1] in the unnormalized cumsum: the first cell
     # whose cumulative mass exceeds it has positive mass, trailing cells too
     cum = np.cumsum(mu.cell_masses)
+    target = rng.random(size)
+    target *= cum[-1]
+    cellpos = np.empty(size, dtype=np.min_scalar_type(cum.size))
+    for lo in range(0, size, CHUNK):
+        cellpos[lo : lo + CHUNK] = np.searchsorted(cum, target[lo : lo + CHUNK], side="right")
+    del target
+    upper = []
+    for _ in range(2):
+        offset = rng.random(size)
+        upper.append(offset >= 0.5)
+        if offsets is not None:
+            offsets.append(offset)
+        del offset
+    return _Draws(pair, odd, cellpos, *upper, rng.random(size))
 
-    m0 = rng.integers(0, universe.label_count, size=size)
-    cellpos = np.searchsorted(cum, rng.random(size) * cum[-1], side="right")
-    du = rng.random(size)
-    dv = rng.random(size)
+
+def _fill_spins(universe: LayerUniverse, mu: BaseMeasure, drawn: _Draws, spin_a, spin_b, ell0=None):
+    """Write the int8 spins (and the interval index) of each drawn trial,
+    CHUNK trials at a time; no trial's result depends on the chunking."""
     # companions share their pair's weight row
-    ell0 = _interval_search(np.cumsum(universe.weights, axis=1), m0 >> 1, rng.random(size))
+    cdf = np.cumsum(universe.weights, axis=1)
+    table_a = mu.outcome[0].ravel()
+    table_b = mu.outcome[1].ravel()
+    for lo in range(0, drawn.pair.size, CHUNK):
+        part = slice(lo, lo + CHUNK)
+        ell = _interval_search(cdf, drawn.pair[part].astype(np.intp), drawn.interval_u[part])
+        # the sample always lands on a relocated diagonal ensemble, whose
+        # original column and row position is the ensemble position itself,
+        # so the spins read outcome[side, cellpos, half]; the layer sign (+1
+        # for even m0) times s(ell) = (-1)^(ell0+1) is -1 iff the parities of
+        # m0 and ell0 agree
+        flip = (((drawn.odd[part] ^ ell) & 1) * 2 - 1).astype(np.int8)
+        cell = 2 * drawn.cellpos[part].astype(np.intp)
+        np.multiply(flip, table_a[cell + drawn.upper_a[part]], out=spin_a[part])
+        np.multiply(flip, table_b[cell + drawn.upper_b[part]], out=spin_b[part])
+        if ell0 is not None:
+            ell0[part] = ell
 
-    # the sample always lands on a relocated diagonal ensemble, whose original
-    # column and row position is the ensemble position itself, so the spins
-    # read outcome[side, cellpos, half]; the layer sign (+1 for even m0) times
-    # s(ell) = (-1)^(ell0+1) is -1 iff the parities of m0 and ell0 agree
-    flip = (((m0 ^ ell0) & 1) * 2 - 1).astype(np.int8)
-    spin_a = flip * mu.outcome[0].ravel()[2 * cellpos + (du >= 0.5)]
-    spin_b = flip * mu.outcome[1].ravel()[2 * cellpos + (dv >= 0.5)]
-    return m0, cellpos, du, dv, ell0, spin_a, spin_b
+
+def _products(universe: LayerUniverse, mu: BaseMeasure, size: int, rng) -> np.ndarray:
+    """The int8 product A*B of each of `size` trials.  O(size log L) time;
+    the peak is near 20 bytes per trial."""
+    drawn = _draw(universe, mu, size, rng)
+    spin_a = np.empty(size, dtype=np.int8)
+    spin_b = np.empty(size, dtype=np.int8)
+    _fill_spins(universe, mu, drawn, spin_a, spin_b)
+    spin_a *= spin_b
+    return spin_a
 
 
 def _inside(x: np.ndarray, bins: np.ndarray, scale: int) -> np.ndarray:
@@ -105,14 +164,22 @@ def draw_batch(universe: LayerUniverse, a, b, size: int, rng: np.random.Generato
     and u and v lie in the sampled half-cell of the relocated column and row,
     so the layer outcomes at (u, v, w) are the sampled spins."""
     mu = build_measure(a, b, universe.n)
-    m0, cellpos, du, dv, ell0, spin_a, spin_b = _batch_arrays(universe, mu, size, rng)
+    offsets = []
+    drawn = _draw(universe, mu, size, rng, offsets)
+    du, dv = offsets
     dw = rng.random(size)  # offset of w within its interval; run_experiment needs none
-    cols = universe.col_to[m0 >> 1, cellpos] - 2
-    rows = universe.row_to[m0 >> 1, cellpos] - 2
+    spin_a = np.empty(size, dtype=np.int8)
+    spin_b = np.empty(size, dtype=np.int8)
+    ell0 = np.empty(size, dtype=np.intp)
+    _fill_spins(universe, mu, drawn, spin_a, spin_b, ell0)
+    pair = drawn.pair.astype(np.intp)
+    cellpos = drawn.cellpos.astype(np.intp)
+    cols = universe.col_to[pair, cellpos] - 2
+    rows = universe.row_to[pair, cellpos] - 2
     # bins: interval ell0 of w, and half-cells [j/2, (j+1)/2) of u and v,
     # where cell i spans [i - 1, i)
     return {
-        "m": m0 + 1,
+        "m": 2 * pair + drawn.odd + 1,
         "cell": cellpos - 2,
         "ell": ell0 + 1,
         "u": _inside(cols - 1.0 + du, 2 * cols - 2 + (du >= 0.5), 2),
@@ -152,11 +219,13 @@ def run_experiment(
     remaining = trials
     for stream in streams:
         size = min(batch_size, remaining)
-        *_, sa, sb = _batch_arrays(universe, mu, size, stream)
-        prod = (sa * sb).astype(float)
+        # one whole float64 array: its pairwise sums are what the stderr pins
+        prod = _products(universe, mu, size, stream).astype(float)
         b_count = prod.size
         b_mean = float(prod.mean())
-        b_m2 = float(((prod - b_mean) ** 2).sum())
+        prod -= b_mean
+        np.square(prod, out=prod)
+        b_m2 = float(prod.sum())
         if batch_means is not None:
             batch_means.append(b_mean)
         delta = b_mean - mean
@@ -201,10 +270,15 @@ def chsh(
     if seed is None:
         raise ValueError("provide an explicit seed")
     children = _as_seed_sequence(seed).spawn(4)
-    runs = [
-        run_experiment(universe, x, y, trials, seed=child)
-        for (x, y), child in zip(((a, b), (a, b2), (a2, b), (a2, b2)), children)
-    ]
+    pairs = ((a, b), (a, b2), (a2, b), (a2, b2))
+    # numpy releases the GIL in the draws, searches, gathers and ufuncs; each
+    # component's numbers depend only on its child seed, not on the thread
+    with ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
+        futures = [
+            pool.submit(run_experiment, universe, x, y, trials, seed=child)
+            for (x, y), child in zip(pairs, children)
+        ]
+        runs = [future.result() for future in futures]
     e_ab, e_ab2, e_a2b, e_a2b2 = runs
     s_value = abs(e_ab.mean - e_ab2.mean) + abs(e_a2b.mean + e_a2b2.mean)
     stderr = math.sqrt(sum(r.stderr**2 for r in runs))

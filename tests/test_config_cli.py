@@ -76,6 +76,19 @@ class TestLoadConfig:
         with pytest.raises(config.ConfigError, match=":2"):
             config.load_config(path)
 
+    @pytest.mark.parametrize("item", ["1,0", "1,zero,0"])
+    def test_setting_syntax_names_position_and_key(self, tmp_path, item):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"n = 4\nsettings = 1,0,0; {item}\n")
+        with pytest.raises(config.ConfigError, match=rf"{path}:2: key 'settings'"):
+            config.load_config(path)
+
+    def test_setting_norm_left_to_the_run(self, tmp_path):
+        # --normalize is not known here, so a non-unit triple loads as text
+        path = tmp_path / "run.cfg"
+        path.write_text("n = 4\nsettings = 2,0,0; 0,1,0\n")
+        assert config.load_config(path)["settings"] == ["2,0,0", "0,1,0"]
+
     def test_unknown_key_named(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("n = 4\nmystery = 7\n")
@@ -204,6 +217,30 @@ class TestCliSimulate:
         assert code == 2
         assert out == ""
         assert err.startswith("error: settings")
+
+
+    @pytest.mark.parametrize("command", ["simulate", "chsh"])
+    def test_config_settings_follow_normalize(self, capsys, tmp_path, command):
+        # non-unit triples in the file run under --normalize, as the same
+        # flags do, and without it exit 2 naming the key
+        settings = {"simulate": "2,0,0; 0,1,0", "chsh": "2,0,0; 0,3,0; 0,1,1; 1,1,0"}[command]
+        path = tmp_path / "run.cfg"
+        path.write_text(f"n = 4\ntrials = 200\nseed = 7\nsettings = {settings}\n")
+        code, out, _ = run_cli(capsys, command, "--config", str(path), "--normalize")
+        assert code == 0
+        flags = [f"--{name}={text.strip()}" for name, text in zip(
+            cli.SETTING_FLAGS[command], settings.split(";")
+        )]
+        code, flag_out, _ = run_cli(
+            capsys, command, "--n", "4", "--trials", "200", "--seed", "7", "--normalize", *flags
+        )
+        assert code == 0
+        without_config = {k: v for k, v in json.loads(out).items() if k != "config"}
+        assert without_config == {k: v for k, v in json.loads(flag_out).items() if k != "config"}
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: settings") and "norm" in err
 
 
 # valid runs of the commands taking size flags; a bad size is appended as a
@@ -463,6 +500,15 @@ class TestCliPoisson:
             capsys, "poisson", "--theta", "-1", "--k", "100", "--labels", "5", "--seed", "1"
         )
         assert code == 2
+
+
+    @pytest.mark.parametrize("flag", ["k", "labels"])
+    def test_size_below_one_names_the_flag(self, capsys, flag):
+        argv = ["poisson", "--theta", "1", "--k", "100", "--labels", "5", "--seed", "1"]
+        code, out, err = run_cli(capsys, *argv, f"--{flag}", "0")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --{flag} must be >= 1 (got 0)\n"
 
 
 class TestCliSplines:

@@ -20,6 +20,7 @@ from oracles import (
     step_sign,
     step_weight,
 )
+from strategies import edge_cases
 
 E1 = (1.0, 0.0, 0.0)
 E2 = (0.0, 1.0, 0.0)
@@ -270,39 +271,6 @@ class TestMassAccounting:
                 assert 1.0 - 1e-12 <= mass <= 1.0 + PROVABLE_EXCESS / n**2
                 # the looser theorem-level window always holds
                 assert mass < 1.0 + 1.0 / n**2
-
-
-SIGNS = st.sampled_from([1.0, -1.0])
-
-
-@st.composite
-def edge_setting(draw, n):
-    """Axis vectors with signed zeros, knot-aligned |a_k| = j/n, or a random
-    unit vector.  A random sign times 0.0 gives -0.0 as well as 0.0."""
-    kind = draw(st.sampled_from(["axis", "knot", "random"]))
-    if kind == "random":
-        return random_unit_vector(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
-    if kind == "axis":
-        vec = [0.0, 0.0, 0.0]
-        vec[draw(st.integers(0, 2))] = 1.0
-    else:
-        # two components on knots, the third fills up the unit norm
-        j1 = draw(st.integers(0, n))
-        j2 = draw(st.integers(0, math.isqrt(n * n - j1 * j1)))
-        x, y = j1 / n, j2 / n
-        vec = draw(st.permutations([x, y, math.sqrt(max(1.0 - x * x - y * y, 0.0))]))
-    return np.array([draw(SIGNS) * c for c in vec])
-
-
-@st.composite
-def edge_cases(draw):
-    """(n, a, b) over n in [4, 64], with b = a, b = -a or b drawn apart."""
-    n = draw(st.integers(4, 64))
-    a = draw(edge_setting(n))
-    kind = draw(st.sampled_from(["same", "negated", "apart"]))
-    if kind == "apart":
-        return n, a, draw(edge_setting(n))
-    return n, a, (a if kind == "same" else -a)
 
 
 class TestIdentityProperties:

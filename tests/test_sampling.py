@@ -1,12 +1,16 @@
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sstats
 
 from eprsim import layers, measure, sampling
 
 from oracles import layer_density, layer_spin_a, layer_spin_b
+from strategies import edge_cases
 
 A = measure.as_setting([1.0, 0.0, 0.0])
 B45 = measure.as_setting([np.sqrt(0.5), np.sqrt(0.5), 0.0], normalize=True)
@@ -301,9 +305,66 @@ class TestBoundedMemory:
         mu = measure.build_measure(A, B_CLEAN, 4)
         tracemalloc.start()
         try:
-            sampling._batch_arrays(wide, mu, 200_000, np.random.default_rng(3))
+            sampling._products(wide, mu, 200_000, np.random.default_rng(3))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         # a float64 [trials, L] array alone would take 410 MB
         assert peak < 64 * 2**20
+
+    def test_one_million_trial_batch_at_most_30_mb(self):
+        # the mc-chsh shape: every draw is narrowed as it is made, the
+        # post-draw work runs in chunks, and only the product is float64
+        wide = layers.build_universe(4, 64, 50, np.random.default_rng(5))
+        tracemalloc.start()
+        try:
+            sampling.run_experiment(wide, A, B45, 1_000_000, seed=7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30 * 2**20
+
+
+def _universe_with_zero_weights(n, interval_count, pair_count, rng):
+    """Random relocations and weight rows with zeros at random places,
+    leading and trailing ones included, each row keeping a positive weight."""
+    size = 3 * n + 12
+    perms = rng.permuted(np.tile(np.arange(size), (2 * pair_count, 1)), axis=1)
+    weights = rng.dirichlet(np.ones(interval_count), size=pair_count)
+    weights[rng.random(weights.shape) < 0.5] = 0.0
+    weights[np.arange(pair_count), rng.integers(0, interval_count, pair_count)] += 1.0
+    weights /= weights.sum(axis=1, keepdims=True)
+    return layers.LayerUniverse(n, interval_count, perms[:pair_count], perms[pair_count:], weights)
+
+
+class TestLeanKernel:
+    @settings(max_examples=100, deadline=None)
+    @given(case=edge_cases(), seed=st.integers(0, 2**32 - 1))
+    def test_draws_land_on_positive_mass_and_match_products(self, case, seed):
+        """Property (iv): no zero-mass cell and no zero-weight interval is
+        ever drawn, and the kernel's products are draw_batch's spin_a*spin_b."""
+        n, a, b = case
+        mu = measure.build_measure(*(measure.as_setting(v, normalize=True) for v in (a, b)), n)
+        rng = np.random.default_rng(seed)
+        uni = _universe_with_zero_weights(n, int(rng.integers(1, 9)), int(rng.integers(1, 6)), rng)
+        # each maker gives a fresh copy of the same stream
+        for stream in (functools.partial(np.random.default_rng, seed), _TopOfRange, _BottomOfRange):
+            batch = sampling.draw_batch(uni, mu.a, mu.b, 500, stream())
+            assert np.all(mu.cell_masses[batch["cell"] + 2] > 0.0)
+            assert np.all(uni.weights[(batch["m"] - 1) // 2, batch["ell"] - 1] > 0.0)
+            products = sampling._products(uni, mu, 500, stream())
+            assert products.dtype == np.int8
+            np.testing.assert_array_equal(products, batch["spin_a"] * batch["spin_b"])
+
+    def test_chunking_changes_no_trial(self, monkeypatch):
+        wide = layers.build_universe(5, 64, 7, np.random.default_rng(8))
+        mu = measure.build_measure(A, B45, 5)
+        whole = sampling.draw_batch(wide, A, B45, 10_007, np.random.default_rng(9))
+        products = sampling._products(wide, mu, 10_007, np.random.default_rng(9))
+        monkeypatch.setattr(sampling, "CHUNK", 1000)
+        chunked = sampling.draw_batch(wide, A, B45, 10_007, np.random.default_rng(9))
+        for key in whole:
+            np.testing.assert_array_equal(chunked[key], whole[key])
+        np.testing.assert_array_equal(
+            sampling._products(wide, mu, 10_007, np.random.default_rng(9)), products
+        )
