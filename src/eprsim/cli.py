@@ -8,6 +8,8 @@ produce byte-identical output.  Exit codes: 0 ok, 2 validation error
 
 `main` resolves the flags, runs the command, which returns its report fields
 and CSV table (header, rows) or None, and writes the report and the table.
+With `--timings FILE` it also writes each stage's wall time and peak RSS to
+FILE (see `timings`); the report is the same with or without it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,15 @@ import numpy as np
 
 from . import __version__
 from .analysis import conditional_outcome_bias, dependence_report, pair_expectation
-from .config import MINIMUMS, RUN_DEFAULTS, ConfigError, check_size, load_config, parse_setting
+from .config import (
+    MINIMUMS,
+    RUN_DEFAULTS,
+    ConfigError,
+    check_budget,
+    check_size,
+    load_config,
+    parse_setting,
+)
 from .emission import (
     chi_square_quantile,
     detector_gate,
@@ -156,9 +166,15 @@ def cmd_analyze(args):
     return fields, None
 
 
+# the run flags that size a fresh universe, each with its field in a universe file
+UNIVERSE_SIZES = {"n": "n", "L": "interval_count", "layers": "pair_count"}
+
+
 def _resolve_run_params(args) -> None:
     """Fill each flag left unset from the --config file, then from
-    RUN_DEFAULTS (flags win), and check every size and seed."""
+    RUN_DEFAULTS (flags win), and check every size and seed.  A run on an
+    existing --universe takes its sizes from the file instead of the
+    defaults (see `_universe_for_run`)."""
     params = vars(args)
     cfg = load_config(args.config) if params.get("config") else {}
     settings = cfg.pop("settings", None)
@@ -178,21 +194,38 @@ def _resolve_run_params(args) -> None:
     for key, value in cfg.items():
         if params[key] is None or params[key] is False:
             params[key] = value
+    # simulate and chsh read --universe (layers writes it)
+    from_file = args.command in SETTING_FLAGS and params["universe"] is not None
     for key, default in RUN_DEFAULTS.items():
-        if key in params and params[key] is None:
+        if key in params and params[key] is None and not (from_file and key in UNIVERSE_SIZES):
             if default is None:
                 raise ConfigError(f"{key} must be given (flag --{key} or config key)")
             params[key] = default
     for key in MINIMUMS:
-        if key in params:
+        if params.get(key) is not None:
             check_size(key, params[key])
+    check_budget(params)
 
 
 def _universe_for_run(args, seed_seq):
-    if args.universe:
-        return load_universe(args.universe)
-    rng = np.random.default_rng(seed_seq)
-    return build_universe(args.n, args.L, args.layers, rng, tie_weights=args.tie_weights)
+    """The run's universe: built fresh from the seed, or read from --universe,
+    whose sizes must agree with any size given by flag or config and become
+    the sizes the report shows."""
+    if not args.universe:
+        rng = np.random.default_rng(seed_seq)
+        return build_universe(args.n, args.L, args.layers, rng, tie_weights=args.tie_weights)
+    if args.tie_weights:
+        raise ConfigError(f"--tie-weights applies to a fresh universe, not to {args.universe}")
+    universe = load_universe(args.universe)
+    for key, field in UNIVERSE_SIZES.items():
+        value = getattr(universe, field)
+        given = getattr(args, key)
+        if given is not None and given != value:
+            raise ConfigError(
+                f"--{key} {given} disagrees with {args.universe}, which has {key} = {value}"
+            )
+        setattr(args, key, value)
+    return universe
 
 
 def cmd_simulate(args):
@@ -294,6 +327,11 @@ def _add_setting_opts(p, names=("a", "b")):
     )
 
 
+def _add_output_opts(p):
+    p.add_argument("--out", help="write the JSON report here instead of stdout")
+    p.add_argument("--timings", help="write wall time and peak RSS per stage as JSON here")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eprsim",
@@ -305,14 +343,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--grid", type=int, default=501)
     p.add_argument("--csv", help="dump the residual grid as CSV")
-    p.add_argument("--out")
+    _add_output_opts(p)
     p.set_defaults(func=cmd_splines)
 
     p = sub.add_parser("verify", help="first-layer mass and correlation identities")
     p.add_argument("--n", type=int, required=True)
     _add_setting_opts(p)
     p.add_argument("--genuine-variant", action="store_true", dest="genuine_variant")
-    p.add_argument("--out")
+    _add_output_opts(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("layers", help="sample a layer universe and serialize it")
@@ -322,14 +360,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--tie-weights", action="store_true", dest="tie_weights")
     p.add_argument("--universe", required=True, help="output path for the universe JSON")
-    p.add_argument("--out")
+    _add_output_opts(p)
     p.set_defaults(func=cmd_layers)
 
     p = sub.add_parser("analyze", help="exact dependence diagnostics over a universe")
     p.add_argument("--universe", required=True)
     _add_setting_opts(p, names=("a", "b", "c"))
     p.add_argument("--witness", action="store_true")
-    p.add_argument("--out")
+    _add_output_opts(p)
     p.set_defaults(func=cmd_analyze)
 
     for name, fn in (("simulate", cmd_simulate), ("chsh", cmd_chsh)):
@@ -349,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             _add_setting_opts(p, names=("a", "a2", "b", "b2"))
             p.add_argument("--angles", help="four coplanar angles in degrees: a,a',b,b'")
-        p.add_argument("--out")
+        _add_output_opts(p)
         p.set_defaults(func=fn)
 
     p = sub.add_parser("poisson", help="emission trace, discrepancy, label uniformity")
@@ -360,36 +398,64 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p1", type=float, default=1.0)
     p.add_argument("--p2", type=float, default=1.0)
     p.add_argument("--csv", help="(k, star) prefix series CSV")
-    p.add_argument("--out")
+    _add_output_opts(p)
     p.set_defaults(func=cmd_poisson)
 
     return parser
 
 
+def _run(args) -> None:
+    """Resolve the flags, run the command, and write its report and table."""
+    _resolve_run_params(args)
+    fields, table = args.func(args)
+    if table is not None and args.csv:
+        header, rows = table
+        with open(args.csv, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    config = {
+        k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out", "csv", "timings")
+    }
+    report = {
+        "command": args.command,
+        "config": config,
+        "schema_versions": {"report": REPORT_SCHEMA, "universe": UNIVERSE_SCHEMA},
+        "version": __version__,
+        **fields,
+    }
+    text = json.dumps(report, indent=2, sort_keys=True)
+    if args.out:
+        Path(args.out).write_text(text + "\n")
+    else:
+        print(text)
+
+
+# the library modules whose functions, called from here, --timings times as stages
+TIMED_MODULES = ("analysis", "emission", "layers", "measure", "sampling", "splines")
+
+
+def _run_timed(args) -> None:
+    """`_run` with its stages timed into the --timings file, which is opened
+    first, so an unwritable path fails before any work."""
+    from .timings import StageTimer
+
+    timer = StageTimer()
+    with open(args.timings, "w") as fh:
+        try:
+            with timer.attached(globals(), TIMED_MODULES), timer.stage(f"cmd.{args.command}"):
+                _run(args)
+        finally:
+            fh.write(json.dumps(timer.as_dict(), indent=2) + "\n")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _resolve_run_params(args)
-        fields, table = args.func(args)
-        if table is not None and args.csv:
-            header, rows = table
-            with open(args.csv, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                writer.writerows(rows)
-        config = {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out", "csv")}
-        report = {
-            "command": args.command,
-            "config": config,
-            "schema_versions": {"report": REPORT_SCHEMA, "universe": UNIVERSE_SCHEMA},
-            "version": __version__,
-            **fields,
-        }
-        text = json.dumps(report, indent=2, sort_keys=True)
-        if args.out:
-            Path(args.out).write_text(text + "\n")
+        if args.timings:
+            _run_timed(args)
         else:
-            print(text)
+            _run(args)
         return 0
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -21,11 +22,59 @@ RUN_DEFAULTS = {"n": 4, "L": 2, "layers": 50, "trials": None, "seed": None}
 MINIMUMS = {"n": 4, "L": 1, "layers": 1, "trials": 1, "seed": 0, "grid": 2, "k": 1, "labels": 1}
 
 
+# the largest array a command may allocate, in bytes
+BUDGET = 1 << 30
+
+# the largest valid value of every size flag (and config key): where the
+# largest array of the command it sizes would pass BUDGET, with the other
+# sizes at their minimum
+MAXIMUMS = {
+    # layers/simulate/chsh: 2M x (3n+12) int64 relocations at M = 1 pair
+    "n": BUDGET // 48 - 4,
+    # the same relocations at n = 4: 384 bytes per pair
+    "layers": BUDGET // 384,
+    # the M x L float64 interval weights at M = 1
+    "L": BUDGET // 8,
+    # splines: each grid x grid float64 surface
+    "grid": math.isqrt(BUDGET // 8),
+    # poisson: each float64 array of k emission times
+    "k": BUDGET // 8,
+    # poisson: the int64 counts of labels 0 .. labels
+    "labels": BUDGET // 8 - 1,
+}
+
+# arrays sized by two flags at once, in bytes: the universe's relocations and
+# weights, and splines' (n+5) x grid float64 basis recursion
+JOINT_ARRAYS = {
+    ("n", "layers"): lambda n, pairs: 16 * pairs * (3 * n + 12),
+    ("L", "layers"): lambda intervals, pairs: 8 * pairs * intervals,
+    ("n", "grid"): lambda n, grid: 8 * (n + 5) * grid,
+}
+
+
 def check_size(name: str, value: int) -> int:
-    """Return `value` if it is at least the minimum of size `name`."""
+    """Return `value` if it lies between the minimum and the cap of size `name`."""
     if value < MINIMUMS[name]:
         raise ConfigError(f"--{name} must be >= {MINIMUMS[name]} (got {value})")
+    if name in MAXIMUMS and value > MAXIMUMS[name]:
+        raise ConfigError(
+            f"--{name} must be <= {MAXIMUMS[name]} (got {value}): its largest array "
+            f"would pass the {BUDGET >> 30} GiB budget"
+        )
     return value
+
+
+def check_budget(sizes: dict) -> None:
+    """Reject sizes that pass their caps one by one but together would make
+    an array larger than BUDGET; a size that is None or absent is unused."""
+    for names, nbytes in JOINT_ARRAYS.items():
+        values = [sizes.get(name) for name in names]
+        if None not in values and nbytes(*values) > BUDGET:
+            flags = " with ".join(f"--{name} {value}" for name, value in zip(names, values))
+            raise ConfigError(
+                f"{flags} would make a {nbytes(*values) >> 20} MiB array, "
+                f"above the {BUDGET >> 30} GiB budget"
+            )
 
 
 def _triple(text: str) -> list[float]:

@@ -2,15 +2,17 @@
 
 Every component is drawn by inverse transform (label, diagonal cell, offsets
 within the cell, weight interval), so the sampler targets the exact
-normalized cell law.  A batch of N trials takes O(N log L) time: the
-interval is an exact binary search in the pair's weight CDF, and both spins
-are read from the measure's int8 outcome table.  A `run_experiment` batch
-peaks near 20 bytes per trial (18.5 MB for 1e6 trials at L = 64): each draw
-is narrowed as soon as it is made, and the post-draw work runs CHUNK trials
-at a time.  Streams are numpy Generators; experiments split a seed sequence
-per batch, and `chsh` runs its four components, each on its own child seed,
-on up to min(4, os.cpu_count()) threads, so neither the chunk size nor the
-worker count changes a number.
+normalized cell law.  `run_experiment` takes O(N) time for N trials at any
+interval count L: both spins carry the same flip (layer sign times s(ell)),
+so the product A*B depends only on the drawn cell and half-cells and is read
+from one int8 table, and the interval is never drawn.  Only `draw_batch`,
+which reports the spins themselves, does the O(N log L) interval search, an
+exact binary search in the pair's weight CDF.  A `run_experiment` batch
+peaks near 11 bytes per trial (10.5 MB for 1e6 trials at L = 64): each draw
+is narrowed as soon as it is made.  Streams are numpy Generators;
+experiments split a seed sequence per batch, and `chsh` runs its four
+components, each on its own child seed, on up to min(4, os.cpu_count())
+threads, so neither the chunk size nor the worker count changes a number.
 """
 
 from __future__ import annotations
@@ -77,24 +79,32 @@ CHUNK = 1 << 16
 
 class _Draws(NamedTuple):
     """A batch's draws, narrowed: pair index m0 >> 1, label parity, cell
-    position, the half-cells of u and v, and the interval uniform."""
+    position, the half-cells of u and v, and the interval uniform (pair,
+    parity and interval uniform are None where only products are asked)."""
 
-    pair: np.ndarray
-    odd: np.ndarray
+    pair: np.ndarray | None
+    odd: np.ndarray | None
     cellpos: np.ndarray
     upper_a: np.ndarray
     upper_b: np.ndarray
-    interval_u: np.ndarray
+    interval_u: np.ndarray | None
 
 
-def _draw(universe: LayerUniverse, mu: BaseMeasure, size: int, rng, offsets=None) -> _Draws:
-    """Make a batch's five draws in stream order: label, cell, offsets du and
-    dv within the cell, interval uniform.  Each draw is narrowed as soon as it
+def _draw(
+    universe: LayerUniverse, mu: BaseMeasure, size: int, rng, *, spins=True, offsets=None
+) -> _Draws:
+    """Make a batch's draws in stream order: label, cell, offsets du and dv
+    within the cell, interval uniform.  Each draw is narrowed as soon as it
     is made, so the batch keeps at most 9 bytes per trial besides the float64
-    interval uniform; `offsets`, if given, receives the float du and dv."""
+    interval uniform; `offsets`, if given, receives the float du and dv.
+
+    With `spins` false the label is drawn and dropped (bounded `integers`
+    takes a data-dependent number of words, so skipping it would shift the
+    later draws) and the interval uniform, the stream's last draw, is not
+    made at all: the product A*B depends on neither."""
     m0 = rng.integers(0, universe.label_count, size=size)
-    odd = (m0 & 1).astype(bool)
-    pair = (m0 >> 1).astype(np.min_scalar_type(universe.pair_count))
+    odd = (m0 & 1).astype(bool) if spins else None
+    pair = (m0 >> 1).astype(np.min_scalar_type(universe.pair_count)) if spins else None
     del m0
     # search u * cum[-1] < cum[-1] in the unnormalized cumsum: the first cell
     # whose cumulative mass exceeds it has positive mass, trailing cells too
@@ -112,12 +122,12 @@ def _draw(universe: LayerUniverse, mu: BaseMeasure, size: int, rng, offsets=None
         if offsets is not None:
             offsets.append(offset)
         del offset
-    return _Draws(pair, odd, cellpos, *upper, rng.random(size))
+    return _Draws(pair, odd, cellpos, *upper, rng.random(size) if spins else None)
 
 
-def _fill_spins(universe: LayerUniverse, mu: BaseMeasure, drawn: _Draws, spin_a, spin_b, ell0=None):
-    """Write the int8 spins (and the interval index) of each drawn trial,
-    CHUNK trials at a time; no trial's result depends on the chunking."""
+def _fill_spins(universe: LayerUniverse, mu: BaseMeasure, drawn: _Draws, spin_a, spin_b, ell0):
+    """Write the int8 spins and the interval index of each drawn trial, CHUNK
+    trials at a time; no trial's result depends on the chunking."""
     # companions share their pair's weight row
     cdf = np.cumsum(universe.weights, axis=1)
     table_a = mu.outcome[0].ravel()
@@ -134,19 +144,24 @@ def _fill_spins(universe: LayerUniverse, mu: BaseMeasure, drawn: _Draws, spin_a,
         cell = 2 * drawn.cellpos[part].astype(np.intp)
         np.multiply(flip, table_a[cell + drawn.upper_a[part]], out=spin_a[part])
         np.multiply(flip, table_b[cell + drawn.upper_b[part]], out=spin_b[part])
-        if ell0 is not None:
-            ell0[part] = ell
+        ell0[part] = ell
 
 
 def _products(universe: LayerUniverse, mu: BaseMeasure, size: int, rng) -> np.ndarray:
-    """The int8 product A*B of each of `size` trials.  O(size log L) time;
-    the peak is near 20 bytes per trial."""
-    drawn = _draw(universe, mu, size, rng)
-    spin_a = np.empty(size, dtype=np.int8)
-    spin_b = np.empty(size, dtype=np.int8)
-    _fill_spins(universe, mu, drawn, spin_a, spin_b)
-    spin_a *= spin_b
-    return spin_a
+    """The int8 product A*B of each of `size` trials, in O(size) time at any L.
+
+    Both spins carry the same flip (layer sign times s(ell)), so the product
+    is outcome[0, cell, half_a] * outcome[1, cell, half_b]: it depends on the
+    drawn cell and half-cells only, never on the label, interval or
+    relocation.  It is read from one [cell, half_a, half_b] table."""
+    drawn = _draw(universe, mu, size, rng, spins=False)
+    table = (mu.outcome[0][:, :, None] * mu.outcome[1][:, None, :]).ravel()
+    key = drawn.cellpos.astype(np.min_scalar_type(table.size - 1))
+    key <<= 1
+    key |= drawn.upper_a
+    key <<= 1
+    key |= drawn.upper_b
+    return table[key]
 
 
 def _inside(x: np.ndarray, bins: np.ndarray, scale: int) -> np.ndarray:
@@ -165,7 +180,7 @@ def draw_batch(universe: LayerUniverse, a, b, size: int, rng: np.random.Generato
     so the layer outcomes at (u, v, w) are the sampled spins."""
     mu = build_measure(a, b, universe.n)
     offsets = []
-    drawn = _draw(universe, mu, size, rng, offsets)
+    drawn = _draw(universe, mu, size, rng, offsets=offsets)
     du, dv = offsets
     dw = rng.random(size)  # offset of w within its interval; run_experiment needs none
     spin_a = np.empty(size, dtype=np.int8)

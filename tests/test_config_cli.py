@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -281,6 +282,158 @@ class TestCliSizeChecks:
         assert out == ""
         assert err.startswith("error: ") and f"--{key} must be >= " in err
         assert not uni.exists()
+
+
+# sizes whose largest array would pass the 1 GiB budget; each run is valid
+# apart from the named flag
+OVER_BUDGET = {
+    "k": ["poisson", "--theta", "1", "--k", "1000000000000", "--labels", "5", "--seed", "1"],
+    "labels": ["poisson", "--theta", "1", "--k", "10", "--labels", "1000000000", "--seed", "1"],
+    "layers": ["layers", "--n", "4", "--layers", "1000000000", "--seed", "1",
+               "--universe", "{uni}"],
+    "L": ["layers", "--n", "4", "--layers", "3", "--L", "1000000000", "--seed", "1",
+          "--universe", "{uni}"],
+    "grid": ["splines", "--n", "4", "--grid", "10000000"],
+    "n": ["verify", "--n", "100000000", "--a", "1,0,0", "--b", "0,1,0"],
+}
+
+# pairs of sizes that pass their caps one by one but not together
+OVER_JOINT_BUDGET = {
+    ("n", "layers"): ["simulate", "--angle", "45", "--trials", "100", "--seed", "1",
+                      "--n", "1000", "--layers", "100000"],
+    ("L", "layers"): ["chsh", "--angles", "0,90,45,135", "--trials", "100", "--seed", "1",
+                      "--L", "100000", "--layers", "100000"],
+    ("n", "grid"): ["splines", "--n", "1000000", "--grid", "501"],
+}
+
+
+class TestCliSizeBudget:
+    @pytest.mark.parametrize("flag", sorted(OVER_BUDGET))
+    def test_over_cap_exits_2_before_allocating(self, capsys, tmp_path, flag):
+        uni = tmp_path / "uni.json"
+        argv = [arg.format(uni=uni) for arg in OVER_BUDGET[flag]]
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: --{flag} must be <= {config.MAXIMUMS[flag]} (got ")
+        assert peak < 2**20
+        assert not uni.exists()
+
+    @pytest.mark.parametrize("flags", sorted(OVER_JOINT_BUDGET))
+    def test_joint_sizes_over_budget_exit_2_naming_both(self, capsys, flags):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *OVER_JOINT_BUDGET[flags])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert all(f"--{flag} " in err for flag in flags) and "budget" in err
+        assert peak < 2**20
+
+    def test_config_value_over_cap_names_line_and_key(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{VALID_CONFIG}layers = 1000000000\n")
+        match = r"run.cfg:4: key 'layers': --layers must be <="
+        with pytest.raises(config.ConfigError, match=match):
+            config.load_config(path)
+
+    @pytest.mark.parametrize("flag, cap", sorted(config.MAXIMUMS.items()))
+    def test_caps_leave_room_for_the_benchmark_and_golden_sizes(self, flag, cap):
+        # the largest size a benchmark workload or golden report uses, and the
+        # default --grid 501
+        largest_used = {
+            "n": 5, "layers": 10_000, "L": 64, "grid": 501, "k": 1_000_000, "labels": 50
+        }
+        assert cap >= 20 * largest_used[flag]
+
+    def test_largest_valid_sizes_fit_the_budget(self):
+        # at its cap, each size's own array stays within the budget
+        caps = config.MAXIMUMS
+        assert 16 * (3 * caps["n"] + 12) <= config.BUDGET
+        assert 16 * caps["layers"] * (3 * 4 + 12) <= config.BUDGET
+        assert 8 * caps["L"] <= config.BUDGET
+        assert 8 * caps["grid"] ** 2 <= config.BUDGET < 8 * (caps["grid"] + 1) ** 2
+        assert 8 * caps["k"] <= config.BUDGET
+        assert 8 * (caps["labels"] + 1) <= config.BUDGET
+
+
+def _universe_file(capsys, tmp_path):
+    """A universe of n = 5, L = 3 and 3 pairs, written through the CLI."""
+    path = tmp_path / "u5.json"
+    code, _, _ = run_cli(
+        capsys, "layers", "--n", "5", "--layers", "3", "--L", "3", "--seed", "2",
+        "--universe", str(path),
+    )
+    assert code == 0
+    return path
+
+
+UNIVERSE_RUNS = {
+    "simulate": ["simulate", "--a", "1,0,0", "--b", "0,1,0", "--trials", "100", "--seed", "1"],
+    "chsh": ["chsh", "--angles", "0,90,45,135", "--trials", "100", "--seed", "1"],
+}
+
+
+class TestCliUniverseSizes:
+    @pytest.mark.parametrize("command", sorted(UNIVERSE_RUNS))
+    def test_report_shows_the_file_sizes(self, capsys, tmp_path, command):
+        path = _universe_file(capsys, tmp_path)
+        code, out, _ = run_cli(capsys, *UNIVERSE_RUNS[command], "--universe", str(path))
+        assert code == 0
+        cfg = json.loads(out)["config"]
+        assert (cfg["n"], cfg["L"], cfg["layers"]) == (5, 3, 3)
+
+    @pytest.mark.parametrize("command", sorted(UNIVERSE_RUNS))
+    def test_agreeing_sizes_change_nothing(self, capsys, tmp_path, command):
+        path = _universe_file(capsys, tmp_path)
+        argv = [*UNIVERSE_RUNS[command], "--universe", str(path)]
+        _, plain, _ = run_cli(capsys, *argv)
+        code, out, _ = run_cli(capsys, *argv, "--n", "5", "--L", "3", "--layers", "3")
+        assert code == 0
+        assert out == plain
+
+    @pytest.mark.parametrize("command", sorted(UNIVERSE_RUNS))
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("key, value", [("n", "9"), ("L", "7"), ("layers", "1")])
+    def test_disagreeing_size_exits_2_naming_the_flag(
+        self, capsys, tmp_path, command, source, key, value
+    ):
+        path = _universe_file(capsys, tmp_path)
+        argv = [*UNIVERSE_RUNS[command], "--universe", str(path)]
+        if source == "flag":
+            argv += [f"--{key}", value]
+        else:
+            cfg = tmp_path / "run.cfg"
+            lines = {"n": "5", key: value}
+            cfg.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+            argv += ["--config", str(cfg)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: --{key} {value} disagrees with {path}")
+
+    @pytest.mark.parametrize("command", sorted(UNIVERSE_RUNS))
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_tie_weights_exits_2(self, capsys, tmp_path, command, source):
+        path = _universe_file(capsys, tmp_path)
+        argv = [*UNIVERSE_RUNS[command], "--universe", str(path)]
+        if source == "flag":
+            argv.append("--tie-weights")
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("n = 5\ntie_weights = true\n")
+            argv += ["--config", str(cfg)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --tie-weights") and str(path) in err
 
 
 class TestCliLayersAnalyze:

@@ -19,9 +19,12 @@ same reports.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -143,6 +146,61 @@ def test_report_bytes_at_worker_counts(workdir, monkeypatch, name, workers):
     expected = (GOLDEN / f"{name}.json").read_text()
     assert _dump(_run(REPORTS[name], workdir)) == expected
     assert _CountingPool.sizes == ([workers] if name.startswith("chsh") else [])
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_timings_change_no_report_byte(workdir, tmp_path, name):
+    """--timings writes stage timings to its own file; the report's bytes are
+    those of the same run without it, on stdout and in --out alike."""
+    paths = {"{u1}": str(workdir / "u1.json"), "{u2}": str(workdir / "u2.json")}
+    argv = [paths.get(arg, arg) for arg in REPORTS[name]]
+    timings = tmp_path / "timings.json"
+    for out in ([], ["--out", str(tmp_path / "report.json")]):
+        reports = []
+        for extra in ([], ["--timings", str(timings)]):
+            buffer = io.StringIO()
+            with contextlib.redirect_stdout(buffer):
+                assert cli.main(argv + out + extra) == 0
+            reports.append(buffer.getvalue() if not out else Path(out[1]).read_bytes())
+        assert reports[0] == reports[1]
+    doc = json.loads(timings.read_text())
+    assert set(doc) == {"python", "numpy", "cpu_count", "stages"}
+    assert doc["numpy"] == np.__version__
+    command = f"cmd.{argv[0]}"
+    assert command in doc["stages"]
+    for stage in doc["stages"].values():
+        assert stage["calls"] >= 1
+        assert 0.0 <= stage["wall_s"] <= doc["stages"][command]["wall_s"]
+        assert stage["peak_rss_mb"] > 0.0
+    if name == "simulate_u1":
+        assert {"layers.load_universe", "sampling.run_experiment"} <= set(doc["stages"])
+
+
+@pytest.mark.parametrize("target", ["missing_directory", "directory"])
+def test_unwritable_timings_path_exits_2_naming_it(tmp_path, capsys, target):
+    path = tmp_path / "absent" / "t.json" if target == "missing_directory" else tmp_path
+    out = tmp_path / "report.json"
+    code = cli.main(REPORTS["verify_edge"] + ["--out", str(out), "--timings", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and str(path) in captured.err
+    assert not out.exists()
+
+
+def test_plain_run_imports_no_timer():
+    code = (
+        "import sys, eprsim.cli\n"
+        "assert eprsim.cli.main(sys.argv[1:]) == 0\n"
+        "assert 'eprsim.timings' not in sys.modules\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    paths = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *REPORTS["verify_edge"]],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def _assert_close(got, expected, tol, where=""):

@@ -368,3 +368,22 @@ class TestLeanKernel:
         np.testing.assert_array_equal(
             sampling._products(wide, mu, 10_007, np.random.default_rng(9)), products
         )
+
+
+class TestProductsIgnoreLayers:
+    def test_relocations_weights_and_interval_count_change_no_product(self):
+        """Both spins carry the same flip (layer sign times s(ell)), so A*B
+        depends on the drawn cell and half-cells only: universes with the same
+        label count but other relocations, weights and L give the same products
+        from the same stream."""
+        narrow = layers.build_universe(4, 1, 25, np.random.default_rng(1))
+        wide = _universe_with_zero_weights(4, 64, 25, np.random.default_rng(2))
+        assert narrow.label_count == wide.label_count
+        assert not np.array_equal(narrow.col_to, wide.col_to)
+        assert not np.array_equal(narrow.row_to, wide.row_to)
+        mu = measure.build_measure(A, B45, 4)
+        products = [
+            sampling._products(uni, mu, 100_000, np.random.default_rng(3)) for uni in (narrow, wide)
+        ]
+        np.testing.assert_array_equal(*products)
+        assert set(np.unique(products[0])) == {-1, 1}
