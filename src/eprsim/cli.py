@@ -43,6 +43,7 @@ from .emission import (
     uniform_chi_square,
 )
 from .layers import (
+    MAX_SAVED_N,
     UNIVERSE_SCHEMA,
     build_universe,
     layer_count,
@@ -132,6 +133,12 @@ def cmd_verify(args):
 
 
 def cmd_layers(args):
+    # checked before the build, which at this n could take the whole budget
+    if args.n > MAX_SAVED_N:
+        raise ConfigError(
+            f"--n must be <= {MAX_SAVED_N} (got {args.n}): {UNIVERSE_SCHEMA} stores "
+            "the 3n+12 positions of a row as uint16"
+        )
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     universe = build_universe(
         args.n, args.L, args.layers, rng, tie_weights=args.tie_weights

@@ -6,14 +6,19 @@ what justifies reading the label off the arrival time.  Discrepancies are
 computed exactly from one sort of the points at every size: the one-sided
 parts D+ and D- give the star (anchored) form D* = max(D+, D-) by the
 classical order-statistic formula and the extreme form D = D+ + D-.
+
+The package imports only numpy and the standard library when it loads.
+scipy serves one function, `chi_square_quantile` (the `poisson` command),
+which imports `scipy.special` when called; so no other command loads scipy,
+and `poisson` loads `scipy.special` but not `scipy.stats`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sstats
 
 
 @dataclass(frozen=True)
@@ -28,8 +33,8 @@ class EmissionTrace:
 
 def generate_trace(theta: float, k: int, rng: np.random.Generator) -> EmissionTrace:
     """k exponential waits with mean theta, by inverse transform -theta*log(1-U)."""
-    if theta <= 0.0:
-        raise ValueError(f"theta must be positive, got {theta}")
+    if not (math.isfinite(theta) and theta > 0.0):
+        raise ValueError(f"theta must be finite and positive, got {theta}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     u = rng.random(k)
@@ -45,8 +50,9 @@ def _checked_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float).reshape(-1)
     if pts.size == 0:
         raise ValueError("point set must be nonempty")
-    if np.any(pts < 0.0) or np.any(pts >= 1.0):
-        raise ValueError("points must lie in [0, 1)")
+    # min and max are NaN if any point is, which fails both comparisons
+    if not (pts.min() >= 0.0 and pts.max() < 1.0):
+        raise ValueError("points must be finite and lie in [0, 1)")
     return pts
 
 
@@ -185,5 +191,10 @@ def uniform_chi_square(counts) -> tuple[float, int]:
 
 
 def chi_square_quantile(level: float, dof: int) -> float:
-    """Upper quantile of the chi-square distribution (e.g. level=0.999)."""
-    return float(sstats.chi2.ppf(level, dof))
+    """Quantile at `level` (e.g. 0.999) of the chi-square distribution with
+    `dof` degrees of freedom: 2 * P^-1(dof/2, level), P the regularized lower
+    incomplete gamma function, the expression `scipy.stats.chi2.ppf`
+    evaluates, so the value is the same to the bit."""
+    from scipy.special import gammaincinv
+
+    return float(2 * gammaincinv(dof / 2, level))

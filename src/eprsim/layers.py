@@ -140,6 +140,10 @@ LEGACY_SCHEMA = "layer-universe/1"
 _POSITION = np.dtype("<u2")
 _WEIGHT = np.dtype("<f8")
 
+# the largest n whose 3n+12 positions 0 .. 3n+11 fit the uint16 positions of
+# a `layer-universe/2` file
+MAX_SAVED_N = (np.iinfo(_POSITION).max - 11) // 3
+
 
 def _pack(arr: np.ndarray, dtype: np.dtype) -> str:
     return base64.b64encode(arr.astype(dtype).tobytes()).decode("ascii")
@@ -228,11 +232,10 @@ def save_universe(universe: LayerUniverse, path) -> None:
     `columns` and `rows` (the (M, 3n+12) positions as little-endian uint16)
     and `weights` ((M, L) little-endian float64, so weights round-trip bit
     for bit)."""
-    size = universe.col_to.shape[1]
-    if size > 1 << 16:
+    if universe.n > MAX_SAVED_N:
         raise ValueError(
-            f"'n' = {universe.n} gives {size} positions per row, more than the "
-            f"{1 << 16} that {UNIVERSE_SCHEMA} stores as uint16 (n <= 21841)"
+            f"'n' = {universe.n} gives {universe.col_to.shape[1]} positions per row, more "
+            f"than {UNIVERSE_SCHEMA} stores as uint16 (n <= {MAX_SAVED_N})"
         )
     doc = {
         "schema": UNIVERSE_SCHEMA,

@@ -337,6 +337,24 @@ class TestCliSizeBudget:
         assert all(f"--{flag} " in err for flag in flags) and "budget" in err
         assert peak < 2**20
 
+    def test_layers_n_over_the_file_limit_exits_2_before_building(self, capsys, tmp_path):
+        # n = MAX_SAVED_N + 1 passes the budget with up to 1023 pairs, whose
+        # relocations would fill about 1 GiB before the save could refuse them
+        uni = tmp_path / "uni.json"
+        n = layers.MAX_SAVED_N + 1
+        argv = ["layers", "--n", str(n), "--layers", "1000", "--seed", "1", "--universe", str(uni)]
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: --n must be <= {layers.MAX_SAVED_N} (got {n}): ")
+        assert peak < 2**20
+        assert not uni.exists()
+
     def test_config_value_over_cap_names_line_and_key(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(f"{VALID_CONFIG}layers = 1000000000\n")
@@ -648,11 +666,15 @@ class TestCliPoisson:
         assert rows[0] == "k,star_discrepancy"
         assert len(rows) >= 3
 
-    def test_bad_theta(self, capsys):
-        code, _, _ = run_cli(
-            capsys, "poisson", "--theta", "-1", "--k", "100", "--labels", "5", "--seed", "1"
-        )
+    @pytest.mark.parametrize("theta", ["-1", "0", "nan", "inf", "-inf"])
+    def test_bad_theta_exits_2_naming_it(self, capsys, tmp_path, theta):
+        out_path = tmp_path / "report.json"
+        argv = ["poisson", f"--theta={theta}", "--k", "100", "--labels", "5", "--seed", "1"]
+        code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
         assert code == 2
+        assert out == ""
+        assert err.startswith("error: theta must be finite and positive, got ")
+        assert not out_path.exists()
 
 
     @pytest.mark.parametrize("flag", ["k", "labels"])

@@ -36,9 +36,11 @@ class TestGenerateTrace:
         t2 = emission.generate_trace(1.0, 1000, np.random.default_rng(11))
         assert np.array_equal(t1.waits, t2.waits)
 
-    @pytest.mark.parametrize("theta,k", [(0.0, 10), (-1.0, 10), (1.0, 0)])
+    @pytest.mark.parametrize(
+        "theta,k", [(0.0, 10), (-1.0, 10), (np.nan, 10), (np.inf, 10), (1.0, 0)]
+    )
     def test_domain_errors(self, theta, k):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="theta" if k else "k"):
             emission.generate_trace(theta, k, np.random.default_rng(0))
 
 
@@ -61,6 +63,11 @@ class TestStarDiscrepancy:
     def test_points_outside_rejected(self):
         with pytest.raises(ValueError):
             emission.star_discrepancy([0.5, 1.0])
+
+    def test_nan_point_rejected(self):
+        for fn in (emission.star_discrepancy, emission.discrepancy_stats):
+            with pytest.raises(ValueError, match="finite"):
+                fn([0.5, np.nan])
 
     @given(point_sets)
     def test_star_bounds(self, pts):
@@ -148,6 +155,24 @@ class TestLabels:
         counts = np.bincount(labels, minlength=101)[1:]
         stat, dof = emission.uniform_chi_square(counts)
         assert stat < emission.chi_square_quantile(0.999, dof)
+
+
+class TestChiSquareQuantile:
+    def test_bit_identical_to_scipy_stats(self):
+        # scipy.stats is the oracle here; the library imports only scipy.special
+        from scipy import stats
+
+        dofs = np.concatenate([np.arange(1, 2001), [10**5, 10**6]])
+        for level in (0.5, 0.99, 0.999):
+            expected = stats.chi2.ppf(level, dofs)
+            got = np.array([emission.chi_square_quantile(level, int(d)) for d in dofs])
+            assert got.tobytes() == expected.tobytes(), level
+
+    def test_edges(self):
+        assert emission.chi_square_quantile(0.0, 3) == 0.0
+        assert emission.chi_square_quantile(1.0, 3) == np.inf
+        # one label leaves no degrees of freedom
+        assert np.isnan(emission.chi_square_quantile(0.999, 0))
 
 
 class TestRateFit:

@@ -187,20 +187,54 @@ def test_unwritable_timings_path_exits_2_naming_it(tmp_path, capsys, target):
     assert not out.exists()
 
 
+def _run_fresh(code: str, *args: str) -> None:
+    """Run `code` in a fresh interpreter that imports eprsim from this tree."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    paths = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_plain_run_imports_no_timer():
     code = (
         "import sys, eprsim.cli\n"
         "assert eprsim.cli.main(sys.argv[1:]) == 0\n"
         "assert 'eprsim.timings' not in sys.modules\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    paths = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *REPORTS["verify_edge"]],
-        capture_output=True, text=True, env=env, timeout=120,
+    _run_fresh(code, *REPORTS["verify_edge"])
+
+
+def test_only_poisson_imports_scipy(tmp_path):
+    """eprsim loads with numpy and the standard library only: no golden
+    command but poisson imports any scipy module, and poisson imports
+    scipy.special for its quantile, never scipy.stats."""
+    for name in UNIVERSES:
+        (tmp_path / name).write_bytes((GOLDEN / name).read_bytes())
+    paths = {"{u1}": str(tmp_path / "u1.json"), "{u2}": str(tmp_path / "u2.json")}
+    out = ["--out", str(tmp_path / "report.json")]
+    runs = {
+        name: [paths.get(arg, arg) for arg in argv] + out
+        for name, argv in REPORTS.items()
+        if name != "poisson_small"
+    }
+    code = (
+        "import json, sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "import eprsim.cli\n"
+        "assert scipy_modules() == [], scipy_modules()[:5]\n"
+        "for name, argv in json.loads(sys.argv[1]).items():\n"
+        "    assert eprsim.cli.main(argv) == 0, name\n"
+        "    assert scipy_modules() == [], (name, scipy_modules()[:5])\n"
+        "assert eprsim.cli.main(json.loads(sys.argv[2])) == 0\n"
+        "assert 'scipy.special' in sys.modules\n"
+        "assert 'scipy.stats' not in sys.modules\n"
     )
-    assert proc.returncode == 0, proc.stderr
+    _run_fresh(code, json.dumps(runs), json.dumps(REPORTS["poisson_small"] + out))
 
 
 def _assert_close(got, expected, tol, where=""):
