@@ -173,7 +173,7 @@ def cmd_analyze(args):
     return fields, None
 
 
-# the run flags that size a fresh universe, each with its field in a universe file
+# the run flags a --universe file must agree with, each with its field there
 UNIVERSE_SIZES = {"n": "n", "L": "interval_count", "layers": "pair_count"}
 
 
@@ -181,7 +181,7 @@ def _resolve_run_params(args) -> None:
     """Fill each flag left unset from the --config file, then from
     RUN_DEFAULTS (flags win), and check every size and seed.  A run on an
     existing --universe takes its sizes from the file instead of the
-    defaults (see `_universe_for_run`)."""
+    defaults (see `_run_sizes`)."""
     params = vars(args)
     cfg = load_config(args.config) if params.get("config") else {}
     settings = cfg.pop("settings", None)
@@ -199,7 +199,7 @@ def _resolve_run_params(args) -> None:
                 raise ConfigError(f"settings: {args.config}: {exc}") from exc
         cfg.update((name, text) for name, text in zip(names, settings))
     for key, value in cfg.items():
-        if params[key] is None or params[key] is False:
+        if params[key] is None:
             params[key] = value
     # simulate and chsh read --universe (layers writes it)
     from_file = args.command in SETTING_FLAGS and params["universe"] is not None
@@ -211,18 +211,17 @@ def _resolve_run_params(args) -> None:
     for key in MINIMUMS:
         if params.get(key) is not None:
             check_size(key, params[key])
-    check_budget(params)
+    check_budget(args.command, params)
 
 
-def _universe_for_run(args, seed_seq):
-    """The run's universe: built fresh from the seed, or read from --universe,
-    whose sizes must agree with any size given by flag or config and become
-    the sizes the report shows."""
+def _run_sizes(args) -> tuple[int, int]:
+    """The order n and label count a run samples with.  A products run reads
+    nothing else of a universe, so a fresh run builds none and has
+    2 * --layers labels; a --universe file is still read and validated, its
+    sizes must agree with any size given by flag or config, and they become
+    the sizes the report shows.  --L sizes nothing here."""
     if not args.universe:
-        rng = np.random.default_rng(seed_seq)
-        return build_universe(args.n, args.L, args.layers, rng, tie_weights=args.tie_weights)
-    if args.tie_weights:
-        raise ConfigError(f"--tie-weights applies to a fresh universe, not to {args.universe}")
+        return args.n, 2 * args.layers
     universe = load_universe(args.universe)
     for key, field in UNIVERSE_SIZES.items():
         value = getattr(universe, field)
@@ -232,7 +231,14 @@ def _universe_for_run(args, seed_seq):
                 f"--{key} {given} disagrees with {args.universe}, which has {key} = {value}"
             )
         setattr(args, key, value)
-    return universe
+    return universe.n, universe.label_count
+
+
+def _trial_seed(seed: int) -> np.random.SeedSequence:
+    """The seed sequence a simulate or chsh run draws its trials from: the
+    second child of `seed`.  The first child once built the run's universe;
+    it is now unused and kept so every stream stays the same."""
+    return np.random.SeedSequence(seed).spawn(2)[1]
 
 
 def cmd_simulate(args):
@@ -243,11 +249,9 @@ def cmd_simulate(args):
         a, b = (_setting_arg(args, name) for name in SETTING_FLAGS["simulate"])
         if a is None or b is None:
             raise ConfigError("provide --a and --b, --angle, or two settings in --config")
-    universe_seq, trial_seq = np.random.SeedSequence(args.seed).spawn(2)
-    universe = _universe_for_run(args, universe_seq)
     batch_means: list[float] = []
     estimate = run_experiment(
-        universe, a, b, args.trials, seed=trial_seq, batch_means=batch_means
+        *_run_sizes(args), a, b, args.trials, seed=_trial_seed(args.seed), batch_means=batch_means
     )
     fields = {
         "a": [float(x) for x in a],
@@ -273,9 +277,7 @@ def cmd_chsh(args):
             raise ConfigError(
                 "provide --angles, all of --a --a2 --b --b2, or four settings in --config"
             )
-    universe_seq, trial_seq = np.random.SeedSequence(args.seed).spawn(2)
-    universe = _universe_for_run(args, universe_seq)
-    estimate = run_chsh(universe, a, a2, b, b2, args.trials, seed=trial_seq)
+    estimate = run_chsh(*_run_sizes(args), a, a2, b, b2, args.trials, seed=_trial_seed(args.seed))
     fields = {
         "s_value": estimate.s_value,
         "stderr": estimate.stderr,
@@ -301,6 +303,11 @@ def cmd_poisson(args):
     # the last prefix is the whole trace, whose D* the one sort above gave
     stars = [star_discrepancy(trace.fracs[:k]) for k in prefix_ks[:-1]] + [stats.star]
     gate = detector_gate(args.p1, args.p2, args.labels, args.k, args.theta, rng)
+    if not gate.gated_counts.any():
+        raise ConfigError(
+            f"no emission passed the detector gate at --k {args.k}, --p1 {args.p1} and "
+            f"--p2 {args.p2}; raise --k or the readiness probabilities"
+        )
     stat_u, dof = uniform_chi_square(gate.ungated_counts)
     stat_g, _ = uniform_chi_square(gate.gated_counts)
     quantile = chi_square_quantile(0.999, dof)
@@ -380,11 +387,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("simulate", cmd_simulate), ("chsh", cmd_chsh)):
         p = sub.add_parser(name, help=f"{name} experiment")
         p.add_argument("--config", help="flat key=value config file; flags override it")
-        p.add_argument("--universe", help="existing universe JSON (else sampled fresh)")
+        p.add_argument("--universe", help="universe JSON whose n and label count the run takes")
         p.add_argument("--n", type=int)
         p.add_argument("--layers", type=int)
-        p.add_argument("--L", type=int)
-        p.add_argument("--tie-weights", action="store_true", dest="tie_weights")
+        p.add_argument("--L", type=int, help="checked against --universe; sizes nothing")
         p.add_argument("--trials", type=int)
         p.add_argument("--seed", type=int)
         if name == "simulate":
@@ -412,15 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> None:
-    """Resolve the flags, run the command, and write its report and table."""
+    """Resolve the flags, run the command, and write its table and report,
+    once the report is known to be strict JSON."""
     _resolve_run_params(args)
     fields, table = args.func(args)
-    if table is not None and args.csv:
-        header, rows = table
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
     config = {
         k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out", "csv", "timings")
     }
@@ -431,7 +432,16 @@ def _run(args) -> None:
         "version": __version__,
         **fields,
     }
-    text = json.dumps(report, indent=2, sort_keys=True)
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # a non-finite number is the program's fault, not the input's
+        raise RuntimeError(f"the {args.command} report is not strict JSON: {exc}") from exc
+    if table is not None and args.csv:
+        header, rows = table
+        with open(args.csv, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
     if args.out:
         Path(args.out).write_text(text + "\n")
     else:
@@ -467,7 +477,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,7 +19,8 @@ class ConfigError(ValueError):
 RUN_DEFAULTS = {"n": 4, "L": 2, "layers": 50, "trials": None, "seed": None}
 
 # the smallest valid value of every size and seed flag (and config key)
-MINIMUMS = {"n": 4, "L": 1, "layers": 1, "trials": 1, "seed": 0, "grid": 2, "k": 1, "labels": 1}
+# (poisson's uniformity test needs two labels for one degree of freedom)
+MINIMUMS = {"n": 4, "L": 1, "layers": 1, "trials": 1, "seed": 0, "grid": 2, "k": 1, "labels": 2}
 
 
 # the largest array a command may allocate, in bytes
@@ -29,7 +30,9 @@ BUDGET = 1 << 30
 # largest array of the command it sizes would pass BUDGET, with the other
 # sizes at their minimum
 MAXIMUMS = {
-    # layers/simulate/chsh: 2M x (3n+12) int64 relocations at M = 1 pair
+    # layers: 2M x (3n+12) int64 relocations at M = 1 pair (simulate and chsh,
+    # which build no universe, keep the same caps so a size valid for one
+    # command is valid for all three)
     "n": BUDGET // 48 - 4,
     # the same relocations at n = 4: 384 bytes per pair
     "layers": BUDGET // 384,
@@ -43,12 +46,15 @@ MAXIMUMS = {
     "labels": BUDGET // 8 - 1,
 }
 
-# arrays sized by two flags at once, in bytes: the universe's relocations and
-# weights, and splines' (n+5) x grid float64 basis recursion
+# arrays sized by two flags at once, in bytes, keyed by the command that
+# allocates them: the universe's relocations and weights, and splines'
+# (n+5) x grid float64 basis recursion
 JOINT_ARRAYS = {
-    ("n", "layers"): lambda n, pairs: 16 * pairs * (3 * n + 12),
-    ("L", "layers"): lambda intervals, pairs: 8 * pairs * intervals,
-    ("n", "grid"): lambda n, grid: 8 * (n + 5) * grid,
+    "layers": {
+        ("n", "layers"): lambda n, pairs: 16 * pairs * (3 * n + 12),
+        ("L", "layers"): lambda intervals, pairs: 8 * pairs * intervals,
+    },
+    "splines": {("n", "grid"): lambda n, grid: 8 * (n + 5) * grid},
 }
 
 
@@ -64,10 +70,11 @@ def check_size(name: str, value: int) -> int:
     return value
 
 
-def check_budget(sizes: dict) -> None:
+def check_budget(command: str, sizes: dict) -> None:
     """Reject sizes that pass their caps one by one but together would make
-    an array larger than BUDGET; a size that is None or absent is unused."""
-    for names, nbytes in JOINT_ARRAYS.items():
+    one of `command`'s arrays larger than BUDGET; a size that is None or
+    absent is unused."""
+    for names, nbytes in JOINT_ARRAYS.get(command, {}).items():
         values = [sizes.get(name) for name in names]
         if None not in values and nbytes(*values) > BUDGET:
             flags = " with ".join(f"--{name} {value}" for name, value in zip(names, values))
@@ -98,12 +105,14 @@ def parse_setting(text: str, normalize: bool = False) -> np.ndarray:
 
 
 def load_config(path) -> dict:
-    """Load a flat key=value config file into a dict keyed by flag name.
+    """Load the flat key=value config file of a `simulate` or `chsh` run into
+    a dict keyed by flag name.
 
-    Recognized keys: n, L, layers, trials, seed, tie_weights, and settings
+    Recognized keys: n, L, layers, trials, seed, and settings
     (semicolon-separated triples, kept as the text a setting flag takes).
-    `n` is required; any other key is an error.  A setting's syntax is
-    checked here, its norm where `--normalize` is known.
+    `n` is required; any other key is an error (`tie_weights` too: these
+    runs build no universe to tie).  A setting's syntax is checked here, its
+    norm where `--normalize` is known.
     """
     values: dict = {}
     lines = Path(path).read_text().splitlines()
@@ -121,10 +130,6 @@ def load_config(path) -> dict:
                 values[key] = check_size(key, int(text))
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: key {key!r}: {exc}") from exc
-        elif key == "tie_weights":
-            if text.lower() not in ("true", "false", "0", "1"):
-                raise ConfigError(f"{path}:{lineno}: key {key!r} must be boolean, got {text!r}")
-            values[key] = text.lower() in ("true", "1")
         elif key == "settings":
             values[key] = [item.strip() for item in text.split(";") if item.strip()]
             for item in values[key]:

@@ -136,7 +136,6 @@ def build_universe(
 
 # --- serialization -------------------------------------------------------------
 
-LEGACY_SCHEMA = "layer-universe/1"
 _POSITION = np.dtype("<u2")
 _WEIGHT = np.dtype("<f8")
 
@@ -175,7 +174,16 @@ def _int_field(doc: dict, key: str, minimum: int) -> int:
     return value
 
 
-def _from_packed(doc: dict) -> LayerUniverse:
+def universe_from_dict(doc: dict) -> LayerUniverse:
+    """Universe from a parsed file of schema `layer-universe/2`, the only one
+    this build reads."""
+    if not isinstance(doc, dict):
+        raise ValueError("universe document must be a JSON object")
+    schema = doc.get("schema")
+    if schema != UNIVERSE_SCHEMA:
+        raise ValueError(
+            f"unsupported universe schema {schema!r}; this build reads {UNIVERSE_SCHEMA!r}"
+        )
     n = _int_field(doc, "n", 4)
     interval_count = _int_field(doc, "interval_count", 1)
     pair_count = _int_field(doc, "pair_count", 1)
@@ -186,43 +194,6 @@ def _from_packed(doc: dict) -> LayerUniverse:
         _unpack(doc, "columns", _POSITION, positions),
         _unpack(doc, "rows", _POSITION, positions),
         _unpack(doc, "weights", _WEIGHT, (pair_count, interval_count)),
-    )
-
-
-def _from_pairs(doc: dict) -> LayerUniverse:
-    n = _int_field(doc, "n", 4)
-    interval_count = _int_field(doc, "interval_count", 1)
-    pairs = doc.get("pairs")
-    if not isinstance(pairs, list) or not pairs or not all(isinstance(p, dict) for p in pairs):
-        raise ValueError("universe field 'pairs' must be a non-empty list of objects")
-    arrays = {}
-    for key in ("columns", "rows", "weights"):
-        try:
-            arrays[key] = np.asarray([pair[key] for pair in pairs], dtype=float)
-        except (KeyError, TypeError, ValueError):
-            raise ValueError(
-                f"universe field 'pairs': every pair needs a {key!r} list of numbers "
-                "of one common length"
-            ) from None
-    return LayerUniverse(
-        n, interval_count, arrays["columns"] + 2, arrays["rows"] + 2, arrays["weights"]
-    )
-
-
-def universe_from_dict(doc: dict) -> LayerUniverse:
-    """Universe from a parsed file of schema `layer-universe/2` (packed
-    arrays) or the legacy `layer-universe/1` (one object of lists per pair,
-    positions stored as cell indices)."""
-    if not isinstance(doc, dict):
-        raise ValueError("universe document must be a JSON object")
-    schema = doc.get("schema")
-    if schema == UNIVERSE_SCHEMA:
-        return _from_packed(doc)
-    if schema == LEGACY_SCHEMA:
-        return _from_pairs(doc)
-    raise ValueError(
-        f"unsupported universe schema {schema!r}; this build reads "
-        f"{UNIVERSE_SCHEMA!r} and {LEGACY_SCHEMA!r}"
     )
 
 
@@ -250,5 +221,5 @@ def save_universe(universe: LayerUniverse, path) -> None:
 
 
 def load_universe(path) -> LayerUniverse:
-    """Read and validate a universe file of either schema (`universe_from_dict`)."""
+    """Read and validate a universe file (`universe_from_dict`)."""
     return universe_from_dict(json.loads(Path(path).read_text()))

@@ -2,14 +2,16 @@
 
 Every component is drawn by inverse transform (label, diagonal cell, offsets
 within the cell, weight interval), so the sampler targets the exact
-normalized cell law.  `run_experiment` takes O(N) time for N trials at any
-interval count L: both spins carry the same flip (layer sign times s(ell)),
-so the product A*B depends only on the drawn cell and half-cells and is read
-from one int8 table, and the interval is never drawn.  Only `draw_batch`,
-which reports the spins themselves, does the O(N log L) interval search, an
-exact binary search in the pair's weight CDF.  A `run_experiment` batch
-peaks near 11 bytes per trial (10.5 MB for 1e6 trials at L = 64): each draw
-is narrowed as soon as it is made.  Streams are numpy Generators;
+normalized cell law.  Both spins carry the same flip (layer sign times
+s(ell)), so the product A*B depends only on the drawn cell and half-cells
+and is read from one int8 table.  `run_experiment` and `chsh` therefore take
+no universe, only the order n and the label count 2M the label draw is
+bounded by: they run in O(N) time for N trials and never build, read or
+search the relocations or weights.  Only `draw_batch`, which reports the
+spins themselves, takes a universe and does the O(N log L) interval search,
+an exact binary search in the pair's weight CDF.  A `run_experiment` batch
+peaks near 11 bytes per trial (10.5 MB for 1e6 trials): each draw is
+narrowed as soon as it is made.  Streams are numpy Generators;
 experiments split a seed sequence per batch, and `chsh` runs its four
 components, each on its own child seed, on up to min(4, os.cpu_count())
 threads, so neither the chunk size nor the worker count changes a number.
@@ -91,7 +93,7 @@ class _Draws(NamedTuple):
 
 
 def _draw(
-    universe: LayerUniverse, mu: BaseMeasure, size: int, rng, *, spins=True, offsets=None
+    label_count: int, mu: BaseMeasure, size: int, rng, *, spins=True, offsets=None
 ) -> _Draws:
     """Make a batch's draws in stream order: label, cell, offsets du and dv
     within the cell, interval uniform.  Each draw is narrowed as soon as it
@@ -102,9 +104,9 @@ def _draw(
     takes a data-dependent number of words, so skipping it would shift the
     later draws) and the interval uniform, the stream's last draw, is not
     made at all: the product A*B depends on neither."""
-    m0 = rng.integers(0, universe.label_count, size=size)
+    m0 = rng.integers(0, label_count, size=size)
     odd = (m0 & 1).astype(bool) if spins else None
-    pair = (m0 >> 1).astype(np.min_scalar_type(universe.pair_count)) if spins else None
+    pair = (m0 >> 1).astype(np.min_scalar_type(label_count // 2)) if spins else None
     del m0
     # search u * cum[-1] < cum[-1] in the unnormalized cumsum: the first cell
     # whose cumulative mass exceeds it has positive mass, trailing cells too
@@ -147,14 +149,16 @@ def _fill_spins(universe: LayerUniverse, mu: BaseMeasure, drawn: _Draws, spin_a,
         ell0[part] = ell
 
 
-def _products(universe: LayerUniverse, mu: BaseMeasure, size: int, rng) -> np.ndarray:
-    """The int8 product A*B of each of `size` trials, in O(size) time at any L.
+def _products(label_count: int, mu: BaseMeasure, size: int, rng) -> np.ndarray:
+    """The int8 product A*B of each of `size` trials, in O(size) time.
 
     Both spins carry the same flip (layer sign times s(ell)), so the product
     is outcome[0, cell, half_a] * outcome[1, cell, half_b]: it depends on the
     drawn cell and half-cells only, never on the label, interval or
-    relocation.  It is read from one [cell, half_a, half_b] table."""
-    drawn = _draw(universe, mu, size, rng, spins=False)
+    relocation.  It is read from one [cell, half_a, half_b] table; the label
+    count only bounds the label draw that keeps the stream in step with
+    `draw_batch`."""
+    drawn = _draw(label_count, mu, size, rng, spins=False)
     table = (mu.outcome[0][:, :, None] * mu.outcome[1][:, None, :]).ravel()
     key = drawn.cellpos.astype(np.min_scalar_type(table.size - 1))
     key <<= 1
@@ -180,7 +184,7 @@ def draw_batch(universe: LayerUniverse, a, b, size: int, rng: np.random.Generato
     so the layer outcomes at (u, v, w) are the sampled spins."""
     mu = build_measure(a, b, universe.n)
     offsets = []
-    drawn = _draw(universe, mu, size, rng, offsets=offsets)
+    drawn = _draw(universe.label_count, mu, size, rng, offsets=offsets)
     du, dv = offsets
     dw = rng.random(size)  # offset of w within its interval; run_experiment needs none
     spin_a = np.empty(size, dtype=np.int8)
@@ -206,7 +210,8 @@ def draw_batch(universe: LayerUniverse, a, b, size: int, rng: np.random.Generato
 
 
 def run_experiment(
-    universe: LayerUniverse,
+    n: int,
+    label_count: int,
     a,
     b,
     trials: int,
@@ -214,7 +219,8 @@ def run_experiment(
     batch_size: int = 1_000_000,
     batch_means=None,
 ) -> CorrelationEstimate:
-    """Estimate E{A B} from `trials` draws.
+    """Estimate E{A B} from `trials` draws at order `n` over `label_count`
+    labels (2M for a universe of M companion pairs).
 
     Batches use split child streams of `seed` and a fixed merge order
     (count/mean/M2), so the result does not depend on how batches would be
@@ -224,7 +230,9 @@ def run_experiment(
         raise ValueError("trials must be >= 1")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    mu = build_measure(a, b, universe.n)
+    if label_count < 1:
+        raise ValueError(f"label_count must be >= 1, got {label_count}")
+    mu = build_measure(a, b, n)
     exact_target = -float(np.dot(mu.a, mu.b))
     streams = _streams_for(trials, batch_size, seed)
 
@@ -235,7 +243,7 @@ def run_experiment(
     for stream in streams:
         size = min(batch_size, remaining)
         # one whole float64 array: its pairwise sums are what the stderr pins
-        prod = _products(universe, mu, size, stream).astype(float)
+        prod = _products(label_count, mu, size, stream).astype(float)
         b_count = prod.size
         b_mean = float(prod.mean())
         prod -= b_mean
@@ -272,7 +280,8 @@ def _streams_for(trials, batch_size, seed):
 
 
 def chsh(
-    universe: LayerUniverse,
+    n: int,
+    label_count: int,
     a,
     a2,
     b,
@@ -290,7 +299,7 @@ def chsh(
     # component's numbers depend only on its child seed, not on the thread
     with ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
         futures = [
-            pool.submit(run_experiment, universe, x, y, trials, seed=child)
+            pool.submit(run_experiment, n, label_count, x, y, trials, seed=child)
             for (x, y), child in zip(pairs, children)
         ]
         runs = [future.result() for future in futures]

@@ -452,22 +452,3 @@ def loop_dependence_report(universe, mu_ab, mu_ac) -> dict:
     out["factorization_defect"] = float(np.abs(triple - joint[:, :, None] * mean_weights).max())
     return out
 
-
-def universe_to_dict(universe) -> dict:
-    """Legacy `layer-universe/1` document of a universe: one object of plain
-    lists per companion pair, positions written as cell indices (position - 2).
-    The package writes only `/2`; this writer feeds its `/1` reader."""
-    pairs = [
-        {"columns": col, "rows": row, "weights": weights}
-        for col, row, weights in zip(
-            (universe.col_to - 2).tolist(),
-            (universe.row_to - 2).tolist(),
-            universe.weights.tolist(),
-        )
-    ]
-    return {
-        "schema": "layer-universe/1",
-        "n": universe.n,
-        "interval_count": universe.interval_count,
-        "pairs": pairs,
-    }

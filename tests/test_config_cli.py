@@ -11,8 +11,6 @@ import pytest
 
 from eprsim import cli, config, layers
 
-from oracles import universe_to_dict
-
 
 class TestParseSetting:
     def test_unit_triple(self):
@@ -46,7 +44,6 @@ class TestLoadConfig:
             "layers = 25\n"
             "trials = 1000\n"
             "seed = 42\n"
-            "tie_weights = true\n"
             "settings = 1,0,0; 0.6,0.8,0\n"
         )
         assert config.load_config(path) == {
@@ -55,7 +52,6 @@ class TestLoadConfig:
             "layers": 25,
             "trials": 1000,
             "seed": 42,
-            "tie_weights": True,
             "settings": ["1,0,0", "0.6,0.8,0"],
         }
 
@@ -297,13 +293,25 @@ OVER_BUDGET = {
     "n": ["verify", "--n", "100000000", "--a", "1,0,0", "--b", "0,1,0"],
 }
 
-# pairs of sizes that pass their caps one by one but not together
+# pairs of sizes that pass their caps one by one but not together in the
+# command that allocates their array
 OVER_JOINT_BUDGET = {
-    ("n", "layers"): ["simulate", "--angle", "45", "--trials", "100", "--seed", "1",
-                      "--n", "1000", "--layers", "100000"],
-    ("L", "layers"): ["chsh", "--angles", "0,90,45,135", "--trials", "100", "--seed", "1",
-                      "--L", "100000", "--layers", "100000"],
+    ("n", "layers"): ["layers", "--n", "1000", "--layers", "100000", "--seed", "1",
+                      "--universe", "{uni}"],
+    ("L", "layers"): ["layers", "--n", "4", "--L", "100000", "--layers", "100000",
+                      "--seed", "1", "--universe", "{uni}"],
     ("n", "grid"): ["splines", "--n", "1000000", "--grid", "501"],
+}
+
+# simulate and chsh runs at sizes a universe could not be built at: they build
+# none, so each runs in well under 2 MiB
+UNBUILT_SIZES = {
+    "layers_cap": ["chsh", "--angles", "0,90,45,135", "--trials", "1000", "--seed", "1",
+                   "--n", "4", "--layers", str(config.MAXIMUMS["layers"])],
+    "n_with_layers": ["simulate", "--angle", "45", "--trials", "1000", "--seed", "1",
+                      "--n", "1000", "--layers", "100000"],
+    "L_with_layers": ["chsh", "--angles", "0,90,45,135", "--trials", "1000", "--seed", "1",
+                      "--L", "100000", "--layers", "100000"],
 }
 
 
@@ -325,10 +333,12 @@ class TestCliSizeBudget:
         assert not uni.exists()
 
     @pytest.mark.parametrize("flags", sorted(OVER_JOINT_BUDGET))
-    def test_joint_sizes_over_budget_exit_2_naming_both(self, capsys, flags):
+    def test_joint_sizes_over_budget_exit_2_naming_both(self, capsys, tmp_path, flags):
+        uni = tmp_path / "uni.json"
+        argv = [arg.format(uni=uni) for arg in OVER_JOINT_BUDGET[flags]]
         tracemalloc.start()
         try:
-            code, out, err = run_cli(capsys, *OVER_JOINT_BUDGET[flags])
+            code, out, err = run_cli(capsys, *argv)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -336,6 +346,22 @@ class TestCliSizeBudget:
         assert out == ""
         assert all(f"--{flag} " in err for flag in flags) and "budget" in err
         assert peak < 2**20
+        assert not uni.exists()
+
+    @pytest.mark.parametrize("case", sorted(UNBUILT_SIZES))
+    def test_runs_build_no_universe(self, capsys, tmp_path, case):
+        timings = tmp_path / "timings.json"
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *UNBUILT_SIZES[case], "--timings", str(timings))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        assert json.loads(out)["command"] == UNBUILT_SIZES[case][0]
+        assert peak < 2 * 2**20
+        stages = json.loads(timings.read_text())["stages"]
+        assert not any(stage.startswith("layers.") for stage in stages)
 
     def test_layers_n_over_the_file_limit_exits_2_before_building(self, capsys, tmp_path):
         # n = MAX_SAVED_N + 1 passes the budget with up to 1023 pairs, whose
@@ -440,18 +466,22 @@ class TestCliUniverseSizes:
     @pytest.mark.parametrize("command", sorted(UNIVERSE_RUNS))
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_tie_weights_exits_2(self, capsys, tmp_path, command, source):
-        path = _universe_file(capsys, tmp_path)
-        argv = [*UNIVERSE_RUNS[command], "--universe", str(path)]
+        # simulate and chsh build no universe, so they have nothing to tie:
+        # the flag is unknown to the parser and the key unknown to the config
         if source == "flag":
-            argv.append("--tie-weights")
+            with pytest.raises(SystemExit) as excinfo:
+                cli.main([*UNIVERSE_RUNS[command], "--tie-weights"])
+            assert excinfo.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "unrecognized arguments: --tie-weights" in captured.err
         else:
             cfg = tmp_path / "run.cfg"
-            cfg.write_text("n = 5\ntie_weights = true\n")
-            argv += ["--config", str(cfg)]
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: --tie-weights") and str(path) in err
+            cfg.write_text("n = 4\ntie_weights = true\n")
+            code, out, err = run_cli(capsys, *UNIVERSE_RUNS[command], "--config", str(cfg))
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and "unknown key 'tie_weights'" in err
 
 
 class TestCliLayersAnalyze:
@@ -492,35 +522,6 @@ class TestCliLayersAnalyze:
         assert upath.read_bytes() == first
 
 
-def _set_pair(index, key, value):
-    def doctor(doc):
-        doc["pairs"][index][key] = value(doc["pairs"][index][key])
-
-    return doctor
-
-
-# doctoring of a valid 3-pair, n=4, L=2 universe document -> field the error
-# must name; the legacy layer-universe/1 reader gets these
-BAD_V1_UNIVERSES = {
-    "interval_count_mismatch": (lambda doc: doc.update(interval_count=5), "interval_count"),
-    "interval_count_not_int": (lambda doc: doc.update(interval_count="2"), "interval_count"),
-    "n_missing": (lambda doc: doc.pop("n"), "'n'"),
-    "pairs_empty": (lambda doc: doc.update(pairs=[]), "pairs"),
-    "pair_lacks_rows": (lambda doc: doc["pairs"][2].pop("rows"), "rows"),
-    "ragged_columns": (_set_pair(1, "columns", lambda col: col[:-1]), "columns"),
-    "ragged_weights": (_set_pair(0, "weights", lambda w: w + [0.0]), "weights"),
-    "columns_repeat_a_cell": (_set_pair(0, "columns", lambda col: [col[1]] + col[1:]), "columns"),
-    "rows_out_of_range": (_set_pair(2, "rows", lambda row: row[:-1] + [99]), "rows"),
-    "columns_fractional": (
-        _set_pair(1, "columns", lambda col: [col[0] + 0.5] + col[1:]),
-        "columns",
-    ),
-    "weights_sum_above_one": (_set_pair(1, "weights", lambda w: [0.7, 0.7]), "weights"),
-    "weights_negative": (_set_pair(2, "weights", lambda w: [1.5, -0.5]), "weights"),
-    "weights_nan": (_set_pair(0, "weights", lambda w: [float("nan"), 1.0]), "weights"),
-}
-
-
 def _set_packed(key, dtype, index, value):
     def doctor(doc):
         arr = np.frombuffer(base64.b64decode(doc[key]), dtype).reshape(3, -1).copy()
@@ -537,8 +538,15 @@ def _truncate(key):
     return doctor
 
 
-# the same for the packed layer-universe/2 document that `layers` writes
-BAD_V2_UNIVERSES = {
+# doctoring of the valid 3-pair, n=4, L=2 layer-universe/2 document that
+# `layers` writes -> text the error must hold (the field it names)
+BAD_UNIVERSES = {
+    "v1_schema": (
+        lambda doc: doc.update(schema="layer-universe/1"),
+        "unsupported universe schema 'layer-universe/1'",
+    ),
+    "v2_n_missing": (lambda doc: doc.pop("n"), "'n'"),
+    "v2_interval_count_not_int": (lambda doc: doc.update(interval_count="2"), "interval_count"),
     "v2_pair_count_plus_one": (lambda doc: doc.update(pair_count=4), "pair_count"),
     "v2_pair_count_minus_one": (lambda doc: doc.update(pair_count=2), "pair_count"),
     "v2_pair_count_zero": (lambda doc: doc.update(pair_count=0), "pair_count"),
@@ -548,12 +556,13 @@ BAD_V2_UNIVERSES = {
         _set_packed("columns", "<u2", 0, lambda col: [col[1], *col[1:]]),
         "columns",
     ),
+    "v2_rows_out_of_range": (_set_packed("rows", "<u2", 2, lambda row: [*row[:-1], 99]), "rows"),
     "v2_weights_nan": (_set_packed("weights", "<f8", 0, lambda w: [np.nan, 1.0]), "weights"),
     "v2_weights_sum_to_0.9": (_set_packed("weights", "<f8", 1, lambda w: [0.45, 0.45]), "weights"),
+    "v2_weights_sum_to_1.4": (_set_packed("weights", "<f8", 1, lambda w: [0.7, 0.7]), "weights"),
+    "v2_weights_negative": (_set_packed("weights", "<f8", 2, lambda w: [1.5, -0.5]), "weights"),
     "v2_weights_missing": (lambda doc: doc.pop("weights"), "weights"),
 }
-
-BAD_UNIVERSES = {**BAD_V1_UNIVERSES, **BAD_V2_UNIVERSES}
 
 
 class TestCliRejectsBadUniverse:
@@ -568,8 +577,6 @@ class TestCliRejectsBadUniverse:
         )
         assert code == 0
         doc = json.loads(upath.read_text())
-        if defect in BAD_V1_UNIVERSES:
-            doc = universe_to_dict(layers.load_universe(upath))
         doctor, field = BAD_UNIVERSES[defect]
         doctor(doc)
         upath.write_text(json.dumps(doc))
@@ -627,7 +634,7 @@ class TestCliChsh:
     def test_config_run_matches_the_flag_run(self, capsys, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(
-            "n = 5\nL = 3\nlayers = 4\ntrials = 3000\nseed = 21\ntie_weights = true\n"
+            "n = 5\nL = 3\nlayers = 4\ntrials = 3000\nseed = 21\n"
             "settings = 1,0,0; 0,1,0; 0.6,0.8,0; 0.6,-0.8,0\n"
         )
         code, out, _ = run_cli(capsys, "chsh", "--config", str(path))
@@ -636,7 +643,7 @@ class TestCliChsh:
         code, out, _ = run_cli(
             capsys,
             "chsh", "--n", "5", "--L", "3", "--layers", "4", "--trials", "3000", "--seed", "21",
-            "--tie-weights", "--a", "1,0,0", "--a2", "0,1,0", "--b", "0.6,0.8,0",
+            "--a", "1,0,0", "--a2", "0,1,0", "--b", "0.6,0.8,0",
             "--b2", "0.6,-0.8,0",
         )
         assert code == 0
@@ -677,13 +684,39 @@ class TestCliPoisson:
         assert not out_path.exists()
 
 
-    @pytest.mark.parametrize("flag", ["k", "labels"])
-    def test_size_below_one_names_the_flag(self, capsys, flag):
+    @pytest.mark.parametrize("flag, value", [("k", 0), ("labels", 0), ("labels", 1)])
+    def test_size_below_its_minimum_names_the_flag(self, capsys, flag, value):
+        # one label would leave the uniformity test no degree of freedom
         argv = ["poisson", "--theta", "1", "--k", "100", "--labels", "5", "--seed", "1"]
-        code, out, err = run_cli(capsys, *argv, f"--{flag}", "0")
+        code, out, err = run_cli(capsys, *argv, f"--{flag}", str(value))
         assert code == 2
         assert out == ""
-        assert err == f"error: --{flag} must be >= 1 (got 0)\n"
+        assert err == f"error: --{flag} must be >= {config.MINIMUMS[flag]} (got {value})\n"
+
+    def test_gate_passing_no_emission_exits_2_naming_the_flags(self, capsys, tmp_path):
+        out_path = tmp_path / "report.json"
+        argv = ["poisson", "--theta", "1", "--k", "10", "--labels", "3", "--seed", "1"]
+        argv += ["--p1", "0.0001", "--p2", "0.0001", "--out", str(out_path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and all(f"--{flag} " in err for flag in ("k", "p1", "p2"))
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_report_value_is_an_internal_error(
+        self, capsys, monkeypatch, tmp_path, value
+    ):
+        # a report that strict JSON cannot hold is the program's fault: exit 1,
+        # and neither the report nor the table is written
+        monkeypatch.setattr(cli, "chi_square_quantile", lambda level, dof: value)
+        csv_path = tmp_path / "decay.csv"
+        argv = ["poisson", "--theta", "1", "--k", "100", "--labels", "5", "--seed", "1"]
+        code, out, err = run_cli(capsys, *argv, "--csv", str(csv_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("internal error: the poisson report is not strict JSON")
+        assert not csv_path.exists()
 
 
 class TestCliSplines:

@@ -9,12 +9,7 @@ Universe files and the `layers`, `simulate`, `chsh`, `splines`, `verify` and
 `universe` keys removed); `analyze` reports hold sums whose order may change,
 so they match within 1e-12 for `pair_expectation` and 1e-15 for every other
 number.  Regenerate only for a deliberate stream or report change, and
-record it.
-
-`u1_v1.json` and `u2_v1.json` are the same two universes in the legacy
-schema `layer-universe/1`, kept by hand (the script does not write them):
-they must decode to the arrays of `u1.json` and `u2.json` and analyze to the
-same reports.
+record it.  Every fixture is strict JSON: no NaN or Infinity.
 """
 
 from __future__ import annotations
@@ -31,9 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eprsim import cli, layers, sampling
-
-from oracles import universe_to_dict
+from eprsim import cli, sampling
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -259,20 +252,18 @@ def test_analyze_report_numbers(workdir, name):
     _assert_close(_run(REPORTS[name], workdir), expected, ANALYZE_TOL)
 
 
-@pytest.mark.parametrize("name", ["u1", "u2"])
-def test_legacy_universe_file(tmp_path, name):
-    legacy = GOLDEN / f"{name}_v1.json"
-    packed = layers.load_universe(GOLDEN / f"{name}.json")
-    # the oracle /1 writer reproduces the legacy file, which decodes to the same arrays
-    assert json.dumps(universe_to_dict(packed), sort_keys=True) == legacy.read_text()
-    loaded = layers.load_universe(legacy)
-    assert (loaded.n, loaded.interval_count) == (packed.n, packed.interval_count)
-    assert np.array_equal(loaded.col_to, packed.col_to)
-    assert np.array_equal(loaded.row_to, packed.row_to)
-    assert loaded.weights.tobytes() == packed.weights.tobytes()
-    argv = [str(legacy) if arg == f"{{{name}}}" else arg for arg in REPORTS[f"analyze_{name}"]]
-    expected = json.loads((GOLDEN / f"analyze_{name}.json").read_text())
-    _assert_close(_run(argv, tmp_path), expected, ANALYZE_TOL)
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda path: path.name)
+def test_fixture_is_strict_json(path):
+    json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
+def test_fixture_set_is_complete():
+    expected = {*UNIVERSES, *(f"{name}.json" for name in REPORTS)}
+    assert {path.name for path in GOLDEN.glob("*.json")} == expected
 
 
 if __name__ == "__main__":

@@ -24,7 +24,6 @@ from oracles import (
     random_unit_vector,
     step_sign,
     step_weight,
-    universe_to_dict,
 )
 
 A = measure.as_setting([0.6, 0.8, 0.0])
@@ -422,19 +421,17 @@ def _universe_for(n, interval_count, pair_count, seed, weights):
     seed=st.integers(0, 2**32 - 1),
     weights=st.sampled_from(["dirichlet", "with_zeros", "tied", "tied_one_hot"]),
 )
-def test_both_schemas_round_trip_bit_for_bit(n, interval_count, pair_count, seed, weights):
+def test_universe_file_round_trips_bit_for_bit(n, interval_count, pair_count, seed, weights):
     uni = _universe_for(n, interval_count, pair_count, seed, weights)
     with tempfile.TemporaryDirectory() as tmp:
-        packed, legacy = Path(tmp) / "v2.json", Path(tmp) / "v1.json"
-        layers.save_universe(uni, packed)
-        legacy.write_text(json.dumps(universe_to_dict(uni)))
-        assert json.loads(packed.read_text())["schema"] == "layer-universe/2"
-        for path in (packed, legacy):
-            loaded = layers.load_universe(path)
-            assert (loaded.n, loaded.interval_count) == (n, interval_count)
-            assert np.array_equal(loaded.col_to, uni.col_to)
-            assert np.array_equal(loaded.row_to, uni.row_to)
-            assert loaded.weights.tobytes() == uni.weights.tobytes()
+        path = Path(tmp) / "universe.json"
+        layers.save_universe(uni, path)
+        assert json.loads(path.read_text())["schema"] == "layer-universe/2"
+        loaded = layers.load_universe(path)
+        assert (loaded.n, loaded.interval_count) == (n, interval_count)
+        assert np.array_equal(loaded.col_to, uni.col_to)
+        assert np.array_equal(loaded.row_to, uni.row_to)
+        assert loaded.weights.tobytes() == uni.weights.tobytes()
 
 
 def test_published_count_value_n4():

@@ -23,6 +23,10 @@ def universe():
     return layers.build_universe(4, 2, 50, np.random.default_rng(301))
 
 
+# n and label count of the `universe` fixture, all that run_experiment and chsh take
+SIZES = (4, 100)
+
+
 class TestDraw:
     def test_single_draw_shape(self, universe):
         one = sampling.draw_batch(universe, A, B_CLEAN, 1, np.random.default_rng(5))
@@ -84,17 +88,17 @@ class TestReproducibility:
         for key in one:
             assert np.array_equal(one[key], two[key])
 
-    def test_run_experiment_seed_replay(self, universe):
-        est1 = sampling.run_experiment(universe, A, B45, 100_000, seed=29)
-        est2 = sampling.run_experiment(universe, A, B45, 100_000, seed=29)
+    def test_run_experiment_seed_replay(self):
+        est1 = sampling.run_experiment(*SIZES, A, B45, 100_000, seed=29)
+        est2 = sampling.run_experiment(*SIZES, A, B45, 100_000, seed=29)
         assert est1 == est2
 
-    def test_batch_split_invariance(self, universe):
+    def test_batch_split_invariance(self):
         # same total and seed, different batch sizes: stream per batch comes
         # from the same spawn tree, so both runs are valid; means agree with
         # the target within their standard errors
-        est_small = sampling.run_experiment(universe, A, B45, 90_000, seed=31, batch_size=30_000)
-        est_big = sampling.run_experiment(universe, A, B45, 90_000, seed=31, batch_size=90_000)
+        est_small = sampling.run_experiment(*SIZES, A, B45, 90_000, seed=31, batch_size=30_000)
+        est_big = sampling.run_experiment(*SIZES, A, B45, 90_000, seed=31, batch_size=90_000)
         for est in (est_small, est_big):
             assert abs(est.mean - est.exact_target) <= 3.29 * est.stderr + 5e-3
 
@@ -119,35 +123,40 @@ class TestLazyStreams:
 
 class TestRunExperiment:
     @pytest.mark.parametrize("batch_size", [0, -1])
-    def test_batch_size_below_one_rejected(self, universe, batch_size):
+    def test_batch_size_below_one_rejected(self, batch_size):
         with pytest.raises(ValueError, match="batch_size must be >= 1"):
-            sampling.run_experiment(universe, A, B45, 100, seed=1, batch_size=batch_size)
+            sampling.run_experiment(*SIZES, A, B45, 100, seed=1, batch_size=batch_size)
 
-    def test_equal_axis_settings_deterministic(self, universe):
+    @pytest.mark.parametrize("label_count", [0, -2])
+    def test_label_count_below_one_rejected(self, label_count):
+        with pytest.raises(ValueError, match="label_count must be >= 1"):
+            sampling.run_experiment(4, label_count, A, B45, 100, seed=1)
+
+    def test_equal_axis_settings_deterministic(self):
         # a = b = e1 puts all mass on the negative cells: every product is -1
-        est = sampling.run_experiment(universe, A, A, 4_000, seed=37)
+        est = sampling.run_experiment(*SIZES, A, A, 4_000, seed=37)
         assert est.mean == -1.0
         assert est.stderr == 0.0
         assert est.exact_target == -1.0
 
-    def test_45_degree_agreement(self, universe):
-        est = sampling.run_experiment(universe, A, B45, 1_000_000, seed=41)
+    def test_45_degree_agreement(self):
+        est = sampling.run_experiment(*SIZES, A, B45, 1_000_000, seed=41)
         assert est.trials == 1_000_000
         assert abs(est.mean - (-np.sqrt(0.5))) <= 3.29 * est.stderr
 
-    def test_stderr_zero_iff_constant(self, universe):
-        est = sampling.run_experiment(universe, A, B45, 20_000, seed=43)
+    def test_stderr_zero_iff_constant(self):
+        est = sampling.run_experiment(*SIZES, A, B45, 20_000, seed=43)
         assert est.stderr > 0.0
 
-    def test_trials_validated(self, universe):
+    def test_trials_validated(self):
         with pytest.raises(ValueError):
-            sampling.run_experiment(universe, A, B45, 0, seed=1)
+            sampling.run_experiment(*SIZES, A, B45, 0, seed=1)
 
-    def test_unbiased_across_seeds(self, universe):
+    def test_unbiased_across_seeds(self):
         means = []
         variances = []
         for seed in range(100):
-            est = sampling.run_experiment(universe, A, B_CLEAN, 10_000, seed=seed)
+            est = sampling.run_experiment(*SIZES, A, B_CLEAN, 10_000, seed=seed)
             means.append(est.mean)
             variances.append(est.stderr**2)
         grand = float(np.mean(means))
@@ -156,26 +165,26 @@ class TestRunExperiment:
 
 
 class TestChsh:
-    def test_optimal_angles(self, universe):
+    def test_optimal_angles(self):
         a = measure.setting_from_angle(0.0)
         a2 = measure.setting_from_angle(90.0)
         b = measure.setting_from_angle(45.0)
         b2 = measure.setting_from_angle(135.0)
-        est = sampling.chsh(universe, a, a2, b, b2, 200_000, seed=47)
+        est = sampling.chsh(*SIZES, a, a2, b, b2, 200_000, seed=47)
         assert abs(est.s_value - 2.0 * np.sqrt(2.0)) <= 3.29 * est.stderr
 
-    def test_degenerate_settings(self, universe):
-        est = sampling.chsh(universe, A, A, B45, B45, 100_000, seed=53)
+    def test_degenerate_settings(self):
+        est = sampling.chsh(*SIZES, A, A, B45, B45, 100_000, seed=53)
         # S = 2|E(a,b)| <= 2 up to noise
         assert est.s_value <= 2.0 + 3.29 * est.stderr
 
-    def test_all_equal_settings(self, universe):
-        est = sampling.chsh(universe, A, A, A, A, 100_000, seed=59)
+    def test_all_equal_settings(self):
+        est = sampling.chsh(*SIZES, A, A, A, A, 100_000, seed=59)
         assert abs(est.s_value - 2.0) <= 3.29 * est.stderr
 
-    def test_requires_stream_or_seed(self, universe):
+    def test_requires_stream_or_seed(self):
         with pytest.raises(ValueError):
-            sampling.chsh(universe, A, A, B45, B45, 100)
+            sampling.chsh(*SIZES, A, A, B45, B45, 100)
 
 
 class _TopOfRange:
@@ -301,24 +310,21 @@ class TestSpinsMatchLayerDefinition:
 
 class TestBoundedMemory:
     def test_batch_allocates_no_trials_by_intervals_array(self):
-        wide = layers.build_universe(4, 256, 20, np.random.default_rng(2))
         mu = measure.build_measure(A, B_CLEAN, 4)
         tracemalloc.start()
         try:
-            sampling._products(wide, mu, 200_000, np.random.default_rng(3))
+            sampling._products(40, mu, 200_000, np.random.default_rng(3))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # a float64 [trials, L] array alone would take 410 MB
         assert peak < 64 * 2**20
 
     def test_one_million_trial_batch_at_most_30_mb(self):
         # the mc-chsh shape: every draw is narrowed as it is made, the
         # post-draw work runs in chunks, and only the product is float64
-        wide = layers.build_universe(4, 64, 50, np.random.default_rng(5))
         tracemalloc.start()
         try:
-            sampling.run_experiment(wide, A, B45, 1_000_000, seed=7)
+            sampling.run_experiment(4, 100, A, B45, 1_000_000, seed=7)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -352,7 +358,7 @@ class TestLeanKernel:
             batch = sampling.draw_batch(uni, mu.a, mu.b, 500, stream())
             assert np.all(mu.cell_masses[batch["cell"] + 2] > 0.0)
             assert np.all(uni.weights[(batch["m"] - 1) // 2, batch["ell"] - 1] > 0.0)
-            products = sampling._products(uni, mu, 500, stream())
+            products = sampling._products(uni.label_count, mu, 500, stream())
             assert products.dtype == np.int8
             np.testing.assert_array_equal(products, batch["spin_a"] * batch["spin_b"])
 
@@ -360,13 +366,13 @@ class TestLeanKernel:
         wide = layers.build_universe(5, 64, 7, np.random.default_rng(8))
         mu = measure.build_measure(A, B45, 5)
         whole = sampling.draw_batch(wide, A, B45, 10_007, np.random.default_rng(9))
-        products = sampling._products(wide, mu, 10_007, np.random.default_rng(9))
+        products = sampling._products(wide.label_count, mu, 10_007, np.random.default_rng(9))
         monkeypatch.setattr(sampling, "CHUNK", 1000)
         chunked = sampling.draw_batch(wide, A, B45, 10_007, np.random.default_rng(9))
         for key in whole:
             np.testing.assert_array_equal(chunked[key], whole[key])
         np.testing.assert_array_equal(
-            sampling._products(wide, mu, 10_007, np.random.default_rng(9)), products
+            sampling._products(wide.label_count, mu, 10_007, np.random.default_rng(9)), products
         )
 
 
@@ -374,16 +380,20 @@ class TestProductsIgnoreLayers:
     def test_relocations_weights_and_interval_count_change_no_product(self):
         """Both spins carry the same flip (layer sign times s(ell)), so A*B
         depends on the drawn cell and half-cells only: universes with the same
-        label count but other relocations, weights and L give the same products
-        from the same stream."""
+        label count but other relocations, weights and L give the same spin
+        products from the same stream, which the kernel makes from the label
+        count alone."""
         narrow = layers.build_universe(4, 1, 25, np.random.default_rng(1))
         wide = _universe_with_zero_weights(4, 64, 25, np.random.default_rng(2))
         assert narrow.label_count == wide.label_count
         assert not np.array_equal(narrow.col_to, wide.col_to)
         assert not np.array_equal(narrow.row_to, wide.row_to)
         mu = measure.build_measure(A, B45, 4)
-        products = [
-            sampling._products(uni, mu, 100_000, np.random.default_rng(3)) for uni in (narrow, wide)
-        ]
+        products = []
+        for uni in (narrow, wide):
+            batch = sampling.draw_batch(uni, A, B45, 100_000, np.random.default_rng(3))
+            products.append(batch["spin_a"] * batch["spin_b"])
         np.testing.assert_array_equal(*products)
-        assert set(np.unique(products[0])) == {-1, 1}
+        kernel = sampling._products(narrow.label_count, mu, 100_000, np.random.default_rng(3))
+        np.testing.assert_array_equal(kernel, products[0])
+        assert set(np.unique(kernel)) == {-1, 1}
