@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Discrepancy decay of wrapped Poisson emission times, with iid controls.
+"""Discrepancy decay of wrapped Poisson emission times, with an iid control.
 
 Writes a CSV of (kind, theta, k, star) rows and prints fitted log-log
 slopes; the Poisson and iid-uniform sequences should both decay like
-k^(-1/2) up to log factors, the constant sequence should not decay.
+k^(-1/2) up to log factors.
 
     python scripts/run_discrepancy_scan.py --seed 5 --out discrepancy.csv
 """

@@ -2,12 +2,16 @@
 
 Every law in the model is piecewise constant on unit cells times weight
 intervals times labels, so expectations, marginals, and total-variation
-distances are finite sums; nothing here samples.
+distances are finite sums; nothing here samples.  The sums over the M
+companion pairs use arrays of M x (3n+12) entries, never M x (3n+12) x L:
+a relocation is a permutation, so its inverse gathers each original cell's
+law onto the position the cell moves to and one matmul with the (M, L)
+weights sums the pairs, while the (ii*) law is binned once per interval.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -19,17 +23,12 @@ def _normalized_masses(mu: BaseMeasure) -> np.ndarray:
     return mu.cell_masses / mu.cell_masses.sum()
 
 
-def _relocation_histogram(to: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """hist[c, p, l]: weight of interval l summed over the pairs whose
-    relocation `to` (a universe's `col_to` or `row_to`) moves cell position c
-    to position p.  One bincount over M x S x L entries, interval-major so
-    every temporary is built from long contiguous rows."""
-    size, ell_count = to.shape[1], weights.shape[1]
-    cells = (np.arange(size) * size + to).ravel()
-    bins = cells + np.arange(ell_count)[:, None] * (size * size)
-    shares = np.repeat(weights.T, size, axis=1)
-    hist = np.bincount(bins.ravel(), shares.ravel(), minlength=ell_count * size * size)
-    return hist.reshape(ell_count, size, size).transpose(1, 2, 0)
+def _inverse(to: np.ndarray) -> np.ndarray:
+    """inv[k, p]: the cell position that relocation `to` (a universe's
+    `col_to` or `row_to`) moves to position p in pair k; one scatter."""
+    inv = np.empty_like(to)
+    inv[np.arange(to.shape[0])[:, None], to] = np.arange(to.shape[1])
+    return inv
 
 
 def _cell_pair_bins(universe: LayerUniverse) -> np.ndarray:
@@ -80,20 +79,20 @@ def conditional_outcome_bias(
         raise ValueError("by must be 'station' or 'source'")
     mu = build_measure(a, b, universe.n)
     k = "AB".index(side)  # outcome by original cell position and half
-    hist = _relocation_histogram((universe.col_to, universe.row_to)[k], universe.weights)
+    inv = _inverse((universe.col_to, universe.row_to)[k])
     masses = _normalized_masses(mu)
     s_vals = np.where(np.arange(universe.interval_count) % 2, 1.0, -1.0)
 
     # kept labels per pair and their signs; a pair's labels share every bin,
     # so its contribution is the sum of their signs (0 for companions) times
-    # one label's contribution
+    # one label's contribution.  Bins are (half, position) rows by interval.
     signs = [1.0] if drop_companions else [1.0, -1.0]
-    num = sum(signs) * np.einsum("ch,c,cpl->phl", mu.outcome[k], masses, hist) * s_vals
-    den = len(signs) * np.einsum("c,cpl->pl", masses, hist)
-    den = np.repeat(den[:, None, :], 2, axis=1)
+    halves = np.hstack([(mu.outcome[k, :, h] * masses)[inv] for h in (0, 1)])
+    num = sum(signs) * (halves.T @ universe.weights) * s_vals
+    den = np.tile(len(signs) * (masses[inv].T @ universe.weights), (2, 1))
     if by == "source":
-        num = num.sum(axis=(0, 1), keepdims=True)
-        den = den.sum(axis=(0, 1), keepdims=True)
+        num = num.sum(axis=0, keepdims=True)
+        den = den.sum(axis=0, keepdims=True)
     ratios = np.zeros_like(num)
     occupied = den > 0.0
     ratios[occupied] = np.abs(num[occupied]) / den[occupied]
@@ -121,15 +120,7 @@ class DependenceReport:
     factorization_defect: float
 
     def as_dict(self) -> dict:
-        return {
-            "tv_joint_vs_product": self.tv_joint_vs_product,
-            "tv_cond_indep": self.tv_cond_indep,
-            "cond_pair_dependence": self.cond_pair_dependence,
-            "setting_shift": self.setting_shift,
-            "marginal_uniformity": self.marginal_uniformity,
-            "r_lambda_dependence": self.r_lambda_dependence,
-            "factorization_defect": self.factorization_defect,
-        }
+        return asdict(self)
 
 
 def _tv(p: np.ndarray, q: np.ndarray) -> float:
@@ -155,11 +146,11 @@ def dependence_report(universe: LayerUniverse, a, b, c) -> DependenceReport:
     marginal_uniformity = max(_tv(marg_u, uniform), _tv(marg_v, uniform))
 
     # (ii): conditional joint over ((u,v) atom, interval) given the label,
-    # against the product of its two conditional marginals; companions share it
-    # (pair, interval, cell) order keeps the long cell axis innermost
-    atom = universe.weights[:, :, None] * masses
-    product = atom.sum(axis=1)[:, None, :] * atom.sum(axis=2)[:, :, None]
-    tv_cond_indep = float(0.5 * np.abs(atom - product).sum(axis=(1, 2)).max())
+    # against the product of its two conditional marginals; companions share
+    # it.  The atom w_l m_c has marginals W m_c and w_l sum(m) (W = sum(w_l)),
+    # so the distance is W sum(m) |1 - W sum(m)| / 2 in closed form.
+    mass_weight = universe.weights.sum(axis=1) * masses.sum()
+    tv_cond_indep = float((0.5 * mass_weight * np.abs(1.0 - mass_weight)).max())
 
     # (v) and (vii): a relocation moves the conditional masses and both
     # product marginals together, so each distance is the same on every
@@ -178,16 +169,16 @@ def dependence_report(universe: LayerUniverse, a, b, c) -> DependenceReport:
         0.5 * np.abs(universe.weights - mean_weights).sum() / universe.pair_count
     )
 
-    # (ii*): is the source parameter independent of the station pair?
-    # interval-major, like `_relocation_histogram`
-    ell_count = universe.interval_count
-    bins = _cell_pair_bins(universe).ravel() + np.arange(ell_count)[:, None] * (size * size)
-    shares = atom.transpose(1, 0, 2) * (1.0 / universe.pair_count)
-    triple = np.bincount(bins.ravel(), shares.ravel(), minlength=ell_count * size * size)
-    triple = triple.reshape(ell_count, size, size).transpose(1, 2, 0)
-    factorization_defect = float(
-        np.abs(triple - joint[:, :, None] * mean_weights[None, None, :]).max()
-    )
+    # (ii*): is the source parameter independent of the station pair?  One
+    # (column, row) law per interval, each binned over the M x S pair cells
+    bins = _cell_pair_bins(universe).ravel()
+    factorization_defect = 0.0
+    for ell, mean_weight in enumerate(mean_weights):
+        shares = universe.weights[:, ell, None] * masses * (1.0 / universe.pair_count)
+        layer = np.bincount(bins, shares.ravel(), minlength=size * size).reshape(size, size)
+        factorization_defect = max(
+            factorization_defect, float(np.abs(layer - joint * mean_weight).max())
+        )
 
     return DependenceReport(
         tv_joint_vs_product=tv_joint_vs_product,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -241,10 +242,21 @@ def _trial_seed(seed: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed).spawn(2)[1]
 
 
+def _angle_setting(flag: str, degrees) -> np.ndarray:
+    """The coplanar setting at `degrees`, a finite number given by `flag`."""
+    try:
+        value = float(degrees)
+    except ValueError:
+        raise ConfigError(f"{flag}: {degrees!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{flag} must be finite degrees (got {degrees})")
+    return setting_from_angle(value)
+
+
 def cmd_simulate(args):
     if args.angle is not None:
         a = setting_from_angle(0.0)
-        b = setting_from_angle(args.angle)
+        b = _angle_setting("--angle", args.angle)
     else:
         a, b = (_setting_arg(args, name) for name in SETTING_FLAGS["simulate"])
         if a is None or b is None:
@@ -270,7 +282,7 @@ def cmd_chsh(args):
         parts = args.angles.split(",")
         if len(parts) != 4:
             raise ConfigError("--angles needs four comma-separated degrees: a,a',b,b'")
-        a, a2, b, b2 = (setting_from_angle(float(p)) for p in parts)
+        a, a2, b, b2 = (_angle_setting("--angles", p) for p in parts)
     else:
         a, a2, b, b2 = (_setting_arg(args, name) for name in SETTING_FLAGS["chsh"])
         if any(v is None for v in (a, a2, b, b2)):
@@ -331,9 +343,9 @@ def cmd_poisson(args):
     return fields, (["k", "star_discrepancy"], ([k, repr(s)] for k, s in zip(prefix_ks, stars)))
 
 
-def _add_setting_opts(p, names=("a", "b")):
+def _add_setting_opts(p, names=("a", "b"), required=False):
     for name in names:
-        p.add_argument(f"--{name}", help=f"setting {name} as x,y,z")
+        p.add_argument(f"--{name}", required=required, help=f"setting {name} as x,y,z")
     p.add_argument(
         "--normalize",
         action="store_true",
@@ -362,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="first-layer mass and correlation identities")
     p.add_argument("--n", type=int, required=True)
-    _add_setting_opts(p)
+    _add_setting_opts(p, required=True)
     p.add_argument("--genuine-variant", action="store_true", dest="genuine_variant")
     _add_output_opts(p)
     p.set_defaults(func=cmd_verify)
@@ -379,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="exact dependence diagnostics over a universe")
     p.add_argument("--universe", required=True)
-    _add_setting_opts(p, names=("a", "b", "c"))
+    _add_setting_opts(p, names=("a", "b", "c"), required=True)
     p.add_argument("--witness", action="store_true")
     _add_output_opts(p)
     p.set_defaults(func=cmd_analyze)

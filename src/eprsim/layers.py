@@ -31,6 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import ConfigError, check_budget
 from .measure import diagonal_cell_count, validate_weights
 
 UNIVERSE_SCHEMA = "layer-universe/2"
@@ -187,6 +188,16 @@ def universe_from_dict(doc: dict) -> LayerUniverse:
     n = _int_field(doc, "n", 4)
     interval_count = _int_field(doc, "interval_count", 1)
     pair_count = _int_field(doc, "pair_count", 1)
+    # the sizes `layers` refuses to write are refused here, before decoding
+    if n > MAX_SAVED_N:
+        raise ValueError(f"universe field 'n' must be <= {MAX_SAVED_N}, got {n}")
+    try:
+        check_budget("layers", {"n": n, "L": interval_count, "layers": pair_count})
+    except ConfigError as exc:
+        raise ValueError(
+            f"universe fields 'n' = {n}, 'interval_count' = {interval_count} and "
+            f"'pair_count' = {pair_count} are past the sizes `layers` writes: {exc}"
+        ) from None
     positions = (pair_count, diagonal_cell_count(n))
     return LayerUniverse(
         n,

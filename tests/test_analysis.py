@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -146,6 +148,21 @@ class TestStationMarginalSettingDependence:
         assert fine < 0.05
 
 
+def test_analysis_memory_scales_with_pairs_times_cells():
+    # n = 4, L = 64, M = 2000: one M x (3n+12) x L float64 array is 24.6 MB,
+    # while the M x (3n+12) arrays the sums need are 0.4 MB each
+    uni = layers.build_universe(4, 64, 2000, np.random.default_rng(113))
+    tracemalloc.start()
+    try:
+        analysis.dependence_report(uni, A, B, C)
+        for side in ("A", "B"):
+            analysis.conditional_outcome_bias(uni, A, B, side=side, drop_companions=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+
+
 # axis, signed-zero and knot-aligned settings besides generic random ones
 EDGE_SETTINGS = [
     [1.0, 0.0, 0.0],
@@ -166,7 +183,7 @@ class TestLoopOracleEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.sampled_from([4, 5, 8]),
-        interval_count=st.integers(1, 3),
+        interval_count=st.one_of(st.integers(1, 3), st.just(64)),
         pairs=st.integers(1, 20),
         tie=st.booleans(),
         seed=st.integers(0, 2**32 - 1),

@@ -121,8 +121,25 @@ class TestCliVerify:
         assert code == 2
         assert "norm" in err
 
+    def test_missing_setting_exits_2_naming_it(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["verify", "--n", "4", "--a", "1,0,0"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "the following arguments are required: --b" in captured.err
+
 
 class TestCliSimulate:
+    @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+    def test_non_finite_angle_exits_2_naming_it(self, capsys, angle):
+        code, out, err = run_cli(
+            capsys, "simulate", f"--angle={angle}", "--trials", "10", "--seed", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --angle must be finite degrees (got {float(angle)})\n"
+
     def test_zero_trials_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--angle", "45", "--trials", "0", "--seed", "1")
         assert code == 2
@@ -506,6 +523,17 @@ class TestCliLayersAnalyze:
         assert doc["witness_bias"]["A"] > 0.1
         assert doc["pair_expectation"] == pytest.approx(-0.6, abs=1e-12)
 
+    def test_analyze_without_c_exits_2_naming_it(self, capsys, tmp_path):
+        upath = tmp_path / "uni.json"
+        argv = ["layers", "--n", "4", "--layers", "3", "--seed", "7", "--universe", str(upath)]
+        assert run_cli(capsys, *argv)[0] == 0
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["analyze", "--universe", str(upath), "--a", "1,0,0", "--b", "0,1,0"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "the following arguments are required: --c" in captured.err
+
     def test_universe_round_trip_through_cli(self, capsys, tmp_path):
         upath = tmp_path / "uni.json"
         run_cli(
@@ -550,6 +578,17 @@ BAD_UNIVERSES = {
     "v2_pair_count_plus_one": (lambda doc: doc.update(pair_count=4), "pair_count"),
     "v2_pair_count_minus_one": (lambda doc: doc.update(pair_count=2), "pair_count"),
     "v2_pair_count_zero": (lambda doc: doc.update(pair_count=0), "pair_count"),
+    # past the budget `layers` checks: rejected from the header, before the
+    # short data could be decoded and found the wrong length
+    "v2_pair_count_huge": (
+        lambda doc: doc.update(pair_count=10**9),
+        "'pair_count' = 1000000000 are past the sizes `layers` writes",
+    ),
+    "v2_interval_count_huge": (
+        lambda doc: doc.update(interval_count=10**8),
+        "--L 100000000 with --layers 3 would make",
+    ),
+    "v2_n_past_saved": (lambda doc: doc.update(n=10**8), "universe field 'n' must be <="),
     "v2_columns_not_base64": (lambda doc: doc.update(columns="*" + doc["columns"][1:]), "columns"),
     "v2_rows_truncated": (_truncate("rows"), "rows"),
     "v2_columns_repeat_a_position": (
@@ -654,6 +693,20 @@ class TestCliChsh:
     def test_wrong_angle_count(self, capsys):
         code, _, err = run_cli(capsys, "chsh", "--angles", "0,90", "--trials", "10", "--seed", "3")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "angles, message",
+        [
+            ("0,90,45,nan", "--angles must be finite degrees (got nan)"),
+            ("0,inf,45,135", "--angles must be finite degrees (got inf)"),
+            ("0,90,x,135", "--angles: 'x' is not a number"),
+        ],
+    )
+    def test_bad_angle_exits_2_naming_it(self, capsys, angles, message):
+        code, out, err = run_cli(capsys, "chsh", "--angles", angles, "--trials", "10", "--seed", "3")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
 
 class TestCliPoisson:

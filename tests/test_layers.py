@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
-from eprsim import analysis, layers, measure
+from eprsim import analysis, config, layers, measure
 
 from oracles import (
     binomial_oracle,
@@ -394,6 +394,30 @@ class TestSerialization:
         assert np.array_equal(loaded.col_to, uni.col_to)
         assert np.array_equal(loaded.row_to, uni.row_to)
 
+    @pytest.mark.parametrize(
+        "n, interval_count, pair_count, writable",
+        [
+            # each array of `layers` at the 1 GiB budget, then one unit past it
+            (4, 1, config.BUDGET // 384, True),
+            (4, 1, config.BUDGET // 384 + 1, False),
+            (4, config.BUDGET // 8, 1, True),
+            (4, config.BUDGET // 8 + 1, 1, False),
+            (4, 2**20, 2**7, True),
+            (4, 2**20, 2**7 + 1, False),
+            (layers.MAX_SAVED_N, 1, 1024, True),
+            (layers.MAX_SAVED_N, 1, 1025, False),
+            (layers.MAX_SAVED_N + 1, 1, 1, False),
+        ],
+    )
+    def test_header_readable_exactly_when_layers_writes_it(
+        self, n, interval_count, pair_count, writable
+    ):
+        doc = {"schema": layers.UNIVERSE_SCHEMA, "n": n, "interval_count": interval_count}
+        doc.update(pair_count=pair_count, columns="", rows="", weights="")
+        # the empty arrays are decoded, and found short, only past the header
+        match = "'columns' holds 0 bytes" if writable else "GiB budget|'n' must be <="
+        with pytest.raises(ValueError, match=match):
+            layers.universe_from_dict(doc)
 
 def _universe_for(n, interval_count, pair_count, seed, weights):
     rng = np.random.default_rng(seed)
