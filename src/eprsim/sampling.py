@@ -9,21 +9,29 @@ no universe, only the order n and the label count 2M the label draw is
 bounded by: they run in O(N) time for N trials and never build, read or
 search the relocations or weights.  Only `draw_batch`, which reports the
 spins themselves, takes a universe and does the O(N log L) interval search,
-an exact binary search in the pair's weight CDF.  A `run_experiment` batch
-peaks near 11 bytes per trial (10.5 MB for 1e6 trials): each draw is
-narrowed as soon as it is made.  Streams are numpy Generators;
-experiments split a seed sequence per batch, and `chsh` runs its four
-components, each on its own child seed, on up to min(4, os.cpu_count())
-threads, so neither the chunk size nor the worker count changes a number.
+an exact binary search in the pair's weight CDF.  The cell is found by a
+guide table that gives exactly what `searchsorted` in the cell cumsum gives.
+
+After its labels, a batch's stream is one block of doubles per draw (cell,
+half-cells, interval, w offset), and a copy of the stream advanced past
+earlier blocks and trials starts anywhere in it.  So a `run_experiment`
+batch is split into contiguous spans on up to min(4, os.cpu_count())
+threads; each span draws its uniforms into its slice of the batch's one
+float64 product array and overwrites them with the products (about 8 MiB
+per 1e6 trials in all).  Streams are numpy Generators; experiments split a seed
+sequence per batch, and `chsh` runs its four components, each on its own
+child seed and as one span, on as many threads, so neither the chunk sizes
+nor the worker count changes a number.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -75,97 +83,131 @@ def _interval_search(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.nda
     return base - start + (flat[base] <= target)
 
 
-# trials per chunk of the post-draw work: its temporaries stay near 0.5 MB each
+# trials per chunk of the label draw and of draw_batch's interval search
 CHUNK = 1 << 16
+# trials per sub-chunk of a products span: its temporaries stay near 0.25 MB
+SUB_CHUNK = 1 << 14
+# buckets of the cell guide table: the diagonal cell law puts its mass on few
+# cells (at most 12 for random settings up to n = 1e4), so the fix-up passes
+# stay few (at most 6 there)
+GUIDE_BUCKETS = 1024
+
+# A batch's stream: the label block, then one block of `size` doubles per
+# draw, in this order.  PCG64 `random` takes one 64-bit word per double, so
+# block k's trial t is word k*size + t after the labels (see `_block`).
+CELL, HALF_A, HALF_B, INTERVAL, W_OFFSET = range(5)
 
 
-class _Draws(NamedTuple):
-    """A batch's draws, narrowed: pair index m0 >> 1, label parity, cell
-    position, the half-cells of u and v, and the interval uniform (pair,
-    parity and interval uniform are None where only products are asked)."""
-
-    pair: np.ndarray | None
-    odd: np.ndarray | None
-    cellpos: np.ndarray
-    upper_a: np.ndarray
-    upper_b: np.ndarray
-    interval_u: np.ndarray | None
+def _block(rng, size: int, block: int, start: int = 0):
+    """A copy of `rng`, which stands just after a batch's label block, whose
+    next doubles are trials start, start + 1, ... of `block` in a batch of
+    `size` trials.  `rng` itself does not move."""
+    stream = copy.deepcopy(rng)
+    stream.bit_generator.advance(block * size + start)
+    return stream
 
 
-def _draw(
-    label_count: int, mu: BaseMeasure, size: int, rng, *, spins=True, offsets=None
-) -> _Draws:
-    """Make a batch's draws in stream order: label, cell, offsets du and dv
-    within the cell, interval uniform.  Each draw is narrowed as soon as it
-    is made, so the batch keeps at most 9 bytes per trial besides the float64
-    interval uniform; `offsets`, if given, receives the float du and dv.
+class _CellGuide:
+    """Exact `np.searchsorted(cum, t, side="right")` in the unnormalized cell
+    cumsum for targets t = u * cum[-1], u in [0, 1), by a guide table.
 
-    With `spins` false the label is drawn and dropped (bounded `integers`
-    takes a data-dependent number of words, so skipping it would shift the
-    later draws) and the interval uniform, the stream's last draw, is not
-    made at all: the product A*B depends on neither."""
-    m0 = rng.integers(0, label_count, size=size)
-    odd = (m0 & 1).astype(bool) if spins else None
-    pair = (m0 >> 1).astype(np.min_scalar_type(label_count // 2)) if spins else None
-    del m0
-    # search u * cum[-1] < cum[-1] in the unnormalized cumsum: the first cell
-    # whose cumulative mass exceeds it has positive mass, trailing cells too
-    cum = np.cumsum(mu.cell_masses)
-    target = rng.random(size)
-    target *= cum[-1]
-    cellpos = np.empty(size, dtype=np.min_scalar_type(cum.size))
-    for lo in range(0, size, CHUNK):
-        cellpos[lo : lo + CHUNK] = np.searchsorted(cum, target[lo : lo + CHUNK], side="right")
-    del target
-    upper = []
-    for _ in range(2):
-        offset = rng.random(size)
-        upper.append(offset >= 0.5)
-        if offsets is not None:
-            offsets.append(offset)
-        del offset
-    return _Draws(pair, odd, cellpos, *upper, rng.random(size) if spins else None)
+    Each run of equal cum values (zero-mass cells) collapses to the one
+    positive-mass cell that starts the next run: `runs(t)` counts the distinct
+    values <= t, and `cells[run]` is the cell searchsorted finds, so a
+    zero-mass cell is never drawn.  Values and targets share one monotone
+    float map to buckets, floor(x * scale); the values in buckets below a
+    target's bucket are <= it and those above are > it, so `lower[bucket]`
+    bounds the count from below and `passes`, the most values in one bucket,
+    fix-up steps reach it exactly."""
+
+    def __init__(self, masses: np.ndarray):
+        cum = np.cumsum(masses)
+        self.total = cum[-1]
+        rises = np.empty(cum.size, dtype=bool)
+        rises[0] = cum[0] > 0.0
+        np.greater(cum[1:], cum[:-1], out=rises[1:])
+        self.cells = np.flatnonzero(rises)
+        bounds = cum[self.cells]
+        del cum
+        self.scale = GUIDE_BUCKETS / self.total
+        counts = np.bincount(self._bucket(bounds), minlength=GUIDE_BUCKETS + 1)
+        self.passes = int(counts.max())
+        self.lower = np.concatenate(([0], np.cumsum(counts)))
+        # a sentinel above every target stops the fix-up after the last value
+        self.bounds = np.append(bounds, np.inf)
+
+    def _bucket(self, x: np.ndarray) -> np.ndarray:
+        return (x * self.scale).astype(np.intp)  # x >= 0: truncation is floor
+
+    def runs(self, target: np.ndarray) -> np.ndarray:
+        run = self.lower[self._bucket(target)]
+        for _ in range(self.passes):
+            run += self.bounds[run] <= target
+        return run
 
 
-def _fill_spins(universe: LayerUniverse, mu: BaseMeasure, drawn: _Draws, spin_a, spin_b, ell0):
-    """Write the int8 spins and the interval index of each drawn trial, CHUNK
-    trials at a time; no trial's result depends on the chunking."""
+def _fill_spins(universe: LayerUniverse, mu: BaseMeasure, m0, cellpos, upper_a, upper_b, interval_u):
+    """The int8 spins and the interval index of each drawn trial, CHUNK trials
+    at a time; no trial's result depends on the chunking."""
     # companions share their pair's weight row
     cdf = np.cumsum(universe.weights, axis=1)
     table_a = mu.outcome[0].ravel()
     table_b = mu.outcome[1].ravel()
-    for lo in range(0, drawn.pair.size, CHUNK):
+    spin_a = np.empty(m0.size, dtype=np.int8)
+    spin_b = np.empty(m0.size, dtype=np.int8)
+    ell0 = np.empty(m0.size, dtype=np.intp)
+    for lo in range(0, m0.size, CHUNK):
         part = slice(lo, lo + CHUNK)
-        ell = _interval_search(cdf, drawn.pair[part].astype(np.intp), drawn.interval_u[part])
+        ell = _interval_search(cdf, m0[part] >> 1, interval_u[part])
         # the sample always lands on a relocated diagonal ensemble, whose
         # original column and row position is the ensemble position itself,
         # so the spins read outcome[side, cellpos, half]; the layer sign (+1
         # for even m0) times s(ell) = (-1)^(ell0+1) is -1 iff the parities of
         # m0 and ell0 agree
-        flip = (((drawn.odd[part] ^ ell) & 1) * 2 - 1).astype(np.int8)
-        cell = 2 * drawn.cellpos[part].astype(np.intp)
-        np.multiply(flip, table_a[cell + drawn.upper_a[part]], out=spin_a[part])
-        np.multiply(flip, table_b[cell + drawn.upper_b[part]], out=spin_b[part])
+        flip = (((m0[part] ^ ell) & 1) * 2 - 1).astype(np.int8)
+        cell = 2 * cellpos[part]
+        np.multiply(flip, table_a[cell + upper_a[part]], out=spin_a[part])
+        np.multiply(flip, table_b[cell + upper_b[part]], out=spin_b[part])
         ell0[part] = ell
+    return spin_a, spin_b, ell0
 
 
-def _products(label_count: int, mu: BaseMeasure, size: int, rng) -> np.ndarray:
-    """The int8 product A*B of each of `size` trials, in O(size) time.
+def _products(label_count: int, mu: BaseMeasure, size: int, rng, spans: int = 1, run=map) -> np.ndarray:
+    """The product A*B of each of `size` trials as one float64 array, in
+    O(size) time, split into `spans` contiguous spans that `run` (`map`, or a
+    thread pool's `map`) calls; neither the spans nor SUB_CHUNK change a number.
 
     Both spins carry the same flip (layer sign times s(ell)), so the product
     is outcome[0, cell, half_a] * outcome[1, cell, half_b]: it depends on the
     drawn cell and half-cells only, never on the label, interval or
-    relocation.  It is read from one [cell, half_a, half_b] table; the label
-    count only bounds the label draw that keeps the stream in step with
-    `draw_batch`."""
-    drawn = _draw(label_count, mu, size, rng, spins=False)
-    table = (mu.outcome[0][:, :, None] * mu.outcome[1][:, None, :]).ravel()
-    key = drawn.cellpos.astype(np.min_scalar_type(table.size - 1))
-    key <<= 1
-    key |= drawn.upper_a
-    key <<= 1
-    key |= drawn.upper_b
-    return table[key]
+    relocation.  It is read from one int8 [run, half_a, half_b] table over
+    the positive-mass cells.  The labels are drawn only to keep the stream in
+    step with `draw_batch` (bounded `integers` takes a data-dependent number
+    of words) and dropped; the interval uniform, a later block, is never drawn."""
+    for lo in range(0, size, CHUNK):
+        rng.integers(0, label_count, size=min(CHUNK, size - lo), dtype=np.int32)
+    guide = _CellGuide(mu.cell_masses)
+    table = (mu.outcome[0][guide.cells, :, None] * mu.outcome[1][guide.cells, None, :]).ravel()
+    prod = np.empty(size)
+
+    def fill(lo: int, hi: int) -> None:
+        # each span copies its streams once, then draws every sub-chunk's
+        # uniforms into its own slice of prod and overwrites them with products
+        cell, half_a, half_b = (_block(rng, size, k, lo) for k in (CELL, HALF_A, HALF_B))
+        for start in range(lo, hi, SUB_CHUNK):
+            part = prod[start : min(start + SUB_CHUNK, hi)]
+            cell.random(out=part)
+            part *= guide.total
+            key = guide.runs(part)
+            for half in (half_a, half_b):
+                half.random(out=part)
+                key <<= 1
+                key |= part >= 0.5
+            part[:] = table[key]
+
+    edges = [size * i // spans for i in range(spans + 1)]
+    list(run(fill, edges[:-1], edges[1:]))
+    return prod
 
 
 def _inside(x: np.ndarray, bins: np.ndarray, scale: int) -> np.ndarray:
@@ -183,22 +225,22 @@ def draw_batch(universe: LayerUniverse, a, b, size: int, rng: np.random.Generato
     and u and v lie in the sampled half-cell of the relocated column and row,
     so the layer outcomes at (u, v, w) are the sampled spins."""
     mu = build_measure(a, b, universe.n)
-    offsets = []
-    drawn = _draw(universe.label_count, mu, size, rng, offsets=offsets)
-    du, dv = offsets
-    dw = rng.random(size)  # offset of w within its interval; run_experiment needs none
-    spin_a = np.empty(size, dtype=np.int8)
-    spin_b = np.empty(size, dtype=np.int8)
-    ell0 = np.empty(size, dtype=np.intp)
-    _fill_spins(universe, mu, drawn, spin_a, spin_b, ell0)
-    pair = drawn.pair.astype(np.intp)
-    cellpos = drawn.cellpos.astype(np.intp)
+    m0 = rng.integers(0, universe.label_count, size=size)
+    guide = _CellGuide(mu.cell_masses)
+    target = _block(rng, size, CELL).random(size)
+    target *= guide.total
+    cellpos = guide.cells[guide.runs(target)]
+    du, dv, interval_u, dw = (
+        _block(rng, size, k).random(size) for k in (HALF_A, HALF_B, INTERVAL, W_OFFSET)
+    )
+    spin_a, spin_b, ell0 = _fill_spins(universe, mu, m0, cellpos, du >= 0.5, dv >= 0.5, interval_u)
+    pair = m0 >> 1
     cols = universe.col_to[pair, cellpos] - 2
     rows = universe.row_to[pair, cellpos] - 2
     # bins: interval ell0 of w, and half-cells [j/2, (j+1)/2) of u and v,
     # where cell i spans [i - 1, i)
     return {
-        "m": 2 * pair + drawn.odd + 1,
+        "m": m0 + 1,
         "cell": cellpos - 2,
         "ell": ell0 + 1,
         "u": _inside(cols - 1.0 + du, 2 * cols - 2 + (du >= 0.5), 2),
@@ -207,6 +249,12 @@ def draw_batch(universe: LayerUniverse, a, b, size: int, rng: np.random.Generato
         "spin_a": spin_a.astype(float),
         "spin_b": spin_b.astype(float),
     }
+
+
+def sampler_workers() -> int:
+    """The sampler's thread count: the spans of a `run_experiment` batch, or
+    `chsh`'s four components, run on up to this many threads."""
+    return min(4, os.cpu_count() or 1)
 
 
 def run_experiment(
@@ -218,13 +266,16 @@ def run_experiment(
     seed=None,
     batch_size: int = 1_000_000,
     batch_means=None,
+    spans: int | None = None,
 ) -> CorrelationEstimate:
     """Estimate E{A B} from `trials` draws at order `n` over `label_count`
     labels (2M for a universe of M companion pairs).
 
     Batches use split child streams of `seed` and a fixed merge order
     (count/mean/M2), so the result does not depend on how batches would be
-    scheduled.
+    scheduled.  Each batch is split into `spans` contiguous spans (by default
+    `sampler_workers()`), run on a thread pool of that many workers when
+    there is more than one; no span count changes a number.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -235,28 +286,31 @@ def run_experiment(
     mu = build_measure(a, b, n)
     exact_target = -float(np.dot(mu.a, mu.b))
     streams = _streams_for(trials, batch_size, seed)
+    spans = spans or sampler_workers()
 
     count = 0
     mean = 0.0
     m2 = 0.0
     remaining = trials
-    for stream in streams:
-        size = min(batch_size, remaining)
-        # one whole float64 array: its pairwise sums are what the stderr pins
-        prod = _products(label_count, mu, size, stream).astype(float)
-        b_count = prod.size
-        b_mean = float(prod.mean())
-        prod -= b_mean
-        np.square(prod, out=prod)
-        b_m2 = float(prod.sum())
-        if batch_means is not None:
-            batch_means.append(b_mean)
-        delta = b_mean - mean
-        total = count + b_count
-        m2 += b_m2 + delta * delta * count * b_count / total
-        mean += delta * b_count / total
-        count = total
-        remaining -= size
+    with ThreadPoolExecutor(max_workers=spans) if spans > 1 else nullcontext() as pool:
+        run = map if pool is None else pool.map
+        for stream in streams:
+            size = min(batch_size, remaining)
+            # one whole float64 array: its pairwise sums are what the stderr pins
+            prod = _products(label_count, mu, size, stream, spans, run)
+            b_count = prod.size
+            b_mean = float(prod.mean())
+            prod -= b_mean
+            np.square(prod, out=prod)
+            b_m2 = float(prod.sum())
+            if batch_means is not None:
+                batch_means.append(b_mean)
+            delta = b_mean - mean
+            total = count + b_count
+            m2 += b_m2 + delta * delta * count * b_count / total
+            mean += delta * b_count / total
+            count = total
+            remaining -= size
     stderr = math.sqrt(m2 / (count - 1) / count) if count > 1 else 0.0
     return CorrelationEstimate(mean=mean, stderr=stderr, trials=count, exact_target=exact_target)
 
@@ -296,10 +350,11 @@ def chsh(
     children = _as_seed_sequence(seed).spawn(4)
     pairs = ((a, b), (a, b2), (a2, b), (a2, b2))
     # numpy releases the GIL in the draws, searches, gathers and ufuncs; each
-    # component's numbers depend only on its child seed, not on the thread
-    with ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
+    # component's numbers depend only on its child seed, not on the thread.
+    # A component is one span on its own thread, so no task waits on the pool
+    with ThreadPoolExecutor(max_workers=sampler_workers()) as pool:
         futures = [
-            pool.submit(run_experiment, n, label_count, x, y, trials, seed=child)
+            pool.submit(run_experiment, n, label_count, x, y, trials, seed=child, spans=1)
             for (x, y), child in zip(pairs, children)
         ]
         runs = [future.result() for future in futures]

@@ -1,5 +1,9 @@
+import contextlib
 import functools
+import io
+import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
-from eprsim import layers, measure, sampling
+from eprsim import cli, layers, measure, sampling
 
 from oracles import layer_density, layer_spin_a, layer_spin_b
 from strategies import edge_cases
@@ -187,14 +191,27 @@ class TestChsh:
             sampling.chsh(*SIZES, A, A, B45, B45, 100)
 
 
+class _NoAdvance:
+    """Stub bit generator: every block of a constant stream is the same, so
+    advancing to one changes nothing."""
+
+    def advance(self, delta):
+        return self
+
+
 class _TopOfRange:
     """Stub stream: label 0 and the largest double below 1 for every uniform."""
 
-    def integers(self, low, high, size):
-        return np.zeros(size, dtype=np.int64)
+    bit_generator = _NoAdvance()
+    uniform = 1.0 - 2.0**-53
 
-    def random(self, size):
-        return np.full(size, 1.0 - 2.0**-53)
+    def integers(self, low, high, size, dtype=np.int64):
+        return np.zeros(size, dtype=dtype)
+
+    def random(self, size=None, out=None):
+        out = np.empty(size) if out is None else out
+        out.fill(self.uniform)
+        return out
 
 
 class TestZeroMassCell:
@@ -214,8 +231,7 @@ class TestZeroMassCell:
 class _BottomOfRange(_TopOfRange):
     """Stub stream: label 0 and 0.0 for every uniform."""
 
-    def random(self, size):
-        return np.zeros(size)
+    uniform = 0.0
 
 
 class TestZeroWeightInterval:
@@ -240,8 +256,7 @@ class TestZeroWeightInterval:
 class _BelowHalf(_TopOfRange):
     """Stub stream: label 0 and the largest double below 1/2 for every uniform."""
 
-    def random(self, size):
-        return np.full(size, 0.5 - 2.0**-54)
+    uniform = 0.5 - 2.0**-54
 
 
 class TestCoordinatesInsideDraw:
@@ -319,16 +334,33 @@ class TestBoundedMemory:
             tracemalloc.stop()
         assert peak < 64 * 2**20
 
-    def test_one_million_trial_batch_at_most_30_mb(self):
-        # the mc-chsh shape: every draw is narrowed as it is made, the
-        # post-draw work runs in chunks, and only the product is float64
+    def test_one_million_trial_batch_at_most_9_mib(self):
+        # the mc-chsh shape: the float64 product array (7.63 MiB) is the only
+        # per-trial array; each span's sub-chunks draw their uniforms into it
         tracemalloc.start()
         try:
             sampling.run_experiment(4, 100, A, B45, 1_000_000, seed=7)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 30 * 2**20
+        assert peak <= 9 * 2**20
+
+    def test_large_order_adds_no_per_cell_float_table(self):
+        # at n = 1e5 the run peaks at 10.82 MiB inside the measure's own build;
+        # the sampler's tables (the guide, int8 products per positive-mass
+        # cell) stay under that peak, where a float64 [cell, half, half] table
+        # over all 300 012 cells would raise it to 16.9 MiB
+        argv = ["simulate", "--n", "100000", "--trials", "1000", "--angle", "45", "--seed", "1"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            # a small run first, so lazy imports and caches count for neither side
+            assert cli.main(argv[:1] + ["--n", "4"] + argv[3:]) == 0
+            tracemalloc.start()
+            try:
+                assert cli.main(argv) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak <= 10.85 * 2**20
 
 
 def _universe_with_zero_weights(n, interval_count, pair_count, rng):
@@ -359,7 +391,7 @@ class TestLeanKernel:
             assert np.all(mu.cell_masses[batch["cell"] + 2] > 0.0)
             assert np.all(uni.weights[(batch["m"] - 1) // 2, batch["ell"] - 1] > 0.0)
             products = sampling._products(uni.label_count, mu, 500, stream())
-            assert products.dtype == np.int8
+            assert products.dtype == np.float64
             np.testing.assert_array_equal(products, batch["spin_a"] * batch["spin_b"])
 
     def test_chunking_changes_no_trial(self, monkeypatch):
@@ -374,6 +406,56 @@ class TestLeanKernel:
         np.testing.assert_array_equal(
             sampling._products(wide.label_count, mu, 10_007, np.random.default_rng(9)), products
         )
+
+
+    @pytest.mark.parametrize("sub_chunk", [1000, 4097])
+    def test_spans_and_sub_chunks_change_no_product(self, monkeypatch, sub_chunk):
+        mu = measure.build_measure(A, B45, 5)
+        whole = sampling._products(100, mu, 10_007, np.random.default_rng(9))
+        monkeypatch.setattr(sampling, "SUB_CHUNK", sub_chunk)
+        for spans in (1, 2, 3, 4):
+            split = sampling._products(100, mu, 10_007, np.random.default_rng(9), spans)
+            np.testing.assert_array_equal(split, whole)
+            # the same spans on a thread pool give the same estimate
+            est = sampling.run_experiment(5, 100, A, B45, 10_007, seed=9, spans=spans)
+            assert est == sampling.run_experiment(5, 100, A, B45, 10_007, seed=9, spans=1)
+
+
+class TestCellGuide:
+    @settings(max_examples=200, deadline=None)
+    @given(case=edge_cases(), seed=st.integers(0, 2**32 - 1))
+    def test_lookup_is_searchsorted(self, case, seed):
+        """The guide table finds the cell `searchsorted` finds at 0, at every
+        cumulative mass and its neighbours, at the top target and at random
+        targets; never a zero-mass cell, and within its computed passes."""
+        n, a, b = case
+        mu = measure.build_measure(*(measure.as_setting(v, normalize=True) for v in (a, b)), n)
+        cum = np.cumsum(mu.cell_masses)
+        total = cum[-1]
+        targets = np.concatenate(
+            [
+                [0.0, (1.0 - 2.0**-53) * total],
+                cum,
+                np.nextafter(cum, -np.inf),
+                np.nextafter(cum, np.inf),
+                np.random.default_rng(seed).random(1000) * total,
+            ]
+        )
+        # u * total for u in [0, 1) spans exactly these targets
+        targets = targets[(targets >= 0.0) & (targets < total)]
+        guide = sampling._CellGuide(mu.cell_masses)
+        cells = guide.cells[guide.runs(targets)]
+        np.testing.assert_array_equal(cells, np.searchsorted(cum, targets, side="right"))
+        assert np.all(mu.cell_masses[cells] > 0.0)
+        # the bound: the most distinct cumulative masses in one bucket, counted
+        # here without the table
+        distinct = sorted(set(cum.tolist()) - {0.0})
+        per_bucket = Counter(int(math.floor(v * guide.scale)) for v in distinct)
+        assert guide.passes == max(per_bucket.values())
+        # and every target's answer lies within that many steps of its bucket's floor
+        lower = guide.lower[(targets * guide.scale).astype(np.intp)]
+        steps = guide.runs(targets) - lower
+        assert steps.min() >= 0 and steps.max() <= guide.passes
 
 
 class TestProductsIgnoreLayers:
