@@ -12,16 +12,15 @@ spins themselves, takes a universe and does the O(N log L) interval search,
 an exact binary search in the pair's weight CDF.  The cell is found by a
 guide table that gives exactly what `searchsorted` in the cell cumsum gives.
 
-After its labels, a batch's stream is one block of doubles per draw (cell,
-half-cells, interval, w offset), and a copy of the stream advanced past
-earlier blocks and trials starts anywhere in it.  So a `run_experiment`
-batch is split into contiguous spans on up to min(4, os.cpu_count())
-threads; each span draws its uniforms into its slice of the batch's one
-float64 product array and overwrites them with the products (about 8 MiB
-per 1e6 trials in all).  Streams are numpy Generators; experiments split a seed
-sequence per batch, and `chsh` runs its four components, each on its own
-child seed and as one span, on as many threads, so neither the chunk sizes
-nor the worker count changes a number.
+After its labels, a `run_experiment` batch's stream is one block of doubles
+per draw (cell, half-cells), and a copy of the stream advanced past earlier
+blocks starts any block.  So each batch copies its three block streams once
+and walks its trials in sub-chunks that draw their uniforms into their slice
+of the batch's one float64 product array and overwrite them with the
+products (about 8 MiB per 1e6 trials in all).  Streams are numpy Generators;
+experiments split a seed sequence per batch, and `chsh` runs its four
+components, each on its own child seed, on up to min(4, os.cpu_count())
+threads, so neither the chunk sizes nor the worker count changes a number.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ import copy
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +83,7 @@ def _interval_search(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.nda
 
 # trials per chunk of the label draw and of draw_batch's interval search
 CHUNK = 1 << 16
-# trials per sub-chunk of a products span: its temporaries stay near 0.25 MB
+# trials per sub-chunk of a products batch: its temporaries stay near 0.25 MB
 SUB_CHUNK = 1 << 14
 # buckets of the cell guide table: the diagonal cell law puts its mass on few
 # cells (at most 12 for random settings up to n = 1e4), so the fix-up passes
@@ -93,17 +91,18 @@ SUB_CHUNK = 1 << 14
 GUIDE_BUCKETS = 1024
 
 # A batch's stream: the label block, then one block of `size` doubles per
-# draw, in this order.  PCG64 `random` takes one 64-bit word per double, so
-# block k's trial t is word k*size + t after the labels (see `_block`).
-CELL, HALF_A, HALF_B, INTERVAL, W_OFFSET = range(5)
+# draw, in this order (`draw_batch` goes on with the interval uniform and the
+# w offset).  PCG64 `random` takes one 64-bit word per double, so block k's
+# first trial is word k*size after the labels (see `_block`).
+CELL, HALF_A, HALF_B = range(3)
 
 
-def _block(rng, size: int, block: int, start: int = 0):
+def _block(rng, size: int, block: int):
     """A copy of `rng`, which stands just after a batch's label block, whose
-    next doubles are trials start, start + 1, ... of `block` in a batch of
-    `size` trials.  `rng` itself does not move."""
+    next doubles are `block` of a batch of `size` trials.  `rng` itself does
+    not move."""
     stream = copy.deepcopy(rng)
-    stream.bit_generator.advance(block * size + start)
+    stream.bit_generator.advance(block * size)
     return stream
 
 
@@ -172,10 +171,9 @@ def _fill_spins(universe: LayerUniverse, mu: BaseMeasure, m0, cellpos, upper_a, 
     return spin_a, spin_b, ell0
 
 
-def _products(label_count: int, mu: BaseMeasure, size: int, rng, spans: int = 1, run=map) -> np.ndarray:
+def _products(label_count: int, mu: BaseMeasure, size: int, rng) -> np.ndarray:
     """The product A*B of each of `size` trials as one float64 array, in
-    O(size) time, split into `spans` contiguous spans that `run` (`map`, or a
-    thread pool's `map`) calls; neither the spans nor SUB_CHUNK change a number.
+    O(size) time; SUB_CHUNK changes no number.
 
     Both spins carry the same flip (layer sign times s(ell)), so the product
     is outcome[0, cell, half_a] * outcome[1, cell, half_b]: it depends on the
@@ -183,30 +181,29 @@ def _products(label_count: int, mu: BaseMeasure, size: int, rng, spans: int = 1,
     relocation.  It is read from one int8 [run, half_a, half_b] table over
     the positive-mass cells.  The labels are drawn only to keep the stream in
     step with `draw_batch` (bounded `integers` takes a data-dependent number
-    of words) and dropped; the interval uniform, a later block, is never drawn."""
+    of words) and dropped; the interval uniform, a later block, is never
+    drawn.  `rng` moves past the labels only: each batch has its own stream."""
+    # int32 labels take the same bounded 32-bit words as draw_batch's int64
+    # ones and halve the temporary; counts past int32 keep int64
+    dtype = np.int32 if label_count <= np.iinfo(np.int32).max else np.int64
     for lo in range(0, size, CHUNK):
-        rng.integers(0, label_count, size=min(CHUNK, size - lo), dtype=np.int32)
+        rng.integers(0, label_count, size=min(CHUNK, size - lo), dtype=dtype)
     guide = _CellGuide(mu.cell_masses)
     table = (mu.outcome[0][guide.cells, :, None] * mu.outcome[1][guide.cells, None, :]).ravel()
     prod = np.empty(size)
-
-    def fill(lo: int, hi: int) -> None:
-        # each span copies its streams once, then draws every sub-chunk's
-        # uniforms into its own slice of prod and overwrites them with products
-        cell, half_a, half_b = (_block(rng, size, k, lo) for k in (CELL, HALF_A, HALF_B))
-        for start in range(lo, hi, SUB_CHUNK):
-            part = prod[start : min(start + SUB_CHUNK, hi)]
-            cell.random(out=part)
-            part *= guide.total
-            key = guide.runs(part)
-            for half in (half_a, half_b):
-                half.random(out=part)
-                key <<= 1
-                key |= part >= 0.5
-            part[:] = table[key]
-
-    edges = [size * i // spans for i in range(spans + 1)]
-    list(run(fill, edges[:-1], edges[1:]))
+    # the three block streams are copied once; each sub-chunk draws its
+    # uniforms into its own slice of prod and overwrites them with products
+    cell, half_a, half_b = (_block(rng, size, k) for k in (CELL, HALF_A, HALF_B))
+    for start in range(0, size, SUB_CHUNK):
+        part = prod[start : start + SUB_CHUNK]
+        cell.random(out=part)
+        part *= guide.total
+        key = guide.runs(part)
+        for half in (half_a, half_b):
+            half.random(out=part)
+            key <<= 1
+            key |= part >= 0.5
+        part[:] = table[key]
     return prod
 
 
@@ -225,14 +222,13 @@ def draw_batch(universe: LayerUniverse, a, b, size: int, rng: np.random.Generato
     and u and v lie in the sampled half-cell of the relocated column and row,
     so the layer outcomes at (u, v, w) are the sampled spins."""
     mu = build_measure(a, b, universe.n)
+    # the stream in block order: labels, cell, du, dv, interval uniform, w offset
     m0 = rng.integers(0, universe.label_count, size=size)
     guide = _CellGuide(mu.cell_masses)
-    target = _block(rng, size, CELL).random(size)
+    target = rng.random(size)
     target *= guide.total
     cellpos = guide.cells[guide.runs(target)]
-    du, dv, interval_u, dw = (
-        _block(rng, size, k).random(size) for k in (HALF_A, HALF_B, INTERVAL, W_OFFSET)
-    )
+    du, dv, interval_u, dw = (rng.random(size) for _ in range(4))
     spin_a, spin_b, ell0 = _fill_spins(universe, mu, m0, cellpos, du >= 0.5, dv >= 0.5, interval_u)
     pair = m0 >> 1
     cols = universe.col_to[pair, cellpos] - 2
@@ -251,12 +247,6 @@ def draw_batch(universe: LayerUniverse, a, b, size: int, rng: np.random.Generato
     }
 
 
-def sampler_workers() -> int:
-    """The sampler's thread count: the spans of a `run_experiment` batch, or
-    `chsh`'s four components, run on up to this many threads."""
-    return min(4, os.cpu_count() or 1)
-
-
 def run_experiment(
     n: int,
     label_count: int,
@@ -266,16 +256,13 @@ def run_experiment(
     seed=None,
     batch_size: int = 1_000_000,
     batch_means=None,
-    spans: int | None = None,
 ) -> CorrelationEstimate:
     """Estimate E{A B} from `trials` draws at order `n` over `label_count`
     labels (2M for a universe of M companion pairs).
 
     Batches use split child streams of `seed` and a fixed merge order
     (count/mean/M2), so the result does not depend on how batches would be
-    scheduled.  Each batch is split into `spans` contiguous spans (by default
-    `sampler_workers()`), run on a thread pool of that many workers when
-    there is more than one; no span count changes a number.
+    scheduled.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -286,31 +273,28 @@ def run_experiment(
     mu = build_measure(a, b, n)
     exact_target = -float(np.dot(mu.a, mu.b))
     streams = _streams_for(trials, batch_size, seed)
-    spans = spans or sampler_workers()
 
     count = 0
     mean = 0.0
     m2 = 0.0
     remaining = trials
-    with ThreadPoolExecutor(max_workers=spans) if spans > 1 else nullcontext() as pool:
-        run = map if pool is None else pool.map
-        for stream in streams:
-            size = min(batch_size, remaining)
-            # one whole float64 array: its pairwise sums are what the stderr pins
-            prod = _products(label_count, mu, size, stream, spans, run)
-            b_count = prod.size
-            b_mean = float(prod.mean())
-            prod -= b_mean
-            np.square(prod, out=prod)
-            b_m2 = float(prod.sum())
-            if batch_means is not None:
-                batch_means.append(b_mean)
-            delta = b_mean - mean
-            total = count + b_count
-            m2 += b_m2 + delta * delta * count * b_count / total
-            mean += delta * b_count / total
-            count = total
-            remaining -= size
+    for stream in streams:
+        size = min(batch_size, remaining)
+        # one whole float64 array: its pairwise sums are what the stderr pins
+        prod = _products(label_count, mu, size, stream)
+        b_count = prod.size
+        b_mean = float(prod.mean())
+        prod -= b_mean
+        np.square(prod, out=prod)
+        b_m2 = float(prod.sum())
+        if batch_means is not None:
+            batch_means.append(b_mean)
+        delta = b_mean - mean
+        total = count + b_count
+        m2 += b_m2 + delta * delta * count * b_count / total
+        mean += delta * b_count / total
+        count = total
+        remaining -= size
     stderr = math.sqrt(m2 / (count - 1) / count) if count > 1 else 0.0
     return CorrelationEstimate(mean=mean, stderr=stderr, trials=count, exact_target=exact_target)
 
@@ -350,11 +334,10 @@ def chsh(
     children = _as_seed_sequence(seed).spawn(4)
     pairs = ((a, b), (a, b2), (a2, b), (a2, b2))
     # numpy releases the GIL in the draws, searches, gathers and ufuncs; each
-    # component's numbers depend only on its child seed, not on the thread.
-    # A component is one span on its own thread, so no task waits on the pool
-    with ThreadPoolExecutor(max_workers=sampler_workers()) as pool:
+    # component's numbers depend only on its child seed, not on the thread
+    with ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
         futures = [
-            pool.submit(run_experiment, n, label_count, x, y, trials, seed=child, spans=1)
+            pool.submit(run_experiment, n, label_count, x, y, trials, seed=child)
             for (x, y), child in zip(pairs, children)
         ]
         runs = [future.result() for future in futures]

@@ -4,9 +4,7 @@
 does no extra work.  The timer wraps the library functions the CLI calls in
 stages named like the benchmark tracer's spans (`layers.load_universe`,
 `sampling.run_experiment`, ...) and the whole command in `cmd.<name>`.  A
-stage's time includes the stages it calls.  The file also names the Python
-and numpy versions, the core count and the sampler's thread count, which
-`simulate` and `chsh` wall times depend on.  Reports never depend on it.
+stage's time includes the stages it calls.  Reports never depend on it.
 """
 
 from __future__ import annotations
@@ -21,8 +19,6 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-
-from .sampling import sampler_workers
 
 PACKAGE = "eprsim"
 
@@ -85,7 +81,5 @@ class StageTimer:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "cpu_count": os.cpu_count(),
-            # simulate's batches and chsh's components run on this many threads
-            "sampler_workers": sampler_workers(),
             "stages": self.stages,
         }

@@ -132,14 +132,13 @@ class _CountingPool(sampling.ThreadPoolExecutor):
 @pytest.mark.parametrize("name", ["chsh_fresh", "chsh_u2", "simulate_fresh", "simulate_u1"])
 def test_report_bytes_at_worker_counts(workdir, monkeypatch, name, workers):
     """The worker count never changes a number: chsh runs its components on
-    min(4, cpu_count) threads, and simulate splits its batch into as many
-    spans on as many threads (one span runs on the calling thread)."""
+    min(4, cpu_count) threads, simulate on none."""
     monkeypatch.setattr(os, "cpu_count", lambda: workers)
     monkeypatch.setattr(sampling, "ThreadPoolExecutor", _CountingPool)
     monkeypatch.setattr(_CountingPool, "sizes", [])
     expected = (GOLDEN / f"{name}.json").read_text()
     assert _dump(_run(REPORTS[name], workdir)) == expected
-    assert _CountingPool.sizes == ([workers] if name.startswith("chsh") or workers > 1 else [])
+    assert _CountingPool.sizes == ([workers] if name.startswith("chsh") else [])
 
 
 @pytest.mark.parametrize("name", sorted(REPORTS))
@@ -158,9 +157,8 @@ def test_timings_change_no_report_byte(workdir, tmp_path, name):
             reports.append(buffer.getvalue() if not out else Path(out[1]).read_bytes())
         assert reports[0] == reports[1]
     doc = json.loads(timings.read_text())
-    assert set(doc) == {"python", "numpy", "cpu_count", "sampler_workers", "stages"}
+    assert set(doc) == {"python", "numpy", "cpu_count", "stages"}
     assert doc["numpy"] == np.__version__
-    assert doc["sampler_workers"] == sampling.sampler_workers()
     command = f"cmd.{argv[0]}"
     assert command in doc["stages"]
     for stage in doc["stages"].values():

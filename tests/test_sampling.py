@@ -1,6 +1,4 @@
-import contextlib
 import functools
-import io
 import math
 import tracemalloc
 from collections import Counter
@@ -11,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
-from eprsim import cli, layers, measure, sampling
+from eprsim import layers, measure, sampling
 
 from oracles import layer_density, layer_spin_a, layer_spin_b
 from strategies import edge_cases
@@ -105,6 +103,23 @@ class TestReproducibility:
         est_big = sampling.run_experiment(*SIZES, A, B45, 90_000, seed=31, batch_size=90_000)
         for est in (est_small, est_big):
             assert abs(est.mean - est.exact_target) <= 3.29 * est.stderr + 5e-3
+
+
+class TestStreamPosition:
+    @pytest.mark.parametrize("size", [1, 1000])
+    def test_draw_batch_moves_the_stream_past_its_draws(self, universe, size):
+        """draw_batch takes the labels and then five blocks of `size` doubles
+        from `rng` itself, so a second call on the same stream draws new
+        trials."""
+        rng = np.random.default_rng(11)
+        first = sampling.draw_batch(universe, A, B45, size, rng)
+        expected = np.random.default_rng(11)
+        expected.integers(0, universe.label_count, size=size)
+        expected.random(5 * size)
+        assert rng.bit_generator.state == expected.bit_generator.state
+        second = sampling.draw_batch(universe, A, B45, size, rng)
+        for key in ("u", "v", "w"):
+            assert not np.array_equal(first[key], second[key])
 
 
 class TestLazyStreams:
@@ -346,21 +361,20 @@ class TestBoundedMemory:
         assert peak <= 9 * 2**20
 
     def test_large_order_adds_no_per_cell_float_table(self):
-        # at n = 1e5 the run peaks at 10.82 MiB inside the measure's own build;
-        # the sampler's tables (the guide, int8 products per positive-mass
-        # cell) stay under that peak, where a float64 [cell, half, half] table
-        # over all 300 012 cells would raise it to 16.9 MiB
-        argv = ["simulate", "--n", "100000", "--trials", "1000", "--angle", "45", "--seed", "1"]
-        with contextlib.redirect_stdout(io.StringIO()):
-            # a small run first, so lazy imports and caches count for neither side
-            assert cli.main(argv[:1] + ["--n", "4"] + argv[3:]) == 0
-            tracemalloc.start()
-            try:
-                assert cli.main(argv) == 0
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-        assert peak <= 10.85 * 2**20
+        # at n = 1e5 a 1000-trial batch peaks at 2.6 MiB (3.3 on a first
+        # call), most of it the 2.29 MiB cell cumsum the guide is built from;
+        # the tables kept (the guide over positive-mass cells, int8 products)
+        # add little, where a float64 [cell, half, half] table over all
+        # 300 012 cells alone would take 9.16 MiB
+        mu = measure.build_measure(A, B45, 100_000)
+        assert mu.cell_masses.size == 300_012
+        tracemalloc.start()
+        try:
+            sampling._products(100, mu, 1000, np.random.default_rng(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * 2**20
 
 
 def _universe_with_zero_weights(n, interval_count, pair_count, rng):
@@ -407,18 +421,32 @@ class TestLeanKernel:
             sampling._products(wide.label_count, mu, 10_007, np.random.default_rng(9)), products
         )
 
-
     @pytest.mark.parametrize("sub_chunk", [1000, 4097])
-    def test_spans_and_sub_chunks_change_no_product(self, monkeypatch, sub_chunk):
+    def test_sub_chunks_change_no_product(self, monkeypatch, sub_chunk):
         mu = measure.build_measure(A, B45, 5)
         whole = sampling._products(100, mu, 10_007, np.random.default_rng(9))
+        estimate = sampling.run_experiment(5, 100, A, B45, 10_007, seed=9)
         monkeypatch.setattr(sampling, "SUB_CHUNK", sub_chunk)
-        for spans in (1, 2, 3, 4):
-            split = sampling._products(100, mu, 10_007, np.random.default_rng(9), spans)
-            np.testing.assert_array_equal(split, whole)
-            # the same spans on a thread pool give the same estimate
-            est = sampling.run_experiment(5, 100, A, B45, 10_007, seed=9, spans=spans)
-            assert est == sampling.run_experiment(5, 100, A, B45, 10_007, seed=9, spans=1)
+        split = sampling._products(100, mu, 10_007, np.random.default_rng(9))
+        np.testing.assert_array_equal(split, whole)
+        assert sampling.run_experiment(5, 100, A, B45, 10_007, seed=9) == estimate
+
+    # int32 labels below 2**31, int64 from there on, as draw_batch draws them
+    @pytest.mark.parametrize("label_count", [1, 2, 100, 2**31 - 1, 2**31, 2**31 + 5, 2**40])
+    def test_products_follow_the_stream_at_any_label_count(self, label_count):
+        """The kernel's products are those of the plain stream layout: int64
+        labels, then a block of cell uniforms searched in the cell cumsum,
+        then one block per half-cell."""
+        mu = measure.build_measure(A, B45, 5)
+        size = 3 * sampling.CHUNK + 7
+        rng = np.random.default_rng(label_count)
+        rng.integers(0, label_count, size=size)
+        cum = np.cumsum(mu.cell_masses)
+        cell = np.searchsorted(cum, rng.random(size) * cum[-1], side="right")
+        half_a, half_b = (rng.random(size) >= 0.5 for _ in range(2))
+        expected = mu.outcome[0][cell, half_a.astype(int)] * mu.outcome[1][cell, half_b.astype(int)]
+        products = sampling._products(label_count, mu, size, np.random.default_rng(label_count))
+        np.testing.assert_array_equal(products, expected)
 
 
 class TestCellGuide:
