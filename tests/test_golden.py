@@ -72,6 +72,11 @@ REPORTS = {
         "poisson", "--theta", "1", "--k", "5000", "--labels", "5", "--seed", "10",
         "--p1", "0.5", "--p2", "0.5",
     ],
+    # k spans several emission chunks and ends inside a partial one
+    "poisson_chunks": [
+        "poisson", "--theta", "0.37", "--k", "200003", "--labels", "7", "--p1", "0.9",
+        "--p2", "0.9", "--seed", "11",
+    ],
 }
 
 PAIR_EXPECTATION_TOL = 1e-12
@@ -212,7 +217,7 @@ def test_only_poisson_imports_scipy(tmp_path):
     runs = {
         name: [paths.get(arg, arg) for arg in argv] + out
         for name, argv in REPORTS.items()
-        if name != "poisson_small"
+        if not name.startswith("poisson")
     }
     code = (
         "import json, sys\n"
