@@ -40,7 +40,8 @@ MAXIMUMS = {
     "L": BUDGET // 8,
     # splines: each grid x grid float64 surface
     "grid": math.isqrt(BUDGET // 8),
-    # poisson: each float64 array of k emission times
+    # poisson: the float64 fractional parts of k emission times, and their
+    # sorted copy (the gate and the times themselves go chunk by chunk)
     "k": BUDGET // 8,
     # poisson: the int64 counts of labels 0 .. labels
     "labels": BUDGET // 8 - 1,

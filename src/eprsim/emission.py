@@ -7,6 +7,15 @@ computed exactly from one sort of the points at every size: the one-sided
 parts D+ and D- give the star (anchored) form D* = max(D+, D-) by the
 classical order-statistic formula and the extreme form D = D+ + D-.
 
+One kernel makes the times, `CHUNK` at a time, in the buffer that receives
+their fractional parts: uniforms, waits -theta*log1p(-U) and their running
+sum are formed in place, the sum carrying the time reached so far into its
+first term.  numpy's cumsum adds in sequence, so every part is that of the
+whole-trace cumsum to the bit.  `generate_trace` keeps only the k fractional
+parts; `detector_gate` keeps none of them, and counts labels chunk by chunk;
+the discrepancies read the sorted points chunk by chunk.  So a `poisson` run
+holds at most two arrays of k floats: the parts and their sorted copy.
+
 The package imports only numpy and the standard library when it loads.
 scipy serves one function, `chi_square_quantile` (the `poisson` command),
 which imports `scipy.special` when called; so no other command loads scipy,
@@ -20,30 +29,59 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .sampling import _block
+
+# emission times per chunk of the kernel, the gate and the discrepancy scan:
+# a chunk's float64 temporaries stay near 0.5 MiB
+CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class EmissionTrace:
-    """Waiting times, cumulative emission times, and their fractional parts."""
+    """The fractional parts of k emission times with mean wait theta."""
 
     theta: float
-    waits: np.ndarray = field(repr=False, compare=False)
-    cums: np.ndarray = field(repr=False, compare=False)
     fracs: np.ndarray = field(repr=False, compare=False)
 
 
-def generate_trace(theta: float, k: int, rng: np.random.Generator) -> EmissionTrace:
-    """k exponential waits with mean theta, by inverse transform -theta*log(1-U)."""
+def _check_trace_args(theta: float, k: int) -> None:
     if not (math.isfinite(theta) and theta > 0.0):
         raise ValueError(f"theta must be finite and positive, got {theta}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    u = rng.random(k)
-    waits = -theta * np.log1p(-u)
-    cums = np.cumsum(waits)
-    fracs = cums - np.floor(cums)
-    for arr in (waits, cums, fracs):
-        arr.setflags(write=False)
-    return EmissionTrace(theta=float(theta), waits=waits, cums=cums, fracs=fracs)
+
+
+def _fractional_times(part: np.ndarray, theta: float, start: float, rng) -> float:
+    """Fill `part` with the fractional parts of the next `part.size` emission
+    times after the time `start`, one double of `rng` each, and return the
+    time of the last.  Raises OverflowError if a time passes the largest
+    float64."""
+    rng.random(out=part)
+    np.negative(part, out=part)
+    np.log1p(part, out=part)
+    with np.errstate(over="ignore"):
+        np.multiply(part, -theta, out=part)
+        part[0] += start
+        np.cumsum(part, out=part)
+    end = float(part[-1])
+    # waits are >= 0, so an infinite wait or sum leaves the last time infinite
+    if not math.isfinite(end):
+        raise OverflowError(f"emission times at theta {theta} pass the largest float64")
+    part -= np.floor(part)
+    return end
+
+
+def generate_trace(theta: float, k: int, rng: np.random.Generator) -> EmissionTrace:
+    """k exponential waits with mean theta, by inverse transform
+    -theta*log(1-U), reduced to the fractional parts of their running sums.
+    Draws k doubles of `rng`."""
+    _check_trace_args(theta, k)
+    fracs = np.empty(k)
+    time = 0.0
+    for lo in range(0, k, CHUNK):
+        time = _fractional_times(fracs[lo : lo + CHUNK], theta, time, rng)
+    fracs.setflags(write=False)
+    return EmissionTrace(theta=float(theta), fracs=fracs)
 
 
 def _checked_points(points) -> np.ndarray:
@@ -61,10 +99,13 @@ def _sorted_parts(points) -> tuple[np.ndarray, float, float]:
     D- = max_i (x_(i) - (i-1)/k), each at least 0."""
     pts = np.sort(_checked_points(points))
     k = pts.size
-    grid = np.arange(1, k + 1) / k
-    d_plus = float((grid - pts).max())
-    d_minus = float((pts - (grid - 1.0 / k)).max())
-    return pts, max(d_plus, 0.0), max(d_minus, 0.0)
+    d_plus = d_minus = 0.0
+    for lo in range(0, k, CHUNK):
+        part = pts[lo : lo + CHUNK]
+        grid = np.arange(lo + 1, lo + part.size + 1) / k
+        d_plus = max(d_plus, float((grid - part).max()))
+        d_minus = max(d_minus, float((part - (grid - 1.0 / k)).max()))
+    return pts, d_plus, d_minus
 
 
 def star_discrepancy(points) -> float:
@@ -95,7 +136,11 @@ def labels_from_trace(trace: EmissionTrace, label_count: int) -> np.ndarray:
     trace, read off its wrapped fractional part."""
     if label_count < 1:
         raise ValueError("label count must be >= 1")
-    m = (trace.fracs * label_count).astype(np.int64) + 1
+    return _labels(trace.fracs, label_count)
+
+
+def _labels(fracs: np.ndarray, label_count: int) -> np.ndarray:
+    m = (fracs * label_count).astype(np.int64) + 1
     return np.minimum(m, label_count)
 
 
@@ -155,19 +200,39 @@ def detector_gate(
     theta: float,
     rng: np.random.Generator,
 ) -> GateResult:
-    """Gate each emission by two independent readiness draws.
+    """Gate each of k emissions by two independent readiness draws.
 
     Readiness is independent of the emission time, so conditioning on both
-    devices being ready leaves the label law unchanged.
+    devices being ready leaves the label law unchanged.  The stream holds the
+    k emission uniforms, then k draws against p1, then k against p2; the gate
+    walks the three blocks together, a chunk at a time, and leaves `rng` past
+    all 3k doubles.  Every argument is checked before anything is drawn.
     """
     for name, p in (("p1", p1), ("p2", p2)):
         if not 0.0 < p <= 1.0:
             raise ValueError(f"{name} must lie in (0, 1], got {p}")
-    trace = generate_trace(theta, k, rng)
-    labels = labels_from_trace(trace, label_count)
-    ready = (rng.random(k) < p1) & (rng.random(k) < p2)
-    ungated = np.bincount(labels, minlength=label_count + 1)[1:]
-    gated = np.bincount(labels[ready], minlength=label_count + 1)[1:]
+    if label_count < 1:
+        raise ValueError("label count must be >= 1")
+    _check_trace_args(theta, k)
+    ready1, ready2 = (_block(rng, k, block) for block in (1, 2))
+    # a chunk at least as long as the label count keeps each chunk's bincounts
+    # within a constant factor of its length
+    buf = np.empty(min(k, max(CHUNK, label_count)))
+    ungated = np.zeros(label_count + 1, dtype=np.int64)
+    gated = np.zeros(label_count + 1, dtype=np.int64)
+    accepted = 0
+    time = 0.0
+    for lo in range(0, k, buf.size):
+        part = buf[: min(buf.size, k - lo)]
+        time = _fractional_times(part, theta, time, rng)
+        labels = _labels(part, label_count)
+        ready = ready1.random(part.size) < p1
+        ready &= ready2.random(part.size) < p2
+        ungated += np.bincount(labels, minlength=label_count + 1)
+        gated += np.bincount(labels[ready], minlength=label_count + 1)
+        accepted += int(np.count_nonzero(ready))
+    rng.bit_generator.advance(2 * k)
+    ungated, gated = ungated[1:], gated[1:]
     for arr in (ungated, gated):
         arr.setflags(write=False)
     return GateResult(
@@ -175,7 +240,7 @@ def detector_gate(
         ungated_counts=ungated,
         gated_counts=gated,
         total=int(k),
-        accepted=int(ready.sum()),
+        accepted=accepted,
     )
 
 

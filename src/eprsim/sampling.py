@@ -98,9 +98,9 @@ CELL, HALF_A, HALF_B = range(3)
 
 
 def _block(rng, size: int, block: int):
-    """A copy of `rng`, which stands just after a batch's label block, whose
-    next doubles are `block` of a batch of `size` trials.  `rng` itself does
-    not move."""
+    """A copy of `rng` whose next doubles are block `block` of the blocks of
+    `size` doubles that start where `rng` stands (for a batch, just after its
+    label block).  `rng` itself does not move."""
     stream = copy.deepcopy(rng)
     stream.bit_generator.advance(block * size)
     return stream

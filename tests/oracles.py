@@ -95,6 +95,35 @@ def binomial_oracle(n: int, r: int) -> int:
     return out
 
 
+def emission_times(theta: float, k: int, rng):
+    """The emission process drawn whole from k doubles of `rng`: the waits
+    -theta*log(1-U), the emission times (their running sums), and the times'
+    fractional parts."""
+    waits = -theta * np.log1p(-rng.random(k))
+    times = np.cumsum(waits)
+    return waits, times, times - np.floor(times)
+
+
+def whole_gate(p1: float, p2: float, label_count: int, k: int, theta: float, rng):
+    """Ungated and gated label counts (labels 1 .. N) and the accepted count
+    of k emissions, from one whole trace, then k draws against p1 and k
+    against p2."""
+    _, _, fracs = emission_times(theta, k, rng)
+    labels = np.minimum((fracs * label_count).astype(np.int64) + 1, label_count)
+    ready = (rng.random(k) < p1) & (rng.random(k) < p2)
+    ungated = np.bincount(labels, minlength=label_count + 1)[1:]
+    gated = np.bincount(labels[ready], minlength=label_count + 1)[1:]
+    return ungated, gated, int(ready.sum())
+
+
+def one_sided_discrepancies(points) -> tuple[float, float]:
+    """D+ = max_i (i/k - x_(i)) and D- = max_i (x_(i) - (i-1)/k), each at
+    least 0, over the whole sorted point set at once."""
+    x = np.sort(np.asarray(points, dtype=float))
+    grid = np.arange(1, x.size + 1) / x.size
+    return max(float((grid - x).max()), 0.0), max(float((x - (grid - 1.0 / x.size)).max()), 0.0)
+
+
 def brute_extreme_discrepancy(points) -> float:
     """Exact sup over half-open intervals by O(k^2) enumeration of the
     critical endpoint configurations (limits at point positions)."""

@@ -756,6 +756,33 @@ class TestCliPoisson:
         assert err.startswith("error: ") and all(f"--{flag} " in err for flag in ("k", "p1", "p2"))
         assert not out_path.exists()
 
+    # an escaped numpy RuntimeWarning would fail the run, not reach stderr
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_emission_times_exit_2_naming_the_flags(self, capsys, tmp_path):
+        out_path = tmp_path / "report.json"
+        argv = ["poisson", "--theta", "1e308", "--k", "1000", "--labels", "2", "--seed", "1"]
+        code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --theta 1e+308 and --k 1000 ")
+        assert err.count("\n") == 1
+        assert not out_path.exists()
+
+    def test_command_peaks_below_three_emission_arrays(self, capsys):
+        # the parts of one million emission times and their sorted copy are
+        # 15.3 MiB; three such arrays are 22.9 MiB
+        argv = ["poisson", "--theta", "1", "--k", "1000000", "--labels", "50",
+                "--p1", "0.5", "--p2", "0.5", "--seed", "5"]
+        assert run_cli(capsys, *argv, "--k", "1000")[0] == 0  # imports scipy.special
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(capsys, *argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 24 * 2**20
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_report_value_is_an_internal_error(
         self, capsys, monkeypatch, tmp_path, value

@@ -1,3 +1,6 @@
+import copy
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,14 @@ from hypothesis import strategies as st
 
 from eprsim import emission
 
-from oracles import brute_extreme_discrepancy, interval_count, label_from_time
+from oracles import (
+    brute_extreme_discrepancy,
+    emission_times,
+    interval_count,
+    label_from_time,
+    one_sided_discrepancies,
+    whole_gate,
+)
 
 point_sets = st.lists(
     st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False),
@@ -18,23 +28,24 @@ class TestGenerateTrace:
     def test_mean_waiting_time(self):
         theta = 2.5
         k = 1_000_000
-        trace = emission.generate_trace(theta, k, np.random.default_rng(3))
-        assert abs(trace.waits.mean() - theta) <= 3.29 * theta / np.sqrt(k)
+        waits, _, _ = emission_times(theta, k, np.random.default_rng(3))
+        assert abs(waits.mean() - theta) <= 3.29 * theta / np.sqrt(k)
 
     def test_cumulative_strictly_increasing(self):
-        trace = emission.generate_trace(1.0, 10_000, np.random.default_rng(5))
-        assert np.all(np.diff(trace.cums) > 0.0)
-        assert np.all(trace.waits > 0.0)
+        waits, times, _ = emission_times(1.0, 10_000, np.random.default_rng(5))
+        assert np.all(np.diff(times) > 0.0)
+        assert np.all(waits > 0.0)
 
     def test_fracs_in_unit_interval(self):
         trace = emission.generate_trace(0.7, 10_000, np.random.default_rng(7))
+        _, times, _ = emission_times(0.7, 10_000, np.random.default_rng(7))
         assert np.all((trace.fracs >= 0.0) & (trace.fracs < 1.0))
-        np.testing.assert_array_equal(trace.fracs, trace.cums - np.floor(trace.cums))
+        np.testing.assert_array_equal(trace.fracs, times - np.floor(times))
 
     def test_seed_replay(self):
         t1 = emission.generate_trace(1.0, 1000, np.random.default_rng(11))
         t2 = emission.generate_trace(1.0, 1000, np.random.default_rng(11))
-        assert np.array_equal(t1.waits, t2.waits)
+        assert np.array_equal(t1.fracs, t2.fracs)
 
     @pytest.mark.parametrize(
         "theta,k", [(0.0, 10), (-1.0, 10), (np.nan, 10), (np.inf, 10), (1.0, 0)]
@@ -145,8 +156,9 @@ class TestLabels:
 
     def test_trace_labels_match_scalar(self):
         trace = emission.generate_trace(1.0, 1000, np.random.default_rng(23))
+        _, times, _ = emission_times(1.0, 1000, np.random.default_rng(23))
         vec = emission.labels_from_trace(trace, 37)
-        scalar = [label_from_time(x, 37) for x in trace.cums]
+        scalar = [label_from_time(x, 37) for x in times]
         assert vec.tolist() == scalar
 
     def test_poisson_labels_uniform(self):
@@ -234,6 +246,120 @@ class TestDetectorGate:
     def test_probability_validation(self, p1, p2):
         with pytest.raises(ValueError):
             emission.detector_gate(p1, p2, 10, 100, 1.0, np.random.default_rng(0))
+
+
+CHUNK = emission.CHUNK
+CHUNK_SIZES = [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17]
+THETAS = [1e-3, 0.37, 1.0, 250.0]
+
+
+def _drawn(rng, doubles: int):
+    """A copy of `rng` that has drawn `doubles` doubles."""
+    stream = copy.deepcopy(rng)
+    stream.random(doubles)
+    return stream
+
+
+class TestChunkedKernel:
+    """The chunked kernel against the whole-array oracle, bit for bit, at
+    sizes on and around the chunk length."""
+
+    @pytest.mark.parametrize("theta", THETAS)
+    @pytest.mark.parametrize("k", CHUNK_SIZES)
+    def test_fracs_are_the_whole_trace_parts(self, k, theta):
+        trace = emission.generate_trace(theta, k, np.random.default_rng(61))
+        _, _, fracs = emission_times(theta, k, np.random.default_rng(61))
+        assert trace.fracs.tobytes() == fracs.tobytes()
+        assert not trace.fracs.flags.writeable
+
+    @pytest.mark.parametrize("labels", [7, 2 * CHUNK + 3])
+    @pytest.mark.parametrize("theta", THETAS)
+    @pytest.mark.parametrize("k", CHUNK_SIZES)
+    def test_gate_counts_are_the_whole_gate(self, k, theta, labels):
+        res = emission.detector_gate(0.6, 0.8, labels, k, theta, np.random.default_rng(67))
+        ungated, gated, accepted = whole_gate(0.6, 0.8, labels, k, theta, np.random.default_rng(67))
+        assert res.ungated_counts.tobytes() == ungated.tobytes()
+        assert res.gated_counts.tobytes() == gated.tobytes()
+        assert (res.total, res.accepted) == (k, accepted)
+
+    @pytest.mark.parametrize("k", CHUNK_SIZES)
+    def test_one_sided_parts_are_the_whole_array_ones(self, k):
+        fracs = emission.generate_trace(1.0, k, np.random.default_rng(71)).fracs
+        stats = emission.discrepancy_stats(fracs)
+        d_plus, d_minus = one_sided_discrepancies(fracs)
+        assert (stats.star, stats.extreme) == (max(d_plus, d_minus), d_plus + d_minus)
+
+
+class TestStreamPosition:
+    """Each call moves the caller's stream past exactly what it drew: k
+    doubles for a trace, 3k for a gate (emissions, p1 draws, p2 draws)."""
+
+    @pytest.mark.parametrize("k", [1, CHUNK + 1])
+    def test_trace_moves_the_stream_k_doubles(self, k):
+        rng = np.random.default_rng(73)
+        expected = _drawn(rng, k)
+        emission.generate_trace(0.5, k, rng)
+        assert rng.bit_generator.state == expected.bit_generator.state
+
+    @pytest.mark.parametrize("k", [1, CHUNK + 1])
+    def test_gate_moves_the_stream_3k_doubles(self, k):
+        rng = np.random.default_rng(79)
+        expected = _drawn(rng, 3 * k)
+        emission.detector_gate(0.5, 0.5, 5, k, 0.5, rng)
+        assert rng.bit_generator.state == expected.bit_generator.state
+
+    def test_gates_in_a_row_follow_the_stream(self):
+        rng, oracle_rng = np.random.default_rng(83), np.random.default_rng(83)
+        for k in (CHUNK + 5, 1000):
+            res = emission.detector_gate(0.7, 0.9, 11, k, 1.3, rng)
+            ungated, gated, accepted = whole_gate(0.7, 0.9, 11, k, 1.3, oracle_rng)
+            assert res.ungated_counts.tolist() == ungated.tolist()
+            assert res.gated_counts.tolist() == gated.tolist()
+            assert res.accepted == accepted
+
+    @pytest.mark.parametrize(
+        "p1,p2,labels,k,theta,message",
+        [
+            (0.0, 0.5, 5, 100, 1.0, "p1"),
+            (0.5, 1.5, 5, 100, 1.0, "p2"),
+            (0.5, 0.5, 0, 100, 1.0, "label count"),
+            (0.5, 0.5, 5, 100, np.nan, "theta"),
+            (0.5, 0.5, 5, 100, 0.0, "theta"),
+            (0.5, 0.5, 5, 0, 1.0, "k"),
+        ],
+    )
+    def test_rejected_gate_draws_nothing(self, p1, p2, labels, k, theta, message):
+        rng = np.random.default_rng(89)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            emission.detector_gate(p1, p2, labels, k, theta, rng)
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("theta,k", [(np.inf, 10), (-1.0, 10), (1.0, 0)])
+    def test_rejected_trace_draws_nothing(self, theta, k):
+        rng = np.random.default_rng(97)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            emission.generate_trace(theta, k, rng)
+        assert rng.bit_generator.state == before
+
+
+class TestOverflow:
+    # at 1.5e303 the first chunk's times stay below the largest float64
+    # (about 9.8e307 at its end) and the second chunk's pass it
+    @pytest.mark.parametrize("theta,k", [(1e308, 1000), (1.5e303, 2 * CHUNK)])
+    def test_overflow_raises_without_a_warning(self, theta, k):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="float64"):
+                emission.generate_trace(theta, k, np.random.default_rng(101))
+            with pytest.raises(OverflowError, match="float64"):
+                emission.detector_gate(1.0, 1.0, 3, k, theta, np.random.default_rng(101))
+
+    def test_huge_finite_times_are_kept(self):
+        # times near 1e304 are finite: every fractional part is 0
+        trace = emission.generate_trace(1e300, 1000, np.random.default_rng(103))
+        assert not trace.fracs.any()
 
 
 @settings(deadline=None)
