@@ -308,21 +308,22 @@ def cmd_chsh(args):
 
 def cmd_poisson(args):
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
+    # the trace and the gate each draw k emissions, and either may overflow
     try:
         trace = generate_trace(args.theta, args.k, rng)
+        stats = discrepancy_stats(trace.fracs)
+        prefix_ks = [k for k in (10**e for e in range(3, 10)) if k < args.k] + [args.k]
+        prefix_ks = sorted({k for k in prefix_ks if k >= 1})
+        # the last prefix is the whole trace, whose D* the one sort above gave
+        stars = [star_discrepancy(trace.fracs[:k]) for k in prefix_ks[:-1]] + [stats.star]
+        # the gate draws its own emissions; the trace's k floats are not needed
+        del trace
+        gate = detector_gate(args.p1, args.p2, args.labels, args.k, args.theta, rng)
     except OverflowError as exc:
         raise ConfigError(
             f"--theta {args.theta} and --k {args.k} carry the emission times past the "
             f"largest float64; lower either"
         ) from exc
-    stats = discrepancy_stats(trace.fracs)
-    prefix_ks = [k for k in (10**e for e in range(3, 10)) if k < args.k] + [args.k]
-    prefix_ks = sorted({k for k in prefix_ks if k >= 1})
-    # the last prefix is the whole trace, whose D* the one sort above gave
-    stars = [star_discrepancy(trace.fracs[:k]) for k in prefix_ks[:-1]] + [stats.star]
-    # the gate draws its own emissions; the trace's k floats are not needed
-    del trace
-    gate = detector_gate(args.p1, args.p2, args.labels, args.k, args.theta, rng)
     if not gate.gated_counts.any():
         raise ConfigError(
             f"no emission passed the detector gate at --k {args.k}, --p1 {args.p1} and "

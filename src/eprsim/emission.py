@@ -206,7 +206,10 @@ def detector_gate(
     devices being ready leaves the label law unchanged.  The stream holds the
     k emission uniforms, then k draws against p1, then k against p2; the gate
     walks the three blocks together, a chunk at a time, and leaves `rng` past
-    all 3k doubles.  Every argument is checked before anything is drawn.
+    all 3k doubles.  The p1 and p2 blocks are read from copies of `rng`
+    advanced past the blocks before them, so its bit generator must be one
+    whose `advance` counts doubles, such as the PCG64 of `default_rng`.
+    Every argument is checked before anything is drawn.
     """
     for name, p in (("p1", p1), ("p2", p2)):
         if not 0.0 < p <= 1.0:

@@ -756,15 +756,20 @@ class TestCliPoisson:
         assert err.startswith("error: ") and all(f"--{flag} " in err for flag in ("k", "p1", "p2"))
         assert not out_path.exists()
 
-    # an escaped numpy RuntimeWarning would fail the run, not reach stderr
+    # an escaped numpy RuntimeWarning would fail the run, not reach stderr;
+    # at 1.79e305 and seed 3 the trace's times stay finite and the gate's pass
+    # the largest float64
     @pytest.mark.filterwarnings("error")
-    def test_overflowing_emission_times_exit_2_naming_the_flags(self, capsys, tmp_path):
+    @pytest.mark.parametrize("theta, seed", [("1e308", "1"), ("1.79e305", "3")])
+    def test_overflowing_emission_times_exit_2_naming_the_flags(
+        self, capsys, tmp_path, theta, seed
+    ):
         out_path = tmp_path / "report.json"
-        argv = ["poisson", "--theta", "1e308", "--k", "1000", "--labels", "2", "--seed", "1"]
+        argv = ["poisson", "--theta", theta, "--k", "1000", "--labels", "2", "--seed", seed]
         code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
         assert code == 2
         assert out == ""
-        assert err.startswith("error: --theta 1e+308 and --k 1000 ")
+        assert err.startswith(f"error: --theta {float(theta)} and --k 1000 ")
         assert err.count("\n") == 1
         assert not out_path.exists()
 
