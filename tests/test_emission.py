@@ -289,6 +289,19 @@ class TestChunkedKernel:
         d_plus, d_minus = one_sided_discrepancies(fracs)
         assert (stats.star, stats.extreme) == (max(d_plus, d_minus), d_plus + d_minus)
 
+    @pytest.mark.parametrize("low, high", [(5, 3 * CHUNK), (3 * CHUNK + 2, 7)])
+    def test_one_sided_maxima_in_any_chunk(self, low, high):
+        # the centred grid has D+ = D- = 1/(2k) at every point; moving point
+        # `low` down raises D+ there alone, and point `high` up raises D-
+        k = 3 * CHUNK + 17
+        pts = (np.arange(k) + 0.5) / k
+        pts[low] -= 0.3 / k
+        pts[high] += 0.2 / k
+        stats = emission.discrepancy_stats(pts)
+        d_plus, d_minus = one_sided_discrepancies(pts)
+        assert d_plus == pytest.approx(0.8 / k) and d_minus == pytest.approx(0.7 / k)
+        assert (stats.star, stats.extreme) == (d_plus, d_plus + d_minus)
+
 
 class TestStreamPosition:
     """Each call moves the caller's stream past exactly what it drew: k
