@@ -19,6 +19,7 @@ import csv
 import json
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -59,8 +60,8 @@ from .measure import (
     theta_hat,
     total_mass,
 )
+from .sampling import _block, run_experiment
 from .sampling import chsh as run_chsh
-from .sampling import run_experiment
 from .splines import (
     approx_squared_diff_grid,
     basis_matrix,
@@ -307,18 +308,32 @@ def cmd_chsh(args):
 
 
 def cmd_poisson(args):
+    # checked before the stream is touched or the gate's worker started
+    for flag in ("p1", "p2"):
+        p = getattr(args, flag)
+        if not 0.0 < p <= 1.0:
+            raise ConfigError(f"--{flag} must lie in (0, 1] (got {p})")
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    # the trace and the gate each draw k emissions, and either may overflow
+    # The trace takes the stream's first k doubles and the gate the 3k after
+    # them, so the gate runs from a copy advanced by k on one worker thread
+    # while this thread makes the trace and its discrepancies; numpy releases
+    # the GIL in both.  The pool is joined before any error leaves the block,
+    # and the gate's own errors surface at `result()`.  Either side may
+    # overflow.
     try:
-        trace = generate_trace(args.theta, args.k, rng)
-        stats = discrepancy_stats(trace.fracs)
-        prefix_ks = [k for k in (10**e for e in range(3, 10)) if k < args.k] + [args.k]
-        prefix_ks = sorted({k for k in prefix_ks if k >= 1})
-        # the last prefix is the whole trace, whose D* the one sort above gave
-        stars = [star_discrepancy(trace.fracs[:k]) for k in prefix_ks[:-1]] + [stats.star]
-        # the gate draws its own emissions; the trace's k floats are not needed
-        del trace
-        gate = detector_gate(args.p1, args.p2, args.labels, args.k, args.theta, rng)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            gate_run = pool.submit(
+                detector_gate, args.p1, args.p2, args.labels, args.k, args.theta,
+                _block(rng, args.k, 1),
+            )
+            trace = generate_trace(args.theta, args.k, rng)
+            stats = discrepancy_stats(trace.fracs)
+            prefix_ks = [k for k in (10**e for e in range(3, 10)) if k < args.k] + [args.k]
+            # the last prefix is the whole trace, whose D* the one sort above gave
+            stars = [star_discrepancy(trace.fracs[:k]) for k in prefix_ks[:-1]] + [stats.star]
+            # the k parts are not needed while the gate finishes
+            del trace
+            gate = gate_run.result()
     except OverflowError as exc:
         raise ConfigError(
             f"--theta {args.theta} and --k {args.k} carry the emission times past the "

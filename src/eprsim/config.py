@@ -30,11 +30,14 @@ BUDGET = 1 << 30
 # largest array of the command it sizes would pass BUDGET, with the other
 # sizes at their minimum
 MAXIMUMS = {
-    # layers: 2M x (3n+12) int64 relocations at M = 1 pair (simulate and chsh,
-    # which build no universe, keep the same caps so a size valid for one
-    # command is valid for all three)
-    "n": BUDGET // 48 - 4,
-    # the same relocations at n = 4: 384 bytes per pair
+    # the first-layer measure, whose build peaks near 120 bytes per unit of n
+    # under tracemalloc: verify's whole run takes near 170, and chsh, which
+    # builds one per component on up to four threads at once, near 400 (a
+    # universe's relocations take 48 per pair; layers is capped lower anyway)
+    "n": BUDGET // 512,
+    # layers: 2M x (3n+12) int64 relocations at n = 4, 384 bytes per pair
+    # (simulate and chsh, which build no universe, keep the same cap so a
+    # size valid for one command is valid for all three)
     "layers": BUDGET // 384,
     # the M x L float64 interval weights at M = 1
     "L": BUDGET // 8,

@@ -12,9 +12,12 @@ their fractional parts: uniforms, waits -theta*log1p(-U) and their running
 sum are formed in place, the sum carrying the time reached so far into its
 first term.  numpy's cumsum adds in sequence, so every part is that of the
 whole-trace cumsum to the bit.  `generate_trace` keeps only the k fractional
-parts; `detector_gate` keeps none of them, and counts labels chunk by chunk;
-the discrepancies read the sorted points chunk by chunk.  So a `poisson` run
-holds at most two arrays of k floats: the parts and their sorted copy.
+parts; the discrepancies read the sorted points chunk by chunk.
+`detector_gate` keeps none of the parts: it counts labels and readiness in
+a few buffers of one `GATE_CHUNK` each, made once, with one bincount per
+chunk.  `poisson` runs the gate on a worker thread beside the trace and its
+discrepancies, so a run holds at most two arrays of k floats, the parts and
+their sorted copy, plus under 1 MiB of gate buffers.
 
 The package imports only numpy and the standard library when it loads.
 scipy serves one function, `chi_square_quantile` (the `poisson` command),
@@ -31,9 +34,13 @@ import numpy as np
 
 from .sampling import _block
 
-# emission times per chunk of the kernel, the gate and the discrepancy scan:
-# a chunk's float64 temporaries stay near 0.5 MiB
+# emission times per chunk of the trace kernel and the discrepancy scan: a
+# chunk's float64 temporaries stay near 0.5 MiB
 CHUNK = 1 << 16
+# emissions per chunk of the detector gate (or the label count, if larger):
+# its four one-chunk buffers, 18 bytes per emission, stay near 0.3 MiB while
+# `poisson` holds a trace beside it
+GATE_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -208,8 +215,9 @@ def detector_gate(
     walks the three blocks together, a chunk at a time, and leaves `rng` past
     all 3k doubles.  The p1 and p2 blocks are read from copies of `rng`
     advanced past the blocks before them, so its bit generator must be one
-    whose `advance` counts doubles, such as the PCG64 of `default_rng`.
-    Every argument is checked before anything is drawn.
+    whose `advance` counts doubles: PCG64 (that of `default_rng`) or
+    PCG64DXSM; any other numpy bit generator is refused.  Every argument is
+    checked before anything is drawn.
     """
     for name, p in (("p1", p1), ("p2", p2)):
         if not 0.0 < p <= 1.0:
@@ -218,24 +226,38 @@ def detector_gate(
         raise ValueError("label count must be >= 1")
     _check_trace_args(theta, k)
     ready1, ready2 = (_block(rng, k, block) for block in (1, 2))
-    # a chunk at least as long as the label count keeps each chunk's bincounts
-    # within a constant factor of its length
-    buf = np.empty(min(k, max(CHUNK, label_count)))
-    ungated = np.zeros(label_count + 1, dtype=np.int64)
-    gated = np.zeros(label_count + 1, dtype=np.int64)
-    accepted = 0
+    # every buffer is made once, one chunk long; a chunk at least as long as
+    # the label count keeps its bincount within a constant factor of it
+    size = min(k, max(GATE_CHUNK, label_count))
+    buf = np.empty(size)  # emission times, then readiness draws
+    keys = np.empty(size, dtype=np.intp)  # label - 1, plus label_count if gated
+    ready_both = np.empty(size, dtype=bool)
+    ready_second = np.empty(size, dtype=bool)
+    # bins 0 .. N-1 count the emissions turned away, N .. 2N-1 those let through
+    counts = np.zeros(2 * label_count, dtype=np.int64)
     time = 0.0
-    for lo in range(0, k, buf.size):
-        part = buf[: min(buf.size, k - lo)]
+    for lo in range(0, k, size):
+        n = min(size, k - lo)
+        part, key, ok, ok2 = buf[:n], keys[:n], ready_both[:n], ready_second[:n]
         time = _fractional_times(part, theta, time, rng)
-        labels = _labels(part, label_count)
-        ready = ready1.random(part.size) < p1
-        ready &= ready2.random(part.size) < p2
-        ungated += np.bincount(labels, minlength=label_count + 1)
-        gated += np.bincount(labels[ready], minlength=label_count + 1)
-        accepted += int(np.count_nonzero(ready))
+        # label - 1 = floor({x} * N) by truncation, which may round up to N
+        part *= label_count
+        np.copyto(key, part, casting="unsafe")
+        np.minimum(key, label_count - 1, out=key)
+        ready1.random(out=part)
+        np.less(part, p1, out=ok)
+        ready2.random(out=part)
+        np.less(part, p2, out=ok2)
+        ok &= ok2
+        # the draws are spent: the float buffer's words now hold label_count * ready
+        shift = part.view(np.intp)
+        np.copyto(shift, ok)
+        shift *= label_count
+        key += shift
+        counts += np.bincount(key, minlength=2 * label_count)
     rng.bit_generator.advance(2 * k)
-    ungated, gated = ungated[1:], gated[1:]
+    gated = counts[label_count:]
+    ungated = counts[:label_count] + gated
     for arr in (ungated, gated):
         arr.setflags(write=False)
     return GateResult(
@@ -243,7 +265,7 @@ def detector_gate(
         ungated_counts=ungated,
         gated_counts=gated,
         total=int(k),
-        accepted=accepted,
+        accepted=int(gated.sum()),
     )
 
 

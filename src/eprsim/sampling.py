@@ -100,7 +100,19 @@ CELL, HALF_A, HALF_B = range(3)
 def _block(rng, size: int, block: int):
     """A copy of `rng` whose next doubles are block `block` of the blocks of
     `size` doubles that start where `rng` stands (for a batch, just after its
-    label block).  `rng` itself does not move."""
+    label block).  `rng` itself does not move.  Any numpy bit generator but
+    PCG64 and PCG64DXSM, whose `advance` counts 64-bit words, one per double,
+    is refused before anything is copied: MT19937 and SFC64 cannot advance,
+    and Philox advances by blocks of four words."""
+    # np.random is named here, not at import: numpy loads it on first use
+    bit_generator = rng.bit_generator
+    if isinstance(bit_generator, np.random.BitGenerator) and not isinstance(
+        bit_generator, (np.random.PCG64, np.random.PCG64DXSM)
+    ):
+        raise ValueError(
+            f"the stream's bit generator must be PCG64 or PCG64DXSM, whose advance "
+            f"counts doubles; got {type(bit_generator).__name__}"
+        )
     stream = copy.deepcopy(rng)
     stream.bit_generator.advance(block * size)
     return stream

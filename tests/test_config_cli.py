@@ -1,15 +1,18 @@
 import base64
+import csv
 import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from eprsim import cli, config, layers
+from eprsim import cli, config, emission, layers
+from eprsim.timings import StageTimer
 
 
 class TestParseSetting:
@@ -332,6 +335,14 @@ UNBUILT_SIZES = {
 }
 
 
+# the commands that build a first-layer measure of order --n
+MEASURE_RUNS = {
+    "verify": ["verify", "--a", "0.6,0.8,0", "--b", "0,0,1"],
+    "simulate": ["simulate", "--angle", "45", "--trials", "1000", "--seed", "1"],
+    "chsh": ["chsh", "--angles", "0,90,45,135", "--trials", "1000", "--seed", "1"],
+}
+
+
 class TestCliSizeBudget:
     @pytest.mark.parametrize("flag", sorted(OVER_BUDGET))
     def test_over_cap_exits_2_before_allocating(self, capsys, tmp_path, flag):
@@ -423,6 +434,22 @@ class TestCliSizeBudget:
         assert 8 * caps["grid"] ** 2 <= config.BUDGET < 8 * (caps["grid"] + 1) ** 2
         assert 8 * caps["k"] <= config.BUDGET
         assert 8 * (caps["labels"] + 1) <= config.BUDGET
+
+    @pytest.mark.parametrize("command", sorted(MEASURE_RUNS))
+    def test_n_cap_keeps_the_measure_peak_within_the_budget(self, capsys, monkeypatch, command):
+        # the peak per unit of n at two sizes, scaled to the cap; chsh builds
+        # one measure per component, on four threads here
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert run_cli(capsys, *MEASURE_RUNS[command], "--n", "4")[0] == 0  # first-call imports
+        for n in (10_000, 100_000):
+            tracemalloc.start()
+            try:
+                code, _, err = run_cli(capsys, *MEASURE_RUNS[command], "--n", str(n))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert code == 0, err
+            assert peak / n * config.MAXIMUMS["n"] <= config.BUDGET, (n, peak)
 
 
 def _universe_file(capsys, tmp_path):
@@ -709,6 +736,34 @@ class TestCliChsh:
         assert err == f"error: {message}\n"
 
 
+CHUNK, GATE_CHUNK = emission.CHUNK, emission.GATE_CHUNK
+# sizes on and around the gate's and the trace's chunk lengths
+POISSON_SIZES = [1, GATE_CHUNK - 1, GATE_CHUNK + 1, CHUNK + 1, 3 * CHUNK + 17]
+
+
+def _serial_poisson(theta, k, labels, p1, p2, seed):
+    """A poisson report's numbers and CSV rows from the serial composition:
+    the trace, its discrepancies, then the gate on the same stream."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    fracs = emission.generate_trace(theta, k, rng).fracs
+    stats = emission.discrepancy_stats(fracs)
+    ks = [10**e for e in range(3, 10) if 10**e < k] + [k]
+    stars = [emission.star_discrepancy(fracs[:j]) for j in ks]
+    gate = emission.detector_gate(p1, p2, labels, k, theta, rng)
+    stat_u, dof = emission.uniform_chi_square(gate.ungated_counts)
+    stat_g, _ = emission.uniform_chi_square(gate.gated_counts)
+    fields = {
+        "star": stats.star,
+        "extreme_lower": stats.extreme,
+        "chi_square_ungated": stat_u,
+        "chi_square_gated": stat_g,
+        "chi_square_dof": dof,
+        "acceptance_rate": gate.acceptance_rate,
+        "rate_slope": emission.fit_rate(ks, stars).slope if len(ks) >= 2 else None,
+    }
+    return fields, [[str(j), repr(star)] for j, star in zip(ks, stars)]
+
+
 class TestCliPoisson:
     def test_report_and_csv(self, capsys, tmp_path):
         csv_path = tmp_path / "decay.csv"
@@ -788,6 +843,87 @@ class TestCliPoisson:
         assert code == 0
         assert peak <= 24 * 2**20
 
+    @pytest.mark.parametrize("flag", ["p1", "p2"])
+    @pytest.mark.parametrize("value", ["0", "-0.5", "1.5", "nan", "inf"])
+    def test_bad_readiness_exits_2_before_any_draw(
+        self, capsys, monkeypatch, tmp_path, flag, value
+    ):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("a bad readiness probability reached the draws")
+
+        monkeypatch.setattr(cli, "generate_trace", not_reached)
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", not_reached)
+        out_path = tmp_path / "report.json"
+        argv = ["poisson", "--theta", "1", "--k", "100", "--labels", "5", "--seed", "1"]
+        code, out, err = run_cli(capsys, *argv, f"--{flag}={value}", "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --{flag} must lie in (0, 1] (got {float(value)})\n"
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("labels", [2, 7, GATE_CHUNK + 3])
+    @pytest.mark.parametrize("k", POISSON_SIZES)
+    def test_report_and_csv_are_the_serial_composition(self, capsys, tmp_path, k, labels):
+        csv_path = tmp_path / "decay.csv"
+        argv = ["poisson", "--theta", "0.37", "--k", str(k), "--labels", str(labels),
+                "--p1", "0.9", "--p2", "0.8", "--seed", "17", "--csv", str(csv_path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        fields, rows = _serial_poisson(0.37, k, labels, 0.9, 0.8, 17)
+        doc = json.loads(out)
+        assert {key: doc.get(key) for key in fields} == fields
+        with open(csv_path, newline="") as fh:
+            assert list(csv.reader(fh)) == [["k", "star_discrepancy"], *rows]
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["--theta", "1", "--k", str(3 * CHUNK + 17), "--labels", "5", "--seed", "1"], 0),
+            (["--theta", "1e308", "--k", "1000", "--labels", "2", "--seed", "1"], 2),
+            (["--theta", "1.79e305", "--k", "1000", "--labels", "2", "--seed", "3"], 2),
+            (["--theta", "-1", "--k", "1000", "--labels", "2", "--seed", "1"], 2),
+            (["--theta", "1", "--k", "10", "--labels", "3", "--seed", "1", "--p1", "0.0001",
+              "--p2", "0.0001"], 2),
+        ],
+    )
+    def test_gate_worker_is_joined_on_every_exit(self, capsys, argv, code):
+        baseline = threading.active_count()
+        assert run_cli(capsys, "poisson", *argv)[0] == code
+        assert threading.active_count() == baseline
+
+    def test_error_on_the_trace_side_waits_for_the_gate(self, capsys, monkeypatch):
+        finished = []
+
+        def gate(*args):
+            result = emission.detector_gate(*args)
+            finished.append(result.total)
+            return result
+
+        def overflow(*args):
+            raise OverflowError("emission times pass the largest float64")
+
+        monkeypatch.setattr(cli, "detector_gate", gate)
+        monkeypatch.setattr(cli, "generate_trace", overflow)
+        baseline = threading.active_count()
+        argv = ["poisson", "--theta", "1", "--k", "1000000", "--labels", "5", "--seed", "1"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --theta 1.0 and --k 1000000 ") and err.count("\n") == 1
+        assert finished == [1_000_000]
+        assert threading.active_count() == baseline
+
+    def test_timings_record_the_gate_and_the_trace_once(self, capsys, tmp_path):
+        timings = tmp_path / "timings.json"
+        argv = ["poisson", "--theta", "1", "--k", str(3 * CHUNK + 17), "--labels", "5",
+                "--seed", "1", "--timings", str(timings)]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        stages = json.loads(timings.read_text())["stages"]
+        for name in ("cmd.poisson", "emission.detector_gate", "emission.generate_trace",
+                     "emission.discrepancy_stats"):
+            assert stages[name]["calls"] == 1, name
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_report_value_is_an_internal_error(
         self, capsys, monkeypatch, tmp_path, value
@@ -839,3 +975,27 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["frobnicate"])
     assert excinfo.value.code == 2
+
+
+def test_stage_timer_counts_stages_ended_on_several_threads():
+    # more threads than cores, switching often, so a lost update would show
+    timer = StageTimer()
+    workers, stages = (os.cpu_count() or 1) + 2, 2000
+
+    def run():
+        for _ in range(stages):
+            with timer.stage("shared"):
+                pass
+
+    threads = [threading.Thread(target=run) for _ in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert timer.stages["shared"]["calls"] == workers * stages

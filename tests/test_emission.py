@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -250,6 +251,7 @@ class TestDetectorGate:
 
 CHUNK = emission.CHUNK
 CHUNK_SIZES = [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17]
+GATE_CHUNK = emission.GATE_CHUNK
 THETAS = [1e-3, 0.37, 1.0, 250.0]
 
 
@@ -281,6 +283,28 @@ class TestChunkedKernel:
         assert res.ungated_counts.tobytes() == ungated.tobytes()
         assert res.gated_counts.tobytes() == gated.tobytes()
         assert (res.total, res.accepted) == (k, accepted)
+
+    # the gate's chunk is GATE_CHUNK emissions, or the label count if larger
+    @pytest.mark.parametrize("labels", [2, 7, GATE_CHUNK + 3])
+    @pytest.mark.parametrize("k", [GATE_CHUNK - 1, GATE_CHUNK, GATE_CHUNK + 1, 3 * GATE_CHUNK + 17])
+    def test_gate_counts_around_its_own_chunk(self, k, labels):
+        res = emission.detector_gate(0.3, 0.7, labels, k, 0.37, np.random.default_rng(68))
+        ungated, gated, accepted = whole_gate(0.3, 0.7, labels, k, 0.37, np.random.default_rng(68))
+        assert res.ungated_counts.tobytes() == ungated.tobytes()
+        assert res.gated_counts.tobytes() == gated.tobytes()
+        assert (res.total, res.accepted) == (k, accepted)
+        assert not (res.ungated_counts.flags.writeable or res.gated_counts.flags.writeable)
+
+    def test_gate_buffers_stay_under_one_mib(self):
+        # the gate runs beside a held trace in `poisson`: its chunk buffers,
+        # not k-length arrays, set its peak
+        tracemalloc.start()
+        try:
+            emission.detector_gate(0.5, 0.5, 50, 1_000_000, 1.0, np.random.default_rng(69))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @pytest.mark.parametrize("k", CHUNK_SIZES)
     def test_one_sided_parts_are_the_whole_array_ones(self, k):
@@ -347,6 +371,25 @@ class TestStreamPosition:
         with pytest.raises(ValueError, match=message):
             emission.detector_gate(p1, p2, labels, k, theta, rng)
         assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.SFC64, np.random.Philox])
+    def test_gate_refuses_a_bit_generator_not_advancing_by_doubles(self, bit_generator):
+        # MT19937 and SFC64 cannot advance; Philox advances by 4-word blocks,
+        # so its p1 and p2 blocks would not be the doubles after the emissions
+        rng = np.random.Generator(bit_generator(89))
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=bit_generator.__name__):
+            emission.detector_gate(0.5, 0.5, 5, 100, 1.0, rng)
+        np.testing.assert_equal(rng.bit_generator.state, before)
+
+    def test_gate_on_pcg64dxsm_follows_its_stream(self):
+        rng, oracle_rng = (np.random.Generator(np.random.PCG64DXSM(91)) for _ in range(2))
+        res = emission.detector_gate(0.7, 0.9, 11, CHUNK + 5, 1.3, rng)
+        ungated, gated, accepted = whole_gate(0.7, 0.9, 11, CHUNK + 5, 1.3, oracle_rng)
+        assert res.ungated_counts.tolist() == ungated.tolist()
+        assert res.gated_counts.tolist() == gated.tolist()
+        assert res.accepted == accepted
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
     @pytest.mark.parametrize("theta,k", [(np.inf, 10), (-1.0, 10), (1.0, 0)])
     def test_rejected_trace_draws_nothing(self, theta, k):

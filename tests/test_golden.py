@@ -206,6 +206,12 @@ def test_plain_run_imports_no_timer():
     _run_fresh(code, *REPORTS["verify_edge"])
 
 
+def test_import_leaves_numpy_random_unloaded():
+    # numpy loads np.random on first use; a module-level reference would add
+    # its import to every command's cold start
+    _run_fresh("import sys, eprsim.cli\nassert 'numpy.random' not in sys.modules\n")
+
+
 def test_only_poisson_imports_scipy(tmp_path):
     """eprsim loads with numpy and the standard library only: no golden
     command but poisson imports any scipy module, and poisson imports
