@@ -18,31 +18,26 @@ from eprsim import chsh, run_experiment, setting_from_angle
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=4)
-    parser.add_argument("--layers", type=int, default=50, help="companion pairs M: 2M labels")
     parser.add_argument("--trials", type=int, default=200_000)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--step", type=float, default=7.5, help="angle step in degrees")
     parser.add_argument("--out", default="chsh_scan.csv")
     args = parser.parse_args()
 
-    # the products depend on no universe, only on n and the label count; the
-    # first child once built one and is kept unused so the streams stay the same
-    _, trial_seq = np.random.SeedSequence(args.seed).spawn(2)
-    sizes = (args.n, 2 * args.layers)
+    # the products depend on no universe, only on n
     a = setting_from_angle(0.0)
-
     angles = np.arange(0.0, 180.0 + 1e-9, args.step)
-    children = trial_seq.spawn(len(angles) + 1)
+    children = np.random.SeedSequence(args.seed).spawn(len(angles) + 1)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["angle_deg", "mean", "stderr", "target"])
         for angle, child in zip(angles, children):
-            est = run_experiment(*sizes, a, setting_from_angle(angle), args.trials, seed=child)
+            est = run_experiment(args.n, a, setting_from_angle(angle), args.trials, seed=child)
             writer.writerow([angle, est.mean, est.stderr, est.exact_target])
             print(f"angle {angle:6.1f}  mean {est.mean:+.5f}  target {est.exact_target:+.5f}")
 
     est = chsh(
-        *sizes,
+        args.n,
         setting_from_angle(0.0),
         setting_from_angle(90.0),
         setting_from_angle(45.0),

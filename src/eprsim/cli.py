@@ -36,6 +36,7 @@ from .config import (
     parse_setting,
 )
 from .emission import (
+    _block,
     chi_square_quantile,
     detector_gate,
     discrepancy_stats,
@@ -60,7 +61,7 @@ from .measure import (
     theta_hat,
     total_mass,
 )
-from .sampling import _block, run_experiment
+from .sampling import run_experiment
 from .sampling import chsh as run_chsh
 from .splines import (
     approx_squared_diff_grid,
@@ -134,6 +135,15 @@ def cmd_verify(args):
     return fields, None
 
 
+def _decimal_digits(x: int) -> int:
+    """The number of decimal digits of x >= 1, without `str`, which refuses
+    ints past 4300 digits (layer_count passes that from n = 249).  With
+    g = round(b log10 2) for x's bit length b, 2^(b-1) <= x < 2^b puts
+    log10 x at least 0.19 inside [g - 1, g + 1), so x has g or g + 1 digits."""
+    g = round(x.bit_length() * math.log10(2))
+    return g + (x >= 10**g)
+
+
 def cmd_layers(args):
     # checked before the build, which at this n could take the whole budget
     if args.n > MAX_SAVED_N:
@@ -151,7 +161,7 @@ def cmd_layers(args):
         "interval_count": args.L,
         "pair_count": args.layers,
         "label_count": universe.label_count,
-        "published_layer_count_digits": len(str(layer_count(args.n))),
+        "published_layer_count_digits": _decimal_digits(layer_count(args.n)),
         "universe": str(args.universe),
     }
     return fields, None
@@ -183,7 +193,7 @@ def _resolve_run_params(args) -> None:
     """Fill each flag left unset from the --config file, then from
     RUN_DEFAULTS (flags win), and check every size and seed.  A run on an
     existing --universe takes its sizes from the file instead of the
-    defaults (see `_run_sizes`)."""
+    defaults (see `_run_order`)."""
     params = vars(args)
     cfg = load_config(args.config) if params.get("config") else {}
     settings = cfg.pop("settings", None)
@@ -216,14 +226,13 @@ def _resolve_run_params(args) -> None:
     check_budget(args.command, params)
 
 
-def _run_sizes(args) -> tuple[int, int]:
-    """The order n and label count a run samples with.  A products run reads
-    nothing else of a universe, so a fresh run builds none and has
-    2 * --layers labels; a --universe file is still read and validated, its
+def _run_order(args) -> int:
+    """The order n a run samples at, all a products run reads.  A fresh run
+    builds no universe; a --universe file is still read and validated, its
     sizes must agree with any size given by flag or config, and they become
-    the sizes the report shows.  --L sizes nothing here."""
+    the sizes the report shows.  --L and --layers size nothing here."""
     if not args.universe:
-        return args.n, 2 * args.layers
+        return args.n
     universe = load_universe(args.universe)
     for key, field in UNIVERSE_SIZES.items():
         value = getattr(universe, field)
@@ -233,14 +242,7 @@ def _run_sizes(args) -> tuple[int, int]:
                 f"--{key} {given} disagrees with {args.universe}, which has {key} = {value}"
             )
         setattr(args, key, value)
-    return universe.n, universe.label_count
-
-
-def _trial_seed(seed: int) -> np.random.SeedSequence:
-    """The seed sequence a simulate or chsh run draws its trials from: the
-    second child of `seed`.  The first child once built the run's universe;
-    it is now unused and kept so every stream stays the same."""
-    return np.random.SeedSequence(seed).spawn(2)[1]
+    return universe.n
 
 
 def _angle_setting(flag: str, degrees) -> np.ndarray:
@@ -264,7 +266,7 @@ def cmd_simulate(args):
             raise ConfigError("provide --a and --b, --angle, or two settings in --config")
     batch_means: list[float] = []
     estimate = run_experiment(
-        *_run_sizes(args), a, b, args.trials, seed=_trial_seed(args.seed), batch_means=batch_means
+        _run_order(args), a, b, args.trials, seed=args.seed, batch_means=batch_means
     )
     fields = {
         "a": [float(x) for x in a],
@@ -290,7 +292,7 @@ def cmd_chsh(args):
             raise ConfigError(
                 "provide --angles, all of --a --a2 --b --b2, or four settings in --config"
             )
-    estimate = run_chsh(*_run_sizes(args), a, a2, b, b2, args.trials, seed=_trial_seed(args.seed))
+    estimate = run_chsh(_run_order(args), a, a2, b, b2, args.trials, seed=args.seed)
     fields = {
         "s_value": estimate.s_value,
         "stderr": estimate.stderr,
@@ -423,9 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("simulate", cmd_simulate), ("chsh", cmd_chsh)):
         p = sub.add_parser(name, help=f"{name} experiment")
         p.add_argument("--config", help="flat key=value config file; flags override it")
-        p.add_argument("--universe", help="universe JSON whose n and label count the run takes")
+        p.add_argument("--universe", help="universe JSON whose n the run takes")
         p.add_argument("--n", type=int)
-        p.add_argument("--layers", type=int)
+        p.add_argument("--layers", type=int, help="checked against --universe; sizes nothing")
         p.add_argument("--L", type=int, help="checked against --universe; sizes nothing")
         p.add_argument("--trials", type=int)
         p.add_argument("--seed", type=int)

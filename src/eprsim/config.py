@@ -46,8 +46,11 @@ MAXIMUMS = {
     # poisson: the float64 fractional parts of k emission times, and their
     # sorted copy (the gate and the times themselves go chunk by chunk)
     "k": BUDGET // 8,
-    # poisson: the int64 counts of labels 0 .. labels
-    "labels": BUDGET // 8 - 1,
+    # poisson: at k >= labels the gate's chunk buffers are as long as the
+    # label count, beside its 2N-bin counts; the whole command's tracemalloc
+    # peak grows by 44-51 bytes per label there (k = 2e5 to 2e6, numpy 2.4,
+    # x86-64 Linux), so 64 leaves room
+    "labels": BUDGET // 64,
 }
 
 # arrays sized by two flags at once, in bytes, keyed by the command that

@@ -27,12 +27,11 @@ and `poisson` loads `scipy.special` but not `scipy.stats`.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .sampling import _block
 
 # emission times per chunk of the trace kernel and the discrepancy scan: a
 # chunk's float64 temporaries stay near 0.5 MiB
@@ -41,6 +40,27 @@ CHUNK = 1 << 16
 # its four one-chunk buffers, 18 bytes per emission, stay near 0.3 MiB while
 # `poisson` holds a trace beside it
 GATE_CHUNK = 1 << 14
+
+
+def _block(rng, size: int, block: int):
+    """A copy of `rng` whose next doubles are block `block` of the blocks of
+    `size` doubles that start where `rng` stands.  `rng` itself does not
+    move.  Any numpy bit generator but PCG64 and PCG64DXSM, whose `advance`
+    counts 64-bit words, one per double, is refused before anything is
+    copied: MT19937 and SFC64 cannot advance, and Philox advances by blocks
+    of four words."""
+    # np.random is named here, not at import: numpy loads it on first use
+    bit_generator = rng.bit_generator
+    if isinstance(bit_generator, np.random.BitGenerator) and not isinstance(
+        bit_generator, (np.random.PCG64, np.random.PCG64DXSM)
+    ):
+        raise ValueError(
+            f"the stream's bit generator must be PCG64 or PCG64DXSM, whose advance "
+            f"counts doubles; got {type(bit_generator).__name__}"
+        )
+    stream = copy.deepcopy(rng)
+    stream.bit_generator.advance(block * size)
+    return stream
 
 
 @dataclass(frozen=True)

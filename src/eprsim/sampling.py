@@ -1,23 +1,24 @@
 """Monte Carlo engine: hidden-sample draws, correlation estimates, CHSH runs.
 
-Every component is drawn by inverse transform (label, diagonal cell, offsets
-within the cell, weight interval), so the sampler targets the exact
-normalized cell law.  Both spins carry the same flip (layer sign times
-s(ell)), so the product A*B depends only on the drawn cell and half-cells
-and is read from one int8 table.  `run_experiment` and `chsh` therefore take
-no universe, only the order n and the label count 2M the label draw is
-bounded by: they run in O(N) time for N trials and never build, read or
-search the relocations or weights.  Only `draw_batch`, which reports the
-spins themselves, takes a universe and does the O(N log L) interval search,
-an exact binary search in the pair's weight CDF.  The cell is found by a
-guide table that gives exactly what `searchsorted` in the cell cumsum gives.
+Every component is drawn by inverse transform (diagonal cell and half-cells,
+label, offsets within the half-cells, weight interval), so the sampler
+targets the exact normalized cell law.  The cell and its two half-cells are
+drawn as one atom (cell, half_a, half_b) of mass m_c / 4 over the
+positive-mass cells, from one double.  Both spins carry the same flip (layer
+sign times s(ell)), so the product A*B depends only on the atom and is read
+from one table.  `run_experiment` and `chsh` therefore take no universe,
+only the order n: a trial is one double, they run in O(N) time for N trials
+and never build, read or search the labels, relocations or weights.  Only
+`draw_batch`, which reports the spins themselves, takes a universe and does
+the O(N log L) interval search, an exact binary search in the pair's weight
+CDF.  The atom is found by a guide table that gives exactly what
+`searchsorted` in the atom cumsum gives.
 
-After its labels, a `run_experiment` batch's stream is one block of doubles
-per draw (cell, half-cells), and a copy of the stream advanced past earlier
-blocks starts any block.  So each batch copies its three block streams once
-and walks its trials in sub-chunks that draw their uniforms into their slice
-of the batch's one float64 product array and overwrite them with the
-products (about 8 MiB per 1e6 trials in all).  Streams are numpy Generators;
+A product is +1 or -1, so a batch of N trials is summed up by P, its count
+of +1 products: its mean is (2P - N) / N and its sum of squared deviations
+4P(N - P) / N, and batches merge by adding counts.  A batch walks its
+trials in sub-chunks that draw their doubles into one reused buffer, so no
+per-trial array outlives a sub-chunk.  Streams are numpy Generators;
 experiments split a seed sequence per batch, and `chsh` runs its four
 components, each on its own child seed, on up to min(4, os.cpu_count())
 threads, so neither the chunk sizes nor the worker count changes a number.
@@ -25,7 +26,6 @@ threads, so neither the chunk sizes nor the worker count changes a number.
 
 from __future__ import annotations
 
-import copy
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -81,55 +81,30 @@ def _interval_search(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.nda
     return base - start + (flat[base] <= target)
 
 
-# trials per chunk of the label draw and of draw_batch's interval search
+# trials per chunk of draw_batch's interval search
 CHUNK = 1 << 16
-# trials per sub-chunk of a products batch: its temporaries stay near 0.25 MB
+# trials per sub-chunk of a batch: its buffer and temporaries stay near 0.4 MiB
 SUB_CHUNK = 1 << 14
-# buckets of the cell guide table: the diagonal cell law puts its mass on few
-# cells (at most 12 for random settings up to n = 1e4), so the fix-up passes
-# stay few (at most 6 there)
+# buckets of the guide table: the diagonal cell law puts its mass on few
+# cells (at most 12 for random settings up to n = 1e4, so 48 atoms), so few
+# targets fall in a bucket that holds a value and needs the fix-up passes
 GUIDE_BUCKETS = 1024
-
-# A batch's stream: the label block, then one block of `size` doubles per
-# draw, in this order (`draw_batch` goes on with the interval uniform and the
-# w offset).  PCG64 `random` takes one 64-bit word per double, so block k's
-# first trial is word k*size after the labels (see `_block`).
-CELL, HALF_A, HALF_B = range(3)
-
-
-def _block(rng, size: int, block: int):
-    """A copy of `rng` whose next doubles are block `block` of the blocks of
-    `size` doubles that start where `rng` stands (for a batch, just after its
-    label block).  `rng` itself does not move.  Any numpy bit generator but
-    PCG64 and PCG64DXSM, whose `advance` counts 64-bit words, one per double,
-    is refused before anything is copied: MT19937 and SFC64 cannot advance,
-    and Philox advances by blocks of four words."""
-    # np.random is named here, not at import: numpy loads it on first use
-    bit_generator = rng.bit_generator
-    if isinstance(bit_generator, np.random.BitGenerator) and not isinstance(
-        bit_generator, (np.random.PCG64, np.random.PCG64DXSM)
-    ):
-        raise ValueError(
-            f"the stream's bit generator must be PCG64 or PCG64DXSM, whose advance "
-            f"counts doubles; got {type(bit_generator).__name__}"
-        )
-    stream = copy.deepcopy(rng)
-    stream.bit_generator.advance(block * size)
-    return stream
 
 
 class _CellGuide:
-    """Exact `np.searchsorted(cum, t, side="right")` in the unnormalized cell
-    cumsum for targets t = u * cum[-1], u in [0, 1), by a guide table.
+    """Exact `np.searchsorted(cum, t, side="right")` in the unnormalized
+    cumsum of `masses` for targets t = u * cum[-1], u in [0, 1), by a guide
+    table.
 
-    Each run of equal cum values (zero-mass cells) collapses to the one
-    positive-mass cell that starts the next run: `runs(t)` counts the distinct
-    values <= t, and `cells[run]` is the cell searchsorted finds, so a
-    zero-mass cell is never drawn.  Values and targets share one monotone
-    float map to buckets, floor(x * scale); the values in buckets below a
-    target's bucket are <= it and those above are > it, so `lower[bucket]`
-    bounds the count from below and `passes`, the most values in one bucket,
-    fix-up steps reach it exactly."""
+    Each run of equal cum values (a zero mass, or one too small to move the
+    sum) collapses to the one entry that starts the next run: `runs(t)`
+    counts the distinct values <= t, and `cells[run]` is the entry
+    searchsorted finds, so a zero-mass entry is never drawn.  Values and
+    targets share one monotone float map to buckets, floor(x * scale); the
+    values in buckets below a target's bucket are <= it and those above are
+    > it, so `lower[bucket]` is the count where the bucket holds no value
+    and bounds it from below where it does (`mixed`); there `passes`, the
+    most values in one bucket, fix-up steps reach it exactly."""
 
     def __init__(self, masses: np.ndarray):
         cum = np.cumsum(masses)
@@ -144,6 +119,7 @@ class _CellGuide:
         counts = np.bincount(self._bucket(bounds), minlength=GUIDE_BUCKETS + 1)
         self.passes = int(counts.max())
         self.lower = np.concatenate(([0], np.cumsum(counts)))
+        self.mixed = counts > 0
         # a sentinel above every target stops the fix-up after the last value
         self.bounds = np.append(bounds, np.inf)
 
@@ -151,9 +127,15 @@ class _CellGuide:
         return (x * self.scale).astype(np.intp)  # x >= 0: truncation is floor
 
     def runs(self, target: np.ndarray) -> np.ndarray:
-        run = self.lower[self._bucket(target)]
+        bucket = self._bucket(target)
+        run = self.lower[bucket]
+        # only the targets in mixed buckets, which span at most
+        # len(bounds) / GUIDE_BUCKETS of the range, need the fix-up
+        (mixed,) = np.nonzero(self.mixed[bucket])
+        part, fix = target[mixed], run[mixed]
         for _ in range(self.passes):
-            run += self.bounds[run] <= target
+            fix += self.bounds[fix] <= part
+        run[mixed] = fix
         return run
 
 
@@ -183,40 +165,35 @@ def _fill_spins(universe: LayerUniverse, mu: BaseMeasure, m0, cellpos, upper_a, 
     return spin_a, spin_b, ell0
 
 
-def _products(label_count: int, mu: BaseMeasure, size: int, rng) -> np.ndarray:
-    """The product A*B of each of `size` trials as one float64 array, in
-    O(size) time; SUB_CHUNK changes no number.
+def _atoms(mu: BaseMeasure) -> tuple[np.ndarray, _CellGuide]:
+    """The positive-mass cell positions and the guide over their atoms: atom
+    4i + 2 half_a + half_b is (cell pos[i], half_a, half_b), of mass
+    m_c / 4 (dividing by 4 is exact).  Zero-mass cells get no atom, so the
+    guide's tables stay small at any n."""
+    pos = np.flatnonzero(mu.cell_masses)
+    return pos, _CellGuide(np.repeat(mu.cell_masses[pos] / 4, 4))
+
+
+def _plus_count(mu: BaseMeasure, size: int, rng) -> int:
+    """How many of `size` trials have product A*B = +1, in O(size) time from
+    `size` doubles of `rng`; SUB_CHUNK changes no number.
 
     Both spins carry the same flip (layer sign times s(ell)), so the product
     is outcome[0, cell, half_a] * outcome[1, cell, half_b]: it depends on the
-    drawn cell and half-cells only, never on the label, interval or
-    relocation.  It is read from one int8 [run, half_a, half_b] table over
-    the positive-mass cells.  The labels are drawn only to keep the stream in
-    step with `draw_batch` (bounded `integers` takes a data-dependent number
-    of words) and dropped; the interval uniform, a later block, is never
-    drawn.  `rng` moves past the labels only: each batch has its own stream."""
-    # int32 labels take the same bounded 32-bit words as draw_batch's int64
-    # ones and halve the temporary; counts past int32 keep int64
-    dtype = np.int32 if label_count <= np.iinfo(np.int32).max else np.int64
-    for lo in range(0, size, CHUNK):
-        rng.integers(0, label_count, size=min(CHUNK, size - lo), dtype=dtype)
-    guide = _CellGuide(mu.cell_masses)
-    table = (mu.outcome[0][guide.cells, :, None] * mu.outcome[1][guide.cells, None, :]).ravel()
-    prod = np.empty(size)
-    # the three block streams are copied once; each sub-chunk draws its
-    # uniforms into its own slice of prod and overwrites them with products
-    cell, half_a, half_b = (_block(rng, size, k) for k in (CELL, HALF_A, HALF_B))
+    drawn atom only, never on the label, interval or relocation, none of
+    which is drawn.  Whether it is +1 is read from one table over the
+    guide's runs."""
+    pos, guide = _atoms(mu)
+    product = mu.outcome[0][pos, :, None] * mu.outcome[1][pos, None, :]
+    plus = product.ravel()[guide.cells] > 0
+    buf = np.empty(min(size, SUB_CHUNK))
+    count = 0
     for start in range(0, size, SUB_CHUNK):
-        part = prod[start : start + SUB_CHUNK]
-        cell.random(out=part)
+        part = buf[: min(SUB_CHUNK, size - start)]
+        rng.random(out=part)
         part *= guide.total
-        key = guide.runs(part)
-        for half in (half_a, half_b):
-            half.random(out=part)
-            key <<= 1
-            key |= part >= 0.5
-        part[:] = table[key]
-    return prod
+        count += int(np.count_nonzero(plus[guide.runs(part)]))
+    return count
 
 
 def _inside(x: np.ndarray, bins: np.ndarray, scale: int) -> np.ndarray:
@@ -234,14 +211,17 @@ def draw_batch(universe: LayerUniverse, a, b, size: int, rng: np.random.Generato
     and u and v lie in the sampled half-cell of the relocated column and row,
     so the layer outcomes at (u, v, w) are the sampled spins."""
     mu = build_measure(a, b, universe.n)
-    # the stream in block order: labels, cell, du, dv, interval uniform, w offset
-    m0 = rng.integers(0, universe.label_count, size=size)
-    guide = _CellGuide(mu.cell_masses)
+    # the stream in block order: atom, labels, du, dv, interval uniform, w offset
+    pos, guide = _atoms(mu)
     target = rng.random(size)
     target *= guide.total
-    cellpos = guide.cells[guide.runs(target)]
+    atom = guide.cells[guide.runs(target)]
+    cellpos = pos[atom >> 2]
+    upper_a = (atom >> 1) & 1
+    upper_b = atom & 1
+    m0 = rng.integers(0, universe.label_count, size=size)
     du, dv, interval_u, dw = (rng.random(size) for _ in range(4))
-    spin_a, spin_b, ell0 = _fill_spins(universe, mu, m0, cellpos, du >= 0.5, dv >= 0.5, interval_u)
+    spin_a, spin_b, ell0 = _fill_spins(universe, mu, m0, cellpos, upper_a, upper_b, interval_u)
     pair = m0 >> 1
     cols = universe.col_to[pair, cellpos] - 2
     rows = universe.row_to[pair, cellpos] - 2
@@ -251,8 +231,8 @@ def draw_batch(universe: LayerUniverse, a, b, size: int, rng: np.random.Generato
         "m": m0 + 1,
         "cell": cellpos - 2,
         "ell": ell0 + 1,
-        "u": _inside(cols - 1.0 + du, 2 * cols - 2 + (du >= 0.5), 2),
-        "v": _inside(rows - 1.0 + dv, 2 * rows - 2 + (dv >= 0.5), 2),
+        "u": _inside(cols - 1.0 + (upper_a + du) / 2, 2 * cols - 2 + upper_a, 2),
+        "v": _inside(rows - 1.0 + (upper_b + dv) / 2, 2 * rows - 2 + upper_b, 2),
         "w": _inside((ell0 + dw) / universe.interval_count, ell0, universe.interval_count),
         "spin_a": spin_a.astype(float),
         "spin_b": spin_b.astype(float),
@@ -261,7 +241,6 @@ def draw_batch(universe: LayerUniverse, a, b, size: int, rng: np.random.Generato
 
 def run_experiment(
     n: int,
-    label_count: int,
     a,
     b,
     trials: int,
@@ -269,46 +248,35 @@ def run_experiment(
     batch_size: int = 1_000_000,
     batch_means=None,
 ) -> CorrelationEstimate:
-    """Estimate E{A B} from `trials` draws at order `n` over `label_count`
-    labels (2M for a universe of M companion pairs).
+    """Estimate E{A B} from `trials` draws at order `n`.
 
-    Batches use split child streams of `seed` and a fixed merge order
-    (count/mean/M2), so the result does not depend on how batches would be
-    scheduled.
+    Batches use split child streams of `seed` and merge by adding their +1
+    counts, so the result depends neither on how batches would be scheduled
+    nor on any summation order.  `batch_means`, if given, receives each
+    batch's mean.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if label_count < 1:
-        raise ValueError(f"label_count must be >= 1, got {label_count}")
     mu = build_measure(a, b, n)
     exact_target = -float(np.dot(mu.a, mu.b))
-    streams = _streams_for(trials, batch_size, seed)
-
-    count = 0
-    mean = 0.0
-    m2 = 0.0
+    plus = 0
     remaining = trials
-    for stream in streams:
+    for stream in _streams_for(trials, batch_size, seed):
         size = min(batch_size, remaining)
-        # one whole float64 array: its pairwise sums are what the stderr pins
-        prod = _products(label_count, mu, size, stream)
-        b_count = prod.size
-        b_mean = float(prod.mean())
-        prod -= b_mean
-        np.square(prod, out=prod)
-        b_m2 = float(prod.sum())
+        b_plus = _plus_count(mu, size, stream)
         if batch_means is not None:
-            batch_means.append(b_mean)
-        delta = b_mean - mean
-        total = count + b_count
-        m2 += b_m2 + delta * delta * count * b_count / total
-        mean += delta * b_count / total
-        count = total
+            batch_means.append((2 * b_plus - size) / size)
+        plus += b_plus
         remaining -= size
-    stderr = math.sqrt(m2 / (count - 1) / count) if count > 1 else 0.0
-    return CorrelationEstimate(mean=mean, stderr=stderr, trials=count, exact_target=exact_target)
+    # mean (2P - N) / N and, from M2 = 4P(N - P) / N, the stderr
+    # sqrt(M2 / (N - 1) / N): each one correctly rounded integer ratio
+    mean = (2 * plus - trials) / trials
+    var = 4 * plus * (trials - plus) / (trials * trials * (trials - 1)) if trials > 1 else 0.0
+    return CorrelationEstimate(
+        mean=mean, stderr=math.sqrt(var), trials=trials, exact_target=exact_target
+    )
 
 
 def _as_seed_sequence(seed) -> np.random.SeedSequence:
@@ -331,7 +299,6 @@ def _streams_for(trials, batch_size, seed):
 
 def chsh(
     n: int,
-    label_count: int,
     a,
     a2,
     b,
@@ -349,7 +316,7 @@ def chsh(
     # component's numbers depend only on its child seed, not on the thread
     with ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
         futures = [
-            pool.submit(run_experiment, n, label_count, x, y, trials, seed=child)
+            pool.submit(run_experiment, n, x, y, trials, seed=child)
             for (x, y), child in zip(pairs, children)
         ]
         runs = [future.result() for future in futures]

@@ -435,6 +435,24 @@ class TestCliSizeBudget:
         assert 8 * caps["k"] <= config.BUDGET
         assert 8 * (caps["labels"] + 1) <= config.BUDGET
 
+    def test_labels_cap_keeps_the_gate_peak_within_the_budget(self, capsys):
+        # the whole command's peak at two label counts with k >= labels, where
+        # the gate's chunk buffers are as long as the label count: the slope
+        # per label, scaled to the cap
+        argv = ["poisson", "--theta", "1", "--k", "200000", "--seed", "1"]
+        assert run_cli(capsys, *argv, "--labels", "2")[0] == 0  # first-call imports
+        peaks = []
+        for labels in (50_000, 200_000):
+            tracemalloc.start()
+            try:
+                code, _, err = run_cli(capsys, *argv, "--labels", str(labels))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0, err
+        slope = (peaks[1] - peaks[0]) / 150_000
+        assert slope * config.MAXIMUMS["labels"] <= config.BUDGET, slope
+
     @pytest.mark.parametrize("command", sorted(MEASURE_RUNS))
     def test_n_cap_keeps_the_measure_peak_within_the_budget(self, capsys, monkeypatch, command):
         # the peak per unit of n at two sizes, scaled to the cap; chsh builds
@@ -549,6 +567,30 @@ class TestCliLayersAnalyze:
         assert doc["conditional_bias"]["A"] <= 1e-12
         assert doc["witness_bias"]["A"] > 0.1
         assert doc["pair_expectation"] == pytest.approx(-0.6, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [4, 248, 249, layers.MAX_SAVED_N])
+    def test_layer_count_digits_past_the_str_limit(self, n):
+        # from n = 249 the count has more than the 4300 digits `str` allows
+        count = layers.layer_count(n)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            digits = len(str(count))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert cli._decimal_digits(count) == digits
+
+    def test_decimal_digits_next_to_powers_of_ten_and_two(self):
+        for e in range(1, 1300):
+            for x in (10**e - 1, 10**e, 2**e - 1, 2**e):
+                assert cli._decimal_digits(x) == len(str(x)), x
+
+    def test_layers_reports_the_digits_at_n_249(self, capsys, tmp_path):
+        upath = tmp_path / "uni.json"
+        argv = ["layers", "--n", "249", "--layers", "1", "--seed", "1", "--universe", str(upath)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert json.loads(out)["published_layer_count_digits"] == 4310
 
     def test_analyze_without_c_exits_2_naming_it(self, capsys, tmp_path):
         upath = tmp_path / "uni.json"
@@ -716,6 +758,16 @@ class TestCliChsh:
         from_flags = json.loads(out)
         assert from_config.pop("config") != from_flags.pop("config")
         assert from_config == from_flags
+
+    def test_bench_argv_keeps_its_size_flags(self, capsys):
+        # --L and --layers size nothing, but stay valid and in the config block
+        argv = ["chsh", "--angles", "0,90,45,135", "--trials", "1000000", "--n", "4",
+                "--L", "64", "--layers", "50", "--seed", "1"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        doc = json.loads(out)
+        assert (doc["config"]["L"], doc["config"]["layers"]) == (64, 50)
+        assert abs(doc["s_value"] - 2.0 * np.sqrt(2.0)) <= 6.0 * doc["stderr"]
 
     def test_wrong_angle_count(self, capsys):
         code, _, err = run_cli(capsys, "chsh", "--angles", "0,90", "--trials", "10", "--seed", "3")

@@ -25,8 +25,25 @@ def universe():
     return layers.build_universe(4, 2, 50, np.random.default_rng(301))
 
 
-# n and label count of the `universe` fixture, all that run_experiment and chsh take
-SIZES = (4, 100)
+# the order n of the `universe` fixture, all of it that run_experiment and chsh take
+N = 4
+
+
+def _plain_atoms(mu, u):
+    """The cell position and half-cells of each uniform of `u` by the plain
+    stream layout: `searchsorted` at u times the total of the cumsum of the
+    masses m_c / 4 of the atoms (cell, half_a, half_b) of the positive-mass
+    cells, in that order."""
+    pos = np.flatnonzero(mu.cell_masses)
+    cum = np.cumsum(np.repeat(mu.cell_masses[pos] / 4, 4))
+    atom = np.searchsorted(cum, u * cum[-1], side="right")
+    return pos[atom // 4], atom // 2 % 2, atom % 2
+
+
+def _plain_plus_count(mu, size, rng):
+    """The number of +1 products among `size` trials of the plain layout."""
+    cell, half_a, half_b = _plain_atoms(mu, rng.random(size))
+    return int(np.sum(mu.outcome[0][cell, half_a] * mu.outcome[1][cell, half_b] == 1))
 
 
 class TestDraw:
@@ -91,16 +108,16 @@ class TestReproducibility:
             assert np.array_equal(one[key], two[key])
 
     def test_run_experiment_seed_replay(self):
-        est1 = sampling.run_experiment(*SIZES, A, B45, 100_000, seed=29)
-        est2 = sampling.run_experiment(*SIZES, A, B45, 100_000, seed=29)
+        est1 = sampling.run_experiment(N, A, B45, 100_000, seed=29)
+        est2 = sampling.run_experiment(N, A, B45, 100_000, seed=29)
         assert est1 == est2
 
     def test_batch_split_invariance(self):
         # same total and seed, different batch sizes: stream per batch comes
         # from the same spawn tree, so both runs are valid; means agree with
         # the target within their standard errors
-        est_small = sampling.run_experiment(*SIZES, A, B45, 90_000, seed=31, batch_size=30_000)
-        est_big = sampling.run_experiment(*SIZES, A, B45, 90_000, seed=31, batch_size=90_000)
+        est_small = sampling.run_experiment(N, A, B45, 90_000, seed=31, batch_size=30_000)
+        est_big = sampling.run_experiment(N, A, B45, 90_000, seed=31, batch_size=90_000)
         for est in (est_small, est_big):
             assert abs(est.mean - est.exact_target) <= 3.29 * est.stderr + 5e-3
 
@@ -108,14 +125,15 @@ class TestReproducibility:
 class TestStreamPosition:
     @pytest.mark.parametrize("size", [1, 1000])
     def test_draw_batch_moves_the_stream_past_its_draws(self, universe, size):
-        """draw_batch takes the labels and then five blocks of `size` doubles
-        from `rng` itself, so a second call on the same stream draws new
-        trials."""
+        """draw_batch takes a block of `size` atom doubles, the labels and
+        then four more blocks of `size` doubles from `rng` itself, so a
+        second call on the same stream draws new trials."""
         rng = np.random.default_rng(11)
         first = sampling.draw_batch(universe, A, B45, size, rng)
         expected = np.random.default_rng(11)
+        expected.random(size)
         expected.integers(0, universe.label_count, size=size)
-        expected.random(5 * size)
+        expected.random(4 * size)
         assert rng.bit_generator.state == expected.bit_generator.state
         second = sampling.draw_batch(universe, A, B45, size, rng)
         for key in ("u", "v", "w"):
@@ -144,38 +162,59 @@ class TestRunExperiment:
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_batch_size_below_one_rejected(self, batch_size):
         with pytest.raises(ValueError, match="batch_size must be >= 1"):
-            sampling.run_experiment(*SIZES, A, B45, 100, seed=1, batch_size=batch_size)
+            sampling.run_experiment(N, A, B45, 100, seed=1, batch_size=batch_size)
 
-    @pytest.mark.parametrize("label_count", [0, -2])
-    def test_label_count_below_one_rejected(self, label_count):
-        with pytest.raises(ValueError, match="label_count must be >= 1"):
-            sampling.run_experiment(4, label_count, A, B45, 100, seed=1)
+    @pytest.mark.parametrize("trials, batch_size", [(1, 1), (10_007, 10_007), (10_007, 3000)])
+    def test_estimate_is_the_closed_form_of_the_plus_counts(self, trials, batch_size):
+        """Batch i of N_i trials with P_i products +1 has mean (2P_i - N_i) / N_i;
+        the run's mean is (2P - N) / N and its stderr sqrt(4P(N - P) / (N^2 (N - 1)))
+        for P and N summed over the batches."""
+        mu = measure.build_measure(A, B45, N)
+        sizes = [min(batch_size, trials - lo) for lo in range(0, trials, batch_size)]
+        children = np.random.SeedSequence(61).spawn(len(sizes))
+        plus = [
+            _plain_plus_count(mu, size, np.random.default_rng(child))
+            for size, child in zip(sizes, children)
+        ]
+        batch_means = []
+        est = sampling.run_experiment(
+            N, A, B45, trials, seed=61, batch_size=batch_size, batch_means=batch_means
+        )
+        assert batch_means == [(2 * p - size) / size for p, size in zip(plus, sizes)]
+        total = sum(plus)
+        assert est.trials == trials
+        assert est.mean == (2 * total - trials) / trials
+        if trials > 1:
+            var = 4 * total * (trials - total) / (trials * trials * (trials - 1))
+            assert est.stderr == math.sqrt(var)
+        else:
+            assert est.stderr == 0.0
 
     def test_equal_axis_settings_deterministic(self):
         # a = b = e1 puts all mass on the negative cells: every product is -1
-        est = sampling.run_experiment(*SIZES, A, A, 4_000, seed=37)
+        est = sampling.run_experiment(N, A, A, 4_000, seed=37)
         assert est.mean == -1.0
         assert est.stderr == 0.0
         assert est.exact_target == -1.0
 
     def test_45_degree_agreement(self):
-        est = sampling.run_experiment(*SIZES, A, B45, 1_000_000, seed=41)
+        est = sampling.run_experiment(N, A, B45, 1_000_000, seed=41)
         assert est.trials == 1_000_000
         assert abs(est.mean - (-np.sqrt(0.5))) <= 3.29 * est.stderr
 
     def test_stderr_zero_iff_constant(self):
-        est = sampling.run_experiment(*SIZES, A, B45, 20_000, seed=43)
+        est = sampling.run_experiment(N, A, B45, 20_000, seed=43)
         assert est.stderr > 0.0
 
     def test_trials_validated(self):
         with pytest.raises(ValueError):
-            sampling.run_experiment(*SIZES, A, B45, 0, seed=1)
+            sampling.run_experiment(N, A, B45, 0, seed=1)
 
     def test_unbiased_across_seeds(self):
         means = []
         variances = []
         for seed in range(100):
-            est = sampling.run_experiment(*SIZES, A, B_CLEAN, 10_000, seed=seed)
+            est = sampling.run_experiment(N, A, B_CLEAN, 10_000, seed=seed)
             means.append(est.mean)
             variances.append(est.stderr**2)
         grand = float(np.mean(means))
@@ -189,39 +228,30 @@ class TestChsh:
         a2 = measure.setting_from_angle(90.0)
         b = measure.setting_from_angle(45.0)
         b2 = measure.setting_from_angle(135.0)
-        est = sampling.chsh(*SIZES, a, a2, b, b2, 200_000, seed=47)
+        est = sampling.chsh(N, a, a2, b, b2, 200_000, seed=47)
         assert abs(est.s_value - 2.0 * np.sqrt(2.0)) <= 3.29 * est.stderr
 
     def test_degenerate_settings(self):
-        est = sampling.chsh(*SIZES, A, A, B45, B45, 100_000, seed=53)
+        est = sampling.chsh(N, A, A, B45, B45, 100_000, seed=53)
         # S = 2|E(a,b)| <= 2 up to noise
         assert est.s_value <= 2.0 + 3.29 * est.stderr
 
     def test_all_equal_settings(self):
-        est = sampling.chsh(*SIZES, A, A, A, A, 100_000, seed=59)
+        est = sampling.chsh(N, A, A, A, A, 100_000, seed=59)
         assert abs(est.s_value - 2.0) <= 3.29 * est.stderr
 
     def test_requires_stream_or_seed(self):
         with pytest.raises(ValueError):
-            sampling.chsh(*SIZES, A, A, B45, B45, 100)
-
-
-class _NoAdvance:
-    """Stub bit generator: every block of a constant stream is the same, so
-    advancing to one changes nothing."""
-
-    def advance(self, delta):
-        return self
+            sampling.chsh(N, A, A, B45, B45, 100)
 
 
 class _TopOfRange:
     """Stub stream: label 0 and the largest double below 1 for every uniform."""
 
-    bit_generator = _NoAdvance()
     uniform = 1.0 - 2.0**-53
 
-    def integers(self, low, high, size, dtype=np.int64):
-        return np.zeros(size, dtype=dtype)
+    def integers(self, low, high, size):
+        return np.zeros(size, dtype=np.int64)
 
     def random(self, size=None, out=None):
         out = np.empty(size) if out is None else out
@@ -268,27 +298,40 @@ class TestZeroWeightInterval:
         assert np.all(np.asarray(weights)[batch["ell"] - 1] > 0.0)
 
 
-class _BelowHalf(_TopOfRange):
-    """Stub stream: label 0 and the largest double below 1/2 for every uniform."""
+class _LowestAtomTopOffsets(_TopOfRange):
+    """Stub stream: 0.0 for the first block of uniforms, draw_batch's atoms,
+    then as _TopOfRange."""
 
-    uniform = 0.5 - 2.0**-54
+    def __init__(self):
+        self.atoms_drawn = False
+
+    def random(self, size=None, out=None):
+        out = super().random(size, out)
+        if not self.atoms_drawn:
+            out.fill(0.0)
+            self.atoms_drawn = True
+        return out
 
 
 class TestCoordinatesInsideDraw:
-    # with these offsets, cell - 1 + offset rounds up onto the next cell
-    # (top) or the upper half-cell (below half), and (ell0 + offset) / L onto
-    # interval 3 of the weights below (top)
-    @pytest.mark.parametrize("stream", [_TopOfRange(), _BelowHalf()])
-    def test_extreme_offsets_stay_in_the_drawn_bins(self, stream):
+    # with offsets just below 1, cell - 1 + (half + offset) / 2 rounds up onto
+    # the next cell (the top atom, an upper half-cell) or the upper half-cell
+    # (the lowest atom, cell 0's lower half-cells), and (ell0 + offset) / L
+    # onto interval 3 of the weights below
+    @pytest.mark.parametrize(
+        "make_stream, atom_uniform", [(_TopOfRange, 1.0 - 2.0**-53), (_LowestAtomTopOffsets, 0.0)]
+    )
+    def test_extreme_offsets_stay_in_the_drawn_bins(self, make_stream, atom_uniform):
         weights = [0.6, 0.4 - 5e-13, 0.0]
         eye = np.arange(3 * 4 + 12)
         universe = layers.LayerUniverse(4, 3, eye[None], eye[None], [weights])
-        batch = sampling.draw_batch(universe, A, B_CLEAN, 4, stream)
-        upper = stream.random(1)[0] >= 0.5
-        for key in ("u", "v"):
+        batch = sampling.draw_batch(universe, A, B_CLEAN, 4, make_stream())
+        cell, half_a, half_b = _plain_atoms(measure.build_measure(A, B_CLEAN, 4), atom_uniform)
+        np.testing.assert_array_equal(batch["cell"], cell - 2)
+        for key, half in (("u", half_a), ("v", half_b)):
             coord = batch[key]
             np.testing.assert_array_equal(np.floor(coord) + 1, batch["cell"])
-            assert np.all((coord - np.floor(coord) >= 0.5) == upper)
+            assert np.all((coord - np.floor(coord) >= 0.5) == half)
         np.testing.assert_array_equal(np.floor(batch["w"] * 3), batch["ell"] - 1)
         np.testing.assert_array_equal(
             batch["spin_a"], layer_spin_a(universe, 1, A, batch["u"], batch["w"])
@@ -339,42 +382,45 @@ class TestSpinsMatchLayerDefinition:
 
 
 class TestBoundedMemory:
-    def test_batch_allocates_no_trials_by_intervals_array(self):
+    def test_batch_peak_does_not_grow_with_its_size(self):
+        # sub-chunks share one buffer and keep no per-trial array: 1.8e6 more
+        # trials would add 1.7 MiB even as a bool array
         mu = measure.build_measure(A, B_CLEAN, 4)
-        tracemalloc.start()
-        try:
-            sampling._products(40, mu, 200_000, np.random.default_rng(3))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 2**20
+        sampling._plus_count(mu, 1000, np.random.default_rng(3))  # first-call caches
+        peaks = []
+        for size in (200_000, 2_000_000):
+            tracemalloc.start()
+            try:
+                sampling._plus_count(mu, size, np.random.default_rng(3))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2**16
 
-    def test_one_million_trial_batch_at_most_9_mib(self):
-        # the mc-chsh shape: the float64 product array (7.63 MiB) is the only
-        # per-trial array; each span's sub-chunks draw their uniforms into it
+    def test_one_million_trial_batch_at_most_2_mib(self):
+        # the mc-chsh shape: 0.40 MiB, 1.08 MiB on a first call; a float64
+        # array of the products would take 7.63 MiB
         tracemalloc.start()
         try:
-            sampling.run_experiment(4, 100, A, B45, 1_000_000, seed=7)
+            sampling.run_experiment(4, A, B45, 1_000_000, seed=7)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 9 * 2**20
+        assert peak <= 2 * 2**20
 
     def test_large_order_adds_no_per_cell_float_table(self):
-        # at n = 1e5 a 1000-trial batch peaks at 2.6 MiB (3.3 on a first
-        # call), most of it the 2.29 MiB cell cumsum the guide is built from;
-        # the tables kept (the guide over positive-mass cells, int8 products)
-        # add little, where a float64 [cell, half, half] table over all
-        # 300 012 cells alone would take 9.16 MiB
+        # at n = 1e5 a 1000-trial batch peaks at 0.04 MiB: the atoms cover the
+        # positive-mass cells only, where a float64 cumsum over all 300 012
+        # cells would take 2.29 MiB, and one over all their atoms 9.16 MiB
         mu = measure.build_measure(A, B45, 100_000)
         assert mu.cell_masses.size == 300_012
         tracemalloc.start()
         try:
-            sampling._products(100, mu, 1000, np.random.default_rng(1))
+            sampling._plus_count(mu, 1000, np.random.default_rng(1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4.5 * 2**20
+        assert peak <= 2**20
 
 
 def _universe_with_zero_weights(n, interval_count, pair_count, rng):
@@ -392,9 +438,10 @@ def _universe_with_zero_weights(n, interval_count, pair_count, rng):
 class TestLeanKernel:
     @settings(max_examples=100, deadline=None)
     @given(case=edge_cases(), seed=st.integers(0, 2**32 - 1))
-    def test_draws_land_on_positive_mass_and_match_products(self, case, seed):
+    def test_draws_land_on_positive_mass_and_match_the_count(self, case, seed):
         """Property (iv): no zero-mass cell and no zero-weight interval is
-        ever drawn, and the kernel's products are draw_batch's spin_a*spin_b."""
+        ever drawn, and the kernel's +1 count is that of draw_batch's
+        spin_a*spin_b on the same stream, also on the stub streams."""
         n, a, b = case
         mu = measure.build_measure(*(measure.as_setting(v, normalize=True) for v in (a, b)), n)
         rng = np.random.default_rng(seed)
@@ -404,49 +451,81 @@ class TestLeanKernel:
             batch = sampling.draw_batch(uni, mu.a, mu.b, 500, stream())
             assert np.all(mu.cell_masses[batch["cell"] + 2] > 0.0)
             assert np.all(uni.weights[(batch["m"] - 1) // 2, batch["ell"] - 1] > 0.0)
-            products = sampling._products(uni.label_count, mu, 500, stream())
-            assert products.dtype == np.float64
-            np.testing.assert_array_equal(products, batch["spin_a"] * batch["spin_b"])
+            plus = int(np.sum(batch["spin_a"] * batch["spin_b"] == 1.0))
+            assert sampling._plus_count(mu, 500, stream()) == plus
+
+    @pytest.mark.parametrize("make_stream", [_TopOfRange, _BottomOfRange])
+    @settings(max_examples=50, deadline=None)
+    @given(case=edge_cases())
+    def test_extreme_uniforms_draw_no_zero_mass_atom(self, make_stream, case):
+        """At u = 0 and u = 1 - 2**-53 the guide lands on a positive-mass
+        atom, the one `searchsorted` in the atom cumsum finds."""
+        n, a, b = case
+        mu = measure.build_measure(*(measure.as_setting(v, normalize=True) for v in (a, b)), n)
+        pos, guide = sampling._atoms(mu)
+        target = make_stream().random(4) * guide.total
+        atom = guide.cells[guide.runs(target)]
+        cell = pos[atom // 4]
+        assert np.all(mu.cell_masses[cell] > 0.0)
+        expected = _plain_atoms(mu, make_stream().random(4))
+        for got, want in zip((cell, atom // 2 % 2, atom % 2), expected):
+            np.testing.assert_array_equal(got, want)
 
     def test_chunking_changes_no_trial(self, monkeypatch):
         wide = layers.build_universe(5, 64, 7, np.random.default_rng(8))
-        mu = measure.build_measure(A, B45, 5)
         whole = sampling.draw_batch(wide, A, B45, 10_007, np.random.default_rng(9))
-        products = sampling._products(wide.label_count, mu, 10_007, np.random.default_rng(9))
         monkeypatch.setattr(sampling, "CHUNK", 1000)
         chunked = sampling.draw_batch(wide, A, B45, 10_007, np.random.default_rng(9))
         for key in whole:
             np.testing.assert_array_equal(chunked[key], whole[key])
-        np.testing.assert_array_equal(
-            sampling._products(wide.label_count, mu, 10_007, np.random.default_rng(9)), products
-        )
 
     @pytest.mark.parametrize("sub_chunk", [1000, 4097])
-    def test_sub_chunks_change_no_product(self, monkeypatch, sub_chunk):
+    def test_sub_chunks_change_no_count(self, monkeypatch, sub_chunk):
         mu = measure.build_measure(A, B45, 5)
-        whole = sampling._products(100, mu, 10_007, np.random.default_rng(9))
-        estimate = sampling.run_experiment(5, 100, A, B45, 10_007, seed=9)
+        whole = sampling._plus_count(mu, 10_007, np.random.default_rng(9))
+        estimate = sampling.run_experiment(5, A, B45, 10_007, seed=9)
         monkeypatch.setattr(sampling, "SUB_CHUNK", sub_chunk)
-        split = sampling._products(100, mu, 10_007, np.random.default_rng(9))
-        np.testing.assert_array_equal(split, whole)
-        assert sampling.run_experiment(5, 100, A, B45, 10_007, seed=9) == estimate
+        assert sampling._plus_count(mu, 10_007, np.random.default_rng(9)) == whole
+        assert sampling.run_experiment(5, A, B45, 10_007, seed=9) == estimate
 
-    # int32 labels below 2**31, int64 from there on, as draw_batch draws them
-    @pytest.mark.parametrize("label_count", [1, 2, 100, 2**31 - 1, 2**31, 2**31 + 5, 2**40])
-    def test_products_follow_the_stream_at_any_label_count(self, label_count):
-        """The kernel's products are those of the plain stream layout: int64
-        labels, then a block of cell uniforms searched in the cell cumsum,
-        then one block per half-cell."""
+    @pytest.mark.parametrize("size", [1, sampling.SUB_CHUNK, 3 * sampling.SUB_CHUNK + 7])
+    def test_count_follows_the_stream(self, size):
+        """The kernel's count is that of the plain stream layout, one block
+        of atom uniforms searched in the atom cumsum, and it leaves the
+        stream just past that block."""
         mu = measure.build_measure(A, B45, 5)
-        size = 3 * sampling.CHUNK + 7
-        rng = np.random.default_rng(label_count)
-        rng.integers(0, label_count, size=size)
-        cum = np.cumsum(mu.cell_masses)
-        cell = np.searchsorted(cum, rng.random(size) * cum[-1], side="right")
-        half_a, half_b = (rng.random(size) >= 0.5 for _ in range(2))
-        expected = mu.outcome[0][cell, half_a.astype(int)] * mu.outcome[1][cell, half_b.astype(int)]
-        products = sampling._products(label_count, mu, size, np.random.default_rng(label_count))
-        np.testing.assert_array_equal(products, expected)
+        rng, expected = np.random.default_rng(size), np.random.default_rng(size)
+        assert sampling._plus_count(mu, size, rng) == _plain_plus_count(mu, size, expected)
+        assert rng.bit_generator.state == expected.bit_generator.state
+
+
+class TestAtomLaw:
+    @settings(max_examples=25, deadline=None)
+    @given(case=edge_cases(), seed=st.integers(0, 2**32 - 1))
+    def test_atom_frequencies_chi_square(self, case, seed):
+        """draw_batch's (cell, half_a, half_b), read back from the cell and
+        the half-cells of u and v, against the law m_c / 4 over the
+        positive-mass cells, below the 1 - 1e-9 chi-square quantile.  Atoms
+        expected fewer than 5 times are pooled with the likeliest one."""
+        n, a, b = case
+        mu = measure.build_measure(*(measure.as_setting(v, normalize=True) for v in (a, b)), n)
+        uni = layers.build_universe(n, 1, 1, np.random.default_rng(seed))
+        trials = 100_000
+        batch = sampling.draw_batch(uni, mu.a, mu.b, trials, np.random.default_rng(seed))
+        pos = np.flatnonzero(mu.cell_masses)
+        assert np.all(np.isin(batch["cell"] + 2, pos))
+        half_a, half_b = (np.floor(2 * batch[key]).astype(np.int64) % 2 for key in ("u", "v"))
+        atom = 4 * np.searchsorted(pos, batch["cell"] + 2) + 2 * half_a + half_b
+        counts = np.bincount(atom, minlength=4 * pos.size)
+        masses = np.repeat(mu.cell_masses[pos] / 4, 4)
+        expected = trials * masses / masses.sum()
+        small = expected < 5
+        top = np.argmax(expected)
+        counts[top] += counts[small].sum()
+        expected[top] += expected[small].sum()
+        counts, expected = counts[~small], expected[~small]
+        stat = float(((counts - expected) ** 2 / expected).sum())
+        assert stat < sstats.chi2.isf(1e-9, counts.size - 1)
 
 
 class TestCellGuide:
@@ -487,23 +566,20 @@ class TestCellGuide:
 
 
 class TestProductsIgnoreLayers:
-    def test_relocations_weights_and_interval_count_change_no_product(self):
+    def test_relocations_weights_and_label_count_change_no_product(self):
         """Both spins carry the same flip (layer sign times s(ell)), so A*B
-        depends on the drawn cell and half-cells only: universes with the same
-        label count but other relocations, weights and L give the same spin
-        products from the same stream, which the kernel makes from the label
-        count alone."""
+        depends on the drawn atom only: universes with other label counts,
+        relocations, weights and L give the same spin products from the same
+        stream, whose +1 count the kernel makes from n alone."""
         narrow = layers.build_universe(4, 1, 25, np.random.default_rng(1))
-        wide = _universe_with_zero_weights(4, 64, 25, np.random.default_rng(2))
-        assert narrow.label_count == wide.label_count
-        assert not np.array_equal(narrow.col_to, wide.col_to)
-        assert not np.array_equal(narrow.row_to, wide.row_to)
+        wide = _universe_with_zero_weights(4, 64, 7, np.random.default_rng(2))
+        assert narrow.label_count != wide.label_count
         mu = measure.build_measure(A, B45, 4)
         products = []
         for uni in (narrow, wide):
             batch = sampling.draw_batch(uni, A, B45, 100_000, np.random.default_rng(3))
             products.append(batch["spin_a"] * batch["spin_b"])
         np.testing.assert_array_equal(*products)
-        kernel = sampling._products(narrow.label_count, mu, 100_000, np.random.default_rng(3))
-        np.testing.assert_array_equal(kernel, products[0])
-        assert set(np.unique(kernel)) == {-1, 1}
+        assert set(np.unique(products[0])) == {-1.0, 1.0}
+        kernel = sampling._plus_count(mu, 100_000, np.random.default_rng(3))
+        assert kernel == int(np.sum(products[0] == 1.0))
