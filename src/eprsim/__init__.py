@@ -12,6 +12,7 @@ from .analysis import (
     DependenceReport,
     conditional_outcome_bias,
     dependence_report,
+    outcome_biases,
     pair_expectation,
     station_pair_joint,
 )

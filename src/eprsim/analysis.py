@@ -4,9 +4,11 @@ Every law in the model is piecewise constant on unit cells times weight
 intervals times labels, so expectations, marginals, and total-variation
 distances are finite sums; nothing here samples.  The sums over the M
 companion pairs use arrays of M x (3n+12) entries, never M x (3n+12) x L:
-a relocation is a permutation, so its inverse gathers each original cell's
-law onto the position the cell moves to and one matmul with the (M, L)
-weights sums the pairs, while the (ii*) law is binned once per interval.
+a relocation is a permutation, so one scatter puts each original cell's law
+at the position the cell moves to and one matmul with the (M, L) weights
+sums the pairs, while the (ii*) law is binned once per interval.
+`outcome_biases` makes that pass once per station side and reads both the
+intact and the witness (companions dropped) bias from its sums.
 """
 
 from __future__ import annotations
@@ -21,14 +23,6 @@ from .measure import BaseMeasure, build_measure, pair_integral
 
 def _normalized_masses(mu: BaseMeasure) -> np.ndarray:
     return mu.cell_masses / mu.cell_masses.sum()
-
-
-def _inverse(to: np.ndarray) -> np.ndarray:
-    """inv[k, p]: the cell position that relocation `to` (a universe's
-    `col_to` or `row_to`) moves to position p in pair k; one scatter."""
-    inv = np.empty_like(to)
-    inv[np.arange(to.shape[0])[:, None], to] = np.arange(to.shape[1])
-    return inv
 
 
 def _cell_pair_bins(universe: LayerUniverse) -> np.ndarray:
@@ -57,6 +51,41 @@ def station_pair_joint(universe: LayerUniverse, mu: BaseMeasure) -> np.ndarray:
     return joint.reshape(size, size)
 
 
+def _side_biases(universe: LayerUniverse, mu: BaseMeasure, k: int, by: str, drops):
+    """Yield side "AB"[k]'s bias for each `drop_companions` in `drops`, all
+    from one pass.  Row p of `spread` holds both halves' outcome times mass at
+    the positions pair p moves the cells to, summed by one matmul with the
+    (M, L) weights (one per half may round otherwise); `moved` then holds the
+    mass.  Each is summed before the next is made: one M x 2S array at most."""
+    masses = _normalized_masses(mu)
+    to = (universe.col_to, universe.row_to)[k]
+    pairs, size = to.shape
+    rows = np.arange(pairs)[:, None]
+    spread = np.empty((pairs, 2 * size))
+    for h in (0, 1):
+        spread[:, h * size : (h + 1) * size][rows, to] = mu.outcome[k, :, h] * masses
+    halves = spread.T @ universe.weights
+    del spread
+    moved = np.empty((pairs, size))
+    moved[rows, to] = masses
+    mass_sums = moved.T @ universe.weights
+    s_vals = np.where(np.arange(universe.interval_count) % 2, 1.0, -1.0)
+    for drop_companions in drops:
+        # kept labels per pair and their signs; a pair's labels share every bin,
+        # so its contribution is the sum of their signs (0 for companions) times
+        # one label's contribution.  Bins are (half, position) rows by interval.
+        signs = [1.0] if drop_companions else [1.0, -1.0]
+        num = sum(signs) * halves * s_vals
+        den = np.tile(len(signs) * mass_sums, (2, 1))
+        if by == "source":
+            num = num.sum(axis=0, keepdims=True)
+            den = den.sum(axis=0, keepdims=True)
+        ratios = np.zeros_like(num)
+        occupied = den > 0.0
+        ratios[occupied] = np.abs(num[occupied]) / den[occupied]
+        yield float(ratios.max())
+
+
 def conditional_outcome_bias(
     universe: LayerUniverse,
     a,
@@ -78,25 +107,16 @@ def conditional_outcome_bias(
     if by not in ("station", "source"):
         raise ValueError("by must be 'station' or 'source'")
     mu = build_measure(a, b, universe.n)
-    k = "AB".index(side)  # outcome by original cell position and half
-    inv = _inverse((universe.col_to, universe.row_to)[k])
-    masses = _normalized_masses(mu)
-    s_vals = np.where(np.arange(universe.interval_count) % 2, 1.0, -1.0)
+    return next(_side_biases(universe, mu, "AB".index(side), by, [drop_companions]))
 
-    # kept labels per pair and their signs; a pair's labels share every bin,
-    # so its contribution is the sum of their signs (0 for companions) times
-    # one label's contribution.  Bins are (half, position) rows by interval.
-    signs = [1.0] if drop_companions else [1.0, -1.0]
-    halves = np.hstack([(mu.outcome[k, :, h] * masses)[inv] for h in (0, 1)])
-    num = sum(signs) * (halves.T @ universe.weights) * s_vals
-    den = np.tile(len(signs) * (masses[inv].T @ universe.weights), (2, 1))
-    if by == "source":
-        num = num.sum(axis=0, keepdims=True)
-        den = den.sum(axis=0, keepdims=True)
-    ratios = np.zeros_like(num)
-    occupied = den > 0.0
-    ratios[occupied] = np.abs(num[occupied]) / den[occupied]
-    return float(ratios.max())
+
+def outcome_biases(universe: LayerUniverse, a, b) -> dict:
+    """{"A": (intact, witness), "B": (intact, witness)}: each side's
+    `conditional_outcome_bias` by station with companions intact and
+    dropped, both from one pass over the pairs."""
+    mu = build_measure(a, b, universe.n)
+    sides = [tuple(_side_biases(universe, mu, k, "station", (False, True))) for k in (0, 1)]
+    return dict(zip("AB", sides))
 
 
 @dataclass(frozen=True)

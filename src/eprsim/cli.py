@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import conditional_outcome_bias, dependence_report, pair_expectation
+from .analysis import dependence_report, outcome_biases, pair_expectation
 from .config import (
     MINIMUMS,
     RUN_DEFAULTS,
@@ -174,14 +174,10 @@ def cmd_analyze(args):
     c = _setting_arg(args, "c")
     fields = dependence_report(universe, a, b, c).as_dict()
     fields["pair_expectation"] = pair_expectation(universe, a, b)
-    fields["conditional_bias"] = {
-        side: conditional_outcome_bias(universe, a, b, side=side) for side in ("A", "B")
-    }
+    biases = outcome_biases(universe, a, b)
+    fields["conditional_bias"] = {side: pair[0] for side, pair in biases.items()}
     if args.witness:
-        fields["witness_bias"] = {
-            side: conditional_outcome_bias(universe, a, b, side=side, drop_companions=True)
-            for side in ("A", "B")
-        }
+        fields["witness_bias"] = {side: pair[1] for side, pair in biases.items()}
     return fields, None
 
 

@@ -228,7 +228,13 @@ def save_universe(universe: LayerUniverse, path) -> None:
         "rows": _pack(universe.row_to, _POSITION),
         "weights": _pack(universe.weights, _WEIGHT),
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True))
+    # the bytes of json.dumps(doc, sort_keys=True), less its escape scan of the
+    # strings (the schema and the base64), which hold no character JSON escapes
+    text = ", ".join(
+        f'"{key}": "{value}"' if isinstance(value, str) else f'"{key}": {json.dumps(value)}'
+        for key, value in sorted(doc.items())
+    )
+    Path(path).write_text("{" + text + "}")
 
 
 def load_universe(path) -> LayerUniverse:

@@ -9,6 +9,8 @@ None of it shares code with the package paths it checks.
 
 from __future__ import annotations
 
+import base64
+import json
 import math
 
 import numpy as np
@@ -481,3 +483,22 @@ def loop_dependence_report(universe, mu_ab, mu_ac) -> dict:
     out["factorization_defect"] = float(np.abs(triple - joint[:, :, None] * mean_weights).max())
     return out
 
+
+def json_universe_text(universe) -> str:
+    """A `layer-universe/2` file as `json.dumps(doc, sort_keys=True)` writes
+    it, the arrays packed by hand: positions as little-endian uint16 and
+    weights as little-endian float64, row-major, in base64."""
+
+    def packed(arr, dtype: str) -> str:
+        return base64.b64encode(np.asarray(arr).astype(dtype).tobytes()).decode("ascii")
+
+    doc = {
+        "schema": "layer-universe/2",
+        "n": universe.n,
+        "interval_count": universe.interval_count,
+        "pair_count": len(universe.col_to),
+        "columns": packed(universe.col_to, "<u2"),
+        "rows": packed(universe.row_to, "<u2"),
+        "weights": packed(universe.weights, "<f8"),
+    }
+    return json.dumps(doc, sort_keys=True)

@@ -163,6 +163,22 @@ def test_analysis_memory_scales_with_pairs_times_cells():
     assert peak < 8 << 20
 
 
+@pytest.mark.parametrize("interval_count", [2, 64])
+def test_outcome_biases_peak_is_one_spread_array(interval_count):
+    # n = 4, M = 1e4: one pass per side holds at most one M x 2S float array
+    # (S = 3n+12 positions); the four single calls it replaces each held five
+    # M x S arrays (an index, two gathers and their stack)
+    uni = layers.build_universe(4, interval_count, 10_000, np.random.default_rng(127))
+    pair_array_bytes = uni.col_to.size * 8
+    tracemalloc.start()
+    try:
+        analysis.outcome_biases(uni, A, B)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * pair_array_bytes
+
+
 # axis, signed-zero and knot-aligned settings besides generic random ones
 EDGE_SETTINGS = [
     [1.0, 0.0, 0.0],
@@ -220,3 +236,29 @@ class TestLoopOracleEquivalence:
         assert got.keys() == want.keys()
         for key, value in want.items():
             assert got[key] == pytest.approx(value, abs=1e-12), key
+
+
+class TestOutcomeBiases:
+    """One pass per side against the single calls and the loop oracle."""
+
+    @pytest.mark.parametrize("tie", [False, True])
+    @pytest.mark.parametrize("pairs", [1, 2, 7])
+    @pytest.mark.parametrize("interval_count", [1, 2, 3])
+    def test_matches_single_calls_and_loop(self, interval_count, pairs, tie):
+        rng = np.random.default_rng(131 + 10 * interval_count + pairs)
+        uni = layers.build_universe(4, interval_count, pairs, rng, tie_weights=tie)
+        for a in EDGE_SETTINGS:
+            for b in EDGE_SETTINGS:
+                got = analysis.outcome_biases(uni, a, b)
+                assert list(got) == ["A", "B"]
+                mu = measure.build_measure(a, b, 4)
+                for side, (intact, witness) in got.items():
+                    single = tuple(
+                        analysis.conditional_outcome_bias(uni, a, b, side=side, drop_companions=drop)
+                        for drop in (False, True)
+                    )
+                    assert (intact, witness) == single, (a, b, side)
+                    assert intact == 0.0
+                    for value, drop in ((intact, False), (witness, True)):
+                        want = loop_conditional_outcome_bias(uni, mu, side, drop)
+                        assert value == pytest.approx(want, abs=1e-12), (a, b, side, drop)

@@ -172,6 +172,10 @@ def test_timings_change_no_report_byte(workdir, tmp_path, name):
         assert stage["peak_rss_mb"] > 0.0
     if name == "simulate_u1":
         assert {"layers.load_universe", "sampling.run_experiment"} <= set(doc["stages"])
+    if name.startswith("analyze"):
+        # both biases of both sides come from one pass per side
+        assert doc["stages"]["analysis.outcome_biases"]["calls"] == 1
+        assert "analysis.conditional_outcome_bias" not in doc["stages"]
 
 
 @pytest.mark.parametrize("target", ["missing_directory", "directory"])

@@ -17,6 +17,7 @@ from oracles import (
     detector_a,
     factorial_oracle,
     joint_density,
+    json_universe_text,
     label_layer,
     layer_density,
     layer_spin_a,
@@ -369,6 +370,19 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="layer-universe/99"):
             layers.load_universe(path)
+
+    @pytest.mark.parametrize("tie", [False, True])
+    @pytest.mark.parametrize("pair_count", [1, 7])
+    @pytest.mark.parametrize("interval_count", [1, 3])
+    @pytest.mark.parametrize("n", [4, 5, 40])
+    def test_bytes_are_json_dumps_bytes(self, tmp_path, n, interval_count, pair_count, tie):
+        # the file is written without json.dumps; its bytes are still those
+        # json.dumps(doc, sort_keys=True) gives
+        rng = np.random.default_rng(73 + n + pair_count)
+        uni = layers.build_universe(n, interval_count, pair_count, rng, tie_weights=tie)
+        path = tmp_path / "universe.json"
+        layers.save_universe(uni, path)
+        assert path.read_bytes() == json_universe_text(uni).encode("ascii")
 
     def test_save_is_deterministic(self, tmp_path):
         uni = layers.build_universe(4, 2, 4, np.random.default_rng(71))
