@@ -29,8 +29,8 @@ def main() -> int:
     rows = []
 
     for theta in (float(t) for t in args.thetas.split(",")):
-        trace = generate_trace(theta, args.kmax, rng)
-        stars = [star_discrepancy(trace.fracs[:k]) for k in ks]
+        fracs = generate_trace(theta, args.kmax, rng)
+        stars = [star_discrepancy(fracs[:k]) for k in ks]
         fit = fit_rate(ks, stars)
         rows += [("poisson", theta, k, s) for k, s in zip(ks, stars)]
         print(f"poisson theta={theta:<4}: slope {fit.slope:+.3f}  D*({ks[-1]}) = {stars[-1]:.2e}")

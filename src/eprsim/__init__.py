@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .analysis import (
     DependenceReport,
-    conditional_outcome_bias,
     dependence_report,
     outcome_biases,
     pair_expectation,
@@ -19,14 +18,12 @@ from .analysis import (
 from .config import ConfigError, load_config, parse_setting
 from .emission import (
     DiscrepancyStats,
-    EmissionTrace,
     GateResult,
     RateFit,
     detector_gate,
     discrepancy_stats,
     fit_rate,
     generate_trace,
-    labels_from_trace,
     star_discrepancy,
 )
 from .layers import (

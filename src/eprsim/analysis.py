@@ -7,8 +7,10 @@ companion pairs use arrays of M x (3n+12) entries, never M x (3n+12) x L:
 a relocation is a permutation, so one scatter puts each original cell's law
 at the position the cell moves to and one matmul with the (M, L) weights
 sums the pairs, while the (ii*) law is binned once per interval.
-`outcome_biases` makes that pass once per station side and reads both the
-intact and the witness (companions dropped) bias from its sums.
+`outcome_biases` is the one bias computation: per station side it sums the
+odd labels' mass of +1 and of -1 outcomes per bin, P and Q, and reads from
+them the intact bias (exactly 0) and the witness with companions dropped,
+max |P - Q| / (P + Q), which rounding cannot lift above 1.
 """
 
 from __future__ import annotations
@@ -51,72 +53,57 @@ def station_pair_joint(universe: LayerUniverse, mu: BaseMeasure) -> np.ndarray:
     return joint.reshape(size, size)
 
 
-def _side_biases(universe: LayerUniverse, mu: BaseMeasure, k: int, by: str, drops):
-    """Yield side "AB"[k]'s bias for each `drop_companions` in `drops`, all
-    from one pass.  Row p of `spread` holds both halves' outcome times mass at
-    the positions pair p moves the cells to, summed by one matmul with the
-    (M, L) weights (one per half may round otherwise); `moved` then holds the
-    mass.  Each is summed before the next is made: one M x 2S array at most."""
+def _outcome_mass(universe: LayerUniverse, mu: BaseMeasure, k: int):
+    """P, Q of shape (2, S, L) for station side "AB"[k]: the odd labels' mass
+    per (half, position, interval) of the cells whose outcome there is +1
+    (P) and -1 (Q).  A relocation is a permutation, so the cells that share
+    both halves' outcomes are scattered to the positions each pair moves them
+    to, into one M x S array summed over the pairs by one matmul with the
+    (M, L) weights; each group's sums go to P or Q half by half."""
     masses = _normalized_masses(mu)
     to = (universe.col_to, universe.row_to)[k]
     pairs, size = to.shape
     rows = np.arange(pairs)[:, None]
-    spread = np.empty((pairs, 2 * size))
-    for h in (0, 1):
-        spread[:, h * size : (h + 1) * size][rows, to] = mu.outcome[k, :, h] * masses
-    halves = spread.T @ universe.weights
-    del spread
+    plus = mu.outcome[k] > 0  # (S, 2): is the outcome +1 on each half
     moved = np.empty((pairs, size))
-    moved[rows, to] = masses
-    mass_sums = moved.T @ universe.weights
-    s_vals = np.where(np.arange(universe.interval_count) % 2, 1.0, -1.0)
-    for drop_companions in drops:
-        # kept labels per pair and their signs; a pair's labels share every bin,
-        # so its contribution is the sum of their signs (0 for companions) times
-        # one label's contribution.  Bins are (half, position) rows by interval.
-        signs = [1.0] if drop_companions else [1.0, -1.0]
-        num = sum(signs) * halves * s_vals
-        den = np.tile(len(signs) * mass_sums, (2, 1))
-        if by == "source":
-            num = num.sum(axis=0, keepdims=True)
-            den = den.sum(axis=0, keepdims=True)
-        ratios = np.zeros_like(num)
-        occupied = den > 0.0
-        ratios[occupied] = np.abs(num[occupied]) / den[occupied]
-        yield float(ratios.max())
+    sums = np.zeros((2, 2, size, universe.interval_count))  # (P or Q, half, ...)
+    for signs in np.unique(plus, axis=0):
+        cells = np.flatnonzero((plus == signs).all(axis=1))
+        moved.fill(0.0)
+        moved[rows, to[:, cells]] = masses[cells]
+        group = moved.T @ universe.weights
+        for h in (0, 1):
+            sums[0 if signs[h] else 1, h] += group
+    return sums[0], sums[1]
 
 
-def conditional_outcome_bias(
-    universe: LayerUniverse,
-    a,
-    b,
-    side: str = "A",
-    drop_companions: bool = False,
-    by: str = "station",
-) -> float:
-    """Largest conditional expectation of one outcome given local parameters.
-
-    For side "A" the conditioning bins are (station-1 cell, half-cell,
-    weight interval); integrating the station parameter out (`by="source"`)
-    bins on the weight interval alone.  With intact companion pairs every
-    bin cancels exactly; `drop_companions` keeps only the odd labels to
-    exhibit the mechanism.
-    """
-    if side not in ("A", "B"):
-        raise ValueError("side must be 'A' or 'B'")
-    if by not in ("station", "source"):
-        raise ValueError("by must be 'station' or 'source'")
-    mu = build_measure(a, b, universe.n)
-    return next(_side_biases(universe, mu, "AB".index(side), by, [drop_companions]))
+def _max_ratio(num: np.ndarray, den: np.ndarray) -> float:
+    ratios = np.zeros_like(num)
+    occupied = den > 0.0
+    ratios[occupied] = np.abs(num[occupied]) / den[occupied]
+    return float(ratios.max())
 
 
 def outcome_biases(universe: LayerUniverse, a, b) -> dict:
-    """{"A": (intact, witness), "B": (intact, witness)}: each side's
-    `conditional_outcome_bias` by station with companions intact and
-    dropped, both from one pass over the pairs."""
+    """{"A": (intact, witness), "B": (intact, witness)}: each side's largest
+    conditional expectation of its outcome given the station-side
+    parameters, binned by (station cell, half-cell, weight interval), with
+    companion pairs intact and with the companions dropped.
+
+    A pair's two labels share every bin, so the odd labels' sums P, Q
+    (`_outcome_mass`) give both.  The witness is max |P - Q| / (P + Q) over
+    the occupied bins: for P, Q >= 0 rounding keeps |P - Q| <= max(P, Q) <=
+    P + Q, so it never exceeds 1, and a bin of one outcome sign reads exactly
+    1.0.  The intact numerator is the pair's sign sum, 0, times the odd
+    label's, so the intact bias is exactly 0.0: the companions cancel every
+    bin."""
     mu = build_measure(a, b, universe.n)
-    sides = [tuple(_side_biases(universe, mu, k, "station", (False, True))) for k in (0, 1)]
-    return dict(zip("AB", sides))
+    biases = {}
+    for k, side in enumerate("AB"):
+        plus, minus = _outcome_mass(universe, mu, k)
+        diff, total = plus - minus, plus + minus
+        biases[side] = (_max_ratio(0.0 * diff, 2.0 * total), _max_ratio(diff, total))
+    return biases
 
 
 @dataclass(frozen=True)

@@ -324,13 +324,13 @@ def cmd_poisson(args):
                 detector_gate, args.p1, args.p2, args.labels, args.k, args.theta,
                 _block(rng, args.k, 1),
             )
-            trace = generate_trace(args.theta, args.k, rng)
-            stats = discrepancy_stats(trace.fracs)
+            fracs = generate_trace(args.theta, args.k, rng)
+            stats = discrepancy_stats(fracs)
             prefix_ks = [k for k in (10**e for e in range(3, 10)) if k < args.k] + [args.k]
             # the last prefix is the whole trace, whose D* the one sort above gave
-            stars = [star_discrepancy(trace.fracs[:k]) for k in prefix_ks[:-1]] + [stats.star]
+            stars = [star_discrepancy(fracs[:k]) for k in prefix_ks[:-1]] + [stats.star]
             # the k parts are not needed while the gate finishes
-            del trace
+            del fracs
             gate = gate_run.result()
     except OverflowError as exc:
         raise ConfigError(

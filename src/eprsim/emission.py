@@ -63,14 +63,6 @@ def _block(rng, size: int, block: int):
     return stream
 
 
-@dataclass(frozen=True)
-class EmissionTrace:
-    """The fractional parts of k emission times with mean wait theta."""
-
-    theta: float
-    fracs: np.ndarray = field(repr=False, compare=False)
-
-
 def _check_trace_args(theta: float, k: int) -> None:
     if not (math.isfinite(theta) and theta > 0.0):
         raise ValueError(f"theta must be finite and positive, got {theta}")
@@ -98,17 +90,17 @@ def _fractional_times(part: np.ndarray, theta: float, start: float, rng) -> floa
     return end
 
 
-def generate_trace(theta: float, k: int, rng: np.random.Generator) -> EmissionTrace:
+def generate_trace(theta: float, k: int, rng: np.random.Generator) -> np.ndarray:
     """k exponential waits with mean theta, by inverse transform
-    -theta*log(1-U), reduced to the fractional parts of their running sums.
-    Draws k doubles of `rng`."""
+    -theta*log(1-U), reduced to the fractional parts of their running sums,
+    returned read-only.  Draws k doubles of `rng`."""
     _check_trace_args(theta, k)
     fracs = np.empty(k)
     time = 0.0
     for lo in range(0, k, CHUNK):
         time = _fractional_times(fracs[lo : lo + CHUNK], theta, time, rng)
     fracs.setflags(write=False)
-    return EmissionTrace(theta=float(theta), fracs=fracs)
+    return fracs
 
 
 def _checked_points(points) -> np.ndarray:
@@ -156,19 +148,6 @@ class DiscrepancyStats:
 def discrepancy_stats(points) -> DiscrepancyStats:
     pts, d_plus, d_minus = _sorted_parts(points)
     return DiscrepancyStats(k=int(pts.size), star=max(d_plus, d_minus), extreme=d_plus + d_minus)
-
-
-def labels_from_trace(trace: EmissionTrace, label_count: int) -> np.ndarray:
-    """Label m = floor({x} * N) + 1 (1-based) of every emission time x in a
-    trace, read off its wrapped fractional part."""
-    if label_count < 1:
-        raise ValueError("label count must be >= 1")
-    return _labels(trace.fracs, label_count)
-
-
-def _labels(fracs: np.ndarray, label_count: int) -> np.ndarray:
-    m = (fracs * label_count).astype(np.int64) + 1
-    return np.minimum(m, label_count)
 
 
 @dataclass(frozen=True)

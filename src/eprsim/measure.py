@@ -34,12 +34,12 @@ from .splines import (
 SETTING_NORM_TOL = 1e-9
 
 
-def as_setting(v, normalize: bool = False, tol: float = SETTING_NORM_TOL) -> np.ndarray:
+def as_setting(v, normalize: bool = False) -> np.ndarray:
     """Validate a measurement setting as a unit vector in R^3.
 
-    Rejects vectors whose norm deviates from 1 by more than `tol` unless
-    `normalize` is requested; the returned array is always renormalized to
-    unit length and read-only.
+    Rejects vectors whose norm deviates from 1 by more than
+    `SETTING_NORM_TOL` unless `normalize` is requested; the returned array is
+    always renormalized to unit length and read-only.
     """
     arr = np.asarray(v, dtype=float).reshape(-1)
     if arr.shape != (3,):
@@ -49,8 +49,8 @@ def as_setting(v, normalize: bool = False, tol: float = SETTING_NORM_TOL) -> np.
     norm = float(np.linalg.norm(arr))
     if norm == 0.0:
         raise ValueError("setting must be a nonzero vector")
-    if not normalize and abs(norm - 1.0) > tol:
-        raise ValueError(f"setting norm {norm!r} deviates from 1 by more than {tol}")
+    if not normalize and abs(norm - 1.0) > SETTING_NORM_TOL:
+        raise ValueError(f"setting norm {norm!r} deviates from 1 by more than {SETTING_NORM_TOL}")
     out = arr / norm
     out.setflags(write=False)
     return out

@@ -410,20 +410,43 @@ def loop_station_pair_joint(universe, mu) -> np.ndarray:
     return joint
 
 
-def loop_conditional_outcome_bias(universe, mu, side="A", drop_companions=False, by="station"):
-    size = mu.cell_masses.size
-    masses = _loop_masses(mu)
+def _loop_profile(mu, side: str) -> np.ndarray:
+    """Base outcome of each cell position (rows) on its two halves."""
     setting = mu.a if side == "A" else mu.b
-    ell_count = universe.interval_count
-    s_vals = np.array([-1.0 if (ell + 1) % 2 else 1.0 for ell in range(ell_count)])
-    prof = np.empty((size, 2))
-    for p in range(size):
+    prof = np.empty((mu.cell_masses.size, 2))
+    for p in range(prof.shape[0]):
         i = p - 2
         if i <= 0:
             val = _loop_sign(setting[-i]) * (1.0 if side == "A" else -1.0)
             prof[p] = (val, val)
         else:
             prof[p] = (-1.0, 1.0) if side == "A" else (1.0, -1.0)
+    return prof
+
+
+def loop_outcome_mass(universe, mu, side="A"):
+    """P, Q of shape (2, S, L): the odd labels' mass per (half, position,
+    interval) of the cells whose outcome there is +1 (P) and -1 (Q), one
+    label at a time."""
+    masses = _loop_masses(mu)
+    prof = _loop_profile(mu, side)
+    shape = (2, masses.size, universe.interval_count)
+    plus, minus = np.zeros(shape), np.zeros(shape)
+    for col_to, row_to, weights, _ in _loop_labels(universe, odd_only=True):
+        to = col_to if side == "A" else row_to
+        for h in (0, 1):
+            for target, cells in ((plus, prof[:, h] > 0), (minus, prof[:, h] < 0)):
+                # a relocation is a permutation: no position repeats
+                target[h, to[cells]] += masses[cells, None] * weights
+    return plus, minus
+
+
+def loop_conditional_outcome_bias(universe, mu, side="A", drop_companions=False, by="station"):
+    size = mu.cell_masses.size
+    masses = _loop_masses(mu)
+    ell_count = universe.interval_count
+    s_vals = np.array([-1.0 if (ell + 1) % 2 else 1.0 for ell in range(ell_count)])
+    prof = _loop_profile(mu, side)
     num = np.zeros((size, 2, ell_count))
     den = np.zeros((size, 2, ell_count))
     for col_to, row_to, weights, sign in _loop_labels(universe, odd_only=drop_companions):

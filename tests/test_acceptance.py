@@ -19,6 +19,7 @@ from oracles import (
     factorial_oracle,
     layer_spin_a,
     layer_spin_b,
+    loop_conditional_outcome_bias,
     random_unit_vector,
 )
 
@@ -107,19 +108,16 @@ def test_criterion_4_per_layer_and_companions():
 
 def test_criterion_5_parameter_independence():
     with _Timer("5 parameter independence + witness", 10):
+        mu = measure.build_measure(GENERIC_A, GENERIC_B, 4)
         for seed, tie in ((11, False), (12, True)):
             uni = layers.build_universe(4, 3, 60, np.random.default_rng(seed), tie_weights=tie)
+            biases = analysis.outcome_biases(uni, GENERIC_A, GENERIC_B)
             for side in ("A", "B"):
-                bias = analysis.conditional_outcome_bias(uni, GENERIC_A, GENERIC_B, side=side)
-                assert bias <= 1e-12
-            assert (
-                analysis.conditional_outcome_bias(uni, GENERIC_A, GENERIC_B, by="source")
-                <= 1e-12
-            )
+                assert biases[side][0] <= 1e-12
+            # the bias given the source parameter alone, by the loop definition
+            assert loop_conditional_outcome_bias(uni, mu, "A", False, "source") <= 1e-12
         witness_uni = layers.build_universe(4, 3, 60, np.random.default_rng(11))
-        witness = analysis.conditional_outcome_bias(
-            witness_uni, GENERIC_A, GENERIC_B, drop_companions=True
-        )
+        witness = analysis.outcome_biases(witness_uni, GENERIC_A, GENERIC_B)["A"][1]
         assert witness > 0.1
 
 
@@ -158,18 +156,16 @@ def test_criterion_7_label_uniformity_and_gating():
 def test_criterion_8_discrepancy_decay():
     with _Timer("8 discrepancy decay + bracket vs oracle", 120):
         ks = [10**3, 10**4, 10**5, 10**6]
-        trace = emission.generate_trace(1.0, ks[-1], np.random.default_rng(808))
-        fit = emission.fit_rate(ks, [emission.star_discrepancy(trace.fracs[:k]) for k in ks])
+        fracs = emission.generate_trace(1.0, ks[-1], np.random.default_rng(808))
+        fit = emission.fit_rate(ks, [emission.star_discrepancy(fracs[:k]) for k in ks])
         assert fit.slope <= -0.4
         assert fit.star_values[-1] <= 0.01
         for k in (1000, 10_000):
-            trace = emission.generate_trace(1.0, k, np.random.default_rng(809))
-            star = emission.star_discrepancy(trace.fracs)
-            extreme = emission.discrepancy_stats(trace.fracs).extreme
+            fracs = emission.generate_trace(1.0, k, np.random.default_rng(809))
+            star = emission.star_discrepancy(fracs)
+            extreme = emission.discrepancy_stats(fracs).extreme
             assert star - 1e-15 <= extreme <= 2.0 * star + 1e-15
-            assert extreme == pytest.approx(
-                brute_extreme_discrepancy(trace.fracs), abs=1e-12
-            )
+            assert extreme == pytest.approx(brute_extreme_discrepancy(fracs), abs=1e-12)
 
 
 def test_criterion_9_dependence_properties():

@@ -11,6 +11,7 @@ from oracles import (
     brute_conditional_marginal,
     loop_conditional_outcome_bias,
     loop_dependence_report,
+    loop_outcome_mass,
     loop_pair_expectation,
     loop_station_pair_joint,
     random_unit_vector,
@@ -53,29 +54,51 @@ class TestPairExpectation:
 
 class TestConditionalOutcomeBias:
     def test_zero_with_companions(self, universe):
-        for side in ("A", "B"):
-            assert analysis.conditional_outcome_bias(universe, A, B, side=side) <= 1e-12
+        for side, (intact, _) in analysis.outcome_biases(universe, A, B).items():
+            assert intact <= 1e-12, side
 
     def test_zero_for_single_pair(self):
         uni = layers.build_universe(4, 2, 1, np.random.default_rng(109))
-        assert analysis.conditional_outcome_bias(uni, A, B) == 0.0
+        assert analysis.outcome_biases(uni, A, B)["A"][0] == 0.0
 
     def test_source_level_zero(self, universe):
-        assert analysis.conditional_outcome_bias(universe, A, B, by="source") <= 1e-12
+        mu = measure.build_measure(A, B, 4)
+        assert loop_conditional_outcome_bias(universe, mu, "A", False, "source") <= 1e-12
 
     def test_witness_without_companions(self, universe):
         # removing the sign-flipped twins breaks the cancellation mechanism
-        for side in ("A", "B"):
-            value = analysis.conditional_outcome_bias(
-                universe, A, B, side=side, drop_companions=True
-            )
-            assert value > 0.1
+        for side, (_, witness) in analysis.outcome_biases(universe, A, B).items():
+            assert witness > 0.1, side
 
-    def test_validation(self, universe):
-        with pytest.raises(ValueError):
-            analysis.conditional_outcome_bias(universe, A, B, side="C")
-        with pytest.raises(ValueError):
-            analysis.conditional_outcome_bias(universe, A, B, by="half")
+    @pytest.mark.parametrize(
+        "pairs, interval_count, seed",
+        [
+            # as `layers --n 4 --layers 10000 --L 3 --seed 7` builds it
+            (10_000, 3, 7),
+            (20_000, 2, 3),
+        ],
+    )
+    def test_witness_at_most_one(self, pairs, interval_count, seed):
+        # one sum per sign keeps |P - Q| <= P + Q through rounding; at these
+        # universes a ratio of sums of other shapes rounded above 1
+        uni = layers.build_universe(4, interval_count, pairs, np.random.default_rng(seed))
+        for side, (intact, witness) in analysis.outcome_biases(uni, A, B).items():
+            assert intact == 0.0, side
+            assert witness <= 1.0, side
+
+    def test_outcome_mass_matches_loop_where_bins_mix(self):
+        # at M = 1e4 every (half, position, interval) bin of side A holds
+        # cells of both outcome signs, so the witness drops well below 1 and
+        # the per-bin sums tell each side's relocation from the other's
+        a = measure.as_setting([0.6, -0.8, 0.0])
+        uni = layers.build_universe(4, 2, 10_000, np.random.default_rng(137))
+        mu = measure.build_measure(a, B, 4)
+        for k, side in enumerate("AB"):
+            got = analysis._outcome_mass(uni, mu, k)
+            want = loop_outcome_mass(uni, mu, side)
+            for g, w in zip(got, want):
+                np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+        assert analysis.outcome_biases(uni, a, B)["A"][1] < 0.5
 
 
 class TestDependenceReport:
@@ -155,8 +178,7 @@ def test_analysis_memory_scales_with_pairs_times_cells():
     tracemalloc.start()
     try:
         analysis.dependence_report(uni, A, B, C)
-        for side in ("A", "B"):
-            analysis.conditional_outcome_bias(uni, A, B, side=side, drop_companions=True)
+        analysis.outcome_biases(uni, A, B)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -165,9 +187,8 @@ def test_analysis_memory_scales_with_pairs_times_cells():
 
 @pytest.mark.parametrize("interval_count", [2, 64])
 def test_outcome_biases_peak_is_one_spread_array(interval_count):
-    # n = 4, M = 1e4: one pass per side holds at most one M x 2S float array
-    # (S = 3n+12 positions); the four single calls it replaces each held five
-    # M x S arrays (an index, two gathers and their stack)
+    # n = 4, M = 1e4: one pass per side holds one M x S float array (S = 3n+12
+    # positions) and the positions of one group of cells
     uni = layers.build_universe(4, interval_count, 10_000, np.random.default_rng(127))
     pair_array_bytes = uni.col_to.size * 8
     tracemalloc.start()
@@ -221,14 +242,10 @@ class TestLoopOracleEquivalence:
             analysis.station_pair_joint(uni, mu_ab), loop_station_pair_joint(uni, mu_ab),
             rtol=0, atol=1e-12,
         )
-        for side in ("A", "B"):
-            for drop in (False, True):
-                for by in ("station", "source"):
-                    got = analysis.conditional_outcome_bias(
-                        uni, mu_ab.a, mu_ab.b, side=side, drop_companions=drop, by=by
-                    )
-                    want = loop_conditional_outcome_bias(uni, mu_ab, side, drop, by)
-                    assert got == pytest.approx(want, abs=1e-12), (side, drop, by)
+        for side, biases in analysis.outcome_biases(uni, mu_ab.a, mu_ab.b).items():
+            for got, drop in zip(biases, (False, True)):
+                want = loop_conditional_outcome_bias(uni, mu_ab, side, drop)
+                assert got == pytest.approx(want, abs=1e-12), (side, drop)
         if np.allclose(mu_ab.b, mu_ac.b, atol=1e-15):
             return
         got = analysis.dependence_report(uni, mu_ab.a, mu_ab.b, mu_ac.b).as_dict()
@@ -239,12 +256,12 @@ class TestLoopOracleEquivalence:
 
 
 class TestOutcomeBiases:
-    """One pass per side against the single calls and the loop oracle."""
+    """One pass per side against the loop oracle."""
 
     @pytest.mark.parametrize("tie", [False, True])
     @pytest.mark.parametrize("pairs", [1, 2, 7])
     @pytest.mark.parametrize("interval_count", [1, 2, 3])
-    def test_matches_single_calls_and_loop(self, interval_count, pairs, tie):
+    def test_matches_loop(self, interval_count, pairs, tie):
         rng = np.random.default_rng(131 + 10 * interval_count + pairs)
         uni = layers.build_universe(4, interval_count, pairs, rng, tie_weights=tie)
         for a in EDGE_SETTINGS:
@@ -253,11 +270,6 @@ class TestOutcomeBiases:
                 assert list(got) == ["A", "B"]
                 mu = measure.build_measure(a, b, 4)
                 for side, (intact, witness) in got.items():
-                    single = tuple(
-                        analysis.conditional_outcome_bias(uni, a, b, side=side, drop_companions=drop)
-                        for drop in (False, True)
-                    )
-                    assert (intact, witness) == single, (a, b, side)
                     assert intact == 0.0
                     for value, drop in ((intact, False), (witness, True)):
                         want = loop_conditional_outcome_bias(uni, mu, side, drop)

@@ -797,7 +797,7 @@ def _serial_poisson(theta, k, labels, p1, p2, seed):
     """A poisson report's numbers and CSV rows from the serial composition:
     the trace, its discrepancies, then the gate on the same stream."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    fracs = emission.generate_trace(theta, k, rng).fracs
+    fracs = emission.generate_trace(theta, k, rng)
     stats = emission.discrepancy_stats(fracs)
     ks = [10**e for e in range(3, 10) if 10**e < k] + [k]
     stars = [emission.star_discrepancy(fracs[:j]) for j in ks]

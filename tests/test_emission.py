@@ -38,15 +38,15 @@ class TestGenerateTrace:
         assert np.all(waits > 0.0)
 
     def test_fracs_in_unit_interval(self):
-        trace = emission.generate_trace(0.7, 10_000, np.random.default_rng(7))
+        fracs = emission.generate_trace(0.7, 10_000, np.random.default_rng(7))
         _, times, _ = emission_times(0.7, 10_000, np.random.default_rng(7))
-        assert np.all((trace.fracs >= 0.0) & (trace.fracs < 1.0))
-        np.testing.assert_array_equal(trace.fracs, times - np.floor(times))
+        assert np.all((fracs >= 0.0) & (fracs < 1.0))
+        np.testing.assert_array_equal(fracs, times - np.floor(times))
 
     def test_seed_replay(self):
         t1 = emission.generate_trace(1.0, 1000, np.random.default_rng(11))
         t2 = emission.generate_trace(1.0, 1000, np.random.default_rng(11))
-        assert np.array_equal(t1.fracs, t2.fracs)
+        assert np.array_equal(t1, t2)
 
     @pytest.mark.parametrize(
         "theta,k", [(0.0, 10), (-1.0, 10), (np.nan, 10), (np.inf, 10), (1.0, 0)]
@@ -121,15 +121,15 @@ class TestExtremeDiscrepancy:
 
     def test_exact_beyond_former_size_limit(self):
         # exact at every size: k = 20 000 was past the old 10 000-point cutoff
-        trace = emission.generate_trace(1.0, 20_000, np.random.default_rng(13))
-        stats = emission.discrepancy_stats(trace.fracs)
-        assert stats.extreme == pytest.approx(brute_extreme_discrepancy(trace.fracs), abs=1e-12)
-        assert stats.star == emission.star_discrepancy(trace.fracs)
+        fracs = emission.generate_trace(1.0, 20_000, np.random.default_rng(13))
+        stats = emission.discrepancy_stats(fracs)
+        assert stats.extreme == pytest.approx(brute_extreme_discrepancy(fracs), abs=1e-12)
+        assert stats.star == emission.star_discrepancy(fracs)
 
     def test_poisson_set_against_oracle(self):
-        trace = emission.generate_trace(1.0, 2000, np.random.default_rng(17))
-        extreme = emission.discrepancy_stats(trace.fracs).extreme
-        assert extreme == pytest.approx(brute_extreme_discrepancy(trace.fracs), abs=1e-12)
+        fracs = emission.generate_trace(1.0, 2000, np.random.default_rng(17))
+        extreme = emission.discrepancy_stats(fracs).extreme
+        assert extreme == pytest.approx(brute_extreme_discrepancy(fracs), abs=1e-12)
 
 
 class TestDiscrepancyStats:
@@ -156,17 +156,16 @@ class TestLabels:
         assert 1 <= label_from_time(x, n_labels) <= n_labels
 
     def test_trace_labels_match_scalar(self):
-        trace = emission.generate_trace(1.0, 1000, np.random.default_rng(23))
+        # the gate's stream opens with the k emission uniforms, so its ungated
+        # counts are the scalar labels of the same emission times
+        gate = emission.detector_gate(1.0, 1.0, 37, 1000, 1.0, np.random.default_rng(23))
         _, times, _ = emission_times(1.0, 1000, np.random.default_rng(23))
-        vec = emission.labels_from_trace(trace, 37)
-        scalar = [label_from_time(x, 37) for x in times]
-        assert vec.tolist() == scalar
+        scalar = np.bincount([label_from_time(x, 37) for x in times], minlength=38)[1:]
+        assert gate.ungated_counts.tolist() == scalar.tolist()
 
     def test_poisson_labels_uniform(self):
-        trace = emission.generate_trace(1.0, 100_000, np.random.default_rng(29))
-        labels = emission.labels_from_trace(trace, 100)
-        counts = np.bincount(labels, minlength=101)[1:]
-        stat, dof = emission.uniform_chi_square(counts)
+        gate = emission.detector_gate(1.0, 1.0, 100, 100_000, 1.0, np.random.default_rng(29))
+        stat, dof = emission.uniform_chi_square(gate.ungated_counts)
         assert stat < emission.chi_square_quantile(0.999, dof)
 
 
@@ -192,8 +191,8 @@ class TestRateFit:
     def test_poisson_slope(self):
         # D*_k along prefixes of one trace; the guarantee is k^(-1/2) up to logs
         ks = [1000, 10_000, 100_000]
-        trace = emission.generate_trace(1.0, ks[-1], np.random.default_rng(31))
-        fit = emission.fit_rate(ks, [emission.star_discrepancy(trace.fracs[:k]) for k in ks])
+        fracs = emission.generate_trace(1.0, ks[-1], np.random.default_rng(31))
+        fit = emission.fit_rate(ks, [emission.star_discrepancy(fracs[:k]) for k in ks])
         assert fit.slope <= -0.4
 
     def test_uniform_control(self):
@@ -269,10 +268,10 @@ class TestChunkedKernel:
     @pytest.mark.parametrize("theta", THETAS)
     @pytest.mark.parametrize("k", CHUNK_SIZES)
     def test_fracs_are_the_whole_trace_parts(self, k, theta):
-        trace = emission.generate_trace(theta, k, np.random.default_rng(61))
+        got = emission.generate_trace(theta, k, np.random.default_rng(61))
         _, _, fracs = emission_times(theta, k, np.random.default_rng(61))
-        assert trace.fracs.tobytes() == fracs.tobytes()
-        assert not trace.fracs.flags.writeable
+        assert got.tobytes() == fracs.tobytes()
+        assert not got.flags.writeable
 
     @pytest.mark.parametrize("labels", [7, 2 * CHUNK + 3])
     @pytest.mark.parametrize("theta", THETAS)
@@ -308,7 +307,7 @@ class TestChunkedKernel:
 
     @pytest.mark.parametrize("k", CHUNK_SIZES)
     def test_one_sided_parts_are_the_whole_array_ones(self, k):
-        fracs = emission.generate_trace(1.0, k, np.random.default_rng(71)).fracs
+        fracs = emission.generate_trace(1.0, k, np.random.default_rng(71))
         stats = emission.discrepancy_stats(fracs)
         d_plus, d_minus = one_sided_discrepancies(fracs)
         assert (stats.star, stats.extreme) == (max(d_plus, d_minus), d_plus + d_minus)
@@ -414,8 +413,8 @@ class TestOverflow:
 
     def test_huge_finite_times_are_kept(self):
         # times near 1e304 are finite: every fractional part is 0
-        trace = emission.generate_trace(1e300, 1000, np.random.default_rng(103))
-        assert not trace.fracs.any()
+        fracs = emission.generate_trace(1e300, 1000, np.random.default_rng(103))
+        assert not fracs.any()
 
 
 @settings(deadline=None)
