@@ -49,7 +49,6 @@ from .sampling import (
     ChshEstimate,
     CorrelationEstimate,
     chsh,
-    draw_batch,
     run_experiment,
 )
 from .splines import (

@@ -126,11 +126,6 @@ class BaseMeasure:
     def n(self) -> int:
         return self.system.n
 
-    @property
-    def domain_high(self) -> float:
-        """Omega = [-3, domain_high)^2."""
-        return float(3 * self.n + 9)
-
 
 def build_measure(a, b, n: int) -> BaseMeasure:
     """Construct the first-layer measure for unit settings a, b and n >= 4."""

@@ -1,17 +1,13 @@
-"""Monte Carlo engine: hidden-sample draws, correlation estimates, CHSH runs.
+"""Monte Carlo engine: correlation estimates and CHSH runs.
 
-Every component is drawn by inverse transform (diagonal cell and half-cells,
-label, offsets within the half-cells, weight interval), so the sampler
-targets the exact normalized cell law.  The cell and its two half-cells are
-drawn as one atom (cell, half_a, half_b) of mass m_c / 4 over the
-positive-mass cells, from one double.  Both spins carry the same flip (layer
-sign times s(ell)), so the product A*B depends only on the atom and is read
-from one table.  `run_experiment` and `chsh` therefore take no universe,
-only the order n: a trial is one double, they run in O(N) time for N trials
-and never build, read or search the labels, relocations or weights.  Only
-`draw_batch`, which reports the spins themselves, takes a universe and does
-the O(N log L) interval search, an exact binary search in the pair's weight
-CDF.  The atom is found by a guide table that gives exactly what
+A trial draws its cell and both half-cells by inverse transform, as one
+atom (cell, half_a, half_b) of mass m_c / 4 over the positive-mass cells,
+from one double, so the sampler targets the exact normalized cell law.  Both
+spins carry the same flip (layer sign times s(ell)), so the product A*B
+depends only on the atom and is read from one table.  `run_experiment` and
+`chsh` therefore take no universe, only the order n: a trial is one double,
+they run in O(N) time for N trials and never draw the label, the offsets or
+the interval.  The atom is found by a guide table that gives exactly what
 `searchsorted` in the atom cumsum gives.
 
 A product is +1 or -1, so a batch of N trials is summed up by P, its count
@@ -19,9 +15,10 @@ of +1 products: its mean is (2P - N) / N and its sum of squared deviations
 4P(N - P) / N, and batches merge by adding counts.  A batch walks its
 trials in sub-chunks that draw their doubles into one reused buffer, so no
 per-trial array outlives a sub-chunk.  Streams are numpy Generators;
-experiments split a seed sequence per batch, and `chsh` runs its four
-components, each on its own child seed, on up to min(4, os.cpu_count())
-threads, so neither the chunk sizes nor the worker count changes a number.
+experiments split a seed sequence per batch of BATCH trials, and `chsh`
+runs its four components, each on its own child seed, on up to
+min(4, os.cpu_count()) threads, so neither the sub-chunk size nor the worker
+count changes a number.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import LayerUniverse
 from .measure import BaseMeasure, build_measure
 
 
@@ -58,31 +54,8 @@ class ChshEstimate:
     components: tuple[CorrelationEstimate, CorrelationEstimate, CorrelationEstimate, CorrelationEstimate]
 
 
-def _interval_search(cdf: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per trial t, the count of entries of cdf[rows[t]] that are <= u[t] times
-    the row's total: a branchless binary search of about log2 L gathers, with
-    no [trials, L] temporary.
-
-    Every comparison is between a stored CDF value and the target (adding a
-    row offset to the CDF, as one flat `searchsorted` would, rounds low bits
-    away and flips some).  Scaling by the total keeps the target below it and
-    `<=` skips zero weights at u = 0, so the count is an interval of positive
-    weight even where leading or trailing weights are zero."""
-    width = cdf.shape[1]
-    flat = cdf.ravel()
-    start = rows * width
-    base = start.copy()
-    target = u * flat[start + width - 1]
-    span = width
-    while span > 1:
-        half = span // 2
-        base += (flat[base + half] <= target) * half
-        span -= half
-    return base - start + (flat[base] <= target)
-
-
-# trials per chunk of draw_batch's interval search
-CHUNK = 1 << 16
+# trials per batch, each on its own child stream of the run's seed
+BATCH = 1_000_000
 # trials per sub-chunk of a batch: its buffer and temporaries stay near 0.4 MiB
 SUB_CHUNK = 1 << 14
 # buckets of the guide table: the diagonal cell law puts its mass on few
@@ -139,32 +112,6 @@ class _CellGuide:
         return run
 
 
-def _fill_spins(universe: LayerUniverse, mu: BaseMeasure, m0, cellpos, upper_a, upper_b, interval_u):
-    """The int8 spins and the interval index of each drawn trial, CHUNK trials
-    at a time; no trial's result depends on the chunking."""
-    # companions share their pair's weight row
-    cdf = np.cumsum(universe.weights, axis=1)
-    table_a = mu.outcome[0].ravel()
-    table_b = mu.outcome[1].ravel()
-    spin_a = np.empty(m0.size, dtype=np.int8)
-    spin_b = np.empty(m0.size, dtype=np.int8)
-    ell0 = np.empty(m0.size, dtype=np.intp)
-    for lo in range(0, m0.size, CHUNK):
-        part = slice(lo, lo + CHUNK)
-        ell = _interval_search(cdf, m0[part] >> 1, interval_u[part])
-        # the sample always lands on a relocated diagonal ensemble, whose
-        # original column and row position is the ensemble position itself,
-        # so the spins read outcome[side, cellpos, half]; the layer sign (+1
-        # for even m0) times s(ell) = (-1)^(ell0+1) is -1 iff the parities of
-        # m0 and ell0 agree
-        flip = (((m0[part] ^ ell) & 1) * 2 - 1).astype(np.int8)
-        cell = 2 * cellpos[part]
-        np.multiply(flip, table_a[cell + upper_a[part]], out=spin_a[part])
-        np.multiply(flip, table_b[cell + upper_b[part]], out=spin_b[part])
-        ell0[part] = ell
-    return spin_a, spin_b, ell0
-
-
 def _atoms(mu: BaseMeasure) -> tuple[np.ndarray, _CellGuide]:
     """The positive-mass cell positions and the guide over their atoms: atom
     4i + 2 half_a + half_b is (cell pos[i], half_a, half_b), of mass
@@ -196,75 +143,30 @@ def _plus_count(mu: BaseMeasure, size: int, rng) -> int:
     return count
 
 
-def _inside(x: np.ndarray, bins: np.ndarray, scale: int) -> np.ndarray:
-    """Step each x to the nearest double with floor(x * scale) == its bin:
-    adding or dividing an offset can round onto the neighbouring bin."""
-    while np.any(out := np.floor(x * scale) != bins):
-        x[out] = np.nextafter(x[out], (bins[out] + 0.5) / scale)
-    return x
-
-
-def draw_batch(universe: LayerUniverse, a, b, size: int, rng: np.random.Generator):
-    """Vectorized draws: dict of arrays (labels are 1-based, coords absolute).
-
-    Each coordinate lies in what was drawn for it: floor(w * L) == ell - 1,
-    and u and v lie in the sampled half-cell of the relocated column and row,
-    so the layer outcomes at (u, v, w) are the sampled spins."""
-    mu = build_measure(a, b, universe.n)
-    # the stream in block order: atom, labels, du, dv, interval uniform, w offset
-    pos, guide = _atoms(mu)
-    target = rng.random(size)
-    target *= guide.total
-    atom = guide.cells[guide.runs(target)]
-    cellpos = pos[atom >> 2]
-    upper_a = (atom >> 1) & 1
-    upper_b = atom & 1
-    m0 = rng.integers(0, universe.label_count, size=size)
-    du, dv, interval_u, dw = (rng.random(size) for _ in range(4))
-    spin_a, spin_b, ell0 = _fill_spins(universe, mu, m0, cellpos, upper_a, upper_b, interval_u)
-    pair = m0 >> 1
-    cols = universe.col_to[pair, cellpos] - 2
-    rows = universe.row_to[pair, cellpos] - 2
-    # bins: interval ell0 of w, and half-cells [j/2, (j+1)/2) of u and v,
-    # where cell i spans [i - 1, i)
-    return {
-        "m": m0 + 1,
-        "cell": cellpos - 2,
-        "ell": ell0 + 1,
-        "u": _inside(cols - 1.0 + (upper_a + du) / 2, 2 * cols - 2 + upper_a, 2),
-        "v": _inside(rows - 1.0 + (upper_b + dv) / 2, 2 * rows - 2 + upper_b, 2),
-        "w": _inside((ell0 + dw) / universe.interval_count, ell0, universe.interval_count),
-        "spin_a": spin_a.astype(float),
-        "spin_b": spin_b.astype(float),
-    }
-
-
 def run_experiment(
     n: int,
     a,
     b,
     trials: int,
-    seed=None,
-    batch_size: int = 1_000_000,
+    *,
+    seed,
     batch_means=None,
 ) -> CorrelationEstimate:
     """Estimate E{A B} from `trials` draws at order `n`.
 
-    Batches use split child streams of `seed` and merge by adding their +1
-    counts, so the result depends neither on how batches would be scheduled
-    nor on any summation order.  `batch_means`, if given, receives each
-    batch's mean.
+    Batches of BATCH trials use split child streams of `seed` and merge by
+    adding their +1 counts, so the result depends neither on how batches
+    would be scheduled nor on any summation order.  `batch_means`, if given,
+    receives each batch's mean.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     mu = build_measure(a, b, n)
     exact_target = -float(np.dot(mu.a, mu.b))
     plus = 0
     remaining = trials
-    for stream in _streams_for(trials, batch_size, seed):
-        size = min(batch_size, remaining)
+    for stream in _streams_for(-(-trials // BATCH), seed):
+        size = min(BATCH, remaining)
         b_plus = _plus_count(mu, size, stream)
         if batch_means is not None:
             batch_means.append((2 * b_plus - size) / size)
@@ -285,14 +187,11 @@ def _as_seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def _streams_for(trials, batch_size, seed):
+def _streams_for(n_batches, seed):
     """One stream per batch, each made only when its batch starts, so memory
     does not grow with the number of batches.  Batch i gets the i-th child of
     the seed sequence: repeated `spawn(1)` calls give the same children as
     one `spawn(n_batches)`."""
-    n_batches = (trials + batch_size - 1) // batch_size
-    if seed is None:
-        raise ValueError("provide an explicit seed")
     seq = _as_seed_sequence(seed)
     return (np.random.default_rng(seq.spawn(1)[0]) for _ in range(n_batches))
 
@@ -304,12 +203,11 @@ def chsh(
     b,
     b2,
     trials: int,
-    seed=None,
+    *,
+    seed,
 ) -> ChshEstimate:
     """Run the four correlation experiments, each on its own child seed, and
     combine them into S."""
-    if seed is None:
-        raise ValueError("provide an explicit seed")
     children = _as_seed_sequence(seed).spawn(4)
     pairs = ((a, b), (a, b2), (a2, b), (a2, b2))
     # numpy releases the GIL in the draws, searches, gathers and ufuncs; each

@@ -207,11 +207,16 @@ def step_weight(w: float, weights) -> float:
     return float(p[int(wv * p.size)])
 
 
+def domain_high(n: int) -> float:
+    """Omega = [-3, domain_high(n))^2."""
+    return float(3 * n + 9)
+
+
 def diagonal_indicator(u: float, v: float, n: int) -> int:
     """kappa(u, v): 1 iff (u, v) lies in a diagonal cell [i-1, i)^2 of
     Omega = [-3, 3n+9)^2."""
     uf, vf = float(u), float(v)
-    hi = 3 * n + 9
+    hi = domain_high(n)
     if not (-3.0 <= uf < hi and -3.0 <= vf < hi):
         return 0
     return 1 if math.floor(uf) == math.floor(vf) else 0
@@ -221,7 +226,7 @@ def column_weight(mu, u: float) -> float:
     """First density factor sigma(u): |a_k| on the negative strips, N_s(|a_k|)
     on the spline strips, 0 outside Omega; depends on the setting a only."""
     uf = float(u)
-    if uf < -3.0 or uf >= 3 * mu.n + 9:
+    if uf < -3.0 or uf >= domain_high(mu.n):
         return 0.0
     i = math.floor(uf) + 1  # cell index of the column strip
     if i <= 0:
@@ -234,7 +239,7 @@ def row_weight(mu, v: float) -> float:
     """Second density factor tau(v): |b_k| on the negative strips,
     psi_s(|b_k|) / 2 on the spline strips; depends on the setting b only."""
     vf = float(v)
-    if vf < -3.0 or vf >= 3 * mu.n + 9:
+    if vf < -3.0 or vf >= domain_high(mu.n):
         return 0.0
     i = math.floor(vf) + 1
     if i <= 0:
@@ -364,6 +369,73 @@ def joint_density(universe, mu, u: float, v: float, w: float, m: int) -> float:
     """
     mass = float(np.sum(mu.cell_masses))
     return layer_density(universe, m, mu, u, v, w) / mass / universe.label_count
+
+
+# --- the sampler's stream, read by the definitions ----------------------------
+#
+# A batch of `size` trials takes from its stream one block of atom uniforms,
+# the labels, then one block each of the offsets du and dv inside the drawn
+# half-cells, the interval uniforms and the offsets dw inside the drawn
+# intervals.
+
+
+def plain_atoms(mu, u):
+    """The cell position and half-cells of each uniform of `u`: `searchsorted`
+    at u times the total of the cumsum of the masses m_c / 4 of the atoms
+    (cell, half_a, half_b) of the positive-mass cells, in that order."""
+    pos = np.flatnonzero(mu.cell_masses)
+    cum = np.cumsum(np.repeat(mu.cell_masses[pos] / 4, 4))
+    atom = np.searchsorted(cum, u * cum[-1], side="right")
+    return pos[atom // 4], atom // 2 % 2, atom % 2
+
+
+def inside_bins(x: np.ndarray, bins: np.ndarray, scale: int) -> np.ndarray:
+    """Step each x to the nearest double with floor(x * scale) == its bin:
+    adding or dividing an offset can round onto the neighbouring bin."""
+    while np.any(out := np.floor(x * scale) != bins):
+        x[out] = np.nextafter(x[out], (bins[out] + 0.5) / scale)
+    return x
+
+
+def draw_batch(universe, mu, size: int, rng) -> dict:
+    """`size` trials of the stream layout above: labels m (1-based), ensemble
+    cells, intervals ell (1-based), the points (u, v, w) and the spins of
+    label m's layer there.
+
+    The interval is `searchsorted` at the uniform times the row total in the
+    pair's weight cumsum, so zero weights are never drawn.  u and v lie in
+    the drawn half-cells of the relocated column and row, and floor(w * L)
+    is ell - 1."""
+    cell, half_a, half_b = plain_atoms(mu, rng.random(size))
+    m0 = rng.integers(0, universe.label_count, size=size)
+    du, dv, interval_u, dw = (rng.random(size) for _ in range(4))
+    pair = m0 // 2
+    ell0 = np.empty(size, dtype=np.int64)
+    for k in np.unique(pair):
+        cdf = np.cumsum(universe.weights[k])
+        sel = pair == k
+        ell0[sel] = np.searchsorted(cdf, interval_u[sel] * cdf[-1], side="right")
+    cols = universe.col_to[pair, cell] - 2
+    rows = universe.row_to[pair, cell] - 2
+    # cell i spans [i - 1, i); bins are its half-cells and the intervals of w
+    u = inside_bins(cols - 1.0 + (half_a + du) / 2, 2 * cols - 2 + half_a, 2)
+    v = inside_bins(rows - 1.0 + (half_b + dv) / 2, 2 * rows - 2 + half_b, 2)
+    w = inside_bins((ell0 + dw) / universe.interval_count, ell0, universe.interval_count)
+    spin_a, spin_b = np.empty(size), np.empty(size)
+    for label in np.unique(m0):
+        sel = m0 == label
+        spin_a[sel] = layer_spin_a(universe, int(label) + 1, mu.a, u[sel], w[sel])
+        spin_b[sel] = layer_spin_b(universe, int(label) + 1, mu.b, v[sel], w[sel])
+    return {
+        "m": m0 + 1,
+        "cell": cell - 2,
+        "ell": ell0 + 1,
+        "u": u,
+        "v": v,
+        "w": w,
+        "spin_a": spin_a,
+        "spin_b": spin_b,
+    }
 
 
 # --- per-label loop versions of the exact universe analysis -------------------

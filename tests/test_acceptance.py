@@ -16,6 +16,7 @@ from oracles import (
     binomial_oracle,
     brute_conditional_marginal,
     brute_extreme_discrepancy,
+    domain_high,
     factorial_oracle,
     layer_spin_a,
     layer_spin_b,
@@ -98,7 +99,7 @@ def test_criterion_4_per_layer_and_companions():
             # one companion pair: labels 1 and 2 share the pair's integral
             pair = layers.build_universe(4, 2, 1, rng)
             assert abs(analysis.pair_expectation(pair, mu.a, mu.b) - target) <= 1e-12
-            us = rng.uniform(-6.0, mu.domain_high + 3.0, 10_000)
+            us = rng.uniform(-6.0, domain_high(mu.n) + 3.0, 10_000)
             ws = rng.random(10_000)
             sum_a = layer_spin_a(pair, 1, mu.a, us, ws) + layer_spin_a(pair, 2, mu.a, us, ws)
             sum_b = layer_spin_b(pair, 1, mu.b, us, ws) + layer_spin_b(pair, 2, mu.b, us, ws)

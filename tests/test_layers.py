@@ -15,6 +15,7 @@ from oracles import (
     binomial_oracle,
     density,
     detector_a,
+    domain_high,
     factorial_oracle,
     joint_density,
     json_universe_text,
@@ -148,7 +149,7 @@ class TestCompanionCancellation:
         mu = measure.build_measure(A, B, 4)
         for _ in range(5):
             uni = layers.build_universe(4, 3, 1, rng)
-            us = rng.uniform(-6.0, mu.domain_high + 3.0, 10_000)
+            us = rng.uniform(-6.0, domain_high(mu.n) + 3.0, 10_000)
             ws = rng.random(10_000)
             sa = layer_spin_a(uni, 1, A, us, ws) + layer_spin_a(uni, 2, A, us, ws)
             sb = layer_spin_b(uni, 1, B, us, ws) + layer_spin_b(uni, 2, B, us, ws)
@@ -160,8 +161,8 @@ class TestCompanionCancellation:
         uni = layers.build_universe(4, 2, 1, rng)
         mu = measure.build_measure(A, B, 4)
         for _ in range(500):
-            u = rng.uniform(-3.0, mu.domain_high)
-            v = rng.uniform(-3.0, mu.domain_high)
+            u = rng.uniform(-3.0, domain_high(mu.n))
+            v = rng.uniform(-3.0, domain_high(mu.n))
             w = rng.random()
             assert layer_density(uni, 1, mu, u, v, w) == layer_density(uni, 2, mu, u, v, w)
 
@@ -205,14 +206,14 @@ class TestLayerEvaluation:
         mu = measure.build_measure(A, B, 4)
         rng = np.random.default_rng(23)
         for _ in range(400):
-            u = rng.uniform(-5.0, mu.domain_high + 2.0)
-            v = rng.uniform(-5.0, mu.domain_high + 2.0)
+            u = rng.uniform(-5.0, domain_high(mu.n) + 2.0)
+            v = rng.uniform(-5.0, domain_high(mu.n) + 2.0)
             w = rng.random()
             expect_a = detector_a(A, u) * step_sign(w, 2)
             expect_b = -detector_a(B, v) * step_sign(w, 2)
             assert layer_spin_a(ident, 1, A, u, w) == expect_a
             assert layer_spin_b(ident, 1, B, v, w) == expect_b
-            if -3.0 <= u < mu.domain_high and -3.0 <= v < mu.domain_high:
+            if -3.0 <= u < domain_high(mu.n) and -3.0 <= v < domain_high(mu.n):
                 expect_rho = density(mu, u, v) * step_weight(w, weights)
                 assert layer_density(ident, 1, mu, u, v, w) == pytest.approx(
                     expect_rho, abs=1e-15
@@ -239,8 +240,8 @@ class TestLayerEvaluation:
         col_from = {int(col_to[p]): p for p in range(col_to.size)}
         row_from = {int(row_to[p]): p for p in range(row_to.size)}
         for _ in range(800):
-            u = rng.uniform(-3.0, mu.domain_high)
-            v = rng.uniform(-3.0, mu.domain_high)
+            u = rng.uniform(-3.0, domain_high(mu.n))
+            v = rng.uniform(-3.0, domain_high(mu.n))
             w = rng.random()
             pu = col_from[int(np.floor(u)) + 3] - 3 + (u - np.floor(u))
             pv = row_from[int(np.floor(v)) + 3] - 3 + (v - np.floor(v))
@@ -293,8 +294,8 @@ class TestUniverse:
         rng = np.random.default_rng(43)
         for _ in range(200):
             m = int(rng.integers(1, uni.label_count + 1))
-            u = rng.uniform(-3.0, mu.domain_high)
-            v = rng.uniform(-3.0, mu.domain_high)
+            u = rng.uniform(-3.0, domain_high(mu.n))
+            v = rng.uniform(-3.0, domain_high(mu.n))
             w = rng.random()
             joint = joint_density(uni, mu, u, v, w, m)
             conditional = joint * uni.label_count
@@ -307,8 +308,8 @@ class TestUniverse:
         mu = measure.build_measure(A, B, 4)
         rng = np.random.default_rng(53)
         for _ in range(100):
-            u = rng.uniform(-3.0, mu.domain_high)
-            v = rng.uniform(-3.0, mu.domain_high)
+            u = rng.uniform(-3.0, domain_high(mu.n))
+            v = rng.uniform(-3.0, domain_high(mu.n))
             w = rng.random()
             for k in range(uni.pair_count):
                 d1 = joint_density(uni, mu, u, v, w, 2 * k + 1)
@@ -356,8 +357,8 @@ class TestSerialization:
         rng = np.random.default_rng(61)
         for _ in range(10_000):
             m = int(rng.integers(1, uni.label_count + 1))
-            u = rng.uniform(-3.0, mu.domain_high)
-            v = rng.uniform(-3.0, mu.domain_high)
+            u = rng.uniform(-3.0, domain_high(mu.n))
+            v = rng.uniform(-3.0, domain_high(mu.n))
             w = rng.random()
             assert joint_density(uni, mu, u, v, w, m) == joint_density(loaded, mu, u, v, w, m)
 

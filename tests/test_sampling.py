@@ -11,7 +11,7 @@ from scipy import stats as sstats
 
 from eprsim import layers, measure, sampling
 
-from oracles import layer_density, layer_spin_a, layer_spin_b
+from oracles import draw_batch, inside_bins, layer_density, plain_atoms
 from strategies import edge_cases
 
 A = measure.as_setting([1.0, 0.0, 0.0])
@@ -27,28 +27,31 @@ def universe():
 
 # the order n of the `universe` fixture, all of it that run_experiment and chsh take
 N = 4
-
-
-def _plain_atoms(mu, u):
-    """The cell position and half-cells of each uniform of `u` by the plain
-    stream layout: `searchsorted` at u times the total of the cumsum of the
-    masses m_c / 4 of the atoms (cell, half_a, half_b) of the positive-mass
-    cells, in that order."""
-    pos = np.flatnonzero(mu.cell_masses)
-    cum = np.cumsum(np.repeat(mu.cell_masses[pos] / 4, 4))
-    atom = np.searchsorted(cum, u * cum[-1], side="right")
-    return pos[atom // 4], atom // 2 % 2, atom % 2
+MU_CLEAN = measure.build_measure(A, B_CLEAN, N)
+MU_45 = measure.build_measure(A, B45, N)
 
 
 def _plain_plus_count(mu, size, rng):
     """The number of +1 products among `size` trials of the plain layout."""
-    cell, half_a, half_b = _plain_atoms(mu, rng.random(size))
+    cell, half_a, half_b = plain_atoms(mu, rng.random(size))
     return int(np.sum(mu.outcome[0][cell, half_a] * mu.outcome[1][cell, half_b] == 1))
+
+
+def _table_spins(mu, batch):
+    """flip * mu.outcome[side, cell + 2, half] on both sides, where flip is the
+    layer sign (+1 for odd m) times s(ell) = (-1)^ell and half is the
+    half-cell of u (side 0) or of v (side 1)."""
+    flip = np.where(batch["m"] % 2 == 1, 1.0, -1.0) * np.where(batch["ell"] % 2 == 1, -1.0, 1.0)
+    pos = batch["cell"] + 2
+    return tuple(
+        flip * mu.outcome[side][pos, np.floor(2 * batch[key]).astype(np.int64) % 2]
+        for side, key in ((0, "u"), (1, "v"))
+    )
 
 
 class TestDraw:
     def test_single_draw_shape(self, universe):
-        one = sampling.draw_batch(universe, A, B_CLEAN, 1, np.random.default_rng(5))
+        one = draw_batch(universe, MU_CLEAN, 1, np.random.default_rng(5))
         assert {len(value) for value in one.values()} == {1}
         assert 1 <= one["m"][0] <= universe.label_count
         assert -3.0 <= one["u"][0] < 3 * 4 + 9
@@ -57,12 +60,12 @@ class TestDraw:
         assert one["spin_a"][0] in (-1.0, 1.0) and one["spin_b"][0] in (-1.0, 1.0)
 
     def test_outcomes_in_spin_range(self, universe):
-        batch = sampling.draw_batch(universe, A, B45, 20_000, np.random.default_rng(7))
+        batch = draw_batch(universe, MU_45, 20_000, np.random.default_rng(7))
         assert set(np.unique(batch["spin_a"])) <= {-1.0, 1.0}
         assert set(np.unique(batch["spin_b"])) <= {-1.0, 1.0}
 
     def test_label_uniformity_chi_square(self, universe):
-        batch = sampling.draw_batch(universe, A, B_CLEAN, 1_000_000, np.random.default_rng(11))
+        batch = draw_batch(universe, MU_CLEAN, 1_000_000, np.random.default_rng(11))
         counts = np.bincount(batch["m"], minlength=universe.label_count + 1)[1:]
         expected = counts.sum() / universe.label_count
         stat = float(((counts - expected) ** 2 / expected).sum())
@@ -70,10 +73,9 @@ class TestDraw:
         assert stat < sstats.chi2.ppf(0.999, dof)
 
     def test_cell_occupancy_matches_masses(self, universe):
-        mu = measure.build_measure(A, B_CLEAN, 4)
-        probs = mu.cell_masses / mu.cell_masses.sum()
+        probs = MU_CLEAN.cell_masses / MU_CLEAN.cell_masses.sum()
         trials = 1_000_000
-        batch = sampling.draw_batch(universe, A, B_CLEAN, trials, np.random.default_rng(13))
+        batch = draw_batch(universe, MU_CLEAN, trials, np.random.default_rng(13))
         counts = np.bincount(batch["cell"] + 2, minlength=probs.size)
         freq = counts / trials
         sigma = np.sqrt(probs * (1.0 - probs) / trials)
@@ -83,7 +85,7 @@ class TestDraw:
 
     def test_weight_interval_occupancy(self, universe):
         trials = 400_000
-        batch = sampling.draw_batch(universe, A, B_CLEAN, trials, np.random.default_rng(17))
+        batch = draw_batch(universe, MU_CLEAN, trials, np.random.default_rng(17))
         # joint histogram over (label, interval) against p_{m,l} / labels
         joint = np.zeros((universe.label_count, universe.interval_count))
         np.add.at(joint, (batch["m"] - 1, batch["ell"] - 1), 1.0)
@@ -94,16 +96,15 @@ class TestDraw:
         assert np.all(np.abs(joint - target) <= 5.0 * sigma + 1e-9)
 
     def test_points_live_on_relocated_diagonal(self, universe):
-        batch = sampling.draw_batch(universe, A, B_CLEAN, 5_000, np.random.default_rng(19))
-        mu = measure.build_measure(A, B_CLEAN, 4)
+        batch = draw_batch(universe, MU_CLEAN, 5_000, np.random.default_rng(19))
         for m, u, v, w in zip(batch["m"][:500], batch["u"][:500], batch["v"][:500], batch["w"][:500]):
-            assert layer_density(universe, int(m), mu, float(u), float(v), float(w)) > 0.0
+            assert layer_density(universe, int(m), MU_CLEAN, float(u), float(v), float(w)) > 0.0
 
 
 class TestReproducibility:
     def test_same_seed_same_batch(self, universe):
-        one = sampling.draw_batch(universe, A, B45, 50_000, np.random.default_rng(23))
-        two = sampling.draw_batch(universe, A, B45, 50_000, np.random.default_rng(23))
+        one = draw_batch(universe, MU_45, 50_000, np.random.default_rng(23))
+        two = draw_batch(universe, MU_45, 50_000, np.random.default_rng(23))
         for key in one:
             assert np.array_equal(one[key], two[key])
 
@@ -112,37 +113,39 @@ class TestReproducibility:
         est2 = sampling.run_experiment(N, A, B45, 100_000, seed=29)
         assert est1 == est2
 
-    def test_batch_split_invariance(self):
+    def test_batch_split_invariance(self, monkeypatch):
         # same total and seed, different batch sizes: stream per batch comes
         # from the same spawn tree, so both runs are valid; means agree with
         # the target within their standard errors
-        est_small = sampling.run_experiment(N, A, B45, 90_000, seed=31, batch_size=30_000)
-        est_big = sampling.run_experiment(N, A, B45, 90_000, seed=31, batch_size=90_000)
-        for est in (est_small, est_big):
+        estimates = []
+        for batch in (30_000, 90_000):
+            monkeypatch.setattr(sampling, "BATCH", batch)
+            estimates.append(sampling.run_experiment(N, A, B45, 90_000, seed=31))
+        for est in estimates:
             assert abs(est.mean - est.exact_target) <= 3.29 * est.stderr + 5e-3
 
 
 class TestStreamPosition:
     @pytest.mark.parametrize("size", [1, 1000])
     def test_draw_batch_moves_the_stream_past_its_draws(self, universe, size):
-        """draw_batch takes a block of `size` atom doubles, the labels and
-        then four more blocks of `size` doubles from `rng` itself, so a
-        second call on the same stream draws new trials."""
+        """The oracle's draw_batch takes a block of `size` atom doubles, the
+        labels and then four more blocks of `size` doubles from `rng` itself,
+        so a second call on the same stream draws new trials."""
         rng = np.random.default_rng(11)
-        first = sampling.draw_batch(universe, A, B45, size, rng)
+        first = draw_batch(universe, MU_45, size, rng)
         expected = np.random.default_rng(11)
         expected.random(size)
         expected.integers(0, universe.label_count, size=size)
         expected.random(4 * size)
         assert rng.bit_generator.state == expected.bit_generator.state
-        second = sampling.draw_batch(universe, A, B45, size, rng)
+        second = draw_batch(universe, MU_45, size, rng)
         for key in ("u", "v", "w"):
             assert not np.array_equal(first[key], second[key])
 
 
 class TestLazyStreams:
     def test_children_match_one_spawn(self):
-        streams = sampling._streams_for(10 * 5, 10, 123)
+        streams = sampling._streams_for(5, 123)
         children = np.random.SeedSequence(123).spawn(5)
         for stream, child in zip(streams, children, strict=True):
             expected = np.random.default_rng(child)
@@ -151,7 +154,7 @@ class TestLazyStreams:
     def test_first_stream_of_huge_run_is_small(self):
         tracemalloc.start()
         try:
-            next(sampling._streams_for(10**18, 1, 7))
+            next(sampling._streams_for(10**18, 7))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -159,27 +162,24 @@ class TestLazyStreams:
 
 
 class TestRunExperiment:
-    @pytest.mark.parametrize("batch_size", [0, -1])
-    def test_batch_size_below_one_rejected(self, batch_size):
-        with pytest.raises(ValueError, match="batch_size must be >= 1"):
-            sampling.run_experiment(N, A, B45, 100, seed=1, batch_size=batch_size)
-
-    @pytest.mark.parametrize("trials, batch_size", [(1, 1), (10_007, 10_007), (10_007, 3000)])
-    def test_estimate_is_the_closed_form_of_the_plus_counts(self, trials, batch_size):
+    @pytest.mark.parametrize(
+        "trials, batch",
+        [(1, 1), (2, 1), (10_007, 10_007), (10_007, 3000), (10_000, 2500), (10_001, 2500)],
+    )
+    def test_estimate_is_the_closed_form_of_the_plus_counts(self, monkeypatch, trials, batch):
         """Batch i of N_i trials with P_i products +1 has mean (2P_i - N_i) / N_i;
         the run's mean is (2P - N) / N and its stderr sqrt(4P(N - P) / (N^2 (N - 1)))
         for P and N summed over the batches."""
         mu = measure.build_measure(A, B45, N)
-        sizes = [min(batch_size, trials - lo) for lo in range(0, trials, batch_size)]
+        sizes = [min(batch, trials - lo) for lo in range(0, trials, batch)]
         children = np.random.SeedSequence(61).spawn(len(sizes))
         plus = [
             _plain_plus_count(mu, size, np.random.default_rng(child))
             for size, child in zip(sizes, children)
         ]
         batch_means = []
-        est = sampling.run_experiment(
-            N, A, B45, trials, seed=61, batch_size=batch_size, batch_means=batch_means
-        )
+        monkeypatch.setattr(sampling, "BATCH", batch)
+        est = sampling.run_experiment(N, A, B45, trials, seed=61, batch_means=batch_means)
         assert batch_means == [(2 * p - size) / size for p, size in zip(plus, sizes)]
         total = sum(plus)
         assert est.trials == trials
@@ -241,8 +241,10 @@ class TestChsh:
         assert abs(est.s_value - 2.0) <= 3.29 * est.stderr
 
     def test_requires_stream_or_seed(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             sampling.chsh(N, A, A, B45, B45, 100)
+        with pytest.raises(TypeError):
+            sampling.run_experiment(N, A, B45, 100)
 
 
 class _TopOfRange:
@@ -269,7 +271,7 @@ class TestZeroMassCell:
             b = rng.normal(size=3)
             mu = measure.build_measure(a, b / np.linalg.norm(b), 4)
             assert np.all(mu.cell_masses[-3:] == 0.0)
-            batch = sampling.draw_batch(universe, mu.a, mu.b, 4, _TopOfRange())
+            batch = draw_batch(universe, mu, 4, _TopOfRange())
             assert np.all(mu.cell_masses[batch["cell"] + 2] > 0.0)
 
 
@@ -294,13 +296,13 @@ class TestZeroWeightInterval:
     def test_extreme_uniform_lands_on_positive_weight(self, weights, stream):
         eye = np.arange(3 * 4 + 12)
         universe = layers.LayerUniverse(4, len(weights), eye[None], eye[None], [weights])
-        batch = sampling.draw_batch(universe, A, B_CLEAN, 4, stream)
+        batch = draw_batch(universe, MU_CLEAN, 4, stream)
         assert np.all(np.asarray(weights)[batch["ell"] - 1] > 0.0)
 
 
 class _LowestAtomTopOffsets(_TopOfRange):
-    """Stub stream: 0.0 for the first block of uniforms, draw_batch's atoms,
-    then as _TopOfRange."""
+    """Stub stream: 0.0 for the first block of uniforms, the atoms, then as
+    _TopOfRange."""
 
     def __init__(self):
         self.atoms_drawn = False
@@ -325,27 +327,23 @@ class TestCoordinatesInsideDraw:
         weights = [0.6, 0.4 - 5e-13, 0.0]
         eye = np.arange(3 * 4 + 12)
         universe = layers.LayerUniverse(4, 3, eye[None], eye[None], [weights])
-        batch = sampling.draw_batch(universe, A, B_CLEAN, 4, make_stream())
-        cell, half_a, half_b = _plain_atoms(measure.build_measure(A, B_CLEAN, 4), atom_uniform)
+        batch = draw_batch(universe, MU_CLEAN, 4, make_stream())
+        cell, half_a, half_b = plain_atoms(MU_CLEAN, atom_uniform)
         np.testing.assert_array_equal(batch["cell"], cell - 2)
         for key, half in (("u", half_a), ("v", half_b)):
             coord = batch[key]
             np.testing.assert_array_equal(np.floor(coord) + 1, batch["cell"])
             assert np.all((coord - np.floor(coord) >= 0.5) == half)
         np.testing.assert_array_equal(np.floor(batch["w"] * 3), batch["ell"] - 1)
-        np.testing.assert_array_equal(
-            batch["spin_a"], layer_spin_a(universe, 1, A, batch["u"], batch["w"])
-        )
-        np.testing.assert_array_equal(
-            batch["spin_b"], layer_spin_b(universe, 1, B_CLEAN, batch["v"], batch["w"])
-        )
+        for spin, table in zip((batch["spin_a"], batch["spin_b"]), _table_spins(MU_CLEAN, batch)):
+            np.testing.assert_array_equal(spin, table)
 
     @pytest.mark.parametrize("interval_count", [1, 3, 7, 49, 64, 1000])
     def test_interval_edges_round_trip(self, interval_count):
         # (ell0 + 0) / L can land below interval ell0 + 1 too: 1 / 49 * 49 < 1
         ell0 = np.arange(interval_count)
         for offset in (0.0, 1.0 - 2.0**-53):
-            w = sampling._inside((ell0 + offset) / interval_count, ell0, interval_count)
+            w = inside_bins((ell0 + offset) / interval_count, ell0, interval_count)
             np.testing.assert_array_equal(np.floor(w * interval_count), ell0)
 
 
@@ -361,7 +359,9 @@ EDGE_SETTINGS = [
 
 
 class TestSpinsMatchLayerDefinition:
-    """Every sampled spin equals the paper's layer outcome at the sampled point."""
+    """The paper's layer outcome at every drawn point is the flip (layer sign
+    times s(ell)) times the outcome table at the drawn atom: the identity the
+    kernel's products rest on."""
 
     @pytest.mark.parametrize("interval_count", [1, 2, 3, 64])
     @pytest.mark.parametrize("a, b", EDGE_SETTINGS)
@@ -369,16 +369,15 @@ class TestSpinsMatchLayerDefinition:
         a, b = measure.as_setting(a, normalize=True), measure.as_setting(b, normalize=True)
         rng = np.random.default_rng(interval_count)
         universe = layers.build_universe(4, interval_count, 3, rng)
-        batch = sampling.draw_batch(universe, a, b, 3000, np.random.default_rng(97))
+        mu = measure.build_measure(a, b, 4)
+        batch = draw_batch(universe, mu, 3000, np.random.default_rng(97))
         assert set(batch["m"] % 2) == {0, 1}
         assert np.any(batch["cell"] <= 0)
-        for m in np.unique(batch["m"]):
-            sel = batch["m"] == m
-            u, v, w = batch["u"][sel], batch["v"][sel], batch["w"][sel]
-            expect_a = layer_spin_a(universe, int(m), a, u, w)
-            expect_b = layer_spin_b(universe, int(m), b, v, w)
-            np.testing.assert_array_equal(batch["spin_a"][sel], expect_a)
-            np.testing.assert_array_equal(batch["spin_b"][sel], expect_b)
+        spin_a, spin_b = _table_spins(mu, batch)
+        np.testing.assert_array_equal(batch["spin_a"], spin_a)
+        np.testing.assert_array_equal(batch["spin_b"], spin_b)
+        plus = int(np.sum(batch["spin_a"] * batch["spin_b"] == 1.0))
+        assert sampling._plus_count(mu, 3000, np.random.default_rng(97)) == plus
 
 
 class TestBoundedMemory:
@@ -440,15 +439,16 @@ class TestLeanKernel:
     @given(case=edge_cases(), seed=st.integers(0, 2**32 - 1))
     def test_draws_land_on_positive_mass_and_match_the_count(self, case, seed):
         """Property (iv): no zero-mass cell and no zero-weight interval is
-        ever drawn, and the kernel's +1 count is that of draw_batch's
-        spin_a*spin_b on the same stream, also on the stub streams."""
+        ever drawn, and the kernel's +1 count is that of the oracle's
+        spin_a*spin_b, the layer outcomes at the drawn points, on the same
+        stream, also on the stub streams."""
         n, a, b = case
         mu = measure.build_measure(*(measure.as_setting(v, normalize=True) for v in (a, b)), n)
         rng = np.random.default_rng(seed)
         uni = _universe_with_zero_weights(n, int(rng.integers(1, 9)), int(rng.integers(1, 6)), rng)
         # each maker gives a fresh copy of the same stream
         for stream in (functools.partial(np.random.default_rng, seed), _TopOfRange, _BottomOfRange):
-            batch = sampling.draw_batch(uni, mu.a, mu.b, 500, stream())
+            batch = draw_batch(uni, mu, 500, stream())
             assert np.all(mu.cell_masses[batch["cell"] + 2] > 0.0)
             assert np.all(uni.weights[(batch["m"] - 1) // 2, batch["ell"] - 1] > 0.0)
             plus = int(np.sum(batch["spin_a"] * batch["spin_b"] == 1.0))
@@ -467,17 +467,9 @@ class TestLeanKernel:
         atom = guide.cells[guide.runs(target)]
         cell = pos[atom // 4]
         assert np.all(mu.cell_masses[cell] > 0.0)
-        expected = _plain_atoms(mu, make_stream().random(4))
+        expected = plain_atoms(mu, make_stream().random(4))
         for got, want in zip((cell, atom // 2 % 2, atom % 2), expected):
             np.testing.assert_array_equal(got, want)
-
-    def test_chunking_changes_no_trial(self, monkeypatch):
-        wide = layers.build_universe(5, 64, 7, np.random.default_rng(8))
-        whole = sampling.draw_batch(wide, A, B45, 10_007, np.random.default_rng(9))
-        monkeypatch.setattr(sampling, "CHUNK", 1000)
-        chunked = sampling.draw_batch(wide, A, B45, 10_007, np.random.default_rng(9))
-        for key in whole:
-            np.testing.assert_array_equal(chunked[key], whole[key])
 
     @pytest.mark.parametrize("sub_chunk", [1000, 4097])
     def test_sub_chunks_change_no_count(self, monkeypatch, sub_chunk):
@@ -503,7 +495,7 @@ class TestAtomLaw:
     @settings(max_examples=25, deadline=None)
     @given(case=edge_cases(), seed=st.integers(0, 2**32 - 1))
     def test_atom_frequencies_chi_square(self, case, seed):
-        """draw_batch's (cell, half_a, half_b), read back from the cell and
+        """The oracle's (cell, half_a, half_b), read back from the cell and
         the half-cells of u and v, against the law m_c / 4 over the
         positive-mass cells, below the 1 - 1e-9 chi-square quantile.  Atoms
         expected fewer than 5 times are pooled with the likeliest one."""
@@ -511,7 +503,7 @@ class TestAtomLaw:
         mu = measure.build_measure(*(measure.as_setting(v, normalize=True) for v in (a, b)), n)
         uni = layers.build_universe(n, 1, 1, np.random.default_rng(seed))
         trials = 100_000
-        batch = sampling.draw_batch(uni, mu.a, mu.b, trials, np.random.default_rng(seed))
+        batch = draw_batch(uni, mu, trials, np.random.default_rng(seed))
         pos = np.flatnonzero(mu.cell_masses)
         assert np.all(np.isin(batch["cell"] + 2, pos))
         half_a, half_b = (np.floor(2 * batch[key]).astype(np.int64) % 2 for key in ("u", "v"))
@@ -574,12 +566,11 @@ class TestProductsIgnoreLayers:
         narrow = layers.build_universe(4, 1, 25, np.random.default_rng(1))
         wide = _universe_with_zero_weights(4, 64, 7, np.random.default_rng(2))
         assert narrow.label_count != wide.label_count
-        mu = measure.build_measure(A, B45, 4)
         products = []
         for uni in (narrow, wide):
-            batch = sampling.draw_batch(uni, A, B45, 100_000, np.random.default_rng(3))
+            batch = draw_batch(uni, MU_45, 100_000, np.random.default_rng(3))
             products.append(batch["spin_a"] * batch["spin_b"])
         np.testing.assert_array_equal(*products)
         assert set(np.unique(products[0])) == {-1.0, 1.0}
-        kernel = sampling._plus_count(mu, 100_000, np.random.default_rng(3))
+        kernel = sampling._plus_count(MU_45, 100_000, np.random.default_rng(3))
         assert kernel == int(np.sum(products[0] == 1.0))
