@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=int, help="weight intervals per layer (default 2)")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--tie-weights", action="store_true", dest="tie_weights")
-    p.add_argument("--universe", required=True, help="output path for the universe JSON")
+    p.add_argument("--universe", required=True, help="output path for the universe file")
     _add_output_opts(p)
     p.set_defaults(func=cmd_layers)
 
@@ -421,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("simulate", cmd_simulate), ("chsh", cmd_chsh)):
         p = sub.add_parser(name, help=f"{name} experiment")
         p.add_argument("--config", help="flat key=value config file; flags override it")
-        p.add_argument("--universe", help="universe JSON whose n the run takes")
+        p.add_argument("--universe", help="universe file whose n the run takes")
         p.add_argument("--n", type=int)
         p.add_argument("--layers", type=int, help="checked against --universe; sizes nothing")
         p.add_argument("--L", type=int, help="checked against --universe; sizes nothing")

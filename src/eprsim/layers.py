@@ -16,25 +16,24 @@ A `LayerUniverse` therefore stores one row per companion pair in three
 arrays validated once on construction: `col_to` and `row_to` of shape
 (M, 3n+12), whose rows permute the diagonal positions, and `weights` of
 shape (M, L), whose rows are interval weight vectors.  Label m = 1 .. 2M is
-pair (m-1)//2 with sign +1 for odd m and -1 for even m.  Universe files
-hold the three arrays packed as base64 bytes in one JSON object
-(`save_universe`).
+pair (m-1)//2 with sign +1 for odd m and -1 for even m.  A universe file
+(`save_universe`) is one line of JSON giving the schema and the three sizes,
+then the three arrays as raw little-endian bytes, so `load_universe` checks
+the sizes before it reads any array, and decodes no array from text.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .config import ConfigError, check_budget
 from .measure import diagonal_cell_count, validate_weights
 
-UNIVERSE_SCHEMA = "layer-universe/2"
+UNIVERSE_SCHEMA = "layer-universe/3"
 
 
 def layer_count(n: int) -> int:
@@ -141,54 +140,43 @@ _POSITION = np.dtype("<u2")
 _WEIGHT = np.dtype("<f8")
 
 # the largest n whose 3n+12 positions 0 .. 3n+11 fit the uint16 positions of
-# a `layer-universe/2` file
+# a `layer-universe/3` file
 MAX_SAVED_N = (np.iinfo(_POSITION).max - 11) // 3
 
+# the longest header line read, newline included; a file whose first line is
+# longer (a `layer-universe/2` file is one line of megabytes) is refused
+# before more of it is read
+HEADER_CAP = 4096
 
-def _pack(arr: np.ndarray, dtype: np.dtype) -> str:
-    return base64.b64encode(arr.astype(dtype).tobytes()).decode("ascii")
 
-
-def _unpack(doc: dict, key: str, dtype: np.dtype, shape: tuple[int, int]) -> np.ndarray:
-    text = doc.get(key)
-    if not isinstance(text, str):
-        raise ValueError(f"universe field {key!r} must be a base64 string")
+def _read_header(fh) -> tuple[int, int, int]:
+    """(n, interval_count, pair_count) from the header line of an open
+    universe file, checked against the sizes `layers` writes."""
+    line = fh.readline(HEADER_CAP)
+    if not line.endswith(b"\n"):
+        raise ValueError(
+            f"universe header: the file does not start with a line of at most "
+            f"{HEADER_CAP} bytes, so it is not {UNIVERSE_SCHEMA!r}"
+        )
     try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError:  # binascii.Error, or text that is not ASCII
-        raise ValueError(f"universe field {key!r} is not valid base64") from None
-    need = shape[0] * shape[1] * dtype.itemsize
-    if len(raw) != need:
-        raise ValueError(
-            f"universe field {key!r} holds {len(raw)} bytes, but 'pair_count' = "
-            f"{shape[0]} rows of {shape[1]} {dtype.str} values take {need}"
-        )
-    return np.frombuffer(raw, dtype).reshape(shape)
-
-
-def _int_field(doc: dict, key: str, minimum: int) -> int:
-    value = doc.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"universe field {key!r} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"universe field {key!r} must be >= {minimum}, got {value!r}")
-    return value
-
-
-def universe_from_dict(doc: dict) -> LayerUniverse:
-    """Universe from a parsed file of schema `layer-universe/2`, the only one
-    this build reads."""
+        doc = json.loads(line.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise ValueError(f"universe header is not UTF-8 JSON: {exc}") from None
     if not isinstance(doc, dict):
-        raise ValueError("universe document must be a JSON object")
-    schema = doc.get("schema")
-    if schema != UNIVERSE_SCHEMA:
+        raise ValueError("universe header must be a JSON object")
+    if doc.get("schema") != UNIVERSE_SCHEMA:
         raise ValueError(
-            f"unsupported universe schema {schema!r}; this build reads {UNIVERSE_SCHEMA!r}"
+            f"unsupported universe schema {doc.get('schema')!r}; this build reads "
+            f"{UNIVERSE_SCHEMA!r}"
         )
-    n = _int_field(doc, "n", 4)
-    interval_count = _int_field(doc, "interval_count", 1)
-    pair_count = _int_field(doc, "pair_count", 1)
-    # the sizes `layers` refuses to write are refused here, before decoding
+    for key, minimum in (("n", 4), ("interval_count", 1), ("pair_count", 1)):
+        value = doc.get(key)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"universe field {key!r} must be an integer, got {value!r}")
+        if value < minimum:
+            raise ValueError(f"universe field {key!r} must be >= {minimum}, got {value!r}")
+    n, interval_count, pair_count = doc["n"], doc["interval_count"], doc["pair_count"]
+    # the sizes `layers` refuses to write are refused here, before the body
     if n > MAX_SAVED_N:
         raise ValueError(f"universe field 'n' must be <= {MAX_SAVED_N}, got {n}")
     try:
@@ -198,45 +186,47 @@ def universe_from_dict(doc: dict) -> LayerUniverse:
             f"universe fields 'n' = {n}, 'interval_count' = {interval_count} and "
             f"'pair_count' = {pair_count} are past the sizes `layers` writes: {exc}"
         ) from None
-    positions = (pair_count, diagonal_cell_count(n))
-    return LayerUniverse(
-        n,
-        interval_count,
-        _unpack(doc, "columns", _POSITION, positions),
-        _unpack(doc, "rows", _POSITION, positions),
-        _unpack(doc, "weights", _WEIGHT, (pair_count, interval_count)),
-    )
+    return n, interval_count, pair_count
 
 
 def save_universe(universe: LayerUniverse, path) -> None:
-    """Write one JSON object of schema `layer-universe/2`: `n`,
-    `interval_count`, `pair_count`, and base64 of the row-major arrays
-    `columns` and `rows` (the (M, 3n+12) positions as little-endian uint16)
-    and `weights` ((M, L) little-endian float64, so weights round-trip bit
-    for bit)."""
+    """Write a file of schema `layer-universe/3`: one header line,
+    `json.dumps` with sorted keys of `interval_count`, `n`, `pair_count` and
+    `schema`, then the raw row-major arrays and nothing after them: `columns`
+    and `rows` (the (M, 3n+12) positions as little-endian uint16) and
+    `weights` ((M, L) little-endian float64, so weights round-trip bit for
+    bit)."""
     if universe.n > MAX_SAVED_N:
         raise ValueError(
             f"'n' = {universe.n} gives {universe.col_to.shape[1]} positions per row, more "
             f"than {UNIVERSE_SCHEMA} stores as uint16 (n <= {MAX_SAVED_N})"
         )
-    doc = {
-        "schema": UNIVERSE_SCHEMA,
-        "n": universe.n,
-        "interval_count": universe.interval_count,
-        "pair_count": universe.pair_count,
-        "columns": _pack(universe.col_to, _POSITION),
-        "rows": _pack(universe.row_to, _POSITION),
-        "weights": _pack(universe.weights, _WEIGHT),
-    }
-    # the bytes of json.dumps(doc, sort_keys=True), less its escape scan of the
-    # strings (the schema and the base64), which hold no character JSON escapes
-    text = ", ".join(
-        f'"{key}": "{value}"' if isinstance(value, str) else f'"{key}": {json.dumps(value)}'
-        for key, value in sorted(doc.items())
-    )
-    Path(path).write_text("{" + text + "}")
+    header = {"interval_count": universe.interval_count, "n": universe.n}
+    header.update(pair_count=universe.pair_count, schema=UNIVERSE_SCHEMA)
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
+        fh.write(universe.col_to.astype(_POSITION, order="C"))
+        fh.write(universe.row_to.astype(_POSITION, order="C"))
+        fh.write(np.ascontiguousarray(universe.weights, _WEIGHT))
 
 
 def load_universe(path) -> LayerUniverse:
-    """Read and validate a universe file (`universe_from_dict`)."""
-    return universe_from_dict(json.loads(Path(path).read_text()))
+    """Read and validate a `layer-universe/3` file.  The header is checked
+    first, schema, sizes and budget, and only then is the body read: exactly
+    the bytes the header's sizes take, which `LayerUniverse` validates."""
+    with open(path, "rb") as fh:
+        n, interval_count, pair_count = _read_header(fh)
+        positions = pair_count * diagonal_cell_count(n)
+        span = positions * _POSITION.itemsize  # the bytes of `columns`, and of `rows`
+        need = 2 * span + pair_count * interval_count * _WEIGHT.itemsize
+        body = fh.read(need + 1)
+    if len(body) != need:
+        held = f"more than {need}" if len(body) > need else len(body)
+        raise ValueError(
+            f"universe body holds {held} bytes, but 'n' = {n}, 'interval_count' = "
+            f"{interval_count} and 'pair_count' = {pair_count} take {need}"
+        )
+    columns = np.frombuffer(body, _POSITION, positions).reshape(pair_count, -1)
+    rows = np.frombuffer(body, _POSITION, positions, span).reshape(pair_count, -1)
+    weights = np.frombuffer(body, _WEIGHT, offset=2 * span).reshape(pair_count, -1)
+    return LayerUniverse(n, interval_count, columns, rows, weights)

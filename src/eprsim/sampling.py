@@ -161,6 +161,7 @@ def run_experiment(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    seed = _as_seed_sequence(seed)
     mu = build_measure(a, b, n)
     exact_target = -float(np.dot(mu.a, mu.b))
     plus = 0
@@ -182,8 +183,14 @@ def run_experiment(
 
 
 def _as_seed_sequence(seed) -> np.random.SeedSequence:
+    """`seed` as a seed sequence.  Only an integer >= 0 or a SeedSequence is
+    taken: `SeedSequence(None)` would draw OS entropy, an unrepeatable run."""
     if isinstance(seed, np.random.SeedSequence):
         return seed
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
+        raise TypeError(f"seed must be an integer >= 0 or a SeedSequence, got {seed!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
     return np.random.SeedSequence(seed)
 
 

@@ -9,7 +9,6 @@ None of it shares code with the package paths it checks.
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 
@@ -579,21 +578,21 @@ def loop_dependence_report(universe, mu_ab, mu_ac) -> dict:
     return out
 
 
-def json_universe_text(universe) -> str:
-    """A `layer-universe/2` file as `json.dumps(doc, sort_keys=True)` writes
-    it, the arrays packed by hand: positions as little-endian uint16 and
-    weights as little-endian float64, row-major, in base64."""
-
-    def packed(arr, dtype: str) -> str:
-        return base64.b64encode(np.asarray(arr).astype(dtype).tobytes()).decode("ascii")
-
-    doc = {
-        "schema": "layer-universe/2",
+def universe_file_bytes(universe) -> bytes:
+    """A `layer-universe/3` file written independently of `save_universe`:
+    the header `json.dumps(..., sort_keys=True)` of the schema and the three
+    sizes, a newline, then `columns` and `rows` as little-endian uint16 and
+    `weights` as little-endian float64, each row-major."""
+    header = {
+        "schema": "layer-universe/3",
         "n": universe.n,
-        "interval_count": universe.interval_count,
         "pair_count": len(universe.col_to),
-        "columns": packed(universe.col_to, "<u2"),
-        "rows": packed(universe.row_to, "<u2"),
-        "weights": packed(universe.weights, "<f8"),
+        "interval_count": universe.interval_count,
     }
-    return json.dumps(doc, sort_keys=True)
+    return (
+        json.dumps(header, sort_keys=True).encode("ascii")
+        + b"\n"
+        + np.asarray(universe.col_to).astype("<u2").tobytes()
+        + np.asarray(universe.row_to).astype("<u2").tobytes()
+        + np.asarray(universe.weights).astype("<f8").tobytes()
+    )

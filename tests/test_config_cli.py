@@ -109,7 +109,7 @@ class TestCliVerify:
         doc = json.loads(out)
         assert doc["abs_error"] <= 1e-12
         assert doc["mass"] == pytest.approx(1.0, abs=1e-12)
-        assert doc["schema_versions"]["universe"] == "layer-universe/2"
+        assert doc["schema_versions"]["universe"] == "layer-universe/3"
 
     def test_genuine_variant_block(self, capsys):
         code, out, _ = run_cli(
@@ -343,6 +343,19 @@ MEASURE_RUNS = {
 }
 
 
+# the start of a multi-MiB universe file that must be refused from its first
+# bytes -> text the error must hold
+UNREAD_BODIES = {
+    # a `layer-universe/2` file is one JSON line of megabytes
+    "no_header_line": (b'{"columns": "', "so it is not 'layer-universe/3'"),
+    "sizes_past_the_budget": (
+        b'{"interval_count": 2, "n": 4, "pair_count": 1000000000, '
+        b'"schema": "layer-universe/3"}\n',
+        "'pair_count' = 1000000000 are past the sizes `layers` writes",
+    ),
+}
+
+
 class TestCliSizeBudget:
     @pytest.mark.parametrize("flag", sorted(OVER_BUDGET))
     def test_over_cap_exits_2_before_allocating(self, capsys, tmp_path, flag):
@@ -408,6 +421,25 @@ class TestCliSizeBudget:
         assert err.startswith(f"error: --n must be <= {layers.MAX_SAVED_N} (got {n}): ")
         assert peak < 2**20
         assert not uni.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "chsh", "simulate"])
+    @pytest.mark.parametrize("defect", sorted(UNREAD_BODIES))
+    def test_universe_refused_before_its_body_is_read(self, capsys, tmp_path, command, defect):
+        # a 4 MiB file: the header is read through a capped line and checked
+        # against the budget before any more of the file is read
+        path = tmp_path / "uni.json"
+        path.write_bytes(UNREAD_BODIES[defect][0] + bytes(4 << 20))
+        argv = [*READS_UNIVERSE[command], "--universe", str(path)]
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and UNREAD_BODIES[defect][1] in err
+        assert peak < 2**20
 
     def test_config_value_over_cap_names_line_and_key(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -619,57 +651,119 @@ class TestCliLayersAnalyze:
         assert upath.read_bytes() == first
 
 
-def _set_packed(key, dtype, index, value):
-    def doctor(doc):
-        arr = np.frombuffer(base64.b64decode(doc[key]), dtype).reshape(3, -1).copy()
+def _split(data):
+    header, body = data.split(b"\n", 1)
+    return json.loads(header), body
+
+
+def _join(header, body):
+    return json.dumps(header).encode() + b"\n" + body
+
+
+def _set_header(**fields):
+    """Rewrite header fields; a field set to None is dropped."""
+
+    def doctor(data):
+        header, body = _split(data)
+        header.update(fields)
+        return _join({k: v for k, v in header.items() if v is not None}, body)
+
+    return doctor
+
+
+# each array of the valid n = 4, L = 2, 3-pair body: (dtype, offset, count)
+BODY_ARRAYS = {"columns": ("<u2", 0, 72), "rows": ("<u2", 144, 72), "weights": ("<f8", 288, 6)}
+
+
+def _set_array(key, index, value):
+    def doctor(data):
+        header, body = _split(data)
+        dtype, offset, count = BODY_ARRAYS[key]
+        arr = np.frombuffer(body, dtype, count, offset).reshape(3, -1).copy()
         arr[index] = value(arr[index])
-        doc[key] = base64.b64encode(arr.tobytes()).decode("ascii")
+        return _join(header, body[:offset] + arr.tobytes() + body[offset + arr.nbytes :])
 
     return doctor
 
 
-def _truncate(key):
-    def doctor(doc):
-        doc[key] = base64.b64encode(base64.b64decode(doc[key])[:-2]).decode("ascii")
+def _as_schema_2(data):
+    """The same universe as the `layer-universe/2` file an earlier release
+    wrote: one JSON object with the arrays in base64, and no newline."""
+    header, body = _split(data)
+    for key, (dtype, offset, count) in BODY_ARRAYS.items():
+        raw = body[offset : offset + count * np.dtype(dtype).itemsize]
+        header[key] = base64.b64encode(raw).decode("ascii")
+    header["schema"] = "layer-universe/2"
+    return json.dumps(header, sort_keys=True).encode()
 
-    return doctor
 
-
-# doctoring of the valid 3-pair, n=4, L=2 layer-universe/2 document that
-# `layers` writes -> text the error must hold (the field it names)
+# doctoring of the bytes of the valid 3-pair, n=4, L=2 layer-universe/3 file
+# that `layers` writes -> text the error must hold (the field it names)
 BAD_UNIVERSES = {
-    "v1_schema": (
-        lambda doc: doc.update(schema="layer-universe/1"),
-        "unsupported universe schema 'layer-universe/1'",
+    "schema_1": (_set_header(schema="layer-universe/1"), "universe schema 'layer-universe/1'"),
+    "schema_2": (_set_header(schema="layer-universe/2"), "universe schema 'layer-universe/2'"),
+    "schema_missing": (_set_header(schema=None), "unsupported universe schema None"),
+    # a whole file of the earlier schema has no header line
+    "schema_2_file": (_as_schema_2, "universe header: the file does not start with a line"),
+    "header_no_newline": (
+        lambda data: data.split(b"\n", 1)[0],
+        "so it is not 'layer-universe/3'",
     ),
-    "v2_n_missing": (lambda doc: doc.pop("n"), "'n'"),
-    "v2_interval_count_not_int": (lambda doc: doc.update(interval_count="2"), "interval_count"),
-    "v2_pair_count_plus_one": (lambda doc: doc.update(pair_count=4), "pair_count"),
-    "v2_pair_count_minus_one": (lambda doc: doc.update(pair_count=2), "pair_count"),
-    "v2_pair_count_zero": (lambda doc: doc.update(pair_count=0), "pair_count"),
+    "header_past_the_cap": (
+        _set_header(padding="x" * layers.HEADER_CAP),
+        f"at most {layers.HEADER_CAP} bytes, so it is not 'layer-universe/3'",
+    ),
+    "header_not_json": (
+        lambda data: b"n = 4" + data[data.index(b"\n") :],
+        "universe header is not UTF-8 JSON",
+    ),
+    "header_not_utf8": (
+        lambda data: b'{"schema": "\xff"}' + data[data.index(b"\n") :],
+        "universe header is not UTF-8",
+    ),
+    "header_not_an_object": (
+        lambda data: b"[4, 2, 3]" + data[data.index(b"\n") :],
+        "universe header must be a JSON object",
+    ),
+    "n_missing": (_set_header(n=None), "universe field 'n' must be an integer, got None"),
+    "n_not_int": (_set_header(n=4.0), "universe field 'n' must be an integer"),
+    "n_zero": (_set_header(n=0), "universe field 'n' must be >= 4"),
+    "n_past_saved": (_set_header(n=10**8), "universe field 'n' must be <="),
+    "n_one_past_saved": (
+        _set_header(n=layers.MAX_SAVED_N + 1), f"universe field 'n' must be <= {layers.MAX_SAVED_N}"
+    ),
+    "n_plus_one": (_set_header(n=5), "'n' = 5"),
+    "interval_count_missing": (_set_header(interval_count=None), "'interval_count'"),
+    "interval_count_not_int": (_set_header(interval_count="2"), "'interval_count'"),
+    "interval_count_zero": (_set_header(interval_count=0), "'interval_count' must be >= 1"),
+    "interval_count_plus_one": (_set_header(interval_count=3), "'interval_count' = 3"),
     # past the budget `layers` checks: rejected from the header, before the
-    # short data could be decoded and found the wrong length
-    "v2_pair_count_huge": (
-        lambda doc: doc.update(pair_count=10**9),
-        "'pair_count' = 1000000000 are past the sizes `layers` writes",
-    ),
-    "v2_interval_count_huge": (
-        lambda doc: doc.update(interval_count=10**8),
+    # short body could be read and found the wrong length
+    "interval_count_huge": (
+        _set_header(interval_count=10**8),
         "--L 100000000 with --layers 3 would make",
     ),
-    "v2_n_past_saved": (lambda doc: doc.update(n=10**8), "universe field 'n' must be <="),
-    "v2_columns_not_base64": (lambda doc: doc.update(columns="*" + doc["columns"][1:]), "columns"),
-    "v2_rows_truncated": (_truncate("rows"), "rows"),
-    "v2_columns_repeat_a_position": (
-        _set_packed("columns", "<u2", 0, lambda col: [col[1], *col[1:]]),
+    "pair_count_missing": (_set_header(pair_count=None), "'pair_count'"),
+    "pair_count_not_int": (_set_header(pair_count=True), "'pair_count' must be an integer"),
+    "pair_count_zero": (_set_header(pair_count=0), "'pair_count' must be >= 1"),
+    "pair_count_plus_one": (_set_header(pair_count=4), "'pair_count' = 4"),
+    "pair_count_minus_one": (_set_header(pair_count=2), "'pair_count' = 2"),
+    "pair_count_huge": (
+        _set_header(pair_count=10**9),
+        "'pair_count' = 1000000000 are past the sizes `layers` writes",
+    ),
+    "body_missing": (lambda data: data[: data.index(b"\n") + 1], "universe body holds 0 bytes"),
+    "body_one_byte_short": (lambda data: data[:-1], "universe body holds 335 bytes"),
+    "body_one_byte_extra": (lambda data: data + b"\0", "universe body holds more than 336"),
+    "columns_repeat_a_position": (
+        _set_array("columns", 0, lambda col: [col[1], *col[1:]]),
         "columns",
     ),
-    "v2_rows_out_of_range": (_set_packed("rows", "<u2", 2, lambda row: [*row[:-1], 99]), "rows"),
-    "v2_weights_nan": (_set_packed("weights", "<f8", 0, lambda w: [np.nan, 1.0]), "weights"),
-    "v2_weights_sum_to_0.9": (_set_packed("weights", "<f8", 1, lambda w: [0.45, 0.45]), "weights"),
-    "v2_weights_sum_to_1.4": (_set_packed("weights", "<f8", 1, lambda w: [0.7, 0.7]), "weights"),
-    "v2_weights_negative": (_set_packed("weights", "<f8", 2, lambda w: [1.5, -0.5]), "weights"),
-    "v2_weights_missing": (lambda doc: doc.pop("weights"), "weights"),
+    "rows_out_of_range": (_set_array("rows", 2, lambda row: [*row[:-1], 99]), "rows"),
+    "weights_nan": (_set_array("weights", 0, lambda w: [np.nan, 1.0]), "weights"),
+    "weights_sum_to_0.9": (_set_array("weights", 1, lambda w: [0.45, 0.45]), "weights"),
+    "weights_sum_to_1.4": (_set_array("weights", 1, lambda w: [0.7, 0.7]), "weights"),
+    "weights_negative": (_set_array("weights", 2, lambda w: [1.5, -0.5]), "weights"),
 }
 
 
@@ -684,10 +778,8 @@ class TestCliRejectsBadUniverse:
             "--seed", "13", "--universe", str(upath),
         )
         assert code == 0
-        doc = json.loads(upath.read_text())
         doctor, field = BAD_UNIVERSES[defect]
-        doctor(doc)
-        upath.write_text(json.dumps(doc))
+        upath.write_bytes(doctor(upath.read_bytes()))
         settings = ["--a", "1,0,0", "--b", "0.6,0.8,0"]
         if command == "analyze":
             argv = ["analyze", "--universe", str(upath), *settings, "--c", "0,0,1"]

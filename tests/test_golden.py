@@ -4,12 +4,12 @@ The fixtures in `tests/golden/` were written by this module run as a script:
 
     PYTHONPATH=src python tests/test_golden.py
 
-Universe files and the `layers`, `simulate`, `chsh`, `splines`, `verify` and
-`poisson` reports must match byte for byte (reports with the path-dependent
-`universe` keys removed); `analyze` reports hold sums whose order may change,
-so they match within 1e-12 for `pair_expectation` and 1e-15 for every other
-number.  Regenerate only for a deliberate stream or report change, and
-record it.  Every fixture is strict JSON: no NaN or Infinity.
+Universe files (`*.universe`, binary `layer-universe/3`) and the `layers`,
+`simulate`, `chsh`, `splines`, `verify` and `poisson` reports must match byte
+for byte (reports with the path-dependent `universe` keys removed); `analyze`
+reports hold sums whose order may change, so they match within 1e-12 for
+`pair_expectation` and 1e-15 for every other number.  Regenerate only for a deliberate stream, report or file change,
+and record it.  Every report fixture is strict JSON: no NaN or Infinity.
 """
 
 from __future__ import annotations
@@ -31,14 +31,14 @@ from eprsim import cli, sampling
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 UNIVERSES = {
-    "u1.json": ["layers", "--n", "4", "--layers", "5", "--L", "3", "--seed", "7"],
-    "u2.json": ["layers", "--n", "5", "--layers", "5", "--L", "2", "--seed", "8", "--tie-weights"],
+    "u1.universe": ["layers", "--n", "4", "--layers", "5", "--L", "3", "--seed", "7"],
+    "u2.universe": ["layers", "--n", "5", "--layers", "5", "--L", "2", "--seed", "8", "--tie-weights"],
 }
 
 # name -> argv; "{u1}"/"{u2}" stand for the universe files above
 REPORTS = {
-    "layers_u1": UNIVERSES["u1.json"] + ["--universe", "{u1}"],
-    "layers_u2": UNIVERSES["u2.json"] + ["--universe", "{u2}"],
+    "layers_u1": UNIVERSES["u1.universe"] + ["--universe", "{u1}"],
+    "layers_u2": UNIVERSES["u2.universe"] + ["--universe", "{u2}"],
     "analyze_u1": [
         "analyze", "--universe", "{u1}", "--a", "1,0,0", "--b", "0.6,0.8,0", "--c", "0,0,1",
         "--witness",
@@ -86,7 +86,7 @@ ANALYZE_TOL = 1e-15
 def _run(argv: list[str], workdir: Path) -> dict:
     """Run one CLI command (universe files in `workdir`) and return its report
     with the path-dependent `universe` keys removed."""
-    paths = {"{u1}": str(workdir / "u1.json"), "{u2}": str(workdir / "u2.json")}
+    paths = {"{u1}": str(workdir / "u1.universe"), "{u2}": str(workdir / "u2.universe")}
     out = workdir / "report.json"
     code = cli.main([paths.get(arg, arg) for arg in argv] + ["--out", str(out)])
     assert code == 0, argv
@@ -150,7 +150,7 @@ def test_report_bytes_at_worker_counts(workdir, monkeypatch, name, workers):
 def test_timings_change_no_report_byte(workdir, tmp_path, name):
     """--timings writes stage timings to its own file; the report's bytes are
     those of the same run without it, on stdout and in --out alike."""
-    paths = {"{u1}": str(workdir / "u1.json"), "{u2}": str(workdir / "u2.json")}
+    paths = {"{u1}": str(workdir / "u1.universe"), "{u2}": str(workdir / "u2.universe")}
     argv = [paths.get(arg, arg) for arg in REPORTS[name]]
     timings = tmp_path / "timings.json"
     for out in ([], ["--out", str(tmp_path / "report.json")]):
@@ -222,7 +222,7 @@ def test_only_poisson_imports_scipy(tmp_path):
     scipy.special for its quantile, never scipy.stats."""
     for name in UNIVERSES:
         (tmp_path / name).write_bytes((GOLDEN / name).read_bytes())
-    paths = {"{u1}": str(tmp_path / "u1.json"), "{u2}": str(tmp_path / "u2.json")}
+    paths = {"{u1}": str(tmp_path / "u1.universe"), "{u2}": str(tmp_path / "u2.universe")}
     out = ["--out", str(tmp_path / "report.json")]
     runs = {
         name: [paths.get(arg, arg) for arg in argv] + out
@@ -278,7 +278,7 @@ def test_fixture_is_strict_json(path):
 
 def test_fixture_set_is_complete():
     expected = {*UNIVERSES, *(f"{name}.json" for name in REPORTS)}
-    assert {path.name for path in GOLDEN.glob("*.json")} == expected
+    assert {path.name for path in GOLDEN.iterdir()} == expected
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ from oracles import (
     domain_high,
     factorial_oracle,
     joint_density,
-    json_universe_text,
     label_layer,
     layer_density,
     layer_spin_a,
@@ -26,6 +25,7 @@ from oracles import (
     random_unit_vector,
     step_sign,
     step_weight,
+    universe_file_bytes,
 )
 
 A = measure.as_setting([0.6, 0.8, 0.0])
@@ -366,9 +366,10 @@ class TestSerialization:
         uni = layers.build_universe(4, 2, 2, np.random.default_rng(67))
         path = tmp_path / "universe.json"
         layers.save_universe(uni, path)
-        doc = json.loads(path.read_text())
+        header, body = path.read_bytes().split(b"\n", 1)
+        doc = json.loads(header)
         doc["schema"] = "layer-universe/99"
-        path.write_text(json.dumps(doc))
+        path.write_bytes(json.dumps(doc).encode() + b"\n" + body)
         with pytest.raises(ValueError, match="layer-universe/99"):
             layers.load_universe(path)
 
@@ -376,14 +377,13 @@ class TestSerialization:
     @pytest.mark.parametrize("pair_count", [1, 7])
     @pytest.mark.parametrize("interval_count", [1, 3])
     @pytest.mark.parametrize("n", [4, 5, 40])
-    def test_bytes_are_json_dumps_bytes(self, tmp_path, n, interval_count, pair_count, tie):
-        # the file is written without json.dumps; its bytes are still those
-        # json.dumps(doc, sort_keys=True) gives
+    def test_bytes_are_the_oracle_bytes(self, tmp_path, n, interval_count, pair_count, tie):
+        # the header, the layout and the byte order of an independent writer
         rng = np.random.default_rng(73 + n + pair_count)
         uni = layers.build_universe(n, interval_count, pair_count, rng, tie_weights=tie)
         path = tmp_path / "universe.json"
         layers.save_universe(uni, path)
-        assert path.read_bytes() == json_universe_text(uni).encode("ascii")
+        assert path.read_bytes() == universe_file_bytes(uni)
 
     def test_save_is_deterministic(self, tmp_path):
         uni = layers.build_universe(4, 2, 4, np.random.default_rng(71))
@@ -425,14 +425,17 @@ class TestSerialization:
         ],
     )
     def test_header_readable_exactly_when_layers_writes_it(
-        self, n, interval_count, pair_count, writable
+        self, tmp_path, n, interval_count, pair_count, writable
     ):
-        doc = {"schema": layers.UNIVERSE_SCHEMA, "n": n, "interval_count": interval_count}
-        doc.update(pair_count=pair_count, columns="", rows="", weights="")
-        # the empty arrays are decoded, and found short, only past the header
-        match = "'columns' holds 0 bytes" if writable else "GiB budget|'n' must be <="
+        header = {"schema": layers.UNIVERSE_SCHEMA, "n": n, "interval_count": interval_count}
+        header.update(pair_count=pair_count)
+        path = tmp_path / "universe.json"
+        path.write_bytes(json.dumps(header).encode() + b"\n")
+        # the missing body is read, and found short, only past the header
+        match = "universe body holds 0 bytes" if writable else "GiB budget|'n' must be <="
         with pytest.raises(ValueError, match=match):
-            layers.universe_from_dict(doc)
+            layers.load_universe(path)
+
 
 def _universe_for(n, interval_count, pair_count, seed, weights):
     rng = np.random.default_rng(seed)
@@ -465,7 +468,13 @@ def test_universe_file_round_trips_bit_for_bit(n, interval_count, pair_count, se
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "universe.json"
         layers.save_universe(uni, path)
-        assert json.loads(path.read_text())["schema"] == "layer-universe/2"
+        header = json.loads(path.open("rb").readline())
+        assert header == {
+            "schema": "layer-universe/3",
+            "n": n,
+            "interval_count": interval_count,
+            "pair_count": pair_count,
+        }
         loaded = layers.load_universe(path)
         assert (loaded.n, loaded.interval_count) == (n, interval_count)
         assert np.array_equal(loaded.col_to, uni.col_to)

@@ -246,6 +246,25 @@ class TestChsh:
         with pytest.raises(TypeError):
             sampling.run_experiment(N, A, B45, 100)
 
+    @pytest.mark.parametrize("seed", [None, True, 1.5, "7", np.float64(3.0)])
+    def test_seed_that_is_no_integer_is_refused(self, seed):
+        # None would draw OS entropy: a run no seed can repeat
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            sampling.run_experiment(N, A, B45, 100, seed=seed)
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            sampling.chsh(N, A, A, B45, B45, 100, seed=seed)
+
+    def test_negative_seed_is_refused(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            sampling.run_experiment(N, A, B45, 100, seed=-1)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            sampling.chsh(N, A, A, B45, B45, 100, seed=-1)
+
+    @pytest.mark.parametrize("seed", [np.int64(29), np.random.SeedSequence(29)])
+    def test_numpy_integer_and_seed_sequence_replay_the_int_seed(self, seed):
+        plain = sampling.run_experiment(N, A, B45, 1_000, seed=29)
+        assert sampling.run_experiment(N, A, B45, 1_000, seed=seed) == plain
+
 
 class _TopOfRange:
     """Stub stream: label 0 and the largest double below 1 for every uniform."""
