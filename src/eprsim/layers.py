@@ -201,8 +201,10 @@ def save_universe(universe: LayerUniverse, path) -> None:
             f"'n' = {universe.n} gives {universe.col_to.shape[1]} positions per row, more "
             f"than {UNIVERSE_SCHEMA} stores as uint16 (n <= {MAX_SAVED_N})"
         )
-    header = {"interval_count": universe.interval_count, "n": universe.n}
-    header.update(pair_count=universe.pair_count, schema=UNIVERSE_SCHEMA)
+    header = dict(
+        interval_count=universe.interval_count, n=universe.n,
+        pair_count=universe.pair_count, schema=UNIVERSE_SCHEMA,
+    )
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
         fh.write(universe.col_to.astype(_POSITION, order="C"))

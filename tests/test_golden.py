@@ -8,8 +8,9 @@ Universe files (`*.universe`, binary `layer-universe/3`) and the `layers`,
 `simulate`, `chsh`, `splines`, `verify` and `poisson` reports must match byte
 for byte (reports with the path-dependent `universe` keys removed); `analyze`
 reports hold sums whose order may change, so they match within 1e-12 for
-`pair_expectation` and 1e-15 for every other number.  Regenerate only for a deliberate stream, report or file change,
-and record it.  Every report fixture is strict JSON: no NaN or Infinity.
+`pair_expectation` and 1e-15 for every other number.  Regenerate only for a
+deliberate stream, report or file change, and record it.  Every report
+fixture is strict JSON: no NaN or Infinity.
 """
 
 from __future__ import annotations
@@ -32,7 +33,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 UNIVERSES = {
     "u1.universe": ["layers", "--n", "4", "--layers", "5", "--L", "3", "--seed", "7"],
-    "u2.universe": ["layers", "--n", "5", "--layers", "5", "--L", "2", "--seed", "8", "--tie-weights"],
+    "u2.universe": [
+        "layers", "--n", "5", "--layers", "5", "--L", "2", "--seed", "8", "--tie-weights"
+    ],
 }
 
 # name -> argv; "{u1}"/"{u2}" stand for the universe files above
