@@ -122,7 +122,10 @@ def load_config(path) -> dict:
     norm where `--normalize` is known.
     """
     values: dict = {}
-    lines = Path(path).read_text().splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

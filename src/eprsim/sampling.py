@@ -7,14 +7,15 @@ spins carry the same flip (layer sign times s(ell)), so the product A*B
 depends only on the atom and is read from one table.  `run_experiment` and
 `chsh` therefore take no universe, only the order n: a trial is one double,
 they run in O(N) time for N trials and never draw the label, the offsets or
-the interval.  The atom is found by a guide table that gives exactly what
-`searchsorted` in the atom cumsum gives.
+the interval.  The sign of a trial's product is read from one code per
+bucket of u, exactly what `searchsorted` in the atom cumsum gives; only the
+few buckets that hold an atom boundary are searched.
 
 A product is +1 or -1, so a batch of N trials is summed up by P, its count
 of +1 products: its mean is (2P - N) / N and its sum of squared deviations
 4P(N - P) / N, and batches merge by adding counts.  A batch walks its
-trials in sub-chunks that draw their doubles into one reused buffer, so no
-per-trial array outlives a sub-chunk.  Streams are numpy Generators;
+trials in sub-chunks through buffers made once per batch, so no per-trial
+array outlives a sub-chunk.  Streams are numpy Generators;
 experiments split a seed sequence per batch of BATCH trials, and `chsh`
 runs its four components, each on its own child seed, on up to
 min(4, os.cpu_count()) threads, so neither the sub-chunk size nor the worker
@@ -56,90 +57,73 @@ class ChshEstimate:
 
 # trials per batch, each on its own child stream of the run's seed
 BATCH = 1_000_000
-# trials per sub-chunk of a batch: its buffer and temporaries stay near 0.4 MiB
+# trials per sub-chunk of a batch: its three buffers (the doubles, their
+# buckets and their codes) and temporaries stay near 0.3 MiB
 SUB_CHUNK = 1 << 14
-# buckets of the guide table: the diagonal cell law puts its mass on few
-# cells (at most 12 for random settings up to n = 1e4, so 48 atoms), so few
-# targets fall in a bucket that holds a value and needs the fix-up passes
-GUIDE_BUCKETS = 1024
+# buckets of u in [0, 1), a power of two so that u * GUIDE_BUCKETS is exact:
+# the diagonal cell law puts its mass on few atoms (at most 48 for random
+# settings up to n = 1e4), so few buckets hold an atom boundary and few
+# targets need the search
+GUIDE_BUCKETS = 4096
 
 
-class _CellGuide:
-    """Exact `np.searchsorted(cum, t, side="right")` in the unnormalized
-    cumsum of `masses` for targets t = u * cum[-1], u in [0, 1), by a guide
-    table.
+def _sign_table(mu: BaseMeasure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The atom cumsum of `mu`, the sign of each atom's product, and one sign
+    code per bucket of u.
 
-    Each run of equal cum values (a zero mass, or one too small to move the
-    sum) collapses to the one entry that starts the next run: `runs(t)`
-    counts the distinct values <= t, and `cells[run]` is the entry
-    searchsorted finds, so a zero-mass entry is never drawn.  Values and
-    targets share one monotone float map to buckets, floor(x * scale); the
-    values in buckets below a target's bucket are <= it and those above are
-    > it, so `lower[bucket]` is the count where the bucket holds no value
-    and bounds it from below where it does (`mixed`); there `passes`, the
-    most values in one bucket, fix-up steps reach it exactly."""
+    Atom 4i + 2 half_a + half_b is (cell pos[i], half_a, half_b) of the
+    positive-mass cells pos, of mass m_c / 4 (dividing by 4 is exact); a
+    trial's atom is `np.searchsorted(cum, u * cum[-1], side="right")`, which
+    skips an atom whose mass is too small to move the sum, and `plus[atom]`
+    says whether its product is +1.
 
-    def __init__(self, masses: np.ndarray):
-        cum = np.cumsum(masses)
-        self.total = cum[-1]
-        rises = np.empty(cum.size, dtype=bool)
-        rises[0] = cum[0] > 0.0
-        np.greater(cum[1:], cum[:-1], out=rises[1:])
-        self.cells = np.flatnonzero(rises)
-        bounds = cum[self.cells]
-        del cum
-        self.scale = GUIDE_BUCKETS / self.total
-        counts = np.bincount(self._bucket(bounds), minlength=GUIDE_BUCKETS + 1)
-        self.passes = int(counts.max())
-        self.lower = np.concatenate(([0], np.cumsum(counts)))
-        self.mixed = counts > 0
-        # a sentinel above every target stops the fix-up after the last value
-        self.bounds = np.append(bounds, np.inf)
-
-    def _bucket(self, x: np.ndarray) -> np.ndarray:
-        return (x * self.scale).astype(np.intp)  # x >= 0: truncation is floor
-
-    def runs(self, target: np.ndarray) -> np.ndarray:
-        bucket = self._bucket(target)
-        run = self.lower[bucket]
-        # only the targets in mixed buckets, which span at most
-        # len(bounds) / GUIDE_BUCKETS of the range, need the fix-up
-        (mixed,) = np.nonzero(self.mixed[bucket])
-        part, fix = target[mixed], run[mixed]
-        for _ in range(self.passes):
-            fix += self.bounds[fix] <= part
-        run[mixed] = fix
-        return run
-
-
-def _atoms(mu: BaseMeasure) -> tuple[np.ndarray, _CellGuide]:
-    """The positive-mass cell positions and the guide over their atoms: atom
-    4i + 2 half_a + half_b is (cell pos[i], half_a, half_b), of mass
-    m_c / 4 (dividing by 4 is exact).  Zero-mass cells get no atom, so the
-    guide's tables stay small at any n."""
+    Bucket i holds the u in [i / B, (i + 1) / B), B = GUIDE_BUCKETS, whose
+    lowest and highest doubles are i / B and (i + 1) / B - 2**-53, since a
+    draw is a multiple of 2**-53.  `fl(u * cum[-1])` and the search are
+    monotone in u, so where the search finds the same atom at both ends it
+    finds it for every u of the bucket, and `code` is its sign there (0 or
+    1); elsewhere it is 2, mixed."""
     pos = np.flatnonzero(mu.cell_masses)
-    return pos, _CellGuide(np.repeat(mu.cell_masses[pos] / 4, 4))
+    cum = np.cumsum(np.repeat(mu.cell_masses[pos] / 4, 4))
+    plus = (mu.outcome[0][pos, :, None] * mu.outcome[1][pos, None, :]).ravel() > 0
+    low = np.arange(GUIDE_BUCKETS) / GUIDE_BUCKETS
+    edges = np.stack((low, low + (1 / GUIDE_BUCKETS - 2.0**-53)))
+    atom = np.searchsorted(cum, edges * cum[-1], side="right")
+    code = np.where(atom[0] == atom[1], plus[atom[0]], 2).astype(np.int8)
+    return cum, plus, code
 
 
 def _plus_count(mu: BaseMeasure, size: int, rng) -> int:
     """How many of `size` trials have product A*B = +1, in O(size) time from
-    `size` doubles of `rng`; SUB_CHUNK changes no number.
+    `size` doubles of `rng`; neither SUB_CHUNK nor GUIDE_BUCKETS changes a
+    number.
 
     Both spins carry the same flip (layer sign times s(ell)), so the product
     is outcome[0, cell, half_a] * outcome[1, cell, half_b]: it depends on the
     drawn atom only, never on the label, interval or relocation, none of
-    which is drawn.  Whether it is +1 is read from one table over the
-    guide's runs."""
-    pos, guide = _atoms(mu)
-    product = mu.outcome[0][pos, :, None] * mu.outcome[1][pos, None, :]
-    plus = product.ravel()[guide.cells] > 0
-    buf = np.empty(min(size, SUB_CHUNK))
+    which is drawn.  A draw's bucket code gives its sign; only the draws in
+    mixed buckets are searched, at (u * B) * (cum[-1] / B), B = GUIDE_BUCKETS:
+    both factors are exact power-of-two scalings, so it is u * cum[-1] bit
+    for bit."""
+    cum, plus, code = _sign_table(mu)
+    scale = cum[-1] / GUIDE_BUCKETS
+    chunk = min(size, SUB_CHUNK)
+    scaled = np.empty(chunk)
+    bucket = np.empty(chunk, dtype=np.intp)
+    codes = np.empty(chunk, dtype=np.int8)
     count = 0
     for start in range(0, size, SUB_CHUNK):
-        part = buf[: min(SUB_CHUNK, size - start)]
-        rng.random(out=part)
-        part *= guide.total
-        count += int(np.count_nonzero(plus[guide.runs(part)]))
+        stop = min(SUB_CHUNK, size - start)
+        x, b, c = scaled[:stop], bucket[:stop], codes[:stop]
+        rng.random(out=x)
+        x *= GUIDE_BUCKETS  # u * B, exact
+        # x >= 0, so truncation is floor
+        np.copyto(b, x, casting="unsafe")
+        np.take(code, b, out=c)
+        count += int(np.count_nonzero(c == 1))
+        target = x[c == 2]
+        target *= scale
+        count += int(np.count_nonzero(plus[np.searchsorted(cum, target, side="right")]))
     return count
 
 
@@ -217,8 +201,11 @@ def chsh(
     combine them into S."""
     children = _as_seed_sequence(seed).spawn(4)
     pairs = ((a, b), (a, b2), (a2, b), (a2, b2))
-    # numpy releases the GIL in the draws, searches, gathers and ufuncs; each
-    # component's numbers depend only on its child seed, not on the thread
+    # numpy releases the GIL inside each draw, gather, search and ufunc, not
+    # between them, and the kernel's calls each cover one short sub-chunk:
+    # on a 2-vCPU VM two components ran 1.08x as fast on two threads as on
+    # one (README).  Each component's numbers depend only on its child seed,
+    # not on the thread
     with ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
         futures = [
             pool.submit(run_experiment, n, x, y, trials, seed=child)

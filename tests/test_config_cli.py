@@ -196,6 +196,15 @@ class TestCliSimulate:
         assert out == ""
         assert "unknown key" in err and key in err
 
+    @pytest.mark.parametrize("command", ["simulate", "chsh"])
+    def test_config_that_is_not_utf8_names_the_file(self, capsys, tmp_path, command):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"\xffn = 4\ntrials = 200\nseed = 7\n")
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"error: {path}: not UTF-8 text" in err
+
     def test_missing_seed_is_validation_error(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--angle", "45", "--trials", "100")
         assert code == 2

@@ -1,7 +1,6 @@
 import functools
 import math
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -416,7 +415,7 @@ class TestBoundedMemory:
         assert peaks[1] - peaks[0] < 2**16
 
     def test_one_million_trial_batch_at_most_2_mib(self):
-        # the mc-chsh shape: 0.40 MiB, 1.08 MiB on a first call; a float64
+        # the mc-chsh shape: 0.29 MiB, 1.02 MiB on a first call; a float64
         # array of the products would take 7.63 MiB
         tracemalloc.start()
         try:
@@ -427,7 +426,8 @@ class TestBoundedMemory:
         assert peak <= 2 * 2**20
 
     def test_large_order_adds_no_per_cell_float_table(self):
-        # at n = 1e5 a 1000-trial batch peaks at 0.04 MiB: the atoms cover the
+        # at n = 1e5 a 1000-trial batch peaks at 0.23 MiB, nearly all of it
+        # the sign table's bucket edges, at any n: the atoms cover the
         # positive-mass cells only, where a float64 cumsum over all 300 012
         # cells would take 2.29 MiB, and one over all their atoms 9.16 MiB
         mu = measure.build_measure(A, B45, 100_000)
@@ -472,23 +472,6 @@ class TestLeanKernel:
             assert np.all(uni.weights[(batch["m"] - 1) // 2, batch["ell"] - 1] > 0.0)
             plus = int(np.sum(batch["spin_a"] * batch["spin_b"] == 1.0))
             assert sampling._plus_count(mu, 500, stream()) == plus
-
-    @pytest.mark.parametrize("make_stream", [_TopOfRange, _BottomOfRange])
-    @settings(max_examples=50, deadline=None)
-    @given(case=edge_cases())
-    def test_extreme_uniforms_draw_no_zero_mass_atom(self, make_stream, case):
-        """At u = 0 and u = 1 - 2**-53 the guide lands on a positive-mass
-        atom, the one `searchsorted` in the atom cumsum finds."""
-        n, a, b = case
-        mu = measure.build_measure(*(measure.as_setting(v, normalize=True) for v in (a, b)), n)
-        pos, guide = sampling._atoms(mu)
-        target = make_stream().random(4) * guide.total
-        atom = guide.cells[guide.runs(target)]
-        cell = pos[atom // 4]
-        assert np.all(mu.cell_masses[cell] > 0.0)
-        expected = plain_atoms(mu, make_stream().random(4))
-        for got, want in zip((cell, atom // 2 % 2, atom % 2), expected):
-            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("sub_chunk", [1000, 4097])
     def test_sub_chunks_change_no_count(self, monkeypatch, sub_chunk):
@@ -539,41 +522,81 @@ class TestAtomLaw:
         assert stat < sstats.chi2.isf(1e-9, counts.size - 1)
 
 
-class TestCellGuide:
+def _bucket_edges(buckets):
+    """The lowest and the highest double of every bucket of u, i / B and
+    (i + 1) / B - 2**-53, interleaved: from 0 up to 1 - 2**-53."""
+    low = np.arange(buckets) / buckets
+    return np.stack((low, low + (1 / buckets - 2.0**-53)), axis=1).ravel()
+
+
+class _BucketEdges:
+    """Stub stream: the 2 * GUIDE_BUCKETS bucket edges, in order, across
+    calls."""
+
+    def __init__(self):
+        self.edges = _bucket_edges(sampling.GUIDE_BUCKETS)
+        self.drawn = 0
+
+    def random(self, size=None, out=None):
+        out = np.empty(size) if out is None else out
+        out[:] = self.edges[self.drawn : self.drawn + out.size]
+        self.drawn += out.size
+        return out
+
+
+class TestSignTable:
     @settings(max_examples=200, deadline=None)
-    @given(case=edge_cases(), seed=st.integers(0, 2**32 - 1))
-    def test_lookup_is_searchsorted(self, case, seed):
-        """The guide table finds the cell `searchsorted` finds at 0, at every
-        cumulative mass and its neighbours, at the top target and at random
-        targets; never a zero-mass cell, and within its computed passes."""
+    @given(case=edge_cases())
+    def test_codes_are_searchsorted_at_the_bucket_edges(self, case):
+        """A bucket's code is the sign `searchsorted` in the atom cumsum gives
+        at both its edges where it finds one atom there, and 2 (mixed) exactly
+        where it finds two; every edge, u = 0 and 1 - 2**-53 among them, lands
+        on a positive-mass atom, and at those two `plus` holds its sign."""
         n, a, b = case
         mu = measure.build_measure(*(measure.as_setting(v, normalize=True) for v in (a, b)), n)
-        cum = np.cumsum(mu.cell_masses)
-        total = cum[-1]
-        targets = np.concatenate(
-            [
-                [0.0, (1.0 - 2.0**-53) * total],
-                cum,
-                np.nextafter(cum, -np.inf),
-                np.nextafter(cum, np.inf),
-                np.random.default_rng(seed).random(1000) * total,
-            ]
+        pos = np.flatnonzero(mu.cell_masses)
+        cum = np.cumsum(np.repeat(mu.cell_masses[pos] / 4, 4))
+        edges = _bucket_edges(sampling.GUIDE_BUCKETS)
+        atom = np.searchsorted(cum, edges * cum[-1], side="right").reshape(-1, 2)
+        cell, half_a, half_b = plain_atoms(mu, edges)
+        plus = mu.outcome[0][cell, half_a] * mu.outcome[1][cell, half_b] > 0
+        table_cum, table_plus, code = sampling._sign_table(mu)
+        np.testing.assert_array_equal(table_cum, cum)
+        one = atom[:, 0] == atom[:, 1]
+        np.testing.assert_array_equal(code == 2, ~one)
+        np.testing.assert_array_equal(code[one], plus.reshape(-1, 2)[one, 0])
+        # each found atom moves the sum: its mass is not lost in rounding
+        assert np.all(np.diff(cum, prepend=0.0)[atom] > 0.0)
+        np.testing.assert_array_equal(table_plus[atom[[0, -1], [0, 1]]], plus[[0, -1]])
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=edge_cases())
+    def test_count_on_the_bucket_edges_is_the_oracle_count(self, case):
+        n, a, b = case
+        mu = measure.build_measure(*(measure.as_setting(v, normalize=True) for v in (a, b)), n)
+        size = 2 * sampling.GUIDE_BUCKETS
+        assert sampling._plus_count(mu, size, _BucketEdges()) == _plain_plus_count(
+            mu, size, _BucketEdges()
         )
-        # u * total for u in [0, 1) spans exactly these targets
-        targets = targets[(targets >= 0.0) & (targets < total)]
-        guide = sampling._CellGuide(mu.cell_masses)
-        cells = guide.cells[guide.runs(targets)]
-        np.testing.assert_array_equal(cells, np.searchsorted(cum, targets, side="right"))
-        assert np.all(mu.cell_masses[cells] > 0.0)
-        # the bound: the most distinct cumulative masses in one bucket, counted
-        # here without the table
-        distinct = sorted(set(cum.tolist()) - {0.0})
-        per_bucket = Counter(int(math.floor(v * guide.scale)) for v in distinct)
-        assert guide.passes == max(per_bucket.values())
-        # and every target's answer lies within that many steps of its bucket's floor
-        lower = guide.lower[(targets * guide.scale).astype(np.intp)]
-        steps = guide.runs(targets) - lower
-        assert steps.min() >= 0 and steps.max() <= guide.passes
+
+    @pytest.mark.parametrize("buckets", [1, 2**16])
+    @settings(max_examples=25, deadline=None)
+    @given(case=edge_cases(), seed=st.integers(0, 2**32 - 1))
+    def test_bucket_count_changes_no_count(self, buckets, case, seed):
+        """One bucket sends every target to the search; 2**16 leaves few
+        there.  Either gives the count of the default table and of the
+        oracle, on a random stream and on the bucket edges."""
+        n, a, b = case
+        mu = measure.build_measure(*(measure.as_setting(v, normalize=True) for v in (a, b)), n)
+        count = sampling._plus_count(mu, 5000, np.random.default_rng(seed))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sampling, "GUIDE_BUCKETS", buckets)
+            assert sampling._plus_count(mu, 5000, np.random.default_rng(seed)) == count
+            size = 2 * buckets
+            assert sampling._plus_count(mu, size, _BucketEdges()) == _plain_plus_count(
+                mu, size, _BucketEdges()
+            )
+        assert count == _plain_plus_count(mu, 5000, np.random.default_rng(seed))
 
 
 class TestProductsIgnoreLayers:
