@@ -27,6 +27,7 @@ import numpy as np
 from . import __version__
 from .analysis import dependence_report, outcome_biases, pair_expectation
 from .config import (
+    BUDGET,
     MINIMUMS,
     RUN_DEFAULTS,
     ConfigError,
@@ -36,7 +37,6 @@ from .config import (
     parse_setting,
 )
 from .emission import (
-    _block,
     chi_square_quantile,
     detector_gate,
     discrepancy_stats,
@@ -169,6 +169,13 @@ def cmd_layers(args):
 
 def cmd_analyze(args):
     universe = load_universe(args.universe)
+    try:
+        check_budget("analyze", {"n": universe.n})
+    except ConfigError:
+        raise ConfigError(
+            f"{args.universe}: universe field 'n' = {universe.n} is past the sizes "
+            f"`analyze` takes: its run would pass the {BUDGET >> 30} GiB budget"
+        ) from None
     a = _setting_arg(args, "a")
     b = _setting_arg(args, "b")
     c = _setting_arg(args, "c")
@@ -312,31 +319,25 @@ def cmd_poisson(args):
         if not 0.0 < p <= 1.0:
             raise ConfigError(f"--{flag} must lie in (0, 1] (got {p})")
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    # The trace takes the stream's first k doubles and the gate the 3k after
-    # them, so the gate runs from a copy advanced by k on one worker thread
-    # while this thread makes the trace and its discrepancies; numpy releases
-    # the GIL in both.  The pool is joined before any error leaves the block,
-    # and the gate's own errors surface at `result()`.  Either side may
-    # overflow.
     try:
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            gate_run = pool.submit(
-                detector_gate, args.p1, args.p2, args.labels, args.k, args.theta,
-                _block(rng, args.k, 1),
-            )
-            fracs = generate_trace(args.theta, args.k, rng)
-            stats = discrepancy_stats(fracs)
-            prefix_ks = [k for k in (10**e for e in range(3, 10)) if k < args.k] + [args.k]
-            # the last prefix is the whole trace, whose D* the one sort above gave
-            stars = [star_discrepancy(fracs[:k]) for k in prefix_ks[:-1]] + [stats.star]
-            # the k parts are not needed while the gate finishes
-            del fracs
-            gate = gate_run.result()
+        fracs = generate_trace(args.theta, args.k, rng)
     except OverflowError as exc:
         raise ConfigError(
             f"--theta {args.theta} and --k {args.k} carry the emission times past the "
             f"largest float64; lower either"
         ) from exc
+    # The trace takes the stream's first k doubles and the gate, which labels
+    # its parts, the 2k readiness draws after them.  The gate runs on one
+    # worker thread while this thread sorts the parts for their discrepancies,
+    # and numpy's sort releases the GIL.  The pool is joined before any error
+    # leaves the block, and the gate's own errors surface at `result()`.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        gate_run = pool.submit(detector_gate, args.p1, args.p2, args.labels, fracs, rng)
+        stats = discrepancy_stats(fracs)
+        prefix_ks = [k for k in (10**e for e in range(3, 10)) if k < args.k] + [args.k]
+        # the last prefix is the whole trace, whose D* the one sort above gave
+        stars = [star_discrepancy(fracs[:k]) for k in prefix_ks[:-1]] + [stats.star]
+        gate = gate_run.result()
     if not gate.gated_counts.any():
         raise ConfigError(
             f"no emission passed the detector gate at --k {args.k}, --p1 {args.p1} and "

@@ -46,22 +46,28 @@ MAXIMUMS = {
     # poisson: the float64 fractional parts of k emission times, and their
     # sorted copy (the gate and the times themselves go chunk by chunk)
     "k": BUDGET // 8,
-    # poisson: at k >= labels the gate's chunk buffers are as long as the
-    # label count, beside its 2N-bin counts; the whole command's tracemalloc
-    # peak grows by 44-51 bytes per label there (k = 2e5 to 2e6, numpy 2.4,
+    # poisson: the gate's 2N-bin counts, then the label counts and their
+    # chi-square temporaries; the whole command's tracemalloc peak grows by
+    # 16-24 bytes per label at k >= labels (k = 2e5 to 2e6, numpy 2.4,
     # x86-64 Linux), so 64 leaves room
     "labels": BUDGET // 64,
 }
 
-# arrays sized by two flags at once, in bytes, keyed by the command that
-# allocates them: the universe's relocations and weights, and splines'
-# (n+5) x grid float64 basis recursion
+# what sizes checked together would allocate, in bytes, keyed by the
+# command: the universe's relocations and weights, splines' (n+5) x grid
+# float64 basis recursion, and analyze's whole run by the n of its universe
+# file, which `station_pair_joint`'s S x S float64 table (S = 3n+12 cells)
+# dominates: the tracemalloc peak of in-process `cli.main` analyze runs on
+# files of one pair and one interval grows by 32.0-32.1 bytes per S^2 from
+# n = 100 to 800, and is 32.1-33.3 bytes per S^2 in all (numpy 2.4, x86-64
+# Linux)
 JOINT_ARRAYS = {
     "layers": {
         ("n", "layers"): lambda n, pairs: 16 * pairs * (3 * n + 12),
         ("L", "layers"): lambda intervals, pairs: 8 * pairs * intervals,
     },
     "splines": {("n", "grid"): lambda n, grid: 8 * (n + 5) * grid},
+    "analyze": {("n",): lambda n: 34 * (3 * n + 12) ** 2},
 }
 
 

@@ -13,11 +13,12 @@ sum are formed in place, the sum carrying the time reached so far into its
 first term.  numpy's cumsum adds in sequence, so every part is that of the
 whole-trace cumsum to the bit.  `generate_trace` keeps only the k fractional
 parts; the discrepancies read the sorted points chunk by chunk.
-`detector_gate` keeps none of the parts: it counts labels and readiness in
-a few buffers of one `GATE_CHUNK` each, made once, with one bincount per
-chunk.  `poisson` runs the gate on a worker thread beside the trace and its
-discrepancies, so a run holds at most two arrays of k floats, the parts and
-their sorted copy, plus under 1 MiB of gate buffers.
+`detector_gate` labels those same parts, floor({x} * N) + 1, and counts the
+labels and readiness in a few buffers of one `GATE_CHUNK` each, made once,
+adding each chunk's keys into 2N counts with `np.add.at`.  `poisson` makes
+the trace, then runs the gate on a worker thread beside the discrepancies,
+so a run holds at most two arrays of k floats, the parts and their sorted
+copy, plus under 1 MiB of gate buffers.
 
 The package imports only numpy and the standard library when it loads.
 scipy serves one function, `chi_square_quantile` (the `poisson` command),
@@ -36,9 +37,9 @@ import numpy as np
 # emission times per chunk of the trace kernel and the discrepancy scan: a
 # chunk's float64 temporaries stay near 0.5 MiB
 CHUNK = 1 << 16
-# emissions per chunk of the detector gate (or the label count, if larger):
-# its four one-chunk buffers, 18 bytes per emission, stay near 0.3 MiB while
-# `poisson` holds a trace beside it
+# emissions per chunk of the detector gate: its four one-chunk buffers, 18
+# bytes per emission, stay near 0.3 MiB at any label count while `poisson`
+# holds a trace beside it
 GATE_CHUNK = 1 << 14
 
 
@@ -63,42 +64,31 @@ def _block(rng, size: int, block: int):
     return stream
 
 
-def _check_trace_args(theta: float, k: int) -> None:
+def generate_trace(theta: float, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k exponential waits with mean theta, by inverse transform
+    -theta*log(1-U), reduced to the fractional parts of their running sums,
+    returned read-only.  Draws k doubles of `rng`.  Raises OverflowError if
+    a time passes the largest float64."""
     if not (math.isfinite(theta) and theta > 0.0):
         raise ValueError(f"theta must be finite and positive, got {theta}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-
-
-def _fractional_times(part: np.ndarray, theta: float, start: float, rng) -> float:
-    """Fill `part` with the fractional parts of the next `part.size` emission
-    times after the time `start`, one double of `rng` each, and return the
-    time of the last.  Raises OverflowError if a time passes the largest
-    float64."""
-    rng.random(out=part)
-    np.negative(part, out=part)
-    np.log1p(part, out=part)
-    with np.errstate(over="ignore"):
-        np.multiply(part, -theta, out=part)
-        part[0] += start
-        np.cumsum(part, out=part)
-    end = float(part[-1])
-    # waits are >= 0, so an infinite wait or sum leaves the last time infinite
-    if not math.isfinite(end):
-        raise OverflowError(f"emission times at theta {theta} pass the largest float64")
-    part -= np.floor(part)
-    return end
-
-
-def generate_trace(theta: float, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k exponential waits with mean theta, by inverse transform
-    -theta*log(1-U), reduced to the fractional parts of their running sums,
-    returned read-only.  Draws k doubles of `rng`."""
-    _check_trace_args(theta, k)
     fracs = np.empty(k)
     time = 0.0
     for lo in range(0, k, CHUNK):
-        time = _fractional_times(fracs[lo : lo + CHUNK], theta, time, rng)
+        part = fracs[lo : lo + CHUNK]
+        rng.random(out=part)
+        np.negative(part, out=part)
+        np.log1p(part, out=part)
+        with np.errstate(over="ignore"):
+            np.multiply(part, -theta, out=part)
+            part[0] += time
+            np.cumsum(part, out=part)
+        time = float(part[-1])
+        # waits are >= 0, so an infinite wait or sum leaves the last time infinite
+        if not math.isfinite(time):
+            raise OverflowError(f"emission times at theta {theta} pass the largest float64")
+        part -= np.floor(part)
     fracs.setflags(write=False)
     return fracs
 
@@ -187,63 +177,56 @@ def fit_rate(ks, star_values) -> RateFit:
 class GateResult:
     """Label frequencies before and after detector-readiness gating."""
 
-    label_count: int
     ungated_counts: np.ndarray = field(repr=False, compare=False)
     gated_counts: np.ndarray = field(repr=False, compare=False)
-    total: int = 0
-    accepted: int = 0
+    total: int
+    accepted: int
 
     @property
     def acceptance_rate(self) -> float:
-        return self.accepted / self.total if self.total else 0.0
+        return self.accepted / self.total
 
 
-def detector_gate(
-    p1: float,
-    p2: float,
-    label_count: int,
-    k: int,
-    theta: float,
-    rng: np.random.Generator,
-) -> GateResult:
-    """Gate each of k emissions by two independent readiness draws.
+def detector_gate(p1: float, p2: float, label_count: int, fracs, rng) -> GateResult:
+    """Label each emission by its fractional part {x}, floor({x} * N) + 1 for
+    N = `label_count`, and gate it by two independent readiness draws.
 
     Readiness is independent of the emission time, so conditioning on both
-    devices being ready leaves the label law unchanged.  The stream holds the
-    k emission uniforms, then k draws against p1, then k against p2; the gate
-    walks the three blocks together, a chunk at a time, and leaves `rng` past
-    all 3k doubles.  The p1 and p2 blocks are read from copies of `rng`
-    advanced past the blocks before them, so its bit generator must be one
-    whose `advance` counts doubles: PCG64 (that of `default_rng`) or
-    PCG64DXSM; any other numpy bit generator is refused.  Every argument is
-    checked before anything is drawn.
+    devices being ready leaves the label law unchanged.  For the k parts in
+    `fracs` (those `generate_trace` returns), the stream holds k draws
+    against p1, then k against p2; the gate walks both blocks together, a
+    chunk at a time, and leaves `rng` past all 2k doubles.  The p2 block is
+    read from a copy of `rng` advanced past the p1 block, so its bit
+    generator must be one whose `advance` counts doubles: PCG64 (that of
+    `default_rng`) or PCG64DXSM; any other numpy bit generator is refused.
+    Every argument is checked before anything is drawn: `fracs` must be
+    nonempty, finite and in [0, 1).
     """
     for name, p in (("p1", p1), ("p2", p2)):
         if not 0.0 < p <= 1.0:
             raise ValueError(f"{name} must lie in (0, 1], got {p}")
     if label_count < 1:
         raise ValueError("label count must be >= 1")
-    _check_trace_args(theta, k)
-    ready1, ready2 = (_block(rng, k, block) for block in (1, 2))
-    # every buffer is made once, one chunk long; a chunk at least as long as
-    # the label count keeps its bincount within a constant factor of it
-    size = min(k, max(GATE_CHUNK, label_count))
-    buf = np.empty(size)  # emission times, then readiness draws
+    fracs = _checked_points(fracs)
+    k = fracs.size
+    ready2 = _block(rng, k, 1)
+    # every buffer is made once, one chunk long; `np.add.at` adds a chunk's
+    # keys in place, so no buffer grows with the label count
+    size = min(k, GATE_CHUNK)
+    buf = np.empty(size)  # scaled parts, then readiness draws
     keys = np.empty(size, dtype=np.intp)  # label - 1, plus label_count if gated
     ready_both = np.empty(size, dtype=bool)
     ready_second = np.empty(size, dtype=bool)
     # bins 0 .. N-1 count the emissions turned away, N .. 2N-1 those let through
     counts = np.zeros(2 * label_count, dtype=np.int64)
-    time = 0.0
     for lo in range(0, k, size):
         n = min(size, k - lo)
         part, key, ok, ok2 = buf[:n], keys[:n], ready_both[:n], ready_second[:n]
-        time = _fractional_times(part, theta, time, rng)
         # label - 1 = floor({x} * N) by truncation, which may round up to N
-        part *= label_count
+        np.multiply(fracs[lo : lo + n], label_count, out=part)
         np.copyto(key, part, casting="unsafe")
         np.minimum(key, label_count - 1, out=key)
-        ready1.random(out=part)
+        rng.random(out=part)
         np.less(part, p1, out=ok)
         ready2.random(out=part)
         np.less(part, p2, out=ok2)
@@ -253,19 +236,13 @@ def detector_gate(
         np.copyto(shift, ok)
         shift *= label_count
         key += shift
-        counts += np.bincount(key, minlength=2 * label_count)
-    rng.bit_generator.advance(2 * k)
+        np.add.at(counts, key, 1)
+    rng.bit_generator.advance(k)
     gated = counts[label_count:]
     ungated = counts[:label_count] + gated
     for arr in (ungated, gated):
         arr.setflags(write=False)
-    return GateResult(
-        label_count=label_count,
-        ungated_counts=ungated,
-        gated_counts=gated,
-        total=int(k),
-        accepted=int(gated.sum()),
-    )
+    return GateResult(ungated, gated, total=int(k), accepted=int(gated.sum()))
 
 
 def uniform_chi_square(counts) -> tuple[float, int]:

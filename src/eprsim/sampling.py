@@ -86,10 +86,14 @@ def _sign_table(mu: BaseMeasure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     pos = np.flatnonzero(mu.cell_masses)
     cum = np.cumsum(np.repeat(mu.cell_masses[pos] / 4, 4))
     plus = (mu.outcome[0][pos, :, None] * mu.outcome[1][pos, None, :]).ravel() > 0
-    low = np.arange(GUIDE_BUCKETS) / GUIDE_BUCKETS
-    edges = np.stack((low, low + (1 / GUIDE_BUCKETS - 2.0**-53)))
-    atom = np.searchsorted(cum, edges * cum[-1], side="right")
-    code = np.where(atom[0] == atom[1], plus[atom[0]], 2).astype(np.int8)
+    # the low edges are searched, then the high ones, so that one float and
+    # two intp arrays of B entries are alive at once
+    edge = np.arange(GUIDE_BUCKETS) / GUIDE_BUCKETS
+    first = np.searchsorted(cum, edge * cum[-1], side="right")
+    edge += 1 / GUIDE_BUCKETS - 2.0**-53
+    edge *= cum[-1]
+    last = np.searchsorted(cum, edge, side="right")
+    code = np.where(first == last, plus[first], np.int8(2))
     return cum, plus, code
 
 

@@ -105,11 +105,12 @@ def emission_times(theta: float, k: int, rng):
     return waits, times, times - np.floor(times)
 
 
-def whole_gate(p1: float, p2: float, label_count: int, k: int, theta: float, rng):
+def whole_gate(p1: float, p2: float, label_count: int, fracs, rng):
     """Ungated and gated label counts (labels 1 .. N) and the accepted count
-    of k emissions, from one whole trace, then k draws against p1 and k
-    against p2."""
-    _, _, fracs = emission_times(theta, k, rng)
+    of the k emissions whose fractional parts are `fracs`, from k draws of
+    `rng` against p1, then k against p2, each drawn whole."""
+    fracs = np.asarray(fracs)
+    k = fracs.size
     labels = np.minimum((fracs * label_count).astype(np.int64) + 1, label_count)
     ready = (rng.random(k) < p1) & (rng.random(k) < p2)
     ungated = np.bincount(labels, minlength=label_count + 1)[1:]

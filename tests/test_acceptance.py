@@ -146,7 +146,9 @@ def test_criterion_6_monte_carlo_agreement():
 
 def test_criterion_7_label_uniformity_and_gating():
     with _Timer("7 label uniformity, gated and ungated", 30):
-        res = emission.detector_gate(0.5, 0.5, 50, 1_000_000, 1.0, np.random.default_rng(707))
+        rng = np.random.default_rng(707)
+        fracs = emission.generate_trace(1.0, 1_000_000, rng)
+        res = emission.detector_gate(0.5, 0.5, 50, fracs, rng)
         stat_u, dof = emission.uniform_chi_square(res.ungated_counts)
         stat_g, _ = emission.uniform_chi_square(res.gated_counts)
         quantile = emission.chi_square_quantile(0.999, dof)

@@ -431,6 +431,25 @@ class TestCliSizeBudget:
         assert peak < 2**20
         assert not uni.exists()
 
+    def test_analyze_at_the_largest_saved_n_exits_2_naming_it(self, capsys, tmp_path):
+        # a valid file of one pair, whose station_pair_joint table of
+        # (3n+12)^2 float64 would take 32 GiB, is refused before any analysis
+        uni = tmp_path / "u.universe"
+        n = layers.MAX_SAVED_N
+        argv = ["layers", "--n", str(n), "--layers", "1", "--L", "1", "--seed", "1"]
+        assert run_cli(capsys, *argv, "--universe", str(uni))[0] == 0
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *READS_UNIVERSE["analyze"], "--universe", str(uni))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {uni}: universe field 'n' = {n} ")
+        assert err.count("\n") == 1
+        assert peak < 16 * 2**20
+
     @pytest.mark.parametrize("command", ["analyze", "chsh", "simulate"])
     @pytest.mark.parametrize("defect", sorted(UNREAD_BODIES))
     def test_universe_refused_before_its_body_is_read(self, capsys, tmp_path, command, defect):
@@ -477,9 +496,8 @@ class TestCliSizeBudget:
         assert 8 * (caps["labels"] + 1) <= config.BUDGET
 
     def test_labels_cap_keeps_the_gate_peak_within_the_budget(self, capsys):
-        # the whole command's peak at two label counts with k >= labels, where
-        # the gate's chunk buffers are as long as the label count: the slope
-        # per label, scaled to the cap
+        # the whole command's peak at two label counts with k >= labels: the
+        # slope per label, scaled to the cap
         argv = ["poisson", "--theta", "1", "--k", "200000", "--seed", "1"]
         assert run_cli(capsys, *argv, "--labels", "2")[0] == 0  # first-call imports
         peaks = []
@@ -902,7 +920,7 @@ def _serial_poisson(theta, k, labels, p1, p2, seed):
     stats = emission.discrepancy_stats(fracs)
     ks = [10**e for e in range(3, 10) if 10**e < k] + [k]
     stars = [emission.star_discrepancy(fracs[:j]) for j in ks]
-    gate = emission.detector_gate(p1, p2, labels, k, theta, rng)
+    gate = emission.detector_gate(p1, p2, labels, fracs, rng)
     stat_u, dof = emission.uniform_chi_square(gate.ungated_counts)
     stat_g, _ = emission.uniform_chi_square(gate.gated_counts)
     fields = {
@@ -965,19 +983,17 @@ class TestCliPoisson:
         assert not out_path.exists()
 
     # an escaped numpy RuntimeWarning would fail the run, not reach stderr;
-    # at 1.79e305 and seed 3 the trace's times stay finite and the gate's pass
+    # at 1.5e303 the trace's first chunk stays finite and its second passes
     # the largest float64
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("theta, seed", [("1e308", "1"), ("1.79e305", "3")])
-    def test_overflowing_emission_times_exit_2_naming_the_flags(
-        self, capsys, tmp_path, theta, seed
-    ):
+    @pytest.mark.parametrize("theta, k", [("1e308", 1000), ("1.5e303", 2 * CHUNK)])
+    def test_overflowing_emission_times_exit_2_naming_the_flags(self, capsys, tmp_path, theta, k):
         out_path = tmp_path / "report.json"
-        argv = ["poisson", "--theta", theta, "--k", "1000", "--labels", "2", "--seed", seed]
+        argv = ["poisson", "--theta", theta, "--k", str(k), "--labels", "2", "--seed", "3"]
         code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
         assert code == 2
         assert out == ""
-        assert err.startswith(f"error: --theta {float(theta)} and --k 1000 ")
+        assert err.startswith(f"error: --theta {float(theta)} and --k {k} ")
         assert err.count("\n") == 1
         assert not out_path.exists()
 
@@ -1033,7 +1049,7 @@ class TestCliPoisson:
         [
             (["--theta", "1", "--k", str(3 * CHUNK + 17), "--labels", "5", "--seed", "1"], 0),
             (["--theta", "1e308", "--k", "1000", "--labels", "2", "--seed", "1"], 2),
-            (["--theta", "1.79e305", "--k", "1000", "--labels", "2", "--seed", "3"], 2),
+            (["--theta", "1.5e303", "--k", str(2 * CHUNK), "--labels", "2", "--seed", "3"], 2),
             (["--theta", "-1", "--k", "1000", "--labels", "2", "--seed", "1"], 2),
             (["--theta", "1", "--k", "10", "--labels", "3", "--seed", "1", "--p1", "0.0001",
               "--p2", "0.0001"], 2),
@@ -1044,7 +1060,7 @@ class TestCliPoisson:
         assert run_cli(capsys, "poisson", *argv)[0] == code
         assert threading.active_count() == baseline
 
-    def test_error_on_the_trace_side_waits_for_the_gate(self, capsys, monkeypatch):
+    def test_error_on_the_discrepancy_side_waits_for_the_gate(self, capsys, monkeypatch):
         finished = []
 
         def gate(*args):
@@ -1052,19 +1068,36 @@ class TestCliPoisson:
             finished.append(result.total)
             return result
 
-        def overflow(*args):
-            raise OverflowError("emission times pass the largest float64")
+        def refuse(points):
+            raise ValueError("the discrepancies refuse the trace")
 
         monkeypatch.setattr(cli, "detector_gate", gate)
-        monkeypatch.setattr(cli, "generate_trace", overflow)
+        monkeypatch.setattr(cli, "discrepancy_stats", refuse)
         baseline = threading.active_count()
         argv = ["poisson", "--theta", "1", "--k", "1000000", "--labels", "5", "--seed", "1"]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: --theta 1.0 and --k 1000000 ") and err.count("\n") == 1
+        assert err == "error: the discrepancies refuse the trace\n"
         assert finished == [1_000_000]
         assert threading.active_count() == baseline
+
+    @pytest.mark.parametrize("labels", [2, 7, 50])
+    @pytest.mark.parametrize("theta, k, seed", [("1", 5000, 10), ("0.37", CHUNK + 1, 17)])
+    def test_gate_labels_the_reports_own_trace(self, capsys, theta, k, seed, labels):
+        # the ungated chi-square is that of the labels floor({x} * N) + 1 of
+        # the parts whose discrepancy the report gives
+        argv = ["poisson", "--theta", theta, "--k", str(k), "--labels", str(labels),
+                "--p1", "0.5", "--p2", "0.5", "--seed", str(seed)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        fracs = emission.generate_trace(float(theta), k, rng)
+        labels0 = np.minimum(np.floor(fracs * labels).astype(np.int64), labels - 1)
+        counts = np.bincount(labels0, minlength=labels)
+        doc = json.loads(out)
+        assert doc["star"] == emission.star_discrepancy(fracs)
+        assert doc["chi_square_ungated"] == emission.uniform_chi_square(counts)[0]
 
     def test_timings_record_the_gate_and_the_trace_once(self, capsys, tmp_path):
         timings = tmp_path / "timings.json"

@@ -18,6 +18,17 @@ from oracles import (
     whole_gate,
 )
 
+def _gate(p1, p2, labels, k, theta, rng):
+    """The library's trace of k emissions, then its gate on the same stream."""
+    return emission.detector_gate(p1, p2, labels, emission.generate_trace(theta, k, rng), rng)
+
+
+def _oracle_gate(p1, p2, labels, k, theta, rng):
+    """`_gate` drawn whole by the oracles."""
+    _, _, fracs = emission_times(theta, k, rng)
+    return whole_gate(p1, p2, labels, fracs, rng)
+
+
 point_sets = st.lists(
     st.floats(min_value=0.0, max_value=1.0, exclude_max=True, allow_nan=False),
     min_size=1,
@@ -156,15 +167,15 @@ class TestLabels:
         assert 1 <= label_from_time(x, n_labels) <= n_labels
 
     def test_trace_labels_match_scalar(self):
-        # the gate's stream opens with the k emission uniforms, so its ungated
-        # counts are the scalar labels of the same emission times
-        gate = emission.detector_gate(1.0, 1.0, 37, 1000, 1.0, np.random.default_rng(23))
+        # the gate labels the trace's own parts, so its ungated counts are the
+        # scalar labels of the same emission times
+        gate = _gate(1.0, 1.0, 37, 1000, 1.0, np.random.default_rng(23))
         _, times, _ = emission_times(1.0, 1000, np.random.default_rng(23))
         scalar = np.bincount([label_from_time(x, 37) for x in times], minlength=38)[1:]
         assert gate.ungated_counts.tolist() == scalar.tolist()
 
     def test_poisson_labels_uniform(self):
-        gate = emission.detector_gate(1.0, 1.0, 100, 100_000, 1.0, np.random.default_rng(29))
+        gate = _gate(1.0, 1.0, 100, 100_000, 1.0, np.random.default_rng(29))
         stat, dof = emission.uniform_chi_square(gate.ungated_counts)
         assert stat < emission.chi_square_quantile(0.999, dof)
 
@@ -218,23 +229,23 @@ class TestRateFit:
 
 class TestDetectorGate:
     def test_full_readiness_keeps_everything(self):
-        res = emission.detector_gate(1.0, 1.0, 20, 50_000, 1.0, np.random.default_rng(41))
+        res = _gate(1.0, 1.0, 20, 50_000, 1.0, np.random.default_rng(41))
         assert res.accepted == res.total
         np.testing.assert_array_equal(res.gated_counts, res.ungated_counts)
 
     def test_gated_labels_stay_uniform(self):
-        res = emission.detector_gate(0.5, 0.5, 50, 1_000_000, 1.0, np.random.default_rng(43))
+        res = _gate(0.5, 0.5, 50, 1_000_000, 1.0, np.random.default_rng(43))
         stat, dof = emission.uniform_chi_square(res.gated_counts)
         assert stat < emission.chi_square_quantile(0.999, dof)
 
     def test_acceptance_rate(self):
-        res = emission.detector_gate(0.9, 0.1, 10, 1_000_000, 1.0, np.random.default_rng(47))
+        res = _gate(0.9, 0.1, 10, 1_000_000, 1.0, np.random.default_rng(47))
         p = 0.09
         sigma = np.sqrt(p * (1 - p) / res.total)
         assert abs(res.acceptance_rate - p) <= 3.29 * sigma
 
     def test_gated_close_to_ungated_in_tv(self):
-        res = emission.detector_gate(0.5, 0.5, 25, 400_000, 1.0, np.random.default_rng(53))
+        res = _gate(0.5, 0.5, 25, 400_000, 1.0, np.random.default_rng(53))
         gated = res.gated_counts / res.accepted
         ungated = res.ungated_counts / res.total
         tv = 0.5 * float(np.abs(gated - ungated).sum())
@@ -245,7 +256,7 @@ class TestDetectorGate:
     @pytest.mark.parametrize("p1,p2", [(0.0, 0.5), (1.5, 0.5), (0.5, -0.1)])
     def test_probability_validation(self, p1, p2):
         with pytest.raises(ValueError):
-            emission.detector_gate(p1, p2, 10, 100, 1.0, np.random.default_rng(0))
+            emission.detector_gate(p1, p2, 10, np.full(100, 0.5), np.random.default_rng(0))
 
 
 CHUNK = emission.CHUNK
@@ -277,18 +288,22 @@ class TestChunkedKernel:
     @pytest.mark.parametrize("theta", THETAS)
     @pytest.mark.parametrize("k", CHUNK_SIZES)
     def test_gate_counts_are_the_whole_gate(self, k, theta, labels):
-        res = emission.detector_gate(0.6, 0.8, labels, k, theta, np.random.default_rng(67))
-        ungated, gated, accepted = whole_gate(0.6, 0.8, labels, k, theta, np.random.default_rng(67))
+        res = _gate(0.6, 0.8, labels, k, theta, np.random.default_rng(67))
+        ungated, gated, accepted = _oracle_gate(
+            0.6, 0.8, labels, k, theta, np.random.default_rng(67)
+        )
         assert res.ungated_counts.tobytes() == ungated.tobytes()
         assert res.gated_counts.tobytes() == gated.tobytes()
         assert (res.total, res.accepted) == (k, accepted)
 
-    # the gate's chunk is GATE_CHUNK emissions, or the label count if larger
+    # the gate's chunk is GATE_CHUNK emissions, at label counts on both sides of it
     @pytest.mark.parametrize("labels", [2, 7, GATE_CHUNK + 3])
     @pytest.mark.parametrize("k", [GATE_CHUNK - 1, GATE_CHUNK, GATE_CHUNK + 1, 3 * GATE_CHUNK + 17])
     def test_gate_counts_around_its_own_chunk(self, k, labels):
-        res = emission.detector_gate(0.3, 0.7, labels, k, 0.37, np.random.default_rng(68))
-        ungated, gated, accepted = whole_gate(0.3, 0.7, labels, k, 0.37, np.random.default_rng(68))
+        res = _gate(0.3, 0.7, labels, k, 0.37, np.random.default_rng(68))
+        ungated, gated, accepted = _oracle_gate(
+            0.3, 0.7, labels, k, 0.37, np.random.default_rng(68)
+        )
         assert res.ungated_counts.tobytes() == ungated.tobytes()
         assert res.gated_counts.tobytes() == gated.tobytes()
         assert (res.total, res.accepted) == (k, accepted)
@@ -297,9 +312,11 @@ class TestChunkedKernel:
     def test_gate_buffers_stay_under_one_mib(self):
         # the gate runs beside a held trace in `poisson`: its chunk buffers,
         # not k-length arrays, set its peak
+        rng = np.random.default_rng(69)
+        fracs = emission.generate_trace(1.0, 1_000_000, rng)
         tracemalloc.start()
         try:
-            emission.detector_gate(0.5, 0.5, 50, 1_000_000, 1.0, np.random.default_rng(69))
+            emission.detector_gate(0.5, 0.5, 50, fracs, rng)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -328,7 +345,7 @@ class TestChunkedKernel:
 
 class TestStreamPosition:
     """Each call moves the caller's stream past exactly what it drew: k
-    doubles for a trace, 3k for a gate (emissions, p1 draws, p2 draws)."""
+    doubles for a trace, 2k for a gate of k emissions (p1 draws, p2 draws)."""
 
     @pytest.mark.parametrize("k", [1, CHUNK + 1])
     def test_trace_moves_the_stream_k_doubles(self, k):
@@ -338,53 +355,56 @@ class TestStreamPosition:
         assert rng.bit_generator.state == expected.bit_generator.state
 
     @pytest.mark.parametrize("k", [1, CHUNK + 1])
-    def test_gate_moves_the_stream_3k_doubles(self, k):
+    def test_gate_moves_the_stream_2k_doubles(self, k):
+        fracs = emission.generate_trace(0.5, k, np.random.default_rng(78))
         rng = np.random.default_rng(79)
-        expected = _drawn(rng, 3 * k)
-        emission.detector_gate(0.5, 0.5, 5, k, 0.5, rng)
+        expected = _drawn(rng, 2 * k)
+        emission.detector_gate(0.5, 0.5, 5, fracs, rng)
         assert rng.bit_generator.state == expected.bit_generator.state
 
     def test_gates_in_a_row_follow_the_stream(self):
         rng, oracle_rng = np.random.default_rng(83), np.random.default_rng(83)
         for k in (CHUNK + 5, 1000):
-            res = emission.detector_gate(0.7, 0.9, 11, k, 1.3, rng)
-            ungated, gated, accepted = whole_gate(0.7, 0.9, 11, k, 1.3, oracle_rng)
+            res = _gate(0.7, 0.9, 11, k, 1.3, rng)
+            ungated, gated, accepted = _oracle_gate(0.7, 0.9, 11, k, 1.3, oracle_rng)
             assert res.ungated_counts.tolist() == ungated.tolist()
             assert res.gated_counts.tolist() == gated.tolist()
             assert res.accepted == accepted
 
     @pytest.mark.parametrize(
-        "p1,p2,labels,k,theta,message",
+        "p1,p2,labels,fracs,message",
         [
-            (0.0, 0.5, 5, 100, 1.0, "p1"),
-            (0.5, 1.5, 5, 100, 1.0, "p2"),
-            (0.5, 0.5, 0, 100, 1.0, "label count"),
-            (0.5, 0.5, 5, 100, np.nan, "theta"),
-            (0.5, 0.5, 5, 100, 0.0, "theta"),
-            (0.5, 0.5, 5, 0, 1.0, "k"),
+            (0.0, 0.5, 5, [0.5] * 100, "p1"),
+            (0.5, 1.5, 5, [0.5] * 100, "p2"),
+            (0.5, 0.5, 0, [0.5] * 100, "label count"),
+            (0.5, 0.5, 5, [], "nonempty"),
+            (0.5, 0.5, 5, [0.5, np.nan], "finite"),
+            (0.5, 0.5, 5, [0.5, np.inf], "finite"),
+            (0.5, 0.5, 5, [0.5, 1.0], "finite"),
+            (0.5, 0.5, 5, [0.0, -1e-300], "finite"),
         ],
     )
-    def test_rejected_gate_draws_nothing(self, p1, p2, labels, k, theta, message):
+    def test_rejected_gate_draws_nothing(self, p1, p2, labels, fracs, message):
         rng = np.random.default_rng(89)
         before = rng.bit_generator.state
         with pytest.raises(ValueError, match=message):
-            emission.detector_gate(p1, p2, labels, k, theta, rng)
+            emission.detector_gate(p1, p2, labels, fracs, rng)
         assert rng.bit_generator.state == before
 
     @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.SFC64, np.random.Philox])
     def test_gate_refuses_a_bit_generator_not_advancing_by_doubles(self, bit_generator):
         # MT19937 and SFC64 cannot advance; Philox advances by 4-word blocks,
-        # so its p1 and p2 blocks would not be the doubles after the emissions
+        # so its p2 block would not be the doubles after the p1 block
         rng = np.random.Generator(bit_generator(89))
         before = rng.bit_generator.state
         with pytest.raises(ValueError, match=bit_generator.__name__):
-            emission.detector_gate(0.5, 0.5, 5, 100, 1.0, rng)
+            emission.detector_gate(0.5, 0.5, 5, np.full(100, 0.5), rng)
         np.testing.assert_equal(rng.bit_generator.state, before)
 
     def test_gate_on_pcg64dxsm_follows_its_stream(self):
         rng, oracle_rng = (np.random.Generator(np.random.PCG64DXSM(91)) for _ in range(2))
-        res = emission.detector_gate(0.7, 0.9, 11, CHUNK + 5, 1.3, rng)
-        ungated, gated, accepted = whole_gate(0.7, 0.9, 11, CHUNK + 5, 1.3, oracle_rng)
+        res = _gate(0.7, 0.9, 11, CHUNK + 5, 1.3, rng)
+        ungated, gated, accepted = _oracle_gate(0.7, 0.9, 11, CHUNK + 5, 1.3, oracle_rng)
         assert res.ungated_counts.tolist() == ungated.tolist()
         assert res.gated_counts.tolist() == gated.tolist()
         assert res.accepted == accepted
@@ -408,8 +428,6 @@ class TestOverflow:
             warnings.simplefilter("error")
             with pytest.raises(OverflowError, match="float64"):
                 emission.generate_trace(theta, k, np.random.default_rng(101))
-            with pytest.raises(OverflowError, match="float64"):
-                emission.detector_gate(1.0, 1.0, 3, k, theta, np.random.default_rng(101))
 
     def test_huge_finite_times_are_kept(self):
         # times near 1e304 are finite: every fractional part is 0
