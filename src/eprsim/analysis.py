@@ -6,7 +6,11 @@ distances are finite sums; nothing here samples.  The sums over the M
 companion pairs use arrays of M x (3n+12) entries, never M x (3n+12) x L:
 a relocation is a permutation, so one scatter puts each original cell's law
 at the position the cell moves to and one matmul with the (M, L) weights
-sums the pairs, while the (ii*) law is binned once per interval.
+sums the pairs, while the (ii*) law is binned once per interval.  The
+binned laws scatter-add a block of pairs at a time into their table, in the
+order `np.bincount` would sum them, so no M x (3n+12) float array of shares
+is made.  Positions are uint16: every flat bin is formed in `intp`, since
+column * (3n+12) + row passes 2**16 from n = 82.
 `outcome_biases` is the one bias computation: per station side it sums the
 odd labels' mass of +1 and of -1 outcomes per bin, P and Q, and reads from
 them the intact bias (exactly 0) and the witness with companions dropped,
@@ -27,12 +31,40 @@ def _normalized_masses(mu: BaseMeasure) -> np.ndarray:
     return mu.cell_masses / mu.cell_masses.sum()
 
 
+# pairs times positions per block of `_bin_pairs`: a block's float64 shares
+# stay near 0.5 MiB
+BLOCK = 1 << 16
+
+
 def _cell_pair_bins(universe: LayerUniverse) -> np.ndarray:
     """Flat (column, row) bin of every ensemble, one row per pair; a pair's
     two labels share these bins, so each pair is binned once at twice a
     label's share."""
-    size = universe.col_to.shape[1]
-    return universe.col_to * size + universe.row_to
+    bins = universe.col_to.astype(np.intp)
+    bins *= universe.col_to.shape[1]
+    bins += universe.row_to
+    return bins
+
+
+def _bin_pairs(bins: np.ndarray, masses: np.ndarray, scale=None) -> np.ndarray:
+    """(S, S) table of the shares masses[p] * scale[k] / M (scale 1 if None)
+    summed into bin bins[k, p], pair after pair in the order `np.bincount`
+    of the flat bins sums them, so bit for bit its table; a block of pairs
+    at a time."""
+    pairs, size = bins.shape
+    rows = min(pairs, max(1, BLOCK // size))
+    shares = np.empty((rows, size))
+    if scale is None:
+        shares[:] = masses * (1.0 / pairs)
+    table = np.zeros(size * size)
+    for lo in range(0, pairs, rows):
+        hi = min(pairs, lo + rows)
+        part = shares[: hi - lo]
+        if scale is not None:
+            np.multiply(scale[lo:hi, None], masses, out=part)
+            part *= 1.0 / pairs
+        np.add.at(table, bins[lo:hi].ravel(), part.ravel())
+    return table.reshape(size, size)
 
 
 def pair_expectation(universe: LayerUniverse, a, b) -> float:
@@ -46,11 +78,7 @@ def pair_expectation(universe: LayerUniverse, a, b) -> float:
 def station_pair_joint(universe: LayerUniverse, mu: BaseMeasure) -> np.ndarray:
     """Exact joint cell law of the two station parameters, mixed over labels
     and weight intervals: shape (cells, cells) over (column, row)."""
-    size = universe.col_to.shape[1]
-    bins = _cell_pair_bins(universe)
-    shares = np.broadcast_to(_normalized_masses(mu) * (1.0 / universe.pair_count), bins.shape)
-    joint = np.bincount(bins.ravel(), shares.ravel(), minlength=size * size)
-    return joint.reshape(size, size)
+    return _bin_pairs(_cell_pair_bins(universe), _normalized_masses(mu))
 
 
 def _outcome_mass(universe: LayerUniverse, mu: BaseMeasure, k: int):
@@ -144,7 +172,8 @@ def dependence_report(universe: LayerUniverse, a, b, c) -> DependenceReport:
     masses = _normalized_masses(mu_ab)
     masses_ac = _normalized_masses(mu_ac)
 
-    joint = station_pair_joint(universe, mu_ab)
+    bins = _cell_pair_bins(universe)
+    joint = _bin_pairs(bins, masses)
     marg_u = joint.sum(axis=1)
     marg_v = joint.sum(axis=0)
     tv_joint_vs_product = _tv(joint.ravel(), np.outer(marg_u, marg_v).ravel())
@@ -172,17 +201,14 @@ def dependence_report(universe: LayerUniverse, a, b, c) -> DependenceReport:
 
     # (vi): label vs weight interval; companions repeat their pair's weights
     mean_weights = universe.weights.mean(axis=0)
-    r_lambda_dependence = float(
-        0.5 * np.abs(universe.weights - mean_weights).sum() / universe.pair_count
-    )
+    spread = universe.weights - mean_weights
+    r_lambda_dependence = float(0.5 * np.abs(spread, out=spread).sum() / universe.pair_count)
 
     # (ii*): is the source parameter independent of the station pair?  One
     # (column, row) law per interval, each binned over the M x S pair cells
-    bins = _cell_pair_bins(universe).ravel()
     factorization_defect = 0.0
     for ell, mean_weight in enumerate(mean_weights):
-        shares = universe.weights[:, ell, None] * masses * (1.0 / universe.pair_count)
-        layer = np.bincount(bins, shares.ravel(), minlength=size * size).reshape(size, size)
+        layer = _bin_pairs(bins, masses, universe.weights[:, ell])
         factorization_defect = max(
             factorization_defect, float(np.abs(layer - joint * mean_weight).max())
         )

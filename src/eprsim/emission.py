@@ -43,9 +43,8 @@ CHUNK = 1 << 16
 GATE_CHUNK = 1 << 14
 
 
-def _block(rng, size: int, block: int):
-    """A copy of `rng` whose next doubles are block `block` of the blocks of
-    `size` doubles that start where `rng` stands.  `rng` itself does not
+def _block(rng, size: int):
+    """A copy of `rng` advanced by `size` doubles; `rng` itself does not
     move.  Any numpy bit generator but PCG64 and PCG64DXSM, whose `advance`
     counts 64-bit words, one per double, is refused before anything is
     copied: MT19937 and SFC64 cannot advance, and Philox advances by blocks
@@ -60,7 +59,7 @@ def _block(rng, size: int, block: int):
             f"counts doubles; got {type(bit_generator).__name__}"
         )
     stream = copy.deepcopy(rng)
-    stream.bit_generator.advance(block * size)
+    stream.bit_generator.advance(size)
     return stream
 
 
@@ -209,7 +208,7 @@ def detector_gate(p1: float, p2: float, label_count: int, fracs, rng) -> GateRes
         raise ValueError("label count must be >= 1")
     fracs = _checked_points(fracs)
     k = fracs.size
-    ready2 = _block(rng, k, 1)
+    ready2 = _block(rng, k)
     # every buffer is made once, one chunk long; `np.add.at` adds a chunk's
     # keys in place, so no buffer grows with the label count
     size = min(k, GATE_CHUNK)

@@ -14,8 +14,11 @@ cancel pointwise, which is what removes any conditional outcome bias.
 
 A `LayerUniverse` therefore stores one row per companion pair in three
 arrays validated once on construction: `col_to` and `row_to` of shape
-(M, 3n+12), whose rows permute the diagonal positions, and `weights` of
-shape (M, L), whose rows are interval weight vectors.  Label m = 1 .. 2M is
+(M, 3n+12), whose rows permute the diagonal positions, held as read-only
+uint16 (2 bytes a position, so n <= `MAX_SAVED_N`), and `weights` of shape
+(M, L), whose rows are interval weight vectors.  Read-only arrays of those
+dtypes, such as a loaded file's views or a build's own draws, are kept
+without a copy; anything else is copied once.  Label m = 1 .. 2M is
 pair (m-1)//2 with sign +1 for odd m and -1 for even m.  A universe file
 (`save_universe`) is one line of JSON giving the schema and the three sizes,
 then the three arrays as raw little-endian bytes, so `load_universe` checks
@@ -35,6 +38,13 @@ from .measure import diagonal_cell_count, validate_weights
 
 UNIVERSE_SCHEMA = "layer-universe/3"
 
+_POSITION = np.dtype("<u2")
+_WEIGHT = np.dtype("<f8")
+
+# the largest n whose 3n+12 positions 0 .. 3n+11 fit the uint16 positions a
+# universe holds, in memory and in a `layer-universe/3` file
+MAX_SAVED_N = (np.iinfo(_POSITION).max - 11) // 3
+
 
 def layer_count(n: int) -> int:
     """Published count of distinct layer arrangements, one half of the label
@@ -49,12 +59,26 @@ def layer_count(n: int) -> int:
     )
 
 
+def _check_n(n: int) -> None:
+    if n < 4:
+        raise ValueError(f"order parameter n must be >= 4, got {n}")
+    if n > MAX_SAVED_N:
+        raise ValueError(
+            f"'n' = {n} gives {diagonal_cell_count(n)} positions per row, more than "
+            f"uint16 holds (n <= {MAX_SAVED_N})"
+        )
+
+
 def _permutations(perms, size: int, name: str) -> np.ndarray:
-    """Validate rows (last axis) permuting 0 .. size-1; read-only int64 copy."""
+    """Validate rows (last axis) permuting 0 .. size-1.  A read-only uint16
+    array is returned as it is; anything else is copied to a read-only uint16
+    array, only after the check, so no cast wraps a position into range."""
     arr = np.asarray(perms)
     if arr.shape[-1:] != (size,) or np.any(np.sort(arr, axis=-1) != np.arange(size)):
         raise ValueError(f"{name} must permute the {size} diagonal positions")
-    out = arr.astype(np.int64)
+    if arr.dtype == _POSITION and not arr.flags.writeable:
+        return arr
+    out = arr.astype(_POSITION)
     out.setflags(write=False)
     return out
 
@@ -76,8 +100,7 @@ class LayerUniverse:
     weights: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 4:
-            raise ValueError(f"order parameter n must be >= 4, got {self.n}")
+        _check_n(self.n)
         size = diagonal_cell_count(self.n)
         col_to = _permutations(self.col_to, size, "columns")
         row_to = _permutations(self.row_to, size, "rows")
@@ -119,29 +142,28 @@ def build_universe(
     stream is consumed in two calls: one `rng.permuted` of 2M rows of
     0 .. 3n+11 along each row, whose rows [:M] are `col_to` and rows [M:] are
     `row_to`, then (untied weights only) one `rng.dirichlet(np.ones(L), size=M)`.
+    The int64 tile is permuted in place (numpy shuffles 8-byte items faster
+    than 2-byte ones), then cast once to the uint16 the universe keeps.
     """
-    if n < 4:
-        raise ValueError(f"order parameter n must be >= 4, got {n}")
+    _check_n(n)
     if interval_count < 1 or pair_count < 1:
         raise ValueError("interval count and pair count must be >= 1")
     size = diagonal_cell_count(n)
-    perms = rng.permuted(np.tile(np.arange(size), (2 * pair_count, 1)), axis=1)
+    tile = np.tile(np.arange(size), (2 * pair_count, 1))
+    rng.permuted(tile, axis=1, out=tile)
+    perms = tile.astype(_POSITION)
+    del tile
+    perms.setflags(write=False)
     if tie_weights:
         weights = np.broadcast_to(1.0 / interval_count, (pair_count, interval_count))
     else:
-        draw = rng.dirichlet(np.ones(interval_count), size=pair_count)
-        weights = draw / draw.sum(axis=1, keepdims=True)
+        weights = rng.dirichlet(np.ones(interval_count), size=pair_count)
+        weights /= weights.sum(axis=1, keepdims=True)
+        weights.setflags(write=False)
     return LayerUniverse(n, interval_count, perms[:pair_count], perms[pair_count:], weights)
 
 
 # --- serialization -------------------------------------------------------------
-
-_POSITION = np.dtype("<u2")
-_WEIGHT = np.dtype("<f8")
-
-# the largest n whose 3n+12 positions 0 .. 3n+11 fit the uint16 positions of
-# a `layer-universe/3` file
-MAX_SAVED_N = (np.iinfo(_POSITION).max - 11) // 3
 
 # the longest header line read, newline included; a file whose first line is
 # longer (a `layer-universe/2` file is one line of megabytes) is refused
@@ -195,21 +217,16 @@ def save_universe(universe: LayerUniverse, path) -> None:
     `schema`, then the raw row-major arrays and nothing after them: `columns`
     and `rows` (the (M, 3n+12) positions as little-endian uint16) and
     `weights` ((M, L) little-endian float64, so weights round-trip bit for
-    bit)."""
-    if universe.n > MAX_SAVED_N:
-        raise ValueError(
-            f"'n' = {universe.n} gives {universe.col_to.shape[1]} positions per row, more "
-            f"than {UNIVERSE_SCHEMA} stores as uint16 (n <= {MAX_SAVED_N})"
-        )
+    bit).  The arrays are written as the universe holds them."""
     header = dict(
         interval_count=universe.interval_count, n=universe.n,
         pair_count=universe.pair_count, schema=UNIVERSE_SCHEMA,
     )
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
-        fh.write(universe.col_to.astype(_POSITION, order="C"))
-        fh.write(universe.row_to.astype(_POSITION, order="C"))
-        fh.write(np.ascontiguousarray(universe.weights, _WEIGHT))
+        for arr, dtype in ((universe.col_to, _POSITION), (universe.row_to, _POSITION),
+                           (universe.weights, _WEIGHT)):
+            fh.write(np.ascontiguousarray(arr, dtype))
 
 
 def load_universe(path) -> LayerUniverse:

@@ -64,8 +64,14 @@ def setting_from_angle(theta_degrees: float) -> np.ndarray:
 
 def validate_weights(p) -> np.ndarray:
     """Validate interval weights: nonnegative, each vector along the last axis
-    summing to 1 within 1e-12.  Returns a read-only float copy."""
-    out = np.array(p, dtype=float, ndmin=1)
+    summing to 1 within 1e-12.  A read-only C-contiguous float64 array of at
+    least one axis is returned as it is; any other input as a read-only float
+    copy."""
+    kept = isinstance(p, np.ndarray) and p.ndim > 0 and p.dtype == float
+    if kept and p.flags.c_contiguous and not p.flags.writeable:
+        out = p
+    else:
+        out = np.array(p, dtype=float, ndmin=1)
     if out.shape[-1] < 1:
         raise ValueError("weight vector must have at least one entry")
     if np.any(out < 0.0) or not np.all(np.isfinite(out)):

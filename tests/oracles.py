@@ -415,8 +415,9 @@ def draw_batch(universe, mu, size: int, rng) -> dict:
         cdf = np.cumsum(universe.weights[k])
         sel = pair == k
         ell0[sel] = np.searchsorted(cdf, interval_u[sel] * cdf[-1], side="right")
-    cols = universe.col_to[pair, cell] - 2
-    rows = universe.row_to[pair, cell] - 2
+    # positions are uint16: cast before subtracting, or 0 and 1 wrap to 2**16 - 2
+    cols = universe.col_to[pair, cell].astype(np.int64) - 2
+    rows = universe.row_to[pair, cell].astype(np.int64) - 2
     # cell i spans [i - 1, i); bins are its half-cells and the intervals of w
     u = inside_bins(cols - 1.0 + (half_a + du) / 2, 2 * cols - 2 + half_a, 2)
     v = inside_bins(rows - 1.0 + (half_b + dv) / 2, 2 * rows - 2 + half_b, 2)

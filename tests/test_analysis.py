@@ -254,6 +254,40 @@ class TestLoopOracleEquivalence:
         for key, value in want.items():
             assert got[key] == pytest.approx(value, abs=1e-12), key
 
+    @pytest.mark.parametrize("n", [82, 100])
+    def test_flat_bins_past_uint16(self, n):
+        # positions are uint16, and from n = 82 a flat (column, row) bin
+        # column * S + row passes 2**16: formed in uint16 it would wrap, and
+        # the joint and the per-interval laws would land in the wrong bins.
+        # Pair 0 reverses the positions, so cell position 0, of mass
+        # |a_3 b_3| > 0, sits in the last bin, (S - 1) * S + S - 1
+        size = 3 * n + 12
+        assert size * size - 1 >= 2**16
+        rng = np.random.default_rng(n)
+        drawn = layers.build_universe(n, 2, 3, rng)
+        flip = np.arange(size)[::-1]
+        uni = layers.LayerUniverse(
+            n, 2, np.vstack([flip, drawn.col_to]), np.vstack([flip, drawn.row_to]),
+            np.vstack([[0.25, 0.75], drawn.weights]),
+        )
+        assert uni.col_to.dtype == np.uint16
+        a, b, c = (random_unit_vector(rng) for _ in range(3))
+        mu_ab = measure.build_measure(a, b, n)
+        mu_ac = measure.build_measure(a, c, n)
+        np.testing.assert_allclose(
+            analysis.station_pair_joint(uni, mu_ab), loop_station_pair_joint(uni, mu_ab),
+            rtol=0, atol=1e-12,
+        )
+        got = analysis.dependence_report(uni, a, b, c)
+        want = loop_dependence_report(uni, mu_ab, mu_ac)
+        assert got.factorization_defect == pytest.approx(
+            want["factorization_defect"], abs=1e-12
+        )
+        assert got.tv_joint_vs_product == pytest.approx(want["tv_joint_vs_product"], abs=1e-12)
+        for side, (_, witness) in analysis.outcome_biases(uni, a, b).items():
+            want = loop_conditional_outcome_bias(uni, mu_ab, side, drop_companions=True)
+            assert witness == pytest.approx(want, abs=1e-12), side
+
 
 class TestOutcomeBiases:
     """One pass per side against the loop oracle."""

@@ -365,6 +365,16 @@ UNREAD_BODIES = {
 }
 
 
+# the most each command may allocate per pair of a universe at n = 4 (bytes,
+# whole-command tracemalloc slope from M = 1e4 to 2e4): at L = 2, bounds
+# that only uint16 positions and uncopied weights meet; at L = 64, the slopes
+# of int64 positions and copied weights (numpy 2.4, x86-64 Linux)
+UNIVERSE_SLOPES = {
+    2: {"layers": 560, "analyze": 800, "simulate": 260},
+    64: {"layers": 2368, "analyze": 1925, "simulate": 1569},
+}
+
+
 class TestCliSizeBudget:
     @pytest.mark.parametrize("flag", sorted(OVER_BUDGET))
     def test_over_cap_exits_2_before_allocating(self, capsys, tmp_path, flag):
@@ -468,6 +478,35 @@ class TestCliSizeBudget:
         assert out == ""
         assert err.startswith("error: ") and UNREAD_BODIES[defect][1] in err
         assert peak < 2**20
+
+    @pytest.mark.parametrize("interval_count", sorted(UNIVERSE_SLOPES))
+    def test_universe_commands_peak_per_pair(self, capsys, tmp_path, interval_count):
+        # whole-command peaks at M = 1e4 and 2e4 pairs (n = 4): the slope per
+        # pair of each command that writes or reads a universe file
+        peaks = {}
+        for pairs in (10_000, 20_000):
+            path = str(tmp_path / f"u{pairs}.universe")
+            runs = {
+                "layers": [
+                    "layers", "--n", "4", "--layers", str(pairs), "--L", str(interval_count),
+                    "--seed", "1", "--universe", path,
+                ],
+                "analyze": [*READS_UNIVERSE["analyze"], "--witness", "--universe", path],
+                "simulate": [*READS_UNIVERSE["simulate"], "--universe", path],
+            }
+            for command, argv in runs.items():
+                # the first call writes the file the others read, and imports
+                assert run_cli(capsys, *argv)[0] == 0
+                tracemalloc.start()
+                try:
+                    code, _, err = run_cli(capsys, *argv)
+                    peaks.setdefault(command, []).append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+                assert code == 0, err
+        slopes = {command: (high - low) / 10_000 for command, (low, high) in peaks.items()}
+        for command, bound in UNIVERSE_SLOPES[interval_count].items():
+            assert slopes[command] <= bound, (command, slopes)
 
     def test_config_value_over_cap_names_line_and_key(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -787,6 +826,9 @@ BAD_UNIVERSES = {
         "columns",
     ),
     "rows_out_of_range": (_set_array("rows", 2, lambda row: [*row[:-1], 99]), "rows"),
+    # one past the last of the 3n+12 = 24 positions, and the largest uint16
+    "columns_at_3n_plus_12": (_set_array("columns", 1, lambda col: [*col[:-1], 24]), "columns"),
+    "rows_at_uint16_max": (_set_array("rows", 0, lambda row: [65535, *row[1:]]), "rows"),
     "weights_nan": (_set_array("weights", 0, lambda w: [np.nan, 1.0]), "weights"),
     "weights_sum_to_0.9": (_set_array("weights", 1, lambda w: [0.45, 0.45]), "weights"),
     "weights_sum_to_1.4": (_set_array("weights", 1, lambda w: [0.7, 0.7]), "weights"),

@@ -1,6 +1,7 @@
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -344,6 +345,84 @@ class TestMixtureUniformity:
         assert observed < small
 
 
+def _data(arr: np.ndarray) -> int:
+    return arr.__array_interface__["data"][0]
+
+
+class TestCompactUniverse:
+    """Positions held as read-only uint16 and weights as read-only float64,
+    copied only where the universe does not already own them."""
+
+    SIZE = 3 * 4 + 12
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.int64])
+    def test_caller_arrays_are_copied(self, dtype):
+        rng = np.random.default_rng(83)
+        cols = np.stack([rng.permutation(self.SIZE) for _ in range(3)]).astype(dtype)
+        rows = np.stack([rng.permutation(self.SIZE) for _ in range(3)]).astype(dtype)
+        weights = rng.dirichlet(np.ones(2), size=3)
+        uni = layers.LayerUniverse(4, 2, cols, rows, weights)
+        kept = [arr.copy() for arr in (cols, rows, weights)]
+        cols[:] = cols[:, ::-1]
+        rows[0] = rows[1]
+        weights[:] = weights[:, ::-1]
+        for arr, want in zip((uni.col_to, uni.row_to, uni.weights), kept):
+            np.testing.assert_array_equal(arr, want)
+            assert not arr.flags.writeable
+        assert uni.col_to.dtype == uni.row_to.dtype == np.uint16
+        assert uni.weights.dtype == np.float64
+
+    def test_build_keeps_its_own_draws(self):
+        # one uint16 array of the 2M permutations, rows [:M] and [M:], and the
+        # Dirichlet draw itself
+        uni = layers.build_universe(4, 3, 5, np.random.default_rng(89))
+        assert uni.col_to.dtype == uni.row_to.dtype == np.uint16
+        assert _data(uni.row_to) == _data(uni.col_to) + uni.col_to.nbytes
+        assert uni.weights.flags.owndata
+        for arr in (uni.col_to, uni.row_to, uni.weights):
+            assert not arr.flags.writeable
+
+    def test_loaded_arrays_are_views_of_the_body(self, tmp_path):
+        uni = layers.build_universe(4, 3, 5, np.random.default_rng(97))
+        path = tmp_path / "universe.bin"
+        layers.save_universe(uni, path)
+        loaded = layers.load_universe(path)
+        # columns, rows and weights lie back to back in the one body buffer
+        span = loaded.col_to.nbytes
+        assert _data(loaded.row_to) == _data(loaded.col_to) + span
+        assert _data(loaded.weights) == _data(loaded.col_to) + 2 * span
+        for arr in (loaded.col_to, loaded.row_to, loaded.weights):
+            assert not arr.flags.writeable and not arr.flags.owndata
+        assert loaded.col_to.dtype == np.uint16
+
+    @pytest.mark.parametrize("position", [SIZE, 2**16, 2**16 + 5, -1])
+    def test_positions_are_checked_before_the_cast(self, position):
+        # 2**16 + k would wrap to k, a position in range, if cast first
+        eye = np.arange(self.SIZE)
+        bad = eye.copy()
+        bad[5] = position
+        with pytest.raises(ValueError, match="columns"):
+            layers.LayerUniverse(4, 1, bad[None], eye[None], [[1.0]])
+        with pytest.raises(ValueError, match="rows"):
+            layers.LayerUniverse(4, 1, eye[None], bad[None], [[1.0]])
+
+    def test_n_past_uint16_refused_before_allocating(self):
+        n = layers.MAX_SAVED_N + 1
+        eye = np.arange(3 * n + 12)[None]  # 0.5 MiB, made before tracing
+        rng = np.random.default_rng(101)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"'n' = {n} "):
+                layers.LayerUniverse(n, 1, eye, eye, [[1.0]])
+            with pytest.raises(ValueError, match=f"'n' = {n} "):
+                layers.build_universe(n, 1, 1, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the build's int64 tile alone would take 1 MiB, the sort check 0.5
+        assert peak < 64 << 10
+
+
 class TestSerialization:
     def test_round_trip_identical(self, tmp_path):
         uni = layers.build_universe(4, 3, 5, np.random.default_rng(59))
@@ -396,14 +475,15 @@ class TestSerialization:
     @pytest.mark.parametrize("n, fits", [(21841, True), (21842, False)])
     def test_positions_must_fit_uint16(self, tmp_path, n, fits):
         # 3n + 12 positions per row: 65535 at n = 21841, 65538 at n = 21842
+        # positions are held as uint16, so a universe past the limit is refused
+        # when it is made, before it could be saved
         eye = np.arange(3 * n + 12)
-        uni = layers.LayerUniverse(n, 1, eye[None], eye[::-1][None], [[1.0]])
-        path = tmp_path / "universe.json"
         if not fits:
             with pytest.raises(ValueError, match="'n'"):
-                layers.save_universe(uni, path)
-            assert not path.exists()
+                layers.LayerUniverse(n, 1, eye[None], eye[::-1][None], [[1.0]])
             return
+        uni = layers.LayerUniverse(n, 1, eye[None], eye[::-1][None], [[1.0]])
+        path = tmp_path / "universe.json"
         layers.save_universe(uni, path)
         loaded = layers.load_universe(path)
         assert np.array_equal(loaded.col_to, uni.col_to)
