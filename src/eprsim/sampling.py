@@ -7,15 +7,19 @@ spins carry the same flip (layer sign times s(ell)), so the product A*B
 depends only on the atom and is read from one table.  `run_experiment` and
 `chsh` therefore take no universe, only the order n: a trial is one double,
 they run in O(N) time for N trials and never draw the label, the offsets or
-the interval.  The sign of a trial's product is read from one code per
-bucket of u, exactly what `searchsorted` in the atom cumsum gives; only the
-few buckets that hold an atom boundary are searched.
+the interval.  The kernel reads the stream's raw 64-bit words, the ones
+`Generator.random` would turn into the doubles u = (w >> 11) * 2**-53, so a
+trial's bucket of u is the word's top bits, one shift.  The sign of a
+trial's product is read from one code per bucket, exactly what
+`searchsorted` in the atom cumsum gives; only the few buckets that hold an
+atom boundary are searched, at u rebuilt from the word.
 
 A product is +1 or -1, so a batch of N trials is summed up by P, its count
 of +1 products: its mean is (2P - N) / N and its sum of squared deviations
 4P(N - P) / N, and batches merge by adding counts.  A batch walks its
-trials in sub-chunks through buffers made once per batch, so no per-trial
-array outlives a sub-chunk.  Streams are numpy Generators;
+trials in sub-chunks of 2**15 through buffers made once per batch, and
+frees each sub-chunk's words before the next draw, so no per-trial array
+outlives a sub-chunk.  Streams are numpy Generators;
 experiments split a seed sequence per batch of BATCH trials, and `chsh`
 runs its four components, each on its own child seed, on up to
 min(4, os.cpu_count()) threads, so neither the sub-chunk size nor the worker
@@ -57,10 +61,13 @@ class ChshEstimate:
 
 # trials per batch, each on its own child stream of the run's seed
 BATCH = 1_000_000
-# trials per sub-chunk of a batch: its three buffers (the doubles, their
-# buckets and their codes) and temporaries stay near 0.3 MiB
-SUB_CHUNK = 1 << 14
-# buckets of u in [0, 1), a power of two so that u * GUIDE_BUCKETS is exact:
+# trials per sub-chunk of a batch: its words, their buckets and codes and
+# the temporaries stay near 0.6 MiB, and each numpy call is long enough for
+# `chsh`'s threads to overlap (README); 2**16 was no faster and peaked at
+# twice that
+SUB_CHUNK = 1 << 15
+# buckets of u in [0, 1), a power of two so that a word's bucket is its top
+# log2(GUIDE_BUCKETS) bits:
 # the diagonal cell law puts its mass on few atoms (at most 48 for random
 # settings up to n = 1e4), so few buckets hold an atom boundary and few
 # targets need the search
@@ -99,34 +106,44 @@ def _sign_table(mu: BaseMeasure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _plus_count(mu: BaseMeasure, size: int, rng) -> int:
     """How many of `size` trials have product A*B = +1, in O(size) time from
-    `size` doubles of `rng`; neither SUB_CHUNK nor GUIDE_BUCKETS changes a
-    number.
+    `size` words of `rng`, the ones `rng.random(size)` would read; neither
+    SUB_CHUNK nor GUIDE_BUCKETS changes a number.
 
     Both spins carry the same flip (layer sign times s(ell)), so the product
     is outcome[0, cell, half_a] * outcome[1, cell, half_b]: it depends on the
     drawn atom only, never on the label, interval or relocation, none of
-    which is drawn.  A draw's bucket code gives its sign; only the draws in
-    mixed buckets are searched, at (u * B) * (cum[-1] / B), B = GUIDE_BUCKETS:
-    both factors are exact power-of-two scalings, so it is u * cum[-1] bit
-    for bit."""
+    which is drawn.  A draw's double is u = (w >> 11) * 2**-53 of its word w,
+    so its bucket floor(u * B), B = GUIDE_BUCKETS, is w >> (64 - log2 B), and
+    the bucket code gives its sign; only the draws in mixed buckets are
+    searched, at (w >> 11) * (cum[-1] * 2**-53): w >> 11 < 2**53 converts
+    exactly and the scaling is a power of two, so it is u * cum[-1] bit for
+    bit.  A bit generator whose doubles are made otherwise (MT19937) is
+    refused before anything is drawn."""
+    bit_generator = rng.bit_generator
+    if isinstance(bit_generator, np.random.BitGenerator) and not isinstance(
+        bit_generator, (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64)
+    ):
+        raise ValueError(
+            f"the stream's bit generator must be PCG64, PCG64DXSM, Philox or SFC64, whose "
+            f"doubles are the top 53 bits of one word; got {type(bit_generator).__name__}"
+        )
     cum, plus, code = _sign_table(mu)
-    scale = cum[-1] / GUIDE_BUCKETS
+    scale = cum[-1] * 2.0**-53
+    shift = 65 - GUIDE_BUCKETS.bit_length()  # 64 - log2 B; at B = 1, numpy shifts by 64 to 0
     chunk = min(size, SUB_CHUNK)
-    scaled = np.empty(chunk)
     bucket = np.empty(chunk, dtype=np.intp)
     codes = np.empty(chunk, dtype=np.int8)
     count = 0
     for start in range(0, size, SUB_CHUNK):
         stop = min(SUB_CHUNK, size - start)
-        x, b, c = scaled[:stop], bucket[:stop], codes[:stop]
-        rng.random(out=x)
-        x *= GUIDE_BUCKETS  # u * B, exact
-        # x >= 0, so truncation is floor
-        np.copyto(b, x, casting="unsafe")
+        b, c = bucket[:stop], codes[:stop]
+        words = bit_generator.random_raw(stop)
+        # the top bits are below B <= 2**63, so the words of b are its intp values
+        np.right_shift(words, shift, out=b.view(np.uint64))
         np.take(code, b, out=c)
         count += int(np.count_nonzero(c == 1))
-        target = x[c == 2]
-        target *= scale
+        target = (words[c == 2] >> 11) * scale
+        del words  # else two sub-chunks' words are alive during the next draw
         count += int(np.count_nonzero(plus[np.searchsorted(cum, target, side="right")]))
     return count
 
@@ -206,10 +223,10 @@ def chsh(
     children = _as_seed_sequence(seed).spawn(4)
     pairs = ((a, b), (a, b2), (a2, b), (a2, b2))
     # numpy releases the GIL inside each draw, gather, search and ufunc, not
-    # between them, and the kernel's calls each cover one short sub-chunk:
-    # on a 2-vCPU VM two components ran 1.08x as fast on two threads as on
-    # one (README).  Each component's numbers depend only on its child seed,
-    # not on the thread
+    # between them, so threads overlap as far as the kernel's calls, one
+    # sub-chunk each, are long: on a 2-vCPU VM two components ran 1.21-1.48x as
+    # fast on two threads as on one (README).  Each component's numbers depend
+    # only on its child seed, not on the thread
     with ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
         futures = [
             pool.submit(run_experiment, n, x, y, trials, seed=child)

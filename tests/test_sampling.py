@@ -1,5 +1,6 @@
 import functools
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -265,7 +266,21 @@ class TestChsh:
         assert sampling.run_experiment(N, A, B45, 1_000, seed=seed) == plain
 
 
-class _TopOfRange:
+class _StubStream:
+    """A stub stream is its own bit generator: `random_raw(size)` gives the
+    word (m << 11) | 0x7FF of each next stub double u = m * 2**-53.  The low
+    11 bits, which a double drops, are all set, so a kernel that kept any of
+    them would miscount."""
+
+    @property
+    def bit_generator(self):
+        return self
+
+    def random_raw(self, size):
+        return (self.random(size) * 2.0**53).astype(np.uint64) << 11 | 0x7FF
+
+
+class _TopOfRange(_StubStream):
     """Stub stream: label 0 and the largest double below 1 for every uniform."""
 
     uniform = 1.0 - 2.0**-53
@@ -400,8 +415,9 @@ class TestSpinsMatchLayerDefinition:
 
 class TestBoundedMemory:
     def test_batch_peak_does_not_grow_with_its_size(self):
-        # sub-chunks share one buffer and keep no per-trial array: 1.8e6 more
-        # trials would add 1.7 MiB even as a bool array
+        # sub-chunks share two buffers, free their words before the next
+        # draw and keep no per-trial array: 1.8e6 more trials would add
+        # 1.7 MiB even as a bool array
         mu = measure.build_measure(A, B_CLEAN, 4)
         sampling._plus_count(mu, 1000, np.random.default_rng(3))  # first-call caches
         peaks = []
@@ -415,7 +431,7 @@ class TestBoundedMemory:
         assert peaks[1] - peaks[0] < 2**16
 
     def test_one_million_trial_batch_at_most_2_mib(self):
-        # the mc-chsh shape: 0.29 MiB, 1.02 MiB on a first call; a float64
+        # the mc-chsh shape: 0.57 MiB, 1.30 MiB on a first call; a float64
         # array of the products would take 7.63 MiB
         tracemalloc.start()
         try:
@@ -424,6 +440,21 @@ class TestBoundedMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2**20
+
+    def test_chsh_on_two_workers_at_most_1_5_mib(self, monkeypatch):
+        # the whole mc-chsh run, 4 x 1e6 trials on two threads, each with its
+        # sub-chunk's words, buckets and codes: 1.17 MiB after a warm-up; a
+        # 2**16 sub-chunk takes 2.29 MiB, and words kept alive into the next
+        # draw 1.60 MiB
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        sampling.chsh(N, A, A, B45, B_CLEAN, 1000, seed=7)  # first-call caches
+        tracemalloc.start()
+        try:
+            sampling.chsh(N, A, A, B45, B_CLEAN, 1_000_000, seed=7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 2**20
 
     def test_large_order_adds_no_per_cell_float_table(self):
         # at n = 1e5 a 1000-trial batch peaks at 0.11 MiB, nearly all of it
@@ -495,6 +526,28 @@ class TestLeanKernel:
         assert sampling._plus_count(mu, size, rng) == _plain_plus_count(mu, size, expected)
         assert rng.bit_generator.state == expected.bit_generator.state
 
+    @pytest.mark.parametrize(
+        "bit_generator", [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64]
+    )
+    def test_count_follows_every_stream_of_top_bit_doubles(self, bit_generator):
+        """On each bit generator whose double is the top 53 bits of one word,
+        the kernel's raw words give the plain layout's count and leave the
+        stream where its doubles would."""
+        mu = measure.build_measure(A, B45, 5)
+        size = 2 * sampling.SUB_CHUNK + 11
+        rng, expected = (np.random.Generator(bit_generator(17)) for _ in range(2))
+        assert sampling._plus_count(mu, size, rng) == _plain_plus_count(mu, size, expected)
+        np.testing.assert_equal(rng.bit_generator.state, expected.bit_generator.state)
+
+    def test_mt19937_is_refused_before_a_draw(self):
+        """MT19937 makes a double from two 32-bit words, so its raw words
+        are not its doubles: the kernel refuses it and draws nothing."""
+        rng = np.random.Generator(np.random.MT19937(17))
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="MT19937"):
+            sampling._plus_count(MU_45, 100, rng)
+        np.testing.assert_equal(rng.bit_generator.state, state)
+
 
 class TestAtomLaw:
     @settings(max_examples=25, deadline=None)
@@ -532,7 +585,7 @@ def _bucket_edges(buckets):
     return np.stack((low, low + (1 / buckets - 2.0**-53)), axis=1).ravel()
 
 
-class _BucketEdges:
+class _BucketEdges(_StubStream):
     """Stub stream: the 2 * GUIDE_BUCKETS bucket edges, in order, across
     calls."""
 
