@@ -19,7 +19,6 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -313,7 +312,9 @@ def cmd_chsh(args):
 
 
 def cmd_poisson(args):
-    # checked before the stream is touched or the gate's worker started
+    # checked before the stream is touched
+    if not (math.isfinite(args.theta) and args.theta > 0.0):
+        raise ConfigError(f"--theta must be finite and positive (got {args.theta})")
     for flag in ("p1", "p2"):
         p = getattr(args, flag)
         if not 0.0 < p <= 1.0:
@@ -327,22 +328,23 @@ def cmd_poisson(args):
             f"largest float64; lower either"
         ) from exc
     # The trace takes the stream's first k doubles and the gate, which labels
-    # its parts, the 2k readiness draws after them.  The gate runs on one
-    # worker thread while this thread sorts the parts for their discrepancies,
-    # and numpy's sort releases the GIL.  The pool is joined before any error
-    # leaves the block, and the gate's own errors surface at `result()`.
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        gate_run = pool.submit(detector_gate, args.p1, args.p2, args.labels, fracs, rng)
-        stats = discrepancy_stats(fracs)
-        prefix_ks = [k for k in (10**e for e in range(3, 10)) if k < args.k] + [args.k]
-        # the last prefix is the whole trace, whose D* the one sort above gave
-        stars = [star_discrepancy(fracs[:k]) for k in prefix_ks[:-1]] + [stats.star]
-        gate = gate_run.result()
+    # its parts in emission order, the 2k readiness draws after them.  Each
+    # prefix, the whole trace last, is then sorted in place for its D*: it
+    # holds the same points however a shorter one was reordered.
+    gate = detector_gate(args.p1, args.p2, args.labels, fracs, rng)
     if not gate.gated_counts.any():
         raise ConfigError(
             f"no emission passed the detector gate at --k {args.k}, --p1 {args.p1} and "
             f"--p2 {args.p2}; raise --k or the readiness probabilities"
         )
+    prefix_ks = [k for k in (10**e for e in range(3, 10)) if k < args.k] + [args.k]
+    stars = []
+    for k in prefix_ks[:-1]:
+        fracs[:k].sort()
+        stars.append(star_discrepancy(fracs[:k]))
+    fracs.sort()
+    stats = discrepancy_stats(fracs)
+    stars.append(stats.star)
     stat_u, dof = uniform_chi_square(gate.ungated_counts)
     stat_g, _ = uniform_chi_square(gate.gated_counts)
     quantile = chi_square_quantile(0.999, dof)

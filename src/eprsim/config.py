@@ -43,8 +43,8 @@ MAXIMUMS = {
     "L": BUDGET // 8,
     # splines: each grid x grid float64 surface
     "grid": math.isqrt(BUDGET // 8),
-    # poisson: the float64 fractional parts of k emission times, and their
-    # sorted copy (the gate and the times themselves go chunk by chunk)
+    # poisson: the k float64 fractional parts, sorted in place, are its one
+    # k-float array: tracemalloc peak +8.0 B per k (k = 2e6 to 4e6, numpy 2.4)
     "k": BUDGET // 8,
     # poisson: the gate's 2N-bin counts, then the label counts and their
     # chi-square temporaries; the whole command's tracemalloc peak grows by

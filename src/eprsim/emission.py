@@ -3,22 +3,21 @@
 Emission times are partial sums of exponential waits; wrapped around the
 unit-circumference circle their fractional parts become uniform, which is
 what justifies reading the label off the arrival time.  Discrepancies are
-computed exactly from one sort of the points at every size: the one-sided
-parts D+ and D- give the star (anchored) form D* = max(D+, D-) by the
-classical order-statistic formula and the extreme form D = D+ + D-.
+computed exactly from the points in ascending order at every size: the
+one-sided parts D+ and D- give the star (anchored) form D* = max(D+, D-) by
+the classical order-statistic formula and the extreme form D = D+ + D-.
 
 One kernel makes the times, `CHUNK` at a time, in the buffer that receives
 their fractional parts: uniforms, waits -theta*log1p(-U) and their running
 sum are formed in place, the sum carrying the time reached so far into its
 first term.  numpy's cumsum adds in sequence, so every part is that of the
 whole-trace cumsum to the bit.  `generate_trace` keeps only the k fractional
-parts; the discrepancies read the sorted points chunk by chunk.
-`detector_gate` labels those same parts, floor({x} * N) + 1, and counts the
-labels and readiness in a few buffers of one `GATE_CHUNK` each, made once,
-adding each chunk's keys into 2N counts with `np.add.at`.  `poisson` makes
-the trace, then runs the gate on a worker thread beside the discrepancies,
-so a run holds at most two arrays of k floats, the parts and their sorted
-copy, plus under 1 MiB of gate buffers.
+parts, in an array the caller owns; the discrepancies read points chunk by
+chunk, sorting a copy only of points not already ascending.  `detector_gate`
+labels those same parts, floor({x} * N) + 1, and counts the labels and
+readiness in a few buffers of one `GATE_CHUNK` each, made once, adding each
+chunk's keys into 2N counts with `np.add.at`.  `poisson` gates the trace,
+then sorts it in place, so a run holds one array of k floats.
 
 The package imports only numpy and the standard library when it loads.
 scipy serves one function, `chi_square_quantile` (the `poisson` command),
@@ -66,8 +65,8 @@ def _block(rng, size: int):
 def generate_trace(theta: float, k: int, rng: np.random.Generator) -> np.ndarray:
     """k exponential waits with mean theta, by inverse transform
     -theta*log(1-U), reduced to the fractional parts of their running sums,
-    returned read-only.  Draws k doubles of `rng`.  Raises OverflowError if
-    a time passes the largest float64."""
+    in a new array the caller may write.  Draws k doubles of `rng`.  Raises
+    OverflowError if a time passes the largest float64."""
     if not (math.isfinite(theta) and theta > 0.0):
         raise ValueError(f"theta must be finite and positive, got {theta}")
     if k < 1:
@@ -88,7 +87,6 @@ def generate_trace(theta: float, k: int, rng: np.random.Generator) -> np.ndarray
         if not math.isfinite(time):
             raise OverflowError(f"emission times at theta {theta} pass the largest float64")
         part -= np.floor(part)
-    fracs.setflags(write=False)
     return fracs
 
 
@@ -102,22 +100,32 @@ def _checked_points(points) -> np.ndarray:
     return pts
 
 
-def _sorted_parts(points) -> tuple[np.ndarray, float, float]:
-    """Sorted points and the one-sided parts D+ = max_i (i/k - x_(i)) and
-    D- = max_i (x_(i) - (i-1)/k), each at least 0."""
-    pts = np.sort(_checked_points(points))
+def _sorted_parts(points) -> tuple[int, float, float]:
+    """Size and the one-sided parts D+ = max_i (i/k - x_(i)) and
+    D- = max_i (x_(i) - (i-1)/k), each at least 0.  Points not already
+    ascending are sorted in a copy; the caller's array is never written."""
+    pts = _checked_points(points)
+    # each chunk overlaps the next by one point, so every adjacent pair is read
+    chunks = (pts[lo : lo + CHUNK + 1] for lo in range(0, pts.size - 1, CHUNK))
+    if any(np.less(c[1:], c[:-1]).any() for c in chunks):
+        pts = np.sort(pts)
     k = pts.size
+    size = min(k, CHUNK)
+    # a chunk's indices i as floats; one buffer for i/k and each difference
+    index, grid = np.arange(1.0, size + 1), np.empty(size)
     d_plus = d_minus = 0.0
-    for lo in range(0, k, CHUNK):
-        part = pts[lo : lo + CHUNK]
-        grid = np.arange(lo + 1, lo + part.size + 1) / k
-        d_plus = max(d_plus, float((grid - part).max()))
-        d_minus = max(d_minus, float((part - (grid - 1.0 / k)).max()))
-    return pts, d_plus, d_minus
+    for lo in range(0, k, size):
+        part = pts[lo : lo + size]
+        i, g = index[: part.size], grid[: part.size]
+        d_plus = max(d_plus, float(np.subtract(np.divide(i, k, out=g), part, out=g).max()))
+        np.subtract(np.divide(i, k, out=g), 1.0 / k, out=g)
+        d_minus = max(d_minus, float(np.subtract(part, g, out=g).max()))
+        index += size
+    return k, d_plus, d_minus
 
 
 def star_discrepancy(points) -> float:
-    """Exact anchored discrepancy D*_k from the sorted points:
+    """Exact anchored discrepancy D*_k from the points in ascending order:
     max_i max(i/k - x_(i), x_(i) - (i-1)/k) = max(D+, D-)."""
     _, d_plus, d_minus = _sorted_parts(points)
     return max(d_plus, d_minus)
@@ -125,9 +133,9 @@ def star_discrepancy(points) -> float:
 
 @dataclass(frozen=True)
 class DiscrepancyStats:
-    """Summary of one point set from one sort: size, the star discrepancy
-    D* = max(D+, D-), and the extreme discrepancy D = D+ + D- over all
-    half-open subintervals of [0, 1) (Niederreiter 1992, ch. 2)."""
+    """Summary of one point set from one ascending scan: size, the star
+    discrepancy D* = max(D+, D-), and the extreme discrepancy D = D+ + D-
+    over all half-open subintervals of [0, 1) (Niederreiter 1992, ch. 2)."""
 
     k: int
     star: float
@@ -135,19 +143,16 @@ class DiscrepancyStats:
 
 
 def discrepancy_stats(points) -> DiscrepancyStats:
-    pts, d_plus, d_minus = _sorted_parts(points)
-    return DiscrepancyStats(k=int(pts.size), star=max(d_plus, d_minus), extreme=d_plus + d_minus)
+    k, d_plus, d_minus = _sorted_parts(points)
+    return DiscrepancyStats(k=k, star=max(d_plus, d_minus), extreme=d_plus + d_minus)
 
 
 @dataclass(frozen=True)
 class RateFit:
     """Log-log fit of the star discrepancy against the sample size."""
 
-    ks: tuple[int, ...]
     star_values: tuple[float, ...]
     slope: float
-    intercept: float
-    residuals: tuple[float, ...]
 
 
 def fit_rate(ks, star_values) -> RateFit:
@@ -161,15 +166,8 @@ def fit_rate(ks, star_values) -> RateFit:
         raise ValueError("discrepancy values must be positive")
     logk = np.log(np.asarray(ks, dtype=float))
     logd = np.log(np.asarray(stars, dtype=float))
-    slope, intercept = np.polyfit(logk, logd, 1)
-    resid = logd - (slope * logk + intercept)
-    return RateFit(
-        ks=ks,
-        star_values=stars,
-        slope=float(slope),
-        intercept=float(intercept),
-        residuals=tuple(float(r) for r in resid),
-    )
+    slope, _ = np.polyfit(logk, logd, 1)
+    return RateFit(star_values=stars, slope=float(slope))
 
 
 @dataclass(frozen=True)

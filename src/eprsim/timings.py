@@ -5,9 +5,8 @@ does no extra work.  The timer wraps the library functions the CLI calls in
 stages named like the benchmark tracer's spans (`layers.load_universe`,
 `sampling.run_experiment`, ...) and the whole command in `cmd.<name>`.  A
 stage's time includes the stages it calls.  Stages may run at once on
-several threads (`chsh`'s components, `poisson`'s gate beside its trace), so
-their times may overlap and sum to more than `cmd.<name>`.  Reports never
-depend on it.
+several threads (`chsh`'s components), so their times may overlap and sum to
+more than `cmd.<name>`.  Reports never depend on it.
 """
 
 from __future__ import annotations

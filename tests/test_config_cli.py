@@ -551,6 +551,24 @@ class TestCliSizeBudget:
         slope = (peaks[1] - peaks[0]) / 150_000
         assert slope * config.MAXIMUMS["labels"] <= config.BUDGET, slope
 
+    def test_k_cap_keeps_the_poisson_peak_within_the_budget(self, capsys):
+        # the whole command's peak at two trace lengths: one array of k
+        # floats, each prefix sorted in place, so about the 8 bytes per k
+        # that the cap of BUDGET // 8 assumes
+        argv = ["poisson", "--theta", "1", "--labels", "50", "--seed", "1"]
+        assert run_cli(capsys, *argv, "--k", "1000")[0] == 0  # first-call imports
+        peaks = []
+        for k in (2_000_000, 4_000_000):
+            tracemalloc.start()
+            try:
+                code, _, err = run_cli(capsys, *argv, "--k", str(k))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0, err
+        slope = (peaks[1] - peaks[0]) / 2_000_000
+        assert slope <= 8.25, slope
+
     @pytest.mark.parametrize("command", sorted(MEASURE_RUNS))
     def test_n_cap_keeps_the_measure_peak_within_the_budget(self, capsys, monkeypatch, command):
         # the peak per unit of n at two sizes, scaled to the cap; chsh builds
@@ -994,14 +1012,18 @@ class TestCliPoisson:
         assert rows[0] == "k,star_discrepancy"
         assert len(rows) >= 3
 
-    @pytest.mark.parametrize("theta", ["-1", "0", "nan", "inf", "-inf"])
-    def test_bad_theta_exits_2_naming_it(self, capsys, tmp_path, theta):
+    @pytest.mark.parametrize("theta", ["-1", "0", "-0.0", "nan", "inf", "-inf"])
+    def test_bad_theta_exits_2_naming_it(self, capsys, monkeypatch, tmp_path, theta):
+        def not_reached(*args, **kwargs):
+            raise AssertionError("a bad --theta reached the trace")
+
+        monkeypatch.setattr(cli, "generate_trace", not_reached)
         out_path = tmp_path / "report.json"
         argv = ["poisson", f"--theta={theta}", "--k", "100", "--labels", "5", "--seed", "1"]
         code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
         assert code == 2
         assert out == ""
-        assert err.startswith("error: theta must be finite and positive, got ")
+        assert err == f"error: --theta must be finite and positive (got {float(theta)})\n"
         assert not out_path.exists()
 
 
@@ -1039,9 +1061,9 @@ class TestCliPoisson:
         assert err.count("\n") == 1
         assert not out_path.exists()
 
-    def test_command_peaks_below_three_emission_arrays(self, capsys):
-        # the parts of one million emission times and their sorted copy are
-        # 15.3 MiB; three such arrays are 22.9 MiB
+    def test_command_peaks_below_two_emission_arrays(self, capsys):
+        # the parts of one million emission times, sorted in place, are
+        # 7.6 MiB; a second such array would take the run past 15.3 MiB
         argv = ["poisson", "--theta", "1", "--k", "1000000", "--labels", "50",
                 "--p1", "0.5", "--p2", "0.5", "--seed", "5"]
         assert run_cli(capsys, *argv, "--k", "1000")[0] == 0  # imports scipy.special
@@ -1052,7 +1074,7 @@ class TestCliPoisson:
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak <= 24 * 2**20
+        assert peak <= 12 * 2**20
 
     @pytest.mark.parametrize("flag", ["p1", "p2"])
     @pytest.mark.parametrize("value", ["0", "-0.5", "1.5", "nan", "inf"])
@@ -1063,7 +1085,7 @@ class TestCliPoisson:
             raise AssertionError("a bad readiness probability reached the draws")
 
         monkeypatch.setattr(cli, "generate_trace", not_reached)
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", not_reached)
+        monkeypatch.setattr(cli, "detector_gate", not_reached)
         out_path = tmp_path / "report.json"
         argv = ["poisson", "--theta", "1", "--k", "100", "--labels", "5", "--seed", "1"]
         code, out, err = run_cli(capsys, *argv, f"--{flag}={value}", "--out", str(out_path))
@@ -1097,32 +1119,31 @@ class TestCliPoisson:
               "--p2", "0.0001"], 2),
         ],
     )
-    def test_gate_worker_is_joined_on_every_exit(self, capsys, argv, code):
-        baseline = threading.active_count()
+    def test_poisson_starts_no_thread(self, capsys, monkeypatch, argv, code):
+        started = []
+
+        def refuse(thread):
+            started.append(thread.name)
+            raise AssertionError("poisson started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
         assert run_cli(capsys, "poisson", *argv)[0] == code
-        assert threading.active_count() == baseline
+        assert started == []
 
-    def test_error_on_the_discrepancy_side_waits_for_the_gate(self, capsys, monkeypatch):
-        finished = []
-
-        def gate(*args):
-            result = emission.detector_gate(*args)
-            finished.append(result.total)
-            return result
-
+    @pytest.mark.parametrize("stage", ["star_discrepancy", "discrepancy_stats"])
+    def test_discrepancy_error_exits_2_writing_nothing(self, capsys, monkeypatch, tmp_path, stage):
         def refuse(points):
             raise ValueError("the discrepancies refuse the trace")
 
-        monkeypatch.setattr(cli, "detector_gate", gate)
-        monkeypatch.setattr(cli, "discrepancy_stats", refuse)
-        baseline = threading.active_count()
-        argv = ["poisson", "--theta", "1", "--k", "1000000", "--labels", "5", "--seed", "1"]
+        monkeypatch.setattr(cli, stage, refuse)
+        out_path, csv_path = tmp_path / "report.json", tmp_path / "decay.csv"
+        argv = ["poisson", "--theta", "1", "--k", "100000", "--labels", "5", "--seed", "1",
+                "--out", str(out_path), "--csv", str(csv_path)]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err == "error: the discrepancies refuse the trace\n"
-        assert finished == [1_000_000]
-        assert threading.active_count() == baseline
+        assert not (out_path.exists() or csv_path.exists())
 
     @pytest.mark.parametrize("labels", [2, 7, 50])
     @pytest.mark.parametrize("theta, k, seed", [("1", 5000, 10), ("0.37", CHUNK + 1, 17)])

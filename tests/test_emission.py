@@ -282,7 +282,8 @@ class TestChunkedKernel:
         got = emission.generate_trace(theta, k, np.random.default_rng(61))
         _, _, fracs = emission_times(theta, k, np.random.default_rng(61))
         assert got.tobytes() == fracs.tobytes()
-        assert not got.flags.writeable
+        # the caller's own array, which `poisson` sorts in place
+        assert got.flags.writeable and got.flags.owndata
 
     @pytest.mark.parametrize("labels", [7, 2 * CHUNK + 3])
     @pytest.mark.parametrize("theta", THETAS)
@@ -341,6 +342,27 @@ class TestChunkedKernel:
         d_plus, d_minus = one_sided_discrepancies(pts)
         assert d_plus == pytest.approx(0.8 / k) and d_minus == pytest.approx(0.7 / k)
         assert (stats.star, stats.extreme) == (d_plus, d_plus + d_minus)
+
+    @pytest.mark.parametrize("k", CHUNK_SIZES)
+    def test_stats_alike_on_sorted_and_shuffled_points(self, k):
+        fracs = emission.generate_trace(1.0, k, np.random.default_rng(72))
+        before = fracs.tobytes()
+        shuffled = emission.discrepancy_stats(fracs)
+        assert fracs.tobytes() == before
+        fracs.sort()
+        assert repr(emission.discrepancy_stats(fracs)) == repr(shuffled)
+
+    # one descent on either side of a chunk edge of the ascending check; on
+    # the centred grid, read unsorted, it would raise D- from 1/(2k) to 3/(2k)
+    @pytest.mark.parametrize("at", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 16])
+    def test_one_descent_is_sorted_in_a_copy(self, at):
+        k = 3 * CHUNK + 17
+        pts = (np.arange(k) + 0.5) / k
+        expected = repr(emission.discrepancy_stats(pts))
+        pts[[at - 1, at]] = pts[[at, at - 1]]
+        before = pts.tobytes()
+        assert repr(emission.discrepancy_stats(pts)) == expected
+        assert pts.tobytes() == before
 
 
 class TestStreamPosition:
