@@ -27,11 +27,12 @@ and `poisson` loads `scipy.special` but not `scipy.stats`.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .streams import advanced_copy
 
 # emission times per chunk of the trace kernel and the discrepancy scan: a
 # chunk's float64 temporaries stay near 0.5 MiB
@@ -40,26 +41,6 @@ CHUNK = 1 << 16
 # bytes per emission, stay near 0.3 MiB at any label count while `poisson`
 # holds a trace beside it
 GATE_CHUNK = 1 << 14
-
-
-def _block(rng, size: int):
-    """A copy of `rng` advanced by `size` doubles; `rng` itself does not
-    move.  Any numpy bit generator but PCG64 and PCG64DXSM, whose `advance`
-    counts 64-bit words, one per double, is refused before anything is
-    copied: MT19937 and SFC64 cannot advance, and Philox advances by blocks
-    of four words."""
-    # np.random is named here, not at import: numpy loads it on first use
-    bit_generator = rng.bit_generator
-    if isinstance(bit_generator, np.random.BitGenerator) and not isinstance(
-        bit_generator, (np.random.PCG64, np.random.PCG64DXSM)
-    ):
-        raise ValueError(
-            f"the stream's bit generator must be PCG64 or PCG64DXSM, whose advance "
-            f"counts doubles; got {type(bit_generator).__name__}"
-        )
-    stream = copy.deepcopy(rng)
-    stream.bit_generator.advance(size)
-    return stream
 
 
 def generate_trace(theta: float, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -206,7 +187,7 @@ def detector_gate(p1: float, p2: float, label_count: int, fracs, rng) -> GateRes
         raise ValueError("label count must be >= 1")
     fracs = _checked_points(fracs)
     k = fracs.size
-    ready2 = _block(rng, k)
+    ready2 = advanced_copy(rng, k)
     # every buffer is made once, one chunk long; `np.add.at` adds a chunk's
     # keys in place, so no buffer grows with the label count
     size = min(k, GATE_CHUNK)

@@ -2,28 +2,38 @@
 
 A trial draws its cell and both half-cells by inverse transform, as one
 atom (cell, half_a, half_b) of mass m_c / 4 over the positive-mass cells,
-from one double, so the sampler targets the exact normalized cell law.  Both
-spins carry the same flip (layer sign times s(ell)), so the product A*B
-depends only on the atom and is read from one table.  `run_experiment` and
-`chsh` therefore take no universe, only the order n: a trial is one double,
-they run in O(N) time for N trials and never draw the label, the offsets or
-the interval.  The kernel reads the stream's raw 64-bit words, the ones
-`Generator.random` would turn into the doubles u = (w >> 11) * 2**-53, so a
-trial's bucket of u is the word's top bits, one shift.  The sign of a
-trial's product is read from one code per bucket, exactly what
-`searchsorted` in the atom cumsum gives; only the few buckets that hold an
-atom boundary are searched, at u rebuilt from the word.
+from one uniform u = x * 2**-53, x a 53-bit numerator, so the sampler
+targets the exact normalized cell law.  Both spins carry the same flip
+(layer sign times s(ell)), so the product A*B depends only on the atom and
+is read from one table.  `run_experiment` and `chsh` therefore take no
+universe, only the order n: they run in O(N) time for N trials and never
+draw the label, the offsets or the interval.
+
+The kernel reads only the bits of x that decide the atom (Knuth and Yao).
+One raw 64-bit word of the stream feeds four trials: lane j of the word is
+its bits 16j .. 16j + 15, and a trial's bucket of u is its lane's top 12
+bits, the top 12 bits of x.  The sign of a trial's product is read from one
+code per bucket, what `searchsorted` in the atom cumsum gives for every u
+of the bucket.  Only a trial in one of the few buckets that hold an atom
+boundary takes the low 41 bits of x, the top bits of one refinement word,
+and is searched.  A batch of N trials reads ceil(N / 4) lane words, then
+the refinement words, one per refined trial in trial order, from a copy of
+its stream advanced past the lane words.  Lanes and refinement words are
+independent and uniform, so every trial's x is uniform on its 2**53 values
+whether or not its low bits were drawn: the atom law is that of the
+doubles of `Generator.random`, and only the stream's mapping to trials
+differs from theirs.
 
 A product is +1 or -1, so a batch of N trials is summed up by P, its count
 of +1 products: its mean is (2P - N) / N and its sum of squared deviations
 4P(N - P) / N, and batches merge by adding counts.  A batch walks its
-trials in sub-chunks of 2**15 through buffers made once per batch, and
-frees each sub-chunk's words before the next draw, so no per-trial array
-outlives a sub-chunk.  Streams are numpy Generators;
-experiments split a seed sequence per batch of BATCH trials, and `chsh`
-runs its four components, each on its own child seed, on up to
-min(4, os.cpu_count()) threads, so neither the sub-chunk size nor the worker
-count changes a number.
+trials in sub-chunks of 2**15, 2**13 lane words, through buffers made once
+per batch, and settles the refined trials together once 2**10 of them
+wait, so no per-trial array outlives a sub-chunk or such a settlement.
+Streams are numpy Generators; experiments split a seed sequence per batch
+of BATCH trials, and `chsh` runs its four components, each on its own child
+seed, on up to min(4, os.cpu_count()) threads, so neither the sub-chunk
+size nor the worker count changes a number.
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measure import BaseMeasure, build_measure
+from .streams import advanced_copy
 
 
 @dataclass(frozen=True)
@@ -61,13 +72,18 @@ class ChshEstimate:
 
 # trials per batch, each on its own child stream of the run's seed
 BATCH = 1_000_000
-# trials per sub-chunk of a batch: its words, their buckets and codes and
-# the temporaries stay near 0.6 MiB, and each numpy call is long enough for
-# `chsh`'s threads to overlap (README); 2**16 was no faster and peaked at
-# twice that
+# trials per sub-chunk of a batch, a multiple of 4: its 64 KiB of lane
+# words, 256 KiB of buckets, its codes and the temporaries stay near
+# 0.4 MiB; 2**16 ran `chsh` faster but lifted its peak RSS by about 0.6 MB
 SUB_CHUNK = 1 << 15
-# buckets of u in [0, 1), a power of two so that a word's bucket is its top
-# log2(GUIDE_BUCKETS) bits:
+# mixed trials refined together: once this many wait, their refinement
+# words, targets and searches (about 33 bytes a trial) are made at once, so
+# a batch makes a few such calls, not one set per sub-chunk, and their
+# temporaries do not grow with the batch
+REFINE_BATCH = 1 << 10
+# buckets of u in [0, 1), a power of two up to 2**16 so that a trial's
+# bucket is the top log2(GUIDE_BUCKETS) bits of its 16-bit lane; it decides
+# which trials take a refinement word, so it is part of the stream mapping:
 # the diagonal cell law puts its mass on few atoms (at most 48 for random
 # settings up to n = 1e4), so few buckets hold an atom boundary and few
 # targets need the search
@@ -106,45 +122,53 @@ def _sign_table(mu: BaseMeasure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _plus_count(mu: BaseMeasure, size: int, rng) -> int:
     """How many of `size` trials have product A*B = +1, in O(size) time from
-    `size` words of `rng`, the ones `rng.random(size)` would read; neither
-    SUB_CHUNK nor GUIDE_BUCKETS changes a number.
+    ceil(size / 4) lane words of `rng` and one refinement word per trial in
+    a mixed bucket; neither SUB_CHUNK nor REFINE_BATCH changes a number.
 
     Both spins carry the same flip (layer sign times s(ell)), so the product
     is outcome[0, cell, half_a] * outcome[1, cell, half_b]: it depends on the
     drawn atom only, never on the label, interval or relocation, none of
-    which is drawn.  A draw's double is u = (w >> 11) * 2**-53 of its word w,
-    so its bucket floor(u * B), B = GUIDE_BUCKETS, is w >> (64 - log2 B), and
-    the bucket code gives its sign; only the draws in mixed buckets are
-    searched, at (w >> 11) * (cum[-1] * 2**-53): w >> 11 < 2**53 converts
-    exactly and the scaling is a power of two, so it is u * cum[-1] bit for
-    bit.  A bit generator whose doubles are made otherwise (MT19937) is
-    refused before anything is drawn."""
-    bit_generator = rng.bit_generator
-    if isinstance(bit_generator, np.random.BitGenerator) and not isinstance(
-        bit_generator, (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64)
-    ):
-        raise ValueError(
-            f"the stream's bit generator must be PCG64, PCG64DXSM, Philox or SFC64, whose "
-            f"doubles are the top 53 bits of one word; got {type(bit_generator).__name__}"
-        )
+    which is drawn.  Trial t reads lane j = t % 4 of lane word t // 4, the
+    word's bits 16j .. 16j + 15; with B = GUIDE_BUCKETS = 2**k, its bucket
+    b is the lane's top k bits, and the bucket code gives its sign.  A trial
+    in a mixed bucket takes the next refinement word r, from a copy of `rng`
+    advanced past the lane words, and is searched at its numerator
+    x = (b << (53 - k)) | (r >> (11 + k)) times cum[-1] * 2**-53: x < 2**53
+    converts exactly and the scaling is a power of two, so the target is
+    u * cum[-1] bit for bit.  Such trials are settled in trial order,
+    together once REFINE_BATCH of them wait, and at the end.  `rng` is left
+    past the lane words and the refinement words.  A bit generator whose
+    `advance` does not count words is refused before anything is drawn."""
+    refine = advanced_copy(rng, -(-size // 4))
     cum, plus, code = _sign_table(mu)
     scale = cum[-1] * 2.0**-53
-    shift = 65 - GUIDE_BUCKETS.bit_length()  # 64 - log2 B; at B = 1, numpy shifts by 64 to 0
-    chunk = min(size, SUB_CHUNK)
+    k = GUIDE_BUCKETS.bit_length() - 1
+    step = SUB_CHUNK & ~3  # trials per sub-chunk, whole lane words
+    chunk = min(size, step)
     bucket = np.empty(chunk, dtype=np.intp)
     codes = np.empty(chunk, dtype=np.int8)
-    count = 0
-    for start in range(0, size, SUB_CHUNK):
-        stop = min(SUB_CHUNK, size - start)
+    count = refined = 0
+    # the buckets of the mixed trials not yet refined, in trial order
+    pending, waiting = [], 0
+    for start in range(0, size, step):
+        stop = min(step, size - start)
         b, c = bucket[:stop], codes[:stop]
-        words = bit_generator.random_raw(stop)
-        # the top bits are below B <= 2**63, so the words of b are its intp values
-        np.right_shift(words, shift, out=b.view(np.uint64))
+        words = rng.bit_generator.random_raw(-(-stop // 4))
+        # lane j of a word is its bits 16j .. 16j + 15 on any host
+        np.right_shift(words.astype("<u8", copy=False).view("<u2")[:stop], 16 - k, out=b)
+        del words  # else two sub-chunks' words are alive during the next draw
         np.take(code, b, out=c)
         count += int(np.count_nonzero(c == 1))
-        target = (words[c == 2] >> 11) * scale
-        del words  # else two sub-chunks' words are alive during the next draw
-        count += int(np.count_nonzero(plus[np.searchsorted(cum, target, side="right")]))
+        pending.append(b[c == 2])
+        waiting += pending[-1].size
+        if waiting >= REFINE_BATCH or start + stop == size:
+            x = np.concatenate(pending)
+            x <<= 53 - k
+            x |= (refine.bit_generator.random_raw(waiting) >> (11 + k)).view(np.intp)
+            count += int(np.count_nonzero(plus[np.searchsorted(cum, x * scale, side="right")]))
+            refined += waiting
+            pending, waiting = [], 0
+    rng.bit_generator.advance(refined)
     return count
 
 
@@ -224,7 +248,7 @@ def chsh(
     pairs = ((a, b), (a, b2), (a2, b), (a2, b2))
     # numpy releases the GIL inside each draw, gather, search and ufunc, not
     # between them, so threads overlap as far as the kernel's calls, one
-    # sub-chunk each, are long: on a 2-vCPU VM two components ran 1.21-1.48x as
+    # sub-chunk each, are long: on a 2-vCPU VM two components ran 1.15-1.28x as
     # fast on two threads as on one (README).  Each component's numbers depend
     # only on its child seed, not on the thread
     with ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:

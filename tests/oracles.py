@@ -9,6 +9,7 @@ None of it shares code with the package paths it checks.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 
@@ -373,10 +374,11 @@ def joint_density(universe, mu, u: float, v: float, w: float, m: int) -> float:
 
 # --- the sampler's stream, read by the definitions ----------------------------
 #
-# A batch of `size` trials takes from its stream one block of atom uniforms,
-# the labels, then one block each of the offsets du and dv inside the drawn
-# half-cells, the interval uniforms and the offsets dw inside the drawn
-# intervals.
+# A batch of `size` trials takes from its stream the atom block: ceil(size / 4)
+# lane words, then one refinement word for each trial whose lane's bucket
+# holds an atom boundary, in trial order.  Then come the labels and one block
+# each of the offsets du and dv inside the drawn half-cells, the interval
+# uniforms and the offsets dw inside the drawn intervals.
 
 
 def plain_atoms(mu, u):
@@ -386,6 +388,39 @@ def plain_atoms(mu, u):
     pos = np.flatnonzero(mu.cell_masses)
     cum = np.cumsum(np.repeat(mu.cell_masses[pos] / 4, 4))
     atom = np.searchsorted(cum, u * cum[-1], side="right")
+    return pos[atom // 4], atom // 2 % 2, atom % 2
+
+
+def lane_atoms(mu, size: int, rng, buckets: int = 4096):
+    """The cell positions and half-cells of `size` trials of the atom block,
+    one trial at a time.  Trial t reads bits 16j .. 16j + 15, j = t % 4, of
+    lane word t // 4; its bucket b is the lane's top log2(buckets) bits, and
+    its 53-bit numerator x lies in [b << s, (b + 1) << s), s = 53 -
+    log2(buckets).  Where `bisect_right` in the atom cumsum finds one atom
+    at both ends of that range, that is the trial's atom; otherwise x is
+    b << s plus the top s bits of the trial's refinement word, the next word
+    after the lane words, and the atom is found at x * 2**-53 times the
+    total."""
+    pos = np.flatnonzero(mu.cell_masses)
+    cum = np.cumsum(np.repeat(mu.cell_masses[pos] / 4, 4)).tolist()
+    scale = cum[-1] * 2.0**-53
+    k = buckets.bit_length() - 1
+    s = 53 - k
+    words = rng.bit_generator.random_raw(-(-size // 4)).tolist()
+    found = {}  # bucket -> its one atom, or None where the ends differ
+    atoms = []
+    for t in range(size):
+        bucket = (words[t // 4] >> (16 * (t % 4)) & 0xFFFF) >> (16 - k)
+        if bucket not in found:
+            first = bisect.bisect_right(cum, (bucket << s) * scale)
+            last = bisect.bisect_right(cum, ((bucket + 1 << s) - 1) * scale)
+            found[bucket] = first if first == last else None
+        atom = found[bucket]
+        if atom is None:
+            refinement = int(rng.bit_generator.random_raw(1)[0])
+            atom = bisect.bisect_right(cum, ((bucket << s) + (refinement >> (64 - s))) * scale)
+        atoms.append(atom)
+    atom = np.array(atoms, dtype=np.int64)
     return pos[atom // 4], atom // 2 % 2, atom % 2
 
 
@@ -406,7 +441,7 @@ def draw_batch(universe, mu, size: int, rng) -> dict:
     pair's weight cumsum, so zero weights are never drawn.  u and v lie in
     the drawn half-cells of the relocated column and row, and floor(w * L)
     is ell - 1."""
-    cell, half_a, half_b = plain_atoms(mu, rng.random(size))
+    cell, half_a, half_b = lane_atoms(mu, size, rng)
     m0 = rng.integers(0, universe.label_count, size=size)
     du, dv, interval_u, dw = (rng.random(size) for _ in range(4))
     pair = m0 // 2

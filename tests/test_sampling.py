@@ -11,7 +11,14 @@ from scipy import stats as sstats
 
 from eprsim import layers, measure, sampling
 
-from oracles import draw_batch, inside_bins, layer_density, plain_atoms
+from oracles import (
+    draw_batch,
+    inside_bins,
+    lane_atoms,
+    layer_density,
+    plain_atoms,
+    random_unit_vector,
+)
 from strategies import edge_cases
 
 A = measure.as_setting([1.0, 0.0, 0.0])
@@ -31,9 +38,14 @@ MU_CLEAN = measure.build_measure(A, B_CLEAN, N)
 MU_45 = measure.build_measure(A, B45, N)
 
 
-def _plain_plus_count(mu, size, rng):
-    """The number of +1 products among `size` trials of the plain layout."""
-    cell, half_a, half_b = plain_atoms(mu, rng.random(size))
+def _plain_plus_count(mu, size, rng, buckets=4096):
+    """The number of +1 products among `size` trials of the atom block, read
+    trial by trial."""
+    return _plus_of(mu, *lane_atoms(mu, size, rng, buckets))
+
+
+def _plus_of(mu, cell, half_a, half_b):
+    """The number of the atoms (cell, half_a, half_b) whose product is +1."""
     return int(np.sum(mu.outcome[0][cell, half_a] * mu.outcome[1][cell, half_b] == 1))
 
 
@@ -128,19 +140,52 @@ class TestReproducibility:
 class TestStreamPosition:
     @pytest.mark.parametrize("size", [1, 1000])
     def test_draw_batch_moves_the_stream_past_its_draws(self, universe, size):
-        """The oracle's draw_batch takes a block of `size` atom doubles, the
-        labels and then four more blocks of `size` doubles from `rng` itself,
-        so a second call on the same stream draws new trials."""
+        """The oracle's draw_batch takes the atom block (the lane words, then
+        a refinement word per trial in a mixed bucket), the labels and then
+        four blocks of `size` doubles from `rng` itself, so a second call on
+        the same stream draws new trials."""
         rng = np.random.default_rng(11)
         first = draw_batch(universe, MU_45, size, rng)
         expected = np.random.default_rng(11)
-        expected.random(size)
+        lane_atoms(MU_45, size, expected)
         expected.integers(0, universe.label_count, size=size)
         expected.random(4 * size)
         assert rng.bit_generator.state == expected.bit_generator.state
         second = draw_batch(universe, MU_45, size, rng)
         for key in ("u", "v", "w"):
             assert not np.array_equal(first[key], second[key])
+
+
+    @pytest.mark.parametrize("size", [1, 3, 4, 5, 8, 4 * sampling.SUB_CHUNK + 3])
+    def test_refinement_words_start_past_the_lane_words(self, size):
+        """With every lane in one mixed bucket, the kernel reads ceil(size / 4)
+        lane words, then one refinement word per trial, the first of them word
+        ceil(size / 4), and leaves the stream past both.  Refinement 0 finds
+        the bucket's first atom and 2**64 - 1 its last, of opposite signs."""
+        bucket, first, last = _split_bucket(MU_45)
+        lane_words = -(-size // 4)
+        lanes = np.full(4 * lane_words, bucket << 4, dtype="<u2")
+        refinements = np.full(size + 1, 2**64 - 1, dtype=np.uint64)
+        refinements[0] = 0
+        stream = _Words(np.concatenate((lanes.view("<u8"), refinements)))
+        assert sampling._plus_count(MU_45, size, stream) == first + (size - 1) * last
+        assert stream.drawn == lane_words + size
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+    def test_lanes_are_read_low_bits_first(self, size):
+        """Trial t reads bits 16j .. 16j + 15, j = t % 4, of word t // 4: with
+        one lane in a mixed bucket whose refinement finds its first atom and
+        the other lanes in a pure bucket of the other sign, only the count of
+        the lane that is read moves."""
+        bucket, first, last = _split_bucket(MU_45)
+        pure = _pure_bucket(MU_45, 1 - first)
+        for lane in range(4):
+            lanes = np.full(4 * -(-size // 4), pure << 4, dtype="<u2")
+            lanes[lane] = bucket << 4
+            stream = _Words(np.concatenate((lanes.view("<u8"), np.zeros(1, dtype=np.uint64))))
+            count = sampling._plus_count(MU_45, size, stream)
+            expected = (size - 1) * (1 - first) + first if lane < size else size * (1 - first)
+            assert count == expected
 
 
 class TestLazyStreams:
@@ -189,6 +234,19 @@ class TestRunExperiment:
             assert est.stderr == math.sqrt(var)
         else:
             assert est.stderr == 0.0
+
+    @pytest.mark.parametrize("angle, seed", [(10.0, 71), (30.0, 73)])
+    def test_mean_is_the_normalized_pair_integral(self, angle, seed):
+        """The kernel samples the mass-normalized law, whose mean is
+        pair_integral / total_mass.  At n = 4 these settings have mass 1.0042
+        and 1.0039, so at 4e6 trials exact_target = -a.b lies 42 and 13
+        stderr from it: abs_error carries that bias."""
+        b = measure.setting_from_angle(angle)
+        mu = measure.build_measure(A, b, N)
+        target = measure.pair_integral(mu) / measure.total_mass(mu)
+        est = sampling.run_experiment(N, A, b, 4_000_000, seed=seed)
+        assert abs(est.mean - target) <= 6.0 * est.stderr
+        assert abs(est.exact_target - target) > 6.0 * est.stderr
 
     def test_equal_axis_settings_deterministic(self):
         # a = b = e1 puts all mass on the negative cells: every product is -1
@@ -267,23 +325,60 @@ class TestChsh:
 
 
 class _StubStream:
-    """A stub stream is its own bit generator: `random_raw(size)` gives the
-    word (m << 11) | 0x7FF of each next stub double u = m * 2**-53.  The low
-    11 bits, which a double drops, are all set, so a kernel that kept any of
-    them would miscount."""
+    """A stub stream is its own bit generator, whose raw words are all
+    `word`; advancing it changes nothing."""
+
+    word = 0
 
     @property
     def bit_generator(self):
         return self
 
     def random_raw(self, size):
-        return (self.random(size) * 2.0**53).astype(np.uint64) << 11 | 0x7FF
+        return np.full(size, self.word, dtype=np.uint64)
+
+    def advance(self, words):
+        pass
+
+
+class _Words(_StubStream):
+    """Stub stream: the given raw words, in order; advancing skips words."""
+
+    def __init__(self, words):
+        self.words = np.asarray(words, dtype=np.uint64)
+        self.drawn = 0
+
+    def random_raw(self, size):
+        assert self.drawn + size <= self.words.size, "the stub has no more words"
+        self.drawn += size
+        return self.words[self.drawn - size : self.drawn].copy()
+
+    def advance(self, words):
+        self.drawn += words
+
+
+def _split_bucket(mu):
+    """The first bucket whose lowest and highest doubles find atoms of
+    opposite signs, and those two signs as +1 flags."""
+    cell, half_a, half_b = plain_atoms(mu, _bucket_edges(sampling.GUIDE_BUCKETS))
+    signs = (mu.outcome[0][cell, half_a] * mu.outcome[1][cell, half_b] > 0).reshape(-1, 2)
+    signs = signs.astype(int)
+    bucket = int(np.flatnonzero(signs[:, 0] != signs[:, 1])[0])
+    return bucket, int(signs[bucket, 0]), int(signs[bucket, 1])
+
+
+def _pure_bucket(mu, plus):
+    """The first bucket in which every double finds one atom, of sign `plus`."""
+    code = sampling._sign_table(mu)[2]
+    return int(np.flatnonzero(code == plus)[0])
 
 
 class _TopOfRange(_StubStream):
-    """Stub stream: label 0 and the largest double below 1 for every uniform."""
+    """Stub stream: label 0 and the largest double below 1 for every uniform;
+    its words, all bits set, put every atom at u = 1 - 2**-53 too."""
 
     uniform = 1.0 - 2.0**-53
+    word = 2**64 - 1
 
     def integers(self, low, high, size):
         return np.zeros(size, dtype=np.int64)
@@ -309,9 +404,11 @@ class TestZeroMassCell:
 
 
 class _BottomOfRange(_TopOfRange):
-    """Stub stream: label 0 and 0.0 for every uniform."""
+    """Stub stream: label 0 and 0.0 for every uniform, and every atom at
+    u = 0."""
 
     uniform = 0.0
+    word = 0
 
 
 class TestZeroWeightInterval:
@@ -334,18 +431,10 @@ class TestZeroWeightInterval:
 
 
 class _LowestAtomTopOffsets(_TopOfRange):
-    """Stub stream: 0.0 for the first block of uniforms, the atoms, then as
-    _TopOfRange."""
+    """Stub stream: words 0, so every atom is at u = 0, and the other
+    uniforms as _TopOfRange."""
 
-    def __init__(self):
-        self.atoms_drawn = False
-
-    def random(self, size=None, out=None):
-        out = super().random(size, out)
-        if not self.atoms_drawn:
-            out.fill(0.0)
-            self.atoms_drawn = True
-        return out
+    word = 0
 
 
 class TestCoordinatesInsideDraw:
@@ -415,9 +504,10 @@ class TestSpinsMatchLayerDefinition:
 
 class TestBoundedMemory:
     def test_batch_peak_does_not_grow_with_its_size(self):
-        # sub-chunks share two buffers, free their words before the next
-        # draw and keep no per-trial array: 1.8e6 more trials would add
-        # 1.7 MiB even as a bool array
+        # sub-chunks share two buffers and free their words before the next
+        # draw, refined trials are settled REFINE_BATCH at a time, and no
+        # per-trial array is kept: 1.8e6 more trials would add 1.7 MiB even
+        # as a bool array
         mu = measure.build_measure(A, B_CLEAN, 4)
         sampling._plus_count(mu, 1000, np.random.default_rng(3))  # first-call caches
         peaks = []
@@ -430,8 +520,8 @@ class TestBoundedMemory:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 2**16
 
-    def test_one_million_trial_batch_at_most_2_mib(self):
-        # the mc-chsh shape: 0.57 MiB, 1.30 MiB on a first call; a float64
+    def test_one_million_trial_batch_at_most_1_5_mib(self):
+        # the mc-chsh shape: 0.39 MiB, 1.11 MiB on a first call; a float64
         # array of the products would take 7.63 MiB
         tracemalloc.start()
         try:
@@ -439,13 +529,12 @@ class TestBoundedMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * 2**20
+        assert peak <= 1.5 * 2**20
 
-    def test_chsh_on_two_workers_at_most_1_5_mib(self, monkeypatch):
+    def test_chsh_on_two_workers_at_most_1_mib(self, monkeypatch):
         # the whole mc-chsh run, 4 x 1e6 trials on two threads, each with its
-        # sub-chunk's words, buckets and codes: 1.17 MiB after a warm-up; a
-        # 2**16 sub-chunk takes 2.29 MiB, and words kept alive into the next
-        # draw 1.60 MiB
+        # sub-chunk's lane words, buckets and codes: 0.77 MiB after a
+        # warm-up; a 2**16-trial sub-chunk takes 1.45 MiB
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         sampling.chsh(N, A, A, B45, B_CLEAN, 1000, seed=7)  # first-call caches
         tracemalloc.start()
@@ -454,7 +543,7 @@ class TestBoundedMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * 2**20
+        assert peak <= 2**20
 
     def test_large_order_adds_no_per_cell_float_table(self):
         # at n = 1e5 a 1000-trial batch peaks at 0.11 MiB, nearly all of it
@@ -516,35 +605,53 @@ class TestLeanKernel:
         assert sampling._plus_count(mu, 10_007, np.random.default_rng(9)) == whole
         assert sampling.run_experiment(5, A, B45, 10_007, seed=9) == estimate
 
-    @pytest.mark.parametrize("size", [1, sampling.SUB_CHUNK, 3 * sampling.SUB_CHUNK + 7])
-    def test_count_follows_the_stream(self, size):
-        """The kernel's count is that of the plain stream layout, one block
-        of atom uniforms searched in the atom cumsum, and it leaves the
-        stream just past that block."""
-        mu = measure.build_measure(A, B45, 5)
+    @pytest.mark.parametrize("n", [4, 5, 8])
+    @pytest.mark.parametrize("size", [1, 7, 4 * sampling.SUB_CHUNK + 3])
+    def test_count_follows_the_stream(self, n, size):
+        """For several settings the kernel's count is the per-trial oracle's
+        on the same stream, and it leaves the stream just past the lane
+        words and the refinement words."""
+        g = np.random.default_rng(n)
+        for a, b in [(A, B45), *((random_unit_vector(g), random_unit_vector(g)) for _ in range(2))]:
+            mu = measure.build_measure(a, b, n)
+            rng, expected = np.random.default_rng(size), np.random.default_rng(size)
+            assert sampling._plus_count(mu, size, rng) == _plain_plus_count(mu, size, expected)
+            assert rng.bit_generator.state == expected.bit_generator.state
+
+    @pytest.mark.parametrize("refine_batch", [1, 5, sampling.REFINE_BATCH])
+    @pytest.mark.parametrize("buckets", [1, sampling.GUIDE_BUCKETS])
+    @pytest.mark.parametrize("size", [4 * 12 + 3, 1003])
+    def test_refinements_cross_sub_chunks(self, monkeypatch, refine_batch, buckets, size):
+        """Sub-chunks of 12 trials: the refinement words run on from one
+        sub-chunk into the next, whether the waiting trials are settled
+        after each sub-chunk, every few or only at the end; at one bucket
+        every trial takes one."""
+        monkeypatch.setattr(sampling, "SUB_CHUNK", 12)
+        monkeypatch.setattr(sampling, "REFINE_BATCH", refine_batch)
+        monkeypatch.setattr(sampling, "GUIDE_BUCKETS", buckets)
         rng, expected = np.random.default_rng(size), np.random.default_rng(size)
-        assert sampling._plus_count(mu, size, rng) == _plain_plus_count(mu, size, expected)
+        count = sampling._plus_count(MU_45, size, rng)
+        assert count == _plain_plus_count(MU_45, size, expected, buckets)
         assert rng.bit_generator.state == expected.bit_generator.state
 
-    @pytest.mark.parametrize(
-        "bit_generator", [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64]
-    )
-    def test_count_follows_every_stream_of_top_bit_doubles(self, bit_generator):
-        """On each bit generator whose double is the top 53 bits of one word,
-        the kernel's raw words give the plain layout's count and leave the
-        stream where its doubles would."""
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM])
+    def test_count_follows_every_stream_advancing_by_words(self, bit_generator):
+        """On each bit generator whose `advance` counts 64-bit words the
+        kernel gives the oracle's count and stream position."""
         mu = measure.build_measure(A, B45, 5)
         size = 2 * sampling.SUB_CHUNK + 11
         rng, expected = (np.random.Generator(bit_generator(17)) for _ in range(2))
         assert sampling._plus_count(mu, size, rng) == _plain_plus_count(mu, size, expected)
         np.testing.assert_equal(rng.bit_generator.state, expected.bit_generator.state)
 
-    def test_mt19937_is_refused_before_a_draw(self):
-        """MT19937 makes a double from two 32-bit words, so its raw words
-        are not its doubles: the kernel refuses it and draws nothing."""
-        rng = np.random.Generator(np.random.MT19937(17))
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64])
+    def test_generator_not_advancing_by_words_is_refused_before_a_draw(self, bit_generator):
+        """MT19937 and SFC64 cannot advance and Philox advances by blocks of
+        four words, so none can position the refinement words: the kernel
+        refuses them and draws nothing."""
+        rng = np.random.Generator(bit_generator(17))
         state = rng.bit_generator.state
-        with pytest.raises(ValueError, match="MT19937"):
+        with pytest.raises(ValueError, match=bit_generator.__name__):
             sampling._plus_count(MU_45, 100, rng)
         np.testing.assert_equal(rng.bit_generator.state, state)
 
@@ -585,19 +692,20 @@ def _bucket_edges(buckets):
     return np.stack((low, low + (1 / buckets - 2.0**-53)), axis=1).ravel()
 
 
-class _BucketEdges(_StubStream):
-    """Stub stream: the 2 * GUIDE_BUCKETS bucket edges, in order, across
-    calls."""
-
-    def __init__(self):
-        self.edges = _bucket_edges(sampling.GUIDE_BUCKETS)
-        self.drawn = 0
-
-    def random(self, size=None, out=None):
-        out = np.empty(size) if out is None else out
-        out[:] = self.edges[self.drawn : self.drawn + out.size]
-        self.drawn += out.size
-        return out
+def _bucket_edge_words(buckets, chosen=None):
+    """The lane words and refinement words of four trials per bucket of u,
+    of every bucket or of those `chosen`: the bucket's lowest and highest
+    lane, twice, (low, high, low, high), in one word, then the refinement
+    words 0, 2**64 - 1, 2**64 - 1, 0 for each bucket.  A mixed bucket's
+    trials take its lowest and its highest numerator, each from a lowest
+    and from a highest lane."""
+    width = 16 - (buckets.bit_length() - 1)
+    chosen = np.arange(buckets, dtype=np.uint64) if chosen is None else np.asarray(chosen, np.uint64)
+    low = chosen << np.uint64(width)
+    high = low | np.uint64((1 << width) - 1)
+    lanes = np.stack((low, high, low, high), axis=1).astype("<u2").ravel()
+    refinements = np.tile(np.array([0, 2**64 - 1, 2**64 - 1, 0], dtype=np.uint64), chosen.size)
+    return np.concatenate((lanes.view("<u8"), refinements))
 
 
 class TestSignTable:
@@ -628,31 +736,49 @@ class TestSignTable:
     @settings(max_examples=100, deadline=None)
     @given(case=edge_cases())
     def test_count_on_the_bucket_edges_is_the_oracle_count(self, case):
+        """On the lowest and highest lane of every bucket, with refinement
+        words 0 and 2**64 - 1, the kernel's count and stream position are the
+        oracle's, and no atom the oracle draws there has a mass too small to
+        move the cumsum: u = 0 and 1 - 2**-53 among them."""
         n, a, b = case
         mu = measure.build_measure(*(measure.as_setting(v, normalize=True) for v in (a, b)), n)
-        size = 2 * sampling.GUIDE_BUCKETS
-        assert sampling._plus_count(mu, size, _BucketEdges()) == _plain_plus_count(
-            mu, size, _BucketEdges()
-        )
+        words = _bucket_edge_words(sampling.GUIDE_BUCKETS)
+        size = 4 * sampling.GUIDE_BUCKETS
+        stream, expected = _Words(words), _Words(words)
+        cell, half_a, half_b = lane_atoms(mu, size, expected)
+        assert sampling._plus_count(mu, size, stream) == _plus_of(mu, cell, half_a, half_b)
+        assert stream.drawn == expected.drawn
+        pos = np.flatnonzero(mu.cell_masses)
+        cum = np.cumsum(np.repeat(mu.cell_masses[pos] / 4, 4))
+        atom = 4 * np.searchsorted(pos, cell) + 2 * half_a + half_b
+        assert np.all(np.diff(cum, prepend=0.0)[atom] > 0.0)
 
     @pytest.mark.parametrize("buckets", [1, 2**16])
     @settings(max_examples=25, deadline=None)
     @given(case=edge_cases(), seed=st.integers(0, 2**32 - 1))
-    def test_bucket_count_changes_no_count(self, buckets, case, seed):
-        """One bucket sends every target to the search; 2**16 leaves few
-        there.  Either gives the count of the default table and of the
-        oracle, on a random stream and on the bucket edges."""
+    def test_any_bucket_count_gives_the_oracle_count(self, buckets, case, seed):
+        """One bucket sends every trial to a refinement word, whose top 53
+        bits are then the whole numerator; 2**16 buckets read all 16 lane
+        bits.  The bucket count decides which trials take a refinement word,
+        so the kernel is held to the oracle at the same count: on a random
+        stream, and on the edges of the buckets next to each atom boundary."""
         n, a, b = case
         mu = measure.build_measure(*(measure.as_setting(v, normalize=True) for v in (a, b)), n)
-        count = sampling._plus_count(mu, 5000, np.random.default_rng(seed))
+        cum = np.cumsum(np.repeat(mu.cell_masses[np.flatnonzero(mu.cell_masses)] / 4, 4))
+        near = (cum / cum[-1] * buckets).astype(np.int64)[:, None] + [-1, 0, 1]
+        chosen = np.unique(np.clip(np.append(near, [0, buckets - 1]), 0, buckets - 1))
+        words = _bucket_edge_words(buckets, chosen)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sampling, "GUIDE_BUCKETS", buckets)
-            assert sampling._plus_count(mu, 5000, np.random.default_rng(seed)) == count
-            size = 2 * buckets
-            assert sampling._plus_count(mu, size, _BucketEdges()) == _plain_plus_count(
-                mu, size, _BucketEdges()
+            rng, expected = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert sampling._plus_count(mu, 5000, rng) == _plain_plus_count(
+                mu, 5000, expected, buckets
             )
-        assert count == _plain_plus_count(mu, 5000, np.random.default_rng(seed))
+            assert rng.bit_generator.state == expected.bit_generator.state
+            size = 4 * chosen.size
+            assert sampling._plus_count(mu, size, _Words(words)) == _plain_plus_count(
+                mu, size, _Words(words), buckets
+            )
 
 
 class TestProductsIgnoreLayers:
