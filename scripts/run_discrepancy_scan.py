@@ -13,7 +13,7 @@ import csv
 
 import numpy as np
 
-from eprsim import fit_rate, generate_trace, star_discrepancy
+from eprsim import fit_rate, generate_trace, prefix_discrepancies
 
 
 def main() -> int:
@@ -30,13 +30,13 @@ def main() -> int:
 
     for theta in (float(t) for t in args.thetas.split(",")):
         fracs = generate_trace(theta, args.kmax, rng)
-        stars = [star_discrepancy(fracs[:k]) for k in ks]
+        stars = prefix_discrepancies(fracs, ks)[0]
         fit = fit_rate(ks, stars)
         rows += [("poisson", theta, k, s) for k, s in zip(ks, stars)]
         print(f"poisson theta={theta:<4}: slope {fit.slope:+.3f}  D*({ks[-1]}) = {stars[-1]:.2e}")
 
     uniform = rng.random(args.kmax)
-    stars = [star_discrepancy(uniform[:k]) for k in ks]
+    stars = prefix_discrepancies(uniform, ks)[0]
     fit = fit_rate(ks, stars)
     rows += [("uniform", float("nan"), k, s) for k, s in zip(ks, stars)]
     print(f"uniform control  : slope {fit.slope:+.3f}")

@@ -24,6 +24,7 @@ from .emission import (
     discrepancy_stats,
     fit_rate,
     generate_trace,
+    prefix_discrepancies,
     star_discrepancy,
 )
 from .layers import (

@@ -38,17 +38,16 @@ from .config import (
 from .emission import (
     chi_square_quantile,
     detector_gate,
-    discrepancy_stats,
     fit_rate,
     generate_trace,
-    star_discrepancy,
+    prefix_discrepancies,
     uniform_chi_square,
 )
 from .layers import (
     MAX_SAVED_N,
     UNIVERSE_SCHEMA,
     build_universe,
-    layer_count,
+    layer_count_digits,
     load_universe,
     save_universe,
 )
@@ -134,15 +133,6 @@ def cmd_verify(args):
     return fields, None
 
 
-def _decimal_digits(x: int) -> int:
-    """The number of decimal digits of x >= 1, without `str`, which refuses
-    ints past 4300 digits (layer_count passes that from n = 249).  With
-    g = round(b log10 2) for x's bit length b, 2^(b-1) <= x < 2^b puts
-    log10 x at least 0.19 inside [g - 1, g + 1), so x has g or g + 1 digits."""
-    g = round(x.bit_length() * math.log10(2))
-    return g + (x >= 10**g)
-
-
 def cmd_layers(args):
     # checked before the build, which at this n could take the whole budget
     if args.n > MAX_SAVED_N:
@@ -160,7 +150,7 @@ def cmd_layers(args):
         "interval_count": args.L,
         "pair_count": args.layers,
         "label_count": universe.label_count,
-        "published_layer_count_digits": _decimal_digits(layer_count(args.n)),
+        "published_layer_count_digits": layer_count_digits(args.n),
         "universe": str(args.universe),
     }
     return fields, None
@@ -327,25 +317,19 @@ def cmd_poisson(args):
             f"--theta {args.theta} and --k {args.k} carry the emission times past the "
             f"largest float64; lower either"
         ) from exc
-    # The trace takes the stream's first k doubles and the gate, which labels
-    # its parts in emission order, the 2k readiness draws after them.  Each
-    # prefix, the whole trace last, is then sorted in place for its D*: it
-    # holds the same points however a shorter one was reordered.
-    gate = detector_gate(args.p1, args.p2, args.labels, fracs, rng)
+    # The trace takes the stream's first k doubles.  Each prefix, the whole
+    # trace last, is sorted in place for its D*, and the labels are counted
+    # off the sorted whole; the gate, which visits the emissions in label
+    # order, reads the lane words after the trace.
+    prefix_ks = [k for k in (10**e for e in range(3, 10)) if k < args.k] + [args.k]
+    stars, stats, ungated = prefix_discrepancies(fracs, prefix_ks, args.labels)
+    gate = detector_gate(args.p1, args.p2, ungated, rng)
     if not gate.gated_counts.any():
         raise ConfigError(
             f"no emission passed the detector gate at --k {args.k}, --p1 {args.p1} and "
             f"--p2 {args.p2}; raise --k or the readiness probabilities"
         )
-    prefix_ks = [k for k in (10**e for e in range(3, 10)) if k < args.k] + [args.k]
-    stars = []
-    for k in prefix_ks[:-1]:
-        fracs[:k].sort()
-        stars.append(star_discrepancy(fracs[:k]))
-    fracs.sort()
-    stats = discrepancy_stats(fracs)
-    stars.append(stats.star)
-    stat_u, dof = uniform_chi_square(gate.ungated_counts)
+    stat_u, dof = uniform_chi_square(ungated)
     stat_g, _ = uniform_chi_square(gate.gated_counts)
     quantile = chi_square_quantile(0.999, dof)
     fields = {

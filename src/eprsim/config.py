@@ -46,10 +46,10 @@ MAXIMUMS = {
     # poisson: the k float64 fractional parts, sorted in place, are its one
     # k-float array: tracemalloc peak +8.0 B per k (k = 2e6 to 4e6, numpy 2.4)
     "k": BUDGET // 8,
-    # poisson: the gate's 2N-bin counts, then the label counts and their
-    # chi-square temporaries; the whole command's tracemalloc peak grows by
-    # 16-24 bytes per label at k >= labels (k = 2e5 to 2e6, numpy 2.4,
-    # x86-64 Linux), so 64 leaves room
+    # poisson: the label counts, the gated counts and their chi-square
+    # temporaries; the whole command's tracemalloc peak grows by 32.0 bytes
+    # per label from labels = 2e5 to 2e6 at k = 2e6 (numpy 2.4, x86-64
+    # Linux), so 64 leaves room
     "labels": BUDGET // 64,
 }
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -106,17 +107,47 @@ def emission_times(theta: float, k: int, rng):
     return waits, times, times - np.floor(times)
 
 
-def whole_gate(p1: float, p2: float, label_count: int, fracs, rng):
-    """Ungated and gated label counts (labels 1 .. N) and the accepted count
-    of the k emissions whose fractional parts are `fracs`, from k draws of
-    `rng` against p1, then k against p2, each drawn whole."""
-    fracs = np.asarray(fracs)
-    k = fracs.size
-    labels = np.minimum((fracs * label_count).astype(np.int64) + 1, label_count)
-    ready = (rng.random(k) < p1) & (rng.random(k) < p2)
-    ungated = np.bincount(labels, minlength=label_count + 1)[1:]
-    gated = np.bincount(labels[ready], minlength=label_count + 1)[1:]
-    return ungated, gated, int(ready.sum())
+def point_labels(points, label_count: int) -> np.ndarray:
+    """Label - 1 of each point x in [0, 1), min(floor(x * N), N - 1), the
+    product rounded to a double first: the label the trace's own part gives
+    its emission, read point by point."""
+    x = np.asarray(points, dtype=float)
+    return np.minimum(np.floor(x * label_count), label_count - 1).astype(np.int64)
+
+
+def gate_readiness(p1: float, p2: float, k: int, rng) -> np.ndarray:
+    """Whether both stations are ready, for each of k emissions in label
+    order.  Emission t reads bits 16j .. 16j + 15 of raw word t // 2 of
+    `rng`, j = 2(t % 2) + s, against p1 (s = 0) and p2 (s = 1), as the top
+    16 bits of the 53-bit numerator x of a draw x * 2**-53, which is below p
+    iff x < c = ceil(p * 2**53), here in exact rationals.  Where the lane
+    equals c >> 37 and c is no multiple of 2**37, that leaves the answer
+    open: the lane takes the next raw word r after the ceil(k / 2) lane
+    words, in lane order, and x's low 37 bits are r's top 37."""
+    words = rng.bit_generator.random_raw(-(-k // 2))
+    t = np.arange(k)
+    ready = np.ones(k, dtype=bool)
+    open_lanes = []  # (2t + s, c) of each lane that leaves x < c open
+    for s, p in enumerate((p1, p2)):
+        c = math.ceil(Fraction(p) * 2**53)
+        shift = (16 * (2 * (t % 2) + s)).astype(np.uint64)
+        top = ((words[t // 2] >> shift) & np.uint64(0xFFFF)).astype(np.int64)
+        # x < c holds for every low part, or for none, or (lane c >> 37) for some
+        ready &= top << 37 < c
+        if c % 2**37:
+            open_lanes += [(2 * int(e) + s, c) for e in np.flatnonzero(top == c >> 37)]
+    for lane, c in sorted(open_lanes):
+        low = int(rng.bit_generator.random_raw(1)[0]) >> 27
+        ready[lane // 2] &= (c >> 37 << 37 | low) < c
+    return ready
+
+
+def gated_label_counts(label_counts, ready) -> np.ndarray:
+    """Each label's count of ready emissions, the emissions taken in label
+    order: `label_counts[0]` of label 1 first."""
+    counts = np.asarray(label_counts)
+    in_order = np.repeat(np.arange(counts.size), counts)
+    return np.bincount(in_order[np.asarray(ready)], minlength=counts.size)
 
 
 def one_sided_discrepancies(points) -> tuple[float, float]:

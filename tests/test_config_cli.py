@@ -14,6 +14,8 @@ import pytest
 from eprsim import cli, config, emission, layers
 from eprsim.timings import StageTimer
 
+from oracles import point_labels
+
 
 class TestParseSetting:
     def test_unit_triple(self):
@@ -534,23 +536,6 @@ class TestCliSizeBudget:
         assert 8 * caps["k"] <= config.BUDGET
         assert 8 * (caps["labels"] + 1) <= config.BUDGET
 
-    def test_labels_cap_keeps_the_gate_peak_within_the_budget(self, capsys):
-        # the whole command's peak at two label counts with k >= labels: the
-        # slope per label, scaled to the cap
-        argv = ["poisson", "--theta", "1", "--k", "200000", "--seed", "1"]
-        assert run_cli(capsys, *argv, "--labels", "2")[0] == 0  # first-call imports
-        peaks = []
-        for labels in (50_000, 200_000):
-            tracemalloc.start()
-            try:
-                code, _, err = run_cli(capsys, *argv, "--labels", str(labels))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            assert code == 0, err
-        slope = (peaks[1] - peaks[0]) / 150_000
-        assert slope * config.MAXIMUMS["labels"] <= config.BUDGET, slope
-
     def test_k_cap_keeps_the_poisson_peak_within_the_budget(self, capsys):
         # the whole command's peak at two trace lengths: one array of k
         # floats, each prefix sorted in place, so about the 8 bytes per k
@@ -568,6 +553,24 @@ class TestCliSizeBudget:
             assert code == 0, err
         slope = (peaks[1] - peaks[0]) / 2_000_000
         assert slope <= 8.25, slope
+
+    def test_labels_cap_keeps_the_poisson_peak_within_the_budget(self, capsys):
+        # the whole command's peak at two label counts with k >= labels: the
+        # label counts, gated counts and chi-square temporaries grow with the
+        # labels, about 32 bytes each, within the BUDGET // 64 of the cap
+        argv = ["poisson", "--theta", "1", "--k", "2000000", "--seed", "1"]
+        assert run_cli(capsys, *argv, "--labels", "2")[0] == 0  # first-call imports
+        peaks = []
+        for labels in (200_000, 2_000_000):
+            tracemalloc.start()
+            try:
+                code, _, err = run_cli(capsys, *argv, "--labels", str(labels))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0, err
+        slope = (peaks[1] - peaks[0]) / 1_800_000
+        assert slope <= config.BUDGET // config.MAXIMUMS["labels"], slope
 
     @pytest.mark.parametrize("command", sorted(MEASURE_RUNS))
     def test_n_cap_keeps_the_measure_peak_within_the_budget(self, capsys, monkeypatch, command):
@@ -683,23 +686,6 @@ class TestCliLayersAnalyze:
         assert doc["conditional_bias"]["A"] <= 1e-12
         assert doc["witness_bias"]["A"] > 0.1
         assert doc["pair_expectation"] == pytest.approx(-0.6, abs=1e-12)
-
-    @pytest.mark.parametrize("n", [4, 248, 249, layers.MAX_SAVED_N])
-    def test_layer_count_digits_past_the_str_limit(self, n):
-        # from n = 249 the count has more than the 4300 digits `str` allows
-        count = layers.layer_count(n)
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            digits = len(str(count))
-        finally:
-            sys.set_int_max_str_digits(limit)
-        assert cli._decimal_digits(count) == digits
-
-    def test_decimal_digits_next_to_powers_of_ten_and_two(self):
-        for e in range(1, 1300):
-            for x in (10**e - 1, 10**e, 2**e - 1, 2**e):
-                assert cli._decimal_digits(x) == len(str(x)), x
 
     def test_layers_reports_the_digits_at_n_249(self, capsys, tmp_path):
         upath = tmp_path / "uni.json"
@@ -974,14 +960,16 @@ POISSON_SIZES = [1, GATE_CHUNK - 1, GATE_CHUNK + 1, CHUNK + 1, 3 * CHUNK + 17]
 
 def _serial_poisson(theta, k, labels, p1, p2, seed):
     """A poisson report's numbers and CSV rows from the serial composition:
-    the trace, its discrepancies, then the gate on the same stream."""
+    the trace, the discrepancies of its unsorted prefixes, the labels of its
+    parts point by point, then the gate on the same stream."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     fracs = emission.generate_trace(theta, k, rng)
     stats = emission.discrepancy_stats(fracs)
     ks = [10**e for e in range(3, 10) if 10**e < k] + [k]
     stars = [emission.star_discrepancy(fracs[:j]) for j in ks]
-    gate = emission.detector_gate(p1, p2, labels, fracs, rng)
-    stat_u, dof = emission.uniform_chi_square(gate.ungated_counts)
+    counts = np.bincount(point_labels(fracs, labels), minlength=labels)
+    gate = emission.detector_gate(p1, p2, counts, rng)
+    stat_u, dof = emission.uniform_chi_square(counts)
     stat_g, _ = emission.uniform_chi_square(gate.gated_counts)
     fields = {
         "star": stats.star,
@@ -1130,12 +1118,11 @@ class TestCliPoisson:
         assert run_cli(capsys, "poisson", *argv)[0] == code
         assert started == []
 
-    @pytest.mark.parametrize("stage", ["star_discrepancy", "discrepancy_stats"])
-    def test_discrepancy_error_exits_2_writing_nothing(self, capsys, monkeypatch, tmp_path, stage):
-        def refuse(points):
+    def test_discrepancy_error_exits_2_writing_nothing(self, capsys, monkeypatch, tmp_path):
+        def refuse(fracs, ks, label_count):
             raise ValueError("the discrepancies refuse the trace")
 
-        monkeypatch.setattr(cli, stage, refuse)
+        monkeypatch.setattr(cli, "prefix_discrepancies", refuse)
         out_path, csv_path = tmp_path / "report.json", tmp_path / "decay.csv"
         argv = ["poisson", "--theta", "1", "--k", "100000", "--labels", "5", "--seed", "1",
                 "--out", str(out_path), "--csv", str(csv_path)]
@@ -1170,7 +1157,7 @@ class TestCliPoisson:
         assert code == 0, err
         stages = json.loads(timings.read_text())["stages"]
         for name in ("cmd.poisson", "emission.detector_gate", "emission.generate_trace",
-                     "emission.discrepancy_stats"):
+                     "emission.prefix_discrepancies"):
             assert stages[name]["calls"] == 1, name
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])

@@ -1,5 +1,7 @@
 import copy
+import math
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -7,26 +9,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eprsim import emission
+from eprsim import config, emission
 
 from oracles import (
     brute_extreme_discrepancy,
     emission_times,
+    gate_readiness,
+    gated_label_counts,
     interval_count,
     label_from_time,
     one_sided_discrepancies,
-    whole_gate,
+    point_labels,
 )
 
+
+def _label_counts(fracs, labels):
+    """The library's label counts of a trace, read off its sorted copy."""
+    return emission.prefix_discrepancies(np.array(fracs), [], labels)[2]
+
+
 def _gate(p1, p2, labels, k, theta, rng):
-    """The library's trace of k emissions, then its gate on the same stream."""
-    return emission.detector_gate(p1, p2, labels, emission.generate_trace(theta, k, rng), rng)
+    """The library's trace of k emissions, its label counts, then its gate
+    on the same stream."""
+    counts = _label_counts(emission.generate_trace(theta, k, rng), labels)
+    return counts, emission.detector_gate(p1, p2, counts, rng)
 
 
 def _oracle_gate(p1, p2, labels, k, theta, rng):
-    """`_gate` drawn whole by the oracles."""
+    """`_gate` by the oracles: the labels of the whole trace point by point,
+    then each emission's readiness lane by lane."""
     _, _, fracs = emission_times(theta, k, rng)
-    return whole_gate(p1, p2, labels, fracs, rng)
+    counts = np.bincount(point_labels(fracs, labels), minlength=labels)
+    ready = gate_readiness(p1, p2, k, rng)
+    return counts, gated_label_counts(counts, ready), int(ready.sum())
 
 
 point_sets = st.lists(
@@ -167,17 +182,57 @@ class TestLabels:
         assert 1 <= label_from_time(x, n_labels) <= n_labels
 
     def test_trace_labels_match_scalar(self):
-        # the gate labels the trace's own parts, so its ungated counts are the
-        # scalar labels of the same emission times
-        gate = _gate(1.0, 1.0, 37, 1000, 1.0, np.random.default_rng(23))
+        # the label counts of the trace's own parts are the scalar labels of
+        # the same emission times
+        counts, _ = _gate(1.0, 1.0, 37, 1000, 1.0, np.random.default_rng(23))
         _, times, _ = emission_times(1.0, 1000, np.random.default_rng(23))
         scalar = np.bincount([label_from_time(x, 37) for x in times], minlength=38)[1:]
-        assert gate.ungated_counts.tolist() == scalar.tolist()
+        assert counts.tolist() == scalar.tolist()
 
     def test_poisson_labels_uniform(self):
-        gate = _gate(1.0, 1.0, 100, 100_000, 1.0, np.random.default_rng(29))
-        stat, dof = emission.uniform_chi_square(gate.ungated_counts)
+        counts, _ = _gate(1.0, 1.0, 100, 100_000, 1.0, np.random.default_rng(29))
+        stat, dof = emission.uniform_chi_square(counts)
         assert stat < emission.chi_square_quantile(0.999, dof)
+
+
+# label counts near the labels cap build a 128 MiB count array, so there
+# only the edges of the sampled labels are checked
+LABEL_COUNTS = [2, 3, 49, 50, 2**20, 10**6 + 3]
+
+
+class TestLabelEdges:
+    """Label counts read off the sorted points at the edges t_j, against the
+    per-point label min(floor(x * N), N - 1)."""
+
+    @settings(deadline=None, max_examples=25)
+    @pytest.mark.parametrize("labels", LABEL_COUNTS)
+    @given(data=st.data())
+    def test_counts_at_the_edges(self, labels, data):
+        js = data.draw(st.lists(st.integers(1, labels - 1), min_size=1, max_size=8))
+        extra = data.draw(point_sets)
+        edges = emission._label_edges(np.array(js, dtype=float), labels)
+        points = np.concatenate(
+            [edges, np.nextafter(edges, 0.0), [0.0, np.nextafter(1.0, 0.0)], extra]
+        )
+        counts = _label_counts(points, labels)
+        assert counts.tolist() == np.bincount(point_labels(points, labels), minlength=labels).tolist()
+
+    @settings(deadline=None, max_examples=50)
+    @given(st.integers(1, config.MAXIMUMS["labels"] - 1))
+    def test_edges_at_the_labels_cap(self, j):
+        labels = config.MAXIMUMS["labels"]
+        edge = emission._label_edges(np.array([float(j)]), labels)
+        below = np.nextafter(edge, 0.0)
+        assert point_labels(edge, labels).tolist() == [j]
+        assert point_labels(below, labels).tolist() == [j - 1]
+
+    @pytest.mark.parametrize("labels", [2, 7, 2 * emission.GATE_CHUNK + 3])
+    def test_counts_span_edge_blocks(self, labels):
+        # the edges are searched GATE_CHUNK at a time
+        k = 3 * emission.GATE_CHUNK + 17
+        fracs = emission.generate_trace(0.37, k, np.random.default_rng(24))
+        expected = np.bincount(point_labels(fracs, labels), minlength=labels)
+        assert _label_counts(fracs, labels).tolist() == expected.tolist()
 
 
 class TestChiSquareQuantile:
@@ -229,40 +284,44 @@ class TestRateFit:
 
 class TestDetectorGate:
     def test_full_readiness_keeps_everything(self):
-        res = _gate(1.0, 1.0, 20, 50_000, 1.0, np.random.default_rng(41))
+        counts, res = _gate(1.0, 1.0, 20, 50_000, 1.0, np.random.default_rng(41))
         assert res.accepted == res.total
-        np.testing.assert_array_equal(res.gated_counts, res.ungated_counts)
+        np.testing.assert_array_equal(res.gated_counts, counts)
 
     def test_gated_labels_stay_uniform(self):
-        res = _gate(0.5, 0.5, 50, 1_000_000, 1.0, np.random.default_rng(43))
+        _, res = _gate(0.5, 0.5, 50, 1_000_000, 1.0, np.random.default_rng(43))
         stat, dof = emission.uniform_chi_square(res.gated_counts)
         assert stat < emission.chi_square_quantile(0.999, dof)
 
-    def test_acceptance_rate(self):
-        res = _gate(0.9, 0.1, 10, 1_000_000, 1.0, np.random.default_rng(47))
-        p = 0.09
+    @pytest.mark.parametrize("p1, p2", [(0.9, 0.1), (0.3, 0.7), (2**-7, 1.0)])
+    def test_acceptance_rate(self, p1, p2):
+        _, res = _gate(p1, p2, 10, 1_000_000, 1.0, np.random.default_rng(47))
+        p = p1 * p2
         sigma = np.sqrt(p * (1 - p) / res.total)
         assert abs(res.acceptance_rate - p) <= 3.29 * sigma
 
     def test_gated_close_to_ungated_in_tv(self):
-        res = _gate(0.5, 0.5, 25, 400_000, 1.0, np.random.default_rng(53))
+        counts, res = _gate(0.5, 0.5, 25, 400_000, 1.0, np.random.default_rng(53))
         gated = res.gated_counts / res.accepted
-        ungated = res.ungated_counts / res.total
+        ungated = counts / res.total
         tv = 0.5 * float(np.abs(gated - ungated).sum())
         # rough multinomial scale: 4 standard errors per cell aggregated
         scale = 4.0 * 25 * np.sqrt((1 / 25) * (1 - 1 / 25) / res.accepted)
         assert tv <= scale
 
-    @pytest.mark.parametrize("p1,p2", [(0.0, 0.5), (1.5, 0.5), (0.5, -0.1)])
+    @pytest.mark.parametrize("p1,p2", [(0.0, 0.5), (1.5, 0.5), (0.5, -0.1), (np.nan, 0.5)])
     def test_probability_validation(self, p1, p2):
         with pytest.raises(ValueError):
-            emission.detector_gate(p1, p2, 10, np.full(100, 0.5), np.random.default_rng(0))
+            emission.detector_gate(p1, p2, [50, 50], np.random.default_rng(0))
 
 
 CHUNK = emission.CHUNK
 CHUNK_SIZES = [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17]
 GATE_CHUNK = emission.GATE_CHUNK
 THETAS = [1e-3, 0.37, 1.0, 250.0]
+# p = 1 puts the lane bound 2**16 past every lane, p < 2**-16 puts it at 0,
+# and 0.3 and nextafter(1, 0) leave lanes at the bound to a refinement word
+READINESS = [1.0, 0.5, 0.3, 2.0**-20, float(np.nextafter(1.0, 0.0))]
 
 
 def _drawn(rng, doubles: int):
@@ -270,6 +329,33 @@ def _drawn(rng, doubles: int):
     stream = copy.deepcopy(rng)
     stream.random(doubles)
     return stream
+
+
+class _WordStream:
+    """A bit generator's stand-in that hands out `words` in order, so the
+    gate's lanes can be put at a station's bound on purpose."""
+
+    def __init__(self, words):
+        self.words, self.at = np.asarray(words, dtype=np.uint64), 0
+
+    def random_raw(self, size):
+        self.at += size
+        return self.words[self.at - size : self.at].copy()
+
+    def advance(self, delta):
+        self.at += delta
+
+
+def _word_stream(p1, p2, k, seed):
+    """Raw words whose lanes sit at the stations' bounds c >> 37 about half
+    the time, then random words for the refinements."""
+    rng = np.random.default_rng(seed)
+    words = rng.integers(0, 2**64, size=2 * k + 8, dtype=np.uint64)
+    lanes = words[: -(-k // 2)].view("<u2").reshape(-1, 2)
+    for s, p in enumerate((p1, p2)):
+        bound = min(math.ceil(p * 2**53) >> 37, 0xFFFF)
+        lanes[rng.random(lanes.shape[0]) < 0.5, s] = bound
+    return types.SimpleNamespace(bit_generator=_WordStream(words))
 
 
 class TestChunkedKernel:
@@ -289,11 +375,11 @@ class TestChunkedKernel:
     @pytest.mark.parametrize("theta", THETAS)
     @pytest.mark.parametrize("k", CHUNK_SIZES)
     def test_gate_counts_are_the_whole_gate(self, k, theta, labels):
-        res = _gate(0.6, 0.8, labels, k, theta, np.random.default_rng(67))
+        counts, res = _gate(0.6, 0.8, labels, k, theta, np.random.default_rng(67))
         ungated, gated, accepted = _oracle_gate(
             0.6, 0.8, labels, k, theta, np.random.default_rng(67)
         )
-        assert res.ungated_counts.tobytes() == ungated.tobytes()
+        assert counts.tobytes() == ungated.tobytes()
         assert res.gated_counts.tobytes() == gated.tobytes()
         assert (res.total, res.accepted) == (k, accepted)
 
@@ -301,27 +387,65 @@ class TestChunkedKernel:
     @pytest.mark.parametrize("labels", [2, 7, GATE_CHUNK + 3])
     @pytest.mark.parametrize("k", [GATE_CHUNK - 1, GATE_CHUNK, GATE_CHUNK + 1, 3 * GATE_CHUNK + 17])
     def test_gate_counts_around_its_own_chunk(self, k, labels):
-        res = _gate(0.3, 0.7, labels, k, 0.37, np.random.default_rng(68))
+        counts, res = _gate(0.3, 0.7, labels, k, 0.37, np.random.default_rng(68))
         ungated, gated, accepted = _oracle_gate(
             0.3, 0.7, labels, k, 0.37, np.random.default_rng(68)
         )
-        assert res.ungated_counts.tobytes() == ungated.tobytes()
+        assert counts.tobytes() == ungated.tobytes()
         assert res.gated_counts.tobytes() == gated.tobytes()
         assert (res.total, res.accepted) == (k, accepted)
-        assert not (res.ungated_counts.flags.writeable or res.gated_counts.flags.writeable)
+        assert not res.gated_counts.flags.writeable
+
+    @pytest.mark.parametrize("p1", READINESS)
+    @pytest.mark.parametrize("p2", READINESS)
+    @pytest.mark.parametrize("k", [1, 7, GATE_CHUNK - 1, GATE_CHUNK, GATE_CHUNK + 1])
+    def test_gate_is_the_readiness_oracle(self, p1, p2, k):
+        counts = np.random.default_rng(k).multinomial(k, [0.25, 0.0, 0.5, 0.25])
+        rng, oracle_rng = np.random.default_rng(70), np.random.default_rng(70)
+        res = emission.detector_gate(p1, p2, counts, rng)
+        ready = gate_readiness(p1, p2, k, oracle_rng)
+        assert res.gated_counts.tolist() == gated_label_counts(counts, ready).tolist()
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize("p1", READINESS)
+    @pytest.mark.parametrize("p2", READINESS)
+    @pytest.mark.parametrize("k", [7, 2 * GATE_CHUNK + 1])
+    def test_lanes_at_the_bound_follow_the_oracle(self, p1, p2, k):
+        # half the lanes sit at their station's bound, so refinement words are
+        # drawn in every chunk, in lane order across both stations
+        counts = np.array([k // 3, 0, k - k // 3])
+        stream, oracle_stream = _word_stream(p1, p2, k, 71), _word_stream(p1, p2, k, 71)
+        res = emission.detector_gate(p1, p2, counts, stream)
+        ready = gate_readiness(p1, p2, k, oracle_stream)
+        assert res.gated_counts.tolist() == gated_label_counts(counts, ready).tolist()
+        assert stream.bit_generator.at == oracle_stream.bit_generator.at
 
     def test_gate_buffers_stay_under_one_mib(self):
         # the gate runs beside a held trace in `poisson`: its chunk buffers,
-        # not k-length arrays, set its peak
+        # not k-length arrays, set its peak, within 18 bytes per GATE_CHUNK
+        # emission, below the peak of the scan that runs before it
         rng = np.random.default_rng(69)
-        fracs = emission.generate_trace(1.0, 1_000_000, rng)
+        counts = np.full(50, 20_000)
         tracemalloc.start()
         try:
-            emission.detector_gate(0.5, 0.5, 50, fracs, rng)
+            emission.detector_gate(0.3, 0.5, counts, rng)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+        assert peak <= 18 * GATE_CHUNK, peak
+
+    def test_prefix_scan_holds_one_chunk_grid(self):
+        # beside the trace it sorts, the prefix function holds the scan's
+        # index and difference buffers of CHUNK floats each, and little more
+        fracs = emission.generate_trace(1.0, 1_000_000, np.random.default_rng(70))
+        tracemalloc.start()
+        try:
+            emission.prefix_discrepancies(fracs, [1000, 10_000, 100_000, 1_000_000], 50)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * CHUNK + 2**16, peak
 
     @pytest.mark.parametrize("k", CHUNK_SIZES)
     def test_one_sided_parts_are_the_whole_array_ones(self, k):
@@ -365,9 +489,45 @@ class TestChunkedKernel:
         assert pts.tobytes() == before
 
 
+class TestPrefixDiscrepancies:
+    @pytest.mark.parametrize("k", CHUNK_SIZES)
+    def test_each_prefix_is_its_star_discrepancy(self, k):
+        fracs = emission.generate_trace(0.37, k, np.random.default_rng(74))
+        ks = sorted({size for size in (1, 10, 1000, CHUNK, k) if size <= k})
+        expected = [emission.star_discrepancy(fracs[:size]) for size in ks]
+        whole = emission.discrepancy_stats(fracs)
+        labels = point_labels(fracs, 3)
+        stars, stats, counts = emission.prefix_discrepancies(fracs, ks, 3)
+        assert (stars, stats) == (expected, whole)
+        assert counts.tolist() == np.bincount(labels, minlength=3).tolist()
+        # the caller's trace is sorted in place
+        assert not np.any(fracs[1:] < fracs[:-1])
+
+    @pytest.mark.parametrize(
+        "points, ks, labels, message",
+        [
+            ([], [], 2, "nonempty"),
+            ([0.5, np.nan], [], 2, "finite"),
+            ([0.5, 1.0], [], 2, "finite"),
+            ([0.5, 0.25], [0], 2, "prefix sizes"),
+            ([0.5, 0.25], [1, 1], 2, "prefix sizes"),
+            ([0.5, 0.25], [2, 1], 2, "prefix sizes"),
+            ([0.5, 0.25], [3], 2, "prefix sizes"),
+            ([0.5, 0.25], [1], 0, "label count"),
+        ],
+    )
+    def test_rejected_input_is_left_unsorted(self, points, ks, labels, message):
+        fracs = np.array(points)
+        before = fracs.tobytes()
+        with pytest.raises(ValueError, match=message):
+            emission.prefix_discrepancies(fracs, ks, labels)
+        assert fracs.tobytes() == before
+
+
 class TestStreamPosition:
     """Each call moves the caller's stream past exactly what it drew: k
-    doubles for a trace, 2k for a gate of k emissions (p1 draws, p2 draws)."""
+    doubles for a trace; for a gate of k emissions, ceil(k / 2) lane words
+    and one refinement word per lane at its station's bound."""
 
     @pytest.mark.parametrize("k", [1, CHUNK + 1])
     def test_trace_moves_the_stream_k_doubles(self, k):
@@ -376,58 +536,59 @@ class TestStreamPosition:
         emission.generate_trace(0.5, k, rng)
         assert rng.bit_generator.state == expected.bit_generator.state
 
-    @pytest.mark.parametrize("k", [1, CHUNK + 1])
-    def test_gate_moves_the_stream_2k_doubles(self, k):
-        fracs = emission.generate_trace(0.5, k, np.random.default_rng(78))
+    @pytest.mark.parametrize("k", [1, 2, GATE_CHUNK + 1])
+    def test_gate_at_one_half_moves_the_stream_its_lane_words(self, k):
+        # c = 2**52 is a multiple of 2**37, so no lane takes a refinement word
         rng = np.random.default_rng(79)
-        expected = _drawn(rng, 2 * k)
-        emission.detector_gate(0.5, 0.5, 5, fracs, rng)
+        expected = copy.deepcopy(rng)
+        expected.bit_generator.random_raw(-(-k // 2))
+        emission.detector_gate(0.5, 0.5, [k], rng)
         assert rng.bit_generator.state == expected.bit_generator.state
 
     def test_gates_in_a_row_follow_the_stream(self):
         rng, oracle_rng = np.random.default_rng(83), np.random.default_rng(83)
         for k in (CHUNK + 5, 1000):
-            res = _gate(0.7, 0.9, 11, k, 1.3, rng)
+            counts, res = _gate(0.7, 0.9, 11, k, 1.3, rng)
             ungated, gated, accepted = _oracle_gate(0.7, 0.9, 11, k, 1.3, oracle_rng)
-            assert res.ungated_counts.tolist() == ungated.tolist()
+            assert counts.tolist() == ungated.tolist()
             assert res.gated_counts.tolist() == gated.tolist()
             assert res.accepted == accepted
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
     @pytest.mark.parametrize(
-        "p1,p2,labels,fracs,message",
+        "p1,p2,counts,message",
         [
-            (0.0, 0.5, 5, [0.5] * 100, "p1"),
-            (0.5, 1.5, 5, [0.5] * 100, "p2"),
-            (0.5, 0.5, 0, [0.5] * 100, "label count"),
-            (0.5, 0.5, 5, [], "nonempty"),
-            (0.5, 0.5, 5, [0.5, np.nan], "finite"),
-            (0.5, 0.5, 5, [0.5, np.inf], "finite"),
-            (0.5, 0.5, 5, [0.5, 1.0], "finite"),
-            (0.5, 0.5, 5, [0.0, -1e-300], "finite"),
+            (0.0, 0.5, [5, 5], "p1"),
+            (0.5, 1.5, [5, 5], "p2"),
+            (0.5, 0.5, [], "nonempty"),
+            (0.5, 0.5, [[5, 5]], "1-d"),
+            (0.5, 0.5, [0.5, 1.5], "integers"),
+            (0.5, 0.5, [5, -1, 5], ">= 0"),
+            (0.5, 0.5, [0, 0], "at least one emission"),
         ],
     )
-    def test_rejected_gate_draws_nothing(self, p1, p2, labels, fracs, message):
+    def test_rejected_gate_draws_nothing(self, p1, p2, counts, message):
         rng = np.random.default_rng(89)
         before = rng.bit_generator.state
         with pytest.raises(ValueError, match=message):
-            emission.detector_gate(p1, p2, labels, fracs, rng)
+            emission.detector_gate(p1, p2, counts, rng)
         assert rng.bit_generator.state == before
 
     @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.SFC64, np.random.Philox])
-    def test_gate_refuses_a_bit_generator_not_advancing_by_doubles(self, bit_generator):
+    def test_gate_refuses_a_bit_generator_not_advancing_by_words(self, bit_generator):
         # MT19937 and SFC64 cannot advance; Philox advances by 4-word blocks,
-        # so its p2 block would not be the doubles after the p1 block
+        # so its refinement words would not be the words after the lane words
         rng = np.random.Generator(bit_generator(89))
         before = rng.bit_generator.state
         with pytest.raises(ValueError, match=bit_generator.__name__):
-            emission.detector_gate(0.5, 0.5, 5, np.full(100, 0.5), rng)
+            emission.detector_gate(0.5, 0.5, [50, 50], rng)
         np.testing.assert_equal(rng.bit_generator.state, before)
 
     def test_gate_on_pcg64dxsm_follows_its_stream(self):
         rng, oracle_rng = (np.random.Generator(np.random.PCG64DXSM(91)) for _ in range(2))
-        res = _gate(0.7, 0.9, 11, CHUNK + 5, 1.3, rng)
+        counts, res = _gate(0.7, 0.9, 11, CHUNK + 5, 1.3, rng)
         ungated, gated, accepted = _oracle_gate(0.7, 0.9, 11, CHUNK + 5, 1.3, oracle_rng)
-        assert res.ungated_counts.tolist() == ungated.tolist()
+        assert counts.tolist() == ungated.tolist()
         assert res.gated_counts.tolist() == gated.tolist()
         assert res.accepted == accepted
         assert rng.bit_generator.state == oracle_rng.bit_generator.state

@@ -54,6 +54,45 @@ class TestLayerCount:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             layers.layer_count(3)
+        with pytest.raises(ValueError):
+            layers.layer_count_digits(3)
+
+
+def _has_digits(n: int, digits: int) -> bool:
+    """Whether the exact count at n, C(9n^2, 3n) (3n)! built as the falling
+    factorial, has `digits` decimal digits."""
+    count = 36 * math.comb(3 * n + 3, 3) ** 2 * math.perm(9 * n * n, 3 * n)
+    power = 10 ** (digits - 1)
+    return power <= count < 10 * power
+
+
+# at n = 8800 and 9395 the log10 estimate lies within its margin of a whole
+# number, the count beside a power of ten, so the exact integer decides
+EXACT_PATH_N = (8800, 9395)
+
+
+class TestLayerCountDigits:
+    def test_digits_of_the_exact_count_up_to_2000(self):
+        for n in range(4, 2001):
+            assert _has_digits(n, layers.layer_count_digits(n)), n
+
+    @pytest.mark.parametrize(
+        "n", [2001, 4999, 8799, *EXACT_PATH_N, 9396, 15000, layers.MAX_SAVED_N]
+    )
+    def test_digits_of_the_exact_count_past_2000(self, n):
+        assert _has_digits(n, layers.layer_count_digits(n))
+
+    @pytest.mark.parametrize("n", [4, 249, 8799, *EXACT_PATH_N, layers.MAX_SAVED_N])
+    def test_exact_count_built_only_beside_a_power_of_ten(self, monkeypatch, n):
+        real, built = layers.layer_count, []
+        monkeypatch.setattr(layers, "layer_count", lambda m: built.append(m) or real(m))
+        layers.layer_count_digits(n)
+        assert built == ([n] if n in EXACT_PATH_N else [])
+
+    def test_decimal_digits_next_to_powers_of_ten_and_two(self):
+        for e in range(1, 1300):
+            for x in (10**e - 1, 10**e, 2**e - 1, 2**e):
+                assert layers._decimal_digits(x) == len(str(x)), x
 
 
 class TestLayerSampling:

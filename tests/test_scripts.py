@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import csv
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from eprsim import cli
+from eprsim import cli, emission
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -27,17 +29,48 @@ SCRIPTS = {
 }
 
 
-@pytest.mark.parametrize("script", sorted(SCRIPTS))
-def test_script_writes_its_csv(tmp_path, script):
+def _run_script(script, args, out):
     src = str(Path(cli.__file__).resolve().parents[1])
     paths = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    args, header = SCRIPTS[script]
-    out = tmp_path / "scan.csv"
     argv = [sys.executable, str(REPO / "scripts" / script), *args, "--out", str(out)]
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("script", sorted(SCRIPTS))
+def test_script_writes_its_csv(tmp_path, script):
+    args, header = SCRIPTS[script]
+    out = tmp_path / "scan.csv"
+    _run_script(script, args, out)
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == header
     assert len(rows) > 1
+
+
+def _prefix_scan_csv(kmax: int, seed: int) -> bytes:
+    """The discrepancy scan's CSV at the default thetas, from the star
+    discrepancy of each unsorted prefix, each sorted in a copy."""
+    ks = [10**e for e in range(3, 10) if 10**e <= kmax]
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rows = []
+    for theta in (0.5, 1.0, 2.0):
+        fracs = emission.generate_trace(theta, kmax, rng)
+        rows += [("poisson", theta, k, emission.star_discrepancy(fracs[:k])) for k in ks]
+    uniform = rng.random(kmax)
+    rows += [("uniform", float("nan"), k, emission.star_discrepancy(uniform[:k])) for k in ks]
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(["kind", "theta", "k", "star_discrepancy"])
+    writer.writerows(rows)
+    return text.getvalue().encode()
+
+
+@pytest.mark.parametrize("kmax", [10_000, 25_000])
+def test_discrepancy_scan_is_the_prefix_by_prefix_scan(tmp_path, kmax):
+    # the script sorts each trace in place, a prefix at a time; its CSV is
+    # byte for byte that of sorting a copy of every prefix
+    out = tmp_path / "scan.csv"
+    _run_script("run_discrepancy_scan.py", ["--kmax", str(kmax), "--seed", "5"], out)
+    assert out.read_bytes() == _prefix_scan_csv(kmax, 5)
