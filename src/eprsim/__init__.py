@@ -13,7 +13,6 @@ from .analysis import (
     dependence_report,
     outcome_biases,
     pair_expectation,
-    station_pair_joint,
 )
 from .config import ConfigError, load_config, parse_setting
 from .emission import (

@@ -2,15 +2,17 @@
 
 Every law in the model is piecewise constant on unit cells times weight
 intervals times labels, so expectations, marginals, and total-variation
-distances are finite sums; nothing here samples.  The sums over the M
-companion pairs use arrays of M x (3n+12) entries, never M x (3n+12) x L:
-a relocation is a permutation, so one scatter puts each original cell's law
-at the position the cell moves to and one matmul with the (M, L) weights
-sums the pairs, while the (ii*) law is binned once per interval.  The
-binned laws scatter-add a block of pairs at a time into their table, in the
-order `np.bincount` would sum them, so no M x (3n+12) float array of shares
-is made.  Positions are uint16: every flat bin is formed in `intp`, since
-column * (3n+12) + row passes 2**16 from n = 82.
+distances are finite sums; nothing here samples.  A relocation is a
+permutation, so each sum over the M companion pairs scatters the cells'
+shares to the positions the pairs move them to.  A cell of zero mass adds
+exact zeros there, so the sums take only the K positive-mass cells (K <= 12
+of the S = 3n+12): the binned laws scatter-add M x K shares into their
+table a block of pairs at a time, in the order `np.bincount` would sum
+them, and the (ii*) law is binned once per interval.  The outcome sums put
+each sign group's positive-mass cells into one M x S array at the positions
+the pairs move them to, and one matmul with the (M, L) weights sums the
+pairs; nothing is M x S x L.  Positions are uint16: every flat bin is formed
+in `intp`, since column * S + row passes 2**16 from n = 82.
 `outcome_biases` is the one bias computation: per station side it sums the
 odd labels' mass of +1 and of -1 outcomes per bin, P and Q, and reads from
 them the intact bias (exactly 0) and the witness with companions dropped,
@@ -31,39 +33,39 @@ def _normalized_masses(mu: BaseMeasure) -> np.ndarray:
     return mu.cell_masses / mu.cell_masses.sum()
 
 
-# pairs times positions per block of `_bin_pairs`: a block's float64 shares
+# pairs times cells per block of `_bin_pairs`: a block's float64 shares
 # stay near 0.5 MiB
 BLOCK = 1 << 16
 
 
-def _cell_pair_bins(universe: LayerUniverse) -> np.ndarray:
-    """Flat (column, row) bin of every ensemble, one row per pair; a pair's
-    two labels share these bins, so each pair is binned once at twice a
-    label's share."""
-    bins = universe.col_to.astype(np.intp)
+def _cell_pair_bins(universe: LayerUniverse, pos: np.ndarray) -> np.ndarray:
+    """(M, K) flat (column, row) bins of the ensembles of the cells `pos`,
+    one row per pair; a pair's two labels share these bins, so each pair is
+    binned once at twice a label's share."""
+    bins = universe.col_to[:, pos].astype(np.intp)
     bins *= universe.col_to.shape[1]
-    bins += universe.row_to
+    bins += universe.row_to[:, pos]
     return bins
 
 
-def _bin_pairs(bins: np.ndarray, masses: np.ndarray, scale=None) -> np.ndarray:
-    """(S, S) table of the shares masses[p] * scale[k] / M (scale 1 if None)
-    summed into bin bins[k, p], pair after pair in the order `np.bincount`
+def _bin_pairs(bins: np.ndarray, shares: np.ndarray, size: int, scale=None) -> np.ndarray:
+    """(size, size) table of shares[j] * scale[p] / M (scale 1 if None)
+    summed into bin bins[p, j], pair after pair in the order `np.bincount`
     of the flat bins sums them, so bit for bit its table; a block of pairs
     at a time."""
-    pairs, size = bins.shape
-    rows = min(pairs, max(1, BLOCK // size))
-    shares = np.empty((rows, size))
+    pairs, count = bins.shape
+    rows = min(pairs, max(1, BLOCK // count))
+    part = np.empty((rows, count))
     if scale is None:
-        shares[:] = masses * (1.0 / pairs)
+        part[:] = shares * (1.0 / pairs)
     table = np.zeros(size * size)
     for lo in range(0, pairs, rows):
         hi = min(pairs, lo + rows)
-        part = shares[: hi - lo]
+        block = part[: hi - lo]
         if scale is not None:
-            np.multiply(scale[lo:hi, None], masses, out=part)
-            part *= 1.0 / pairs
-        np.add.at(table, bins[lo:hi].ravel(), part.ravel())
+            np.multiply(scale[lo:hi, None], shares, out=block)
+            block *= 1.0 / pairs
+        np.add.at(table, bins[lo:hi].ravel(), block.ravel())
     return table.reshape(size, size)
 
 
@@ -75,28 +77,24 @@ def pair_expectation(universe: LayerUniverse, a, b) -> float:
     return pair_integral(mu) * float(universe.weights.sum(axis=1).mean())
 
 
-def station_pair_joint(universe: LayerUniverse, mu: BaseMeasure) -> np.ndarray:
-    """Exact joint cell law of the two station parameters, mixed over labels
-    and weight intervals: shape (cells, cells) over (column, row)."""
-    return _bin_pairs(_cell_pair_bins(universe), _normalized_masses(mu))
-
-
 def _outcome_mass(universe: LayerUniverse, mu: BaseMeasure, k: int):
     """P, Q of shape (2, S, L) for station side "AB"[k]: the odd labels' mass
     per (half, position, interval) of the cells whose outcome there is +1
-    (P) and -1 (Q).  A relocation is a permutation, so the cells that share
-    both halves' outcomes are scattered to the positions each pair moves them
-    to, into one M x S array summed over the pairs by one matmul with the
-    (M, L) weights; each group's sums go to P or Q half by half."""
+    (P) and -1 (Q).  A relocation is a permutation, so the positive-mass
+    cells that share both halves' outcomes are scattered to the positions
+    each pair moves them to, into one M x S array summed over the pairs by
+    one matmul with the (M, L) weights; each group's sums go to P or Q half
+    by half.  A group of zero-mass cells only would add zeros: none is made."""
     masses = _normalized_masses(mu)
+    held = masses != 0.0
     to = (universe.col_to, universe.row_to)[k]
     pairs, size = to.shape
     rows = np.arange(pairs)[:, None]
     plus = mu.outcome[k] > 0  # (S, 2): is the outcome +1 on each half
     moved = np.empty((pairs, size))
     sums = np.zeros((2, 2, size, universe.interval_count))  # (P or Q, half, ...)
-    for signs in np.unique(plus, axis=0):
-        cells = np.flatnonzero((plus == signs).all(axis=1))
+    for signs in np.unique(plus[held], axis=0):
+        cells = np.flatnonzero(held & (plus == signs).all(axis=1))
         moved.fill(0.0)
         moved[rows, to[:, cells]] = masses[cells]
         group = moved.T @ universe.weights
@@ -172,8 +170,9 @@ def dependence_report(universe: LayerUniverse, a, b, c) -> DependenceReport:
     masses = _normalized_masses(mu_ab)
     masses_ac = _normalized_masses(mu_ac)
 
-    bins = _cell_pair_bins(universe)
-    joint = _bin_pairs(bins, masses)
+    pos = np.flatnonzero(masses)
+    bins, shares = _cell_pair_bins(universe, pos), masses[pos]
+    joint = _bin_pairs(bins, shares, size)
     marg_u = joint.sum(axis=1)
     marg_v = joint.sum(axis=0)
     tv_joint_vs_product = _tv(joint.ravel(), np.outer(marg_u, marg_v).ravel())
@@ -205,10 +204,10 @@ def dependence_report(universe: LayerUniverse, a, b, c) -> DependenceReport:
     r_lambda_dependence = float(0.5 * np.abs(spread, out=spread).sum() / universe.pair_count)
 
     # (ii*): is the source parameter independent of the station pair?  One
-    # (column, row) law per interval, each binned over the M x S pair cells
+    # (column, row) law per interval, each binned over the M x K pair cells
     factorization_defect = 0.0
     for ell, mean_weight in enumerate(mean_weights):
-        layer = _bin_pairs(bins, masses, universe.weights[:, ell])
+        layer = _bin_pairs(bins, shares, size, universe.weights[:, ell])
         factorization_defect = max(
             factorization_defect, float(np.abs(layer - joint * mean_weight).max())
         )

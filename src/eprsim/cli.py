@@ -61,13 +61,7 @@ from .measure import (
 )
 from .sampling import run_experiment
 from .sampling import chsh as run_chsh
-from .splines import (
-    approx_squared_diff_grid,
-    basis_matrix,
-    build_spline_system,
-    marsden_weight_matrix,
-    squared_diff_defect_bound,
-)
+from .splines import build_spline_system, identity_errors
 
 REPORT_SCHEMA = "report/1"
 
@@ -83,21 +77,8 @@ def _setting_arg(args, name: str):
 def cmd_splines(args):
     sys_ = build_spline_system(args.n)
     grid = np.linspace(0.0, 1.0, args.grid)
-    surface = approx_squared_diff_grid(sys_, grid, grid)
-    residual = surface - (grid[:, None] - grid[None, :]) ** 2
-    basis = basis_matrix(sys_, grid)
-    partition_err = float(np.abs(basis.sum(axis=0) - 1.0).max())
-    marsden = marsden_weight_matrix(sys_, grid).T @ basis
-    marsden_err = float(np.abs(marsden - (grid[:, None] - grid[None, :]) ** 2).max())
-    fields = {
-        "n": args.n,
-        "grid": args.grid,
-        "residual_min": float(residual.min()),
-        "residual_max": float(residual.max()),
-        "defect_bound": squared_diff_defect_bound(sys_),
-        "partition_max_error": partition_err,
-        "marsden_max_error": marsden_err,
-    }
+    residual, errors = identity_errors(sys_, grid)
+    fields = {"n": args.n, "grid": args.grid, **errors}
     rows = (
         [repr(float(x)), repr(float(y)), repr(float(residual[iy, ix]))]
         for iy, y in enumerate(grid)

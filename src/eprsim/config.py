@@ -56,7 +56,7 @@ MAXIMUMS = {
 # what sizes checked together would allocate, in bytes, keyed by the
 # command: the universe's relocations and weights, splines' (n+5) x grid
 # float64 basis recursion, and analyze's whole run by the n of its universe
-# file, which `station_pair_joint`'s S x S float64 table (S = 3n+12 cells)
+# file, which `dependence_report`'s S x S float64 joint table (S = 3n+12 cells)
 # dominates: the tracemalloc peak of in-process `cli.main` analyze runs on
 # files of one pair and one interval grows by 32.0-32.1 bytes per S^2 from
 # n = 100 to 800, and is 32.1-33.3 bytes per S^2 in all (numpy 2.4, x86-64

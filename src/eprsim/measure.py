@@ -181,7 +181,6 @@ class GapVariantMass:
 
     m1: float
     m2: float
-    cell_masses: np.ndarray = field(repr=False, compare=False)
 
     @property
     def total(self) -> float:
@@ -202,7 +201,4 @@ def gap_variant(a, b) -> GapVariantMass:
     a = as_setting(a)
     b = as_setting(b)
     absa, absb = np.abs(a), np.abs(b)
-    gaps = (absa - absb) ** 2
-    cells = np.concatenate([(absa * absb)[::-1], gaps])
-    cells.setflags(write=False)
-    return GapVariantMass(m1=float(np.sum(absa * absb)), m2=float(gaps.sum()), cell_masses=cells)
+    return GapVariantMass(m1=float(np.sum(absa * absb)), m2=float(np.sum((absa - absb) ** 2)))

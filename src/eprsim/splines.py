@@ -106,3 +106,22 @@ def approx_squared_diff_grid(sys: SplineSystem, xs, ys) -> np.ndarray:
 def squared_diff_defect_bound(sys: SplineSystem) -> float:
     """Upper bound 1/(4 n^2) on S(x, y) - (y - x)^2 over the unit square."""
     return 0.25 / (sys.n * sys.n)
+
+
+def identity_errors(sys: SplineSystem, grid) -> tuple[np.ndarray, dict]:
+    """The residual S(x, y) - (y - x)^2 on the grid x = y = `grid` in [0, 1]
+    (shape (len(grid), len(grid)), rows y) and the `splines` report's error
+    fields: its min and max against the defect bound, and the largest
+    partition-of-unity and Marsden-identity errors."""
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    square = (grid[:, None] - grid[None, :]) ** 2
+    residual = approx_squared_diff_grid(sys, grid, grid) - square
+    basis = basis_matrix(sys, grid)
+    marsden = marsden_weight_matrix(sys, grid).T @ basis
+    return residual, {
+        "residual_min": float(residual.min()),
+        "residual_max": float(residual.max()),
+        "defect_bound": squared_diff_defect_bound(sys),
+        "partition_max_error": float(np.abs(basis.sum(axis=0) - 1.0).max()),
+        "marsden_max_error": float(np.abs(marsden - square).max()),
+    }

@@ -82,6 +82,17 @@ def naive_total_mass(n: int, a, b) -> float:
     return sum(naive_cell_mass(n, a, b, i) for i in range(-2, 3 * n + 10))
 
 
+def gap_variant_cell_mass(a, b, i: int) -> float:
+    """Mass of cell [i-1, i)^2, i = -2 .. 3, of the squared-gap variant:
+    |a_k||b_k| on the negative cells (k = 1 - i) and (|a_i| - |b_i|)^2 on
+    the positive ones."""
+    absa = [abs(float(v)) for v in a]
+    absb = [abs(float(v)) for v in b]
+    if -2 <= i <= 0:
+        return absa[-i] * absb[-i]
+    return (absa[i - 1] - absb[i - 1]) ** 2
+
+
 def factorial_oracle(n: int) -> int:
     out = 1
     for t in range(2, n + 1):
@@ -645,6 +656,101 @@ def loop_dependence_report(universe, mu_ab, mu_ac) -> dict:
     out["factorization_defect"] = float(np.abs(triple - joint[:, :, None] * mean_weights).max())
     return out
 
+
+
+# --- all-cells references of the exact analysis sums --------------------------
+#
+# The binned tables and the outcome sums over every one of the S = 3n+12
+# cells, zero-mass cells included, each summed in the order the analysis
+# sums: `np.bincount` over the flat (column, row) bins for a table, and one
+# M x S array per outcome sign group, filled through the inverse relocation
+# and summed by a matmul with the weights.  So they equal the analysis bit
+# for bit, and tell whether dropping the zero-mass cells lost any share.
+
+
+def all_cells_table(universe, mu, scale=None) -> np.ndarray:
+    """(S, S) law of the (column, row) pair cells, each pair's share of a
+    cell times scale[pair] (1 if None) over M, summed by `np.bincount`."""
+    masses = _loop_masses(mu)
+    pairs, size = universe.col_to.shape
+    flat = universe.col_to.astype(np.int64) * size + universe.row_to
+    if scale is None:
+        shares = np.broadcast_to(masses, (pairs, size)) * (1.0 / pairs)
+    else:
+        shares = (scale[:, None] * masses) * (1.0 / pairs)
+    sums = np.bincount(flat.ravel(), weights=shares.ravel(), minlength=size * size)
+    return sums.reshape(size, size)
+
+
+def all_cells_outcome_mass(universe, mu, side="A"):
+    """P, Q of shape (2, S, L): per sign pattern of the two halves, every
+    cell of that pattern at the position each pair moves it to, summed over
+    the odd labels by one matmul with the weights."""
+    masses = _loop_masses(mu)
+    to = universe.col_to if side == "A" else universe.row_to
+    origin = np.argsort(to, axis=1)  # origin[p, q]: the cell pair p puts at q
+    plus = mu.outcome["AB".index(side)] > 0
+    shape = (2, masses.size, universe.interval_count)
+    sums = {True: np.zeros(shape), False: np.zeros(shape)}
+    for signs in ((False, False), (False, True), (True, False), (True, True)):
+        in_group = (plus == signs).all(axis=1)
+        if in_group.any():
+            moved = np.where(in_group[origin], masses[origin], 0.0)
+            group = moved.T @ universe.weights
+            for h in (0, 1):
+                sums[signs[h]][h] += group
+    return sums[True], sums[False]
+
+
+def _ratio_max(num, den) -> float:
+    ratios = np.zeros_like(num)
+    occupied = den > 0.0
+    ratios[occupied] = np.abs(num[occupied]) / den[occupied]
+    return float(ratios.max())
+
+
+def all_cells_outcome_biases(universe, mu) -> dict:
+    """{side: (intact, witness)} from the all-cells P, Q: the companions'
+    sign sum (0) and the odd labels' |P - Q| over the pair's 2 (P + Q)."""
+    biases = {}
+    for side in "AB":
+        plus, minus = all_cells_outcome_mass(universe, mu, side)
+        diff, total = plus - minus, plus + minus
+        biases[side] = (_ratio_max(0.0 * diff, 2.0 * total), _ratio_max(diff, total))
+    return biases
+
+
+def all_cells_dependence_report(universe, mu_ab, mu_ac) -> dict:
+    """The seven dependence diagnostics with every table over all S cells;
+    the closed forms are those of the per-label definitions."""
+    masses, masses_ac = _loop_masses(mu_ab), _loop_masses(mu_ac)
+    size = masses.size
+
+    def tv(p, q):
+        return 0.5 * float(np.abs(p - q).sum())
+
+    joint = all_cells_table(universe, mu_ab)
+    marg_u, marg_v = joint.sum(axis=1), joint.sum(axis=0)
+    uniform = np.full(size, 1.0 / size)
+    mass_weight = universe.weights.sum(axis=1) * masses.sum()
+    on_diag = masses * masses
+    mean_weights = universe.weights.mean(axis=0)
+    spread = np.abs(universe.weights - mean_weights)
+    defect = 0.0
+    for ell, mean_weight in enumerate(mean_weights):
+        layer = all_cells_table(universe, mu_ab, universe.weights[:, ell])
+        defect = max(defect, float(np.abs(layer - joint * mean_weight).max()))
+    return {
+        "tv_joint_vs_product": tv(joint.ravel(), np.outer(marg_u, marg_v).ravel()),
+        "tv_cond_indep": float((0.5 * mass_weight * np.abs(1.0 - mass_weight)).max()),
+        "cond_pair_dependence": 0.5 * float(
+            np.abs(masses - on_diag).sum() + np.outer(masses, masses).sum() - on_diag.sum()
+        ),
+        "setting_shift": tv(masses, masses_ac),
+        "marginal_uniformity": max(tv(marg_u, uniform), tv(marg_v, uniform)),
+        "r_lambda_dependence": float(0.5 * spread.sum() / universe.pair_count),
+        "factorization_defect": defect,
+    }
 
 def universe_file_bytes(universe) -> bytes:
     """A `layer-universe/3` file written independently of `save_universe`:

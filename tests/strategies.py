@@ -34,11 +34,17 @@ def edge_setting(draw, n):
 
 
 @st.composite
-def edge_cases(draw):
-    """(n, a, b) over n in [4, 64], with b = a, b = -a or b drawn apart."""
-    n = draw(st.integers(4, 64))
+def edge_pair(draw, n):
+    """(a, b) of edge settings at order n, with b = a, b = -a or b drawn apart."""
     a = draw(edge_setting(n))
     kind = draw(st.sampled_from(["same", "negated", "apart"]))
     if kind == "apart":
-        return n, a, draw(edge_setting(n))
-    return n, a, (a if kind == "same" else -a)
+        return a, draw(edge_setting(n))
+    return a, (a if kind == "same" else -a)
+
+
+@st.composite
+def edge_cases(draw):
+    """(n, a, b) over n in [4, 64], with b = a, b = -a or b drawn apart."""
+    n = draw(st.integers(4, 64))
+    return (n, *draw(edge_pair(n)))

@@ -8,6 +8,10 @@ from hypothesis import strategies as st
 from eprsim import analysis, layers, measure
 
 from oracles import (
+    all_cells_dependence_report,
+    all_cells_outcome_biases,
+    all_cells_outcome_mass,
+    all_cells_table,
     brute_conditional_marginal,
     loop_conditional_outcome_bias,
     loop_dependence_report,
@@ -16,11 +20,20 @@ from oracles import (
     loop_station_pair_joint,
     random_unit_vector,
 )
+from strategies import edge_pair, edge_setting
 
 A = measure.as_setting([1.0, 0.0, 0.0])
 B60 = measure.as_setting([0.5, np.sqrt(3.0) / 2.0, 0.0], normalize=True)
 B = measure.as_setting([0.6, 0.8, 0.0])
 C = measure.as_setting([0.0, 0.28, 0.96], normalize=True)
+
+
+def joint_table(universe, mu) -> np.ndarray:
+    """The (column, row) joint law `dependence_report` bins, over the
+    positive-mass cells."""
+    masses = analysis._normalized_masses(mu)
+    pos = np.flatnonzero(masses)
+    return analysis._bin_pairs(analysis._cell_pair_bins(universe, pos), masses[pos], masses.size)
 
 
 @pytest.fixture(scope="module")
@@ -161,8 +174,8 @@ class TestStationMarginalSettingDependence:
             uni = layers.build_universe(4, 1, pairs, np.random.default_rng(seed))
             mu_ab = measure.build_measure(A, B, 4)
             mu_ac = measure.build_measure(A, C, 4)
-            pu_ab = analysis.station_pair_joint(uni, mu_ab).sum(axis=1)
-            pu_ac = analysis.station_pair_joint(uni, mu_ac).sum(axis=1)
+            pu_ab = loop_station_pair_joint(uni, mu_ab).sum(axis=1)
+            pu_ac = loop_station_pair_joint(uni, mu_ac).sum(axis=1)
             return 0.5 * float(np.abs(pu_ab - pu_ac).sum())
 
         coarse = marginal_tv(20)
@@ -239,7 +252,7 @@ class TestLoopOracleEquivalence:
             loop_pair_expectation(uni, mu_ab), abs=1e-12
         )
         np.testing.assert_allclose(
-            analysis.station_pair_joint(uni, mu_ab), loop_station_pair_joint(uni, mu_ab),
+            joint_table(uni, mu_ab), loop_station_pair_joint(uni, mu_ab),
             rtol=0, atol=1e-12,
         )
         for side, biases in analysis.outcome_biases(uni, mu_ab.a, mu_ab.b).items():
@@ -275,7 +288,7 @@ class TestLoopOracleEquivalence:
         mu_ab = measure.build_measure(a, b, n)
         mu_ac = measure.build_measure(a, c, n)
         np.testing.assert_allclose(
-            analysis.station_pair_joint(uni, mu_ab), loop_station_pair_joint(uni, mu_ab),
+            joint_table(uni, mu_ab), loop_station_pair_joint(uni, mu_ab),
             rtol=0, atol=1e-12,
         )
         got = analysis.dependence_report(uni, a, b, c)
@@ -308,3 +321,44 @@ class TestOutcomeBiases:
                     for value, drop in ((intact, False), (witness, True)):
                         want = loop_conditional_outcome_bias(uni, mu, side, drop)
                         assert value == pytest.approx(want, abs=1e-12), (a, b, side, drop)
+
+
+class TestPositiveCellSums:
+    """The sums over the positive-mass cells against the all-cells
+    references, bit for bit: every share of a zero-mass cell is an exact
+    zero, so dropping it changes no partial sum."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([4, 5, 17, 40]),
+        interval_count=st.sampled_from([1, 2, 7, 64]),
+        pairs=st.sampled_from([1, 37, 3000]),
+        tie=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_matches_all_cells_bit_for_bit(self, n, interval_count, pairs, tie, seed, data):
+        a, b = data.draw(edge_pair(n))
+        c = data.draw(edge_setting(n))
+        uni = layers.build_universe(
+            n, interval_count, pairs, np.random.default_rng(seed), tie_weights=tie
+        )
+        mu_ab = measure.build_measure(a, b, n)
+        assert joint_table(uni, mu_ab).tobytes() == all_cells_table(uni, mu_ab).tobytes()
+        for k, side in enumerate("AB"):
+            got = analysis._outcome_mass(uni, mu_ab, k)
+            want = all_cells_outcome_mass(uni, mu_ab, side)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes(), side
+        got = analysis.outcome_biases(uni, a, b)
+        want = all_cells_outcome_biases(uni, mu_ab)
+        assert list(got) == list(want)
+        assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
+        mu_ac = measure.build_measure(a, c, n)
+        if np.allclose(mu_ab.b, mu_ac.b, atol=1e-15):
+            return
+        got = analysis.dependence_report(uni, a, b, c).as_dict()
+        want = all_cells_dependence_report(uni, mu_ab, mu_ac)
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            assert np.float64(got[key]).tobytes() == np.float64(value).tobytes(), key

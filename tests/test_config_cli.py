@@ -14,7 +14,7 @@ import pytest
 from eprsim import cli, config, emission, layers
 from eprsim.timings import StageTimer
 
-from oracles import point_labels
+from oracles import naive_squared_diff_sum, point_labels
 
 
 class TestParseSetting:
@@ -444,7 +444,7 @@ class TestCliSizeBudget:
         assert not uni.exists()
 
     def test_analyze_at_the_largest_saved_n_exits_2_naming_it(self, capsys, tmp_path):
-        # a valid file of one pair, whose station_pair_joint table of
+        # a valid file of one pair, whose dependence_report joint table of
         # (3n+12)^2 float64 would take 32 GiB, is refused before any analysis
         uni = tmp_path / "u.universe"
         n = layers.MAX_SAVED_N
@@ -1185,6 +1185,25 @@ class TestCliSplines:
         assert doc["residual_max"] <= doc["defect_bound"] + 1e-12
         assert doc["partition_max_error"] <= 1e-12
         assert doc["marsden_max_error"] <= 1e-10
+
+    def test_csv_holds_the_residual_grid(self, capsys, tmp_path):
+        # rows run over y, then x; the report's extremes are the column's, and
+        # each residual is the clipped spline sum minus (y - x)^2
+        csv_path = tmp_path / "residual.csv"
+        code, out, _ = run_cli(capsys, "splines", "--n", "5", "--grid", "21", "--csv", str(csv_path))
+        assert code == 0
+        doc = json.loads(out)
+        with csv_path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["x", "y", "residual"]
+        values = np.array(rows[1:], dtype=float)
+        grid = np.linspace(0.0, 1.0, 21)
+        np.testing.assert_array_equal(values[:, 0], np.tile(grid, 21))
+        np.testing.assert_array_equal(values[:, 1], np.repeat(grid, 21))
+        assert values[:, 2].min() == doc["residual_min"]
+        assert values[:, 2].max() == doc["residual_max"]
+        for x, y, residual in values[::17]:
+            assert residual == pytest.approx(naive_squared_diff_sum(5, x, y) - (y - x) ** 2, abs=1e-14)
 
     @pytest.mark.parametrize("grid", ["1", "0", "-3"])
     def test_grid_below_two_names_the_flag(self, capsys, grid):

@@ -175,6 +175,9 @@ def test_timings_change_no_report_byte(workdir, tmp_path, name):
         assert stage["peak_rss_mb"] > 0.0
     if name == "simulate_u1":
         assert {"layers.load_universe", "sampling.run_experiment"} <= set(doc["stages"])
+    if name.startswith("splines"):
+        # the residual grid and every error field come from one library call
+        assert doc["stages"]["splines.identity_errors"]["calls"] == 1
     if name.startswith("analyze"):
         # both biases of both sides come from one pass per side
         assert doc["stages"]["analysis.outcome_biases"]["calls"] == 1

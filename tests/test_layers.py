@@ -23,6 +23,7 @@ from oracles import (
     layer_density,
     layer_spin_a,
     layer_spin_b,
+    loop_station_pair_joint,
     random_unit_vector,
     step_sign,
     step_weight,
@@ -361,14 +362,12 @@ class TestMixtureUniformity:
     def test_cell_average_approaches_uniform(self):
         # resampling oracle: the observed deviation statistic should be
         # typical of its own sampling distribution (99th percentile guard)
-        from eprsim.analysis import station_pair_joint
-
         mu = measure.build_measure(A, B, 4)
         size = 3 * 4 + 12
 
         def max_deviation(seed, pairs=2000):
             uni = layers.build_universe(4, 1, pairs, np.random.default_rng(seed))
-            joint = station_pair_joint(uni, mu)
+            joint = loop_station_pair_joint(uni, mu)
             return float(np.abs(joint - 1.0 / size**2).max())
 
         observed = max_deviation(20250810)
@@ -376,12 +375,7 @@ class TestMixtureUniformity:
         p99 = float(np.percentile(replicas, 99))
         assert observed <= p99
         # and the deviation shrinks with the number of sampled pairs
-        small = 0.0
-        uni_small = layers.build_universe(4, 1, 20, np.random.default_rng(20250810))
-        from eprsim.analysis import station_pair_joint as spj
-
-        small = float(np.abs(spj(uni_small, mu) - 1.0 / size**2).max())
-        assert observed < small
+        assert observed < max_deviation(20250810, pairs=20)
 
 
 def _data(arr: np.ndarray) -> int:

@@ -13,6 +13,7 @@ from oracles import (
     detector_a,
     diagonal_indicator,
     domain_high,
+    gap_variant_cell_mass,
     naive_cell_index,
     naive_cell_mass,
     naive_total_mass,
@@ -354,11 +355,17 @@ class TestGapVariant:
         assert gv.total == pytest.approx(2.0, abs=1e-12)
         assert not gv.is_unit_mass
 
-    def test_cell_layout(self):
-        gv = measure.gap_variant(E1, E2)
-        assert gv.cell_masses.shape == (6,)
-        np.testing.assert_allclose(gv.cell_masses[:3], 0.0, atol=0)
-        np.testing.assert_allclose(sorted(gv.cell_masses[3:]), [0.0, 1.0, 1.0], atol=1e-15)
+    def test_masses_sum_the_oracle_cells(self):
+        # m1 sums the three negative cells, m2 the three gap cells [k-1, k)^2
+        for a, b in ((E1, E2), ([0.6, -0.8, 0.0], [0.0, 0.28, 0.96]), (E3, [0.6, 0.0, -0.8])):
+            gv = measure.gap_variant(a, b)
+            negative = [gap_variant_cell_mass(a, b, i) for i in (-2, -1, 0)]
+            gaps = [gap_variant_cell_mass(a, b, i) for i in (1, 2, 3)]
+            assert gv.m1 == pytest.approx(math.fsum(negative), abs=1e-15)
+            assert gv.m2 == pytest.approx(math.fsum(gaps), abs=1e-15)
+        # orthogonal axes: no negative mass, and unit gaps on two cells
+        assert [gap_variant_cell_mass(E1, E2, i) for i in (-2, -1, 0)] == [0.0, 0.0, 0.0]
+        assert sorted(gap_variant_cell_mass(E1, E2, i) for i in (1, 2, 3)) == [0.0, 1.0, 1.0]
 
 
 def test_spline_factor_consistency_with_system():
