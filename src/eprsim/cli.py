@@ -329,7 +329,7 @@ def cmd_poisson(args):
         "acceptance_rate": gate.acceptance_rate,
     }
     if len(prefix_ks) >= 2:
-        fields["rate_slope"] = fit_rate(prefix_ks, stars).slope
+        fields["rate_slope"] = fit_rate(prefix_ks, stars)
     return fields, (["k", "star_discrepancy"], ([k, repr(s)] for k, s in zip(prefix_ks, stars)))
 
 

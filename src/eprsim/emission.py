@@ -12,10 +12,9 @@ their fractional parts: uniforms, waits -theta*log1p(-U) and their running
 sum are formed in place, the sum carrying the time reached so far into its
 first term.  numpy's cumsum adds in sequence, so every part is that of the
 whole-trace cumsum to the bit.  `generate_trace` keeps only the k fractional
-parts, in an array the caller owns; the discrepancies read points chunk by
-chunk, sorting a copy only of points not already ascending.
-`prefix_discrepancies` sorts a trace in place instead, each prefix in turn
-and the whole trace last, reads every D* off the sorted points, and counts
+parts, in an array the caller owns.  `prefix_discrepancies` sorts a trace in
+place, each prefix in turn and the whole trace last, reads every D* off the
+sorted points chunk by chunk, and counts
 the labels floor({x} * N) + 1 of the sorted whole with one search per label
 edge: the label is monotone in x, so no point is labelled one by one.
 `detector_gate` takes those label counts and gates the emissions in label
@@ -75,19 +74,9 @@ def generate_trace(theta: float, k: int, rng: np.random.Generator) -> np.ndarray
     return fracs
 
 
-def _checked_points(points) -> np.ndarray:
-    pts = np.asarray(points, dtype=float).reshape(-1)
-    if pts.size == 0:
-        raise ValueError("point set must be nonempty")
-    # min and max are NaN if any point is, which fails both comparisons
-    if not (pts.min() >= 0.0 and pts.max() < 1.0):
-        raise ValueError("points must be finite and lie in [0, 1)")
-    return pts
-
-
 def _ascending_parts(pts: np.ndarray) -> tuple[float, float]:
     """The one-sided parts D+ = max_i (i/k - x_(i)) and
-    D- = max_i (x_(i) - (i-1)/k), each at least 0, of checked points in
+    D- = max_i (x_(i) - (i-1)/k), each at least 0, of points of [0, 1) in
     ascending order."""
     k = pts.size
     size = min(k, CHUNK)
@@ -104,23 +93,6 @@ def _ascending_parts(pts: np.ndarray) -> tuple[float, float]:
     return d_plus, d_minus
 
 
-def _sorted_parts(points) -> tuple[float, float]:
-    """D+ and D- of any point set.  Points not already ascending are sorted
-    in a copy; the caller's array is never written."""
-    pts = _checked_points(points)
-    # each chunk overlaps the next by one point, so every adjacent pair is read
-    chunks = (pts[lo : lo + CHUNK + 1] for lo in range(0, pts.size - 1, CHUNK))
-    if any(np.less(c[1:], c[:-1]).any() for c in chunks):
-        pts = np.sort(pts)
-    return _ascending_parts(pts)
-
-
-def star_discrepancy(points) -> float:
-    """Exact anchored discrepancy D*_k from the points in ascending order:
-    max_i max(i/k - x_(i), x_(i) - (i-1)/k) = max(D+, D-)."""
-    return max(_sorted_parts(points))
-
-
 @dataclass(frozen=True)
 class DiscrepancyStats:
     """Summary of one point set from one ascending scan: the star
@@ -129,14 +101,6 @@ class DiscrepancyStats:
 
     star: float
     extreme: float
-
-
-def _stats(d_plus: float, d_minus: float) -> DiscrepancyStats:
-    return DiscrepancyStats(star=max(d_plus, d_minus), extreme=d_plus + d_minus)
-
-
-def discrepancy_stats(points) -> DiscrepancyStats:
-    return _stats(*_sorted_parts(points))
 
 
 def _label_edges(j: np.ndarray, label_count: int) -> np.ndarray:
@@ -183,7 +147,12 @@ def prefix_discrepancies(
     caller's prefix.  The points are checked once, on entry: they must be
     nonempty, finite and in [0, 1), and `ks` must ascend strictly within
     1 .. k."""
-    pts = _checked_points(fracs)
+    pts = np.asarray(fracs, dtype=float).reshape(-1)
+    if pts.size == 0:
+        raise ValueError("point set must be nonempty")
+    # min and max are NaN if any point is, which fails both comparisons
+    if not (pts.min() >= 0.0 and pts.max() < 1.0):
+        raise ValueError("points must be finite and lie in [0, 1)")
     ks = [int(size) for size in ks]
     if any(a >= b for a, b in zip([0, *ks], [*ks, pts.size + 1])):
         raise ValueError(f"prefix sizes must ascend strictly within 1 .. {pts.size}, got {ks}")
@@ -195,20 +164,15 @@ def prefix_discrepancies(
             pts[:size].sort()
             stars.append(max(_ascending_parts(pts[:size])))
     pts.sort()
-    stats = _stats(*_ascending_parts(pts))
+    d_plus, d_minus = _ascending_parts(pts)
+    stats = DiscrepancyStats(star=max(d_plus, d_minus), extreme=d_plus + d_minus)
     if ks and ks[-1] == pts.size:
         stars.append(stats.star)
     return stars, stats, _label_counts(pts, label_count)
 
 
-@dataclass(frozen=True)
-class RateFit:
-    """Log-log fit of the star discrepancy against the sample size."""
-
-    slope: float
-
-
-def fit_rate(ks, star_values) -> RateFit:
+def fit_rate(ks, star_values) -> float:
+    """The slope of the least-squares line through (log k, log D*)."""
     ks = tuple(int(k) for k in ks)
     stars = tuple(float(s) for s in star_values)
     if len(ks) != len(stars):
@@ -220,7 +184,7 @@ def fit_rate(ks, star_values) -> RateFit:
     logk = np.log(np.asarray(ks, dtype=float))
     logd = np.log(np.asarray(stars, dtype=float))
     slope, _ = np.polyfit(logk, logd, 1)
-    return RateFit(slope=float(slope))
+    return float(slope)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ short whenever a component is below 3/n.  Omega is [-3, 3n+9)^2 accordingly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,10 +47,19 @@ def as_setting(v, normalize: bool = False) -> np.ndarray:
         raise ValueError(f"setting must have 3 components, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("setting components must be finite")
-    norm = float(np.linalg.norm(arr))
-    if norm == 0.0:
+    scale = max(map(abs, arr.tolist()))
+    if scale == 0.0:
         raise ValueError("setting must be a nonzero vector")
-    if not normalize and abs(norm - 1.0) > SETTING_NORM_TOL:
+    # where the largest component's square could overflow or lose bits to
+    # underflow, an exact power of two first brings that component into
+    # [0.5, 1); other settings are divided as they are, keeping their bits
+    shift = 0 if 2.0**-500 <= scale <= 2.0**500 else math.frexp(scale)[1]
+    if shift:
+        arr = np.ldexp(arr, -shift)
+    norm = float(np.linalg.norm(arr))
+    if not normalize and (shift or abs(norm - 1.0) > SETTING_NORM_TOL):
+        with np.errstate(over="ignore"):
+            norm = float(np.ldexp(norm, shift))
         raise ValueError(f"setting norm {norm!r} deviates from 1 by more than {SETTING_NORM_TOL}")
     out = arr / norm
     out.setflags(write=False)

@@ -161,16 +161,15 @@ def test_criterion_8_discrepancy_decay():
     with _Timer("8 discrepancy decay + bracket vs oracle", 120):
         ks = [10**3, 10**4, 10**5, 10**6]
         fracs = emission.generate_trace(1.0, ks[-1], np.random.default_rng(808))
-        stars = [emission.star_discrepancy(fracs[:k]) for k in ks]
-        fit = emission.fit_rate(ks, stars)
-        assert fit.slope <= -0.4
+        stars = emission.prefix_discrepancies(fracs, ks)[0]
+        assert emission.fit_rate(ks, stars) <= -0.4
         assert stars[-1] <= 0.01
         for k in (1000, 10_000):
             fracs = emission.generate_trace(1.0, k, np.random.default_rng(809))
-            star = emission.star_discrepancy(fracs)
-            extreme = emission.discrepancy_stats(fracs).extreme
-            assert star - 1e-15 <= extreme <= 2.0 * star + 1e-15
-            assert extreme == pytest.approx(brute_extreme_discrepancy(fracs), abs=1e-12)
+            extreme = brute_extreme_discrepancy(fracs)
+            stats = emission.prefix_discrepancies(fracs, [])[1]
+            assert stats.star - 1e-15 <= stats.extreme <= 2.0 * stats.star + 1e-15
+            assert stats.extreme == pytest.approx(extreme, abs=1e-12)
 
 
 def test_criterion_9_dependence_properties():

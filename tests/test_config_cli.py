@@ -1,6 +1,7 @@
 import base64
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 from eprsim import cli, config, emission, layers
 from eprsim.timings import StageTimer
 
-from oracles import naive_squared_diff_sum, point_labels
+from oracles import naive_squared_diff_sum, one_sided_discrepancies, point_labels
 
 
 class TestParseSetting:
@@ -98,6 +99,15 @@ class TestLoadConfig:
             config.load_config(path)
 
 
+def _run_module(argv):
+    """`python -m eprsim.cli argv` in a fresh process on this checkout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    paths = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    argv = [sys.executable, "-m", "eprsim.cli", *argv]
+    return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -125,6 +135,15 @@ class TestCliVerify:
         code, _, err = run_cli(capsys, "verify", "--n", "4", "--a", "1,1,0", "--b", "0,1,0")
         assert code == 2
         assert "norm" in err
+
+    # a squared norm that overflows, underflows to a subnormal, or to 0
+    @pytest.mark.parametrize("b", ["1e308,1e308,0", "3e-162,3e-162,0", "1e-320,1e-320,0"])
+    def test_normalize_at_the_ends_of_the_double_range(self, b):
+        argv = ["verify", "--n", "4", "--a", "1,0,0", "--b", b, "--normalize"]
+        proc = _run_module(argv)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        half = math.sqrt(0.5)
+        assert json.loads(proc.stdout)["b"] == pytest.approx([half, half, 0.0], rel=0, abs=1e-15)
 
     def test_missing_setting_exits_2_naming_it(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -960,25 +979,26 @@ POISSON_SIZES = [1, GATE_CHUNK - 1, GATE_CHUNK + 1, CHUNK + 1, 3 * CHUNK + 17]
 
 def _serial_poisson(theta, k, labels, p1, p2, seed):
     """A poisson report's numbers and CSV rows from the serial composition:
-    the trace, the discrepancies of its unsorted prefixes, the labels of its
-    parts point by point, then the gate on the same stream."""
+    the trace, the one-sided discrepancies of its prefixes, each sorted in a
+    copy, the labels of its parts point by point, then the gate on the same
+    stream."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     fracs = emission.generate_trace(theta, k, rng)
-    stats = emission.discrepancy_stats(fracs)
+    d_plus, d_minus = one_sided_discrepancies(fracs)
     ks = [10**e for e in range(3, 10) if 10**e < k] + [k]
-    stars = [emission.star_discrepancy(fracs[:j]) for j in ks]
+    stars = [max(one_sided_discrepancies(fracs[:j])) for j in ks]
     counts = np.bincount(point_labels(fracs, labels), minlength=labels)
     gate = emission.detector_gate(p1, p2, counts, rng)
     stat_u, dof = emission.uniform_chi_square(counts)
     stat_g, _ = emission.uniform_chi_square(gate.gated_counts)
     fields = {
-        "star": stats.star,
-        "extreme_lower": stats.extreme,
+        "star": max(d_plus, d_minus),
+        "extreme_lower": d_plus + d_minus,
         "chi_square_ungated": stat_u,
         "chi_square_gated": stat_g,
         "chi_square_dof": dof,
         "acceptance_rate": gate.acceptance_rate,
-        "rate_slope": emission.fit_rate(ks, stars).slope if len(ks) >= 2 else None,
+        "rate_slope": emission.fit_rate(ks, stars) if len(ks) >= 2 else None,
     }
     return fields, [[str(j), repr(star)] for j, star in zip(ks, stars)]
 
@@ -1146,7 +1166,7 @@ class TestCliPoisson:
         labels0 = np.minimum(np.floor(fracs * labels).astype(np.int64), labels - 1)
         counts = np.bincount(labels0, minlength=labels)
         doc = json.loads(out)
-        assert doc["star"] == emission.star_discrepancy(fracs)
+        assert doc["star"] == max(one_sided_discrepancies(fracs))
         assert doc["chi_square_ungated"] == emission.uniform_chi_square(counts)[0]
 
     def test_timings_record_the_gate_and_the_trace_once(self, capsys, tmp_path):
@@ -1214,12 +1234,7 @@ class TestCliSplines:
 
 
 def test_module_entry_point_runs_the_cli():
-    src = str(Path(cli.__file__).resolve().parents[1])
-    paths = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    argv = [sys.executable, "-m", "eprsim.cli", "verify", "--n", "4", "--a", "1,0,0"]
-    argv += ["--b", "0,1,0"]
-    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    proc = _run_module(["verify", "--n", "4", "--a", "1,0,0", "--b", "0,1,0"])
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["command"] == "verify"

@@ -23,6 +23,17 @@ from oracles import (
 )
 
 
+def _whole(points):
+    """The library's `DiscrepancyStats` of a point set, from a sorted copy."""
+    return emission.prefix_discrepancies(np.array(points, dtype=float), [])[1]
+
+
+def _oracle_stats(points):
+    """`DiscrepancyStats` from the whole-array one-sided parts."""
+    d_plus, d_minus = one_sided_discrepancies(points)
+    return emission.DiscrepancyStats(star=max(d_plus, d_minus), extreme=d_plus + d_minus)
+
+
 def _label_counts(fracs, labels):
     """The library's label counts of a trace, read off its sorted copy."""
     return emission.prefix_discrepancies(np.array(fracs), [], labels)[2]
@@ -84,32 +95,32 @@ class TestGenerateTrace:
 
 class TestStarDiscrepancy:
     def test_single_point(self):
-        assert emission.star_discrepancy([0.5]) == 0.5
+        assert _whole([0.5]).star == 0.5
 
     def test_centered_grid(self):
         k = 10
         pts = [(2 * i - 1) / (2 * k) for i in range(1, k + 1)]
-        assert emission.star_discrepancy(pts) == pytest.approx(0.05, abs=1e-15)
+        assert _whole(pts).star == pytest.approx(0.05, abs=1e-15)
 
     def test_two_points(self):
-        assert emission.star_discrepancy([0.25, 0.75]) == pytest.approx(0.25, abs=1e-15)
+        assert _whole([0.25, 0.75]).star == pytest.approx(0.25, abs=1e-15)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            emission.star_discrepancy([])
+        with pytest.raises(ValueError, match="nonempty"):
+            emission.prefix_discrepancies(np.array([]), [])
 
     def test_points_outside_rejected(self):
-        with pytest.raises(ValueError):
-            emission.star_discrepancy([0.5, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            emission.prefix_discrepancies(np.array([0.5, 1.0]), [])
 
     def test_nan_point_rejected(self):
-        for fn in (emission.star_discrepancy, emission.discrepancy_stats):
-            with pytest.raises(ValueError, match="finite"):
-                fn([0.5, np.nan])
+        with pytest.raises(ValueError, match="finite"):
+            emission.prefix_discrepancies(np.array([0.5, np.nan]), [])
 
     @given(point_sets)
     def test_star_bounds(self, pts):
-        star = emission.star_discrepancy(pts)
+        star = _whole(pts).star
+        assert star == max(one_sided_discrepancies(pts))
         assert 1.0 / (2 * len(pts)) - 1e-15 <= star <= 1.0
 
 
@@ -117,44 +128,44 @@ class TestExtremeDiscrepancy:
     def test_single_point_is_one(self):
         # an arbitrarily short interval around the atom captures 1/k mass at
         # zero length, so the sup is 1 for a single point
-        assert emission.discrepancy_stats([0.5]).extreme == 1.0
+        assert _whole([0.5]).extreme == 1.0
         assert brute_extreme_discrepancy([0.5]) == 1.0
 
     def test_two_points(self):
-        extreme = emission.discrepancy_stats([0.25, 0.75]).extreme
+        extreme = _whole([0.25, 0.75]).extreme
         assert extreme == pytest.approx(0.5, abs=1e-15)
         assert brute_extreme_discrepancy([0.25, 0.75]) == pytest.approx(0.5, abs=1e-15)
 
     def test_equally_spaced(self):
         k = 10
         pts = [i / k for i in range(k)]
-        extreme = emission.discrepancy_stats(pts).extreme
+        extreme = _whole(pts).extreme
         oracle = brute_extreme_discrepancy(pts)
         assert extreme == pytest.approx(oracle, abs=1e-13)
         assert extreme == pytest.approx(0.1, abs=1e-13)
 
     @given(point_sets)
     def test_matches_brute_force(self, pts):
-        extreme = emission.discrepancy_stats(pts).extreme
+        extreme = _whole(pts).extreme
         assert extreme == pytest.approx(brute_extreme_discrepancy(pts), abs=1e-12)
 
     @given(point_sets)
     def test_star_extreme_bracket(self, pts):
-        star = emission.star_discrepancy(pts)
-        extreme = emission.discrepancy_stats(pts).extreme
+        stats = _whole(pts)
+        star, extreme = stats.star, stats.extreme
         assert star - 1e-15 <= extreme <= 2.0 * star + 1e-15
         assert extreme <= 1.0 + 1e-15
 
     def test_exact_beyond_former_size_limit(self):
         # exact at every size: k = 20 000 was past the old 10 000-point cutoff
         fracs = emission.generate_trace(1.0, 20_000, np.random.default_rng(13))
-        stats = emission.discrepancy_stats(fracs)
+        stats = _whole(fracs)
         assert stats.extreme == pytest.approx(brute_extreme_discrepancy(fracs), abs=1e-12)
-        assert stats.star == emission.star_discrepancy(fracs)
+        assert stats.star == max(one_sided_discrepancies(fracs))
 
     def test_poisson_set_against_oracle(self):
         fracs = emission.generate_trace(1.0, 2000, np.random.default_rng(17))
-        extreme = emission.discrepancy_stats(fracs).extreme
+        extreme = _whole(fracs).extreme
         assert extreme == pytest.approx(brute_extreme_discrepancy(fracs), abs=1e-12)
 
 
@@ -258,21 +269,20 @@ class TestRateFit:
         # D*_k along prefixes of one trace; the guarantee is k^(-1/2) up to logs
         ks = [1000, 10_000, 100_000]
         fracs = emission.generate_trace(1.0, ks[-1], np.random.default_rng(31))
-        fit = emission.fit_rate(ks, [emission.star_discrepancy(fracs[:k]) for k in ks])
-        assert fit.slope <= -0.4
+        slope = emission.fit_rate(ks, emission.prefix_discrepancies(fracs, ks)[0])
+        assert type(slope) is float
+        assert slope <= -0.4
 
     def test_uniform_control(self):
         rng = np.random.default_rng(37)
         ks = [1000, 10_000, 100_000]
-        stars = [emission.star_discrepancy(rng.random(k)) for k in ks]
-        fit = emission.fit_rate(ks, stars)
-        assert -0.65 <= fit.slope <= -0.35
+        stars = [max(one_sided_discrepancies(rng.random(k))) for k in ks]
+        assert -0.65 <= emission.fit_rate(ks, stars) <= -0.35
 
     def test_constant_control(self):
         ks = [1000, 10_000, 100_000]
-        stars = [emission.star_discrepancy(np.full(k, 0.5)) for k in ks]
-        fit = emission.fit_rate(ks, stars)
-        assert abs(fit.slope) <= 0.05
+        stars = [max(one_sided_discrepancies(np.full(k, 0.5))) for k in ks]
+        assert abs(emission.fit_rate(ks, stars)) <= 0.05
 
     def test_validation(self):
         for ks, stars in (([], []), ([1000], [0.01]), ([1000, 1000], [0.01, 0.02]),
@@ -450,9 +460,7 @@ class TestChunkedKernel:
     @pytest.mark.parametrize("k", CHUNK_SIZES)
     def test_one_sided_parts_are_the_whole_array_ones(self, k):
         fracs = emission.generate_trace(1.0, k, np.random.default_rng(71))
-        stats = emission.discrepancy_stats(fracs)
-        d_plus, d_minus = one_sided_discrepancies(fracs)
-        assert (stats.star, stats.extreme) == (max(d_plus, d_minus), d_plus + d_minus)
+        assert _whole(fracs) == _oracle_stats(fracs)
 
     @pytest.mark.parametrize("low, high", [(5, 3 * CHUNK), (3 * CHUNK + 2, 7)])
     def test_one_sided_maxima_in_any_chunk(self, low, high):
@@ -462,31 +470,19 @@ class TestChunkedKernel:
         pts = (np.arange(k) + 0.5) / k
         pts[low] -= 0.3 / k
         pts[high] += 0.2 / k
-        stats = emission.discrepancy_stats(pts)
+        stats = _whole(pts)
         d_plus, d_minus = one_sided_discrepancies(pts)
         assert d_plus == pytest.approx(0.8 / k) and d_minus == pytest.approx(0.7 / k)
         assert (stats.star, stats.extreme) == (d_plus, d_plus + d_minus)
 
     @pytest.mark.parametrize("k", CHUNK_SIZES)
     def test_stats_alike_on_sorted_and_shuffled_points(self, k):
+        # the shuffled trace is sorted in place, then read again as sorted input
         fracs = emission.generate_trace(1.0, k, np.random.default_rng(72))
-        before = fracs.tobytes()
-        shuffled = emission.discrepancy_stats(fracs)
-        assert fracs.tobytes() == before
-        fracs.sort()
-        assert repr(emission.discrepancy_stats(fracs)) == repr(shuffled)
-
-    # one descent on either side of a chunk edge of the ascending check; on
-    # the centred grid, read unsorted, it would raise D- from 1/(2k) to 3/(2k)
-    @pytest.mark.parametrize("at", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 16])
-    def test_one_descent_is_sorted_in_a_copy(self, at):
-        k = 3 * CHUNK + 17
-        pts = (np.arange(k) + 0.5) / k
-        expected = repr(emission.discrepancy_stats(pts))
-        pts[[at - 1, at]] = pts[[at, at - 1]]
-        before = pts.tobytes()
-        assert repr(emission.discrepancy_stats(pts)) == expected
-        assert pts.tobytes() == before
+        expected = np.sort(fracs)
+        shuffled = emission.prefix_discrepancies(fracs, [])[1]
+        assert fracs.tobytes() == expected.tobytes()
+        assert repr(emission.prefix_discrepancies(fracs, [])[1]) == repr(shuffled)
 
 
 class TestPrefixDiscrepancies:
@@ -494,8 +490,8 @@ class TestPrefixDiscrepancies:
     def test_each_prefix_is_its_star_discrepancy(self, k):
         fracs = emission.generate_trace(0.37, k, np.random.default_rng(74))
         ks = sorted({size for size in (1, 10, 1000, CHUNK, k) if size <= k})
-        expected = [emission.star_discrepancy(fracs[:size]) for size in ks]
-        whole = emission.discrepancy_stats(fracs)
+        expected = [max(one_sided_discrepancies(fracs[:size])) for size in ks]
+        whole = _oracle_stats(fracs)
         labels = point_labels(fracs, 3)
         stars, stats, counts = emission.prefix_discrepancies(fracs, ks, 3)
         assert (stars, stats) == (expected, whole)
@@ -622,5 +618,6 @@ class TestOverflow:
 @given(st.integers(2, 200))
 def test_centered_grid_is_optimal(k):
     pts = [(2 * i - 1) / (2 * k) for i in range(1, k + 1)]
-    assert emission.star_discrepancy(pts) == pytest.approx(1.0 / (2 * k), abs=1e-15)
-    assert emission.discrepancy_stats(pts).extreme == pytest.approx(1.0 / k, abs=1e-14)
+    stats = _whole(pts)
+    assert stats.star == pytest.approx(1.0 / (2 * k), abs=1e-15)
+    assert stats.extreme == pytest.approx(1.0 / k, abs=1e-14)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -56,6 +57,57 @@ class TestSettingValidation:
     def test_shape_checked(self):
         with pytest.raises(ValueError):
             measure.as_setting([1.0, 0.0])
+
+    # the squared norm of each overflows, underflows to a subnormal, or
+    # underflows to 0 when formed as it stands
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "v, unit",
+        [
+            ([1e200, 0.0, 0.0], [1.0, 0.0, 0.0]),
+            ([3e-162, 4e-162, 0.0], [0.6, 0.8, 0.0]),
+            ([1e-320, 0.0, 0.0], [1.0, 0.0, 0.0]),
+            ([1e308, -1e308, 0.0], [math.sqrt(0.5), -math.sqrt(0.5), 0.0]),
+        ],
+    )
+    def test_normalize_at_the_ends_of_the_double_range(self, v, unit):
+        np.testing.assert_allclose(measure.as_setting(v, normalize=True), unit, rtol=0, atol=1e-15)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("v", [[1e200, 0.0, 0.0], [1e-320, 0.0, 0.0], [1e308] * 3])
+    def test_far_from_unit_is_refused_without_normalize(self, v):
+        with pytest.raises(ValueError, match="deviates from 1"):
+            measure.as_setting(v)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3))
+    def test_normalize_any_finite_triple(self, v):
+        if not any(v):
+            with pytest.raises(ValueError, match="nonzero"):
+                measure.as_setting(v, normalize=True)
+            return
+        out = measure.as_setting(v, normalize=True)
+        assert abs(math.hypot(*out) - 1.0) <= measure.SETTING_NORM_TOL
+        # same direction, in exact arithmetic: out x v vanishes relative to
+        # the largest |v_k|, and out . v > 0
+        x, y = [Fraction(c) for c in out], [Fraction(c) for c in v]
+        scale = max(abs(c) for c in y)
+        cross = [x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0]]
+        assert all(abs(c) <= Fraction(1, 10**12) * scale for c in cross)
+        assert sum(a * b for a, b in zip(x, y)) > 0
+
+    @given(
+        st.lists(st.floats(-1e100, 1e100), min_size=3, max_size=3).filter(
+            lambda v: max(map(abs, v)) >= 1e-100
+        )
+    )
+    def test_normalize_keeps_the_plain_quotient_in_range(self, v):
+        # where numpy forms the norm without overflow or underflow, the unit
+        # setting is the input divided by it, to the bit
+        arr = np.array(v)
+        out = measure.as_setting(v, normalize=True)
+        assert out.tobytes() == (arr / np.linalg.norm(arr)).tobytes()
 
 
 class TestWeightValidation:
