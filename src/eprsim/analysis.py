@@ -21,8 +21,6 @@ max |P - Q| / (P + Q), which rounding cannot lift above 1.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-
 import numpy as np
 
 from .layers import LayerUniverse
@@ -48,23 +46,19 @@ def _cell_pair_bins(universe: LayerUniverse, pos: np.ndarray) -> np.ndarray:
     return bins
 
 
-def _bin_pairs(bins: np.ndarray, shares: np.ndarray, size: int, scale=None) -> np.ndarray:
-    """(size, size) table of shares[j] * scale[p] / M (scale 1 if None)
-    summed into bin bins[p, j], pair after pair in the order `np.bincount`
-    of the flat bins sums them, so bit for bit its table; a block of pairs
-    at a time."""
+def _bin_pairs(bins: np.ndarray, shares: np.ndarray, size: int, scale: np.ndarray) -> np.ndarray:
+    """(size, size) table of shares[j] * scale[p] / M summed into bin
+    bins[p, j], pair after pair in the order `np.bincount` of the flat bins
+    sums them, so bit for bit its table; a block of pairs at a time."""
     pairs, count = bins.shape
     rows = min(pairs, max(1, BLOCK // count))
     part = np.empty((rows, count))
-    if scale is None:
-        part[:] = shares * (1.0 / pairs)
     table = np.zeros(size * size)
     for lo in range(0, pairs, rows):
         hi = min(pairs, lo + rows)
         block = part[: hi - lo]
-        if scale is not None:
-            np.multiply(scale[lo:hi, None], shares, out=block)
-            block *= 1.0 / pairs
+        np.multiply(scale[lo:hi, None], shares, out=block)
+        block *= 1.0 / pairs
         np.add.at(table, bins[lo:hi].ravel(), block.ravel())
     return table.reshape(size, size)
 
@@ -132,9 +126,13 @@ def outcome_biases(universe: LayerUniverse, a, b) -> dict:
     return biases
 
 
-@dataclass(frozen=True)
-class DependenceReport:
-    """Exact dependence diagnostics for one universe and settings (a, b, c).
+def _tv(p: np.ndarray, q: np.ndarray) -> float:
+    return 0.5 * float(np.abs(p - q).sum())
+
+
+def dependence_report(universe: LayerUniverse, a, b, c) -> dict:
+    """Exact dependence diagnostics for one universe and settings (a, b, c),
+    by exact cell summation, keyed by name.
 
     All entries are total-variation distances (or max cell defects) in
     [0, 1].  `tv_joint_vs_product` and `marginal_uniformity` shrink as the
@@ -143,25 +141,6 @@ class DependenceReport:
     settings; `r_lambda_dependence` and `factorization_defect` vanish
     exactly when the weight vectors are tied across layers.
     """
-
-    tv_joint_vs_product: float
-    tv_cond_indep: float
-    cond_pair_dependence: float
-    setting_shift: float
-    marginal_uniformity: float
-    r_lambda_dependence: float
-    factorization_defect: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-def _tv(p: np.ndarray, q: np.ndarray) -> float:
-    return 0.5 * float(np.abs(p - q).sum())
-
-
-def dependence_report(universe: LayerUniverse, a, b, c) -> DependenceReport:
-    """Compute all dependence diagnostics by exact cell summation."""
     mu_ab = build_measure(a, b, universe.n)
     mu_ac = build_measure(a, c, universe.n)
     if np.allclose(mu_ab.b, mu_ac.b, atol=1e-15):
@@ -172,7 +151,7 @@ def dependence_report(universe: LayerUniverse, a, b, c) -> DependenceReport:
 
     pos = np.flatnonzero(masses)
     bins, shares = _cell_pair_bins(universe, pos), masses[pos]
-    joint = _bin_pairs(bins, shares, size)
+    joint = _bin_pairs(bins, shares, size, np.ones(universe.pair_count))
     marg_u = joint.sum(axis=1)
     marg_v = joint.sum(axis=0)
     tv_joint_vs_product = _tv(joint.ravel(), np.outer(marg_u, marg_v).ravel())
@@ -212,12 +191,12 @@ def dependence_report(universe: LayerUniverse, a, b, c) -> DependenceReport:
             factorization_defect, float(np.abs(layer - joint * mean_weight).max())
         )
 
-    return DependenceReport(
-        tv_joint_vs_product=tv_joint_vs_product,
-        tv_cond_indep=tv_cond_indep,
-        cond_pair_dependence=cond_pair_dependence,
-        setting_shift=setting_shift,
-        marginal_uniformity=marginal_uniformity,
-        r_lambda_dependence=r_lambda_dependence,
-        factorization_defect=factorization_defect,
-    )
+    return {
+        "tv_joint_vs_product": tv_joint_vs_product,
+        "tv_cond_indep": tv_cond_indep,
+        "cond_pair_dependence": cond_pair_dependence,
+        "setting_shift": setting_shift,
+        "marginal_uniformity": marginal_uniformity,
+        "r_lambda_dependence": r_lambda_dependence,
+        "factorization_defect": factorization_defect,
+    }

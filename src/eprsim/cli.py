@@ -15,6 +15,7 @@ FILE (see `timings`); the report is the same with or without it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -61,7 +62,7 @@ from .measure import (
 )
 from .sampling import run_experiment
 from .sampling import chsh as run_chsh
-from .splines import build_spline_system, identity_errors
+from .splines import SplineSystem, identity_errors
 
 REPORT_SCHEMA = "report/1"
 
@@ -75,7 +76,7 @@ def _setting_arg(args, name: str):
 
 
 def cmd_splines(args):
-    sys_ = build_spline_system(args.n)
+    sys_ = SplineSystem(args.n)
     grid = np.linspace(0.0, 1.0, args.grid)
     residual, errors = identity_errors(sys_, grid)
     fields = {"n": args.n, "grid": args.grid, **errors}
@@ -104,13 +105,7 @@ def cmd_verify(args):
         "abs_error": abs(integral - expected),
     }
     if args.genuine_variant:
-        gv = gap_variant(a, b)
-        fields["genuine_variant"] = {
-            "m1": gv.m1,
-            "m2": gv.m2,
-            "total": gv.total,
-            "is_unit_mass": gv.is_unit_mass,
-        }
+        fields["genuine_variant"] = gap_variant(a, b)
     return fields, None
 
 
@@ -149,7 +144,7 @@ def cmd_analyze(args):
     a = _setting_arg(args, "a")
     b = _setting_arg(args, "b")
     c = _setting_arg(args, "c")
-    fields = dependence_report(universe, a, b, c).as_dict()
+    fields = dependence_report(universe, a, b, c)
     fields["pair_expectation"] = pair_expectation(universe, a, b)
     biases = outcome_biases(universe, a, b)
     fields["conditional_bias"] = {side: pair[0] for side, pair in biases.items()}
@@ -303,30 +298,30 @@ def cmd_poisson(args):
     # off the sorted whole; the gate, which visits the emissions in label
     # order, reads the lane words after the trace.
     prefix_ks = [k for k in (10**e for e in range(3, 10)) if k < args.k] + [args.k]
-    stars, stats, ungated = prefix_discrepancies(fracs, prefix_ks, args.labels)
-    gate = detector_gate(args.p1, args.p2, ungated, rng)
-    if not gate.gated_counts.any():
+    stars, extreme, ungated = prefix_discrepancies(fracs, prefix_ks, args.labels)
+    gated = detector_gate(args.p1, args.p2, ungated, rng)
+    if not gated.any():
         raise ConfigError(
             f"no emission passed the detector gate at --k {args.k}, --p1 {args.p1} and "
             f"--p2 {args.p2}; raise --k or the readiness probabilities"
         )
     stat_u, dof = uniform_chi_square(ungated)
-    stat_g, _ = uniform_chi_square(gate.gated_counts)
+    stat_g, _ = uniform_chi_square(gated)
     quantile = chi_square_quantile(0.999, dof)
     fields = {
         "theta": args.theta,
         "k": args.k,
         "labels": args.labels,
-        "star": stats.star,
-        "extreme_lower": stats.extreme,
-        "extreme_upper": stats.extreme,
+        "star": stars[-1],
+        "extreme_lower": extreme,
+        "extreme_upper": extreme,
         "extreme_exact": True,
         "chi_square_ungated": stat_u,
         "chi_square_gated": stat_g,
         "chi_square_dof": dof,
         "chi_square_quantile_999": quantile,
         "uniform_ok": bool(stat_u < quantile and stat_g < quantile),
-        "acceptance_rate": gate.acceptance_rate,
+        "acceptance_rate": int(gated.sum()) / args.k,
     }
     if len(prefix_ks) >= 2:
         fields["rate_slope"] = fit_rate(prefix_ks, stars)
@@ -438,16 +433,33 @@ def _run(args) -> None:
         text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:  # a non-finite number is the program's fault, not the input's
         raise RuntimeError(f"the {args.command} report is not strict JSON: {exc}") from exc
-    if table is not None and args.csv:
-        header, rows = table
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
-        print(text)
+    _write_outputs(text, table, args.csv if table is not None else None, args.out)
+
+
+def _write_outputs(text: str, table, csv_path, out_path) -> None:
+    """Write the table (header, rows) to `csv_path` if given and the report
+    to `out_path`, or stdout.  Both files are opened before either is
+    written, and an OSError removes every file opened, so a run that exits 2
+    leaves no output file."""
+    opened = []
+    try:
+        with contextlib.ExitStack() as files:
+            if csv_path:
+                csv_fh = files.enter_context(open(csv_path, "w", newline=""))
+                opened.append(csv_path)
+            out_fh = sys.stdout
+            if out_path:
+                out_fh = files.enter_context(open(out_path, "w"))
+                opened.append(out_path)
+            if csv_path:
+                writer = csv.writer(csv_fh)
+                writer.writerow(table[0])
+                writer.writerows(table[1])
+            print(text, file=out_fh)
+    except OSError:
+        for path in opened:
+            Path(path).unlink(missing_ok=True)
+        raise
 
 
 # the library modules whose functions, called from here, --timings times as stages

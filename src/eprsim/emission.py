@@ -13,13 +13,14 @@ sum are formed in place, the sum carrying the time reached so far into its
 first term.  numpy's cumsum adds in sequence, so every part is that of the
 whole-trace cumsum to the bit.  `generate_trace` keeps only the k fractional
 parts, in an array the caller owns.  `prefix_discrepancies` sorts a trace in
-place, each prefix in turn and the whole trace last, reads every D* off the
-sorted points chunk by chunk, and counts
-the labels floor({x} * N) + 1 of the sorted whole with one search per label
-edge: the label is monotone in x, so no point is labelled one by one.
-`detector_gate` takes those label counts and gates the emissions in label
-order, two 16-bit lanes of a raw stream word per emission.  So `poisson`
-holds one array of k floats, beside buffers of one chunk.
+place, each prefix in turn and the whole trace last, reads every D* and the
+whole trace's D off the sorted points chunk by chunk, and counts the labels
+floor({x} * N) + 1 of the sorted whole with one search per label edge: the
+label is monotone in x, so no point is labelled one by one.
+`detector_gate` takes those label counts, gates the emissions in label
+order, two 16-bit lanes of a raw stream word per emission, and returns the
+gated counts.  So `poisson` holds one array of k floats, beside buffers of
+one chunk.
 
 The package imports only numpy and the standard library when it loads.
 scipy serves one function, `chi_square_quantile` (the `poisson` command),
@@ -30,7 +31,6 @@ and `poisson` loads `scipy.special` but not `scipy.stats`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,16 +93,6 @@ def _ascending_parts(pts: np.ndarray) -> tuple[float, float]:
     return d_plus, d_minus
 
 
-@dataclass(frozen=True)
-class DiscrepancyStats:
-    """Summary of one point set from one ascending scan: the star
-    discrepancy D* = max(D+, D-), and the extreme discrepancy D = D+ + D-
-    over all half-open subintervals of [0, 1) (Niederreiter 1992, ch. 2)."""
-
-    star: float
-    extreme: float
-
-
 def _label_edges(j: np.ndarray, label_count: int) -> np.ndarray:
     """t_j, the least double x with fl(x * N) >= j, for each whole float j
     in 1 .. N - 1.  fl(j / N) lies within half an ulp of j / N, so t_j is
@@ -136,10 +126,12 @@ def _label_counts(pts: np.ndarray, label_count: int) -> np.ndarray:
 
 def prefix_discrepancies(
     fracs, ks, label_count: int = 1
-) -> tuple[list[float], DiscrepancyStats, np.ndarray]:
+) -> tuple[list[float], float, np.ndarray]:
     """The D* of each prefix of `fracs` of the ascending sizes `ks`, the
-    whole set's `DiscrepancyStats`, and its count of each label
-    floor(x * N) + 1 for N = `label_count`, capped at N.
+    whole set's extreme discrepancy D = D+ + D- over all half-open
+    subintervals of [0, 1) (Niederreiter 1992, ch. 2), and its count of each
+    label floor(x * N) + 1 for N = `label_count`, capped at N.  The whole
+    set's D* is the last of the stars when `ks` ends at its size.
 
     A float64 `fracs` (the array `generate_trace` returns) is sorted in
     place, each prefix in turn and the whole last: a prefix holds the same
@@ -165,10 +157,9 @@ def prefix_discrepancies(
             stars.append(max(_ascending_parts(pts[:size])))
     pts.sort()
     d_plus, d_minus = _ascending_parts(pts)
-    stats = DiscrepancyStats(star=max(d_plus, d_minus), extreme=d_plus + d_minus)
     if ks and ks[-1] == pts.size:
-        stars.append(stats.star)
-    return stars, stats, _label_counts(pts, label_count)
+        stars.append(max(d_plus, d_minus))
+    return stars, d_plus + d_minus, _label_counts(pts, label_count)
 
 
 def fit_rate(ks, star_values) -> float:
@@ -187,19 +178,6 @@ def fit_rate(ks, star_values) -> float:
     return float(slope)
 
 
-@dataclass(frozen=True)
-class GateResult:
-    """Label frequencies after detector-readiness gating."""
-
-    gated_counts: np.ndarray = field(repr=False, compare=False)
-    total: int
-    accepted: int
-
-    @property
-    def acceptance_rate(self) -> float:
-        return self.accepted / self.total
-
-
 def _readiness(name: str, p: float) -> tuple[int, int]:
     """c >> 37 and c mod 2**37 for c = ceil(p * 2**53), the count of 53-bit
     numerators x with x * 2**-53 < p (the scaling is exact)."""
@@ -209,11 +187,11 @@ def _readiness(name: str, p: float) -> tuple[int, int]:
     return c >> 37, c & ((1 << 37) - 1)
 
 
-def detector_gate(p1: float, p2: float, label_counts, rng) -> GateResult:
-    """Gate the emissions counted per label in `label_counts` by two
-    independent readiness draws, against p1 and p2, visiting them in label
-    order: readiness is independent of the emission time, so that leaves
-    the label law unchanged.
+def detector_gate(p1: float, p2: float, label_counts, rng) -> np.ndarray:
+    """The read-only count per label of the emissions counted per label in
+    `label_counts` that pass two independent readiness draws, against p1
+    and p2, visited in label order: readiness is independent of the
+    emission time, so that leaves the label law unchanged.
 
     A draw u = x * 2**-53 is below p iff its 53-bit numerator x is below
     c = ceil(p * 2**53), which x's top 16 bits decide unless they equal
@@ -281,7 +259,7 @@ def detector_gate(p1: float, p2: float, label_counts, rng) -> GateResult:
         gated[labels] += np.add.reduceat(both[:n].view(np.uint8), starts, dtype=np.uint16)
     rng.bit_generator.advance(refined)
     gated.setflags(write=False)
-    return GateResult(gated, total=k, accepted=int(gated.sum()))
+    return gated
 
 
 def uniform_chi_square(counts) -> tuple[float, int]:

@@ -189,11 +189,11 @@ def build_universe(
     del tile
     perms.setflags(write=False)
     if tie_weights:
-        weights = np.broadcast_to(1.0 / interval_count, (pair_count, interval_count))
+        weights = np.full((pair_count, interval_count), 1.0 / interval_count)
     else:
         weights = rng.dirichlet(np.ones(interval_count), size=pair_count)
         weights /= weights.sum(axis=1, keepdims=True)
-        weights.setflags(write=False)
+    weights.setflags(write=False)
     return LayerUniverse(n, interval_count, perms[:pair_count], perms[pair_count:], weights)
 
 

@@ -25,12 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .splines import (
-    SplineSystem,
-    basis_matrix,
-    build_spline_system,
-    clipped_weight_matrix,
-)
+from .splines import SplineSystem, basis_matrix, clipped_weight_matrix
 
 SETTING_NORM_TOL = 1e-9
 
@@ -130,28 +125,24 @@ def _outcome_table(a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BaseMeasure:
-    """First-layer measure: settings, spline system, cell masses, outcome table."""
+    """First-layer measure: settings, order n, cell masses, outcome table."""
 
     a: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
-    system: SplineSystem
+    n: int
     cell_masses: np.ndarray = field(repr=False, compare=False)
     outcome: np.ndarray = field(repr=False, compare=False)
-
-    @property
-    def n(self) -> int:
-        return self.system.n
 
 
 def build_measure(a, b, n: int) -> BaseMeasure:
     """Construct the first-layer measure for unit settings a, b and n >= 4."""
     a = as_setting(a)
     b = as_setting(b)
-    sys = build_spline_system(n)
+    sys = SplineSystem(int(n))
     masses = _cell_mass_vector(sys, a, b)
     masses.setflags(write=False)
     outcome = _outcome_table(a, b, masses.size)
-    return BaseMeasure(a=a, b=b, system=sys, cell_masses=masses, outcome=outcome)
+    return BaseMeasure(a=a, b=b, n=sys.n, cell_masses=masses, outcome=outcome)
 
 
 def total_mass(mu: BaseMeasure) -> float:
@@ -180,35 +171,20 @@ def pair_integral(mu: BaseMeasure) -> float:
     return float(sum(cell_pair_integrals(mu).tolist()))
 
 
-@dataclass(frozen=True)
-class GapVariantMass:
-    """Mass accounting for the squared-gap variant measure.
+def gap_variant(a, b) -> dict:
+    """Mass accounting for the squared-gap variant measure on
+    Omega = [-3, 3)^2, as the `genuine_variant` report block
+    {m1, m2, total, is_unit_mass}.
 
-    Replaces the spline cells by three cells on [0, 3)^2 carrying
-    (|a_k| - |b_k|)^2.  As defined the total is 2 - sum |a_k||b_k|, which is
-    unity only for componentwise-equal settings; `is_unit_mass` flags that.
-    """
-
-    m1: float
-    m2: float
-
-    @property
-    def total(self) -> float:
-        return self.m1 + self.m2
-
-    @property
-    def is_unit_mass(self) -> bool:
-        return abs(self.total - 1.0) <= 1e-12
-
-
-def gap_variant(a, b) -> GapVariantMass:
-    """Mass breakdown of the variant measure on Omega = [-3, 3)^2.
-
-    Negative cells keep |a_k||b_k|; cells [k-1, k)^2, k = 1, 2, 3 carry
-    (|a_k| - |b_k|)^2.  The pair integral is unchanged (-a.b) because the
-    positive cells still integrate A and B to zero.
+    Negative cells keep |a_k||b_k| (m1); the spline cells are replaced by
+    cells [k-1, k)^2, k = 1, 2, 3, carrying (|a_k| - |b_k|)^2 (m2).  The
+    pair integral is unchanged (-a.b) because the positive cells still
+    integrate A and B to zero.  As defined the total is
+    2 - sum |a_k||b_k|, which is unity only for componentwise-equal
+    settings; `is_unit_mass` flags that.
     """
     a = as_setting(a)
     b = as_setting(b)
     absa, absb = np.abs(a), np.abs(b)
-    return GapVariantMass(m1=float(np.sum(absa * absb)), m2=float(np.sum((absa - absb) ** 2)))
+    m1, m2 = float(np.sum(absa * absb)), float(np.sum((absa - absb) ** 2))
+    return {"m1": m1, "m2": m2, "total": m1 + m2, "is_unit_mass": abs(m1 + m2 - 1.0) <= 1e-12}

@@ -36,11 +36,6 @@ class SplineSystem:
         object.__setattr__(self, "knots", knots)
 
 
-def build_spline_system(n: int) -> SplineSystem:
-    """Build the quadratic spline system for integer n >= 4."""
-    return SplineSystem(int(n))
-
-
 def basis_matrix(sys: SplineSystem, x) -> np.ndarray:
     """All basis values N_i(x): shape (n + 3, len(x)), row j holds i = j - 2.
 

@@ -1,9 +1,10 @@
 """The package carries only what its callers run, read off the source.
 
 The package root re-exports exactly the names that `scripts/` imports from
-`eprsim`, and every public top-level function of `src/eprsim` is named by
-`cli.py`, by a script, or by another function or class of the package.  A
-helper that only tests call belongs in `tests/oracles.py`.
+`eprsim`, and every public top-level function and class of `src/eprsim`, and
+every public method and property of those classes, is named by `cli.py`, by
+a script, or by another function or class of the package.  A helper that
+only tests call belongs in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -52,12 +53,23 @@ def _script_imports() -> set[str]:
     }
 
 
-def _unused_functions() -> list[str]:
-    public, used = {}, set()
+def _public_definitions(path: Path, tree: ast.Module):
+    """(qualified name, name) of each public top-level function and class
+    of a module, and of each public method and property of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield f"{path.stem}.{node.name}", node.name
+            for member in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    yield f"{path.stem}.{node.name}.{member.name}", member.name
+
+
+def _unused_definitions() -> list[str]:
+    public, used = [], set()
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in _tree(path).body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                public[node.name] = f"{path.stem}.{node.name}"
+        tree = _tree(path)
+        public += _public_definitions(path, tree)
+        for node in tree.body:
             # cli.py counts at any level; elsewhere a name counts inside
             # another function or class, so a re-export alone does not
             if path.stem == "cli":
@@ -66,9 +78,9 @@ def _unused_functions() -> list[str]:
                 used |= _names(node) - {node.name}
     for path in SCRIPTS:
         used |= _names(_tree(path))
-    return sorted(qualname for name, qualname in public.items() if name not in used)
+    return sorted(qualname for qualname, name in public if name not in used)
 
 
 def test_package_carries_only_what_its_callers_run():
     assert _root_exports() == _script_imports()
-    assert _unused_functions() == []
+    assert _unused_definitions() == []

@@ -988,16 +988,16 @@ def _serial_poisson(theta, k, labels, p1, p2, seed):
     ks = [10**e for e in range(3, 10) if 10**e < k] + [k]
     stars = [max(one_sided_discrepancies(fracs[:j])) for j in ks]
     counts = np.bincount(point_labels(fracs, labels), minlength=labels)
-    gate = emission.detector_gate(p1, p2, counts, rng)
+    gated = emission.detector_gate(p1, p2, counts, rng)
     stat_u, dof = emission.uniform_chi_square(counts)
-    stat_g, _ = emission.uniform_chi_square(gate.gated_counts)
+    stat_g, _ = emission.uniform_chi_square(gated)
     fields = {
         "star": max(d_plus, d_minus),
         "extreme_lower": d_plus + d_minus,
         "chi_square_ungated": stat_u,
         "chi_square_gated": stat_g,
         "chi_square_dof": dof,
-        "acceptance_rate": gate.acceptance_rate,
+        "acceptance_rate": int(gated.sum()) / k,
         "rate_slope": emission.fit_rate(ks, stars) if len(ks) >= 2 else None,
     }
     return fields, [[str(j), repr(star)] for j, star in zip(ks, stars)]
@@ -1194,6 +1194,49 @@ class TestCliPoisson:
         assert out == ""
         assert err.startswith("internal error: the poisson report is not strict JSON")
         assert not csv_path.exists()
+
+
+# a small run of each command that writes a CSV table beside its report
+WRITES_CSV = {
+    "splines": ["splines", "--n", "4", "--grid", "3"],
+    "simulate": ["simulate", "--angle", "30", "--trials", "1000", "--seed", "1"],
+    "poisson": ["poisson", "--theta", "1", "--k", "1000", "--labels", "5", "--seed", "1"],
+}
+
+
+class TestCliOutputFiles:
+    @pytest.mark.parametrize("command", sorted(WRITES_CSV))
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    @pytest.mark.parametrize("target", ["missing_directory", "directory"])
+    def test_unwritable_output_exits_2_writing_neither_file(
+        self, capsys, tmp_path, command, flag, target
+    ):
+        outputs = tmp_path / "outputs"
+        outputs.mkdir()
+        paths = {"--out": outputs / "report.json", "--csv": outputs / "table.csv"}
+        paths[flag] = outputs / "absent" / "file" if target == "missing_directory" else outputs
+        timings = tmp_path / "timings.json"
+        argv = [*WRITES_CSV[command], "--timings", str(timings)]
+        for name, path in paths.items():
+            argv += [name, str(path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(paths[flag]) in err
+        assert list(outputs.iterdir()) == []
+        # the timings file is written whatever the run's outcome
+        assert f"cmd.{command}" in json.loads(timings.read_text())["stages"]
+
+    @pytest.mark.parametrize("command", sorted(WRITES_CSV))
+    def test_report_and_table_are_both_written(self, capsys, tmp_path, command):
+        # the report in --out is the one printed without it, beside its table
+        out_path, csv_path = tmp_path / "report.json", tmp_path / "table.csv"
+        argv = [*WRITES_CSV[command], "--out", str(out_path), "--csv", str(csv_path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (0, ""), err
+        _, printed, _ = run_cli(capsys, *WRITES_CSV[command])
+        assert out_path.read_text() == printed
+        assert len(csv_path.read_text().splitlines()) >= 2
 
 
 class TestCliSplines:

@@ -24,14 +24,17 @@ from oracles import (
 
 
 def _whole(points):
-    """The library's `DiscrepancyStats` of a point set, from a sorted copy."""
-    return emission.prefix_discrepancies(np.array(points, dtype=float), [])[1]
+    """The library's star and extreme discrepancies (D*, D) of a point set,
+    from a sorted copy."""
+    pts = np.array(points, dtype=float)
+    stars, extreme, _ = emission.prefix_discrepancies(pts, [pts.size])
+    return stars[0], extreme
 
 
 def _oracle_stats(points):
-    """`DiscrepancyStats` from the whole-array one-sided parts."""
+    """(D*, D) from the whole-array one-sided parts."""
     d_plus, d_minus = one_sided_discrepancies(points)
-    return emission.DiscrepancyStats(star=max(d_plus, d_minus), extreme=d_plus + d_minus)
+    return max(d_plus, d_minus), d_plus + d_minus
 
 
 def _label_counts(fracs, labels):
@@ -40,8 +43,8 @@ def _label_counts(fracs, labels):
 
 
 def _gate(p1, p2, labels, k, theta, rng):
-    """The library's trace of k emissions, its label counts, then its gate
-    on the same stream."""
+    """The library's trace of k emissions, its label counts, then its gated
+    counts on the same stream."""
     counts = _label_counts(emission.generate_trace(theta, k, rng), labels)
     return counts, emission.detector_gate(p1, p2, counts, rng)
 
@@ -95,15 +98,15 @@ class TestGenerateTrace:
 
 class TestStarDiscrepancy:
     def test_single_point(self):
-        assert _whole([0.5]).star == 0.5
+        assert _whole([0.5])[0] == 0.5
 
     def test_centered_grid(self):
         k = 10
         pts = [(2 * i - 1) / (2 * k) for i in range(1, k + 1)]
-        assert _whole(pts).star == pytest.approx(0.05, abs=1e-15)
+        assert _whole(pts)[0] == pytest.approx(0.05, abs=1e-15)
 
     def test_two_points(self):
-        assert _whole([0.25, 0.75]).star == pytest.approx(0.25, abs=1e-15)
+        assert _whole([0.25, 0.75])[0] == pytest.approx(0.25, abs=1e-15)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
@@ -119,7 +122,7 @@ class TestStarDiscrepancy:
 
     @given(point_sets)
     def test_star_bounds(self, pts):
-        star = _whole(pts).star
+        star = _whole(pts)[0]
         assert star == max(one_sided_discrepancies(pts))
         assert 1.0 / (2 * len(pts)) - 1e-15 <= star <= 1.0
 
@@ -128,44 +131,43 @@ class TestExtremeDiscrepancy:
     def test_single_point_is_one(self):
         # an arbitrarily short interval around the atom captures 1/k mass at
         # zero length, so the sup is 1 for a single point
-        assert _whole([0.5]).extreme == 1.0
+        assert _whole([0.5])[1] == 1.0
         assert brute_extreme_discrepancy([0.5]) == 1.0
 
     def test_two_points(self):
-        extreme = _whole([0.25, 0.75]).extreme
+        extreme = _whole([0.25, 0.75])[1]
         assert extreme == pytest.approx(0.5, abs=1e-15)
         assert brute_extreme_discrepancy([0.25, 0.75]) == pytest.approx(0.5, abs=1e-15)
 
     def test_equally_spaced(self):
         k = 10
         pts = [i / k for i in range(k)]
-        extreme = _whole(pts).extreme
+        extreme = _whole(pts)[1]
         oracle = brute_extreme_discrepancy(pts)
         assert extreme == pytest.approx(oracle, abs=1e-13)
         assert extreme == pytest.approx(0.1, abs=1e-13)
 
     @given(point_sets)
     def test_matches_brute_force(self, pts):
-        extreme = _whole(pts).extreme
+        extreme = _whole(pts)[1]
         assert extreme == pytest.approx(brute_extreme_discrepancy(pts), abs=1e-12)
 
     @given(point_sets)
     def test_star_extreme_bracket(self, pts):
-        stats = _whole(pts)
-        star, extreme = stats.star, stats.extreme
+        star, extreme = _whole(pts)
         assert star - 1e-15 <= extreme <= 2.0 * star + 1e-15
         assert extreme <= 1.0 + 1e-15
 
     def test_exact_beyond_former_size_limit(self):
         # exact at every size: k = 20 000 was past the old 10 000-point cutoff
         fracs = emission.generate_trace(1.0, 20_000, np.random.default_rng(13))
-        stats = _whole(fracs)
-        assert stats.extreme == pytest.approx(brute_extreme_discrepancy(fracs), abs=1e-12)
-        assert stats.star == max(one_sided_discrepancies(fracs))
+        star, extreme = _whole(fracs)
+        assert extreme == pytest.approx(brute_extreme_discrepancy(fracs), abs=1e-12)
+        assert star == max(one_sided_discrepancies(fracs))
 
     def test_poisson_set_against_oracle(self):
         fracs = emission.generate_trace(1.0, 2000, np.random.default_rng(17))
-        extreme = _whole(fracs).extreme
+        extreme = _whole(fracs)[1]
         assert extreme == pytest.approx(brute_extreme_discrepancy(fracs), abs=1e-12)
 
 
@@ -294,29 +296,29 @@ class TestRateFit:
 
 class TestDetectorGate:
     def test_full_readiness_keeps_everything(self):
-        counts, res = _gate(1.0, 1.0, 20, 50_000, 1.0, np.random.default_rng(41))
-        assert res.accepted == res.total
-        np.testing.assert_array_equal(res.gated_counts, counts)
+        counts, gated = _gate(1.0, 1.0, 20, 50_000, 1.0, np.random.default_rng(41))
+        np.testing.assert_array_equal(gated, counts)
 
     def test_gated_labels_stay_uniform(self):
-        _, res = _gate(0.5, 0.5, 50, 1_000_000, 1.0, np.random.default_rng(43))
-        stat, dof = emission.uniform_chi_square(res.gated_counts)
+        _, gated = _gate(0.5, 0.5, 50, 1_000_000, 1.0, np.random.default_rng(43))
+        stat, dof = emission.uniform_chi_square(gated)
         assert stat < emission.chi_square_quantile(0.999, dof)
 
     @pytest.mark.parametrize("p1, p2", [(0.9, 0.1), (0.3, 0.7), (2**-7, 1.0)])
     def test_acceptance_rate(self, p1, p2):
-        _, res = _gate(p1, p2, 10, 1_000_000, 1.0, np.random.default_rng(47))
+        k = 1_000_000
+        _, gated = _gate(p1, p2, 10, k, 1.0, np.random.default_rng(47))
         p = p1 * p2
-        sigma = np.sqrt(p * (1 - p) / res.total)
-        assert abs(res.acceptance_rate - p) <= 3.29 * sigma
+        sigma = np.sqrt(p * (1 - p) / k)
+        assert abs(int(gated.sum()) / k - p) <= 3.29 * sigma
 
     def test_gated_close_to_ungated_in_tv(self):
-        counts, res = _gate(0.5, 0.5, 25, 400_000, 1.0, np.random.default_rng(53))
-        gated = res.gated_counts / res.accepted
-        ungated = counts / res.total
-        tv = 0.5 * float(np.abs(gated - ungated).sum())
+        k = 400_000
+        counts, gated = _gate(0.5, 0.5, 25, k, 1.0, np.random.default_rng(53))
+        accepted = int(gated.sum())
+        tv = 0.5 * float(np.abs(gated / accepted - counts / k).sum())
         # rough multinomial scale: 4 standard errors per cell aggregated
-        scale = 4.0 * 25 * np.sqrt((1 / 25) * (1 - 1 / 25) / res.accepted)
+        scale = 4.0 * 25 * np.sqrt((1 / 25) * (1 - 1 / 25) / accepted)
         assert tv <= scale
 
     @pytest.mark.parametrize("p1,p2", [(0.0, 0.5), (1.5, 0.5), (0.5, -0.1), (np.nan, 0.5)])
@@ -385,26 +387,26 @@ class TestChunkedKernel:
     @pytest.mark.parametrize("theta", THETAS)
     @pytest.mark.parametrize("k", CHUNK_SIZES)
     def test_gate_counts_are_the_whole_gate(self, k, theta, labels):
-        counts, res = _gate(0.6, 0.8, labels, k, theta, np.random.default_rng(67))
-        ungated, gated, accepted = _oracle_gate(
+        counts, gated = _gate(0.6, 0.8, labels, k, theta, np.random.default_rng(67))
+        ungated, want, accepted = _oracle_gate(
             0.6, 0.8, labels, k, theta, np.random.default_rng(67)
         )
         assert counts.tobytes() == ungated.tobytes()
-        assert res.gated_counts.tobytes() == gated.tobytes()
-        assert (res.total, res.accepted) == (k, accepted)
+        assert gated.tobytes() == want.tobytes()
+        assert (int(counts.sum()), int(gated.sum())) == (k, accepted)
 
     # the gate's chunk is GATE_CHUNK emissions, at label counts on both sides of it
     @pytest.mark.parametrize("labels", [2, 7, GATE_CHUNK + 3])
     @pytest.mark.parametrize("k", [GATE_CHUNK - 1, GATE_CHUNK, GATE_CHUNK + 1, 3 * GATE_CHUNK + 17])
     def test_gate_counts_around_its_own_chunk(self, k, labels):
-        counts, res = _gate(0.3, 0.7, labels, k, 0.37, np.random.default_rng(68))
-        ungated, gated, accepted = _oracle_gate(
+        counts, gated = _gate(0.3, 0.7, labels, k, 0.37, np.random.default_rng(68))
+        ungated, want, accepted = _oracle_gate(
             0.3, 0.7, labels, k, 0.37, np.random.default_rng(68)
         )
         assert counts.tobytes() == ungated.tobytes()
-        assert res.gated_counts.tobytes() == gated.tobytes()
-        assert (res.total, res.accepted) == (k, accepted)
-        assert not res.gated_counts.flags.writeable
+        assert gated.tobytes() == want.tobytes()
+        assert (int(counts.sum()), int(gated.sum())) == (k, accepted)
+        assert not gated.flags.writeable
 
     @pytest.mark.parametrize("p1", READINESS)
     @pytest.mark.parametrize("p2", READINESS)
@@ -412,9 +414,9 @@ class TestChunkedKernel:
     def test_gate_is_the_readiness_oracle(self, p1, p2, k):
         counts = np.random.default_rng(k).multinomial(k, [0.25, 0.0, 0.5, 0.25])
         rng, oracle_rng = np.random.default_rng(70), np.random.default_rng(70)
-        res = emission.detector_gate(p1, p2, counts, rng)
+        gated = emission.detector_gate(p1, p2, counts, rng)
         ready = gate_readiness(p1, p2, k, oracle_rng)
-        assert res.gated_counts.tolist() == gated_label_counts(counts, ready).tolist()
+        assert gated.tolist() == gated_label_counts(counts, ready).tolist()
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
     @pytest.mark.parametrize("p1", READINESS)
@@ -425,9 +427,9 @@ class TestChunkedKernel:
         # drawn in every chunk, in lane order across both stations
         counts = np.array([k // 3, 0, k - k // 3])
         stream, oracle_stream = _word_stream(p1, p2, k, 71), _word_stream(p1, p2, k, 71)
-        res = emission.detector_gate(p1, p2, counts, stream)
+        gated = emission.detector_gate(p1, p2, counts, stream)
         ready = gate_readiness(p1, p2, k, oracle_stream)
-        assert res.gated_counts.tolist() == gated_label_counts(counts, ready).tolist()
+        assert gated.tolist() == gated_label_counts(counts, ready).tolist()
         assert stream.bit_generator.at == oracle_stream.bit_generator.at
 
     def test_gate_buffers_stay_under_one_mib(self):
@@ -470,19 +472,18 @@ class TestChunkedKernel:
         pts = (np.arange(k) + 0.5) / k
         pts[low] -= 0.3 / k
         pts[high] += 0.2 / k
-        stats = _whole(pts)
         d_plus, d_minus = one_sided_discrepancies(pts)
         assert d_plus == pytest.approx(0.8 / k) and d_minus == pytest.approx(0.7 / k)
-        assert (stats.star, stats.extreme) == (d_plus, d_plus + d_minus)
+        assert _whole(pts) == (d_plus, d_plus + d_minus)
 
     @pytest.mark.parametrize("k", CHUNK_SIZES)
     def test_stats_alike_on_sorted_and_shuffled_points(self, k):
         # the shuffled trace is sorted in place, then read again as sorted input
         fracs = emission.generate_trace(1.0, k, np.random.default_rng(72))
         expected = np.sort(fracs)
-        shuffled = emission.prefix_discrepancies(fracs, [])[1]
+        shuffled = emission.prefix_discrepancies(fracs, [k])[:2]
         assert fracs.tobytes() == expected.tobytes()
-        assert repr(emission.prefix_discrepancies(fracs, [])[1]) == repr(shuffled)
+        assert repr(emission.prefix_discrepancies(fracs, [k])[:2]) == repr(shuffled)
 
 
 class TestPrefixDiscrepancies:
@@ -491,10 +492,10 @@ class TestPrefixDiscrepancies:
         fracs = emission.generate_trace(0.37, k, np.random.default_rng(74))
         ks = sorted({size for size in (1, 10, 1000, CHUNK, k) if size <= k})
         expected = [max(one_sided_discrepancies(fracs[:size])) for size in ks]
-        whole = _oracle_stats(fracs)
+        _, whole_extreme = _oracle_stats(fracs)
         labels = point_labels(fracs, 3)
-        stars, stats, counts = emission.prefix_discrepancies(fracs, ks, 3)
-        assert (stars, stats) == (expected, whole)
+        stars, extreme, counts = emission.prefix_discrepancies(fracs, ks, 3)
+        assert (stars, extreme) == (expected, whole_extreme)
         assert counts.tolist() == np.bincount(labels, minlength=3).tolist()
         # the caller's trace is sorted in place
         assert not np.any(fracs[1:] < fracs[:-1])
@@ -544,11 +545,11 @@ class TestStreamPosition:
     def test_gates_in_a_row_follow_the_stream(self):
         rng, oracle_rng = np.random.default_rng(83), np.random.default_rng(83)
         for k in (CHUNK + 5, 1000):
-            counts, res = _gate(0.7, 0.9, 11, k, 1.3, rng)
-            ungated, gated, accepted = _oracle_gate(0.7, 0.9, 11, k, 1.3, oracle_rng)
+            counts, gated = _gate(0.7, 0.9, 11, k, 1.3, rng)
+            ungated, want, accepted = _oracle_gate(0.7, 0.9, 11, k, 1.3, oracle_rng)
             assert counts.tolist() == ungated.tolist()
-            assert res.gated_counts.tolist() == gated.tolist()
-            assert res.accepted == accepted
+            assert gated.tolist() == want.tolist()
+            assert int(gated.sum()) == accepted
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
     @pytest.mark.parametrize(
@@ -582,11 +583,11 @@ class TestStreamPosition:
 
     def test_gate_on_pcg64dxsm_follows_its_stream(self):
         rng, oracle_rng = (np.random.Generator(np.random.PCG64DXSM(91)) for _ in range(2))
-        counts, res = _gate(0.7, 0.9, 11, CHUNK + 5, 1.3, rng)
-        ungated, gated, accepted = _oracle_gate(0.7, 0.9, 11, CHUNK + 5, 1.3, oracle_rng)
+        counts, gated = _gate(0.7, 0.9, 11, CHUNK + 5, 1.3, rng)
+        ungated, want, accepted = _oracle_gate(0.7, 0.9, 11, CHUNK + 5, 1.3, oracle_rng)
         assert counts.tolist() == ungated.tolist()
-        assert res.gated_counts.tolist() == gated.tolist()
-        assert res.accepted == accepted
+        assert gated.tolist() == want.tolist()
+        assert int(gated.sum()) == accepted
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
     @pytest.mark.parametrize("theta,k", [(np.inf, 10), (-1.0, 10), (1.0, 0)])
@@ -618,6 +619,6 @@ class TestOverflow:
 @given(st.integers(2, 200))
 def test_centered_grid_is_optimal(k):
     pts = [(2 * i - 1) / (2 * k) for i in range(1, k + 1)]
-    stats = _whole(pts)
-    assert stats.star == pytest.approx(1.0 / (2 * k), abs=1e-15)
-    assert stats.extreme == pytest.approx(1.0 / k, abs=1e-14)
+    star, extreme = _whole(pts)
+    assert star == pytest.approx(1.0 / (2 * k), abs=1e-15)
+    assert extreme == pytest.approx(1.0 / k, abs=1e-14)

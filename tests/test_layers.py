@@ -124,6 +124,7 @@ class TestLayerSampling:
     def test_tie_weights(self):
         uni = layers.build_universe(4, 4, 1, np.random.default_rng(7), tie_weights=True)
         np.testing.assert_allclose(uni.weights[0], 0.25, atol=0)
+        assert uni.weights.flags.c_contiguous and not uni.weights.flags.writeable
 
     def test_invalid_args(self):
         rng = np.random.default_rng(0)
