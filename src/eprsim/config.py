@@ -32,12 +32,14 @@ BUDGET = 1 << 30
 MAXIMUMS = {
     # the first-layer measure, whose build peaks near 120 bytes per unit of n
     # under tracemalloc: verify's whole run takes near 170, and chsh, which
-    # builds one per component on up to four threads at once, near 400 (a
-    # universe's relocations take 48 per pair; layers is capped lower anyway)
+    # builds one per component, one after another, near 130 (a universe's
+    # relocations take 48 per pair; layers is capped lower anyway)
     "n": BUDGET // 512,
-    # layers: 2M x (3n+12) int64 relocations at n = 4, 384 bytes per pair
-    # (simulate and chsh, which build no universe, keep the same cap so a
-    # size valid for one command is valid for all three)
+    # layers: sized for 2M x (3n+12) int64 relocations at n = 4, 384 bytes
+    # per pair; `build_universe` permutes them 1024 rows at a time and keeps
+    # them as uint16, 96 bytes per pair, so the cap over-counts until it is
+    # re-sized (simulate and chsh, which build no universe, keep the same cap
+    # so a size valid for one command is valid for all three)
     "layers": BUDGET // 384,
     # the M x L float64 interval weights at M = 1
     "L": BUDGET // 8,
@@ -63,6 +65,8 @@ MAXIMUMS = {
 # Linux)
 JOINT_ARRAYS = {
     "layers": {
+        # 2M x (3n+12) int64 relocations: the uint16 array and the 1024-row
+        # int64 block that `build_universe` holds take less, so this over-counts
         ("n", "layers"): lambda n, pairs: 16 * pairs * (3 * n + 12),
         ("L", "layers"): lambda intervals, pairs: 8 * pairs * intervals,
     },

@@ -45,6 +45,9 @@ _WEIGHT = np.dtype("<f8")
 # universe holds, in memory and in a `layer-universe/3` file
 MAX_SAVED_N = (np.iinfo(_POSITION).max - 11) // 3
 
+# rows of relocations that `build_universe` permutes at a time
+PERMUTE_ROWS = 1024
+
 
 def layer_count(n: int) -> int:
     """Published count of distinct layer arrangements, one half of the label
@@ -173,20 +176,26 @@ def build_universe(
     is the uniform law over all placements with one mass ensemble per row and
     column.  Weights come from a symmetric Dirichlet(1) prior, renormalized
     per row, unless `tie_weights` pins them to the uniform vector 1/L.  The
-    stream is consumed in two calls: one `rng.permuted` of 2M rows of
-    0 .. 3n+11 along each row, whose rows [:M] are `col_to` and rows [M:] are
-    `row_to`, then (untied weights only) one `rng.dirichlet(np.ones(L), size=M)`.
-    The int64 tile is permuted in place (numpy shuffles 8-byte items faster
-    than 2-byte ones), then cast once to the uint16 the universe keeps.
+    stream holds the permutations of 2M rows of 0 .. 3n+11, whose rows [:M]
+    are `col_to` and rows [M:] are `row_to`, then (untied weights only) one
+    `rng.dirichlet(np.ones(L), size=M)`.  The rows are permuted PERMUTE_ROWS
+    at a time, in place in one reused int64 block (numpy shuffles 8-byte
+    items faster than 2-byte ones), and each block is cast into the uint16
+    array the universe keeps.  `rng.permuted` shuffles row after row, so the
+    blocks draw what one call on all 2M rows would, bit for bit.
     """
     _check_n(n)
     if interval_count < 1 or pair_count < 1:
         raise ValueError("interval count and pair count must be >= 1")
     size = diagonal_cell_count(n)
-    tile = np.tile(np.arange(size), (2 * pair_count, 1))
-    rng.permuted(tile, axis=1, out=tile)
-    perms = tile.astype(_POSITION)
-    del tile
+    rows = 2 * pair_count
+    perms = np.empty((rows, size), dtype=_POSITION)
+    block = np.empty((min(rows, PERMUTE_ROWS), size), dtype=np.int64)
+    for start in range(0, rows, PERMUTE_ROWS):
+        tile = block[: rows - start]
+        tile[:] = np.arange(size)
+        rng.permuted(tile, axis=1, out=tile)
+        perms[start : start + len(tile)] = tile
     perms.setflags(write=False)
     if tie_weights:
         weights = np.full((pair_count, interval_count), 1.0 / interval_count)

@@ -31,16 +31,14 @@ trials in sub-chunks of 2**15, 2**13 lane words, through buffers made once
 per batch, and settles the refined trials together once 2**10 of them
 wait, so no per-trial array outlives a sub-chunk or such a settlement.
 Streams are numpy Generators; experiments split a seed sequence per batch
-of BATCH trials, and `chsh` runs its four components, each on its own child
-seed, on up to min(4, os.cpu_count()) threads, so neither the sub-chunk
-size nor the worker count changes a number.
+of BATCH trials, and `chsh` runs its four components in order on the
+caller's thread, each on its own child seed, so the sub-chunk size never
+changes a number.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,21 +240,14 @@ def chsh(
     *,
     seed,
 ) -> ChshEstimate:
-    """Run the four correlation experiments, each on its own child seed, and
-    combine them into S."""
+    """Run the four correlation experiments (a, b), (a, b2), (a2, b) and
+    (a2, b2) in that order, each on its own child seed, and combine them
+    into S."""
     children = _as_seed_sequence(seed).spawn(4)
     pairs = ((a, b), (a, b2), (a2, b), (a2, b2))
-    # numpy releases the GIL inside each draw, gather, search and ufunc, not
-    # between them, so threads overlap as far as the kernel's calls, one
-    # sub-chunk each, are long: on a 2-vCPU VM two components ran 1.15-1.28x as
-    # fast on two threads as on one (README).  Each component's numbers depend
-    # only on its child seed, not on the thread
-    with ThreadPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
-        futures = [
-            pool.submit(run_experiment, n, x, y, trials, seed=child)
-            for (x, y), child in zip(pairs, children)
-        ]
-        runs = [future.result() for future in futures]
+    runs = [
+        run_experiment(n, x, y, trials, seed=child) for (x, y), child in zip(pairs, children)
+    ]
     e_ab, e_ab2, e_a2b, e_a2b2 = runs
     s_value = abs(e_ab.mean - e_ab2.mean) + abs(e_a2b.mean + e_a2b2.mean)
     stderr = math.sqrt(sum(r.stderr**2 for r in runs))

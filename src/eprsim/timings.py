@@ -4,9 +4,8 @@
 does no extra work.  The timer wraps the library functions the CLI calls in
 stages named like the benchmark tracer's spans (`layers.load_universe`,
 `sampling.run_experiment`, ...) and the whole command in `cmd.<name>`.  A
-stage's time includes the stages it calls.  Stages may run at once on
-several threads (`chsh`'s components), so their times may overlap and sum to
-more than `cmd.<name>`.  Reports never depend on it.
+stage's time includes the stages it calls.  Every stage runs on the
+caller's thread, one after another or nested.  Reports never depend on it.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import os
 import platform
 import resource
 import sys
-import threading
 import time
 from contextlib import contextmanager
 
@@ -35,13 +33,10 @@ def _peak_rss_mb() -> float:
 
 class StageTimer:
     """Per stage: call count, total wall seconds, and the process's peak RSS
-    in MB when the stage last ended.  Stages may end on several threads at
-    once; a lock keeps each one's bookkeeping whole, and their wall times may
-    overlap."""
+    in MB when the stage last ended."""
 
     def __init__(self):
         self.stages: dict[str, dict] = {}
-        self._lock = threading.Lock()
 
     @contextmanager
     def stage(self, name: str):
@@ -49,12 +44,10 @@ class StageTimer:
         try:
             yield
         finally:
-            wall_s = time.perf_counter() - start
-            with self._lock:
-                entry = self.stages.setdefault(name, {"calls": 0, "wall_s": 0.0})
-                entry["calls"] += 1
-                entry["wall_s"] += wall_s
-                entry["peak_rss_mb"] = _peak_rss_mb()
+            entry = self.stages.setdefault(name, {"calls": 0, "wall_s": 0.0})
+            entry["calls"] += 1
+            entry["wall_s"] += time.perf_counter() - start
+            entry["peak_rss_mb"] = _peak_rss_mb()
 
     def _timed(self, fn):
         name = f"{fn.__module__.removeprefix(PACKAGE + '.')}.{fn.__name__}"

@@ -4,7 +4,8 @@ The package root re-exports exactly the names that `scripts/` imports from
 `eprsim`, and every public top-level function and class of `src/eprsim`, and
 every public method and property of those classes, is named by `cli.py`, by
 a script, or by another function or class of the package.  A helper that
-only tests call belongs in `tests/oracles.py`.
+only tests call belongs in `tests/oracles.py`.  No module imports a thread
+or process library: every command runs on the caller's thread.
 """
 
 from __future__ import annotations
@@ -84,3 +85,26 @@ def _unused_definitions() -> list[str]:
 def test_package_carries_only_what_its_callers_run():
     assert _root_exports() == _script_imports()
     assert _unused_definitions() == []
+
+
+# modules that start or manage threads or processes
+CONCURRENCY = {"threading", "_thread", "concurrent", "multiprocessing"}
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """The top-level package of every module a source imports, at any depth."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    return {name.partition(".")[0] for name in names}
+
+
+def test_package_runs_on_the_callers_thread():
+    found = {
+        path.stem: sorted(_imported_modules(_tree(path)) & CONCURRENCY)
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert {stem: mods for stem, mods in found.items() if mods} == {}

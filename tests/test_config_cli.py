@@ -1,3 +1,4 @@
+import argparse
 import base64
 import csv
 import json
@@ -6,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -167,6 +169,17 @@ class TestCliSimulate:
     def test_zero_trials_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--angle", "45", "--trials", "0", "--seed", "1")
         assert code == 2
+
+    def test_setting_starting_with_minus_needs_the_equals_form(self, capsys):
+        # argparse reads a bare "-1,0,0" as an option, so README gives --b=-1,0,0
+        argv = ["simulate", "--a", "1,0,0", "--trials", "10", "--seed", "1"]
+        code, out, err = run_cli(capsys, *argv, "--b=-1,0,0")
+        assert code == 0, err
+        assert json.loads(out)["b"] == [-1.0, 0.0, 0.0]
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([*argv, "--b", "-1,0,0"])
+        assert excinfo.value.code == 2
+        assert "argument --b: expected one argument" in capsys.readouterr().err
 
     def test_replay_byte_identical(self, capsys):
         args = ("simulate", "--angle", "45", "--trials", "20000", "--seed", "9")
@@ -592,10 +605,9 @@ class TestCliSizeBudget:
         assert slope <= config.BUDGET // config.MAXIMUMS["labels"], slope
 
     @pytest.mark.parametrize("command", sorted(MEASURE_RUNS))
-    def test_n_cap_keeps_the_measure_peak_within_the_budget(self, capsys, monkeypatch, command):
+    def test_n_cap_keeps_the_measure_peak_within_the_budget(self, capsys, command):
         # the peak per unit of n at two sizes, scaled to the cap; chsh builds
-        # one measure per component, on four threads here
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        # one measure per component, one after another
         assert run_cli(capsys, *MEASURE_RUNS[command], "--n", "4")[0] == 0  # first-call imports
         for n in (10_000, 100_000):
             tracemalloc.start()
@@ -1116,28 +1128,6 @@ class TestCliPoisson:
         with open(csv_path, newline="") as fh:
             assert list(csv.reader(fh)) == [["k", "star_discrepancy"], *rows]
 
-    @pytest.mark.parametrize(
-        "argv, code",
-        [
-            (["--theta", "1", "--k", str(3 * CHUNK + 17), "--labels", "5", "--seed", "1"], 0),
-            (["--theta", "1e308", "--k", "1000", "--labels", "2", "--seed", "1"], 2),
-            (["--theta", "1.5e303", "--k", str(2 * CHUNK), "--labels", "2", "--seed", "3"], 2),
-            (["--theta", "-1", "--k", "1000", "--labels", "2", "--seed", "1"], 2),
-            (["--theta", "1", "--k", "10", "--labels", "3", "--seed", "1", "--p1", "0.0001",
-              "--p2", "0.0001"], 2),
-        ],
-    )
-    def test_poisson_starts_no_thread(self, capsys, monkeypatch, argv, code):
-        started = []
-
-        def refuse(thread):
-            started.append(thread.name)
-            raise AssertionError("poisson started a thread")
-
-        monkeypatch.setattr(threading.Thread, "start", refuse)
-        assert run_cli(capsys, "poisson", *argv)[0] == code
-        assert started == []
-
     def test_discrepancy_error_exits_2_writing_nothing(self, capsys, monkeypatch, tmp_path):
         def refuse(fracs, ks, label_count):
             raise ValueError("the discrepancies refuse the trace")
@@ -1290,25 +1280,57 @@ def test_unknown_subcommand_exits_2(capsys):
     assert excinfo.value.code == 2
 
 
-def test_stage_timer_counts_stages_ended_on_several_threads():
-    # more threads than cores, switching often, so a lost update would show
+# one small run of every subcommand; "{u}" stands for a universe file
+ONE_THREAD_RUNS = {
+    "splines": ["splines", "--n", "4", "--grid", "5"],
+    "verify": ["verify", "--n", "4", "--a", "1,0,0", "--b", "0,1,0"],
+    "layers": ["layers", "--n", "4", "--layers", "3", "--seed", "1", "--universe", "{u}"],
+    "analyze": ["analyze", "--universe", "{u}", "--a", "1,0,0", "--b", "0,1,0", "--c",
+                "0,0,1", "--witness"],
+    "simulate": ["simulate", "--angle", "45", "--trials", "100", "--seed", "1"],
+    "chsh": ["chsh", "--angles", "0,90,45,135", "--trials", "100", "--seed", "1"],
+    "poisson": ["poisson", "--theta", "1", "--k", str(3 * CHUNK + 17), "--labels", "5",
+                "--seed", "1", "--p1", "0.5", "--p2", "0.5"],
+}
+
+
+def test_every_subcommand_is_covered_by_the_thread_check():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(commands.choices) == set(ONE_THREAD_RUNS)
+
+
+@pytest.mark.parametrize("command", sorted(ONE_THREAD_RUNS))
+def test_no_command_starts_a_thread(capsys, monkeypatch, tmp_path, command):
+    universe = str(_universe_file(capsys, tmp_path))
+    started = []
+
+    def refuse(thread):
+        started.append(thread.name)
+        raise AssertionError(f"{command} started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    argv = [universe if arg == "{u}" else arg for arg in ONE_THREAD_RUNS[command]]
+    code, _, err = run_cli(capsys, *argv)
+    assert started == []
+    assert code == 0, err
+
+
+def test_stage_timer_counts_calls_and_sums_wall_time():
+    # repeated, nested and raising stages each count every call and add its
+    # wall time; an outer stage's time includes its inner stages'
     timer = StageTimer()
-    workers, stages = (os.cpu_count() or 1) + 2, 2000
-
-    def run():
-        for _ in range(stages):
-            with timer.stage("shared"):
-                pass
-
-    threads = [threading.Thread(target=run) for _ in range(workers)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert timer.stages["shared"]["calls"] == workers * stages
+    for _ in range(3):
+        with timer.stage("outer"):
+            with timer.stage("inner"):
+                time.sleep(0.002)
+    nested = timer.stages["inner"]["wall_s"]
+    assert timer.stages["outer"]["wall_s"] >= nested >= 3 * 0.002
+    with pytest.raises(KeyError):
+        with timer.stage("inner"):
+            time.sleep(0.002)
+            raise KeyError("the stage raised")
+    outer, inner = timer.stages["outer"], timer.stages["inner"]
+    assert (outer["calls"], inner["calls"]) == (3, 4)
+    assert inner["wall_s"] >= nested + 0.002
+    assert outer["peak_rss_mb"] > 0.0 and inner["peak_rss_mb"] > 0.0

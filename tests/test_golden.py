@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eprsim import cli, sampling
+from eprsim import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -124,29 +124,6 @@ def test_universe_file_bytes(workdir, name):
 def test_report_bytes(workdir, name):
     expected = (GOLDEN / f"{name}.json").read_text()
     assert _dump(_run(REPORTS[name], workdir)) == expected
-
-
-class _CountingPool(sampling.ThreadPoolExecutor):
-    """The sampler's thread pool, recording the worker count it was given."""
-
-    sizes: list[int] = []
-
-    def __init__(self, max_workers=None, **kwargs):
-        _CountingPool.sizes.append(max_workers)
-        super().__init__(max_workers, **kwargs)
-
-
-@pytest.mark.parametrize("workers", [1, 2, 4])
-@pytest.mark.parametrize("name", ["chsh_fresh", "chsh_u2", "simulate_fresh", "simulate_u1"])
-def test_report_bytes_at_worker_counts(workdir, monkeypatch, name, workers):
-    """The worker count never changes a number: chsh runs its components on
-    min(4, cpu_count) threads, simulate on none."""
-    monkeypatch.setattr(os, "cpu_count", lambda: workers)
-    monkeypatch.setattr(sampling, "ThreadPoolExecutor", _CountingPool)
-    monkeypatch.setattr(_CountingPool, "sizes", [])
-    expected = (GOLDEN / f"{name}.json").read_text()
-    assert _dump(_run(REPORTS[name], workdir)) == expected
-    assert _CountingPool.sizes == ([workers] if name.startswith("chsh") else [])
 
 
 @pytest.mark.parametrize("name", sorted(REPORTS))

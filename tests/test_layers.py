@@ -165,9 +165,11 @@ class TestBatchedUniverseLaw:
         sigma = math.sqrt((ell - 1) / (ell * ell * (ell + 1)) / self.PAIRS)
         assert np.all(np.abs(big.weights.mean(axis=0) - 1.0 / ell) <= 6.0 * sigma)
 
+    # 2M rows below, at and either side of whole PERMUTE_ROWS blocks
+    @pytest.mark.parametrize("pairs", [7, 512, 513, 1500])
     @pytest.mark.parametrize("tie_weights", [False, True])
-    def test_stream_is_permuted_then_dirichlet(self, tie_weights):
-        pairs, ell = 7, 3
+    def test_stream_is_permuted_then_dirichlet(self, tie_weights, pairs):
+        ell = 3
         used = np.random.default_rng(41)
         universe = layers.build_universe(4, ell, pairs, used, tie_weights=tie_weights)
         rng = np.random.default_rng(41)
@@ -183,6 +185,22 @@ class TestBatchedUniverseLaw:
             )
         # nothing else was drawn
         assert used.random() == rng.random()
+
+    def test_build_peak_per_pair_at_most_256_bytes(self):
+        # tracemalloc slope from M = 1e4 to 2e4 at n = 4, L = 2: the uint16
+        # relocations (96 bytes a pair), the weights and the Dirichlet draw's
+        # temporaries take 184, and the PERMUTE_ROWS-row int64 block is the
+        # same at any M; an int64 tile of all 2M rows would take 480
+        layers.build_universe(4, 2, 10, np.random.default_rng(1))  # first-call caches
+        peaks = []
+        for pairs in (10_000, 20_000):
+            tracemalloc.start()
+            try:
+                layers.build_universe(4, 2, pairs, np.random.default_rng(1))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 10_000 <= 256
 
 
 class TestCompanionCancellation:
