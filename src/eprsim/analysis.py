@@ -9,10 +9,13 @@ exact zeros there, so the sums take only the K positive-mass cells (K <= 12
 of the S = 3n+12): the binned laws scatter-add M x K shares into their
 table a block of pairs at a time, in the order `np.bincount` would sum
 them, and the (ii*) law is binned once per interval.  The outcome sums put
-each sign group's positive-mass cells into one M x S array at the positions
-the pairs move them to, and one matmul with the (M, L) weights sums the
-pairs; nothing is M x S x L.  Positions are uint16: every flat bin is formed
-in `intp`, since column * S + row passes 2**16 from n = 82.
+each sign group's positive-mass cells into one reused BLOCK_ROWS x S array
+at the positions the pairs move them to, and a matmul with those pairs'
+weights adds them up, a block of pairs at a time; nothing is M x S, or
+M x S x L.  Every pass over the pairs works in blocks like these, so a
+call holds the universe plus scratch of a fixed size, and the (M, K) bins.
+Positions are uint16: every flat bin is formed in `intp`, since
+column * S + row passes 2**16 from n = 82.
 `outcome_biases` is the one bias computation: per station side it sums the
 odd labels' mass of +1 and of -1 outcomes per bin, P and Q, and reads from
 them the intact bias (exactly 0) and the witness with companions dropped,
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .layers import LayerUniverse
+from .layers import BLOCK_ROWS, LayerUniverse
 from .measure import BaseMeasure, build_measure, pair_integral
 
 
@@ -32,8 +35,8 @@ def _normalized_masses(mu: BaseMeasure) -> np.ndarray:
 
 
 # pairs times cells per block of `_bin_pairs`: a block's float64 shares
-# stay near 0.5 MiB
-BLOCK = 1 << 16
+# stay near 128 KiB
+BLOCK_SHARES = 1 << 14
 
 
 def _cell_pair_bins(universe: LayerUniverse, pos: np.ndarray) -> np.ndarray:
@@ -51,7 +54,7 @@ def _bin_pairs(bins: np.ndarray, shares: np.ndarray, size: int, scale: np.ndarra
     bins[p, j], pair after pair in the order `np.bincount` of the flat bins
     sums them, so bit for bit its table; a block of pairs at a time."""
     pairs, count = bins.shape
-    rows = min(pairs, max(1, BLOCK // count))
+    rows = min(pairs, max(1, BLOCK_SHARES // count))
     part = np.empty((rows, count))
     table = np.zeros(size * size)
     for lo in range(0, pairs, rows):
@@ -76,24 +79,32 @@ def _outcome_mass(universe: LayerUniverse, mu: BaseMeasure, k: int):
     per (half, position, interval) of the cells whose outcome there is +1
     (P) and -1 (Q).  A relocation is a permutation, so the positive-mass
     cells that share both halves' outcomes are scattered to the positions
-    each pair moves them to, into one M x S array summed over the pairs by
-    one matmul with the (M, L) weights; each group's sums go to P or Q half
-    by half.  A group of zero-mass cells only would add zeros: none is made."""
+    each pair moves them to.  BLOCK_ROWS pairs at a time, group after group,
+    they fill one reused block, summed over its pairs by a matmul with their
+    (rows, L) weights; each group's sums go to P or Q half by half.  A group
+    of zero-mass cells only would add zeros: none is made."""
     masses = _normalized_masses(mu)
     held = masses != 0.0
     to = (universe.col_to, universe.row_to)[k]
     pairs, size = to.shape
-    rows = np.arange(pairs)[:, None]
     plus = mu.outcome[k] > 0  # (S, 2): is the outcome +1 on each half
-    moved = np.empty((pairs, size))
+    groups = [
+        (signs, np.flatnonzero(held & (plus == signs).all(axis=1)))
+        for signs in np.unique(plus[held], axis=0)
+    ]
+    rows = min(pairs, BLOCK_ROWS)
+    index = np.arange(rows)[:, None]
+    moved = np.empty((rows, size))
     sums = np.zeros((2, 2, size, universe.interval_count))  # (P or Q, half, ...)
-    for signs in np.unique(plus[held], axis=0):
-        cells = np.flatnonzero(held & (plus == signs).all(axis=1))
-        moved.fill(0.0)
-        moved[rows, to[:, cells]] = masses[cells]
-        group = moved.T @ universe.weights
-        for h in (0, 1):
-            sums[0 if signs[h] else 1, h] += group
+    for lo in range(0, pairs, rows):
+        hi = min(pairs, lo + rows)
+        block = moved[: hi - lo]
+        for signs, cells in groups:
+            block.fill(0.0)
+            block[index[: hi - lo], to[lo:hi, cells]] = masses[cells]
+            group = block.T @ universe.weights[lo:hi]
+            for h in (0, 1):
+                sums[0 if signs[h] else 1, h] += group
     return sums[0], sums[1]
 
 
@@ -177,16 +188,23 @@ def dependence_report(universe: LayerUniverse, a, b, c) -> dict:
     # (vii): conditional station-1 marginal under (a, b) vs (a, c)
     setting_shift = _tv(masses, masses_ac)
 
-    # (vi): label vs weight interval; companions repeat their pair's weights
-    mean_weights = universe.weights.mean(axis=0)
-    spread = universe.weights - mean_weights
-    r_lambda_dependence = float(0.5 * np.abs(spread, out=spread).sum() / universe.pair_count)
+    # (vi): label vs weight interval; companions repeat their pair's weights.
+    # |weights - mean| is summed BLOCK_ROWS pairs at a time in one reused block
+    weights = universe.weights
+    mean_weights = weights.mean(axis=0)
+    spread = np.empty((min(len(weights), BLOCK_ROWS), weights.shape[1]))
+    spread_sum = 0.0
+    for lo in range(0, len(weights), BLOCK_ROWS):
+        rows = weights[lo : lo + BLOCK_ROWS]
+        block = np.subtract(rows, mean_weights, out=spread[: len(rows)])
+        spread_sum += float(np.abs(block, out=block).sum())
+    r_lambda_dependence = 0.5 * spread_sum / len(weights)
 
     # (ii*): is the source parameter independent of the station pair?  One
     # (column, row) law per interval, each binned over the M x K pair cells
     factorization_defect = 0.0
     for ell, mean_weight in enumerate(mean_weights):
-        layer = _bin_pairs(bins, shares, size, universe.weights[:, ell])
+        layer = _bin_pairs(bins, shares, size, weights[:, ell])
         factorization_defect = max(
             factorization_defect, float(np.abs(layer - joint * mean_weight).max())
         )

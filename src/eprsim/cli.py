@@ -51,6 +51,7 @@ from .layers import (
     layer_count_digits,
     load_universe,
     save_universe,
+    universe_sizes,
 )
 from .measure import (
     build_measure,
@@ -133,14 +134,16 @@ def cmd_layers(args):
 
 
 def cmd_analyze(args):
-    universe = load_universe(args.universe)
+    # the header's n is checked against analyze's budget before the body is read
+    n = universe_sizes(args.universe)[0]
     try:
-        check_budget("analyze", {"n": universe.n})
+        check_budget("analyze", {"n": n})
     except ConfigError:
         raise ConfigError(
-            f"{args.universe}: universe field 'n' = {universe.n} is past the sizes "
+            f"{args.universe}: universe field 'n' = {n} is past the sizes "
             f"`analyze` takes: its run would pass the {BUDGET >> 30} GiB budget"
         ) from None
+    universe = load_universe(args.universe)
     a = _setting_arg(args, "a")
     b = _setting_arg(args, "b")
     c = _setting_arg(args, "c")

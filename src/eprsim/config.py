@@ -36,10 +36,13 @@ MAXIMUMS = {
     # relocations take 48 per pair; layers is capped lower anyway)
     "n": BUDGET // 512,
     # layers: sized for 2M x (3n+12) int64 relocations at n = 4, 384 bytes
-    # per pair; `build_universe` permutes them 1024 rows at a time and keeps
-    # them as uint16, 96 bytes per pair, so the cap over-counts until it is
-    # re-sized (simulate and chsh, which build no universe, keep the same cap
-    # so a size valid for one command is valid for all three)
+    # per pair.  Every pass over a universe takes `layers.BLOCK_ROWS` rows at
+    # a time, so at n = 4, L = 2 the whole command's tracemalloc peak grows
+    # by 124 bytes per pair for layers and simulate --universe and by 176
+    # for analyze (M = 1e4 to 2e4, numpy 2.4, x86-64 Linux): the cap
+    # over-counts until it is re-sized (simulate and chsh, which build no
+    # universe, keep the same cap so a size valid for one command is valid
+    # for all three)
     "layers": BUDGET // 384,
     # the M x L float64 interval weights at M = 1
     "L": BUDGET // 8,
@@ -65,8 +68,10 @@ MAXIMUMS = {
 # Linux)
 JOINT_ARRAYS = {
     "layers": {
-        # 2M x (3n+12) int64 relocations: the uint16 array and the 1024-row
-        # int64 block that `build_universe` holds take less, so this over-counts
+        # 2M x (3n+12) int64 relocations: the uint16 array and the
+        # BLOCK_ROWS-row scratch of each pass take less, so this over-counts;
+        # at L = 64 (n = 4) the peaks grow by 618 bytes per pair for layers and
+        # simulate --universe and 657 for analyze, the file's 608 and blocks
         ("n", "layers"): lambda n, pairs: 16 * pairs * (3 * n + 12),
         ("L", "layers"): lambda intervals, pairs: 8 * pairs * intervals,
     },

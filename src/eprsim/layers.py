@@ -18,7 +18,10 @@ arrays validated once on construction: `col_to` and `row_to` of shape
 uint16 (2 bytes a position, so n <= `MAX_SAVED_N`), and `weights` of shape
 (M, L), whose rows are interval weight vectors.  Read-only arrays of those
 dtypes, such as a loaded file's views or a build's own draws, are kept
-without a copy; anything else is copied once.  Label m = 1 .. 2M is
+without a copy; anything else is copied once.  Every pass over the rows,
+the draw, the permutation check and the sums in `analysis`, takes
+`BLOCK_ROWS` rows at a time, so beside the three arrays it holds scratch of
+a fixed size, not one of M rows.  Label m = 1 .. 2M is
 pair (m-1)//2 with sign +1 for odd m and -1 for even m.  A universe file
 (`save_universe`) is one line of JSON giving the schema and the three sizes,
 then the three arrays as raw little-endian bytes, so `load_universe` checks
@@ -45,8 +48,10 @@ _WEIGHT = np.dtype("<f8")
 # universe holds, in memory and in a `layer-universe/3` file
 MAX_SAVED_N = (np.iinfo(_POSITION).max - 11) // 3
 
-# rows of relocations that `build_universe` permutes at a time
-PERMUTE_ROWS = 1024
+# rows that every pass over a universe's rows takes at a time: the
+# permutations `build_universe` draws, the permutation check, and the sums
+# over the pairs in `analysis`, so each pass holds O(BLOCK_ROWS) scratch
+BLOCK_ROWS = 1024
 
 
 def layer_count(n: int) -> int:
@@ -107,11 +112,16 @@ def _check_n(n: int) -> None:
 
 
 def _permutations(perms, size: int, name: str) -> np.ndarray:
-    """Validate rows (last axis) permuting 0 .. size-1.  A read-only uint16
-    array is returned as it is; anything else is copied to a read-only uint16
+    """Validate rows (last axis) permuting 0 .. size-1, sorted and compared
+    BLOCK_ROWS rows at a time in their own dtype.  A read-only uint16 array
+    is returned as it is; anything else is copied to a read-only uint16
     array, only after the check, so no cast wraps a position into range."""
     arr = np.asarray(perms)
-    if arr.shape[-1:] != (size,) or np.any(np.sort(arr, axis=-1) != np.arange(size)):
+    rows = arr.reshape(-1, size) if arr.shape[-1:] == (size,) else None
+    if rows is None or any(
+        np.any(np.sort(rows[lo : lo + BLOCK_ROWS], axis=-1) != np.arange(size))
+        for lo in range(0, len(rows), BLOCK_ROWS)
+    ):
         raise ValueError(f"{name} must permute the {size} diagonal positions")
     if arr.dtype == _POSITION and not arr.flags.writeable:
         return arr
@@ -178,7 +188,7 @@ def build_universe(
     per row, unless `tie_weights` pins them to the uniform vector 1/L.  The
     stream holds the permutations of 2M rows of 0 .. 3n+11, whose rows [:M]
     are `col_to` and rows [M:] are `row_to`, then (untied weights only) one
-    `rng.dirichlet(np.ones(L), size=M)`.  The rows are permuted PERMUTE_ROWS
+    `rng.dirichlet(np.ones(L), size=M)`.  The rows are permuted BLOCK_ROWS
     at a time, in place in one reused int64 block (numpy shuffles 8-byte
     items faster than 2-byte ones), and each block is cast into the uint16
     array the universe keeps.  `rng.permuted` shuffles row after row, so the
@@ -190,8 +200,8 @@ def build_universe(
     size = diagonal_cell_count(n)
     rows = 2 * pair_count
     perms = np.empty((rows, size), dtype=_POSITION)
-    block = np.empty((min(rows, PERMUTE_ROWS), size), dtype=np.int64)
-    for start in range(0, rows, PERMUTE_ROWS):
+    block = np.empty((min(rows, BLOCK_ROWS), size), dtype=np.int64)
+    for start in range(0, rows, BLOCK_ROWS):
         tile = block[: rows - start]
         tile[:] = np.arange(size)
         rng.permuted(tile, axis=1, out=tile)
@@ -270,6 +280,13 @@ def save_universe(universe: LayerUniverse, path) -> None:
         for arr, dtype in ((universe.col_to, _POSITION), (universe.row_to, _POSITION),
                            (universe.weights, _WEIGHT)):
             fh.write(np.ascontiguousarray(arr, dtype))
+
+
+def universe_sizes(path) -> tuple[int, int, int]:
+    """(n, interval_count, pair_count) of a universe file, from its header
+    line alone, checked as `load_universe` checks it; no body byte is read."""
+    with open(path, "rb") as fh:
+        return _read_header(fh)
 
 
 def load_universe(path) -> LayerUniverse:

@@ -79,7 +79,9 @@ def validate_weights(p) -> np.ndarray:
         out = np.array(p, dtype=float, ndmin=1)
     if out.shape[-1] < 1:
         raise ValueError("weight vector must have at least one entry")
-    if np.any(out < 0.0) or not np.all(np.isfinite(out)):
+    # two reductions, no mask the size of the weights: a NaN fails both
+    # comparisons, and -0.0 passes; an empty array has no min to take
+    if out.size and not (out.min() >= 0.0 and out.max() <= np.finfo(float).max):
         raise ValueError("weights must be finite and nonnegative")
     off = np.abs(out.sum(axis=-1) - 1.0)
     if np.any(off > 1e-12):

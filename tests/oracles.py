@@ -4,7 +4,8 @@ Everything here is deliberately naive and self-contained: textbook scalar
 recursions, direct formula evaluation, O(k^2) enumeration, loop-based big
 integers, and the paper's pointwise definitions (detectors, step functions,
 density factors, and the outcomes and densities of one labelled layer).
-None of it shares code with the package paths it checks.
+None of it shares code with the package paths it checks; the all-cells
+sums read only `layers.BLOCK_ROWS`, to sum the pairs in the same blocks.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from eprsim import layers
 
 
 def naive_basis(n: int, i: int, order: int, x: float) -> float:
@@ -662,10 +665,11 @@ def loop_dependence_report(universe, mu_ab, mu_ac) -> dict:
 #
 # The binned tables and the outcome sums over every one of the S = 3n+12
 # cells, zero-mass cells included, each summed in the order the analysis
-# sums: `np.bincount` over the flat (column, row) bins for a table, and one
-# M x S array per outcome sign group, filled through the inverse relocation
-# and summed by a matmul with the weights.  So they equal the analysis bit
-# for bit, and tell whether dropping the zero-mass cells lost any share.
+# sums: `np.bincount` over the flat (column, row) bins for a table, and, a
+# block of `layers.BLOCK_ROWS` pairs at a time, one array per outcome sign
+# group, filled through the inverse relocation and summed by a matmul with
+# the block's weights.  So they equal the analysis bit for bit, and tell
+# whether dropping the zero-mass cells lost any share.
 
 
 def all_cells_table(universe, mu, scale=None) -> np.ndarray:
@@ -683,22 +687,25 @@ def all_cells_table(universe, mu, scale=None) -> np.ndarray:
 
 
 def all_cells_outcome_mass(universe, mu, side="A"):
-    """P, Q of shape (2, S, L): per sign pattern of the two halves, every
-    cell of that pattern at the position each pair moves it to, summed over
-    the odd labels by one matmul with the weights."""
+    """P, Q of shape (2, S, L): per block of `layers.BLOCK_ROWS` pairs and
+    per sign pattern of the two halves, every cell of that pattern at the
+    position each pair moves it to, summed over the block's odd labels by a
+    matmul with their weights."""
     masses = _loop_masses(mu)
     to = universe.col_to if side == "A" else universe.row_to
     origin = np.argsort(to, axis=1)  # origin[p, q]: the cell pair p puts at q
     plus = mu.outcome["AB".index(side)] > 0
     shape = (2, masses.size, universe.interval_count)
     sums = {True: np.zeros(shape), False: np.zeros(shape)}
-    for signs in ((False, False), (False, True), (True, False), (True, True)):
-        in_group = (plus == signs).all(axis=1)
-        if in_group.any():
-            moved = np.where(in_group[origin], masses[origin], 0.0)
-            group = moved.T @ universe.weights
-            for h in (0, 1):
-                sums[signs[h]][h] += group
+    for lo in range(0, len(origin), layers.BLOCK_ROWS):
+        block = origin[lo : lo + layers.BLOCK_ROWS]
+        for signs in ((False, False), (False, True), (True, False), (True, True)):
+            in_group = (plus == signs).all(axis=1)
+            if in_group.any():
+                moved = np.where(in_group[block], masses[block], 0.0)
+                group = moved.T @ universe.weights[lo : lo + layers.BLOCK_ROWS]
+                for h in (0, 1):
+                    sums[signs[h]][h] += group
     return sums[True], sums[False]
 
 
@@ -735,7 +742,11 @@ def all_cells_dependence_report(universe, mu_ab, mu_ac) -> dict:
     mass_weight = universe.weights.sum(axis=1) * masses.sum()
     on_diag = masses * masses
     mean_weights = universe.weights.mean(axis=0)
-    spread = np.abs(universe.weights - mean_weights)
+    # |weights - mean| summed per block of `layers.BLOCK_ROWS` pairs, as
+    # `dependence_report` sums it
+    spread = 0.0
+    for lo in range(0, universe.pair_count, layers.BLOCK_ROWS):
+        spread += float(np.abs(universe.weights[lo : lo + layers.BLOCK_ROWS] - mean_weights).sum())
     defect = 0.0
     for ell, mean_weight in enumerate(mean_weights):
         layer = all_cells_table(universe, mu_ab, universe.weights[:, ell])
@@ -748,7 +759,7 @@ def all_cells_dependence_report(universe, mu_ab, mu_ac) -> dict:
         ),
         "setting_shift": tv(masses, masses_ac),
         "marginal_uniformity": max(tv(marg_u, uniform), tv(marg_v, uniform)),
-        "r_lambda_dependence": float(0.5 * spread.sum() / universe.pair_count),
+        "r_lambda_dependence": 0.5 * spread / universe.pair_count,
         "factorization_defect": defect,
     }
 

@@ -199,19 +199,24 @@ def test_analysis_memory_scales_with_pairs_times_cells():
     assert peak < 8 << 20
 
 
+@pytest.mark.parametrize("pairs", [10_000, 20_000])
 @pytest.mark.parametrize("interval_count", [2, 64])
-def test_outcome_biases_peak_is_one_spread_array(interval_count):
-    # n = 4, M = 1e4: one pass per side holds one M x S float array (S = 3n+12
-    # positions) and the positions of one group of cells
-    uni = layers.build_universe(4, interval_count, 10_000, np.random.default_rng(127))
-    pair_array_bytes = uni.col_to.size * 8
+def test_outcome_biases_peak_is_one_block_and_its_sums(interval_count, pairs):
+    # n = 4, M = 1e4 and 2e4: one pass per side holds one reused
+    # BLOCK_ROWS x S float block (S = 3n+12 positions), the positions of one
+    # group of cells in it, and P, Q and the ratios of shape (2, S, L), at any
+    # M; one M x S float array took 2.5 times the block at M = 1e4
+    uni = layers.build_universe(4, interval_count, pairs, np.random.default_rng(127))
+    size = uni.col_to.shape[1]
+    block_bytes = layers.BLOCK_ROWS * size * 8
+    sums_bytes = 2 * 2 * size * interval_count * 8
     tracemalloc.start()
     try:
         analysis.outcome_biases(uni, A, B)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * pair_array_bytes
+    assert peak <= 2 * block_bytes + 4 * sums_bytes
 
 
 # axis, signed-zero and knot-aligned settings besides generic random ones

@@ -400,12 +400,14 @@ UNREAD_BODIES = {
 
 
 # the most each command may allocate per pair of a universe at n = 4 (bytes,
-# whole-command tracemalloc slope from M = 1e4 to 2e4): at L = 2, bounds
-# that only uint16 positions and uncopied weights meet; at L = 64, the slopes
-# of int64 positions and copied weights (numpy 2.4, x86-64 Linux)
+# whole-command tracemalloc slope from M = 1e4 to 2e4): bounds that only a
+# run holding the universe plus scratch of a fixed size per pass meets.
+# Measured 124 (layers, simulate) and 176 (analyze) at L = 2, 618 and 657 at
+# L = 64, where the file takes 112 and 608; passes over all M pairs at once
+# took 185, 317, 678 and 1194 (numpy 2.4, x86-64 Linux)
 UNIVERSE_SLOPES = {
-    2: {"layers": 560, "analyze": 800, "simulate": 260},
-    64: {"layers": 2368, "analyze": 1925, "simulate": 1569},
+    2: {"layers": 140, "analyze": 200, "simulate": 140},
+    64: {"layers": 640, "analyze": 700, "simulate": 640},
 }
 
 
@@ -493,6 +495,33 @@ class TestCliSizeBudget:
         assert err.startswith(f"error: {uni}: universe field 'n' = {n} ")
         assert err.count("\n") == 1
         assert peak < 16 * 2**20
+
+    def test_analyze_refuses_n_past_its_budget_from_the_header(self, capsys, tmp_path):
+        # n = 1870 is the first n whose joint table passes analyze's budget,
+        # though `layers` writes it: a file of 100 identity pairs (4.5 MB) is
+        # refused from its header, before the body is read or checked
+        n, pairs = 1870, 100
+        config.check_budget("analyze", {"n": n - 1})
+        with pytest.raises(config.ConfigError):
+            config.check_budget("analyze", {"n": n})
+        eye = np.tile(np.arange(3 * n + 12, dtype="<u2"), (pairs, 1))
+        header = {"interval_count": 1, "n": n, "pair_count": pairs, "schema": "layer-universe/3"}
+        uni = tmp_path / "u.universe"
+        uni.write_bytes(
+            json.dumps(header, sort_keys=True).encode() + b"\n"
+            + eye.tobytes() + eye.tobytes() + np.ones(pairs).tobytes()
+        )
+        del eye
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *READS_UNIVERSE["analyze"], "--universe", str(uni))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {uni}: universe field 'n' = {n} ")
+        assert peak < 2**20
 
     @pytest.mark.parametrize("command", ["analyze", "chsh", "simulate"])
     @pytest.mark.parametrize("defect", sorted(UNREAD_BODIES))

@@ -165,7 +165,7 @@ class TestBatchedUniverseLaw:
         sigma = math.sqrt((ell - 1) / (ell * ell * (ell + 1)) / self.PAIRS)
         assert np.all(np.abs(big.weights.mean(axis=0) - 1.0 / ell) <= 6.0 * sigma)
 
-    # 2M rows below, at and either side of whole PERMUTE_ROWS blocks
+    # 2M rows below, at and either side of whole BLOCK_ROWS blocks
     @pytest.mark.parametrize("pairs", [7, 512, 513, 1500])
     @pytest.mark.parametrize("tie_weights", [False, True])
     def test_stream_is_permuted_then_dirichlet(self, tie_weights, pairs):
@@ -186,11 +186,13 @@ class TestBatchedUniverseLaw:
         # nothing else was drawn
         assert used.random() == rng.random()
 
-    def test_build_peak_per_pair_at_most_256_bytes(self):
+    def test_build_peak_per_pair_at_most_160_bytes(self):
         # tracemalloc slope from M = 1e4 to 2e4 at n = 4, L = 2: the uint16
         # relocations (96 bytes a pair), the weights and the Dirichlet draw's
-        # temporaries take 184, and the PERMUTE_ROWS-row int64 block is the
-        # same at any M; an int64 tile of all 2M rows would take 480
+        # temporaries take 124; the BLOCK_ROWS-row int64 block and the
+        # permutation check's sorted block are the same at any M.  A check
+        # that sorts all M rows at once took 184, an int64 tile of all 2M
+        # rows 480
         layers.build_universe(4, 2, 10, np.random.default_rng(1))  # first-call caches
         peaks = []
         for pairs in (10_000, 20_000):
@@ -200,7 +202,7 @@ class TestBatchedUniverseLaw:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert (peaks[1] - peaks[0]) / 10_000 <= 256
+        assert (peaks[1] - peaks[0]) / 10_000 <= 160
 
 
 class TestCompanionCancellation:
@@ -457,6 +459,26 @@ class TestCompactUniverse:
             layers.LayerUniverse(4, 1, bad[None], eye[None], [[1.0]])
         with pytest.raises(ValueError, match="rows"):
             layers.LayerUniverse(4, 1, eye[None], bad[None], [[1.0]])
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.int64])
+    @pytest.mark.parametrize(
+        "bad_row", [layers.BLOCK_ROWS - 1, layers.BLOCK_ROWS, 2 * layers.BLOCK_ROWS]
+    )
+    def test_non_permutation_refused_in_any_block(self, bad_row, dtype):
+        # 2049 pairs span three BLOCK_ROWS blocks: the last row and the rows
+        # either side of the first block edge are checked alike
+        pairs = 2 * layers.BLOCK_ROWS + 1
+        eye = np.tile(np.arange(self.SIZE, dtype=dtype), (pairs, 1))
+        bad = eye.copy()
+        bad[bad_row, 3] = bad[bad_row, 4]  # a repeated position, one missing
+        for arr in (eye, bad):
+            arr.setflags(write=False)
+        weights = np.ones((pairs, 1))
+        message = f"must permute the {self.SIZE} diagonal positions"
+        with pytest.raises(ValueError, match=f"^columns {message}$"):
+            layers.LayerUniverse(4, 1, bad, eye, weights)
+        with pytest.raises(ValueError, match=f"^rows {message}$"):
+            layers.LayerUniverse(4, 1, eye, bad, weights)
 
     def test_n_past_uint16_refused_before_allocating(self):
         n = layers.MAX_SAVED_N + 1

@@ -123,6 +123,22 @@ class TestWeightValidation:
         with pytest.raises(ValueError):
             measure.validate_weights([1.5, -0.5])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
+    def test_rejects_non_finite_or_negative_in_any_row(self, bad):
+        weights = np.full((3, 2), 0.5)
+        weights[2, 1] = bad
+        with pytest.raises(ValueError, match="^weights must be finite and nonnegative$"):
+            measure.validate_weights(weights)
+
+    def test_accepts_negative_zero(self):
+        out = measure.validate_weights([[-0.0, 1.0], [1.0, -0.0]])
+        assert np.signbit(out).tolist() == [[True, False], [False, True]]
+
+    def test_empty_rows_pass_through(self):
+        # no pair has a weight to check; callers refuse zero rows themselves
+        out = measure.validate_weights(np.empty((0, 3)))
+        assert out.shape == (0, 3) and not out.flags.writeable
+
 
 class TestDetectors:
     def test_negative_strips(self):
