@@ -162,20 +162,13 @@ def dependence_report(universe: LayerUniverse, a, b, c) -> dict:
 
     pos = np.flatnonzero(masses)
     bins, shares = _cell_pair_bins(universe, pos), masses[pos]
-    joint = _bin_pairs(bins, shares, size, np.ones(universe.pair_count))
+    joint = _bin_pairs(bins, shares, size, np.broadcast_to(1.0, universe.pair_count))
     marg_u = joint.sum(axis=1)
     marg_v = joint.sum(axis=0)
     tv_joint_vs_product = _tv(joint.ravel(), np.outer(marg_u, marg_v).ravel())
 
     uniform = np.full(size, 1.0 / size)
     marginal_uniformity = max(_tv(marg_u, uniform), _tv(marg_v, uniform))
-
-    # (ii): conditional joint over ((u,v) atom, interval) given the label,
-    # against the product of its two conditional marginals; companions share
-    # it.  The atom w_l m_c has marginals W m_c and w_l sum(m) (W = sum(w_l)),
-    # so the distance is W sum(m) |1 - W sum(m)| / 2 in closed form.
-    mass_weight = universe.weights.sum(axis=1) * masses.sum()
-    tv_cond_indep = float((0.5 * mass_weight * np.abs(1.0 - mass_weight)).max())
 
     # (v) and (vii): a relocation moves the conditional masses and both
     # product marginals together, so each distance is the same on every
@@ -189,13 +182,20 @@ def dependence_report(universe: LayerUniverse, a, b, c) -> dict:
     setting_shift = _tv(masses, masses_ac)
 
     # (vi): label vs weight interval; companions repeat their pair's weights.
-    # |weights - mean| is summed BLOCK_ROWS pairs at a time in one reused block
+    # (ii): conditional joint over ((u,v) atom, interval) given the label,
+    # against the product of its two conditional marginals; companions share
+    # it.  The atom w_l m_c has marginals W m_c and w_l sum(m) (W = sum(w_l)),
+    # so the distance is W sum(m) |1 - W sum(m)| / 2 in closed form.  Both
+    # take BLOCK_ROWS pairs at a time, |weights - mean| in one reused block
     weights = universe.weights
     mean_weights = weights.mean(axis=0)
     spread = np.empty((min(len(weights), BLOCK_ROWS), weights.shape[1]))
-    spread_sum = 0.0
+    spread_sum = tv_cond_indep = 0.0
     for lo in range(0, len(weights), BLOCK_ROWS):
         rows = weights[lo : lo + BLOCK_ROWS]
+        mass_weight = rows.sum(axis=1) * masses.sum()
+        cond_indep = (0.5 * mass_weight * np.abs(1.0 - mass_weight)).max()
+        tv_cond_indep = max(tv_cond_indep, float(cond_indep))
         block = np.subtract(rows, mean_weights, out=spread[: len(rows)])
         spread_sum += float(np.abs(block, out=block).sum())
     r_lambda_dependence = 0.5 * spread_sum / len(weights)

@@ -49,11 +49,12 @@ MAXIMUMS = {
     # splines: each grid x grid float64 surface
     "grid": math.isqrt(BUDGET // 8),
     # poisson: the k float64 fractional parts, sorted in place, are its one
-    # k-float array: tracemalloc peak +8.0 B per k (k = 2e6 to 4e6, numpy 2.4)
+    # k-float array, beside one-chunk buffers: tracemalloc peak +8.0 B per k
+    # (k = 2e6 to 4e6) over an intercept near 0.3 MiB (numpy 2.4)
     "k": BUDGET // 8,
-    # poisson: the label counts, the gated counts and their chi-square
-    # temporaries; the whole command's tracemalloc peak grows by 32.0 bytes
-    # per label from labels = 2e5 to 2e6 at k = 2e6 (numpy 2.4, x86-64
+    # poisson: the label counts, the gated counts and the chi-square's one
+    # float temporary; the whole command's tracemalloc peak grows by 24.2
+    # bytes per label from labels = 2e5 to 2e6 at k = 2e6 (numpy 2.4, x86-64
     # Linux), so 64 leaves room
     "labels": BUDGET // 64,
 }
@@ -77,6 +78,9 @@ JOINT_ARRAYS = {
     },
     "splines": {("n", "grid"): lambda n, grid: 8 * (n + 5) * grid},
     "analyze": {("n",): lambda n: 34 * (3 * n + 12) ** 2},
+    # the trace held beside the label counts: the poisson peaks above at
+    # 8.0 B per k and 24.2 B per label, each measured with the other fixed
+    "poisson": {("k", "labels"): lambda k, labels: 8 * k + 24 * labels},
 }
 
 

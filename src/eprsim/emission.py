@@ -19,8 +19,9 @@ floor({x} * N) + 1 of the sorted whole with one search per label edge: the
 label is monotone in x, so no point is labelled one by one.
 `detector_gate` takes those label counts, gates the emissions in label
 order, two 16-bit lanes of a raw stream word per emission, and returns the
-gated counts.  So `poisson` holds one array of k floats, beside buffers of
-one chunk.
+gated counts.  Every chunked pass takes `CHUNK` emissions (or label edges)
+at a time, so `poisson` holds one array of k floats, beside about 0.3 MiB of
+one-chunk buffers at any k.
 
 The package imports only numpy and the standard library when it loads.
 scipy serves one function, `chi_square_quantile` (the `poisson` command),
@@ -36,14 +37,13 @@ import numpy as np
 
 from .streams import advanced_copy
 
-# emission times per chunk of the trace kernel and the discrepancy scan: a
-# chunk's float64 temporaries stay near 0.5 MiB
-CHUNK = 1 << 16
-# emissions per chunk of the detector gate, and label edges per block of the
-# label count: the gate's one-chunk buffers and lane words, 11 bytes per
-# emission, stay near 0.2 MiB at any label count while `poisson` holds a
-# trace beside them; an even count, so a chunk starts on a word
-GATE_CHUNK = 1 << 14
+# emissions per chunk of the trace kernel, the discrepancy scan and the
+# detector gate, and label edges per block of the label count: each pass's
+# scratch (the scan's two float64 buffers, the gate's buffers and lane words
+# at 11 bytes per emission) stays near 0.25 MiB at any k while `poisson`
+# holds a trace beside it; an even count, so a gate chunk starts on a word,
+# below 2**16, so a label's run in a chunk fits the gate's uint16 reduceat
+CHUNK = 1 << 14
 
 
 def generate_trace(theta: float, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -112,11 +112,11 @@ def _label_counts(pts: np.ndarray, label_count: int) -> np.ndarray:
     """How many of the ascending points carry each label floor(x * N) + 1,
     floor(fl(x * N)) capped at N - 1.  That is monotone in x, so the points
     of labels 1 .. j are those below t_j (`_label_edges`): one search of
-    the sorted points per edge, made GATE_CHUNK edges at a time."""
+    the sorted points per edge, made CHUNK edges at a time."""
     counts = np.empty(label_count, dtype=np.int64)
     below = 0  # points below the last edge searched, t_0 = 0 at first
-    for lo in range(1, label_count, GATE_CHUNK):
-        j = np.arange(lo, min(lo + GATE_CHUNK, label_count), dtype=float)
+    for lo in range(1, label_count, CHUNK):
+        j = np.arange(lo, min(lo + CHUNK, label_count), dtype=float)
         found = np.searchsorted(pts, _label_edges(j, label_count))
         counts[lo - 1 : lo - 1 + found.size] = np.diff(found, prepend=below)
         below = int(found[-1])
@@ -225,7 +225,7 @@ def detector_gate(p1: float, p2: float, label_counts, rng) -> np.ndarray:
     # c >> 37.  The bound 2**16 of p = 1 fits no lane: it is held as 0xFFFF,
     # where lanes pass without a word.  p < 2**-16 has bound 0, which no lane
     # is below, and c mod 2**37 = c != 0, so each lane at 0 takes a word
-    size = min(k, GATE_CHUNK)
+    size = min(k, CHUNK)
     bound = np.tile(np.array([min(top, 0xFFFF) for top, _ in stations], dtype=np.uint16), size)
     at_bound = np.array([top > 0xFFFF or rem > 0 for top, rem in stations])
     settle = bool(at_bound.any())
@@ -255,7 +255,7 @@ def detector_gate(p1: float, p2: float, label_counts, rng) -> np.ndarray:
         first, last = np.searchsorted(ends, (lo, lo + n - 1), side="right")
         labels = first + np.flatnonzero(counts[first : last + 1])
         starts = np.maximum(ends[labels] - counts[labels] - lo, 0)
-        # a run in a chunk holds at most GATE_CHUNK < 2**16 emissions
+        # a run in a chunk holds at most CHUNK < 2**16 emissions
         gated[labels] += np.add.reduceat(both[:n].view(np.uint8), starts, dtype=np.uint16)
     rng.bit_generator.advance(refined)
     gated.setflags(write=False)
@@ -263,14 +263,17 @@ def detector_gate(p1: float, p2: float, label_counts, rng) -> np.ndarray:
 
 
 def uniform_chi_square(counts) -> tuple[float, int]:
-    """Chi-square statistic and dof against the uniform label law."""
-    counts = np.asarray(counts, dtype=float)
+    """Chi-square statistic and dof against the uniform label law, with one
+    float temporary of the counts' size: integer counts convert exactly."""
+    counts = np.asarray(counts)
     total = counts.sum()
     if total <= 0:
         raise ValueError("empty counts")
     expected = total / counts.size
-    stat = float(((counts - expected) ** 2 / expected).sum())
-    return stat, counts.size - 1
+    dev = np.subtract(counts, expected, dtype=float)
+    np.square(dev, out=dev)
+    dev /= expected
+    return float(dev.sum()), counts.size - 1
 
 
 def chi_square_quantile(level: float, dof: int) -> float:

@@ -364,6 +364,9 @@ OVER_JOINT_BUDGET = {
     ("L", "layers"): ["layers", "--n", "4", "--L", "100000", "--layers", "100000",
                       "--seed", "1", "--universe", "{uni}"],
     ("n", "grid"): ["splines", "--n", "1000000", "--grid", "501"],
+    # each below its cap, but the trace and the label counts take 1.18 GB
+    ("k", "labels"): ["poisson", "--theta", "1", "--k", "100000000", "--labels", "16000000",
+                      "--seed", "1"],
 }
 
 # simulate and chsh runs at sizes a universe could not be built at: they build
@@ -402,11 +405,12 @@ UNREAD_BODIES = {
 # the most each command may allocate per pair of a universe at n = 4 (bytes,
 # whole-command tracemalloc slope from M = 1e4 to 2e4): bounds that only a
 # run holding the universe plus scratch of a fixed size per pass meets.
-# Measured 124 (layers, simulate) and 176 (analyze) at L = 2, 618 and 657 at
+# Measured 124 (layers, simulate) and 152 (analyze) at L = 2, 618 and 649 at
 # L = 64, where the file takes 112 and 608; passes over all M pairs at once
-# took 185, 317, 678 and 1194 (numpy 2.4, x86-64 Linux)
+# took 185, 317, 678 and 1194, and analyze's M-float unit scale and row sums
+# 176 and 657 (numpy 2.4, x86-64 Linux)
 UNIVERSE_SLOPES = {
-    2: {"layers": 140, "analyze": 200, "simulate": 140},
+    2: {"layers": 140, "analyze": 165, "simulate": 140},
     64: {"layers": 640, "analyze": 700, "simulate": 640},
 }
 
@@ -632,6 +636,34 @@ class TestCliSizeBudget:
             assert code == 0, err
         slope = (peaks[1] - peaks[0]) / 1_800_000
         assert slope <= config.BUDGET // config.MAXIMUMS["labels"], slope
+        # the ungated and gated int64 counts and one float temporary of the
+        # chi-square: the 24 bytes per label of the joint (k, labels) budget
+        assert slope <= 26, slope
+
+    @pytest.mark.parametrize("k", [1_000_000, 2_000_000])
+    def test_poisson_holds_its_trace_plus_a_fixed_scratch(self, capsys, k):
+        # beside the k parts every pass keeps buffers of one chunk: measured
+        # 0.31 MiB above 8 bytes per k; a 2**16 trace chunk took 1.08 MiB
+        argv = ["poisson", "--theta", "1", "--labels", "50", "--seed", "1"]
+        assert run_cli(capsys, *argv, "--k", "1000")[0] == 0  # first-call imports
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(capsys, *argv, "--k", str(k))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        assert peak - 8 * k <= 2**19, peak - 8 * k
+
+    def test_poisson_budget_counts_the_trace_with_the_labels(self):
+        # each size passes its cap, but not both together
+        sizes = {"k": 100_000_000, "labels": 16_000_000}
+        for name, value in sizes.items():
+            assert config.check_size(name, value) == value
+        config.check_budget("poisson", {"k": 100_000_000, "labels": 2})
+        config.check_budget("poisson", {"k": 10, "labels": 16_000_000})
+        with pytest.raises(config.ConfigError, match="--k 100000000 with --labels 16000000 "):
+            config.check_budget("poisson", sizes)
 
     @pytest.mark.parametrize("command", sorted(MEASURE_RUNS))
     def test_n_cap_keeps_the_measure_peak_within_the_budget(self, capsys, command):
@@ -1013,9 +1045,12 @@ class TestCliChsh:
         assert err == f"error: {message}\n"
 
 
-CHUNK, GATE_CHUNK = emission.CHUNK, emission.GATE_CHUNK
-# sizes on and around the gate's and the trace's chunk lengths
-POISSON_SIZES = [1, GATE_CHUNK - 1, GATE_CHUNK + 1, CHUNK + 1, 3 * CHUNK + 17]
+CHUNK = emission.CHUNK
+# sizes on and around the chunk length of every emission pass
+POISSON_SIZES = [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17]
+# a mean wait at which the trace's first chunk ends near 2/3 of the largest
+# float64 and its second passes it
+CHUNK_OVERFLOW_THETA = repr(sys.float_info.max / (1.5 * CHUNK))
 
 
 def _serial_poisson(theta, k, labels, p1, p2, seed):
@@ -1095,11 +1130,9 @@ class TestCliPoisson:
         assert err.startswith("error: ") and all(f"--{flag} " in err for flag in ("k", "p1", "p2"))
         assert not out_path.exists()
 
-    # an escaped numpy RuntimeWarning would fail the run, not reach stderr;
-    # at 1.5e303 the trace's first chunk stays finite and its second passes
-    # the largest float64
+    # an escaped numpy RuntimeWarning would fail the run, not reach stderr
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("theta, k", [("1e308", 1000), ("1.5e303", 2 * CHUNK)])
+    @pytest.mark.parametrize("theta, k", [("1e308", 1000), (CHUNK_OVERFLOW_THETA, 2 * CHUNK)])
     def test_overflowing_emission_times_exit_2_naming_the_flags(self, capsys, tmp_path, theta, k):
         out_path = tmp_path / "report.json"
         argv = ["poisson", "--theta", theta, "--k", str(k), "--labels", "2", "--seed", "3"]
@@ -1143,7 +1176,7 @@ class TestCliPoisson:
         assert err == f"error: --{flag} must lie in (0, 1] (got {float(value)})\n"
         assert not out_path.exists()
 
-    @pytest.mark.parametrize("labels", [2, 7, GATE_CHUNK + 3])
+    @pytest.mark.parametrize("labels", [2, 7, CHUNK + 3])
     @pytest.mark.parametrize("k", POISSON_SIZES)
     def test_report_and_csv_are_the_serial_composition(self, capsys, tmp_path, k, labels):
         csv_path = tmp_path / "decay.csv"

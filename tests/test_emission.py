@@ -1,5 +1,6 @@
 import copy
 import math
+import sys
 import tracemalloc
 import types
 import warnings
@@ -239,10 +240,10 @@ class TestLabelEdges:
         assert point_labels(edge, labels).tolist() == [j]
         assert point_labels(below, labels).tolist() == [j - 1]
 
-    @pytest.mark.parametrize("labels", [2, 7, 2 * emission.GATE_CHUNK + 3])
+    @pytest.mark.parametrize("labels", [2, 7, 2 * emission.CHUNK + 3])
     def test_counts_span_edge_blocks(self, labels):
-        # the edges are searched GATE_CHUNK at a time
-        k = 3 * emission.GATE_CHUNK + 17
+        # the edges are searched CHUNK at a time
+        k = 3 * emission.CHUNK + 17
         fracs = emission.generate_trace(0.37, k, np.random.default_rng(24))
         expected = np.bincount(point_labels(fracs, labels), minlength=labels)
         assert _label_counts(fracs, labels).tolist() == expected.tolist()
@@ -329,7 +330,6 @@ class TestDetectorGate:
 
 CHUNK = emission.CHUNK
 CHUNK_SIZES = [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17]
-GATE_CHUNK = emission.GATE_CHUNK
 THETAS = [1e-3, 0.37, 1.0, 250.0]
 # p = 1 puts the lane bound 2**16 past every lane, p < 2**-16 puts it at 0,
 # and 0.3 and nextafter(1, 0) leave lanes at the bound to a refinement word
@@ -395,9 +395,9 @@ class TestChunkedKernel:
         assert gated.tobytes() == want.tobytes()
         assert (int(counts.sum()), int(gated.sum())) == (k, accepted)
 
-    # the gate's chunk is GATE_CHUNK emissions, at label counts on both sides of it
-    @pytest.mark.parametrize("labels", [2, 7, GATE_CHUNK + 3])
-    @pytest.mark.parametrize("k", [GATE_CHUNK - 1, GATE_CHUNK, GATE_CHUNK + 1, 3 * GATE_CHUNK + 17])
+    # the gate's chunk is CHUNK emissions, at label counts on both sides of it
+    @pytest.mark.parametrize("labels", [2, 7, CHUNK + 3])
+    @pytest.mark.parametrize("k", [CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17])
     def test_gate_counts_around_its_own_chunk(self, k, labels):
         counts, gated = _gate(0.3, 0.7, labels, k, 0.37, np.random.default_rng(68))
         ungated, want, accepted = _oracle_gate(
@@ -410,7 +410,7 @@ class TestChunkedKernel:
 
     @pytest.mark.parametrize("p1", READINESS)
     @pytest.mark.parametrize("p2", READINESS)
-    @pytest.mark.parametrize("k", [1, 7, GATE_CHUNK - 1, GATE_CHUNK, GATE_CHUNK + 1])
+    @pytest.mark.parametrize("k", [1, 7, CHUNK - 1, CHUNK, CHUNK + 1])
     def test_gate_is_the_readiness_oracle(self, p1, p2, k):
         counts = np.random.default_rng(k).multinomial(k, [0.25, 0.0, 0.5, 0.25])
         rng, oracle_rng = np.random.default_rng(70), np.random.default_rng(70)
@@ -421,7 +421,7 @@ class TestChunkedKernel:
 
     @pytest.mark.parametrize("p1", READINESS)
     @pytest.mark.parametrize("p2", READINESS)
-    @pytest.mark.parametrize("k", [7, 2 * GATE_CHUNK + 1])
+    @pytest.mark.parametrize("k", [7, 2 * CHUNK + 1])
     def test_lanes_at_the_bound_follow_the_oracle(self, p1, p2, k):
         # half the lanes sit at their station's bound, so refinement words are
         # drawn in every chunk, in lane order across both stations
@@ -434,8 +434,8 @@ class TestChunkedKernel:
 
     def test_gate_buffers_stay_under_one_mib(self):
         # the gate runs beside a held trace in `poisson`: its chunk buffers,
-        # not k-length arrays, set its peak, within 18 bytes per GATE_CHUNK
-        # emission, below the peak of the scan that runs before it
+        # not k-length arrays, set its peak, within 18 bytes per CHUNK
+        # emission, near the scan's two one-chunk buffers
         rng = np.random.default_rng(69)
         counts = np.full(50, 20_000)
         tracemalloc.start()
@@ -445,7 +445,7 @@ class TestChunkedKernel:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        assert peak <= 18 * GATE_CHUNK, peak
+        assert peak <= 18 * CHUNK, peak
 
     def test_prefix_scan_holds_one_chunk_grid(self):
         # beside the trace it sorts, the prefix function holds the scan's
@@ -533,7 +533,7 @@ class TestStreamPosition:
         emission.generate_trace(0.5, k, rng)
         assert rng.bit_generator.state == expected.bit_generator.state
 
-    @pytest.mark.parametrize("k", [1, 2, GATE_CHUNK + 1])
+    @pytest.mark.parametrize("k", [1, 2, CHUNK + 1])
     def test_gate_at_one_half_moves_the_stream_its_lane_words(self, k):
         # c = 2**52 is a multiple of 2**37, so no lane takes a refinement word
         rng = np.random.default_rng(79)
@@ -599,15 +599,24 @@ class TestStreamPosition:
         assert rng.bit_generator.state == before
 
 
+# a mean wait at which the first chunk's times end near 2/3 of the largest
+# float64 and the second chunk's pass it
+CHUNK_OVERFLOW_THETA = sys.float_info.max / (1.5 * CHUNK)
+
+
 class TestOverflow:
-    # at 1.5e303 the first chunk's times stay below the largest float64
-    # (about 9.8e307 at its end) and the second chunk's pass it
-    @pytest.mark.parametrize("theta,k", [(1e308, 1000), (1.5e303, 2 * CHUNK)])
+    @pytest.mark.parametrize("theta,k", [(1e308, 1000), (CHUNK_OVERFLOW_THETA, 2 * CHUNK)])
     def test_overflow_raises_without_a_warning(self, theta, k):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OverflowError, match="float64"):
                 emission.generate_trace(theta, k, np.random.default_rng(101))
+
+    def test_the_first_chunk_of_the_overflowing_trace_stays_finite(self):
+        # so the overflow above is found in the second chunk, past a carried time
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            emission.generate_trace(CHUNK_OVERFLOW_THETA, CHUNK, np.random.default_rng(101))
 
     def test_huge_finite_times_are_kept(self):
         # times near 1e304 are finite: every fractional part is 0
