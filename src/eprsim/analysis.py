@@ -27,11 +27,17 @@ from __future__ import annotations
 import numpy as np
 
 from .layers import BLOCK_ROWS, LayerUniverse
-from .measure import BaseMeasure, build_measure, pair_integral
+from .measure import BaseMeasure, pair_integral
 
 
 def _normalized_masses(mu: BaseMeasure) -> np.ndarray:
     return mu.cell_masses / mu.cell_masses.sum()
+
+
+def _check_order(universe: LayerUniverse, *measures: BaseMeasure) -> None:
+    for mu in measures:
+        if mu.n != universe.n:
+            raise ValueError(f"a measure of order n = {mu.n} on a universe of n = {universe.n}")
 
 
 # pairs times cells per block of `_bin_pairs`: a block's float64 shares
@@ -66,12 +72,12 @@ def _bin_pairs(bins: np.ndarray, shares: np.ndarray, size: int, scale: np.ndarra
     return table.reshape(size, size)
 
 
-def pair_expectation(universe: LayerUniverse, a, b) -> float:
+def pair_expectation(universe: LayerUniverse, mu: BaseMeasure) -> float:
     """E{A B} = average over labels of the exact per-layer integral = -a.b.
 
     Each layer integrates to the base integral times its weight total."""
-    mu = build_measure(a, b, universe.n)
-    return pair_integral(mu) * float(universe.weights.sum(axis=1).mean())
+    _check_order(universe, mu)
+    return pair_integral(mu) * (float(universe.weights.sum()) / universe.pair_count)
 
 
 def _outcome_mass(universe: LayerUniverse, mu: BaseMeasure, k: int):
@@ -115,7 +121,7 @@ def _max_ratio(num: np.ndarray, den: np.ndarray) -> float:
     return float(ratios.max())
 
 
-def outcome_biases(universe: LayerUniverse, a, b) -> dict:
+def outcome_biases(universe: LayerUniverse, mu: BaseMeasure) -> dict:
     """{"A": (intact, witness), "B": (intact, witness)}: each side's largest
     conditional expectation of its outcome given the station-side
     parameters, binned by (station cell, half-cell, weight interval), with
@@ -128,7 +134,7 @@ def outcome_biases(universe: LayerUniverse, a, b) -> dict:
     1.0.  The intact numerator is the pair's sign sum, 0, times the odd
     label's, so the intact bias is exactly 0.0: the companions cancel every
     bin."""
-    mu = build_measure(a, b, universe.n)
+    _check_order(universe, mu)
     biases = {}
     for k, side in enumerate("AB"):
         plus, minus = _outcome_mass(universe, mu, k)
@@ -141,9 +147,9 @@ def _tv(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.abs(p - q).sum())
 
 
-def dependence_report(universe: LayerUniverse, a, b, c) -> dict:
-    """Exact dependence diagnostics for one universe and settings (a, b, c),
-    by exact cell summation, keyed by name.
+def dependence_report(universe: LayerUniverse, mu_ab: BaseMeasure, mu_ac: BaseMeasure) -> dict:
+    """Exact dependence diagnostics for one universe and the measures of
+    settings (a, b) and (a, c), by exact cell summation, keyed by name.
 
     All entries are total-variation distances (or max cell defects) in
     [0, 1].  `tv_joint_vs_product` and `marginal_uniformity` shrink as the
@@ -152,8 +158,9 @@ def dependence_report(universe: LayerUniverse, a, b, c) -> dict:
     settings; `r_lambda_dependence` and `factorization_defect` vanish
     exactly when the weight vectors are tied across layers.
     """
-    mu_ab = build_measure(a, b, universe.n)
-    mu_ac = build_measure(a, c, universe.n)
+    _check_order(universe, mu_ab, mu_ac)
+    if not np.array_equal(mu_ac.a, mu_ab.a):
+        raise ValueError("both measures must share setting a")
     if np.allclose(mu_ab.b, mu_ac.b, atol=1e-15):
         raise ValueError("alternate setting c must differ from b")
     size = universe.col_to.shape[1]

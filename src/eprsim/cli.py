@@ -20,6 +20,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -67,13 +68,9 @@ from .splines import SplineSystem, identity_errors
 
 REPORT_SCHEMA = "report/1"
 
-# the setting flags a config file's `settings` fill, in order
-SETTING_FLAGS = {"simulate": ("a", "b"), "chsh": ("a", "a2", "b", "b2")}
-
-
-def _setting_arg(args, name: str):
-    text = getattr(args, name)
-    return None if text is None else parse_setting(text, normalize=args.normalize)
+# the setting flags of each command, in the order a config file's `settings` fill them
+SETTING_FLAGS = {"verify": ("a", "b"), "analyze": ("a", "b", "c"), "simulate": ("a", "b"),
+                 "chsh": ("a", "a2", "b", "b2")}
 
 
 def cmd_splines(args):
@@ -90,9 +87,7 @@ def cmd_splines(args):
 
 
 def cmd_verify(args):
-    a = _setting_arg(args, "a")
-    b = _setting_arg(args, "b")
-    mu = build_measure(a, b, args.n)
+    mu = build_measure(args.settings["a"], args.settings["b"], args.n)
     integral = pair_integral(mu)
     expected = -float(np.dot(mu.a, mu.b))
     fields = {
@@ -106,7 +101,7 @@ def cmd_verify(args):
         "abs_error": abs(integral - expected),
     }
     if args.genuine_variant:
-        fields["genuine_variant"] = gap_variant(a, b)
+        fields["genuine_variant"] = gap_variant(mu.a, mu.b)
     return fields, None
 
 
@@ -144,12 +139,10 @@ def cmd_analyze(args):
             f"`analyze` takes: its run would pass the {BUDGET >> 30} GiB budget"
         ) from None
     universe = load_universe(args.universe)
-    a = _setting_arg(args, "a")
-    b = _setting_arg(args, "b")
-    c = _setting_arg(args, "c")
-    fields = dependence_report(universe, a, b, c)
-    fields["pair_expectation"] = pair_expectation(universe, a, b)
-    biases = outcome_biases(universe, a, b)
+    mu_ab, mu_ac = (build_measure(args.settings["a"], args.settings[x], universe.n) for x in "bc")
+    fields = dependence_report(universe, mu_ab, mu_ac)
+    fields["pair_expectation"] = pair_expectation(universe, mu_ab)
+    biases = outcome_biases(universe, mu_ab)
     fields["conditional_bias"] = {side: pair[0] for side, pair in biases.items()}
     if args.witness:
         fields["witness_bias"] = {side: pair[1] for side, pair in biases.items()}
@@ -164,28 +157,34 @@ def _resolve_run_params(args) -> None:
     """Fill each flag left unset from the --config file, then from
     RUN_DEFAULTS (flags win), and check every size and seed.  A run on an
     existing --universe takes its sizes from the file instead of the
-    defaults (see `_run_order`)."""
+    defaults (see `_run_order`).  Every setting text is parsed here, once,
+    into `args.settings`: the file's, then the flags', which win; an error
+    names the text's flag or file."""
     params = vars(args)
     cfg = load_config(args.config) if params.get("config") else {}
+    names = SETTING_FLAGS.get(args.command, ())
+    texts = [(f"--{name}", name, params[name]) for name in names]
     settings = cfg.pop("settings", None)
     if settings is not None:
-        names = SETTING_FLAGS[args.command]
         if len(settings) != len(names):
             raise ConfigError(
                 f"settings: {args.command} takes {len(names)} ({', '.join(names)}), "
                 f"got {len(settings)}"
             )
-        for text in settings:
-            try:
-                parse_setting(text, normalize=args.normalize)
-            except ConfigError as exc:
-                raise ConfigError(f"settings: {args.config}: {exc}") from exc
-        cfg.update((name, text) for name, text in zip(names, settings))
+        texts[:0] = [(f"settings: {args.config}", *item) for item in zip(names, settings)]
+        cfg.update(zip(names, settings))
+    args.settings = {}
+    for source, name, text in texts:
+        try:
+            if text is not None:
+                args.settings[name] = parse_setting(text, normalize=args.normalize)
+        except ConfigError as exc:
+            raise ConfigError(f"{source}: {exc}") from exc
     for key, value in cfg.items():
         if params[key] is None:
             params[key] = value
-    # simulate and chsh read --universe (layers writes it)
-    from_file = args.command in SETTING_FLAGS and params["universe"] is not None
+    # simulate and chsh, the commands with --config, read --universe (layers writes it)
+    from_file = "config" in params and params["universe"] is not None
     for key, default in RUN_DEFAULTS.items():
         if key in params and params[key] is None and not (from_file and key in UNIVERSE_SIZES):
             if default is None:
@@ -232,7 +231,7 @@ def cmd_simulate(args):
         a = setting_from_angle(0.0)
         b = _angle_setting("--angle", args.angle)
     else:
-        a, b = (_setting_arg(args, name) for name in SETTING_FLAGS["simulate"])
+        a, b = (args.settings.get(name) for name in SETTING_FLAGS["simulate"])
         if a is None or b is None:
             raise ConfigError("provide --a and --b, --angle, or two settings in --config")
     batch_means: list[float] = []
@@ -242,10 +241,7 @@ def cmd_simulate(args):
     fields = {
         "a": [float(x) for x in a],
         "b": [float(x) for x in b],
-        "mean": estimate.mean,
-        "stderr": estimate.stderr,
-        "trials": estimate.trials,
-        "exact_target": estimate.exact_target,
+        **asdict(estimate),
         "abs_error": estimate.abs_error,
     }
     return fields, (["batch", "mean"], ([i, repr(m)] for i, m in enumerate(batch_means)))
@@ -258,7 +254,7 @@ def cmd_chsh(args):
             raise ConfigError("--angles needs four comma-separated degrees: a,a',b,b'")
         a, a2, b, b2 = (_angle_setting("--angles", p) for p in parts)
     else:
-        a, a2, b, b2 = (_setting_arg(args, name) for name in SETTING_FLAGS["chsh"])
+        a, a2, b, b2 = (args.settings.get(name) for name in SETTING_FLAGS["chsh"])
         if any(v is None for v in (a, a2, b, b2)):
             raise ConfigError(
                 "provide --angles, all of --a --a2 --b --b2, or four settings in --config"
@@ -267,15 +263,7 @@ def cmd_chsh(args):
     fields = {
         "s_value": estimate.s_value,
         "stderr": estimate.stderr,
-        "components": [
-            {
-                "mean": comp.mean,
-                "stderr": comp.stderr,
-                "trials": comp.trials,
-                "exact_target": comp.exact_target,
-            }
-            for comp in estimate.components
-        ],
+        "components": [asdict(comp) for comp in estimate.components],
     }
     return fields, None
 
@@ -331,8 +319,8 @@ def cmd_poisson(args):
     return fields, (["k", "star_discrepancy"], ([k, repr(s)] for k, s in zip(prefix_ks, stars)))
 
 
-def _add_setting_opts(p, names=("a", "b"), required=False):
-    for name in names:
+def _add_setting_opts(p, command, required=False):
+    for name in SETTING_FLAGS[command]:
         p.add_argument(f"--{name}", required=required, help=f"setting {name} as x,y,z")
     p.add_argument(
         "--normalize",
@@ -362,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="first-layer mass and correlation identities")
     p.add_argument("--n", type=int, required=True)
-    _add_setting_opts(p, required=True)
+    _add_setting_opts(p, "verify", required=True)
     p.add_argument("--genuine-variant", action="store_true", dest="genuine_variant")
     _add_output_opts(p)
     p.set_defaults(func=cmd_verify)
@@ -379,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="exact dependence diagnostics over a universe")
     p.add_argument("--universe", required=True)
-    _add_setting_opts(p, names=("a", "b", "c"), required=True)
+    _add_setting_opts(p, "analyze", required=True)
     p.add_argument("--witness", action="store_true")
     _add_output_opts(p)
     p.set_defaults(func=cmd_analyze)
@@ -393,12 +381,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--L", type=int, help="checked against --universe; sizes nothing")
         p.add_argument("--trials", type=int)
         p.add_argument("--seed", type=int)
+        _add_setting_opts(p, name)
         if name == "simulate":
-            _add_setting_opts(p)
             p.add_argument("--angle", type=float, help="coplanar pair at this angle (degrees)")
             p.add_argument("--csv", help="per-batch means CSV")
         else:
-            _add_setting_opts(p, names=("a", "a2", "b", "b2"))
             p.add_argument("--angles", help="four coplanar angles in degrees: a,a',b,b'")
         _add_output_opts(p)
         p.set_defaults(func=fn)
@@ -422,9 +409,8 @@ def _run(args) -> None:
     once the report is known to be strict JSON."""
     _resolve_run_params(args)
     fields, table = args.func(args)
-    config = {
-        k: v for k, v in sorted(vars(args).items()) if k not in ("func", "out", "csv", "timings")
-    }
+    unreported = ("func", "out", "csv", "timings", "settings")
+    config = {k: v for k, v in sorted(vars(args).items()) if k not in unreported}
     report = {
         "command": args.command,
         "config": config,

@@ -38,7 +38,7 @@ MAXIMUMS = {
     # layers: sized for 2M x (3n+12) int64 relocations at n = 4, 384 bytes
     # per pair.  Every pass over a universe takes `layers.BLOCK_ROWS` rows at
     # a time, so at n = 4, L = 2 the whole command's tracemalloc peak grows
-    # by 124 bytes per pair for layers and simulate --universe and by 176
+    # by 124 bytes per pair for layers and simulate --universe and by 151
     # for analyze (M = 1e4 to 2e4, numpy 2.4, x86-64 Linux): the cap
     # over-counts until it is re-sized (simulate and chsh, which build no
     # universe, keep the same cap so a size valid for one command is valid
@@ -72,7 +72,7 @@ JOINT_ARRAYS = {
         # 2M x (3n+12) int64 relocations: the uint16 array and the
         # BLOCK_ROWS-row scratch of each pass take less, so this over-counts;
         # at L = 64 (n = 4) the peaks grow by 618 bytes per pair for layers and
-        # simulate --universe and 657 for analyze, the file's 608 and blocks
+        # simulate --universe and 647 for analyze, the file's 608 and blocks
         ("n", "layers"): lambda n, pairs: 16 * pairs * (3 * n + 12),
         ("L", "layers"): lambda intervals, pairs: 8 * pairs * intervals,
     },
@@ -98,14 +98,14 @@ def check_size(name: str, value: int) -> int:
 
 def check_budget(command: str, sizes: dict) -> None:
     """Reject sizes that pass their caps one by one but together would make
-    one of `command`'s arrays larger than BUDGET; a size that is None or
-    absent is unused."""
+    `command`'s run hold more than BUDGET (a `JOINT_ARRAYS` entry may count
+    several arrays); a size that is None or absent is unused."""
     for names, nbytes in JOINT_ARRAYS.get(command, {}).items():
         values = [sizes.get(name) for name in names]
         if None not in values and nbytes(*values) > BUDGET:
             flags = " with ".join(f"--{name} {value}" for name, value in zip(names, values))
             raise ConfigError(
-                f"{flags} would make a {nbytes(*values) >> 20} MiB array, "
+                f"{flags} would make the run hold about {nbytes(*values) >> 20} MiB, "
                 f"above the {BUDGET >> 30} GiB budget"
             )
 

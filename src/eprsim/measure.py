@@ -29,14 +29,25 @@ from .splines import SplineSystem, basis_matrix, clipped_weight_matrix
 
 SETTING_NORM_TOL = 1e-9
 
+# how far from 1 `math.hypot` of an `as_setting` output can be: the norm it
+# was divided by is off by at most 2.5 units of 2**-53 (the three-term dot
+# product and its square root), the division adds one on each component and
+# hypot under one, so 4.5 * 2**-53 to first order; 2**-50 leaves room
+UNIT_NORM_TOL = 2.0**-50
+
 
 def as_setting(v, normalize: bool = False) -> np.ndarray:
     """Validate a measurement setting as a unit vector in R^3.
 
     Rejects vectors whose norm deviates from 1 by more than
-    `SETTING_NORM_TOL` unless `normalize` is requested; the returned array is
-    always renormalized to unit length and read-only.
+    `SETTING_NORM_TOL` unless `normalize` is requested, and returns the
+    vector divided by its norm, read-only.  A read-only float64 array of
+    shape (3,) whose norm is within `UNIT_NORM_TOL` of 1 (so finite), as
+    every output is, is returned as it is: a setting keeps its bits.
     """
+    kept = isinstance(v, np.ndarray) and v.dtype == float and v.shape == (3,)
+    if kept and not v.flags.writeable and abs(math.hypot(*v) - 1.0) <= UNIT_NORM_TOL:
+        return v
     arr = np.asarray(v, dtype=float).reshape(-1)
     if arr.shape != (3,):
         raise ValueError(f"setting must have 3 components, got shape {arr.shape}")
@@ -138,8 +149,7 @@ class BaseMeasure:
 
 def build_measure(a, b, n: int) -> BaseMeasure:
     """Construct the first-layer measure for unit settings a, b and n >= 4."""
-    a = as_setting(a)
-    b = as_setting(b)
+    a, b = as_setting(a), as_setting(b)
     sys = SplineSystem(int(n))
     masses = _cell_mass_vector(sys, a, b)
     masses.setflags(write=False)
@@ -185,8 +195,7 @@ def gap_variant(a, b) -> dict:
     2 - sum |a_k||b_k|, which is unity only for componentwise-equal
     settings; `is_unit_mass` flags that.
     """
-    a = as_setting(a)
-    b = as_setting(b)
+    a, b = as_setting(a), as_setting(b)
     absa, absb = np.abs(a), np.abs(b)
     m1, m2 = float(np.sum(absa * absb)), float(np.sum((absa - absb) ** 2))
     return {"m1": m1, "m2": m2, "total": m1 + m2, "is_unit_mass": abs(m1 + m2 - 1.0) <= 1e-12}

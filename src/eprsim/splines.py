@@ -80,11 +80,8 @@ def clipped_weight_matrix(sys: SplineSystem, y) -> np.ndarray:
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     _check_unit_interval("y", y)
-    n = sys.n
-    y1 = sys.knots[1 : n + 4, None]
-    y2 = sys.knots[2 : n + 5, None]
-    phi = (y - y1) * (y - y2)
-    return np.where((y >= y1) & (y <= y2), 0.0, phi)
+    y1, y2 = sys.knots[1 : sys.n + 4, None], sys.knots[2 : sys.n + 5, None]
+    return np.where((y >= y1) & (y <= y2), 0.0, marsden_weight_matrix(sys, y))
 
 
 def approx_squared_diff_grid(sys: SplineSystem, xs, ys) -> np.ndarray:

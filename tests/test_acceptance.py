@@ -98,7 +98,7 @@ def test_criterion_4_per_layer_and_companions():
         for _ in range(200):
             # one companion pair: labels 1 and 2 share the pair's integral
             pair = layers.build_universe(4, 2, 1, rng)
-            assert abs(analysis.pair_expectation(pair, mu.a, mu.b) - target) <= 1e-12
+            assert abs(analysis.pair_expectation(pair, mu) - target) <= 1e-12
             us = rng.uniform(-6.0, domain_high(mu.n) + 3.0, 10_000)
             ws = rng.random(10_000)
             sum_a = layer_spin_a(pair, 1, mu.a, us, ws) + layer_spin_a(pair, 2, mu.a, us, ws)
@@ -112,13 +112,13 @@ def test_criterion_5_parameter_independence():
         mu = measure.build_measure(GENERIC_A, GENERIC_B, 4)
         for seed, tie in ((11, False), (12, True)):
             uni = layers.build_universe(4, 3, 60, np.random.default_rng(seed), tie_weights=tie)
-            biases = analysis.outcome_biases(uni, GENERIC_A, GENERIC_B)
+            biases = analysis.outcome_biases(uni, mu)
             for side in ("A", "B"):
                 assert biases[side][0] <= 1e-12
             # the bias given the source parameter alone, by the loop definition
             assert loop_conditional_outcome_bias(uni, mu, "A", False, "source") <= 1e-12
         witness_uni = layers.build_universe(4, 3, 60, np.random.default_rng(11))
-        witness = analysis.outcome_biases(witness_uni, GENERIC_A, GENERIC_B)["A"][1]
+        witness = analysis.outcome_biases(witness_uni, mu)["A"][1]
         assert witness > 0.1
 
 
@@ -174,16 +174,16 @@ def test_criterion_8_discrepancy_decay():
 
 def test_criterion_9_dependence_properties():
     with _Timer("9 dependence-property suite", 30):
+        mu_ab = measure.build_measure(GENERIC_A, GENERIC_B, 4)
+        mu_ac = measure.build_measure(GENERIC_A, GENERIC_C, 4)
         tied = layers.build_universe(4, 3, 100, np.random.default_rng(909), tie_weights=True)
-        rep = analysis.dependence_report(tied, GENERIC_A, GENERIC_B, GENERIC_C)
+        rep = analysis.dependence_report(tied, mu_ab, mu_ac)
         assert rep["r_lambda_dependence"] <= 1e-12
         assert rep["factorization_defect"] <= 1e-12
         generic = layers.build_universe(4, 3, 100, np.random.default_rng(910))
-        rep = analysis.dependence_report(generic, GENERIC_A, GENERIC_B, GENERIC_C)
+        rep = analysis.dependence_report(generic, mu_ab, mu_ac)
         assert rep["r_lambda_dependence"] > 0.0
         assert rep["setting_shift"] > 0.0
-        mu_ab = measure.build_measure(GENERIC_A, GENERIC_B, 4)
-        mu_ac = measure.build_measure(GENERIC_A, GENERIC_C, 4)
         best = 0.0
         for col_to in generic.col_to:  # a pair's two labels share col_to
             m_ab = brute_conditional_marginal(col_to, mu_ab.cell_masses)

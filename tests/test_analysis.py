@@ -26,6 +26,8 @@ A = measure.as_setting([1.0, 0.0, 0.0])
 B60 = measure.as_setting([0.5, np.sqrt(3.0) / 2.0, 0.0], normalize=True)
 B = measure.as_setting([0.6, 0.8, 0.0])
 C = measure.as_setting([0.0, 0.28, 0.96], normalize=True)
+MU_AB = measure.build_measure(A, B, 4)
+MU_AC = measure.build_measure(A, C, 4)
 
 
 def joint_table(universe, mu) -> np.ndarray:
@@ -49,39 +51,41 @@ def tied_universe():
 
 class TestPairExpectation:
     def test_equal_settings(self, universe):
-        assert analysis.pair_expectation(universe, A, A) == pytest.approx(-1.0, abs=1e-12)
+        mu = measure.build_measure(A, A, 4)
+        assert analysis.pair_expectation(universe, mu) == pytest.approx(-1.0, abs=1e-12)
 
     def test_orthogonal(self, universe):
-        assert analysis.pair_expectation(universe, A, [0, 1, 0]) == pytest.approx(0.0, abs=1e-12)
+        mu = measure.build_measure(A, [0, 1, 0], 4)
+        assert analysis.pair_expectation(universe, mu) == pytest.approx(0.0, abs=1e-12)
 
     def test_sixty_degrees(self, universe):
-        assert analysis.pair_expectation(universe, A, B60) == pytest.approx(-0.5, abs=1e-12)
+        mu = measure.build_measure(A, B60, 4)
+        assert analysis.pair_expectation(universe, mu) == pytest.approx(-0.5, abs=1e-12)
 
     def test_random_settings_all_pair_counts(self):
         rng = np.random.default_rng(107)
         for pairs in (1, 2, 7):
             uni = layers.build_universe(4, 2, pairs, rng)
             a, b = random_unit_vector(rng), random_unit_vector(rng)
-            got = analysis.pair_expectation(uni, a, b)
+            got = analysis.pair_expectation(uni, measure.build_measure(a, b, 4))
             assert got == pytest.approx(-float(np.dot(a, b)), abs=1e-12)
 
 
 class TestConditionalOutcomeBias:
     def test_zero_with_companions(self, universe):
-        for side, (intact, _) in analysis.outcome_biases(universe, A, B).items():
+        for side, (intact, _) in analysis.outcome_biases(universe, MU_AB).items():
             assert intact <= 1e-12, side
 
     def test_zero_for_single_pair(self):
         uni = layers.build_universe(4, 2, 1, np.random.default_rng(109))
-        assert analysis.outcome_biases(uni, A, B)["A"][0] == 0.0
+        assert analysis.outcome_biases(uni, MU_AB)["A"][0] == 0.0
 
     def test_source_level_zero(self, universe):
-        mu = measure.build_measure(A, B, 4)
-        assert loop_conditional_outcome_bias(universe, mu, "A", False, "source") <= 1e-12
+        assert loop_conditional_outcome_bias(universe, MU_AB, "A", False, "source") <= 1e-12
 
     def test_witness_without_companions(self, universe):
         # removing the sign-flipped twins breaks the cancellation mechanism
-        for side, (_, witness) in analysis.outcome_biases(universe, A, B).items():
+        for side, (_, witness) in analysis.outcome_biases(universe, MU_AB).items():
             assert witness > 0.1, side
 
     @pytest.mark.parametrize(
@@ -96,7 +100,7 @@ class TestConditionalOutcomeBias:
         # one sum per sign keeps |P - Q| <= P + Q through rounding; at these
         # universes a ratio of sums of other shapes rounded above 1
         uni = layers.build_universe(4, interval_count, pairs, np.random.default_rng(seed))
-        for side, (intact, witness) in analysis.outcome_biases(uni, A, B).items():
+        for side, (intact, witness) in analysis.outcome_biases(uni, MU_AB).items():
             assert intact == 0.0, side
             assert witness <= 1.0, side
 
@@ -112,58 +116,81 @@ class TestConditionalOutcomeBias:
             want = loop_outcome_mass(uni, mu, side)
             for g, w in zip(got, want):
                 np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
-        assert analysis.outcome_biases(uni, a, B)["A"][1] < 0.5
+        assert analysis.outcome_biases(uni, mu)["A"][1] < 0.5
 
 
 class TestDependenceReport:
     def test_fields_in_unit_interval(self, universe):
-        rep = analysis.dependence_report(universe, A, B, C)
+        rep = analysis.dependence_report(universe, MU_AB, MU_AC)
         for name, value in rep.items():
             assert 0.0 <= value <= 1.0, name
 
     def test_conditional_independence_exact(self, universe):
-        rep = analysis.dependence_report(universe, A, B, C)
+        rep = analysis.dependence_report(universe, MU_AB, MU_AC)
         assert rep["tv_cond_indep"] <= 1e-12
 
     def test_conditional_pair_dependence_positive(self, universe):
-        rep = analysis.dependence_report(universe, A, B, C)
+        rep = analysis.dependence_report(universe, MU_AB, MU_AC)
         assert rep["cond_pair_dependence"] > 0.0
 
     def test_setting_shift_positive_and_matches_oracle(self, universe):
-        rep = analysis.dependence_report(universe, A, B, C)
+        rep = analysis.dependence_report(universe, MU_AB, MU_AC)
         assert rep["setting_shift"] > 0.0
-        mu_ab = measure.build_measure(A, B, 4)
-        mu_ac = measure.build_measure(A, C, 4)
         best = 0.0
         for col_to in universe.col_to:  # a pair's two labels share col_to
-            m_ab = brute_conditional_marginal(col_to, mu_ab.cell_masses)
-            m_ac = brute_conditional_marginal(col_to, mu_ac.cell_masses)
+            m_ab = brute_conditional_marginal(col_to, MU_AB.cell_masses)
+            m_ac = brute_conditional_marginal(col_to, MU_AC.cell_masses)
             best = max(best, 0.5 * float(np.abs(m_ab - m_ac).sum()))
         assert rep["setting_shift"] == pytest.approx(best, abs=1e-12)
 
     def test_generic_weights_couple_label_and_source(self, universe):
-        rep = analysis.dependence_report(universe, A, B, C)
+        rep = analysis.dependence_report(universe, MU_AB, MU_AC)
         assert rep["r_lambda_dependence"] > 0.0
         assert rep["factorization_defect"] > 0.0
 
     def test_tied_weights_decouple_label_and_source(self, tied_universe):
-        rep = analysis.dependence_report(tied_universe, A, B, C)
+        rep = analysis.dependence_report(tied_universe, MU_AB, MU_AC)
         assert rep["r_lambda_dependence"] <= 1e-12
         assert rep["factorization_defect"] <= 1e-12
 
     def test_joint_vs_product_shrinks_with_pairs(self):
-        mu = measure.build_measure(A, B, 4)
         small = layers.build_universe(4, 1, 10, np.random.default_rng(211))
         large = layers.build_universe(4, 1, 2000, np.random.default_rng(211))
-        c = measure.as_setting([0, 0, 1.0])
-        rep_small = analysis.dependence_report(small, A, B, c)
-        rep_large = analysis.dependence_report(large, A, B, c)
+        mu_ac = measure.build_measure(A, [0, 0, 1.0], 4)
+        rep_small = analysis.dependence_report(small, MU_AB, mu_ac)
+        rep_large = analysis.dependence_report(large, MU_AB, mu_ac)
         assert rep_large["tv_joint_vs_product"] < rep_small["tv_joint_vs_product"]
         assert rep_large["marginal_uniformity"] < rep_small["marginal_uniformity"]
 
     def test_rejects_equal_alternate_setting(self, universe):
         with pytest.raises(ValueError):
-            analysis.dependence_report(universe, A, B, B)
+            analysis.dependence_report(universe, MU_AB, MU_AB)
+
+
+class TestMeasureChecks:
+    """The analysis takes measures built by its caller, and refuses any that
+    do not fit the universe or each other."""
+
+    def test_a_measure_of_another_order_is_refused(self, universe):
+        mu_ab, mu_ac = (measure.build_measure(A, x, 5) for x in (B, C))
+        calls = [
+            lambda: analysis.pair_expectation(universe, mu_ab),
+            lambda: analysis.outcome_biases(universe, mu_ab),
+            lambda: analysis.dependence_report(universe, mu_ab, MU_AC),
+            lambda: analysis.dependence_report(universe, MU_AB, mu_ac),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="order n = 5 on a universe of n = 4"):
+                call()
+
+    def test_dependence_report_refuses_two_settings_a(self, universe):
+        mu_bc = measure.build_measure(B, C, 4)
+        with pytest.raises(ValueError, match="share setting a"):
+            analysis.dependence_report(universe, MU_AB, mu_bc)
+        # the same bits in another array are the same setting a
+        twin = measure.build_measure(A.copy(), C, 4)
+        assert twin.a is not MU_AB.a
+        analysis.dependence_report(universe, MU_AB, twin)
 
 
 class TestStationMarginalSettingDependence:
@@ -191,8 +218,8 @@ def test_analysis_memory_scales_with_pairs_times_cells():
     uni = layers.build_universe(4, 64, 2000, np.random.default_rng(113))
     tracemalloc.start()
     try:
-        analysis.dependence_report(uni, A, B, C)
-        analysis.outcome_biases(uni, A, B)
+        analysis.dependence_report(uni, MU_AB, MU_AC)
+        analysis.outcome_biases(uni, MU_AB)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -212,7 +239,7 @@ def test_outcome_biases_peak_is_one_block_and_its_sums(interval_count, pairs):
     sums_bytes = 2 * 2 * size * interval_count * 8
     tracemalloc.start()
     try:
-        analysis.outcome_biases(uni, A, B)
+        analysis.outcome_biases(uni, MU_AB)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -254,20 +281,20 @@ class TestLoopOracleEquivalence:
         a, b, c = (measure.as_setting(v, normalize=True) for v in (a, b, c))
         mu_ab = measure.build_measure(a, b, n)
         mu_ac = measure.build_measure(a, c, n)
-        assert analysis.pair_expectation(uni, mu_ab.a, mu_ab.b) == pytest.approx(
+        assert analysis.pair_expectation(uni, mu_ab) == pytest.approx(
             loop_pair_expectation(uni, mu_ab), abs=1e-12
         )
         np.testing.assert_allclose(
             joint_table(uni, mu_ab), loop_station_pair_joint(uni, mu_ab),
             rtol=0, atol=1e-12,
         )
-        for side, biases in analysis.outcome_biases(uni, mu_ab.a, mu_ab.b).items():
+        for side, biases in analysis.outcome_biases(uni, mu_ab).items():
             for got, drop in zip(biases, (False, True)):
                 want = loop_conditional_outcome_bias(uni, mu_ab, side, drop)
                 assert got == pytest.approx(want, abs=1e-12), (side, drop)
         if np.allclose(mu_ab.b, mu_ac.b, atol=1e-15):
             return
-        got = analysis.dependence_report(uni, mu_ab.a, mu_ab.b, mu_ac.b)
+        got = analysis.dependence_report(uni, mu_ab, mu_ac)
         want = loop_dependence_report(uni, mu_ab, mu_ac)
         assert got.keys() == want.keys()
         for key, value in want.items():
@@ -297,13 +324,13 @@ class TestLoopOracleEquivalence:
             joint_table(uni, mu_ab), loop_station_pair_joint(uni, mu_ab),
             rtol=0, atol=1e-12,
         )
-        got = analysis.dependence_report(uni, a, b, c)
+        got = analysis.dependence_report(uni, mu_ab, mu_ac)
         want = loop_dependence_report(uni, mu_ab, mu_ac)
         assert got["factorization_defect"] == pytest.approx(
             want["factorization_defect"], abs=1e-12
         )
         assert got["tv_joint_vs_product"] == pytest.approx(want["tv_joint_vs_product"], abs=1e-12)
-        for side, (_, witness) in analysis.outcome_biases(uni, a, b).items():
+        for side, (_, witness) in analysis.outcome_biases(uni, mu_ab).items():
             want = loop_conditional_outcome_bias(uni, mu_ab, side, drop_companions=True)
             assert witness == pytest.approx(want, abs=1e-12), side
 
@@ -319,9 +346,9 @@ class TestOutcomeBiases:
         uni = layers.build_universe(4, interval_count, pairs, rng, tie_weights=tie)
         for a in EDGE_SETTINGS:
             for b in EDGE_SETTINGS:
-                got = analysis.outcome_biases(uni, a, b)
-                assert list(got) == ["A", "B"]
                 mu = measure.build_measure(a, b, 4)
+                got = analysis.outcome_biases(uni, mu)
+                assert list(got) == ["A", "B"]
                 for side, (intact, witness) in got.items():
                     assert intact == 0.0
                     for value, drop in ((intact, False), (witness, True)):
@@ -356,14 +383,14 @@ class TestPositiveCellSums:
             want = all_cells_outcome_mass(uni, mu_ab, side)
             for g, w in zip(got, want):
                 assert g.tobytes() == w.tobytes(), side
-        got = analysis.outcome_biases(uni, a, b)
+        got = analysis.outcome_biases(uni, mu_ab)
         want = all_cells_outcome_biases(uni, mu_ab)
         assert list(got) == list(want)
         assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
         mu_ac = measure.build_measure(a, c, n)
         if np.allclose(mu_ab.b, mu_ac.b, atol=1e-15):
             return
-        got = analysis.dependence_report(uni, a, b, c)
+        got = analysis.dependence_report(uni, mu_ab, mu_ac)
         want = all_cells_dependence_report(uni, mu_ab, mu_ac)
         assert got.keys() == want.keys()
         for key, value in want.items():

@@ -5,7 +5,8 @@ The package root re-exports exactly the names that `scripts/` imports from
 every public method and property of those classes, is named by `cli.py`, by
 a script, or by another function or class of the package.  A helper that
 only tests call belongs in `tests/oracles.py`.  No module imports a thread
-or process library: every command runs on the caller's thread.
+or process library: every command runs on the caller's thread.  `analysis.py`
+builds no measure: its callers pass the ones they built.
 """
 
 from __future__ import annotations
@@ -108,3 +109,14 @@ def test_package_runs_on_the_callers_thread():
         for path in sorted(PACKAGE.glob("*.py"))
     }
     assert {stem: mods for stem, mods in found.items() if mods} == {}
+
+
+def test_analysis_builds_no_measure():
+    """The analysis takes the measures its caller built once: no function of
+    `analysis.py` calls `build_measure`, so none rebuilds one per call."""
+    calls = [
+        node.lineno
+        for node in ast.walk(_tree(PACKAGE / "analysis.py"))
+        if isinstance(node, ast.Call) and "build_measure" in _names(node.func)
+    ]
+    assert calls == []

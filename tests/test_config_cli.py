@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eprsim import cli, config, emission, layers
+from eprsim import cli, config, emission, layers, measure
 from eprsim.timings import StageTimer
 
 from oracles import naive_squared_diff_sum, one_sided_discrepancies, point_labels
@@ -665,6 +665,16 @@ class TestCliSizeBudget:
         with pytest.raises(config.ConfigError, match="--k 100000000 with --labels 16000000 "):
             config.check_budget("poisson", sizes)
 
+    def test_poisson_budget_message_names_the_run_not_an_array(self):
+        # the joint entry adds the trace and the label counts, two arrays, so
+        # the message names what the run would hold: 8 k + 24 labels bytes
+        with pytest.raises(config.ConfigError) as err:
+            config.check_budget("poisson", {"k": 100_000_000, "labels": 16_000_000})
+        assert str(err.value) == (
+            "--k 100000000 with --labels 16000000 would make the run hold about "
+            "1129 MiB, above the 1 GiB budget"
+        )
+
     @pytest.mark.parametrize("command", sorted(MEASURE_RUNS))
     def test_n_cap_keeps_the_measure_peak_within_the_budget(self, capsys, command):
         # the peak per unit of n at two sizes, scaled to the cap; chsh builds
@@ -811,6 +821,125 @@ class TestCliLayersAnalyze:
             "--seed", "11", "--universe", str(upath),
         )
         assert upath.read_bytes() == first
+
+
+# a valid run of each command taking setting flags; {uni} is a universe file
+SETTING_RUNS = {
+    "verify": ["verify", "--n", "4", "--a", "1,0,0", "--b", "0.6,0.8,0"],
+    "analyze": ["analyze", "--universe", "{uni}",
+                "--a", "1,0,0", "--b", "0.6,0.8,0", "--c", "0,0,1"],
+    "simulate": ["simulate", "--n", "4", "--trials", "100", "--seed", "1",
+                 "--a", "1,0,0", "--b", "0.6,0.8,0"],
+    "chsh": ["chsh", "--n", "4", "--trials", "100", "--seed", "1",
+             "--a", "1,0,0", "--a2", "0,1,0", "--b", "0.6,0.8,0", "--b2", "0.6,-0.8,0"],
+}
+# the setting flags of each of those runs
+RUN_SETTING_FLAGS = {
+    "verify": ("a", "b"), "analyze": ("a", "b", "c"),
+    "simulate": ("a", "b"), "chsh": ("a", "a2", "b", "b2"),
+}
+# a bad value of each kind a setting flag can take
+BAD_SETTINGS = {"norm": "1,1,0", "zero": "0,0,0", "non_finite": "nan,0,0", "syntax": "1,0"}
+# each setting divided by its norm a second time changes a bit, and with
+# a = (1,0,0) so does -a.b
+TWICE_DIVIDED = ["1,2,2", "1e308,1e308,0"]
+
+
+@pytest.fixture(scope="module")
+def setting_universe(tmp_path_factory):
+    path = tmp_path_factory.mktemp("settings") / "uni.json"
+    report = path.with_name("layers.json")
+    argv = ["layers", "--n", "4", "--layers", "3", "--seed", "1", "--universe", str(path)]
+    assert cli.main([*argv, "--out", str(report)]) == 0
+    return path
+
+
+def _setting_run(command, uni):
+    return [arg.format(uni=uni) for arg in SETTING_RUNS[command]]
+
+
+def _bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+class TestCliSettingErrors:
+    def test_every_setting_flag_is_covered(self):
+        assert {c: cli.SETTING_FLAGS.get(c) for c in SETTING_RUNS} == RUN_SETTING_FLAGS
+
+    @pytest.mark.parametrize("command", sorted(SETTING_RUNS))
+    def test_the_valid_runs_exit_0(self, capsys, setting_universe, command):
+        code, _, err = run_cli(capsys, *_setting_run(command, setting_universe))
+        assert code == 0, err
+
+    @pytest.mark.parametrize("kind", sorted(BAD_SETTINGS))
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(command, flag) for command, flags in RUN_SETTING_FLAGS.items() for flag in flags],
+    )
+    def test_exit_2_naming_the_flag(self, capsys, tmp_path, setting_universe, command, flag, kind):
+        # the last occurrence of a flag wins
+        out = tmp_path / "report.json"
+        argv = [*_setting_run(command, setting_universe), f"--{flag}={BAD_SETTINGS[kind]}"]
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith(f"error: --{flag}: setting ")
+        assert not out.exists()
+
+
+class TestCliSettingsKeepTheirBits:
+    """A report's settings are the bits `parse_setting` returned, and its
+    numbers are computed from those bits."""
+
+    @pytest.mark.parametrize("b", TWICE_DIVIDED)
+    def test_verify(self, capsys, b):
+        argv = ["verify", "--n", "4", "--a", "1,0,0", "--b", b, "--normalize", "--genuine-variant"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        doc = json.loads(out)
+        assert _bits(doc["b"]) == config.parse_setting(b, normalize=True).tobytes()
+        assert doc["expected"] == -float(np.dot(doc["a"], doc["b"]))
+        m1 = float(np.sum(np.abs(doc["a"]) * np.abs(doc["b"])))
+        assert doc["genuine_variant"]["m1"] == m1
+
+    @pytest.mark.parametrize("b", TWICE_DIVIDED)
+    def test_simulate(self, capsys, b):
+        argv = ["simulate", "--n", "4", "--a", "1,0,0", "--b", b, "--normalize"]
+        code, out, err = run_cli(capsys, *argv, "--trials", "100", "--seed", "1")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert _bits(doc["b"]) == config.parse_setting(b, normalize=True).tobytes()
+        assert doc["exact_target"] == -float(np.dot(doc["a"], doc["b"]))
+
+    def test_chsh(self, capsys):
+        texts = ["1,0,0", "1e308,1e308,0", "1,2,2", "0,0,1"]
+        flags = [f"--{name}={text}" for name, text in zip(RUN_SETTING_FLAGS["chsh"], texts)]
+        argv = ["chsh", "--n", "4", "--trials", "100", "--seed", "1", "--normalize", *flags]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        a, a2, b, b2 = (config.parse_setting(text, normalize=True) for text in texts)
+        targets = [comp["exact_target"] for comp in json.loads(out)["components"]]
+        assert targets == [-float(np.dot(x, y)) for x, y in ((a, b), (a, b2), (a2, b), (a2, b2))]
+
+    def test_analyze_builds_two_measures_from_the_parsed_bits(
+        self, capsys, monkeypatch, setting_universe
+    ):
+        built = []
+
+        def build(a, b, n):
+            built.append(measure.build_measure(a, b, n))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_measure", build)
+        texts = ["1,2,2", "1e308,1e308,0", "0,0,1"]
+        flags = [f"--{name}={text}" for name, text in zip("abc", texts)]
+        argv = ["analyze", "--universe", str(setting_universe), "--normalize", *flags]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        a, b, c = (config.parse_setting(text, normalize=True).tobytes() for text in texts)
+        assert [(mu.a.tobytes(), mu.b.tobytes()) for mu in built] == [(a, b), (a, c)]
+        want = -float(np.dot(built[0].a, built[0].b))
+        assert json.loads(out)["pair_expectation"] == pytest.approx(want, abs=1e-12)
 
 
 def _split(data):

@@ -158,6 +158,8 @@ def test_timings_change_no_report_byte(workdir, tmp_path, name):
     if name.startswith("analyze"):
         # both biases of both sides come from one pass per side
         assert doc["stages"]["analysis.outcome_biases"]["calls"] == 1
+        # the (a, b) and (a, c) measures are built once each
+        assert doc["stages"]["measure.build_measure"]["calls"] == 2
         assert "analysis.conditional_outcome_bias" not in doc["stages"]
 
 

@@ -238,7 +238,7 @@ class TestPerLayerIntegral:
             mu = measure.build_measure(a, b, 4)
             uni = layers.build_universe(4, 3, 1, rng)
             target = -float(np.dot(mu.a, mu.b))
-            assert analysis.pair_expectation(uni, a, b) == pytest.approx(target, abs=1e-12)
+            assert analysis.pair_expectation(uni, mu) == pytest.approx(target, abs=1e-12)
 
     def test_mass_conserved(self):
         # relocation moves whole cells: summing the label's density over its

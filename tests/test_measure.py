@@ -109,6 +109,54 @@ class TestSettingValidation:
         out = measure.as_setting(v, normalize=True)
         assert out.tobytes() == (arr / np.linalg.norm(arr)).tobytes()
 
+    # every finite nonzero triple: hypothesis's floats reach the ends of the
+    # double range, subnormals and -0.0; the scaled ones spread the exponents
+    @settings(deadline=None, max_examples=500)
+    @example(v=[1e308, 1e308, 0.0])
+    @example(v=[5e-324, -0.0, 0.0])
+    @example(v=[1.0, 2.0, 2.0])
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=False),
+                st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1074, 1023)),
+            ),
+            min_size=3,
+            max_size=3,
+        ).filter(any)
+    )
+    def test_an_output_is_kept_as_it_is(self, v):
+        # the bound the keep rule tests holds for every output, so a setting
+        # validated once keeps its bits through every later `as_setting`
+        out = measure.as_setting(v, normalize=True)
+        assert abs(math.hypot(*out) - 1.0) <= measure.UNIT_NORM_TOL
+        assert measure.as_setting(out) is out
+        assert measure.as_setting(out, normalize=True) is out
+
+    @settings(deadline=None, max_examples=300)
+    @given(unit_settings(), st.floats(-1e-10, 1e-10))
+    def test_a_near_unit_output_is_kept_as_it_is(self, v, eps):
+        out = measure.as_setting(v * (1.0 + eps))
+        assert abs(math.hypot(*out) - 1.0) <= measure.UNIT_NORM_TOL
+        assert measure.as_setting(out) is out
+
+    def test_only_a_read_only_unit_float64_triple_is_kept(self):
+        out = measure.as_setting([0.6, 0.8, 0.0])
+        # a writeable copy, a list, a float32 view: validated and divided anew
+        for v in (out.copy(), out.tolist(), out.astype(np.float32)):
+            got = measure.as_setting(v, normalize=True)
+            assert got is not v and not got.flags.writeable
+        # a read-only triple within 1e-9 but past UNIT_NORM_TOL of unit norm
+        near = np.array([0.6, 0.8, 1e-7])
+        near.setflags(write=False)
+        got = measure.as_setting(near)
+        assert got is not near and got.tobytes() == (near / np.linalg.norm(near)).tobytes()
+        for bad in ([np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [1.0, 1.0, 0.0]):
+            bad = np.array(bad)
+            bad.setflags(write=False)
+            with pytest.raises(ValueError):
+                measure.as_setting(bad)
+
 
 class TestWeightValidation:
     def test_accepts_probability_vector(self):
@@ -362,7 +410,7 @@ class TestIdentityProperties:
         uni = layers.build_universe(n, int(rng.integers(1, 4)), int(rng.integers(1, 5)), rng)
         # each source-level bin is a union of station bins, so zero bias by
         # station is zero bias by source as well
-        for side, (intact, witness) in analysis.outcome_biases(uni, mu.a, mu.b).items():
+        for side, (intact, witness) in analysis.outcome_biases(uni, mu).items():
             assert intact == 0.0, side
             assert 0.0 <= witness <= 1.0, side
 
