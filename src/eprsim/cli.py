@@ -106,7 +106,7 @@ def cmd_verify(args):
 
 
 def cmd_layers(args):
-    # checked before the build, which at this n could take the whole budget
+    # checked here so that the message names --n; build_universe would refuse it too
     if args.n > MAX_SAVED_N:
         raise ConfigError(
             f"--n must be <= {MAX_SAVED_N} (got {args.n}): {UNIVERSE_SCHEMA} stores "
@@ -149,17 +149,18 @@ def cmd_analyze(args):
     return fields, None
 
 
-# the run flags a --universe file must agree with, each with its field there
+# the run sizes a --universe file fills, each with its field there
 UNIVERSE_SIZES = {"n": "n", "L": "interval_count", "layers": "pair_count"}
 
 
 def _resolve_run_params(args) -> None:
-    """Fill each flag left unset from the --config file, then from
-    RUN_DEFAULTS (flags win), and check every size and seed.  A run on an
-    existing --universe takes its sizes from the file instead of the
-    defaults (see `_run_order`).  Every setting text is parsed here, once,
-    into `args.settings`: the file's, then the flags', which win; an error
-    names the text's flag or file."""
+    """Merge and check a run's inputs, each where it enters.  Every setting
+    text is parsed, once, into `args.settings`: the --config file's, then
+    the flags', which win; an error names its flag or file line.  Unset
+    flags fill from the file's keys, which `load_config` checked, once the
+    flags are checked.  A simulate or chsh --universe file is read and
+    validated, each size given must agree with it, and it fills n, L and
+    layers; the rest fall back to RUN_DEFAULTS."""
     params = vars(args)
     cfg = load_config(args.config) if params.get("config") else {}
     names = SETTING_FLAGS.get(args.command, ())
@@ -171,7 +172,8 @@ def _resolve_run_params(args) -> None:
                 f"settings: {args.command} takes {len(names)} ({', '.join(names)}), "
                 f"got {len(settings)}"
             )
-        texts[:0] = [(f"settings: {args.config}", *item) for item in zip(names, settings)]
+        source = f"{args.config}:{cfg.pop('settings_line')}: key 'settings'"
+        texts[:0] = [(source, *item) for item in zip(names, settings)]
         cfg.update(zip(names, settings))
     args.settings = {}
     for source, name, text in texts:
@@ -180,39 +182,28 @@ def _resolve_run_params(args) -> None:
                 args.settings[name] = parse_setting(text, normalize=args.normalize)
         except ConfigError as exc:
             raise ConfigError(f"{source}: {exc}") from exc
+    for key in MINIMUMS:
+        if params.get(key) is not None:
+            check_size(key, params[key])
     for key, value in cfg.items():
         if params[key] is None:
             params[key] = value
     # simulate and chsh, the commands with --config, read --universe (layers writes it)
-    from_file = "config" in params and params["universe"] is not None
+    if "config" in params and params["universe"] is not None:
+        universe = load_universe(args.universe)
+        for key, field in UNIVERSE_SIZES.items():
+            given, value = params[key], getattr(universe, field)
+            if given not in (None, value):
+                raise ConfigError(
+                    f"--{key} {given} disagrees with {args.universe}, which has {key} = {value}"
+                )
+            params[key] = value
     for key, default in RUN_DEFAULTS.items():
-        if key in params and params[key] is None and not (from_file and key in UNIVERSE_SIZES):
+        if key in params and params[key] is None:
             if default is None:
                 raise ConfigError(f"{key} must be given (flag --{key} or config key)")
             params[key] = default
-    for key in MINIMUMS:
-        if params.get(key) is not None:
-            check_size(key, params[key])
     check_budget(args.command, params)
-
-
-def _run_order(args) -> int:
-    """The order n a run samples at, all a products run reads.  A fresh run
-    builds no universe; a --universe file is still read and validated, its
-    sizes must agree with any size given by flag or config, and they become
-    the sizes the report shows.  --L and --layers size nothing here."""
-    if not args.universe:
-        return args.n
-    universe = load_universe(args.universe)
-    for key, field in UNIVERSE_SIZES.items():
-        value = getattr(universe, field)
-        given = getattr(args, key)
-        if given is not None and given != value:
-            raise ConfigError(
-                f"--{key} {given} disagrees with {args.universe}, which has {key} = {value}"
-            )
-        setattr(args, key, value)
-    return universe.n
 
 
 def _angle_setting(flag: str, degrees) -> np.ndarray:
@@ -235,9 +226,7 @@ def cmd_simulate(args):
         if a is None or b is None:
             raise ConfigError("provide --a and --b, --angle, or two settings in --config")
     batch_means: list[float] = []
-    estimate = run_experiment(
-        _run_order(args), a, b, args.trials, seed=args.seed, batch_means=batch_means
-    )
+    estimate = run_experiment(args.n, a, b, args.trials, seed=args.seed, batch_means=batch_means)
     fields = {
         "a": [float(x) for x in a],
         "b": [float(x) for x in b],
@@ -259,7 +248,7 @@ def cmd_chsh(args):
             raise ConfigError(
                 "provide --angles, all of --a --a2 --b --b2, or four settings in --config"
             )
-    estimate = run_chsh(_run_order(args), a, a2, b, b2, args.trials, seed=args.seed)
+    estimate = run_chsh(args.n, a, a2, b, b2, args.trials, seed=args.seed)
     fields = {
         "s_value": estimate.s_value,
         "stderr": estimate.stderr,

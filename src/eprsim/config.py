@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .measure import as_setting
+from .splines import MIN_ORDER_PARAM
 
 
 class ConfigError(ValueError):
@@ -20,7 +21,8 @@ RUN_DEFAULTS = {"n": 4, "L": 2, "layers": 50, "trials": None, "seed": None}
 
 # the smallest valid value of every size and seed flag (and config key)
 # (poisson's uniformity test needs two labels for one degree of freedom)
-MINIMUMS = {"n": 4, "L": 1, "layers": 1, "trials": 1, "seed": 0, "grid": 2, "k": 1, "labels": 2}
+MINIMUMS = {"n": MIN_ORDER_PARAM, "L": 1, "layers": 1, "trials": 1, "seed": 0, "grid": 2, "k": 1,
+            "labels": 2}
 
 
 # the largest array a command may allocate, in bytes
@@ -135,10 +137,11 @@ def load_config(path) -> dict:
     a dict keyed by flag name.
 
     Recognized keys: n, L, layers, trials, seed, and settings
-    (semicolon-separated triples, kept as the text a setting flag takes).
-    `n` is required; any other key is an error (`tie_weights` too: these
-    runs build no universe to tie).  A setting's syntax is checked here, its
-    norm where `--normalize` is known.
+    (semicolon-separated triples, kept as the texts a setting flag takes,
+    with their line under `settings_line`, so the one parse where
+    `--normalize` is known names it).  Each size is checked here.  `n` is
+    required; any other key is an error (`tie_weights` too: these runs
+    build no universe to tie).
     """
     values: dict = {}
     try:
@@ -161,11 +164,7 @@ def load_config(path) -> dict:
                 raise ConfigError(f"{path}:{lineno}: key {key!r}: {exc}") from exc
         elif key == "settings":
             values[key] = [item.strip() for item in text.split(";") if item.strip()]
-            for item in values[key]:
-                try:
-                    _triple(item)
-                except ConfigError as exc:
-                    raise ConfigError(f"{path}:{lineno}: key {key!r}: {exc}") from exc
+            values["settings_line"] = lineno
         else:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
     if "n" not in values:

@@ -38,6 +38,7 @@ import numpy as np
 
 from .config import ConfigError, check_budget
 from .measure import diagonal_cell_count, validate_weights
+from .splines import MIN_ORDER_PARAM, check_order
 
 UNIVERSE_SCHEMA = "layer-universe/3"
 
@@ -57,8 +58,7 @@ BLOCK_ROWS = 1024
 def layer_count(n: int) -> int:
     """Published count of distinct layer arrangements, one half of the label
     range: 36 * C(3n+3, 3)^2 * C(9n^2, 3n) * (3n)!  (exact integer)."""
-    if n < 4:
-        raise ValueError(f"order parameter n must be >= 4, got {n}")
+    check_order(n)
     return (
         36
         * math.comb(3 * n + 3, 3) ** 2
@@ -83,8 +83,7 @@ def layer_count_digits(n: int) -> int:
     terms' magnitudes, eps = 2**-52) at every n up to MAX_SAVED_N tried, so
     the exact integer is built only where the sum lies within 8 eps * S of
     a whole number (n = 8800 and 9395 of 4 .. MAX_SAVED_N)."""
-    if n < 4:
-        raise ValueError(f"order parameter n must be >= 4, got {n}")
+    check_order(n)
     m = 9 * n * n
     terms = (
         math.log(36),
@@ -102,8 +101,7 @@ def layer_count_digits(n: int) -> int:
 
 
 def _check_n(n: int) -> None:
-    if n < 4:
-        raise ValueError(f"order parameter n must be >= 4, got {n}")
+    check_order(n)
     if n > MAX_SAVED_N:
         raise ValueError(
             f"'n' = {n} gives {diagonal_cell_count(n)} positions per row, more than "
@@ -244,7 +242,7 @@ def _read_header(fh) -> tuple[int, int, int]:
             f"unsupported universe schema {doc.get('schema')!r}; this build reads "
             f"{UNIVERSE_SCHEMA!r}"
         )
-    for key, minimum in (("n", 4), ("interval_count", 1), ("pair_count", 1)):
+    for key, minimum in (("n", MIN_ORDER_PARAM), ("interval_count", 1), ("pair_count", 1)):
         value = doc.get(key)
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"universe field {key!r} must be an integer, got {value!r}")

@@ -21,6 +21,12 @@ MIN_ORDER_PARAM = 4
 FIRST_INDEX = -2
 
 
+def check_order(n: int) -> None:
+    """Refuse an order parameter n below MIN_ORDER_PARAM."""
+    if n < MIN_ORDER_PARAM:
+        raise ValueError(f"order parameter n must be >= {MIN_ORDER_PARAM}, got {n}")
+
+
 @dataclass(frozen=True)
 class SplineSystem:
     """Immutable quadratic B-spline basis on knots nu/n, nu = -2 .. n+3."""
@@ -29,8 +35,7 @@ class SplineSystem:
     knots: np.ndarray = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        if self.n < MIN_ORDER_PARAM:
-            raise ValueError(f"order parameter n must be >= {MIN_ORDER_PARAM}, got {self.n}")
+        check_order(self.n)
         knots = np.arange(FIRST_INDEX, self.n + 4, dtype=float) / self.n
         knots.setflags(write=False)
         object.__setattr__(self, "knots", knots)

@@ -61,6 +61,7 @@ class TestLoadConfig:
             "trials": 1000,
             "seed": 42,
             "settings": ["1,0,0", "0.6,0.8,0"],
+            "settings_line": 7,
         }
 
     def test_missing_n_named(self, tmp_path):
@@ -82,11 +83,14 @@ class TestLoadConfig:
             config.load_config(path)
 
     @pytest.mark.parametrize("item", ["1,0", "1,zero,0"])
-    def test_setting_syntax_names_position_and_key(self, tmp_path, item):
+    def test_setting_syntax_names_position_and_key(self, capsys, tmp_path, item):
+        # the one parse of a run names the file line of a bad triple
         path = tmp_path / "run.cfg"
         path.write_text(f"n = 4\nsettings = 1,0,0; {item}\n")
-        with pytest.raises(config.ConfigError, match=rf"{path}:2: key 'settings'"):
-            config.load_config(path)
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}:2: key 'settings': ")
 
     def test_setting_norm_left_to_the_run(self, tmp_path):
         # --normalize is not known here, so a non-unit triple loads as text
@@ -300,7 +304,7 @@ class TestCliSimulate:
         code, out, err = run_cli(capsys, command, "--config", str(path))
         assert code == 2
         assert out == ""
-        assert err.startswith("error: settings") and "norm" in err
+        assert err.startswith(f"error: {path}:4: key 'settings': setting norm")
 
 
 # valid runs of the commands taking size flags; a bad size is appended as a
@@ -464,8 +468,8 @@ class TestCliSizeBudget:
         assert not any(stage.startswith("layers.") for stage in stages)
 
     def test_layers_n_over_the_file_limit_exits_2_before_building(self, capsys, tmp_path):
-        # n = MAX_SAVED_N + 1 passes the budget with up to 1023 pairs, whose
-        # relocations would fill about 1 GiB before the save could refuse them
+        # n = MAX_SAVED_N + 1 passes the budget with up to 1023 pairs; the
+        # command checks it so that the message names --n
         uni = tmp_path / "uni.json"
         n = layers.MAX_SAVED_N + 1
         argv = ["layers", "--n", str(n), "--layers", "1000", "--seed", "1", "--universe", str(uni)]
@@ -1505,6 +1509,28 @@ def test_no_command_starts_a_thread(capsys, monkeypatch, tmp_path, command):
     code, _, err = run_cli(capsys, *argv)
     assert started == []
     assert code == 0, err
+
+
+# every subcommand's small run, and simulate and chsh on a universe file
+RESOLVED_RUNS = {
+    **ONE_THREAD_RUNS,
+    "simulate --universe": [*ONE_THREAD_RUNS["simulate"], "--universe", "{u}"],
+    "chsh --universe": [*ONE_THREAD_RUNS["chsh"], "--universe", "{u}"],
+}
+
+
+@pytest.mark.parametrize("run", sorted(RESOLVED_RUNS))
+def test_no_command_changes_its_resolved_args(capsys, tmp_path, run):
+    # a run's inputs are merged once, before the command runs, so the
+    # report's config block shows what the command ran on
+    universe = str(_universe_file(capsys, tmp_path))
+    argv = [universe if arg == "{u}" else arg for arg in RESOLVED_RUNS[run]]
+    args = cli.build_parser().parse_args(argv)
+    cli._resolve_run_params(args)
+    resolved = dict(vars(args))
+    args.func(args)
+    assert vars(args).keys() == resolved.keys()
+    assert all(vars(args)[key] is value for key, value in resolved.items())
 
 
 def test_stage_timer_counts_calls_and_sums_wall_time():
