@@ -13,6 +13,7 @@ import csv
 import numpy as np
 
 from eprsim import chsh, run_experiment, setting_from_angle
+from eprsim.streams import seed_sequence
 
 
 def main() -> int:
@@ -27,7 +28,7 @@ def main() -> int:
     # the products depend on no universe, only on n
     a = setting_from_angle(0.0)
     angles = np.arange(0.0, 180.0 + 1e-9, args.step)
-    children = np.random.SeedSequence(args.seed).spawn(len(angles) + 1)
+    children = seed_sequence(args.seed).spawn(len(angles) + 1)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["angle_deg", "mean", "stderr", "target"])

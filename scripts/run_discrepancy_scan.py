@@ -11,9 +11,8 @@ k^(-1/2) up to log factors.
 import argparse
 import csv
 
-import numpy as np
-
 from eprsim import fit_rate, generate_trace, prefix_discrepancies
+from eprsim.streams import stream
 
 
 def main() -> int:
@@ -25,7 +24,7 @@ def main() -> int:
     args = parser.parse_args()
 
     ks = [10**e for e in range(3, 10) if 10**e <= args.kmax]
-    rng = np.random.default_rng(np.random.SeedSequence(args.seed))
+    rng = stream(args.seed)
     rows = []
 
     for theta in (float(t) for t in args.thetas.split(",")):

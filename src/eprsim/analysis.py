@@ -161,7 +161,7 @@ def dependence_report(universe: LayerUniverse, mu_ab: BaseMeasure, mu_ac: BaseMe
     _check_order(universe, mu_ab, mu_ac)
     if not np.array_equal(mu_ac.a, mu_ab.a):
         raise ValueError("both measures must share setting a")
-    if np.allclose(mu_ab.b, mu_ac.b, atol=1e-15):
+    if np.array_equal(mu_ab.b, mu_ac.b):
         raise ValueError("alternate setting c must differ from b")
     size = universe.col_to.shape[1]
     masses = _normalized_masses(mu_ab)

@@ -65,6 +65,7 @@ from .measure import (
 from .sampling import run_experiment
 from .sampling import chsh as run_chsh
 from .splines import SplineSystem, identity_errors
+from .streams import stream
 
 REPORT_SCHEMA = "report/1"
 
@@ -112,9 +113,8 @@ def cmd_layers(args):
             f"--n must be <= {MAX_SAVED_N} (got {args.n}): {UNIVERSE_SCHEMA} stores "
             "the 3n+12 positions of a row as uint16"
         )
-    rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     universe = build_universe(
-        args.n, args.L, args.layers, rng, tie_weights=args.tie_weights
+        args.n, args.L, args.layers, stream(args.seed), tie_weights=args.tie_weights
     )
     save_universe(universe, args.universe)
     fields = {
@@ -160,11 +160,14 @@ def _resolve_run_params(args) -> None:
     flags fill from the file's keys, which `load_config` checked, once the
     flags are checked.  A simulate or chsh --universe file is read and
     validated, each size given must agree with it, and it fills n, L and
-    layers; the rest fall back to RUN_DEFAULTS."""
+    layers; the rest fall back to RUN_DEFAULTS.  Last, an --angle or
+    --angles run takes every setting from its degrees, and no setting text
+    is reported."""
     params = vars(args)
     cfg = load_config(args.config) if params.get("config") else {}
     names = SETTING_FLAGS.get(args.command, ())
     texts = [(f"--{name}", name, params[name]) for name in names]
+    flagged = [name for name in names if params[name] is not None]
     settings = cfg.pop("settings", None)
     if settings is not None:
         if len(settings) != len(names):
@@ -204,27 +207,31 @@ def _resolve_run_params(args) -> None:
                 raise ConfigError(f"{key} must be given (flag --{key} or config key)")
             params[key] = default
     check_budget(args.command, params)
-
-
-def _angle_setting(flag: str, degrees) -> np.ndarray:
-    """The coplanar setting at `degrees`, a finite number given by `flag`."""
-    try:
-        value = float(degrees)
-    except ValueError:
-        raise ConfigError(f"{flag}: {degrees!r} is not a number") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{flag} must be finite degrees (got {degrees})")
-    return setting_from_angle(value)
+    degrees = params.get("angle", params.get("angles"))
+    if degrees in (None, ""):
+        return
+    flag = "--angle" if args.command == "simulate" else "--angles"
+    if flagged:
+        raise ConfigError(f"{flag} and --{flagged[0]} cannot be given together")
+    degrees = [0.0, degrees] if flag == "--angle" else degrees.split(",")
+    if len(degrees) != len(names):
+        raise ConfigError("--angles needs four comma-separated degrees: a,a',b,b'")
+    args.settings = {}
+    for name, text in zip(names, degrees):
+        try:
+            value = float(text)
+        except ValueError:
+            raise ConfigError(f"{flag}: {text!r} is not a number") from None
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite degrees (got {text})")
+        args.settings[name] = setting_from_angle(value)
+    params.update(dict.fromkeys(names))
 
 
 def cmd_simulate(args):
-    if args.angle is not None:
-        a = setting_from_angle(0.0)
-        b = _angle_setting("--angle", args.angle)
-    else:
-        a, b = (args.settings.get(name) for name in SETTING_FLAGS["simulate"])
-        if a is None or b is None:
-            raise ConfigError("provide --a and --b, --angle, or two settings in --config")
+    if len(args.settings) < 2:
+        raise ConfigError("provide --a and --b, --angle, or two settings in --config")
+    a, b = args.settings["a"], args.settings["b"]
     batch_means: list[float] = []
     estimate = run_experiment(args.n, a, b, args.trials, seed=args.seed, batch_means=batch_means)
     fields = {
@@ -237,24 +244,12 @@ def cmd_simulate(args):
 
 
 def cmd_chsh(args):
-    if args.angles:
-        parts = args.angles.split(",")
-        if len(parts) != 4:
-            raise ConfigError("--angles needs four comma-separated degrees: a,a',b,b'")
-        a, a2, b, b2 = (_angle_setting("--angles", p) for p in parts)
-    else:
-        a, a2, b, b2 = (args.settings.get(name) for name in SETTING_FLAGS["chsh"])
-        if any(v is None for v in (a, a2, b, b2)):
-            raise ConfigError(
-                "provide --angles, all of --a --a2 --b --b2, or four settings in --config"
-            )
-    estimate = run_chsh(args.n, a, a2, b, b2, args.trials, seed=args.seed)
-    fields = {
-        "s_value": estimate.s_value,
-        "stderr": estimate.stderr,
-        "components": [asdict(comp) for comp in estimate.components],
-    }
-    return fields, None
+    if len(args.settings) < 4:
+        raise ConfigError(
+            "provide --angles, all of --a --a2 --b --b2, or four settings in --config"
+        )
+    settings = (args.settings[name] for name in SETTING_FLAGS["chsh"])
+    return asdict(run_chsh(args.n, *settings, args.trials, seed=args.seed)), None
 
 
 def cmd_poisson(args):
@@ -265,7 +260,7 @@ def cmd_poisson(args):
         p = getattr(args, flag)
         if not 0.0 < p <= 1.0:
             raise ConfigError(f"--{flag} must lie in (0, 1] (got {p})")
-    rng = np.random.default_rng(np.random.SeedSequence(args.seed))
+    rng = stream(args.seed)
     try:
         fracs = generate_trace(args.theta, args.k, rng)
     except OverflowError as exc:

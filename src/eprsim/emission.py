@@ -18,10 +18,10 @@ whole trace's D off the sorted points chunk by chunk, and counts the labels
 floor({x} * N) + 1 of the sorted whole with one search per label edge: the
 label is monotone in x, so no point is labelled one by one.
 `detector_gate` takes those label counts, gates the emissions in label
-order, two 16-bit lanes of a raw stream word per emission, and returns the
-gated counts.  Every chunked pass takes `CHUNK` emissions (or label edges)
-at a time, so `poisson` holds one array of k floats, beside about 0.3 MiB of
-one-chunk buffers at any k.
+order, two 16-bit lanes of the stream (see `streams`) per emission, and
+returns the gated counts.  Every chunked pass takes `CHUNK` emissions (or
+label edges) at a time, so `poisson` holds one array of k floats, beside
+about 0.3 MiB of one-chunk buffers at any k.
 
 The package imports only numpy and the standard library when it loads.
 scipy serves one function, `chi_square_quantile` (the `poisson` command),
@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from .streams import advanced_copy
+from .streams import lanes, refinement_copy
 
 # emissions per chunk of the trace kernel, the discrepancy scan and the
 # detector gate, and label edges per block of the label count: each pass's
@@ -195,20 +195,18 @@ def detector_gate(p1: float, p2: float, label_counts, rng) -> np.ndarray:
 
     A draw u = x * 2**-53 is below p iff its 53-bit numerator x is below
     c = ceil(p * 2**53), which x's top 16 bits decide unless they equal
-    c >> 37 (Knuth and Yao).  Emission t reads, as those bits, lane
-    2(t % 2) against p1 and lane 2(t % 2) + 1 against p2 of raw word t // 2
-    of `rng`, lane j being the word's bits 16j .. 16j + 15.  A lane equal to
-    c >> 37, when c mod 2**37 != 0, takes the next refinement word r, in
-    lane order, from a copy of `rng` advanced past the ceil(k / 2) lane
-    words, and is ready iff r >> 27 < c mod 2**37.  So a draw is ready with
+    c >> 37 (Knuth and Yao).  Emission t reads, as those bits, lane 2t of
+    `rng` against p1 and lane 2t + 1 against p2 (see `streams`).  A lane
+    equal to c >> 37, when c mod 2**37 != 0, takes the next refinement word
+    r, in lane order, from a copy of `rng` advanced past the 2k lanes, and
+    is ready iff r >> 27 < c mod 2**37.  So a draw is ready with
     probability c / 2**53, as a double of `Generator.random` below p.
 
     `rng` is left past the lane and refinement words.  Its bit generator
-    must be PCG64 (that of `default_rng`) or PCG64DXSM, whose `advance`
-    counts 64-bit words; any other numpy bit generator is refused.  Every
-    argument is checked before anything is drawn: the counts must be a
-    nonempty 1-d array of integers >= 0 holding at least one emission.
-    """
+    must be PCG64 or PCG64DXSM, whose `advance` counts 64-bit words; any
+    other numpy bit generator is refused.  Every argument is checked before
+    anything is drawn: the counts must be a nonempty 1-d array of integers
+    >= 0 holding at least one emission."""
     stations = [_readiness("p1", p1), _readiness("p2", p2)]
     counts = np.asarray(label_counts)
     if counts.ndim != 1 or counts.size == 0 or counts.dtype.kind not in "iu":
@@ -220,7 +218,7 @@ def detector_gate(p1: float, p2: float, label_counts, rng) -> np.ndarray:
     k = int(ends[-1])
     if k < 1:
         raise ValueError("label counts must hold at least one emission")
-    refine = advanced_copy(rng, -(-k // 2))
+    refine = refinement_copy(rng, 2 * k)
     # lane 2t + s is station s's lane of emission t, ready below its bound
     # c >> 37.  The bound 2**16 of p = 1 fits no lane: it is held as 0xFFFF,
     # where lanes pass without a word.  p < 2**-16 has bound 0, which no lane
@@ -236,13 +234,12 @@ def detector_gate(p1: float, p2: float, label_counts, rng) -> np.ndarray:
     refined = 0
     for lo in range(0, k, size):
         n = min(size, k - lo)
-        lanes = rng.bit_generator.random_raw(-(-n // 2)).astype("<u8", copy=False)
-        lanes = lanes.view("<u2")[: 2 * n]
+        drawn = lanes(rng, 2 * n)
         ok, thresholds = ready[: 2 * n], bound[: 2 * n]
         if settle:  # the lanes at a bound that the compare does not decide
-            at = np.flatnonzero(np.equal(lanes, thresholds, out=ok))
+            at = np.flatnonzero(np.equal(drawn, thresholds, out=ok))
             at = at[at_bound[at & 1]]
-        np.less(lanes, thresholds, out=ok)
+        np.less(drawn, thresholds, out=ok)
         if settle and at.size:
             rem = rems[at & 1]
             word = rem > 0

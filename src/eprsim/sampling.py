@@ -10,19 +10,16 @@ universe, only the order n: they run in O(N) time for N trials and never
 draw the label, the offsets or the interval.
 
 The kernel reads only the bits of x that decide the atom (Knuth and Yao).
-One raw 64-bit word of the stream feeds four trials: lane j of the word is
-its bits 16j .. 16j + 15, and a trial's bucket of u is its lane's top 12
-bits, the top 12 bits of x.  The sign of a trial's product is read from one
-code per bucket, what `searchsorted` in the atom cumsum gives for every u
-of the bucket.  Only a trial in one of the few buckets that hold an atom
-boundary takes the low 41 bits of x, the top bits of one refinement word,
-and is searched.  A batch of N trials reads ceil(N / 4) lane words, then
-the refinement words, one per refined trial in trial order, from a copy of
-its stream advanced past the lane words.  Lanes and refinement words are
-independent and uniform, so every trial's x is uniform on its 2**53 values
-whether or not its low bits were drawn: the atom law is that of the
-doubles of `Generator.random`, and only the stream's mapping to trials
-differs from theirs.
+Trial t reads the stream's 16-bit lane t, laid out as `streams` says, and
+its bucket of u is its lane's top 12 bits, the top 12 bits of x.  The sign
+of a trial's product is read from one code per bucket, what `searchsorted`
+in the atom cumsum gives for every u of the bucket.  Only a trial in one of
+the few buckets that hold an atom boundary takes the low 41 bits of x, the
+top bits of one refinement word, in trial order, and is searched.  Lanes
+and refinement words are independent and uniform, so every trial's x is
+uniform on its 2**53 values whether or not its low bits were drawn: the
+atom law is that of the doubles of `Generator.random`, and only the
+stream's mapping to trials differs from theirs.
 
 A product is +1 or -1, so a batch of N trials is summed up by P, its count
 of +1 products: its mean is (2P - N) / N and its sum of squared deviations
@@ -44,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measure import BaseMeasure, build_measure
-from .streams import advanced_copy
+from .streams import lanes, refinement_copy, seed_sequence, stream
 
 
 @dataclass(frozen=True)
@@ -120,24 +117,24 @@ def _sign_table(mu: BaseMeasure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _plus_count(mu: BaseMeasure, size: int, rng) -> int:
     """How many of `size` trials have product A*B = +1, in O(size) time from
-    ceil(size / 4) lane words of `rng` and one refinement word per trial in
-    a mixed bucket; neither SUB_CHUNK nor REFINE_BATCH changes a number.
+    `size` lanes of `rng` and one refinement word per trial in a mixed
+    bucket; neither SUB_CHUNK nor REFINE_BATCH changes a number.
 
     Both spins carry the same flip (layer sign times s(ell)), so the product
     is outcome[0, cell, half_a] * outcome[1, cell, half_b]: it depends on the
     drawn atom only, never on the label, interval or relocation, none of
-    which is drawn.  Trial t reads lane j = t % 4 of lane word t // 4, the
-    word's bits 16j .. 16j + 15; with B = GUIDE_BUCKETS = 2**k, its bucket
-    b is the lane's top k bits, and the bucket code gives its sign.  A trial
-    in a mixed bucket takes the next refinement word r, from a copy of `rng`
-    advanced past the lane words, and is searched at its numerator
-    x = (b << (53 - k)) | (r >> (11 + k)) times cum[-1] * 2**-53: x < 2**53
-    converts exactly and the scaling is a power of two, so the target is
-    u * cum[-1] bit for bit.  Such trials are settled in trial order,
-    together once REFINE_BATCH of them wait, and at the end.  `rng` is left
-    past the lane words and the refinement words.  A bit generator whose
-    `advance` does not count words is refused before anything is drawn."""
-    refine = advanced_copy(rng, -(-size // 4))
+    which is drawn.  Trial t reads lane t (see `streams`); with B =
+    GUIDE_BUCKETS = 2**k, its bucket b is the lane's top k bits, and the
+    bucket code gives its sign.  A trial in a mixed bucket takes the next
+    refinement word r, from a copy of `rng` advanced past the lanes, and is
+    searched at its numerator x = (b << (53 - k)) | (r >> (11 + k)) times
+    cum[-1] * 2**-53: x < 2**53 converts exactly and the scaling is a power
+    of two, so the target is u * cum[-1] bit for bit.  Such trials are
+    settled in trial order, together once REFINE_BATCH of them wait, and at
+    the end.  `rng` is left past the lane words and the refinement words.  A
+    bit generator whose `advance` does not count words is refused before
+    anything is drawn."""
+    refine = refinement_copy(rng, size)
     cum, plus, code = _sign_table(mu)
     scale = cum[-1] * 2.0**-53
     k = GUIDE_BUCKETS.bit_length() - 1
@@ -151,10 +148,8 @@ def _plus_count(mu: BaseMeasure, size: int, rng) -> int:
     for start in range(0, size, step):
         stop = min(step, size - start)
         b, c = bucket[:stop], codes[:stop]
-        words = rng.bit_generator.random_raw(-(-stop // 4))
-        # lane j of a word is its bits 16j .. 16j + 15 on any host
-        np.right_shift(words.astype("<u8", copy=False).view("<u2")[:stop], 16 - k, out=b)
-        del words  # else two sub-chunks' words are alive during the next draw
+        # the lanes are freed here, so no two sub-chunks' words are alive at a draw
+        np.right_shift(lanes(rng, stop), 16 - k, out=b)
         np.take(code, b, out=c)
         count += int(np.count_nonzero(c == 1))
         pending.append(b[c == 2])
@@ -188,14 +183,13 @@ def run_experiment(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    seed = _as_seed_sequence(seed)
+    seed = seed_sequence(seed)
     mu = build_measure(a, b, n)
     exact_target = -float(np.dot(mu.a, mu.b))
-    plus = 0
-    remaining = trials
-    for stream in _streams_for(-(-trials // BATCH), seed):
+    plus, remaining = 0, trials
+    for rng in _streams_for(-(-trials // BATCH), seed):
         size = min(BATCH, remaining)
-        b_plus = _plus_count(mu, size, stream)
+        b_plus = _plus_count(mu, size, rng)
         if batch_means is not None:
             batch_means.append((2 * b_plus - size) / size)
         plus += b_plus
@@ -209,25 +203,13 @@ def run_experiment(
     )
 
 
-def _as_seed_sequence(seed) -> np.random.SeedSequence:
-    """`seed` as a seed sequence.  Only an integer >= 0 or a SeedSequence is
-    taken: `SeedSequence(None)` would draw OS entropy, an unrepeatable run."""
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise TypeError(f"seed must be an integer >= 0 or a SeedSequence, got {seed!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed!r}")
-    return np.random.SeedSequence(seed)
-
-
 def _streams_for(n_batches, seed):
     """One stream per batch, each made only when its batch starts, so memory
     does not grow with the number of batches.  Batch i gets the i-th child of
     the seed sequence: repeated `spawn(1)` calls give the same children as
     one `spawn(n_batches)`."""
-    seq = _as_seed_sequence(seed)
-    return (np.random.default_rng(seq.spawn(1)[0]) for _ in range(n_batches))
+    seq = seed_sequence(seed)
+    return (stream(seq.spawn(1)[0]) for _ in range(n_batches))
 
 
 def chsh(
@@ -243,7 +225,7 @@ def chsh(
     """Run the four correlation experiments (a, b), (a, b2), (a2, b) and
     (a2, b2) in that order, each on its own child seed, and combine them
     into S."""
-    children = _as_seed_sequence(seed).spawn(4)
+    children = seed_sequence(seed).spawn(4)
     pairs = ((a, b), (a, b2), (a2, b), (a2, b2))
     runs = [
         run_experiment(n, x, y, trials, seed=child) for (x, y), child in zip(pairs, children)

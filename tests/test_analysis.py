@@ -165,6 +165,17 @@ class TestDependenceReport:
     def test_rejects_equal_alternate_setting(self, universe):
         with pytest.raises(ValueError):
             analysis.dependence_report(universe, MU_AB, MU_AB)
+        # the same bits in another array are the same setting b
+        twin = measure.build_measure(A, B.copy(), 4)
+        with pytest.raises(ValueError, match="alternate setting c must differ from b"):
+            analysis.dependence_report(universe, MU_AB, twin)
+
+    def test_a_setting_c_near_b_is_another_setting(self, universe):
+        # a unit setting 4e-6 from b, within numpy's default allclose rtol of it
+        c = measure.as_setting([0.6000039999925, 0.79999699999, 0.0])
+        assert np.allclose(B, c) and not np.array_equal(B, c)
+        rep = analysis.dependence_report(universe, MU_AB, measure.build_measure(A, c, 4))
+        assert rep["setting_shift"] > 0.0
 
 
 class TestMeasureChecks:
@@ -292,7 +303,7 @@ class TestLoopOracleEquivalence:
             for got, drop in zip(biases, (False, True)):
                 want = loop_conditional_outcome_bias(uni, mu_ab, side, drop)
                 assert got == pytest.approx(want, abs=1e-12), (side, drop)
-        if np.allclose(mu_ab.b, mu_ac.b, atol=1e-15):
+        if np.array_equal(mu_ab.b, mu_ac.b):
             return
         got = analysis.dependence_report(uni, mu_ab, mu_ac)
         want = loop_dependence_report(uni, mu_ab, mu_ac)
@@ -388,7 +399,7 @@ class TestPositiveCellSums:
         assert list(got) == list(want)
         assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
         mu_ac = measure.build_measure(a, c, n)
-        if np.allclose(mu_ab.b, mu_ac.b, atol=1e-15):
+        if np.array_equal(mu_ab.b, mu_ac.b):
             return
         got = analysis.dependence_report(uni, mu_ab, mu_ac)
         want = all_cells_dependence_report(uni, mu_ab, mu_ac)

@@ -307,6 +307,58 @@ class TestCliSimulate:
         assert err.startswith(f"error: {path}:4: key 'settings': setting norm")
 
 
+# an angle run of each command with its degrees, and the settings they give
+ANGLE_RUNS = {
+    "simulate": (["simulate", "--angle", "45"], (0.0, 45.0)),
+    "chsh": (["chsh", "--angles", "0,90,45,135"], (0.0, 90.0, 45.0, 135.0)),
+}
+
+
+class TestCliAngleRuns:
+    """An --angle or --angles run takes every setting from its degrees: a
+    setting flag beside it is refused, and a config file's setting texts,
+    which the run does not use, are not reported."""
+
+    @pytest.mark.parametrize(
+        "command, flags, named",
+        [
+            ("simulate", ["--a", "1,0,0", "--b", "1,0,0"], "--a"),
+            ("simulate", ["--b", "1,0,0"], "--b"),
+            ("chsh", ["--a", "1,0,0", "--b2", "0,1,0"], "--a"),
+            ("chsh", ["--b2", "0,1,0"], "--b2"),
+        ],
+    )
+    def test_a_setting_flag_beside_the_angles_exits_2_naming_both(
+        self, capsys, command, flags, named
+    ):
+        argv, _ = ANGLE_RUNS[command]
+        code, out, err = run_cli(capsys, *argv, *flags, "--trials", "10", "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {argv[1]} and {named} cannot be given together\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "chsh"])
+    def test_angles_override_config_settings_and_report_them_null(
+        self, capsys, tmp_path, command
+    ):
+        argv, degrees = ANGLE_RUNS[command]
+        settings = "; ".join(["1,0,0"] * len(degrees))
+        path = tmp_path / "run.cfg"
+        path.write_text(f"n = 4\ntrials = 200\nseed = 7\nsettings = {settings}\n")
+        code, out, err = run_cli(capsys, *argv, "--config", str(path))
+        assert code == 0, err
+        doc = json.loads(out)
+        names = cli.SETTING_FLAGS[command]
+        assert {name: doc["config"][name] for name in names} == dict.fromkeys(names)
+        code, plain, err = run_cli(capsys, *argv, "--n", "4", "--trials", "200", "--seed", "7")
+        assert code == 0, err
+        assert {k: v for k, v in doc.items() if k != "config"} == {
+            k: v for k, v in json.loads(plain).items() if k != "config"
+        }
+        if command == "simulate":
+            assert doc["b"] == [float(x) for x in measure.setting_from_angle(45.0)]
+
+
 # valid runs of the commands taking size flags; a bad size is appended as a
 # flag (the last occurrence wins) or as a config line (the last line wins)
 FLAG_RUNS = {
@@ -792,6 +844,20 @@ class TestCliLayersAnalyze:
         assert doc["conditional_bias"]["A"] <= 1e-12
         assert doc["witness_bias"]["A"] > 0.1
         assert doc["pair_expectation"] == pytest.approx(-0.6, abs=1e-12)
+
+    def test_analyze_takes_a_setting_c_near_b_and_refuses_c_equal_to_b(self, capsys, tmp_path):
+        upath = tmp_path / "uni.json"
+        argv = ["layers", "--n", "4", "--layers", "10", "--seed", "7", "--universe", str(upath)]
+        assert run_cli(capsys, *argv)[0] == 0
+        argv = ["analyze", "--universe", str(upath), "--a", "1,0,0", "--b", "0.6,0.8,0"]
+        # a unit setting 4e-6 from b
+        code, out, err = run_cli(capsys, *argv, "--c", "0.6000039999925,0.79999699999,0")
+        assert code == 0, err
+        assert json.loads(out)["setting_shift"] > 0.0
+        code, out, err = run_cli(capsys, *argv, "--c", "0.6,0.8,0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: alternate setting c must differ from b\n"
 
     def test_layers_reports_the_digits_at_n_249(self, capsys, tmp_path):
         upath = tmp_path / "uni.json"

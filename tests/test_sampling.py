@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
-from eprsim import layers, measure, sampling
+from eprsim import layers, measure, sampling, streams
 
 from oracles import (
     draw_batch,
@@ -307,11 +307,15 @@ class TestChsh:
     def test_seed_that_is_no_integer_is_refused(self, seed):
         # None would draw OS entropy: a run no seed can repeat
         with pytest.raises(TypeError, match="seed must be an integer"):
+            streams.seed_sequence(seed)
+        with pytest.raises(TypeError, match="seed must be an integer"):
             sampling.run_experiment(N, A, B45, 100, seed=seed)
         with pytest.raises(TypeError, match="seed must be an integer"):
             sampling.chsh(N, A, A, B45, B45, 100, seed=seed)
 
     def test_negative_seed_is_refused(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            streams.seed_sequence(-1)
         with pytest.raises(ValueError, match="seed must be >= 0"):
             sampling.run_experiment(N, A, B45, 100, seed=-1)
         with pytest.raises(ValueError, match="seed must be >= 0"):
