@@ -9,10 +9,12 @@ the optimal settings.
 
 import argparse
 import csv
+import sys
 
 import numpy as np
 
 from eprsim import chsh, run_experiment, setting_from_angle
+from eprsim.config import ConfigError, check_size
 from eprsim.streams import seed_sequence
 
 
@@ -24,6 +26,12 @@ def main() -> int:
     parser.add_argument("--step", type=float, default=7.5, help="angle step in degrees")
     parser.add_argument("--out", default="chsh_scan.csv")
     args = parser.parse_args()
+
+    try:
+        check_size("seed", args.seed)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     # the products depend on no universe, only on n
     a = setting_from_angle(0.0)

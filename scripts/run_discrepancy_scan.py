@@ -10,8 +10,10 @@ k^(-1/2) up to log factors.
 
 import argparse
 import csv
+import sys
 
 from eprsim import fit_rate, generate_trace, prefix_discrepancies
+from eprsim.config import ConfigError, check_size
 from eprsim.streams import stream
 
 
@@ -22,6 +24,12 @@ def main() -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--out", default="discrepancy.csv")
     args = parser.parse_args()
+
+    try:
+        check_size("seed", args.seed)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     ks = [10**e for e in range(3, 10) if 10**e <= args.kmax]
     rng = stream(args.seed)

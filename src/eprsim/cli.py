@@ -6,10 +6,12 @@ report embeds the effective configuration and seeds so identical invocations
 produce byte-identical output.  Exit codes: 0 ok, 2 validation error
 (including a file path that cannot be read or written), 1 internal error.
 
-`main` resolves the flags, runs the command, which returns its report fields
-and CSV table (header, rows) or None, and writes the report and the table.
-With `--timings FILE` it also writes each stage's wall time and peak RSS to
-FILE (see `timings`); the report is the same with or without it.
+`main` builds only the parser of the command its first argument names; the
+full parser, which words the top-level errors, parses when that argument is
+no command or an argument is left over.  `main` then resolves the flags, runs
+the command, which returns its report fields and CSV table (header, rows) or
+None, and writes both.  With `--timings FILE` it also writes each stage's
+wall time and peak RSS to FILE (see `timings`); the report is the same.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import csv
 import json
 import math
 import sys
+import time
 from dataclasses import asdict
 from pathlib import Path
 
@@ -208,7 +211,7 @@ def _resolve_run_params(args) -> None:
             params[key] = default
     check_budget(args.command, params)
     degrees = params.get("angle", params.get("angles"))
-    if degrees in (None, ""):
+    if degrees is None:
         return
     flag = "--angle" if args.command == "simulate" else "--angles"
     if flagged:
@@ -313,68 +316,50 @@ def _add_setting_opts(p, command, required=False):
     )
 
 
-def _add_output_opts(p):
-    p.add_argument("--out", help="write the JSON report here instead of stdout")
-    p.add_argument("--timings", help="write wall time and peak RSS per stage as JSON here")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="eprsim",
-        description="Local hidden-variable EPR experiment simulator",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("splines", help="spline residual grid and identity checks")
+def _splines_flags(p, command):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--grid", type=int, default=501)
     p.add_argument("--csv", help="dump the residual grid as CSV")
-    _add_output_opts(p)
-    p.set_defaults(func=cmd_splines)
 
-    p = sub.add_parser("verify", help="first-layer mass and correlation identities")
+
+def _verify_flags(p, command):
     p.add_argument("--n", type=int, required=True)
-    _add_setting_opts(p, "verify", required=True)
+    _add_setting_opts(p, command, required=True)
     p.add_argument("--genuine-variant", action="store_true", dest="genuine_variant")
-    _add_output_opts(p)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("layers", help="sample a layer universe and serialize it")
+
+def _layers_flags(p, command):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--layers", type=int, required=True, help="number of companion pairs M")
     p.add_argument("--L", type=int, help="weight intervals per layer (default 2)")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--tie-weights", action="store_true", dest="tie_weights")
     p.add_argument("--universe", required=True, help="output path for the universe file")
-    _add_output_opts(p)
-    p.set_defaults(func=cmd_layers)
 
-    p = sub.add_parser("analyze", help="exact dependence diagnostics over a universe")
+
+def _analyze_flags(p, command):
     p.add_argument("--universe", required=True)
-    _add_setting_opts(p, "analyze", required=True)
+    _add_setting_opts(p, command, required=True)
     p.add_argument("--witness", action="store_true")
-    _add_output_opts(p)
-    p.set_defaults(func=cmd_analyze)
 
-    for name, fn in (("simulate", cmd_simulate), ("chsh", cmd_chsh)):
-        p = sub.add_parser(name, help=f"{name} experiment")
-        p.add_argument("--config", help="flat key=value config file; flags override it")
-        p.add_argument("--universe", help="universe file whose n the run takes")
-        p.add_argument("--n", type=int)
-        p.add_argument("--layers", type=int, help="checked against --universe; sizes nothing")
-        p.add_argument("--L", type=int, help="checked against --universe; sizes nothing")
-        p.add_argument("--trials", type=int)
-        p.add_argument("--seed", type=int)
-        _add_setting_opts(p, name)
-        if name == "simulate":
-            p.add_argument("--angle", type=float, help="coplanar pair at this angle (degrees)")
-            p.add_argument("--csv", help="per-batch means CSV")
-        else:
-            p.add_argument("--angles", help="four coplanar angles in degrees: a,a',b,b'")
-        _add_output_opts(p)
-        p.set_defaults(func=fn)
 
-    p = sub.add_parser("poisson", help="emission trace, discrepancy, label uniformity")
+def _experiment_flags(p, command):
+    p.add_argument("--config", help="flat key=value config file; flags override it")
+    p.add_argument("--universe", help="universe file whose n the run takes")
+    p.add_argument("--n", type=int)
+    p.add_argument("--layers", type=int, help="checked against --universe; sizes nothing")
+    p.add_argument("--L", type=int, help="checked against --universe; sizes nothing")
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
+    _add_setting_opts(p, command)
+    if command == "simulate":
+        p.add_argument("--angle", type=float, help="coplanar pair at this angle (degrees)")
+        p.add_argument("--csv", help="per-batch means CSV")
+    else:
+        p.add_argument("--angles", help="four coplanar angles in degrees: a,a',b,b'")
+
+
+def _poisson_flags(p, command):
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--labels", type=int, required=True)
@@ -382,9 +367,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p1", type=float, default=1.0)
     p.add_argument("--p2", type=float, default=1.0)
     p.add_argument("--csv", help="(k, star) prefix series CSV")
-    _add_output_opts(p)
-    p.set_defaults(func=cmd_poisson)
 
+
+# command -> (its --help line, what adds its flags but --out and --timings, what runs it)
+COMMANDS = {
+    "splines": ("spline residual grid and identity checks", _splines_flags, cmd_splines),
+    "verify": ("first-layer mass and correlation identities", _verify_flags, cmd_verify),
+    "layers": ("sample a layer universe and serialize it", _layers_flags, cmd_layers),
+    "analyze": ("exact dependence diagnostics over a universe", _analyze_flags, cmd_analyze),
+    "simulate": ("simulate experiment", _experiment_flags, cmd_simulate),
+    "chsh": ("chsh experiment", _experiment_flags, cmd_chsh),
+    "poisson": ("emission trace, discrepancy, label uniformity", _poisson_flags, cmd_poisson),
+}
+
+
+def _add_command(p, command):
+    _, add_flags, func = COMMANDS[command]
+    add_flags(p, command)
+    p.add_argument("--out", help="write the JSON report here instead of stdout")
+    p.add_argument("--timings", help="write wall time and peak RSS per stage as JSON here")
+    p.set_defaults(command=command, func=func)
+    return p
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The full parser, or `command`'s alone, built as the full one's subparser."""
+    if command is not None:
+        return _add_command(argparse.ArgumentParser(prog=f"eprsim {command}"), command)
+    parser = argparse.ArgumentParser(
+        prog="eprsim", description="Local hidden-variable EPR experiment simulator"
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_, _, _) in COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_), name)
     return parser
 
 
@@ -439,25 +454,33 @@ def _write_outputs(text: str, table, csv_path, out_path) -> None:
 TIMED_MODULES = ("analysis", "emission", "layers", "measure", "sampling", "splines")
 
 
-def _run_timed(args) -> None:
+def _run_timed(args, start: float, parsed: float) -> None:
     """`_run` with its stages timed into the --timings file, which is opened
-    first, so an unwritable path fails before any work."""
+    first, so an unwritable path fails before any work.  The command's stage
+    starts with `main`, at `start`, and holds `cli.parse`, until `parsed`."""
     from .timings import StageTimer
 
     timer = StageTimer()
+    timer.add("cli.parse", start, parsed)
+    whole_call = timer.stage(f"cmd.{args.command}", start)
     with open(args.timings, "w") as fh:
         try:
-            with timer.attached(globals(), TIMED_MODULES), timer.stage(f"cmd.{args.command}"):
+            with timer.attached(globals(), TIMED_MODULES), whole_call:
                 _run(args)
         finally:
             fh.write(json.dumps(timer.as_dict(), indent=2) + "\n")
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    start = time.perf_counter()
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args, extra = build_parser(command).parse_known_args(argv[1:] if command else argv)
+    if extra:
+        args = build_parser().parse_args(argv)
     try:
         if args.timings:
-            _run_timed(args)
+            _run_timed(args, start, time.perf_counter())
         else:
             _run(args)
         return 0

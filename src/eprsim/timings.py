@@ -3,9 +3,10 @@
 `cli.main` imports this module only when the flag is given, so a plain run
 does no extra work.  The timer wraps the library functions the CLI calls in
 stages named like the benchmark tracer's spans (`layers.load_universe`,
-`sampling.run_experiment`, ...) and the whole command in `cmd.<name>`.  A
-stage's time includes the stages it calls.  Every stage runs on the
-caller's thread, one after another or nested.  Reports never depend on it.
+`sampling.run_experiment`, ...), the whole `cli.main` call in `cmd.<name>`
+and its flag parse in `cli.parse`.  A stage's time includes the stages it
+calls.  Every stage runs on the caller's thread, one after another or
+nested.  Reports never depend on it.
 """
 
 from __future__ import annotations
@@ -38,16 +39,21 @@ class StageTimer:
     def __init__(self):
         self.stages: dict[str, dict] = {}
 
+    def add(self, name: str, start: float, end: float) -> None:
+        """Count one call of stage `name` from `start` to `end` (perf_counter)."""
+        entry = self.stages.setdefault(name, {"calls": 0, "wall_s": 0.0})
+        entry["calls"] += 1
+        entry["wall_s"] += end - start
+        entry["peak_rss_mb"] = _peak_rss_mb()
+
     @contextmanager
-    def stage(self, name: str):
-        start = time.perf_counter()
+    def stage(self, name: str, start: float | None = None):
+        """Time the block as one call of stage `name`, from `start` if given."""
+        start = time.perf_counter() if start is None else start
         try:
             yield
         finally:
-            entry = self.stages.setdefault(name, {"calls": 0, "wall_s": 0.0})
-            entry["calls"] += 1
-            entry["wall_s"] += time.perf_counter() - start
-            entry["peak_rss_mb"] = _peak_rss_mb()
+            self.add(name, start, time.perf_counter())
 
     def _timed(self, fn):
         name = f"{fn.__module__.removeprefix(PACKAGE + '.')}.{fn.__name__}"

@@ -1243,6 +1243,21 @@ class TestCliChsh:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--a", "1,0,0", "--a2", "0,1,0", "--b", "1,0,0", "--b2", "0,1,0"],
+             "--angles and --a cannot be given together"),
+            ([], "--angles needs four comma-separated degrees: a,a',b,b'"),
+        ],
+    )
+    def test_empty_angles_are_given_angles(self, capsys, flags, message):
+        # an empty --angles is four degrees too few, not a run without --angles
+        code, out, err = run_cli(
+            capsys, "chsh", "--angles", "", *flags, "--trials", "100", "--seed", "2"
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 CHUNK = emission.CHUNK
 # sizes on and around the chunk length of every emission pass
@@ -1427,9 +1442,12 @@ class TestCliPoisson:
         code, _, err = run_cli(capsys, *argv)
         assert code == 0, err
         stages = json.loads(timings.read_text())["stages"]
-        for name in ("cmd.poisson", "emission.detector_gate", "emission.generate_trace",
-                     "emission.prefix_discrepancies"):
+        for name in ("cli.parse", "cmd.poisson", "emission.detector_gate",
+                     "emission.generate_trace", "emission.prefix_discrepancies"):
             assert stages[name]["calls"] == 1, name
+        # the command's stage starts with `main`, so it holds the parse
+        assert set(stages["cli.parse"]) == {"calls", "wall_s", "peak_rss_mb"}
+        assert 0.0 < stages["cli.parse"]["wall_s"] <= stages["cmd.poisson"]["wall_s"]
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_report_value_is_an_internal_error(
@@ -1476,7 +1494,7 @@ class TestCliOutputFiles:
         assert err.startswith("error: ") and str(paths[flag]) in err
         assert list(outputs.iterdir()) == []
         # the timings file is written whatever the run's outcome
-        assert f"cmd.{command}" in json.loads(timings.read_text())["stages"]
+        assert {f"cmd.{command}", "cli.parse"} <= set(json.loads(timings.read_text())["stages"])
 
     @pytest.mark.parametrize("command", sorted(WRITES_CSV))
     def test_report_and_table_are_both_written(self, capsys, tmp_path, command):
@@ -1599,6 +1617,57 @@ def test_no_command_changes_its_resolved_args(capsys, tmp_path, run):
     assert all(vars(args)[key] is value for key, value in resolved.items())
 
 
+def _subparser(command):
+    """The full parser's subparser of `command`."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return commands.choices[command]
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_one_command_parser_is_the_full_parsers_subparser(command):
+    assert cli.build_parser(command).format_help() == _subparser(command).format_help()
+
+
+# argv whose parse exits: a help, a top-level error, or one command's error
+PARSE_EXITS = [
+    [], ["--help"], ["frobnicate", "--n", "4"], ["--"], ["--", "verify"], ["-x", "verify"],
+    ["layers", "--n", "4"], ["splines", "--n", "x"], ["layers", "--bogus", "-h"],
+    [*ONE_THREAD_RUNS["verify"], "--", "x"],
+    *([command, "--help"] for command in ONE_THREAD_RUNS),
+    *([*argv, "--bogus"] for argv in ONE_THREAD_RUNS.values()),
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_EXITS, ids=lambda argv: " ".join(argv) or "no-argument")
+def test_main_exits_on_its_parse_as_the_full_parser_does(capsys, argv):
+    exits = []
+    for parse in (cli.main, cli.build_parser().parse_args):
+        with pytest.raises(SystemExit) as excinfo:
+            parse(list(argv))
+        exits.append((excinfo.value.code, *capsys.readouterr()))
+    assert exits[0] == exits[1]
+
+
+@pytest.mark.parametrize("command", sorted(ONE_THREAD_RUNS))
+def test_a_run_builds_only_its_own_commands_flags(capsys, monkeypatch, tmp_path, command):
+    # the full parser adds every command's flags; a run adds its own and -h
+    universe = str(_universe_file(capsys, tmp_path))
+    argv = [universe if arg == "{u}" else arg for arg in ONE_THREAD_RUNS[command]]
+    own = len(_subparser(command)._actions)
+    added = []
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def counted(self, *args, **kwargs):
+        added.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert 0 < len(added) <= own
+
+
 def test_stage_timer_counts_calls_and_sums_wall_time():
     # repeated, nested and raising stages each count every call and add its
     # wall time; an outer stage's time includes its inner stages'
@@ -1617,3 +1686,11 @@ def test_stage_timer_counts_calls_and_sums_wall_time():
     assert (outer["calls"], inner["calls"]) == (3, 4)
     assert inner["wall_s"] >= nested + 0.002
     assert outer["peak_rss_mb"] > 0.0 and inner["peak_rss_mb"] > 0.0
+    # a stage can start at an earlier reading, as `cmd.<name>` starts with main
+    start = time.perf_counter()
+    time.sleep(0.002)
+    timer.add("parse", start, time.perf_counter())
+    with timer.stage("whole", start):
+        pass
+    assert timer.stages["whole"]["wall_s"] >= timer.stages["parse"]["wall_s"] >= 0.002
+    assert timer.stages["parse"]["calls"] == timer.stages["whole"]["calls"] == 1

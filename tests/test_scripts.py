@@ -31,13 +31,14 @@ SCRIPTS = {
 }
 
 
-def _run_script(script, args, out):
+def _run_script(script, args, out, code=0):
     src = str(Path(cli.__file__).resolve().parents[1])
     paths = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     argv = [sys.executable, str(REPO / "scripts" / script), *args, "--out", str(out)]
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
+    return proc
 
 
 @pytest.mark.parametrize("script", sorted(SCRIPTS))
@@ -49,6 +50,15 @@ def test_script_writes_its_csv(tmp_path, script):
         rows = list(csv.reader(fh))
     assert rows[0] == header
     assert len(rows) > 1
+
+
+@pytest.mark.parametrize("script", sorted(SCRIPTS))
+def test_negative_seed_exits_2_naming_it(tmp_path, script):
+    # as the CLI does: one error line naming the flag, no traceback, no CSV
+    out = tmp_path / "scan.csv"
+    proc = _run_script(script, [*SCRIPTS[script][0], "--seed", "-1"], out, code=2)
+    assert proc.stderr == "error: --seed must be >= 0 (got -1)\n"
+    assert not out.exists()
 
 
 def _prefix_scan_csv(kmax: int, seed: int) -> bytes:
