@@ -9,6 +9,7 @@ the optimal settings.
 
 import argparse
 import csv
+import math
 import sys
 
 import numpy as np
@@ -28,7 +29,10 @@ def main() -> int:
     args = parser.parse_args()
 
     try:
-        check_size("seed", args.seed)
+        for name in ("seed", "n", "trials"):
+            check_size(name, getattr(args, name))
+        if not (math.isfinite(args.step) and args.step > 0.0):
+            raise ConfigError(f"--step must be finite and positive degrees (got {args.step})")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,11 +10,23 @@ k^(-1/2) up to log factors.
 
 import argparse
 import csv
+import math
 import sys
 
 from eprsim import fit_rate, generate_trace, prefix_discrepancies
 from eprsim.config import ConfigError, check_size
 from eprsim.streams import stream
+
+
+def _mean_wait(text: str) -> float:
+    """One of --thetas as a finite positive float."""
+    try:
+        theta = float(text)
+    except ValueError:
+        theta = math.nan
+    if not (math.isfinite(theta) and theta > 0.0):
+        raise ConfigError(f"--thetas: {text!r} is not a finite positive mean wait")
+    return theta
 
 
 def main() -> int:
@@ -27,6 +39,12 @@ def main() -> int:
 
     try:
         check_size("seed", args.seed)
+        if args.kmax < 10**4:
+            raise ConfigError(
+                f"--kmax must be >= 10000 (got {args.kmax}): the slope fit needs the "
+                "prefix sizes 1000 and 10000"
+            )
+        thetas = [_mean_wait(text) for text in args.thetas.split(",")]
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -35,7 +53,7 @@ def main() -> int:
     rng = stream(args.seed)
     rows = []
 
-    for theta in (float(t) for t in args.thetas.split(",")):
+    for theta in thetas:
         fracs = generate_trace(theta, args.kmax, rng)
         stars = prefix_discrepancies(fracs, ks)[0]
         slope = fit_rate(ks, stars)

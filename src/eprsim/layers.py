@@ -19,7 +19,7 @@ uint16 (2 bytes a position, so n <= `MAX_SAVED_N`), and `weights` of shape
 (M, L), whose rows are interval weight vectors.  Read-only arrays of those
 dtypes, such as a loaded file's views or a build's own draws, are kept
 without a copy; anything else is copied once.  Every pass over the rows,
-the draw, the permutation check and the sums in `analysis`, takes
+the draw, the permutation check and the sums in `analysis`, takes at most
 `BLOCK_ROWS` rows at a time, so beside the three arrays it holds scratch of
 a fixed size, not one of M rows.  Label m = 1 .. 2M is
 pair (m-1)//2 with sign +1 for odd m and -1 for even m.  A universe file
@@ -50,8 +50,9 @@ _WEIGHT = np.dtype("<f8")
 MAX_SAVED_N = (np.iinfo(_POSITION).max - 11) // 3
 
 # rows that every pass over a universe's rows takes at a time: the
-# permutations `build_universe` draws, the permutation check, and the sums
-# over the pairs in `analysis`, so each pass holds O(BLOCK_ROWS) scratch
+# permutations `build_universe` draws, the permutation check (fewer past 32
+# positions a row), and the sums over the pairs in `analysis`, so each pass
+# holds O(BLOCK_ROWS) scratch
 BLOCK_ROWS = 1024
 
 
@@ -109,17 +110,50 @@ def _check_n(n: int) -> None:
         )
 
 
+def _all_permute(rows: np.ndarray, size: int) -> bool:
+    """Whether every row of the (M, size) array permutes 0 .. size-1."""
+    # A row longer than one word has no single-word mask, and a float, bool
+    # or object row may hold values (0.5, True, ...) that no integer shift
+    # represents; both keep the sort, which accepts integral floats as well.
+    if size > 64 or rows.dtype.kind not in "iu":
+        return not any(
+            np.any(np.sort(rows[lo : lo + BLOCK_ROWS], axis=-1) != np.arange(size))
+            for lo in range(0, len(rows), BLOCK_ROWS)
+        )
+    if rows.size and (rows.min() < 0 or rows.max() >= size):
+        return False
+    full = np.uint64((1 << size) - 1)
+    step = BLOCK_ROWS * 32 // max(size, 32)
+    block = np.empty((size, min(len(rows), step)), dtype=np.uint64)
+    masks = np.empty(block.shape[1], dtype=np.uint64)
+    for lo in range(0, len(rows), step):
+        bits, mask = block[:, : len(rows) - lo], masks[: len(rows) - lo]
+        np.left_shift(1, rows[lo : lo + step].T, out=bits, dtype=np.uint64, casting="unsafe")
+        np.bitwise_or.reduce(bits, axis=0, out=mask)
+        if np.bitwise_and.reduce(mask) != full:
+            return False
+    return True
+
+
 def _permutations(perms, size: int, name: str) -> np.ndarray:
-    """Validate rows (last axis) permuting 0 .. size-1, sorted and compared
-    BLOCK_ROWS rows at a time in their own dtype.  A read-only uint16 array
-    is returned as it is; anything else is copied to a read-only uint16
-    array, only after the check, so no cast wraps a position into range."""
+    """Validate rows (last axis) permuting 0 .. size-1.
+
+    Integer rows of at most 64 positions are checked in two steps.  First
+    every value must lie in 0 .. size-1, checked once in the array's own
+    dtype, so no cast or shift can wrap one into range.  Then a row of size
+    such values is a permutation exactly when the OR of 1 << v over it sets
+    all size bits of a uint64 word.  The shifts of a block of rows are
+    formed in one reused uint64 block, transposed to (size, rows) so the OR
+    runs down contiguous rows; it holds at most BLOCK_ROWS rows and
+    BLOCK_ROWS * 32 words (256 KiB), whatever M is.  Longer rows and
+    non-integer rows (float, bool, object) are sorted and compared
+    BLOCK_ROWS rows at a time, so integral floats pass.  A read-only uint16
+    array is returned as it is; anything else is copied to a read-only
+    uint16 array, only after the check, so no cast wraps a position into
+    range."""
     arr = np.asarray(perms)
     rows = arr.reshape(-1, size) if arr.shape[-1:] == (size,) else None
-    if rows is None or any(
-        np.any(np.sort(rows[lo : lo + BLOCK_ROWS], axis=-1) != np.arange(size))
-        for lo in range(0, len(rows), BLOCK_ROWS)
-    ):
+    if rows is None or not _all_permute(rows, size):
         raise ValueError(f"{name} must permute the {size} diagonal positions")
     if arr.dtype == _POSITION and not arr.flags.writeable:
         return arr

@@ -315,6 +315,11 @@ def interval_count(points, alpha: float, beta: float) -> int:
     return sum(1 for x in np.ravel(points) if alpha <= x < beta)
 
 
+def is_permutation(row, size: int) -> bool:
+    """Whether the sequence `row` holds each of 0 .. size-1 exactly once."""
+    return sorted(row) == list(range(size))
+
+
 # --- one labelled layer of a universe ------------------------------------------
 #
 # Label m = 1 .. 2M of a universe is pair k = (m-1)//2 with sign +1 for odd m

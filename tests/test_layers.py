@@ -18,6 +18,7 @@ from oracles import (
     detector_a,
     domain_high,
     factorial_oracle,
+    is_permutation,
     joint_density,
     label_layer,
     layer_density,
@@ -189,8 +190,8 @@ class TestBatchedUniverseLaw:
     def test_build_peak_per_pair_at_most_160_bytes(self):
         # tracemalloc slope from M = 1e4 to 2e4 at n = 4, L = 2: the uint16
         # relocations (96 bytes a pair), the weights and the Dirichlet draw's
-        # temporaries take 124; the BLOCK_ROWS-row int64 block and the
-        # permutation check's sorted block are the same at any M.  A check
+        # temporaries take 113; the BLOCK_ROWS-row int64 block and the
+        # permutation check's uint64 block are the same at any M.  A check
         # that sorts all M rows at once took 184, an int64 tile of all 2M
         # rows 480
         layers.build_universe(4, 2, 10, np.random.default_rng(1))  # first-call caches
@@ -495,6 +496,131 @@ class TestCompactUniverse:
             tracemalloc.stop()
         # the build's int64 tile alone would take 1 MiB, the sort check 0.5
         assert peak < 64 << 10
+
+
+# what one entry of a permutation row is overwritten with, and the dtypes it
+# is tried in: those that hold the value, and bool, which holds any nonzero
+# value as True
+_ENTRY_VALUES = {
+    "repeat": (np.uint16, np.int64, np.uint64, np.float64, np.bool_),
+    "size": (np.uint16, np.int64, np.uint64, np.float64, np.bool_),
+    "wrap": (np.int64, np.uint64, np.float64),
+    "negative": (np.int64, np.float64),
+    "half": (np.float64,),
+}
+
+
+def _overwrite(row: list, at: int, kind: str) -> None:
+    """Overwrite row[at]: with its neighbour's value (one position repeated,
+    one missing), with the row length S, with 65536 + row[at] (a uint16
+    cast would wrap it back), with a negative value or with row[at] + 0.5."""
+    size = len(row)
+    row[at] = {
+        "repeat": row[(at + 1) % size],
+        "size": size,
+        "wrap": 65536 + row[at],
+        "negative": -1 - row[at],
+        "half": row[at] + 0.5,
+    }[kind]
+
+
+@st.composite
+def _position_arrays(draw):
+    """(n, an (M, 3n+12) array) at n = 4, 17 (S = 63, the longest rows the
+    bit-OR checks) or 18 (S = 66, the sort), M = 0 .. 3, in one of five
+    dtypes, each row a permutation with at most one entry overwritten."""
+    n = draw(st.sampled_from([4, 17, 18]))
+    dtype = draw(st.sampled_from(_ENTRY_VALUES["repeat"]))
+    kinds = [kind for kind, dtypes in _ENTRY_VALUES.items() if dtype in dtypes]
+    rows = []
+    for _ in range(draw(st.integers(0, 3))):
+        row = list(draw(st.permutations(range(3 * n + 12))))
+        if draw(st.booleans()):
+            _overwrite(row, draw(st.integers(0, len(row) - 1)), draw(st.sampled_from(kinds)))
+        rows.append(row)
+    return n, np.asarray(rows, dtype=dtype).reshape(len(rows), 3 * n + 12)
+
+
+def _assert_check_is_the_oracle(n: int, arr: np.ndarray) -> None:
+    """LayerUniverse takes `arr` as columns or as rows exactly when every row
+    permutes the diagonal positions by the sorting oracle, and otherwise
+    refuses it with the one message naming the array."""
+    size = 3 * n + 12
+    eye = np.tile(np.arange(size), (len(arr), 1))
+    weights = np.ones((len(arr), 1))
+    for name, cols, rows in (("columns", arr, eye), ("rows", eye, arr)):
+        if not all(is_permutation(row, size) for row in arr.tolist()):
+            with pytest.raises(ValueError, match=f"^{name} must permute the {size} diagonal"):
+                layers.LayerUniverse(n, 1, cols, rows, weights)
+        elif len(arr) == 0:
+            with pytest.raises(ValueError, match="one row per pair"):
+                layers.LayerUniverse(n, 1, cols, rows, weights)
+        else:
+            uni = layers.LayerUniverse(n, 1, cols, rows, weights)
+            np.testing.assert_array_equal(uni.col_to, cols)
+            np.testing.assert_array_equal(uni.row_to, rows)
+
+
+class TestPermutationCheck:
+    """The bit-OR check (integer rows up to 64 positions) and the sort it
+    keeps (longer rows, float, bool and object rows) accept exactly the
+    arrays the sorting oracle accepts."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=_position_arrays())
+    def test_accepts_exactly_the_oracle_permutations(self, case):
+        _assert_check_is_the_oracle(*case)
+
+    @pytest.mark.parametrize("n", [4, 17, 18])
+    @pytest.mark.parametrize(
+        "kind, dtype",
+        [(None, dtype) for dtype in _ENTRY_VALUES["repeat"]]
+        + [(kind, dtype) for kind, dtypes in _ENTRY_VALUES.items() for dtype in dtypes],
+    )
+    def test_every_entry_value_in_every_dtype(self, n, kind, dtype):
+        rng = np.random.default_rng(n)
+        rows = [list(rng.permutation(3 * n + 12)) for _ in range(3)]
+        if kind is not None:
+            _overwrite(rows[1], 5, kind)
+        _assert_check_is_the_oracle(n, np.asarray(rows, dtype=dtype))
+
+    @pytest.mark.parametrize("n", [4, 17, 18])
+    @pytest.mark.parametrize("dtype", _ENTRY_VALUES["repeat"])
+    def test_no_pairs_is_refused_as_before(self, n, dtype):
+        _assert_check_is_the_oracle(n, np.empty((0, 3 * n + 12), dtype=dtype))
+
+    def test_a_bad_row_is_found_in_any_row(self):
+        # at S = 63 a block holds fewer than BLOCK_ROWS rows: a repeated
+        # position is refused in every row of 2 * BLOCK_ROWS + 1, block
+        # edges included
+        size = 3 * 17 + 12
+        eye = np.tile(np.arange(size, dtype=np.uint16), (2 * layers.BLOCK_ROWS + 1, 1))
+        bad = eye.copy()
+        for row in range(len(bad)):
+            bad[row, 3] = 4
+            with pytest.raises(ValueError, match="^columns must permute"):
+                layers._permutations(bad, size, "columns")
+            bad[row, 3] = 3
+        np.testing.assert_array_equal(layers._permutations(bad, size, "columns"), eye)
+
+    @pytest.mark.parametrize("n", [4, 17])
+    def test_check_peak_does_not_grow_with_pairs(self, n):
+        # a read-only uint16 array, as a file loads, is kept as it is; beside
+        # it the check holds one uint64 block of at most BLOCK_ROWS * 32 words
+        # (256 KiB) and the cast buffers of the shift, at any M
+        size = 3 * n + 12
+        eye = np.arange(size, dtype=np.uint16)
+        layers._permutations(eye[None], size, "columns")  # first-call caches
+        for pairs in (10_000, 20_000):
+            rows = np.random.default_rng(pairs).permuted(np.tile(eye, (pairs, 1)), axis=1)
+            rows.setflags(write=False)
+            tracemalloc.start()
+            try:
+                assert layers._permutations(rows, size, "columns") is rows
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 512 << 10, (pairs, peak)
 
 
 class TestSerialization:

@@ -61,6 +61,34 @@ def test_negative_seed_exits_2_naming_it(tmp_path, script):
     assert not out.exists()
 
 
+# a bad value of each script's flags, and the one error line it exits 2 with
+BAD_FLAGS = [
+    ("run_chsh_scan.py", ["--trials", "0"], "--trials must be >= 1 (got 0)"),
+    ("run_chsh_scan.py", ["--step", "0"], "--step must be finite and positive degrees (got 0.0)"),
+    ("run_chsh_scan.py", ["--n", "2"], "--n must be >= 4 (got 2)"),
+    (
+        "run_discrepancy_scan.py",
+        ["--kmax", "0"],
+        "--kmax must be >= 10000 (got 0): the slope fit needs the prefix sizes 1000 and 10000",
+    ),
+    (
+        "run_discrepancy_scan.py",
+        ["--kmax", "500"],
+        "--kmax must be >= 10000 (got 500): the slope fit needs the prefix sizes 1000 and 10000",
+    ),
+    ("run_discrepancy_scan.py", ["--thetas", "0"], "--thetas: '0' is not a finite positive mean wait"),
+]
+
+
+@pytest.mark.parametrize("script, args, message", BAD_FLAGS)
+def test_bad_flag_exits_2_naming_it(tmp_path, script, args, message):
+    # checked before the CSV is opened: no traceback and no CSV left behind
+    out = tmp_path / "scan.csv"
+    proc = _run_script(script, [*args, "--seed", "1"], out, code=2)
+    assert proc.stderr == f"error: {message}\n"
+    assert not out.exists()
+
+
 def _prefix_scan_csv(kmax: int, seed: int) -> bytes:
     """The discrepancy scan's CSV at the default thetas, from the star
     discrepancy of each unsorted prefix, each sorted in a copy."""
