@@ -46,8 +46,9 @@ def main() -> int:
         writer.writerow(["angle_deg", "mean", "stderr", "target"])
         for angle, child in zip(angles, children):
             est = run_experiment(args.n, a, setting_from_angle(angle), args.trials, seed=child)
-            writer.writerow([angle, est.mean, est.stderr, est.exact_target])
-            print(f"angle {angle:6.1f}  mean {est.mean:+.5f}  target {est.exact_target:+.5f}")
+            mean, stderr, target = est["mean"], est["stderr"], est["exact_target"]
+            writer.writerow([angle, mean, stderr, target])
+            print(f"angle {angle:6.1f}  mean {mean:+.5f}  target {target:+.5f}")
 
     est = chsh(
         args.n,
@@ -58,7 +59,8 @@ def main() -> int:
         args.trials,
         seed=children[-1],
     )
-    print(f"CHSH S = {est.s_value:.4f} +/- {est.stderr:.4f} (quantum bound 2*sqrt(2) = 2.8284)")
+    s_value, stderr = est["s_value"], est["stderr"]
+    print(f"CHSH S = {s_value:.4f} +/- {stderr:.4f} (quantum bound 2*sqrt(2) = 2.8284)")
     print(f"wrote {args.out}")
     return 0
 

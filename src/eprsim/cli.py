@@ -23,7 +23,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -240,8 +239,8 @@ def cmd_simulate(args):
     fields = {
         "a": [float(x) for x in a],
         "b": [float(x) for x in b],
-        **asdict(estimate),
-        "abs_error": estimate.abs_error,
+        **estimate,
+        "abs_error": abs(estimate["mean"] - estimate["exact_target"]),
     }
     return fields, (["batch", "mean"], ([i, repr(m)] for i, m in enumerate(batch_means)))
 
@@ -252,7 +251,7 @@ def cmd_chsh(args):
             "provide --angles, all of --a --a2 --b --b2, or four settings in --config"
         )
     settings = (args.settings[name] for name in SETTING_FLAGS["chsh"])
-    return asdict(run_chsh(args.n, *settings, args.trials, seed=args.seed)), None
+    return run_chsh(args.n, *settings, args.trials, seed=args.seed), None
 
 
 def cmd_poisson(args):

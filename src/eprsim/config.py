@@ -112,20 +112,15 @@ def check_budget(command: str, sizes: dict) -> None:
             )
 
 
-def _triple(text: str) -> list[float]:
-    """The three numbers of a comma-separated setting, unchecked as a vector."""
+def parse_setting(text: str, normalize: bool = False) -> np.ndarray:
+    """Parse a comma-separated triple into a validated unit setting."""
     parts = text.split(",")
     if len(parts) != 3:
         raise ConfigError(f"setting {text!r} must be three comma-separated numbers")
     try:
-        return [float(p) for p in parts]
+        vec = [float(p) for p in parts]
     except ValueError as exc:
         raise ConfigError(f"setting {text!r}: {exc}") from exc
-
-
-def parse_setting(text: str, normalize: bool = False) -> np.ndarray:
-    """Parse a comma-separated triple into a validated unit setting."""
-    vec = _triple(text)
     try:
         return as_setting(vec, normalize=normalize)
     except ValueError as exc:

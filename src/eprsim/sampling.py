@@ -1,5 +1,10 @@
 """Monte Carlo engine: correlation estimates and CHSH runs.
 
+`run_experiment` returns the dict {"mean", "stderr", "trials",
+"exact_target"} and `chsh` the dict {"s_value", "stderr", "components"},
+`components` a list of four such `run_experiment` dicts: the fields the
+`simulate` and `chsh` reports print.
+
 A trial draws its cell and both half-cells by inverse transform, as one
 atom (cell, half_a, half_b) of mass m_c / 4 over the positive-mass cells,
 from one uniform u = x * 2**-53, x a 53-bit numerator, so the sampler
@@ -36,33 +41,11 @@ changes a number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .measure import BaseMeasure, build_measure
 from .streams import lanes, refinement_copy, seed_sequence, stream
-
-
-@dataclass(frozen=True)
-class CorrelationEstimate:
-    mean: float
-    stderr: float
-    trials: int
-    exact_target: float
-
-    @property
-    def abs_error(self) -> float:
-        return abs(self.mean - self.exact_target)
-
-
-@dataclass(frozen=True)
-class ChshEstimate:
-    """CHSH statistic S = |E(a,b) - E(a,b')| + |E(a',b) + E(a',b')|."""
-
-    s_value: float
-    stderr: float
-    components: tuple[CorrelationEstimate, CorrelationEstimate, CorrelationEstimate, CorrelationEstimate]
 
 
 # trials per batch, each on its own child stream of the run's seed
@@ -173,8 +156,9 @@ def run_experiment(
     *,
     seed,
     batch_means=None,
-) -> CorrelationEstimate:
-    """Estimate E{A B} from `trials` draws at order `n`.
+) -> dict:
+    """Estimate E{A B} from `trials` draws at order `n`: a dict of the
+    estimate's `mean`, its `stderr`, the `trials` and `exact_target` = -a.b.
 
     Batches of BATCH trials use split child streams of `seed` and merge by
     adding their +1 counts, so the result depends neither on how batches
@@ -198,9 +182,7 @@ def run_experiment(
     # sqrt(M2 / (N - 1) / N): each one correctly rounded integer ratio
     mean = (2 * plus - trials) / trials
     var = 4 * plus * (trials - plus) / (trials * trials * (trials - 1)) if trials > 1 else 0.0
-    return CorrelationEstimate(
-        mean=mean, stderr=math.sqrt(var), trials=trials, exact_target=exact_target
-    )
+    return {"mean": mean, "stderr": math.sqrt(var), "trials": trials, "exact_target": exact_target}
 
 
 def _streams_for(n_batches, seed):
@@ -221,16 +203,17 @@ def chsh(
     trials: int,
     *,
     seed,
-) -> ChshEstimate:
+) -> dict:
     """Run the four correlation experiments (a, b), (a, b2), (a2, b) and
     (a2, b2) in that order, each on its own child seed, and combine them
-    into S."""
+    into S = |E(a,b) - E(a,b2)| + |E(a2,b) + E(a2,b2)|: a dict of `s_value`,
+    its `stderr` and the four `run_experiment` dicts as `components`."""
     children = seed_sequence(seed).spawn(4)
     pairs = ((a, b), (a, b2), (a2, b), (a2, b2))
     runs = [
         run_experiment(n, x, y, trials, seed=child) for (x, y), child in zip(pairs, children)
     ]
     e_ab, e_ab2, e_a2b, e_a2b2 = runs
-    s_value = abs(e_ab.mean - e_ab2.mean) + abs(e_a2b.mean + e_a2b2.mean)
-    stderr = math.sqrt(sum(r.stderr**2 for r in runs))
-    return ChshEstimate(s_value=s_value, stderr=stderr, components=tuple(runs))
+    s_value = abs(e_ab["mean"] - e_ab2["mean"]) + abs(e_a2b["mean"] + e_a2b2["mean"])
+    stderr = math.sqrt(sum(r["stderr"] ** 2 for r in runs))
+    return {"s_value": s_value, "stderr": stderr, "components": runs}

@@ -128,7 +128,7 @@ def test_criterion_6_monte_carlo_agreement():
         a0 = measure.setting_from_angle(0.0)
         b45 = measure.setting_from_angle(45.0)
         est = sampling.run_experiment(4, a0, b45, 1_000_000, seed=1606)
-        assert abs(est.mean - (-np.sqrt(0.5))) <= 3.29 * est.stderr
+        assert abs(est["mean"] - (-np.sqrt(0.5))) <= 3.29 * est["stderr"]
         # CHSH-optimal spin settings: the classic polarizer angles
         # (0, 45, 22.5, 67.5) doubled, since outcomes follow -cos of the
         # angle between the setting vectors themselves
@@ -141,7 +141,7 @@ def test_criterion_6_monte_carlo_agreement():
             1_000_000,
             seed=2606,
         )
-        assert abs(chsh_est.s_value - 2.0 * np.sqrt(2.0)) <= 3.29 * chsh_est.stderr
+        assert abs(chsh_est["s_value"] - 2.0 * np.sqrt(2.0)) <= 3.29 * chsh_est["stderr"]
 
 
 def test_criterion_7_label_uniformity_and_gating():

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eprsim import cli, config, emission, layers, measure
+from eprsim import cli, config, emission, layers, measure, sampling
 from eprsim.timings import StageTimer
 
 from oracles import naive_squared_diff_sum, one_sided_discrepancies, point_labels
@@ -169,6 +169,11 @@ class TestCliSimulate:
         assert code == 2
         assert out == ""
         assert err == f"error: --angle must be finite degrees (got {float(angle)})\n"
+
+    def test_one_setting_exits_2_naming_the_setting_forms(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--a", "1,0,0", "--trials", "10", "--seed", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: provide --a and --b, --angle, or two settings in --config\n"
 
     def test_zero_trials_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--angle", "45", "--trials", "0", "--seed", "1")
@@ -1225,6 +1230,16 @@ class TestCliChsh:
         assert (doc["config"]["L"], doc["config"]["layers"]) == (64, 50)
         assert abs(doc["s_value"] - 2.0 * np.sqrt(2.0)) <= 6.0 * doc["stderr"]
 
+    def test_three_settings_exit_2_naming_the_setting_forms(self, capsys):
+        code, out, err = run_cli(
+            capsys, "chsh", "--a", "1,0,0", "--a2", "0,1,0", "--b", "0,0,1",
+            "--trials", "10", "--seed", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: provide --angles, all of --a --a2 --b --b2, or four settings in --config\n"
+        )
+
     def test_wrong_angle_count(self, capsys):
         code, _, err = run_cli(capsys, "chsh", "--angles", "0,90", "--trials", "10", "--seed", "3")
         assert code == 2
@@ -1257,6 +1272,30 @@ class TestCliChsh:
             capsys, "chsh", "--angles", "", *flags, "--trials", "100", "--seed", "2"
         )
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+class TestReportIsTheLibraryReturn:
+    """The simulate and chsh reports print the dicts `sampling` returns, key
+    for key and value for value; simulate adds only abs_error."""
+
+    def test_chsh_report_is_the_chsh_return(self, capsys):
+        argv = ["chsh", "--angles", "0,90,45,135", "--trials", "1000000", "--n", "4"]
+        code, out, err = run_cli(capsys, *argv, "--seed", "17")
+        assert code == 0, err
+        report = json.loads(out)
+        settings = [measure.setting_from_angle(x) for x in (0.0, 90.0, 45.0, 135.0)]
+        estimate = sampling.chsh(4, *settings, 1_000_000, seed=17)
+        assert {key: report[key] for key in estimate} == estimate
+        assert len(estimate["components"]) == 4
+
+    def test_simulate_report_is_the_run_experiment_return(self, capsys):
+        argv = ["simulate", "--a", "1,0,0", "--b", "0.6,0.8,0", "--trials", "1000000"]
+        code, out, err = run_cli(capsys, *argv, "--seed", "19")
+        assert code == 0, err
+        report = json.loads(out)
+        estimate = sampling.run_experiment(4, [1, 0, 0], [0.6, 0.8, 0], 1_000_000, seed=19)
+        assert {key: report[key] for key in estimate} == estimate
+        assert report["abs_error"] == abs(estimate["mean"] - estimate["exact_target"])
 
 
 CHUNK = emission.CHUNK

@@ -208,6 +208,10 @@ class TestLabels:
         stat, dof = emission.uniform_chi_square(counts)
         assert stat < emission.chi_square_quantile(0.999, dof)
 
+    def test_chi_square_refuses_empty_counts(self):
+        with pytest.raises(ValueError, match="^empty counts$"):
+            emission.uniform_chi_square([0, 0])
+
 
 # label counts near the labels cap build a 128 MiB count array, so there
 # only the edges of the sampled labels are checked

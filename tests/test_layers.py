@@ -450,6 +450,12 @@ class TestCompactUniverse:
             assert not arr.flags.writeable and not arr.flags.owndata
         assert loaded.col_to.dtype == np.uint16
 
+    def test_interval_count_must_match_the_weights(self):
+        eye = np.arange(self.SIZE)[None]
+        message = "^interval_count 3 differs from the 2 weights per pair$"
+        with pytest.raises(ValueError, match=message):
+            layers.LayerUniverse(4, 3, eye, eye, [[0.5, 0.5]])
+
     @pytest.mark.parametrize("position", [SIZE, 2**16, 2**16 + 5, -1])
     def test_positions_are_checked_before_the_cast(self, position):
         # 2**16 + k would wrap to k, a position in range, if cast first

@@ -182,6 +182,10 @@ class TestWeightValidation:
         out = measure.validate_weights([[-0.0, 1.0], [1.0, -0.0]])
         assert np.signbit(out).tolist() == [[True, False], [False, True]]
 
+    def test_rejects_empty_weight_vectors(self):
+        with pytest.raises(ValueError, match="^weight vector must have at least one entry$"):
+            measure.validate_weights(np.empty((2, 0)))
+
     def test_empty_rows_pass_through(self):
         # no pair has a weight to check; callers refuse zero rows themselves
         out = measure.validate_weights(np.empty((0, 3)))

@@ -133,7 +133,7 @@ class TestReproducibility:
             monkeypatch.setattr(sampling, "BATCH", batch)
             estimates.append(sampling.run_experiment(N, A, B45, 90_000, seed=31))
         for est in estimates:
-            assert abs(est.mean - est.exact_target) <= 3.29 * est.stderr + 5e-3
+            assert abs(est["mean"] - est["exact_target"]) <= 3.29 * est["stderr"] + 5e-3
 
 
 class TestStreamPosition:
@@ -226,13 +226,13 @@ class TestRunExperiment:
         est = sampling.run_experiment(N, A, B45, trials, seed=61, batch_means=batch_means)
         assert batch_means == [(2 * p - size) / size for p, size in zip(plus, sizes)]
         total = sum(plus)
-        assert est.trials == trials
-        assert est.mean == (2 * total - trials) / trials
+        assert est["trials"] == trials
+        assert est["mean"] == (2 * total - trials) / trials
         if trials > 1:
             var = 4 * total * (trials - total) / (trials * trials * (trials - 1))
-            assert est.stderr == math.sqrt(var)
+            assert est["stderr"] == math.sqrt(var)
         else:
-            assert est.stderr == 0.0
+            assert est["stderr"] == 0.0
 
     @pytest.mark.parametrize("angle, seed", [(10.0, 71), (30.0, 73)])
     def test_mean_is_the_normalized_pair_integral(self, angle, seed):
@@ -244,24 +244,24 @@ class TestRunExperiment:
         mu = measure.build_measure(A, b, N)
         target = measure.pair_integral(mu) / measure.total_mass(mu)
         est = sampling.run_experiment(N, A, b, 4_000_000, seed=seed)
-        assert abs(est.mean - target) <= 6.0 * est.stderr
-        assert abs(est.exact_target - target) > 6.0 * est.stderr
+        assert abs(est["mean"] - target) <= 6.0 * est["stderr"]
+        assert abs(est["exact_target"] - target) > 6.0 * est["stderr"]
 
     def test_equal_axis_settings_deterministic(self):
         # a = b = e1 puts all mass on the negative cells: every product is -1
         est = sampling.run_experiment(N, A, A, 4_000, seed=37)
-        assert est.mean == -1.0
-        assert est.stderr == 0.0
-        assert est.exact_target == -1.0
+        assert est["mean"] == -1.0
+        assert est["stderr"] == 0.0
+        assert est["exact_target"] == -1.0
 
     def test_45_degree_agreement(self):
         est = sampling.run_experiment(N, A, B45, 1_000_000, seed=41)
-        assert est.trials == 1_000_000
-        assert abs(est.mean - (-np.sqrt(0.5))) <= 3.29 * est.stderr
+        assert est["trials"] == 1_000_000
+        assert abs(est["mean"] - (-np.sqrt(0.5))) <= 3.29 * est["stderr"]
 
     def test_stderr_zero_iff_constant(self):
         est = sampling.run_experiment(N, A, B45, 20_000, seed=43)
-        assert est.stderr > 0.0
+        assert est["stderr"] > 0.0
 
     def test_trials_validated(self):
         with pytest.raises(ValueError):
@@ -272,8 +272,8 @@ class TestRunExperiment:
         variances = []
         for seed in range(100):
             est = sampling.run_experiment(N, A, B_CLEAN, 10_000, seed=seed)
-            means.append(est.mean)
-            variances.append(est.stderr**2)
+            means.append(est["mean"])
+            variances.append(est["stderr"] ** 2)
         grand = float(np.mean(means))
         pooled = float(np.sqrt(np.sum(variances))) / len(means)
         assert abs(grand - (-float(np.dot(A, B_CLEAN)))) <= 3.29 * pooled
@@ -286,16 +286,16 @@ class TestChsh:
         b = measure.setting_from_angle(45.0)
         b2 = measure.setting_from_angle(135.0)
         est = sampling.chsh(N, a, a2, b, b2, 200_000, seed=47)
-        assert abs(est.s_value - 2.0 * np.sqrt(2.0)) <= 3.29 * est.stderr
+        assert abs(est["s_value"] - 2.0 * np.sqrt(2.0)) <= 3.29 * est["stderr"]
 
     def test_degenerate_settings(self):
         est = sampling.chsh(N, A, A, B45, B45, 100_000, seed=53)
         # S = 2|E(a,b)| <= 2 up to noise
-        assert est.s_value <= 2.0 + 3.29 * est.stderr
+        assert est["s_value"] <= 2.0 + 3.29 * est["stderr"]
 
     def test_all_equal_settings(self):
         est = sampling.chsh(N, A, A, A, A, 100_000, seed=59)
-        assert abs(est.s_value - 2.0) <= 3.29 * est.stderr
+        assert abs(est["s_value"] - 2.0) <= 3.29 * est["stderr"]
 
     def test_requires_stream_or_seed(self):
         with pytest.raises(TypeError):
