@@ -218,7 +218,7 @@ def detector_gate(p1: float, p2: float, label_counts, rng) -> np.ndarray:
     k = int(ends[-1])
     if k < 1:
         raise ValueError("label counts must hold at least one emission")
-    refine = refinement_copy(rng, 2 * k)
+    refine = refinement_copy(rng, -(-k // 2))  # past the words of 2k lanes
     # lane 2t + s is station s's lane of emission t, ready below its bound
     # c >> 37.  The bound 2**16 of p = 1 fits no lane: it is held as 0xFFFF,
     # where lanes pass without a word.  p < 2**-16 has bound 0, which no lane

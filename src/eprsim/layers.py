@@ -39,6 +39,7 @@ import numpy as np
 from .config import ConfigError, check_budget
 from .measure import diagonal_cell_count, validate_weights
 from .splines import MIN_ORDER_PARAM, check_order
+from .streams import key_layout, refinement_copy, sorted_keys, tied, uniform_spacings
 
 UNIVERSE_SCHEMA = "layer-universe/3"
 
@@ -50,9 +51,9 @@ _WEIGHT = np.dtype("<f8")
 MAX_SAVED_N = (np.iinfo(_POSITION).max - 11) // 3
 
 # rows that every pass over a universe's rows takes at a time: the
-# permutations `build_universe` draws, the permutation check (fewer past 32
-# positions a row), and the sums over the pairs in `analysis`, so each pass
-# holds O(BLOCK_ROWS) scratch
+# permutations and the weights `build_universe` draws, the permutation check
+# (fewer rows past 32 positions a row, in the draw and the check), and the
+# sums over the pairs in `analysis`, so each pass holds O(BLOCK_ROWS) scratch
 BLOCK_ROWS = 1024
 
 
@@ -216,34 +217,55 @@ def build_universe(
 
     Columns and rows are relocated by independent uniform permutations, which
     is the uniform law over all placements with one mass ensemble per row and
-    column.  Weights come from a symmetric Dirichlet(1) prior, renormalized
-    per row, unless `tie_weights` pins them to the uniform vector 1/L.  The
-    stream holds the permutations of 2M rows of 0 .. 3n+11, whose rows [:M]
-    are `col_to` and rows [M:] are `row_to`, then (untied weights only) one
-    `rng.dirichlet(np.ones(L), size=M)`.  The rows are permuted BLOCK_ROWS
-    at a time, in place in one reused int64 block (numpy shuffles 8-byte
-    items faster than 2-byte ones), and each block is cast into the uint16
-    array the universe keeps.  `rng.permuted` shuffles row after row, so the
-    blocks draw what one call on all 2M rows would, bit for bit.
-    """
+    column.  Weights come from a symmetric Dirichlet(1) prior unless
+    `tie_weights` pins them to the uniform vector 1/L.  The stream holds,
+    from raw words in the layouts of `streams`:
+
+    - the sort keys of 2M rows of the S = 3n+12 positions, row after row,
+      each row its own `key_layout(S)[2]` words; rows [:M] are `col_to` and
+      rows [M:] are `row_to`.  A row is its keys' index bits in the order of
+      their random bits, so the uniform law holds exactly while those bits
+      are distinct;
+    - for each row whose random bits tie, in row order, fresh rows of words
+      until one does not tie.  They are read from a copy of the stream
+      advanced past all 2M rows' words (`streams.refinement_copy`), and the
+      stream is then advanced past them;
+    - for untied weights, L - 1 words a pair, pair after pair, whose sorted
+      top 53 bits cut [0, 1) into the pair's L weights
+      (`streams.uniform_spacings`).
+
+    Rows are drawn BLOCK_ROWS at a time (fewer past 32 positions a row) and
+    weights BLOCK_ROWS pairs at a time, and each row reads its own words, so
+    BLOCK_ROWS changes no number.  A bit generator whose `advance` does not
+    count words is refused before anything is drawn."""
     _check_n(n)
     if interval_count < 1 or pair_count < 1:
         raise ValueError("interval count and pair count must be >= 1")
     size = diagonal_cell_count(n)
     rows = 2 * pair_count
+    _, bits, row_words = key_layout(size)
+    refine = refinement_copy(rng, rows * row_words)
+    index = (1 << bits) - 1
     perms = np.empty((rows, size), dtype=_POSITION)
-    block = np.empty((min(rows, BLOCK_ROWS), size), dtype=np.int64)
-    for start in range(0, rows, BLOCK_ROWS):
-        tile = block[: rows - start]
-        tile[:] = np.arange(size)
-        rng.permuted(tile, axis=1, out=tile)
-        perms[start : start + len(tile)] = tile
+    step = max(1, BLOCK_ROWS * 32 // max(size, 32))
+    redrawn = 0
+    for start in range(0, rows, step):
+        count = min(step, rows - start)
+        keys = sorted_keys(rng.bit_generator.random_raw((count, row_words)), size)
+        for row in tied(keys):
+            while tied(keys[row : row + 1]).size:
+                keys[row] = sorted_keys(refine.bit_generator.random_raw((1, row_words)), size)[0]
+                redrawn += row_words
+        np.bitwise_and(keys, index, out=perms[start : start + count], casting="unsafe")
+    rng.bit_generator.advance(redrawn)
     perms.setflags(write=False)
     if tie_weights:
         weights = np.full((pair_count, interval_count), 1.0 / interval_count)
     else:
-        weights = rng.dirichlet(np.ones(interval_count), size=pair_count)
-        weights /= weights.sum(axis=1, keepdims=True)
+        weights = np.empty((pair_count, interval_count))
+        for start in range(0, pair_count, BLOCK_ROWS):
+            out = weights[start : start + BLOCK_ROWS]
+            uniform_spacings(rng.bit_generator.random_raw((len(out), interval_count - 1)), out)
     weights.setflags(write=False)
     return LayerUniverse(n, interval_count, perms[:pair_count], perms[pair_count:], weights)
 

@@ -117,7 +117,7 @@ def _plus_count(mu: BaseMeasure, size: int, rng) -> int:
     the end.  `rng` is left past the lane words and the refinement words.  A
     bit generator whose `advance` does not count words is refused before
     anything is drawn."""
-    refine = refinement_copy(rng, size)
+    refine = refinement_copy(rng, -(-size // 4))  # past the words of `size` lanes
     cum, plus, code = _sign_table(mu)
     scale = cum[-1] * 2.0**-53
     k = GUIDE_BUCKETS.bit_length() - 1

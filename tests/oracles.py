@@ -768,6 +768,51 @@ def all_cells_dependence_report(universe, mu_ab, mu_ac) -> dict:
         "factorization_defect": defect,
     }
 
+
+def draw_universe_words(n: int, interval_count: int, pair_count: int, rng, tie_weights=False):
+    """`build_universe`'s draw read one raw word of `rng` at a time:
+    (col_to, row_to, weights, redraws) as lists, redraws the number of rows
+    drawn again.  Row r of the 2M rows of S = 3n+12 positions reads its own
+    ceil(S / 2) words while S <= 256, key j being the j-th 32-bit half (low
+    half first) with its low 8 bits set to j, else S words, key j being word
+    j with its low 16 bits set to j.  The row is the low bits of its keys in
+    sorted order; a row whose keys' other bits repeat is drawn again from
+    the words after all the rows and the earlier redraws, in row order,
+    until they do not.  Each untied weight row then reads L - 1 words and
+    is the gaps between 0, their top 53 bits sorted and 2**53, times
+    2**-53."""
+    size = 3 * n + 12
+    width, bits = (32, 8) if size <= 256 else (64, 16)
+    per_row = -(-size * width // 64)
+
+    def words(count):
+        return [int(w) for w in rng.bit_generator.random_raw(count)]
+
+    def row_keys(row_words):
+        fields = [w >> shift & (1 << width) - 1 for w in row_words for shift in range(0, 64, width)]
+        return sorted(field >> bits << bits | j for j, field in enumerate(fields[:size]))
+
+    def is_tied(keys):
+        return len({key >> bits for key in keys}) < size
+
+    drawn = words(2 * pair_count * per_row)
+    rows = [row_keys(drawn[r * per_row : (r + 1) * per_row]) for r in range(2 * pair_count)]
+    redraws = 0
+    for r, keys in enumerate(rows):
+        while is_tied(keys):
+            keys = rows[r] = row_keys(words(per_row))
+            redraws += 1
+    perms = [[key & (1 << bits) - 1 for key in keys] for keys in rows]
+    if tie_weights:
+        weights = [[1.0 / interval_count] * interval_count for _ in range(pair_count)]
+    else:
+        weights = []
+        for _ in range(pair_count):
+            edges = [0, *sorted(w >> 11 for w in words(interval_count - 1)), 1 << 53]
+            weights.append([(hi - lo) * 2.0**-53 for lo, hi in zip(edges, edges[1:])])
+    return perms[:pair_count], perms[pair_count:], weights, redraws
+
+
 def universe_file_bytes(universe) -> bytes:
     """A `layer-universe/3` file written independently of `save_universe`:
     the header `json.dumps(..., sort_keys=True)` of the schema and the three

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import tempfile
@@ -17,6 +18,7 @@ from oracles import (
     density,
     detector_a,
     domain_high,
+    draw_universe_words,
     factorial_oracle,
     is_permutation,
     joint_density,
@@ -134,6 +136,33 @@ class TestLayerSampling:
         with pytest.raises(ValueError):
             layers.build_universe(4, 0, 1, rng)
 
+    @pytest.mark.parametrize(
+        "bit_generator", [np.random.MT19937, np.random.SFC64, np.random.Philox]
+    )
+    def test_generator_the_layout_cannot_read_is_refused_before_a_draw(self, bit_generator):
+        # MT19937's raw words hold 32 bits, so a row's keys from their high
+        # halves would tie for ever; SFC64 cannot advance and Philox advances
+        # by blocks of four words, so neither can place the redraw words
+        rng = np.random.Generator(bit_generator(17))
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"got {bit_generator.__name__}$"):
+            layers.build_universe(4, 2, 3, rng)
+        np.testing.assert_equal(rng.bit_generator.state, state)
+
+
+def _oracle_redraws(n: int, pairs: int, rng, tie_weights: bool = False) -> int:
+    """Build `pairs` pairs at L = 3 from `rng`, check the universe's bytes
+    and the stream's end against the oracle's draw from a copy of `rng`,
+    and return the number of rows the oracle drew again."""
+    oracle = copy.deepcopy(rng)
+    universe = layers.build_universe(n, 3, pairs, rng, tie_weights=tie_weights)
+    *arrays, redraws = draw_universe_words(n, 3, pairs, oracle, tie_weights)
+    expected = layers.LayerUniverse(n, 3, *arrays)
+    assert universe_file_bytes(universe) == universe_file_bytes(expected)
+    # nothing else was drawn
+    assert rng.bit_generator.random_raw() == oracle.bit_generator.random_raw()
+    return redraws
+
 
 class TestBatchedUniverseLaw:
     """The law of one batched `build_universe` draw, and its pinned stream."""
@@ -166,34 +195,22 @@ class TestBatchedUniverseLaw:
         sigma = math.sqrt((ell - 1) / (ell * ell * (ell + 1)) / self.PAIRS)
         assert np.all(np.abs(big.weights.mean(axis=0) - 1.0 / ell) <= 6.0 * sigma)
 
-    # 2M rows below, at and either side of whole BLOCK_ROWS blocks
-    @pytest.mark.parametrize("pairs", [7, 512, 513, 1500])
+    # 2M rows below, at and either side of whole BLOCK_ROWS blocks; at n = 5
+    # each row leaves half of its last word unread, and n = 90 takes 64-bit
+    # keys, 116 rows a block
+    @pytest.mark.parametrize(
+        "n, pairs", [(4, 7), (4, 512), (4, 513), (4, 1500), (5, 513), (90, 7), (90, 59)]
+    )
     @pytest.mark.parametrize("tie_weights", [False, True])
-    def test_stream_is_permuted_then_dirichlet(self, tie_weights, pairs):
-        ell = 3
-        used = np.random.default_rng(41)
-        universe = layers.build_universe(4, ell, pairs, used, tie_weights=tie_weights)
-        rng = np.random.default_rng(41)
-        perms = rng.permuted(np.tile(np.arange(self.SIZE), (2 * pairs, 1)), axis=1)
-        np.testing.assert_array_equal(universe.col_to, perms[:pairs])
-        np.testing.assert_array_equal(universe.row_to, perms[pairs:])
-        if tie_weights:
-            np.testing.assert_array_equal(universe.weights, np.full((pairs, ell), 1.0 / ell))
-        else:
-            draw = rng.dirichlet(np.ones(ell), size=pairs)
-            np.testing.assert_array_equal(
-                universe.weights, draw / draw.sum(axis=1, keepdims=True)
-            )
-        # nothing else was drawn
-        assert used.random() == rng.random()
+    def test_stream_is_the_oracle_words(self, tie_weights, n, pairs):
+        assert _oracle_redraws(n, pairs, np.random.default_rng(41), tie_weights) == 0
 
     def test_build_peak_per_pair_at_most_160_bytes(self):
         # tracemalloc slope from M = 1e4 to 2e4 at n = 4, L = 2: the uint16
-        # relocations (96 bytes a pair), the weights and the Dirichlet draw's
-        # temporaries take 113; the BLOCK_ROWS-row int64 block and the
-        # permutation check's uint64 block are the same at any M.  A check
-        # that sorts all M rows at once took 184, an int64 tile of all 2M
-        # rows 480
+        # relocations (96 bytes a pair) and the weights (16) are all that
+        # grows; the words and keys of a block of rows, the words and edges
+        # of a block of weights and the permutation check's uint64 block are
+        # the same at any M
         layers.build_universe(4, 2, 10, np.random.default_rng(1))  # first-call caches
         peaks = []
         for pairs in (10_000, 20_000):
@@ -204,6 +221,35 @@ class TestBatchedUniverseLaw:
             finally:
                 tracemalloc.stop()
         assert (peaks[1] - peaks[0]) / 10_000 <= 160
+
+
+class TestKeyRedraw:
+    """A row whose keys' random bits tie is drawn again, in row order, from
+    words past all the rows' words; BLOCK_ROWS moves no number."""
+
+    # (n, pairs, seed, rows drawn again): at n = 4 one of the 40 rows ties;
+    # at n = 81, the most positions 8-bit indices hold, a tied row ties again
+    # when it is drawn again
+    TIED = [(4, 20, 182, 1), (81, 100, 1555, 2)]
+
+    @pytest.mark.parametrize("n, pairs, seed, redraws", TIED)
+    def test_tied_rows_are_the_oracle_redraws(self, n, pairs, seed, redraws):
+        assert _oracle_redraws(n, pairs, np.random.default_rng(seed)) == redraws
+
+    @pytest.mark.parametrize(
+        "n, pairs, seed", [(4, 1500, 41), (90, 59, 41), *(case[:3] for case in TIED)]
+    )
+    def test_block_rows_change_no_number(self, monkeypatch, n, pairs, seed):
+        default_rng, small_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        default = layers.build_universe(n, 3, pairs, default_rng)
+        monkeypatch.setattr(layers, "BLOCK_ROWS", 7)
+        small = layers.build_universe(n, 3, pairs, small_rng)
+        assert universe_file_bytes(small) == universe_file_bytes(default)
+        assert small_rng.bit_generator.random_raw() == default_rng.bit_generator.random_raw()
+
+    def test_pcg64dxsm_words_are_read_alike(self):
+        rng = np.random.Generator(np.random.PCG64DXSM(41))
+        assert _oracle_redraws(5, 7, rng) == 0
 
 
 class TestCompanionCancellation:
