@@ -38,8 +38,8 @@ MAXIMUMS = {
     # relocations take 48 per pair; layers is capped lower anyway)
     "n": BUDGET // 512,
     # layers: sized for 2M x (3n+12) int64 relocations at n = 4, 384 bytes
-    # per pair.  Every pass over a universe takes `layers.BLOCK_ROWS` rows at
-    # a time, so at n = 4, L = 2 the whole command's tracemalloc peak grows
+    # per pair.  Every pass over a universe takes a block of rows at a
+    # time, so at n = 4, L = 2 the whole command's tracemalloc peak grows
     # by 108 bytes per pair for layers, 113 for simulate --universe and 95
     # for analyze (M = 1e4 to 2e4, numpy 2.4, x86-64 Linux): the cap
     # over-counts until it is re-sized (simulate and chsh, which build no

@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from .streams import lanes, refinement_copy
+from .streams import fixed_words, lanes
 
 # emissions per chunk of the trace kernel, the discrepancy scan and the
 # detector gate, and label edges per block of the label count: each pass's
@@ -195,18 +195,18 @@ def detector_gate(p1: float, p2: float, label_counts, rng) -> np.ndarray:
 
     A draw u = x * 2**-53 is below p iff its 53-bit numerator x is below
     c = ceil(p * 2**53), which x's top 16 bits decide unless they equal
-    c >> 37 (Knuth and Yao).  Emission t reads, as those bits, lane 2t of
-    `rng` against p1 and lane 2t + 1 against p2 (see `streams`).  A lane
-    equal to c >> 37, when c mod 2**37 != 0, takes the next refinement word
-    r, in lane order, from a copy of `rng` advanced past the 2k lanes, and
-    is ready iff r >> 27 < c mod 2**37.  So a draw is ready with
-    probability c / 2**53, as a double of `Generator.random` below p.
+    c >> 37 (Knuth and Yao).  Its fixed words hold the 2k lanes and its
+    refinement words one per lane at a bound, in lane order (see
+    `streams`).  Emission t reads, as those bits, lane 2t against p1 and
+    lane 2t + 1 against p2.  A lane equal to c >> 37, when c mod 2**37 != 0,
+    takes the next refinement word r and is ready iff r >> 27 < c mod 2**37.
+    So a draw is ready with probability c / 2**53, as a double of
+    `Generator.random` below p.
 
-    `rng` is left past the lane and refinement words.  Its bit generator
-    must be PCG64 or PCG64DXSM, whose `advance` counts 64-bit words; any
-    other numpy bit generator is refused.  Every argument is checked before
-    anything is drawn: the counts must be a nonempty 1-d array of integers
-    >= 0 holding at least one emission."""
+    The bit generator of `rng` must be PCG64 or PCG64DXSM, whose `advance`
+    counts 64-bit words; any other numpy bit generator is refused.  Every
+    argument is checked before anything is drawn: the counts must be a
+    nonempty 1-d array of integers >= 0 holding at least one emission."""
     stations = [_readiness("p1", p1), _readiness("p2", p2)]
     counts = np.asarray(label_counts)
     if counts.ndim != 1 or counts.size == 0 or counts.dtype.kind not in "iu":
@@ -218,7 +218,7 @@ def detector_gate(p1: float, p2: float, label_counts, rng) -> np.ndarray:
     k = int(ends[-1])
     if k < 1:
         raise ValueError("label counts must hold at least one emission")
-    refine = refinement_copy(rng, -(-k // 2))  # past the words of 2k lanes
+    fixed = fixed_words(rng, -(-k // 2))  # the words of 2k lanes
     # lane 2t + s is station s's lane of emission t, ready below its bound
     # c >> 37.  The bound 2**16 of p = 1 fits no lane: it is held as 0xFFFF,
     # where lanes pass without a word.  p < 2**-16 has bound 0, which no lane
@@ -231,10 +231,9 @@ def detector_gate(p1: float, p2: float, label_counts, rng) -> np.ndarray:
     ready = np.empty(2 * size, dtype=bool)
     both = np.empty(size, dtype=bool)
     gated = np.zeros(counts.size, dtype=np.int64)
-    refined = 0
     for lo in range(0, k, size):
         n = min(size, k - lo)
-        drawn = lanes(rng, 2 * n)
+        drawn = lanes(fixed, 2 * n)
         ok, thresholds = ready[: 2 * n], bound[: 2 * n]
         if settle:  # the lanes at a bound that the compare does not decide
             at = np.flatnonzero(np.equal(drawn, thresholds, out=ok))
@@ -243,10 +242,9 @@ def detector_gate(p1: float, p2: float, label_counts, rng) -> np.ndarray:
         if settle and at.size:
             rem = rems[at & 1]
             word = rem > 0
-            draws = refine.bit_generator.random_raw(int(np.count_nonzero(word)))
+            draws = rng.bit_generator.random_raw(int(np.count_nonzero(word)))
             ok[at] = True  # the lanes of p = 1; the others are decided next
             ok[at[word]] = draws >> 27 < rem[word]
-            refined += draws.size
         # an emission's two lanes, read as one uint16, are 0x0101 iff both passed
         np.equal(ok.view(np.uint16), 0x0101, out=both[:n])
         first, last = np.searchsorted(ends, (lo, lo + n - 1), side="right")
@@ -254,7 +252,6 @@ def detector_gate(p1: float, p2: float, label_counts, rng) -> np.ndarray:
         starts = np.maximum(ends[labels] - counts[labels] - lo, 0)
         # a run in a chunk holds at most CHUNK < 2**16 emissions
         gated[labels] += np.add.reduceat(both[:n].view(np.uint8), starts, dtype=np.uint16)
-    rng.bit_generator.advance(refined)
     gated.setflags(write=False)
     return gated
 

@@ -39,7 +39,7 @@ import numpy as np
 from .config import ConfigError, check_budget
 from .measure import diagonal_cell_count, validate_weights
 from .splines import MIN_ORDER_PARAM, check_order
-from .streams import key_layout, refinement_copy, sorted_keys, tied, uniform_spacings
+from .streams import fixed_words, key_layout, sorted_keys, tied, uniform_spacings
 
 UNIVERSE_SCHEMA = "layer-universe/3"
 
@@ -50,10 +50,11 @@ _WEIGHT = np.dtype("<f8")
 # universe holds, in memory and in a `layer-universe/3` file
 MAX_SAVED_N = (np.iinfo(_POSITION).max - 11) // 3
 
-# rows that every pass over a universe's rows takes at a time: the
-# permutations and the weights `build_universe` draws, the permutation check
-# (fewer rows past 32 positions a row, in the draw and the check), and the
-# sums over the pairs in `analysis`, so each pass holds O(BLOCK_ROWS) scratch
+# rows that a pass over a universe's rows takes at a time: the permutations
+# and the weights `build_universe` draws, the permutation check (fewer rows
+# past 32 positions a row, in the draw and the check), and the outcome and
+# weight sums in `analysis`, whose binned tables take `analysis.BLOCK_SHARES`
+# shares at a time instead; so each pass holds scratch of a fixed size
 BLOCK_ROWS = 1024
 
 
@@ -221,15 +222,13 @@ def build_universe(
     `tie_weights` pins them to the uniform vector 1/L.  The stream holds,
     from raw words in the layouts of `streams`:
 
-    - the sort keys of 2M rows of the S = 3n+12 positions, row after row,
-      each row its own `key_layout(S)[2]` words; rows [:M] are `col_to` and
-      rows [M:] are `row_to`.  A row is its keys' index bits in the order of
-      their random bits, so the uniform law holds exactly while those bits
-      are distinct;
-    - for each row whose random bits tie, in row order, fresh rows of words
-      until one does not tie.  They are read from a copy of the stream
-      advanced past all 2M rows' words (`streams.refinement_copy`), and the
-      stream is then advanced past them;
+    - as its fixed words, the sort keys of 2M rows of the S = 3n+12
+      positions, row after row, each row its own `key_layout(S)[2]` words;
+      rows [:M] are `col_to` and rows [M:] are `row_to`.  A row is its keys'
+      index bits in the order of their random bits, so the uniform law holds
+      exactly while those bits are distinct;
+    - as its refinement words, for each row whose random bits tie, in row
+      order, fresh rows of words until one does not tie;
     - for untied weights, L - 1 words a pair, pair after pair, whose sorted
       top 53 bits cut [0, 1) into the pair's L weights
       (`streams.uniform_spacings`).
@@ -244,20 +243,17 @@ def build_universe(
     size = diagonal_cell_count(n)
     rows = 2 * pair_count
     _, bits, row_words = key_layout(size)
-    refine = refinement_copy(rng, rows * row_words)
+    fixed = fixed_words(rng, rows * row_words)
     index = (1 << bits) - 1
     perms = np.empty((rows, size), dtype=_POSITION)
     step = max(1, BLOCK_ROWS * 32 // max(size, 32))
-    redrawn = 0
     for start in range(0, rows, step):
         count = min(step, rows - start)
-        keys = sorted_keys(rng.bit_generator.random_raw((count, row_words)), size)
+        keys = sorted_keys(fixed.bit_generator.random_raw((count, row_words)), size)
         for row in tied(keys):
             while tied(keys[row : row + 1]).size:
-                keys[row] = sorted_keys(refine.bit_generator.random_raw((1, row_words)), size)[0]
-                redrawn += row_words
+                keys[row] = sorted_keys(rng.bit_generator.random_raw((1, row_words)), size)[0]
         np.bitwise_and(keys, index, out=perms[start : start + count], casting="unsafe")
-    rng.bit_generator.advance(redrawn)
     perms.setflags(write=False)
     if tie_weights:
         weights = np.full((pair_count, interval_count), 1.0 / interval_count)

@@ -45,7 +45,7 @@ import math
 import numpy as np
 
 from .measure import BaseMeasure, build_measure
-from .streams import lanes, refinement_copy, seed_sequence, stream
+from .streams import fixed_words, lanes, seed_sequence, stream
 
 
 # trials per batch, each on its own child stream of the run's seed
@@ -106,18 +106,17 @@ def _plus_count(mu: BaseMeasure, size: int, rng) -> int:
     Both spins carry the same flip (layer sign times s(ell)), so the product
     is outcome[0, cell, half_a] * outcome[1, cell, half_b]: it depends on the
     drawn atom only, never on the label, interval or relocation, none of
-    which is drawn.  Trial t reads lane t (see `streams`); with B =
-    GUIDE_BUCKETS = 2**k, its bucket b is the lane's top k bits, and the
-    bucket code gives its sign.  A trial in a mixed bucket takes the next
-    refinement word r, from a copy of `rng` advanced past the lanes, and is
-    searched at its numerator x = (b << (53 - k)) | (r >> (11 + k)) times
-    cum[-1] * 2**-53: x < 2**53 converts exactly and the scaling is a power
-    of two, so the target is u * cum[-1] bit for bit.  Such trials are
-    settled in trial order, together once REFINE_BATCH of them wait, and at
-    the end.  `rng` is left past the lane words and the refinement words.  A
-    bit generator whose `advance` does not count words is refused before
-    anything is drawn."""
-    refine = refinement_copy(rng, -(-size // 4))  # past the words of `size` lanes
+    which is drawn.  Its fixed words hold the `size` lanes and its refinement
+    words one per trial in a mixed bucket, in trial order (see `streams`).
+    Trial t reads lane t; with B = GUIDE_BUCKETS = 2**k, its bucket b is
+    the lane's top k bits, and the bucket code gives its sign.  A trial in
+    a mixed bucket takes the next refinement word r and is searched at its
+    numerator x = (b << (53 - k)) | (r >> (11 + k)) times cum[-1] * 2**-53:
+    x < 2**53 converts exactly and the scaling is a power of two, so the
+    target is u * cum[-1] bit for bit.  Such trials are settled together
+    once REFINE_BATCH of them wait, and at the end.  A bit generator whose
+    `advance` does not count words is refused before anything is drawn."""
+    fixed = fixed_words(rng, -(-size // 4))  # the words of `size` lanes
     cum, plus, code = _sign_table(mu)
     scale = cum[-1] * 2.0**-53
     k = GUIDE_BUCKETS.bit_length() - 1
@@ -125,14 +124,14 @@ def _plus_count(mu: BaseMeasure, size: int, rng) -> int:
     chunk = min(size, step)
     bucket = np.empty(chunk, dtype=np.intp)
     codes = np.empty(chunk, dtype=np.int8)
-    count = refined = 0
+    count = 0
     # the buckets of the mixed trials not yet refined, in trial order
     pending, waiting = [], 0
     for start in range(0, size, step):
         stop = min(step, size - start)
         b, c = bucket[:stop], codes[:stop]
         # the lanes are freed here, so no two sub-chunks' words are alive at a draw
-        np.right_shift(lanes(rng, stop), 16 - k, out=b)
+        np.right_shift(lanes(fixed, stop), 16 - k, out=b)
         np.take(code, b, out=c)
         count += int(np.count_nonzero(c == 1))
         pending.append(b[c == 2])
@@ -140,11 +139,9 @@ def _plus_count(mu: BaseMeasure, size: int, rng) -> int:
         if waiting >= REFINE_BATCH or start + stop == size:
             x = np.concatenate(pending)
             x <<= 53 - k
-            x |= (refine.bit_generator.random_raw(waiting) >> (11 + k)).view(np.intp)
+            x |= (rng.bit_generator.random_raw(waiting) >> (11 + k)).view(np.intp)
             count += int(np.count_nonzero(plus[np.searchsorted(cum, x * scale, side="right")]))
-            refined += waiting
             pending, waiting = [], 0
-    rng.bit_generator.advance(refined)
     return count
 
 

@@ -6,9 +6,15 @@ A sort key of a row of `size` positions is a 32-bit half of a word (low
 half first) while size <= 256, else a whole word; a row reads its own
 `key_layout(size)[2]` words, and its keys are sorted once
 (`sorted_keys`).  A row of L interval weights reads L - 1 words, one
-uniform each (`uniform_spacings`).  A lane or a row that does not decide
-its draw takes refinement words from a copy of the stream advanced past all
-the kernel's words; the kernel then advances the stream past those."""
+uniform each (`uniform_spacings`).
+
+A kernel reads a fixed count W of words (its lanes or key rows) and then
+refinement words, one for each lane or row that its fixed words leave
+undecided.  It reads the W fixed words from `fixed_words(rng, W)`, a copy
+of the stream, which moves the stream past them at once; it reads its
+refinement words from the stream itself, in order.  So from position p
+the fixed words are p .. p + W - 1, the R refinement words follow them, and
+the stream is left at p + W + R, with no word counted."""
 
 from __future__ import annotations
 
@@ -100,12 +106,12 @@ def uniform_spacings(words: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def refinement_copy(rng, words: int):
-    """A copy of `rng` advanced past its next `words` raw words; `rng` does
-    not move.  A numpy bit generator other than PCG64 and PCG64DXSM, whose
-    `advance` counts 64-bit words, is refused before anything is copied:
-    MT19937 and SFC64 cannot advance, and Philox advances by blocks of four
-    words."""
+def fixed_words(rng, words: int):
+    """A copy of `rng` to read its next `words` raw words from; `rng` is
+    advanced past them.  A numpy bit generator other than PCG64 and
+    PCG64DXSM, whose `advance` counts 64-bit words, is refused before
+    anything is copied: MT19937 and SFC64 cannot advance, and Philox
+    advances by blocks of four words."""
     bit_generator = rng.bit_generator
     if isinstance(bit_generator, np.random.BitGenerator) and not isinstance(
         bit_generator, (np.random.PCG64, np.random.PCG64DXSM)
@@ -114,6 +120,6 @@ def refinement_copy(rng, words: int):
             f"the stream's bit generator must be PCG64 or PCG64DXSM, whose advance "
             f"counts 64-bit words; got {type(bit_generator).__name__}"
         )
-    refine = copy.deepcopy(rng)
-    refine.bit_generator.advance(words)
-    return refine
+    fixed = copy.deepcopy(rng)
+    bit_generator.advance(words)
+    return fixed

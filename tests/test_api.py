@@ -7,7 +7,7 @@ a script, or by another function or class of the package.  A helper that
 only tests call belongs in `tests/oracles.py`.  No module imports a thread
 or process library: every command runs on the caller's thread.  `analysis.py`
 builds no measure: its callers pass the ones they built.  Only `streams.py`
-makes a stream or reads a raw word's 16-bit lanes.
+makes, copies or advances a stream or reads a raw word's 16-bit lanes.
 """
 
 from __future__ import annotations
@@ -126,11 +126,15 @@ def test_analysis_builds_no_measure():
 # the calls that make a seed sequence, a bit generator or a stream
 STREAM_MAKERS = {"default_rng", "SeedSequence", "Generator", "PCG64", "PCG64DXSM", "MT19937",
                  "Philox", "SFC64"}
+# the calls that copy a stream or move it without reading: a kernel that
+# made them would keep its own count of the words it read
+STREAM_MOVERS = {"deepcopy", "advance"}
 
 
 def _stream_calls(tree: ast.Module) -> list[tuple[int, str]]:
-    """(line, name) of each call that makes a stream, or that views an
-    array as 16-bit unsigned lanes by a dtype string such as '<u2'."""
+    """(line, name) of each call that makes, copies or advances a stream,
+    or that views an array as 16-bit unsigned lanes by a dtype string such
+    as '<u2'."""
     found = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
@@ -141,14 +145,15 @@ def _stream_calls(tree: ast.Module) -> list[tuple[int, str]]:
             isinstance(arg, ast.Constant) and str(arg.value).lstrip("<>=|") in ("u2", "uint16")
             for arg in node.args
         )
-        if name in STREAM_MAKERS or lane_view:
+        if name in STREAM_MAKERS | STREAM_MOVERS or lane_view:
             found.append((node.lineno, name))
     return found
 
 
 def test_only_streams_makes_streams_or_reads_lanes():
-    """The seed check, the bit generator and the lane layout are decided in
-    `streams.py` alone; every other module and script goes through it."""
+    """The seed check, the bit generator, the lane layout and the order of a
+    kernel's fixed and refinement words are decided in `streams.py` alone;
+    every other module and script goes through it."""
     found = {
         path.relative_to(REPO).as_posix(): _stream_calls(_tree(path))
         for path in [*sorted(PACKAGE.glob("*.py")), *SCRIPTS]
@@ -157,4 +162,4 @@ def test_only_streams_makes_streams_or_reads_lanes():
     assert {name: calls for name, calls in found.items() if calls} == {}
     # the guard sees the calls it guards, where they are made
     made = {name for _, name in _stream_calls(_tree(PACKAGE / "streams.py"))}
-    assert made == {"SeedSequence", "Generator", "PCG64", "view"}
+    assert made == {"SeedSequence", "Generator", "PCG64", "view", "deepcopy", "advance"}

@@ -1,8 +1,10 @@
-"""The stream helpers: the bit generator a seed becomes and the layouts of
-raw words: 16-bit lanes, sort keys and uniform spacings.  The seed check's
-refusals are tested beside the sampler's (tests/test_sampling.py), the
-refinement copy through the kernels that take it, and the keys and spacings
-also through `build_universe` against an oracle (tests/test_layers.py)."""
+"""The stream helpers: the bit generator a seed becomes, the copy a kernel
+reads its fixed words from, and the layouts of raw words: 16-bit lanes, sort
+keys and uniform spacings.  The seed check's refusals are tested beside the
+sampler's (tests/test_sampling.py), and the fixed-word copy, the keys and the
+spacings also through the kernels that take them, against oracles."""
+
+import copy
 
 import numpy as np
 import pytest
@@ -95,3 +97,27 @@ def test_uniform_spacings_are_exact_gaps_of_the_top_53_bits(tops, weights):
     assert out[0].tolist() == weights
     # summed in float, in order, the row is exactly 1
     assert sum(out[0].tolist()) == 1.0
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.PCG64DXSM])
+@pytest.mark.parametrize("words", [0, 1, 7])
+def test_fixed_words_are_read_from_a_copy_and_the_stream_moves_past_them(bit_generator, words):
+    rng = np.random.Generator(bit_generator(29))
+    rng.integers(0, 2**32, dtype=np.uint32)  # leaves half a word buffered
+    expected = copy.deepcopy(rng).bit_generator.random_raw(words + 3)
+    fixed = streams.fixed_words(rng, words)
+    assert fixed.bit_generator is not rng.bit_generator
+    # the stream's next word is word `words`, and no half word is left
+    assert rng.bit_generator.state["has_uint32"] == 0
+    assert rng.bit_generator.random_raw(3).tolist() == expected[words:].tolist()
+    # the copy reads the `words` words before it
+    assert fixed.bit_generator.random_raw(words).tolist() == expected[:words].tolist()
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.SFC64, np.random.Philox])
+def test_fixed_words_refuse_a_generator_that_cannot_advance_by_words(bit_generator):
+    rng = np.random.Generator(bit_generator(17))
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"PCG64 or PCG64DXSM.*got {bit_generator.__name__}$"):
+        streams.fixed_words(rng, 3)
+    np.testing.assert_equal(rng.bit_generator.state, state)
