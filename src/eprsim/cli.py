@@ -11,7 +11,10 @@ full parser, which words the top-level errors, parses when that argument is
 no command or an argument is left over.  `main` then resolves the flags, runs
 the command, which returns its report fields and CSV table (header, rows) or
 None, and writes both.  With `--timings FILE` it also writes each stage's
-wall time and peak RSS to FILE (see `timings`); the report is the same.
+wall time and peak RSS to FILE (see `timings`); the report is the same.  The
+stages are each library call the command makes, the command as `cmd.<name>`
+from `main`'s first reading, and within it the flag parse as `cli.parse`,
+which ends before `timings` is imported.
 """
 
 from __future__ import annotations
@@ -131,15 +134,21 @@ def cmd_layers(args):
 
 
 def cmd_analyze(args):
-    # the header's n is checked against analyze's budget before the body is read
-    n = universe_sizes(args.universe)[0]
-    try:
-        check_budget("analyze", {"n": n})
-    except ConfigError:
-        raise ConfigError(
-            f"{args.universe}: universe field 'n' = {n} is past the sizes "
-            f"`analyze` takes: its run would pass the {BUDGET >> 30} GiB budget"
-        ) from None
+    # the header's sizes are checked against analyze's budget before the body
+    # is read: its n alone, then its interval and pair counts with it
+    n, intervals, pairs = universe_sizes(args.universe)
+    for fields, sizes in (
+        (f"field 'n' = {n} is", {"n": n}),
+        (f"fields 'interval_count' = {intervals} and 'pair_count' = {pairs} are",
+         {"n": n, "L": intervals, "layers": pairs}),
+    ):
+        try:
+            check_budget("analyze", sizes)
+        except ConfigError:
+            raise ConfigError(
+                f"{args.universe}: universe {fields} past the sizes "
+                f"`analyze` takes: its run would pass the {BUDGET >> 30} GiB budget"
+            ) from None
     universe = load_universe(args.universe)
     mu_ab, mu_ac = (build_measure(args.settings["a"], args.settings[x], universe.n) for x in "bc")
     fields = dependence_report(universe, mu_ab, mu_ac)
@@ -455,16 +464,15 @@ TIMED_MODULES = ("analysis", "emission", "layers", "measure", "sampling", "splin
 
 def _run_timed(args, start: float, parsed: float) -> None:
     """`_run` with its stages timed into the --timings file, which is opened
-    first, so an unwritable path fails before any work.  The command's stage
-    starts with `main`, at `start`, and holds `cli.parse`, until `parsed`."""
+    first, so an unwritable path fails before any work.  `start` and
+    `parsed` are `main`'s readings at its start and after the parse."""
     from .timings import StageTimer
 
     timer = StageTimer()
     timer.add("cli.parse", start, parsed)
-    whole_call = timer.stage(f"cmd.{args.command}", start)
-    with open(args.timings, "w") as fh:
+    with open(args.timings, "w") as fh, timer.attached(globals(), TIMED_MODULES):
         try:
-            with timer.attached(globals(), TIMED_MODULES), whole_call:
+            with timer.stage(f"cmd.{args.command}", start):
                 _run(args)
         finally:
             fh.write(json.dumps(timer.as_dict(), indent=2) + "\n")

@@ -63,12 +63,18 @@ MAXIMUMS = {
 
 # what sizes checked together would allocate, in bytes, keyed by the
 # command: the universe's relocations and weights, splines' (n+5) x grid
-# float64 basis recursion, and analyze's whole run by the n of its universe
-# file, which `dependence_report`'s S x S float64 joint table (S = 3n+12 cells)
-# dominates: the tracemalloc peak of in-process `cli.main` analyze runs on
-# files of one pair and one interval grows by 32.0-32.1 bytes per S^2 from
-# n = 100 to 800, and is 32.1-33.3 bytes per S^2 in all (numpy 2.4, x86-64
-# Linux)
+# float64 basis recursion, and analyze's whole run by the sizes of its
+# universe file.  Its n alone sizes `dependence_report`'s S x S float64 joint
+# table (S = 3n+12 cells): the tracemalloc peak of in-process `cli.main`
+# analyze runs on files of one pair and one interval grows by 32.0-32.1
+# bytes per S^2 from n = 100 to 800, and is 32.1-33.3 bytes per S^2 in all.
+# Its interval count L sizes the loaded M x L weights, `dependence_report`'s
+# min(M, 1024) x L spread block and `outcome_biases`' S x L sums and their
+# temporaries: the peak grows by 2904, 7008 and 23504 bytes per interval at
+# n = 4, 16 and 64 with M = 1 (about 115-121 per S x L), and by 16005 at
+# n = 4 with M = 1000 and 40923 with M = 4096 (numpy 2.4, x86-64 Linux).
+# 1024 is `layers.BLOCK_ROWS`, which this module cannot import: layers
+# imports it
 JOINT_ARRAYS = {
     "layers": {
         # 2M x (3n+12) int64 relocations: the uint16 array and the
@@ -76,10 +82,19 @@ JOINT_ARRAYS = {
         # at L = 64 (n = 4) the peaks grow by 618 bytes per pair for layers and
         # simulate --universe and 647 for analyze, the file's 608 and blocks
         ("n", "layers"): lambda n, pairs: 16 * pairs * (3 * n + 12),
-        ("L", "layers"): lambda intervals, pairs: 8 * pairs * intervals,
+        # the M x L float64 weights, beside one block's uint64 words and
+        # edges in `streams.uniform_spacings`: `build_universe(4, L, M)`
+        # peaks 24.0 bytes per interval higher from L = 2^16 to 2^20 at
+        # M = 1, and 12.0 per pair and interval at M = 4096
+        ("L", "layers"): lambda intervals, pairs: 8 * intervals * (pairs + 2 * min(pairs, 1024)),
     },
     "splines": {("n", "grid"): lambda n, grid: 8 * (n + 5) * grid},
-    "analyze": {("n",): lambda n: 34 * (3 * n + 12) ** 2},
+    "analyze": {
+        ("n",): lambda n: 34 * (3 * n + 12) ** 2,
+        ("n", "L", "layers"): lambda n, intervals, pairs: (
+            8 * intervals * (pairs + min(pairs, 1024) + 16 * (3 * n + 14))
+        ),
+    },
     # the trace held beside the label counts: the poisson peaks above at
     # 8.0 B per k and 24.2 B per label, each measured with the other fixed
     "poisson": {("k", "labels"): lambda k, labels: 8 * k + 24 * labels},

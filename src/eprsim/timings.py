@@ -1,17 +1,18 @@
 """Opt-in stage timings for `--timings FILE`: wall time and peak RSS per stage.
 
 `cli.main` imports this module only when the flag is given, so a plain run
-does no extra work.  The timer wraps the library functions the CLI calls in
-stages named like the benchmark tracer's spans (`layers.load_universe`,
-`sampling.run_experiment`, ...), the whole `cli.main` call in `cmd.<name>`
-and its flag parse in `cli.parse`.  A stage's time includes the stages it
-calls.  Every stage runs on the caller's thread, one after another or
-nested.  Reports never depend on it.
+does no extra work.  The timer decorates each library function the CLI calls
+with `StageTimer.stage`, under the benchmark tracer's span names
+(`layers.load_universe`, `sampling.run_experiment`, ...); `cli` enters the
+whole `cli.main` call as stage `cmd.<name>` and records its flag parse,
+which ends before this module is imported, as `cli.parse` with
+`StageTimer.add`.  A stage's time includes the stages it calls.  Every
+stage runs on the caller's thread, one after another or nested.  Reports
+never depend on it.
 """
 
 from __future__ import annotations
 
-import functools
 import inspect
 import os
 import platform
@@ -48,22 +49,13 @@ class StageTimer:
 
     @contextmanager
     def stage(self, name: str, start: float | None = None):
-        """Time the block as one call of stage `name`, from `start` if given."""
+        """Time a block, or each call of a function it decorates, as one call
+        of stage `name`; a block's call starts at `start` if given."""
         start = time.perf_counter() if start is None else start
         try:
             yield
         finally:
             self.add(name, start, time.perf_counter())
-
-    def _timed(self, fn):
-        name = f"{fn.__module__.removeprefix(PACKAGE + '.')}.{fn.__name__}"
-
-        @functools.wraps(fn)
-        def timed(*args, **kwargs):
-            with self.stage(name):
-                return fn(*args, **kwargs)
-
-        return timed
 
     @contextmanager
     def attached(self, namespace: dict, modules):
@@ -71,13 +63,14 @@ class StageTimer:
         "sampling") that a module's globals `namespace` refers to, until the
         block ends.  The names are replaced in `namespace` itself, so two
         timed blocks must not overlap on one namespace."""
-        qualified = {f"{PACKAGE}.{module}" for module in modules}
+        short = {f"{PACKAGE}.{module}": module for module in modules}
         saved = {
             name: fn
             for name, fn in namespace.items()
-            if inspect.isfunction(fn) and fn.__module__ in qualified
+            if inspect.isfunction(fn) and fn.__module__ in short
         }
-        namespace.update((name, self._timed(fn)) for name, fn in saved.items())
+        for name, fn in saved.items():
+            namespace[name] = self.stage(f"{short[fn.__module__]}.{fn.__name__}")(fn)
         try:
             yield
         finally:

@@ -588,6 +588,83 @@ class TestCliSizeBudget:
         assert err.startswith(f"error: {uni}: universe field 'n' = {n} ")
         assert peak < 2**20
 
+    def test_analyze_refuses_intervals_past_its_budget_from_the_header(self, capsys, tmp_path):
+        # at n = 4 and one pair, L = 321096 is the first interval count whose
+        # S x L sums pass analyze's budget, though `layers` writes it: the
+        # file (2.6 MB) is refused from its header, before the body is read
+        n, intervals, pairs = 4, 321_096, 1
+        config.check_budget("analyze", {"n": n, "L": intervals - 1, "layers": pairs})
+        with pytest.raises(config.ConfigError):
+            config.check_budget("analyze", {"n": n, "L": intervals, "layers": pairs})
+        uni = tmp_path / "u.universe"
+        argv = ["layers", "--n", str(n), "--L", str(intervals), "--layers", str(pairs)]
+        assert run_cli(capsys, *argv, "--seed", "1", "--universe", str(uni))[0] == 0
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *READS_UNIVERSE["analyze"], "--universe", str(uni))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: {uni}: universe fields 'interval_count' = {intervals} and 'pair_count' = "
+            f"{pairs} are past the sizes `analyze` takes: its run would pass the 1 GiB budget\n"
+        )
+        assert peak < 2**20
+
+    def test_budgets_count_one_block_of_layers_rows(self):
+        # `config` cannot import `layers.BLOCK_ROWS` and states it: the
+        # scratch of one block of pairs grows with the pairs up to
+        # BLOCK_ROWS, and past it only the weights do
+        rows = layers.BLOCK_ROWS
+        for nbytes, per_pair in (
+            (lambda pairs: config.JOINT_ARRAYS["layers"][("L", "layers")](1, pairs), 24),
+            (lambda pairs: config.JOINT_ARRAYS["analyze"][("n", "L", "layers")](4, 1, pairs), 16),
+        ):
+            assert nbytes(rows) - nbytes(rows - 1) == per_pair
+            assert nbytes(rows + 1) - nbytes(rows) == 8
+
+    def test_analyze_peak_per_interval_stays_within_its_budget(self, capsys, tmp_path):
+        # the whole command's peak at two interval counts of one pair, whose
+        # difference the S x L sums of `outcome_biases` make: measured 2593
+        # bytes per interval, where the budget counts 3344
+        nbytes = config.JOINT_ARRAYS["analyze"][("n", "L", "layers")]
+        peaks = []
+        for intervals in (2, 2**12, 2**13):  # the first run pays first-call imports
+            uni = tmp_path / f"{intervals}.universe"
+            argv = ["layers", "--n", "4", "--L", str(intervals), "--layers", "1", "--seed", "1"]
+            assert run_cli(capsys, *argv, "--universe", str(uni))[0] == 0
+            tracemalloc.start()
+            try:
+                code, _, err = run_cli(capsys, *READS_UNIVERSE["analyze"], "--universe", str(uni))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0, err
+        slope = (peaks[2] - peaks[1]) / 2**12
+        assert slope <= (nbytes(4, 2**13, 1) - nbytes(4, 2**12, 1)) / 2**12, slope
+
+    def test_layers_peak_per_interval_stays_within_its_budget(self, capsys, tmp_path):
+        # one pair's weights beside one block's uint64 words and edges: the
+        # whole command's peak grows by the 24 bytes per interval the budget
+        # counts (measured 24.00 from L = 2^19 to 2^20), give or take the
+        # 1% of what else the two runs allocate
+        nbytes = config.JOINT_ARRAYS["layers"][("L", "layers")]
+        argv = ["layers", "--n", "4", "--layers", "1", "--seed", "1"]
+        peaks = []
+        for intervals in (2, 2**19, 2**20):  # the first run pays first-call imports
+            tracemalloc.start()
+            try:
+                code, _, err = run_cli(capsys, *argv, "--L", str(intervals),
+                                       "--universe", str(tmp_path / "u.universe"))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0, err
+        slope = (peaks[2] - peaks[1]) / 2**19
+        assert slope <= 1.01 * (nbytes(2**20, 1) - nbytes(2**19, 1)) / 2**19, slope
+
     @pytest.mark.parametrize("command", ["analyze", "chsh", "simulate"])
     @pytest.mark.parametrize("defect", sorted(UNREAD_BODIES))
     def test_universe_refused_before_its_body_is_read(self, capsys, tmp_path, command, defect):
@@ -1733,3 +1810,37 @@ def test_stage_timer_counts_calls_and_sums_wall_time():
         pass
     assert timer.stages["whole"]["wall_s"] >= timer.stages["parse"]["wall_s"] >= 0.002
     assert timer.stages["parse"]["calls"] == timer.stages["whole"]["calls"] == 1
+
+
+def test_stage_decorates_a_function_and_attached_restores_the_namespace():
+    # a function decorated with a stage counts every call, one that raises
+    # too, sums their wall time and keeps its name and `__wrapped__`
+    timer = StageTimer()
+
+    def nap(seconds):
+        time.sleep(seconds)
+        if seconds > 0.002:
+            raise KeyError("the call raised")
+        return seconds
+
+    timed = timer.stage("f")(nap)
+    assert (timed.__name__, timed.__wrapped__) == ("nap", nap)
+    assert [timed(0.002), timed(0.002)] == [0.002, 0.002]
+    with pytest.raises(KeyError):
+        timed(0.003)
+    assert timer.stages["f"]["calls"] == 3
+    assert timer.stages["f"]["wall_s"] >= 0.007
+    # `attached` times the functions of the named modules under their own
+    # names, leaves the rest, and puts every original back when the block
+    # ends, though it raises
+    namespace = {"angle": measure.setting_from_angle, "run": sampling.run_experiment, "nap": nap}
+    saved = dict(namespace)
+    with pytest.raises(KeyError):
+        with timer.attached(namespace, ["measure"]):
+            assert namespace["angle"].__wrapped__ is measure.setting_from_angle
+            assert namespace["run"] is sampling.run_experiment
+            assert namespace["nap"] is nap
+            namespace["angle"](45.0)
+            raise KeyError("the block raised")
+    assert namespace == saved
+    assert timer.stages["measure.setting_from_angle"]["calls"] == 1

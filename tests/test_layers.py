@@ -744,13 +744,17 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "n, interval_count, pair_count, writable",
         [
-            # each array of `layers` at the 1 GiB budget, then one unit past it
+            # each array of `layers` at the 1 GiB budget, then one unit past it;
+            # the weights are counted with one block's words and edges, 24
+            # bytes per interval of each of the first 1024 pairs
             (4, 1, config.BUDGET // 384, True),
             (4, 1, config.BUDGET // 384 + 1, False),
-            (4, config.BUDGET // 8, 1, True),
-            (4, config.BUDGET // 8 + 1, 1, False),
-            (4, 2**20, 2**7, True),
-            (4, 2**20, 2**7 + 1, False),
+            (4, config.BUDGET // 24, 1, True),
+            (4, config.BUDGET // 24 + 1, 1, False),
+            (4, 2**20, 42, True),
+            (4, 2**20, 43, False),
+            (4, 2**14, 2**13 - 2048, True),
+            (4, 2**14, 2**13 - 2047, False),
             (layers.MAX_SAVED_N, 1, 1024, True),
             (layers.MAX_SAVED_N, 1, 1025, False),
             (layers.MAX_SAVED_N + 1, 1, 1, False),

@@ -1,14 +1,18 @@
-"""README's example commands run as documented.
+"""README's example commands run as documented, and its numbers are the code's.
 
 Every `eprsim …`, `printf …` and `python scripts/…` line of README's fenced
 bash blocks runs in order in one temp dir, since later lines read the files
 earlier ones write, at the sizes README gives.  All run in this process:
 `cli.main` for `eprsim`, a file write for `printf`, and `runpy` for a script.
+Each constant, minimum, cap and budget limit README quotes is formatted from
+the code and looked up in README's prose, so neither changes alone.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import re
 import runpy
 import shlex
 import sys
@@ -16,7 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from eprsim import cli
+from eprsim import analysis, cli, config, emission, layers, measure, sampling
+from eprsim.streams import stream
 
 REPO = Path(__file__).resolve().parents[1]
 PREFIXES = ("eprsim ", "printf ", "python scripts/")
@@ -64,3 +69,77 @@ def test_readme_commands_run(capsys, monkeypatch, tmp_path):
                 runpy.run_path(str(REPO / tokens[1]), run_name="__main__")
             assert exc.value.code == 0, f"{line}: {capsys.readouterr().err}"
             capsys.readouterr()
+
+
+def _grouped(value: int) -> str:
+    """An integer as README's prose writes it: digits in groups of three."""
+    return f"{value:,}".replace(",", " ")
+
+
+def _power_of_ten(value: float) -> str:
+    exponent = round(math.log10(value))
+    assert value == 10.0**exponent, value
+    return f"1e{exponent}"
+
+
+def _largest(fits) -> int:
+    """The largest size, from 1 up, that `fits` admits."""
+    low, high = 1, 2
+    while fits(high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if fits(mid) else (low, mid)
+    return low
+
+
+def _within_budget(command: str, names: tuple, **sizes):
+    nbytes = config.JOINT_ARRAYS[command][names]
+    return lambda value: nbytes(*(sizes.get(name, value) for name in names)) <= config.BUDGET
+
+
+def test_readme_quotes_the_code_constants(tmp_path):
+    text = " ".join((REPO / "README.md").read_text(encoding="utf-8").split())
+    rows, shares, chunk = layers.BLOCK_ROWS, analysis.BLOCK_SHARES, emission.CHUNK
+    buckets = sampling.GUIDE_BUCKETS
+    norm_exponent = -math.log2(measure.UNIT_NORM_TOL)
+    assert norm_exponent == int(norm_exponent), measure.UNIT_NORM_TOL
+    superscript = str(int(norm_exponent)).translate(str.maketrans("0123456789", "⁰¹²³⁴⁵⁶⁷⁸⁹"))
+    universe = tmp_path / "u.universe"
+    layers.save_universe(layers.build_universe(4, 2, 10_000, stream(1)), universe)
+    fragments = [
+        f"take at most {_grouped(rows)} rows at a time (`layers.BLOCK_ROWS`",
+        f"at most {_grouped(rows)} rows and {rows * 32 * 8 >> 10} KiB",
+        f"`layers.BLOCK_ROWS` ({_grouped(rows)}) pairs",
+        f"`analysis.BLOCK_SHARES` ({_grouped(shares)}) shares, that is {_grouped(shares)} // K "
+        f"pairs ({_grouped(shares // 5)} at K = 5)",
+        f"the emission times, {_grouped(chunk)} at a time",
+        f"buffers for {_grouped(chunk)} emissions",
+        f"`emission.CHUNK` = {_grouped(chunk)} at a time",
+        f"`sampling.BATCH` ({_power_of_ten(sampling.BATCH)}) trials",
+        f"splits into {buckets} buckets",
+        f"`i / {buckets}` to `(i + 1) / {buckets} - 2^-53`",
+        f"{_grouped(sampling.SUB_CHUNK)} trials ({_grouped(sampling.SUB_CHUNK // 4)} lane words)",
+        f"once {_grouped(sampling.REFINE_BATCH)} of them wait (`sampling.REFINE_BATCH`)",
+        f"`n` is limited to {layers.MAX_SAVED_N} (`layers.MAX_SAVED_N`)",
+        f"a cap of {layers.HEADER_CAP} bytes (`layers.HEADER_CAP`)",
+        f"after reading at most {layers.HEADER_CAP >> 10} KiB",
+        f"`UNIT_NORM_TOL` (2⁻{superscript})",
+        f"unit length (tolerance `{_power_of_ten(measure.SETTING_NORM_TOL)}`)",
+        f"would pass {config.BUDGET >> 30} GiB",
+        f"At M = 1e4 pairs (n = 4, L = 2) this is {_grouped(universe.stat().st_size)} bytes.",
+        f"8·L·(M + 2·min(M, {_grouped(rows)})) bytes",
+        f"at one pair `L <= {_largest(_within_budget('layers', ('L', 'layers'), layers=1))}`",
+        f"a file past n = {_largest(_within_budget('analyze', ('n',)))} exits 2 naming the "
+        f"field `'n'`",
+        f"8·L·(M + min(M, {_grouped(rows)}) + 16·(3n+14)) bytes",
+        f"at n = 4 and one pair a file past L = "
+        f"{_largest(_within_budget('analyze', ('n', 'L', 'layers'), n=4, layers=1))} exits 2",
+    ]
+    assert [fragment for fragment in fragments if fragment not in text] == []
+    minimums = re.search(r"checked against one minimum: (.*?) a smaller value", text)[1]
+    caps = re.search(r"The caps are (.*?) A size has one cap", text)[1]
+    for sentence, bounds, relation in ((minimums, config.MINIMUMS, ">="),
+                                       (caps, config.MAXIMUMS, "<=")):
+        for name, value in bounds.items():
+            assert re.search(rf"`(--)?{name} {relation} {value}`", sentence), (name, value)
