@@ -18,6 +18,11 @@ from eprsim import chsh, run_experiment, setting_from_angle
 from eprsim.config import ConfigError, check_size
 from eprsim.streams import seed_sequence
 
+# the smallest --step: the angles and one seed child each, held at once, take
+# near 370 bytes an angle (tracemalloc, numpy 2.4), so its at most 1 800 001
+# angles stay within config.BUDGET
+MIN_STEP = 1e-4
+
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
@@ -33,6 +38,11 @@ def main() -> int:
             check_size(name, getattr(args, name))
         if not (math.isfinite(args.step) and args.step > 0.0):
             raise ConfigError(f"--step must be finite and positive degrees (got {args.step})")
+        if args.step < MIN_STEP:
+            raise ConfigError(
+                f"--step must be >= {MIN_STEP} degrees (got {args.step}): the scan holds "
+                "180 / step + 1 angles at once"
+            )
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,7 @@ import math
 import sys
 
 from eprsim import fit_rate, generate_trace, prefix_discrepancies
-from eprsim.config import ConfigError, check_size
+from eprsim.config import BUDGET, MAXIMUMS, ConfigError, check_size
 from eprsim.streams import stream
 
 
@@ -44,6 +44,12 @@ def main() -> int:
                 f"--kmax must be >= 10000 (got {args.kmax}): the slope fit needs the "
                 "prefix sizes 1000 and 10000"
             )
+        # one trace at a time, as `poisson --k` holds it
+        if args.kmax > MAXIMUMS["k"]:
+            raise ConfigError(
+                f"--kmax must be <= {MAXIMUMS['k']} (got {args.kmax}): its largest array "
+                f"would pass the {BUDGET >> 30} GiB budget"
+            )
         thetas = [_mean_wait(text) for text in args.thetas.split(",")]
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -53,15 +59,14 @@ def main() -> int:
     rng = stream(args.seed)
     rows = []
 
+    # each trace is sorted in place and let go before the next is drawn
     for theta in thetas:
-        fracs = generate_trace(theta, args.kmax, rng)
-        stars = prefix_discrepancies(fracs, ks)[0]
+        stars = prefix_discrepancies(generate_trace(theta, args.kmax, rng), ks)[0]
         slope = fit_rate(ks, stars)
         rows += [("poisson", theta, k, s) for k, s in zip(ks, stars)]
         print(f"poisson theta={theta:<4}: slope {slope:+.3f}  D*({ks[-1]}) = {stars[-1]:.2e}")
 
-    uniform = rng.random(args.kmax)
-    stars = prefix_discrepancies(uniform, ks)[0]
+    stars = prefix_discrepancies(rng.random(args.kmax), ks)[0]
     rows += [("uniform", float("nan"), k, s) for k, s in zip(ks, stars)]
     print(f"uniform control  : slope {fit_rate(ks, stars):+.3f}")
 

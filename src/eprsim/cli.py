@@ -8,13 +8,14 @@ produce byte-identical output.  Exit codes: 0 ok, 2 validation error
 
 `main` builds only the parser of the command its first argument names; the
 full parser, which words the top-level errors, parses when that argument is
-no command or an argument is left over.  `main` then resolves the flags, runs
-the command, which returns its report fields and CSV table (header, rows) or
-None, and writes both.  With `--timings FILE` it also writes each stage's
-wall time and peak RSS to FILE (see `timings`); the report is the same.  The
-stages are each library call the command makes, the command as `cmd.<name>`
-from `main`'s first reading, and within it the flag parse as `cli.parse`,
-which ends before `timings` is imported.
+no command or an argument is left over.  `main` then refuses two path flags
+that name one file, resolves the flags, runs the command, which returns its
+report fields and CSV table (header, rows) or None, and writes both.  With
+`--timings FILE` it also writes each stage's wall time and peak RSS to FILE
+(see `timings`); the report is the same.  The stages are each library call
+the command makes, the command as `cmd.<name>` from `main`'s first reading,
+and within it the flag parse as `cli.parse`, which ends before `timings` is
+imported.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import contextlib
 import csv
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -33,7 +35,6 @@ import numpy as np
 from . import __version__
 from .analysis import dependence_report, outcome_biases, pair_expectation
 from .config import (
-    BUDGET,
     MINIMUMS,
     RUN_DEFAULTS,
     ConfigError,
@@ -51,13 +52,11 @@ from .emission import (
     uniform_chi_square,
 )
 from .layers import (
-    MAX_SAVED_N,
     UNIVERSE_SCHEMA,
     build_universe,
     layer_count_digits,
     load_universe,
     save_universe,
-    universe_sizes,
 )
 from .measure import (
     build_measure,
@@ -112,12 +111,6 @@ def cmd_verify(args):
 
 
 def cmd_layers(args):
-    # checked here so that the message names --n; build_universe would refuse it too
-    if args.n > MAX_SAVED_N:
-        raise ConfigError(
-            f"--n must be <= {MAX_SAVED_N} (got {args.n}): {UNIVERSE_SCHEMA} stores "
-            "the 3n+12 positions of a row as uint16"
-        )
     universe = build_universe(
         args.n, args.L, args.layers, stream(args.seed), tie_weights=args.tie_weights
     )
@@ -134,21 +127,6 @@ def cmd_layers(args):
 
 
 def cmd_analyze(args):
-    # the header's sizes are checked against analyze's budget before the body
-    # is read: its n alone, then its interval and pair counts with it
-    n, intervals, pairs = universe_sizes(args.universe)
-    for fields, sizes in (
-        (f"field 'n' = {n} is", {"n": n}),
-        (f"fields 'interval_count' = {intervals} and 'pair_count' = {pairs} are",
-         {"n": n, "L": intervals, "layers": pairs}),
-    ):
-        try:
-            check_budget("analyze", sizes)
-        except ConfigError:
-            raise ConfigError(
-                f"{args.universe}: universe {fields} past the sizes "
-                f"`analyze` takes: its run would pass the {BUDGET >> 30} GiB budget"
-            ) from None
     universe = load_universe(args.universe)
     mu_ab, mu_ac = (build_measure(args.settings["a"], args.settings[x], universe.n) for x in "bc")
     fields = dependence_report(universe, mu_ab, mu_ac)
@@ -429,15 +407,16 @@ def _run(args) -> None:
         text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as exc:  # a non-finite number is the program's fault, not the input's
         raise RuntimeError(f"the {args.command} report is not strict JSON: {exc}") from exc
-    _write_outputs(text, table, args.csv if table is not None else None, args.out)
+    made = [args.universe] if args.command == "layers" else []
+    _write_outputs(text, table, args.csv if table is not None else None, args.out, made)
 
 
-def _write_outputs(text: str, table, csv_path, out_path) -> None:
+def _write_outputs(text: str, table, csv_path, out_path, made=()) -> None:
     """Write the table (header, rows) to `csv_path` if given and the report
     to `out_path`, or stdout.  Both files are opened before either is
-    written, and an OSError removes every file opened, so a run that exits 2
-    leaves no output file."""
-    opened = []
+    written, and an OSError removes every file opened and the files `made`
+    that the command wrote, so a run that exits 2 leaves no output file."""
+    opened = list(made)
     try:
         with contextlib.ExitStack() as files:
             if csv_path:
@@ -486,6 +465,14 @@ def main(argv=None) -> int:
     if extra:
         args = build_parser().parse_args(argv)
     try:
+        # no two path flags may name one file, checked before any is opened:
+        # the files a run writes and the universe it reads (`layers` writes it)
+        named = {}  # each file named, by its path with every link resolved
+        for flag in ("universe", "out", "csv", "timings"):
+            if vars(args).get(flag):
+                first = named.setdefault(os.path.realpath(vars(args)[flag]), flag)
+                if first != flag:
+                    raise ConfigError(f"--{first} and --{flag} name one file, {vars(args)[flag]}")
         if args.timings:
             _run_timed(args, start, time.perf_counter())
         else:

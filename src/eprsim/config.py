@@ -62,21 +62,23 @@ MAXIMUMS = {
 }
 
 # what sizes checked together would allocate, in bytes, keyed by the
-# command: the universe's relocations and weights, splines' (n+5) x grid
-# float64 basis recursion, and analyze's whole run by the sizes of its
-# universe file.  Its n alone sizes `dependence_report`'s S x S float64 joint
-# table (S = 3n+12 cells): the tracemalloc peak of in-process `cli.main`
-# analyze runs on files of one pair and one interval grows by 32.0-32.1
-# bytes per S^2 from n = 100 to 800, and is 32.1-33.3 bytes per S^2 in all.
-# Its interval count L sizes the loaded M x L weights, `dependence_report`'s
-# min(M, 1024) x L spread block and `outcome_biases`' S x L sums and their
-# temporaries: the peak grows by 2904, 7008 and 23504 bytes per interval at
-# n = 4, 16 and 64 with M = 1 (about 115-121 per S x L), and by 16005 at
-# n = 4 with M = 1000 and 40923 with M = 4096 (numpy 2.4, x86-64 Linux).
-# 1024 is `layers.BLOCK_ROWS`, which this module cannot import: layers
-# imports it
+# command: splines' (n+5) x grid float64 basis recursion, and under "layers"
+# the sizes of a universe file, which `layers` checks before it builds one
+# and `layers._read_header` before any command reads a body, so every file
+# `layers` writes is one `analyze` can hold.  Its n alone sizes
+# `dependence_report`'s S x S float64 joint table (S = 3n+12 cells): the
+# tracemalloc peak of in-process `cli.main` analyze runs on files of one pair
+# and one interval grows by 32.0-32.1 bytes per S^2 from n = 100 to 800, and
+# is 32.1-33.3 bytes per S^2 in all.  With n and the pairs, the interval count
+# L sizes analyze's loaded M x L weights, `dependence_report`'s min(M, 1024)
+# x L spread block and `outcome_biases`' S x L sums and their temporaries:
+# the peak grows by 2904, 7008 and 23504 bytes per interval at n = 4, 16 and
+# 64 with M = 1 (about 115-121 per S x L), and by 16005 at n = 4 with M =
+# 1000 and 40923 with M = 4096 (numpy 2.4, x86-64 Linux).  1024 is
+# `layers.BLOCK_ROWS`, which this module cannot import: layers imports it
 JOINT_ARRAYS = {
     "layers": {
+        ("n",): lambda n: 34 * (3 * n + 12) ** 2,
         # 2M x (3n+12) int64 relocations: the uint16 array and the
         # BLOCK_ROWS-row scratch of each pass take less, so this over-counts;
         # at L = 64 (n = 4) the peaks grow by 618 bytes per pair for layers and
@@ -87,14 +89,11 @@ JOINT_ARRAYS = {
         # peaks 24.0 bytes per interval higher from L = 2^16 to 2^20 at
         # M = 1, and 12.0 per pair and interval at M = 4096
         ("L", "layers"): lambda intervals, pairs: 8 * intervals * (pairs + 2 * min(pairs, 1024)),
-    },
-    "splines": {("n", "grid"): lambda n, grid: 8 * (n + 5) * grid},
-    "analyze": {
-        ("n",): lambda n: 34 * (3 * n + 12) ** 2,
         ("n", "L", "layers"): lambda n, intervals, pairs: (
             8 * intervals * (pairs + min(pairs, 1024) + 16 * (3 * n + 14))
         ),
     },
+    "splines": {("n", "grid"): lambda n, grid: 8 * (n + 5) * grid},
     # the trace held beside the label counts: the poisson peaks above at
     # 8.0 B per k and 24.2 B per label, each measured with the other fixed
     "poisson": {("k", "labels"): lambda k, labels: 8 * k + 24 * labels},
@@ -114,15 +113,17 @@ def check_size(name: str, value: int) -> int:
 
 
 def check_budget(command: str, sizes: dict) -> None:
-    """Reject sizes that pass their caps one by one but together would make
-    `command`'s run hold more than BUDGET (a `JOINT_ARRAYS` entry may count
-    several arrays); a size that is None or absent is unused."""
+    """Reject sizes that pass their caps one by one but together would need
+    more than BUDGET in a run of `command` (a `JOINT_ARRAYS` entry may count
+    several arrays, and the "layers" entries count what `analyze` holds of
+    the file too); a size that is None or absent is unused.  The message
+    gives the bytes in MiB rounded up, so it never reads as the budget."""
     for names, nbytes in JOINT_ARRAYS.get(command, {}).items():
         values = [sizes.get(name) for name in names]
         if None not in values and nbytes(*values) > BUDGET:
             flags = " with ".join(f"--{name} {value}" for name, value in zip(names, values))
             raise ConfigError(
-                f"{flags} would make the run hold about {nbytes(*values) >> 20} MiB, "
+                f"{flags} would need about {-(-nbytes(*values) >> 20)} MiB, "
                 f"above the {BUDGET >> 30} GiB budget"
             )
 
@@ -154,6 +155,7 @@ def load_config(path) -> dict:
     build no universe to tie).
     """
     values: dict = {}
+    lines_of: dict = {}  # each key given, and its line
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
@@ -167,6 +169,10 @@ def load_config(path) -> dict:
         key, _, text = line.partition("=")
         key = key.strip()
         text = text.strip()
+        if key in lines_of:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} is given again (first on line "
+                              f"{lines_of[key]})")
+        lines_of[key] = lineno
         if key in RUN_DEFAULTS:
             try:
                 values[key] = check_size(key, int(text))

@@ -302,14 +302,12 @@ def _read_header(fh) -> tuple[int, int, int]:
             raise ValueError(f"universe field {key!r} must be >= {minimum}, got {value!r}")
     n, interval_count, pair_count = doc["n"], doc["interval_count"], doc["pair_count"]
     # the sizes `layers` refuses to write are refused here, before the body
-    if n > MAX_SAVED_N:
-        raise ValueError(f"universe field 'n' must be <= {MAX_SAVED_N}, got {n}")
     try:
         check_budget("layers", {"n": n, "L": interval_count, "layers": pair_count})
     except ConfigError as exc:
         raise ValueError(
-            f"universe fields 'n' = {n}, 'interval_count' = {interval_count} and "
-            f"'pair_count' = {pair_count} are past the sizes `layers` writes: {exc}"
+            f"{fh.name}: universe fields 'n' = {n}, 'interval_count' = {interval_count} "
+            f"and 'pair_count' = {pair_count} are past the sizes `layers` writes: {exc}"
         ) from None
     return n, interval_count, pair_count
 
@@ -332,17 +330,11 @@ def save_universe(universe: LayerUniverse, path) -> None:
             fh.write(np.ascontiguousarray(arr, dtype))
 
 
-def universe_sizes(path) -> tuple[int, int, int]:
-    """(n, interval_count, pair_count) of a universe file, from its header
-    line alone, checked as `load_universe` checks it; no body byte is read."""
-    with open(path, "rb") as fh:
-        return _read_header(fh)
-
-
 def load_universe(path) -> LayerUniverse:
     """Read and validate a `layer-universe/3` file.  The header is checked
-    first, schema, sizes and budget, and only then is the body read: exactly
-    the bytes the header's sizes take, which `LayerUniverse` validates."""
+    first, schema, sizes and the size rule of `config.JOINT_ARRAYS["layers"]`,
+    and only then is the body read: exactly the bytes the header's sizes
+    take, which `LayerUniverse` validates."""
     with open(path, "rb") as fh:
         n, interval_count, pair_count = _read_header(fh)
         positions = pair_count * diagonal_cell_count(n)

@@ -728,7 +728,8 @@ class TestSerialization:
     def test_positions_must_fit_uint16(self, tmp_path, n, fits):
         # 3n + 12 positions per row: 65535 at n = 21841, 65538 at n = 21842
         # positions are held as uint16, so a universe past the limit is refused
-        # when it is made, before it could be saved
+        # when it is made, before it could be saved; one within it is saved,
+        # but a universe file stops at n = 1869, so its header is refused
         eye = np.arange(3 * n + 12)
         if not fits:
             with pytest.raises(ValueError, match="'n'"):
@@ -737,27 +738,35 @@ class TestSerialization:
         uni = layers.LayerUniverse(n, 1, eye[None], eye[::-1][None], [[1.0]])
         path = tmp_path / "universe.json"
         layers.save_universe(uni, path)
-        loaded = layers.load_universe(path)
-        assert np.array_equal(loaded.col_to, uni.col_to)
-        assert np.array_equal(loaded.row_to, uni.row_to)
+        assert path.read_bytes() == universe_file_bytes(uni)
+        with pytest.raises(ValueError, match=f"universe fields 'n' = {n}, "):
+            layers.load_universe(path)
 
     @pytest.mark.parametrize(
         "n, interval_count, pair_count, writable",
         [
-            # each array of `layers` at the 1 GiB budget, then one unit past it;
-            # the weights are counted with one block's words and edges, 24
-            # bytes per interval of each of the first 1024 pairs
+            # each size rule of a universe file at the 1 GiB budget, then one
+            # unit past it: the relocations by n and M; the weights counted
+            # with one block's words and edges, 24 bytes per interval of each
+            # of the first 1024 pairs, which binds from M = 416 at n = 4; the
+            # S x S joint table of analyze by n; and analyze's S x L sums,
+            # which bind at n = 4 below M = 416
             (4, 1, config.BUDGET // 384, True),
             (4, 1, config.BUDGET // 384 + 1, False),
-            (4, config.BUDGET // 24, 1, True),
-            (4, config.BUDGET // 24 + 1, 1, False),
-            (4, 2**20, 42, True),
-            (4, 2**20, 43, False),
+            (4, 2**16, 682, True),
+            (4, 2**16, 683, False),
             (4, 2**14, 2**13 - 2048, True),
             (4, 2**14, 2**13 - 2047, False),
-            (layers.MAX_SAVED_N, 1, 1024, True),
-            (layers.MAX_SAVED_N, 1, 1025, False),
+            (1869, 1, 1, True),
+            (1869, 1, 11943, True),
+            (1869, 1, 11944, False),
+            (1870, 1, 1, False),
+            (layers.MAX_SAVED_N, 1, 1, False),
             (layers.MAX_SAVED_N + 1, 1, 1, False),
+            (4, 321_095, 1, True),
+            (4, 321_096, 1, False),
+            (4, 2**18, 48, True),
+            (4, 2**18, 49, False),
         ],
     )
     def test_header_readable_exactly_when_layers_writes_it(
@@ -768,7 +777,7 @@ class TestSerialization:
         path = tmp_path / "universe.json"
         path.write_bytes(json.dumps(header).encode() + b"\n")
         # the missing body is read, and found short, only past the header
-        match = "universe body holds 0 bytes" if writable else "GiB budget|'n' must be <="
+        match = "universe body holds 0 bytes" if writable else "past the sizes `layers` writes"
         with pytest.raises(ValueError, match=match):
             layers.load_universe(path)
 

@@ -93,9 +93,17 @@ def _largest(fits) -> int:
     return low
 
 
-def _within_budget(command: str, names: tuple, **sizes):
-    nbytes = config.JOINT_ARRAYS[command][names]
-    return lambda value: nbytes(*(sizes.get(name, value) for name in names)) <= config.BUDGET
+def _largest_in_a_file(name: str, **sizes) -> int:
+    """The largest size `name` of a universe file with the other `sizes`
+    that the universe size rule admits."""
+    def fits(value):
+        try:
+            config.check_budget("layers", {**sizes, name: value})
+        except config.ConfigError:
+            return False
+        return True
+
+    return _largest(fits)
 
 
 def test_readme_quotes_the_code_constants(tmp_path):
@@ -121,20 +129,18 @@ def test_readme_quotes_the_code_constants(tmp_path):
         f"`i / {buckets}` to `(i + 1) / {buckets} - 2^-53`",
         f"{_grouped(sampling.SUB_CHUNK)} trials ({_grouped(sampling.SUB_CHUNK // 4)} lane words)",
         f"once {_grouped(sampling.REFINE_BATCH)} of them wait (`sampling.REFINE_BATCH`)",
-        f"`n` is limited to {layers.MAX_SAVED_N} (`layers.MAX_SAVED_N`)",
+        f"so the CLI limit is n = {_largest_in_a_file('n', L=1, layers=1)}:",
+        f"`layers.MAX_SAVED_N` = {layers.MAX_SAVED_N}, where 3n+12 positions still fit `uint16`",
         f"a cap of {layers.HEADER_CAP} bytes (`layers.HEADER_CAP`)",
         f"after reading at most {layers.HEADER_CAP >> 10} KiB",
         f"`UNIT_NORM_TOL` (2⁻{superscript})",
         f"unit length (tolerance `{_power_of_ten(measure.SETTING_NORM_TOL)}`)",
         f"would pass {config.BUDGET >> 30} GiB",
         f"At M = 1e4 pairs (n = 4, L = 2) this is {_grouped(universe.stat().st_size)} bytes.",
-        f"8·L·(M + 2·min(M, {_grouped(rows)})) bytes",
-        f"at one pair `L <= {_largest(_within_budget('layers', ('L', 'layers'), layers=1))}`",
-        f"a file past n = {_largest(_within_budget('analyze', ('n',)))} exits 2 naming the "
-        f"field `'n'`",
-        f"8·L·(M + min(M, {_grouped(rows)}) + 16·(3n+14)) bytes",
-        f"at n = 4 and one pair a file past L = "
-        f"{_largest(_within_budget('analyze', ('n', 'L', 'layers'), n=4, layers=1))} exits 2",
+        f"L with M at 8·L·(M + 2·min(M, {_grouped(rows)}))",
+        f"8·L·(M + min(M, {_grouped(rows)}) + 16·(3n+14))",
+        f"The rule stops n at {_largest_in_a_file('n', L=1, layers=1)}, and at n = 4 and one "
+        f"pair L at {_grouped(_largest_in_a_file('L', n=4, layers=1))}.",
     ]
     assert [fragment for fragment in fragments if fragment not in text] == []
     minimums = re.search(r"checked against one minimum: (.*?) a smaller value", text)[1]

@@ -77,6 +77,32 @@ BAD_FLAGS = [
         "--kmax must be >= 10000 (got 500): the slope fit needs the prefix sizes 1000 and 10000",
     ),
     ("run_discrepancy_scan.py", ["--thetas", "0"], "--thetas: '0' is not a finite positive mean wait"),
+    # sizes nothing could hold, refused before anything is allocated: the
+    # angle count 180 / step + 1 and the trace of --kmax floats
+    (
+        "run_chsh_scan.py",
+        ["--step", "1e-300", "--trials", "10"],
+        "--step must be >= 0.0001 degrees (got 1e-300): the scan holds 180 / step + 1 angles "
+        "at once",
+    ),
+    (
+        "run_chsh_scan.py",
+        ["--step", "9.99e-05", "--trials", "10"],
+        "--step must be >= 0.0001 degrees (got 9.99e-05): the scan holds 180 / step + 1 angles "
+        "at once",
+    ),
+    (
+        "run_discrepancy_scan.py",
+        ["--kmax", "10000000000000"],
+        "--kmax must be <= 134217728 (got 10000000000000): its largest array would pass the "
+        "1 GiB budget",
+    ),
+    (
+        "run_discrepancy_scan.py",
+        ["--kmax", "134217729"],
+        "--kmax must be <= 134217728 (got 134217729): its largest array would pass the 1 GiB "
+        "budget",
+    ),
 ]
 
 
